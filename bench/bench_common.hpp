@@ -38,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "core/scenario.hpp"
 #include "sim/sweep.hpp"
 #include "trace/analyze.hpp"
 #include "trace/export.hpp"
@@ -220,25 +221,42 @@ class Bench {
     return result;
   }
 
+  [[noreturn]] static void usage_exit(const char* argv0) {
+    std::fprintf(stderr,
+                 "usage: %s [--threads N] [--replicas N] [--seed S] [--smoke]"
+                 " [--audit] [--telemetry] [--json PATH] [--no-json]"
+                 " [--compare BASELINE.json] [--trace PATH]\n",
+                 argv0);
+    std::exit(2);
+  }
+
   void parse_args(int argc, char** argv) {
+    const char* argv0 = argc > 0 ? argv[0] : "bench";
     const auto need_value = [&](int& i, const char* flag) -> const char* {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "%s requires a value\n", flag);
-        std::exit(2);
+        usage_exit(argv0);
       }
       return argv[++i];
+    };
+    // Whole non-negative decimal token; "abc", "3x", "-1" and "" exit 2.
+    const auto need_count = [&](int& i, const char* flag) -> std::uint64_t {
+      const auto n = core::parse_count(need_value(i, flag));
+      if (!n) {
+        std::fprintf(stderr, "%s needs a non-negative integer\n", flag);
+        usage_exit(argv0);
+      }
+      return *n;
     };
     for (int i = 1; i < argc; ++i) {
       const char* a = argv[i];
       if (std::strcmp(a, "--threads") == 0) {
-        options_.threads = static_cast<std::size_t>(
-            std::strtoull(need_value(i, a), nullptr, 10));
+        options_.threads = static_cast<std::size_t>(need_count(i, a));
       } else if (std::strcmp(a, "--replicas") == 0) {
-        options_.replicas = static_cast<std::size_t>(
-            std::strtoull(need_value(i, a), nullptr, 10));
+        options_.replicas = static_cast<std::size_t>(need_count(i, a));
         if (options_.replicas == 0) options_.replicas = 1;
       } else if (std::strcmp(a, "--seed") == 0) {
-        options_.seed = std::strtoull(need_value(i, a), nullptr, 10);
+        options_.seed = need_count(i, a);
       } else if (std::strcmp(a, "--smoke") == 0) {
         options_.smoke = true;
       } else if (std::strcmp(a, "--audit") == 0) {
@@ -256,13 +274,8 @@ class Bench {
       } else if (std::strncmp(a, "--benchmark_", 12) == 0) {
         // google-benchmark flags pass through to the micro benches.
       } else {
-        std::fprintf(stderr,
-                     "unknown flag %s\nusage: %s [--threads N] [--replicas N]"
-                     " [--seed S] [--smoke] [--audit] [--telemetry]"
-                     " [--json PATH] [--no-json] [--compare BASELINE.json]"
-                     " [--trace PATH]\n",
-                     a, argc > 0 ? argv[0] : "bench");
-        std::exit(2);
+        std::fprintf(stderr, "unknown flag %s\n", a);
+        usage_exit(argv0);
       }
     }
   }

@@ -239,10 +239,9 @@ void e1g_telemetry_overlay(bench::Bench& harness) {
   sys.run_for(sim::kHour);
 
   telemetry::DeriveSpec spec;
-  spec.endowment_epennies =
-      static_cast<double>(sys.initial_endowment_owned());
+  spec.endowment_epennies = static_cast<double>(sys.initial_endowment());
   std::vector<telemetry::Series> merged =
-      telemetry::merge_series({sys.telemetry()}, spec);
+      telemetry::merge_series(*sys.telemetry(), spec);
   // Keep the economics-relevant slice: every econ series plus the world
   // mail-flow totals.
   std::vector<telemetry::Series> overlay;

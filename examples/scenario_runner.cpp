@@ -24,6 +24,7 @@
 #include <functional>
 #include <iostream>
 #include <mutex>
+#include <optional>
 #include <sstream>
 
 #include "core/invariants.hpp"
@@ -76,7 +77,6 @@ struct Args {
   std::string script;  // empty = demo, "-" = stdin
   std::size_t replicas = 1;
   std::size_t threads = 1;
-  std::size_t shards = 1;  // >1 = partition the world on the sharded engine
   std::size_t banks = 0;   // >0 = run against a FederatedZmailSystem
   bool audit = false;      // federated runs: continuous FederationAuditor
   std::uint64_t seed = 0;
@@ -101,7 +101,7 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [script.zs|-] [--replicas N] [--threads N]"
                " [--seed S] [--json PATH]\n"
-               "       [--shards N] [--banks N] [--audit] [--store-dir DIR]"
+               "       [--banks N] [--audit] [--store-dir DIR]"
                " [--checkpoint-interval DUR] [--trace PATH]\n"
                "  --banks N                 run the script against a\n"
                "                            FederatedZmailSystem with N\n"
@@ -111,12 +111,6 @@ int usage(const char* argv0) {
                "  --audit                   federated runs only: run the\n"
                "                            FederationAuditor continuously\n"
                "                            and fail on any violation\n"
-               "  --shards N                partition the world into N shards\n"
-               "                            driven in parallel by the\n"
-               "                            conservative sharded engine; the\n"
-               "                            merged results are bit-identical\n"
-               "                            at any N >= 2 (N = 1 is the exact\n"
-               "                            legacy single-threaded path)\n"
                "  --store-dir DIR           enable the durable store (WAL +\n"
                "                            snapshots) under DIR; replica k\n"
                "                            writes to DIR/r<k>.  Unlocks the\n"
@@ -137,7 +131,7 @@ int usage(const char* argv0) {
                "                            timeseries + probe sections\n"
                "  --telemetry-prom PATH     rewrite PATH with the Prometheus\n"
                "                            text exposition at each sampling\n"
-               "                            tick (unsharded worlds only)\n"
+               "                            tick\n"
                "  --telemetry-period DUR    sampling cadence in sim time\n"
                "                            (default 1m)\n",
                argv0);
@@ -156,15 +150,14 @@ telemetry::TelemetryConfig telemetry_config(const Args& args) {
 // default probe rules evaluated retrospectively (fires/clears logged via
 // the "probe" tag) with a console summary, and optionally the obs v3
 // snapshot built by `v3_snapshot`.  Returns 0 or the process exit code.
-int export_telemetry(
-    const Args& args,
-    const std::vector<const telemetry::TelemetryRegistry*>& regs,
-    double endowment_epennies,
-    const std::function<json::Value()>& v3_snapshot) {
+int export_telemetry(const Args& args,
+                     const telemetry::TelemetryRegistry& registry,
+                     double endowment_epennies,
+                     const std::function<json::Value()>& v3_snapshot) {
   telemetry::DeriveSpec spec;
   spec.endowment_epennies = endowment_epennies;
   const std::vector<telemetry::Series> merged =
-      telemetry::merge_series(regs, spec);
+      telemetry::merge_series(registry, spec);
   std::size_t points = 0;
   for (const auto& s : merged) points += s.points.size();
 
@@ -208,28 +201,30 @@ int main(int argc, char** argv) {
     const auto value = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    // Numeric flags take a whole non-negative decimal token; anything else
+    // ("abc", "3x", "-1", "") is a usage error.
+    const auto count = [&]() -> std::optional<std::uint64_t> {
+      const char* v = value();
+      return v ? core::parse_count(v) : std::nullopt;
+    };
     if (std::strcmp(a, "--replicas") == 0) {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      args.replicas = std::max<std::size_t>(1, std::strtoull(v, nullptr, 10));
+      const auto n = count();
+      if (!n) return usage(argv[0]);
+      args.replicas = std::max<std::size_t>(1, *n);
     } else if (std::strcmp(a, "--threads") == 0) {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      args.threads = std::strtoull(v, nullptr, 10);
-    } else if (std::strcmp(a, "--shards") == 0) {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      args.shards = std::max<std::size_t>(1, std::strtoull(v, nullptr, 10));
+      const auto n = count();
+      if (!n) return usage(argv[0]);
+      args.threads = *n;
     } else if (std::strcmp(a, "--banks") == 0) {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      args.banks = std::strtoull(v, nullptr, 10);
+      const auto n = count();
+      if (!n) return usage(argv[0]);
+      args.banks = *n;
     } else if (std::strcmp(a, "--audit") == 0) {
       args.audit = true;
     } else if (std::strcmp(a, "--seed") == 0) {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      args.seed = std::strtoull(v, nullptr, 10);
+      const auto n = count();
+      if (!n) return usage(argv[0]);
+      args.seed = *n;
       args.seed_given = true;
     } else if (std::strcmp(a, "--json") == 0) {
       const char* v = value();
@@ -312,10 +307,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (args.banks > 0 && args.shards > 1) {
-    std::fprintf(stderr, "--banks and --shards are mutually exclusive\n");
-    return 2;
-  }
   if (args.telemetry_on() && args.replicas > 1) {
     // One world, one set of series: replicas would overwrite each other's
     // output files.
@@ -402,13 +393,11 @@ int main(int argc, char** argv) {
             reg.set_schema(obs::Schema::kV3);
             reg.add_system("scenario", runner.world());
             telemetry_rc = export_telemetry(
-                args, {runner.world().telemetry()}, endowment,
+                args, *runner.world().telemetry(), endowment,
                 [&reg] { return reg.snapshot(); });
           }
         } else {
-          core::ShardOptions shard_opts;
-          shard_opts.shards = args.shards;
-          core::ScenarioRunner runner(copy, shard_opts);
+          core::ScenarioRunner runner(copy);
           if (args.telemetry_on())
             runner.world().enable_telemetry(telemetry_config(args));
           r = runner.run();
@@ -423,7 +412,7 @@ int main(int argc, char** argv) {
             reg.set_schema(obs::Schema::kV3);
             reg.add_system("scenario", runner.world());
             telemetry_rc = export_telemetry(
-                args, runner.world().telemetry_registries(),
+                args, *runner.world().telemetry(),
                 static_cast<double>(runner.world().initial_endowment()),
                 [&reg] { return reg.snapshot(); });
           }

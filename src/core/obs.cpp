@@ -25,15 +25,13 @@ namespace {
 // deterministic series, engine series, and the default probe rules
 // evaluated over the run (without re-logging transitions the live run
 // already logged).
-void append_timeseries(
-    json::Value& j,
-    const std::vector<const telemetry::TelemetryRegistry*>& regs,
-    double endowment_epennies) {
-  if (regs.empty()) return;
+void append_timeseries(json::Value& j,
+                       const telemetry::TelemetryRegistry& registry,
+                       double endowment_epennies) {
   telemetry::DeriveSpec spec;
   spec.endowment_epennies = endowment_epennies;
   const std::vector<telemetry::Series> merged =
-      telemetry::merge_series(regs, spec);
+      telemetry::merge_series(registry, spec);
   j["timeseries"] = telemetry::timeseries_json(merged, /*engine=*/false);
   j["timeseries_engine"] = telemetry::timeseries_json(merged, /*engine=*/true);
   telemetry::ProbeEngine probes;
@@ -220,95 +218,7 @@ json::Value snapshot(const core::ZmailSystem& sys, Schema v) {
     }
   }
   if (v == Schema::kV3 && sys.telemetry())
-    append_timeseries(j, {sys.telemetry()},
-                      static_cast<double>(sys.initial_endowment_owned()));
-  return j;
-}
-
-json::Value snapshot(const core::ShardedSystem& sys, Schema v) {
-  // Single shard == the legacy whole world: defer so the output is
-  // byte-identical to the pre-sharding snapshot (same code path).
-  if (!sys.sharded()) return snapshot(sys.shard(0), v);
-
-  const core::ZmailParams& p = sys.params();
-  json::Value j = json::Value::object();
-  j["sim_time"] = static_cast<std::int64_t>(sys.now());
-  j["n_isps"] = static_cast<std::uint64_t>(p.n_isps);
-  j["users_per_isp"] = static_cast<std::uint64_t>(p.users_per_isp);
-  j["compliant_isps"] = static_cast<std::uint64_t>(p.compliant_count());
-
-  j["isp_totals"] = to_json(sys.total_isp_metrics(), v);
-  j["legacy_totals"] = to_json(sys.total_legacy_stats());
-  j["bank"] = to_json(sys.bank().metrics(), v);
-  // Merged and sorted before the float reductions run, so which shard
-  // observed which email cannot change the exported quantiles or mean.
-  j["delivery_latency_seconds"] = to_json(sys.merged_delivery_latency());
-
-  json::Value& net = j["network"];
-  net["datagrams_sent"] = sys.datagrams_sent();
-  net["bytes_sent"] = sys.bytes_sent();
-  json::Value& smtp = net["smtp_bytes_received"];
-  smtp = json::Value::array();
-  for (std::size_t i = 0; i < p.n_isps; ++i)
-    smtp.push_back(sys.smtp_bytes_received(i));
-
-  json::Value& per_isp = j["per_isp"];
-  per_isp = json::Value::array();
-  for (std::size_t i = 0; i < p.n_isps; ++i) {
-    json::Value e = json::Value::object();
-    e["isp"] = static_cast<std::uint64_t>(i);
-    e["compliant"] = p.is_compliant(i);
-    if (p.is_compliant(i))
-      e["metrics"] = to_json(sys.isp(i).metrics(), v);
-    else
-      e["legacy"] = to_json(sys.shard(sys.owner_shard(i)).legacy_stats(i));
-    per_isp.push_back(std::move(e));
-  }
-
-  json::Value& cons = j["conservation"];
-  cons["total_epennies"] = static_cast<std::int64_t>(sys.total_epennies());
-  cons["epennies_in_flight"] =
-      static_cast<std::int64_t>(sys.epennies_in_flight());
-  cons["holds"] = sys.conservation_holds();
-
-  if (v != Schema::kV1) {
-    const core::ZmailSystem::StoreTotals st = sys.store_totals();
-    json::Value& store = j["store"];
-    store["checkpoints"] = st.checkpoints;
-    store["snapshot_bytes"] = st.snapshot_bytes;
-    store["wal_records_appended"] = st.wal_records_appended;
-    store["wal_records_truncated"] = st.wal_records_truncated;
-    store["wal_bytes_appended"] = st.wal_bytes_appended;
-    store["wal_syncs"] = st.wal_syncs;
-    store["wal_fsyncs"] = st.wal_fsyncs;
-    store["state_recoveries"] = sys.state_recoveries();
-    store["pending_transfers"] =
-        static_cast<std::uint64_t>(sys.pending_transfers());
-    j["calendar_rebase_count"] = sys.calendar_rebases();
-
-    // Engine execution counters.  windows/cross_shard_msgs describe *how*
-    // the run executed, not the world: they vary with the partition, so
-    // they live in their own section and never feed bit-identity diffs.
-    if (const sim::ShardedStats* es = sys.engine_stats()) {
-      json::Value& eng = j["engine"];
-      eng["shards"] = static_cast<std::uint64_t>(sys.shard_count());
-      eng["windows"] = es->windows;
-      eng["cross_shard_msgs"] = es->cross_shard_msgs;
-      eng["mailbox_overflows"] = es->mailbox_overflows;
-      eng["horizon_clamps"] = sys.horizon_clamps();
-      eng["max_window_events"] = es->max_window_events;
-      eng["barrier_audit_checks"] = sys.barrier_audit().checks;
-      eng["barrier_audit_failures"] = sys.barrier_audit().failures;
-    }
-
-    if (trace::enabled()) {
-      j["trace_breakdown"] =
-          trace::breakdown_to_json(trace::breakdown(trace::collect()));
-      j["profiles"] = trace::profiles_to_json();
-    }
-  }
-  if (v == Schema::kV3)
-    append_timeseries(j, sys.telemetry_registries(),
+    append_timeseries(j, *sys.telemetry(),
                       static_cast<double>(sys.initial_endowment()));
   return j;
 }
@@ -388,7 +298,7 @@ json::Value snapshot(const core::FederatedZmailSystem& sys, Schema v) {
         (static_cast<double>(p.initial_avail) +
          static_cast<double>(p.users_per_isp) *
              static_cast<double>(p.initial_user_balance));
-    append_timeseries(j, {sys.telemetry()}, endowment);
+    append_timeseries(j, *sys.telemetry(), endowment);
   }
   return j;
 }
@@ -411,12 +321,6 @@ bool MetricsRegistry::add_system(std::string name,
                                  const core::ZmailSystem& sys) {
   // Captures `this` so the schema chosen via set_schema() — possibly after
   // registration — governs the export.
-  return add(std::move(name),
-             [this, &sys] { return zmail::obs::snapshot(sys, schema_); });
-}
-
-bool MetricsRegistry::add_system(std::string name,
-                                 const core::ShardedSystem& sys) {
   return add(std::move(name),
              [this, &sys] { return zmail::obs::snapshot(sys, schema_); });
 }

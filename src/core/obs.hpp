@@ -15,7 +15,6 @@
 
 #include "core/federated_system.hpp"
 #include "core/metrics.hpp"
-#include "core/sharded_system.hpp"
 #include "core/system.hpp"
 #include "util/json.hpp"
 #include "util/stats.hpp"
@@ -28,10 +27,10 @@ namespace zmail::obs {
 // idempotency counters, durable-store totals, and — when the flight
 // recorder is enabled — the span-derived per-stage latency breakdown.
 // kV3 ("zmail-obs-v3") is kV2 plus, when the system ran with telemetry
-// enabled, the recorded time series: "timeseries" (deterministic series,
-// bit-identical at any shard/thread count), "timeseries_engine"
-// (partition-dependent engine series), and "probes" (the default health
-// rules evaluated over the run).
+// enabled, the recorded time series: "timeseries" (deterministic series, a
+// pure function of the simulated world), "timeseries_engine" (execution
+// series such as event backlogs), and "probes" (the default health rules
+// evaluated over the run).
 enum class Schema { kV1, kV2, kV3 };
 
 // "zmail-obs-v1" / "zmail-obs-v2" / "zmail-obs-v3".
@@ -51,15 +50,6 @@ json::Value to_json(const Sample& s);
 // "store", and (when tracing is on) "trace_breakdown" + "profiles"
 // sections; kV1 is the legacy layout, unchanged.
 json::Value snapshot(const core::ZmailSystem& sys, Schema v = Schema::kV1);
-
-// Snapshot of a (possibly sharded) world.  Every exported value is merged
-// partition-independently (summed counters, ISP-index-ordered per-ISP
-// sections, the delivery-latency sample sorted before reduction), so in
-// deterministic mode the emitted JSON is bit-identical at any shard or
-// thread count >= 2; with shards == 1 it matches the whole-system snapshot
-// byte for byte.  kV2 appends an "engine" section (windows, cross-shard
-// messages, barrier audits) when the sharded engine is live.
-json::Value snapshot(const core::ShardedSystem& sys, Schema v = Schema::kV1);
 
 // Snapshot of a federated-bank world: ISP totals plus a "federation"
 // section (rounds, inter-bank messages/bytes, cross-bank settlements,
@@ -84,7 +74,6 @@ class MetricsRegistry {
   // schema is read at snapshot() time, so set_schema() may follow.  The
   // system must outlive the registry's last snapshot() call.
   bool add_system(std::string name, const core::ZmailSystem& sys);
-  bool add_system(std::string name, const core::ShardedSystem& sys);
   bool add_system(std::string name, const core::FederatedZmailSystem& sys);
 
   // Selects the export schema (default kV1, the legacy byte-stable

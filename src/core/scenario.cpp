@@ -25,19 +25,25 @@ std::optional<std::string> kv(const std::vector<std::string>& args,
   return std::nullopt;
 }
 
-std::optional<std::int64_t> to_int(const std::string& s) {
-  if (s.empty()) return std::nullopt;
+}  // namespace
+
+std::optional<std::int64_t> parse_int(const std::string& token) {
+  if (token.empty()) return std::nullopt;
   try {
     std::size_t pos = 0;
-    const std::int64_t v = std::stoll(s, &pos);
-    if (pos != s.size()) return std::nullopt;
+    const std::int64_t v = std::stoll(token, &pos);
+    if (pos != token.size()) return std::nullopt;
     return v;
   } catch (...) {
     return std::nullopt;
   }
 }
 
-}  // namespace
+std::optional<std::uint64_t> parse_count(const std::string& token) {
+  const auto v = parse_int(token);
+  if (!v || *v < 0) return std::nullopt;
+  return static_cast<std::uint64_t>(*v);
+}
 
 std::optional<std::pair<std::size_t, std::size_t>> parse_user_ref(
     const std::string& token) {
@@ -50,8 +56,8 @@ std::optional<std::pair<std::size_t, std::size_t>> parse_user_ref(
   }
   const std::size_t dot = token.find('.');
   if (dot == std::string::npos) return std::nullopt;
-  const auto isp = to_int(token.substr(0, dot));
-  const auto user = to_int(token.substr(dot + 1));
+  const auto isp = parse_int(token.substr(0, dot));
+  const auto user = parse_int(token.substr(dot + 1));
   if (!isp || !user || *isp < 0 || *user < 0) return std::nullopt;
   return std::make_pair(static_cast<std::size_t>(*isp),
                         static_cast<std::size_t>(*user));
@@ -60,7 +66,7 @@ std::optional<std::pair<std::size_t, std::size_t>> parse_user_ref(
 std::optional<sim::Duration> parse_duration(const std::string& token) {
   if (token.size() < 2) return std::nullopt;
   const char suffix = token.back();
-  const auto value = to_int(token.substr(0, token.size() - 1));
+  const auto value = parse_int(token.substr(0, token.size() - 1));
   if (!value || *value < 0) return std::nullopt;
   switch (suffix) {
     case 's': return *value * sim::kSecond;
@@ -94,22 +100,22 @@ std::optional<Scenario> Scenario::parse(const std::string& text,
       if (world_seen) return fail(lineno, "duplicate world line");
       world_seen = true;
       const std::vector<std::string> args(toks.begin() + 1, toks.end());
-      if (const auto v = kv(args, "isps"); v && to_int(*v))
-        s.params_.n_isps = static_cast<std::size_t>(*to_int(*v));
-      if (const auto v = kv(args, "users"); v && to_int(*v))
-        s.params_.users_per_isp = static_cast<std::size_t>(*to_int(*v));
-      if (const auto v = kv(args, "balance"); v && to_int(*v))
-        s.params_.initial_user_balance = *to_int(*v);
-      if (const auto v = kv(args, "limit"); v && to_int(*v))
-        s.params_.default_daily_limit = *to_int(*v);
-      if (const auto v = kv(args, "seed"); v && to_int(*v))
-        s.seed_ = static_cast<std::uint64_t>(*to_int(*v));
+      if (const auto v = kv(args, "isps"); v && parse_int(*v))
+        s.params_.n_isps = static_cast<std::size_t>(*parse_int(*v));
+      if (const auto v = kv(args, "users"); v && parse_int(*v))
+        s.params_.users_per_isp = static_cast<std::size_t>(*parse_int(*v));
+      if (const auto v = kv(args, "balance"); v && parse_int(*v))
+        s.params_.initial_user_balance = *parse_int(*v);
+      if (const auto v = kv(args, "limit"); v && parse_int(*v))
+        s.params_.default_daily_limit = *parse_int(*v);
+      if (const auto v = kv(args, "seed"); v && parse_int(*v))
+        s.seed_ = static_cast<std::uint64_t>(*parse_int(*v));
       // Hardened-transport switches: crash/outage scenarios lose in-flight
       // datagrams, so scripts using `crash` want both of these on.
-      if (const auto v = kv(args, "retry"); v && to_int(*v))
-        s.params_.retry.enabled = *to_int(*v) != 0;
-      if (const auto v = kv(args, "reliable"); v && to_int(*v))
-        s.params_.reliable_email_transport = *to_int(*v) != 0;
+      if (const auto v = kv(args, "retry"); v && parse_int(*v))
+        s.params_.retry.enabled = *parse_int(*v) != 0;
+      if (const auto v = kv(args, "reliable"); v && parse_int(*v))
+        s.params_.reliable_email_transport = *parse_int(*v) != 0;
       if (const auto v = kv(args, "compliant")) {
         if (v->size() != s.params_.n_isps)
           return fail(lineno, "compliant mask length != isps");
@@ -150,10 +156,8 @@ std::string ScenarioResult::output_text() const {
   return out;
 }
 
-ScenarioRunner::ScenarioRunner(const Scenario& scenario, ShardOptions shards)
-    : scenario_(scenario),
-      world_(std::make_unique<ShardedSystem>(scenario.params_, scenario.seed_,
-                                             shards)) {}
+ScenarioRunner::ScenarioRunner(const Scenario& scenario)
+    : scenario_(scenario), world_(scenario.params_, scenario.seed_) {}
 
 ScenarioResult ScenarioRunner::run() {
   ScenarioResult result;
@@ -164,8 +168,8 @@ ScenarioResult ScenarioRunner::run() {
     return net::make_user_address(isp, user);
   };
   auto in_range = [&](const std::pair<std::size_t, std::size_t>& who) {
-    return who.first < world_->params().n_isps &&
-           who.second < world_->params().users_per_isp;
+    return who.first < world_.params().n_isps &&
+           who.second < world_.params().users_per_isp;
   };
 
   for (const auto& cmd : scenario_.commands_) {
@@ -187,8 +191,8 @@ ScenarioResult ScenarioRunner::run() {
       for (std::size_t i = 3; i < a.size(); ++i) subject += " " + a[i];
       if (a.size() > 2 && a[2] == "subject" && a.size() > 3)
         subject = a[3];
-      world_->send_email(addr(from->first, from->second),
-                          addr(to->first, to->second), subject, "body");
+      world_.send_email(addr(from->first, from->second),
+                        addr(to->first, to->second), subject, "body");
     } else if (cmd.verb == "spam") {
       const auto from = a.empty() ? std::nullopt : parse_user_ref(a[0]);
       const auto count = kv(a, "count");
@@ -196,14 +200,13 @@ ScenarioResult ScenarioRunner::run() {
         fail(cmd.line, "spam needs an in-range <from> and count=N");
         continue;
       }
-      const auto n = to_int(*count);
+      const auto n = parse_int(*count);
       Rng rng(cmd.line * 7919 + 13);
       for (std::int64_t k = 0; n && k < *n; ++k) {
-        const auto ti = rng.next_below(world_->params().n_isps);
-        const auto tu = rng.next_below(world_->params().users_per_isp);
-        world_->send_email(addr(from->first, from->second), addr(ti, tu),
-                            "zxoffer", "zxbuy zxnow",
-                            net::MailClass::kSpam);
+        const auto ti = rng.next_below(world_.params().n_isps);
+        const auto tu = rng.next_below(world_.params().users_per_isp);
+        world_.send_email(addr(from->first, from->second), addr(ti, tu),
+                          "zxoffer", "zxbuy zxnow", net::MailClass::kSpam);
       }
     } else if (cmd.verb == "buy" || cmd.verb == "sell") {
       if (a.size() != 2) {
@@ -211,14 +214,14 @@ ScenarioResult ScenarioRunner::run() {
         continue;
       }
       const auto who = parse_user_ref(a[0]);
-      const auto n = to_int(a[1]);
+      const auto n = parse_int(a[1]);
       if (!who || !n || !in_range(*who)) {
         fail(cmd.line, cmd.verb + ": bad arguments");
         continue;
       }
       const auto address = addr(who->first, who->second);
-      const bool ok = cmd.verb == "buy" ? world_->buy_epennies(address, *n)
-                                        : world_->sell_epennies(address, *n);
+      const bool ok = cmd.verb == "buy" ? world_.buy_epennies(address, *n)
+                                        : world_.sell_epennies(address, *n);
       if (!ok) fail(cmd.line, cmd.verb + " refused");
     } else if (cmd.verb == "run") {
       const auto d = a.empty() ? std::nullopt : parse_duration(a[0]);
@@ -226,49 +229,49 @@ ScenarioResult ScenarioRunner::run() {
         fail(cmd.line, "run needs a duration like 10m");
         continue;
       }
-      world_->run_for(*d);
+      world_.run_for(*d);
     } else if (cmd.verb == "day") {
-      for (std::size_t i = 0; i < world_->params().n_isps; ++i)
-        if (world_->is_compliant(i)) world_->isp(i).end_of_day();
+      for (std::size_t i = 0; i < world_.params().n_isps; ++i)
+        if (world_.is_compliant(i)) world_.isp(i).end_of_day();
     } else if (cmd.verb == "flip") {
-      const auto i = a.empty() ? std::nullopt : to_int(a[0]);
+      const auto i = a.empty() ? std::nullopt : parse_int(a[0]);
       if (!i || *i < 0 ||
-          static_cast<std::size_t>(*i) >= world_->params().n_isps) {
+          static_cast<std::size_t>(*i) >= world_.params().n_isps) {
         fail(cmd.line, "flip needs a valid isp index");
         continue;
       }
-      world_->make_compliant(static_cast<std::size_t>(*i));
+      world_.make_compliant(static_cast<std::size_t>(*i));
     } else if (cmd.verb == "snapshot") {
-      world_->start_snapshot();
+      world_.start_snapshot();
     } else if (cmd.verb == "crash") {
       // crash <isp-index|bank> <duration>: wipe the host's in-memory state
       // and recover it from snapshot + WAL replay after <duration>.  Only
       // meaningful with the durable store (there is nothing to recover from
       // otherwise), so it refuses on store-off worlds.
-      if (!world_->params().store.enabled) {
+      if (!world_.params().store.enabled) {
         fail(cmd.line, "crash requires the durable store (--store-dir)");
         continue;
       }
       const auto d = a.size() == 2 ? parse_duration(a[1]) : std::nullopt;
       std::optional<std::size_t> host;
       if (a.size() == 2 && a[0] == "bank") {
-        host = world_->bank_index();
+        host = world_.bank_index();
       } else if (a.size() == 2) {
-        const auto i = to_int(a[0]);
+        const auto i = parse_int(a[0]);
         if (i && *i >= 0 &&
-            static_cast<std::size_t>(*i) < world_->params().n_isps &&
-            world_->is_compliant(static_cast<std::size_t>(*i)))
+            static_cast<std::size_t>(*i) < world_.params().n_isps &&
+            world_.is_compliant(static_cast<std::size_t>(*i)))
           host = static_cast<std::size_t>(*i);
       }
       if (!host || !d) {
         fail(cmd.line, "crash needs <compliant-isp|bank> <duration>");
         continue;
       }
-      world_->crash_host(*host, *d);
+      world_.crash_host(*host, *d);
     } else if (cmd.verb == "policy") {
       // policy <isp> <accept|segregate|discard|filter>: how this ISP's
       // users treat mail from non-compliant senders (per-user overrides).
-      const auto i = a.size() == 2 ? to_int(a[0]) : std::nullopt;
+      const auto i = a.size() == 2 ? parse_int(a[0]) : std::nullopt;
       std::optional<NonCompliantPolicy> policy;
       if (a.size() == 2) {
         if (a[1] == "accept") policy = NonCompliantPolicy::kAccept;
@@ -277,13 +280,13 @@ ScenarioResult ScenarioRunner::run() {
         else if (a[1] == "filter") policy = NonCompliantPolicy::kFilter;
       }
       if (!i || *i < 0 ||
-          static_cast<std::size_t>(*i) >= world_->params().n_isps ||
-          !world_->is_compliant(static_cast<std::size_t>(*i)) || !policy) {
+          static_cast<std::size_t>(*i) >= world_.params().n_isps ||
+          !world_.is_compliant(static_cast<std::size_t>(*i)) || !policy) {
         fail(cmd.line, "policy needs a compliant isp and a policy name");
         continue;
       }
-      Isp& isp = world_->isp(static_cast<std::size_t>(*i));
-      for (std::size_t u = 0; u < world_->params().users_per_isp; ++u)
+      Isp& isp = world_.isp(static_cast<std::size_t>(*i));
+      for (std::size_t u = 0; u < world_.params().users_per_isp; ++u)
         isp.users().set_policy_override(UserId(u), *policy);
     } else if (cmd.verb == "expect") {
       if (a.empty()) {
@@ -292,48 +295,48 @@ ScenarioResult ScenarioRunner::run() {
       }
       if (a[0] == "balance" && a.size() == 3) {
         const auto who = parse_user_ref(a[1]);
-        const auto want = to_int(a[2]);
+        const auto want = parse_int(a[2]);
         if (!who || !want || !in_range(*who) ||
-            !world_->is_compliant(who->first)) {
+            !world_.is_compliant(who->first)) {
           fail(cmd.line, "expect balance <user> <n>");
           continue;
         }
         const EPenny got =
-            world_->isp(who->first).user(who->second).balance;
+            world_.isp(who->first).user(who->second).balance;
         if (got != *want) {
           fail(cmd.line, "expect balance " + a[1] + ": got " +
                              std::to_string(got) + ", want " + a[2]);
         }
       } else if (a[0] == "violations" && a.size() == 2) {
-        const auto want = to_int(a[1]);
+        const auto want = parse_int(a[1]);
         const auto got = static_cast<std::int64_t>(
-            world_->bank().last_violations().size());
+            world_.bank().last_violations().size());
         if (!want || got != *want)
           fail(cmd.line,
                "expect violations: got " + std::to_string(got));
       } else if (a[0] == "conservation") {
-        if (!world_->conservation_holds())
+        if (!world_.conservation_holds())
           fail(cmd.line, "conservation violated");
       } else {
         fail(cmd.line, "unknown expectation: " + a[0]);
       }
     } else if (cmd.verb == "print") {
       if (!a.empty() && a[0] == "balances") {
-        for (std::size_t i = 0; i < world_->params().n_isps; ++i) {
-          if (!world_->is_compliant(i)) continue;
-          for (std::size_t u = 0; u < world_->params().users_per_isp; ++u) {
+        for (std::size_t i = 0; i < world_.params().n_isps; ++i) {
+          if (!world_.is_compliant(i)) continue;
+          for (std::size_t u = 0; u < world_.params().users_per_isp; ++u) {
             char line[96];
             std::snprintf(line, sizeof line, "%s balance=%lld",
                           net::make_user_address(i, u).str().c_str(),
                           static_cast<long long>(
-                              world_->isp(i).user(u).balance));
+                              world_.isp(i).user(u).balance));
             result.output.emplace_back(line);
           }
         }
       } else {
         char line[64];
         std::snprintf(line, sizeof line, "t=%s",
-                      sim::format_time(world_->now()).c_str());
+                      sim::format_time(world_.now()).c_str());
         result.output.emplace_back(line);
       }
     }
@@ -385,7 +388,7 @@ ScenarioResult FederatedScenarioRunner::run() {
         continue;
       }
       const auto who = parse_user_ref(a[0]);
-      const auto n = to_int(a[1]);
+      const auto n = parse_int(a[1]);
       if (!who || !n || !in_range(*who)) {
         fail(cmd.line, cmd.verb + ": bad arguments");
         continue;
@@ -419,7 +422,7 @@ ScenarioResult FederatedScenarioRunner::run() {
       if (a.size() == 2 && a[0].rfind("bank", 0) == 0) {
         const std::string idx = a[0].substr(4);
         const auto b = idx.empty() ? std::optional<std::int64_t>(0)
-                                   : to_int(idx);
+                                   : parse_int(idx);
         if (b && *b >= 0 &&
             static_cast<std::size_t>(*b) < world_->bank_count())
           bank = static_cast<std::size_t>(*b);
@@ -436,7 +439,7 @@ ScenarioResult FederatedScenarioRunner::run() {
       }
       if (a[0] == "balance" && a.size() == 3) {
         const auto who = parse_user_ref(a[1]);
-        const auto want = to_int(a[2]);
+        const auto want = parse_int(a[2]);
         if (!who || !want || !in_range(*who)) {
           fail(cmd.line, "expect balance <user> <n>");
           continue;
@@ -446,7 +449,7 @@ ScenarioResult FederatedScenarioRunner::run() {
           fail(cmd.line, "expect balance " + a[1] + ": got " +
                              std::to_string(got) + ", want " + a[2]);
       } else if (a[0] == "violations" && a.size() == 2) {
-        const auto want = to_int(a[1]);
+        const auto want = parse_int(a[1]);
         const auto got = static_cast<std::int64_t>(
             world_->federation().last_violations().size());
         if (!want || got != *want)

@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "core/federated_system.hpp"
-#include "core/sharded_system.hpp"
 #include "core/system.hpp"
 
 namespace zmail::core {
@@ -86,24 +85,19 @@ struct ScenarioResult {
   std::string output_text() const;
 };
 
-// Executes a parsed scenario against a fresh world.  By default the world
-// is a single whole ZmailSystem (byte-identical to the pre-sharding
-// runner); pass ShardOptions{.shards = N} to run the same script against an
-// N-way partitioned world on the sharded engine.
+// Executes a parsed scenario against a fresh ZmailSystem.
 class ScenarioRunner {
  public:
-  explicit ScenarioRunner(const Scenario& scenario, ShardOptions shards = {});
+  explicit ScenarioRunner(const Scenario& scenario);
 
   ScenarioResult run();
 
   // The world outlives run() so tests can inspect final state.
-  ShardedSystem& world() noexcept { return *world_; }
-  // Legacy accessor: the whole world when unsharded, shard 0 otherwise.
-  ZmailSystem& system() noexcept { return world_->shard(0); }
+  ZmailSystem& world() noexcept { return world_; }
 
  private:
   const Scenario& scenario_;
-  std::unique_ptr<ShardedSystem> world_;
+  ZmailSystem world_;
 };
 
 // Executes a parsed scenario against a FederatedZmailSystem with `n_banks`
@@ -132,5 +126,13 @@ std::optional<std::pair<std::size_t, std::size_t>> parse_user_ref(
 
 // "90s" / "15m" / "2h" / "1d" -> simulated duration.
 std::optional<sim::Duration> parse_duration(const std::string& token);
+
+// Strict whole-token decimal integer: "42" or "-7".  Empty input, trailing
+// junk ("3x"), non-numbers ("abc") and out-of-range values are nullopt.
+std::optional<std::int64_t> parse_int(const std::string& token);
+
+// parse_int restricted to values >= 0; the numeric command-line flags
+// (--replicas, --threads, --banks, --seed) all go through this.
+std::optional<std::uint64_t> parse_count(const std::string& token);
 
 }  // namespace zmail::core

@@ -1,5 +1,7 @@
 #include "core/system.hpp"
 
+#include <optional>
+
 #include "core/telemetry_wiring.hpp"
 #include "trace/trace.hpp"
 #include "util/assert.hpp"
@@ -54,73 +56,39 @@ std::uint64_t frame_checksum(const std::uint8_t* p, std::size_t n) {
 }  // namespace
 
 ZmailSystem::ZmailSystem(ZmailParams params, std::uint64_t seed)
-    : ZmailSystem(std::move(params), seed, std::optional<ShardSlice>{}) {}
-
-ZmailSystem::ZmailSystem(ZmailParams params, std::uint64_t seed,
-                         const ShardSlice& slice)
-    : ZmailSystem(std::move(params), seed, std::optional<ShardSlice>{slice}) {}
-
-ZmailSystem::ZmailSystem(ZmailParams params, std::uint64_t seed,
-                         std::optional<ShardSlice> slice)
     : params_(std::move(params)),
       rng_(seed),
       seed_(seed),
       sim_(),
-      net_(sim_, Rng(seed ^ 0x4E455455ULL), net::LatencyModel{}),
-      slice_(std::move(slice)) {
+      net_(sim_, Rng(seed ^ 0x4E455455ULL), net::LatencyModel{}) {
   const auto problems = params_.validate();
   ZMAIL_ASSERT_MSG(problems.empty(),
                    problems.empty() ? "" : problems.front().c_str());
-  if (slice_) ZMAIL_ASSERT(slice_->shards > 0 && slice_->shard < slice_->shards);
 
-  // Every shard draws the bank keys from the same stream so the key
-  // material (and thus every sealed wire) is identical world-wide; only the
-  // bank-owning shard instantiates the Bank itself.
   bank_keys_ = crypto::generate_keypair(rng_);
-  if (owns_host(bank_host()))
-    bank_ = std::make_unique<Bank>(params_, bank_keys_, seed ^ 0xB0B0ULL);
+  bank_ = std::make_unique<Bank>(params_, bank_keys_, seed ^ 0xB0B0ULL);
 
   legacy_.resize(params_.n_isps);
   smtp_bytes_in_.assign(params_.n_isps, 0);
   isps_.resize(params_.n_isps);
   isp_ctor_seed_.assign(params_.n_isps, 0);
   for (std::size_t i = 0; i < params_.n_isps; ++i) {
-    // Partition-independent per-ISP seed: a function of (seed, i) only, so
-    // ISP i starts identically whichever shard constructs it.
+    // Per-ISP construction seed, a function of (seed, i) only; recovery
+    // rebuilds ISP i from the same seed.
     isp_ctor_seed_[i] = seed * 0x5851F42D4C957F2DULL + i;
-    net::HostId h;
-    if (owns_host(i)) {
-      if (params_.is_compliant(i))
-        isps_[i] = std::make_unique<Isp>(i, params_, bank_keys_.pub,
-                                         isp_ctor_seed_[i]);
-      h = net_.add_host(net::isp_domain(i), [this, i](const net::Datagram& d) {
-        on_datagram(i, d);
-      });
-    } else {
-      h = net_.add_remote_host(net::isp_domain(i));
-    }
+    if (params_.is_compliant(i))
+      isps_[i] = std::make_unique<Isp>(i, params_, bank_keys_.pub,
+                                       isp_ctor_seed_[i]);
+    const net::HostId h = net_.add_host(
+        net::isp_domain(i),
+        [this, i](const net::Datagram& d) { on_datagram(i, d); });
     ZMAIL_ASSERT(h == i);
     net_.bind_domain(net::isp_domain(i), h);
   }
-  const net::HostId bh =
-      owns_host(bank_host())
-          ? net_.add_host("bank.example",
-                          [this](const net::Datagram& d) {
-                            on_datagram(bank_host(), d);
-                          })
-          : net_.add_remote_host("bank.example");
+  const net::HostId bh = net_.add_host(
+      "bank.example",
+      [this](const net::Datagram& d) { on_datagram(bank_host(), d); });
   ZMAIL_ASSERT(bh == bank_host());
-
-  if (slice_) {
-    // Keyed draws make every latency sample and fault fate a pure function
-    // of (seed, from, to, k) — the property that lets any shard count
-    // replay the same world.  Whole (non-sliced) worlds keep the legacy
-    // shared stream, preserving their byte-stable output.
-    net_.enable_keyed_latency(seed ^ 0x5ABDED5ABDED5ABDULL);
-    // Disjoint ARQ id space per shard: receiver-side dedupe is keyed by
-    // transfer id alone, and two shards must never mint the same id.
-    next_transfer_id_ = (static_cast<std::uint64_t>(slice_->shard) << 48) + 1;
-  }
 
   if (params_.store.enabled) {
     std::string err;
@@ -128,7 +96,7 @@ ZmailSystem::ZmailSystem(ZmailParams params, std::uint64_t seed,
     stores_.resize(params_.n_isps + 1);
     for (std::size_t i = 0; i < params_.n_isps; ++i)
       if (isps_[i]) open_store(i);
-    if (bank_) open_store(bank_host());
+    open_store(bank_host());
     if (params_.store.checkpoint_interval_us > 0) {
       sim_.schedule_every(
           static_cast<sim::Duration>(params_.store.checkpoint_interval_us),
@@ -289,30 +257,16 @@ SendOutcome ZmailSystem::send_email_multi(const net::EmailMessage& msg) {
 }
 
 void ZmailSystem::make_compliant(IspId isp) {
-  ZMAIL_ASSERT_MSG(!sliced(),
-                   "use ShardedSystem::make_compliant on a sliced world");
   const std::size_t isp_index = isp.index();
   ZMAIL_ASSERT(isp_index < params_.n_isps);
   if (params_.is_compliant(isp_index)) return;
   ZMAIL_ASSERT_MSG(in_flight_paid_ == 0,
                    "flip compliance only while no paid mail is in flight");
-  make_compliant_owned(isp, bank_->seq());
-}
-
-void ZmailSystem::adopt_compliance(IspId isp) {
-  // The bank flips compliant[j] and broadcasts; in a whole world the shared
-  // params object makes the new array visible to every party at once, and
-  // in a sliced world the facade calls this on every shard so each copy of
-  // the array agrees.
+  // The bank flips compliant[j] and broadcasts; the shared params object
+  // makes the new array visible to every party at once.
   if (params_.compliant.empty())
     params_.compliant.assign(params_.n_isps, true);
-  params_.compliant[isp.index()] = true;
-}
-
-void ZmailSystem::make_compliant_owned(IspId isp, std::uint64_t bank_seq) {
-  const std::size_t isp_index = isp.index();
-  ZMAIL_ASSERT(isp_index < params_.n_isps && owns_host(isp_index));
-  adopt_compliance(isp);
+  params_.compliant[isp_index] = true;
   isp_ctor_seed_[isp_index] =
       seed_ * 0x5851F42D4C957F2DULL + isp_index + 0x9E37ULL;
   isps_[isp_index] = std::make_unique<Isp>(isp_index, params_, bank_keys_.pub,
@@ -320,7 +274,7 @@ void ZmailSystem::make_compliant_owned(IspId isp, std::uint64_t bank_seq) {
   if (spam_filter_) isps_[isp_index]->set_filter(spam_filter_);
   if (params_.store.enabled) open_store(isp_index);
   // Join the bank's current billing period.
-  isps_[isp_index]->set_seq(bank_seq);
+  isps_[isp_index]->set_seq(bank_->seq());
   // set_seq is a harness-side fixup, not a logged command; baseline the
   // flipped ISP with an immediate checkpoint so recovery starts from a
   // snapshot that already carries the adopted seq.
@@ -376,9 +330,8 @@ void ZmailSystem::poll_fault_recovery() {
   // lost requests or reports in transit.  Re-request every silent ISP and
   // push the deadline out a full window, so re-requests back off instead
   // of flooding.  (ISPs that reported already advanced their seq and see a
-  // re-request as stale; ISPs mid-quiesce just re-confirm.)  Only the
-  // bank-owning shard runs this half.
-  if (!bank_ || !bank_->round_open() || sim_.now() < snapshot_deadline_)
+  // re-request as stale; ISPs mid-quiesce just re-confirm.)
+  if (!bank_->round_open() || sim_.now() < snapshot_deadline_)
     return;
   auto requests = bank_->resend_requests();
   if (requests.empty()) return;
@@ -400,13 +353,7 @@ void ZmailSystem::quiesce_timeout(std::size_t i) {
 
 void ZmailSystem::schedule_quiesce_timeout(std::size_t isp_index,
                                            sim::SimTime deadline) {
-  if (owns_host(isp_index)) {
-    sim_.schedule_at(deadline, [this, i = isp_index] { quiesce_timeout(i); });
-  } else if (remote_quiesce_) {
-    // The ISP lives on another shard: the facade carries (isp, deadline)
-    // across via the engine mailbox so the timeout fires on its owner.
-    remote_quiesce_(isp_index, deadline);
-  }
+  sim_.schedule_at(deadline, [this, i = isp_index] { quiesce_timeout(i); });
 }
 
 void ZmailSystem::enable_periodic_snapshots(sim::Duration period) {
@@ -429,7 +376,6 @@ void ZmailSystem::enable_telemetry(const telemetry::TelemetryConfig& cfg) {
   // During an outage window they read the party's last pre-crash state,
   // which is itself sim-deterministic.
   for (std::size_t i = 0; i < params_.n_isps; ++i) {
-    if (!owns_host(i)) continue;
     const std::string tag = "isp" + std::to_string(i);
     if (!isps_[i]) {
       // Legacy (non-compliant) host: only the ground-truth spam feed.
@@ -445,53 +391,47 @@ void ZmailSystem::enable_telemetry(const telemetry::TelemetryConfig& cfg) {
       detail::register_store_telemetry(t, tag, cp);
   }
 
-  if (bank_) {
-    t.add_gauge("econ", "bank.epenny_supply", [this] {
-      return static_cast<double>(bank_->epennies_outstanding());
-    });
-    t.add_rate("econ", "bank.minted", [this] {
-      return static_cast<double>(bank_->metrics().epennies_minted);
-    });
-    t.add_rate("econ", "bank.burned", [this] {
-      return static_cast<double>(bank_->metrics().epennies_burned);
-    });
-    t.add_rate("econ", "bank.settlements", [this] {
-      return static_cast<double>(bank_->metrics().settlement_transfers);
-    });
-    t.add_gauge("econ", "bank.drift_pairs", [this] {
-      return static_cast<double>(bank_->persistent_drift_pairs());
-    });
-    t.add_rate("core", "bank.credit_reports", [this] {
-      return static_cast<double>(bank_->metrics().credit_reports_received);
-    });
-    if (store::Checkpointer* cp = host_store(bank_host()))
-      detail::register_store_telemetry(t, "bank", cp);
-  }
+  t.add_gauge("econ", "bank.epenny_supply", [this] {
+    return static_cast<double>(bank_->epennies_outstanding());
+  });
+  t.add_rate("econ", "bank.minted", [this] {
+    return static_cast<double>(bank_->metrics().epennies_minted);
+  });
+  t.add_rate("econ", "bank.burned", [this] {
+    return static_cast<double>(bank_->metrics().epennies_burned);
+  });
+  t.add_rate("econ", "bank.settlements", [this] {
+    return static_cast<double>(bank_->metrics().settlement_transfers);
+  });
+  t.add_gauge("econ", "bank.drift_pairs", [this] {
+    return static_cast<double>(bank_->persistent_drift_pairs());
+  });
+  t.add_rate("core", "bank.credit_reports", [this] {
+    return static_cast<double>(bank_->metrics().credit_reports_received);
+  });
+  if (store::Checkpointer* cp = host_store(bank_host()))
+    detail::register_store_telemetry(t, "bank", cp);
 
-  // engine — partition-dependent signals (backlogs, engine totals); these
-  // describe this process, not the simulated world, so they live outside
-  // the deterministic section.
-  const std::string sh =
-      "shard" + std::to_string(slice_ ? slice_->shard : 0);
-  t.add_engine_gauge("sim", sh + ".event_backlog", [this] {
+  // engine — execution signals (backlogs, engine totals); these describe
+  // this process, not the simulated world, so they live outside the
+  // deterministic section.  The "shard0" prefix keeps the exported series
+  // names stable.
+  t.add_engine_gauge("sim", "shard0.event_backlog", [this] {
     return static_cast<double>(sim_.pending());
   });
-  t.add_engine_rate("sim", sh + ".events", [this] {
+  t.add_engine_rate("sim", "shard0.events", [this] {
     return static_cast<double>(sim_.events_executed());
   });
-  t.add_engine_rate("sim", sh + ".calendar_rebases", [this] {
+  t.add_engine_rate("sim", "shard0.calendar_rebases", [this] {
     return static_cast<double>(sim_.calendar_rebases());
   });
-  t.add_engine_rate("net", sh + ".datagrams", [this] {
+  t.add_engine_rate("net", "shard0.datagrams", [this] {
     return static_cast<double>(net_.datagrams_sent());
   });
-  t.add_engine_rate("net", sh + ".bytes", [this] {
+  t.add_engine_rate("net", "shard0.bytes", [this] {
     return static_cast<double>(net_.bytes_sent());
   });
-  t.add_engine_rate("net", sh + ".horizon_clamps", [this] {
-    return static_cast<double>(net_.horizon_clamps());
-  });
-  t.add_engine_gauge("net", sh + ".in_flight_transfers", [this] {
+  t.add_engine_gauge("net", "shard0.in_flight_transfers", [this] {
     return static_cast<double>(transfers_.size());
   });
 
@@ -509,8 +449,6 @@ void ZmailSystem::start_snapshot() {
   // still-open period (the timed twin of the AP resume barrier; the fuzz
   // suite caught exactly this).  A common deadline — "everyone reports at
   // 00:10" — removes the skew.
-  ZMAIL_ASSERT_MSG(bank_ != nullptr,
-                   "snapshots start on the bank-owning shard");
   auto requests = bank_->start_snapshot();
   if (requests.empty()) return;
   if (trace::enabled()) {
@@ -964,7 +902,7 @@ EPenny ZmailSystem::total_epennies() const {
 Money ZmailSystem::total_real_money() const {
   Money total = Money::zero();
   for (std::size_t i = 0; i < params_.n_isps; ++i) {
-    if (bank_) total += bank_->account(i);
+    total += bank_->account(i);
     if (!isps_[i]) continue;
     total += isps_[i]->till();
     for (const Money a : isps_[i]->users().accounts()) total += a;
@@ -972,7 +910,7 @@ Money ZmailSystem::total_real_money() const {
   return total;
 }
 
-EPenny ZmailSystem::initial_endowment_owned() const {
+EPenny ZmailSystem::initial_endowment() const {
   EPenny initial = 0;
   for (std::size_t i = 0; i < params_.n_isps; ++i) {
     if (!params_.is_compliant(i) || !isps_[i]) continue;
@@ -986,8 +924,7 @@ EPenny ZmailSystem::initial_endowment_owned() const {
 bool ZmailSystem::conservation_holds() const {
   // Initial endowment + net minted must equal current holdings.
   return total_epennies() ==
-         initial_endowment_owned() +
-             (bank_ ? bank_->epennies_outstanding() : 0);
+         initial_endowment() + bank_->epennies_outstanding();
 }
 
 }  // namespace zmail::core

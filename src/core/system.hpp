@@ -20,7 +20,6 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -71,33 +70,9 @@ struct SendOutcome {
   }
 };
 
-// One shard's view of a partitioned world (see core::ShardedSystem and
-// sim::ShardedSimulator).  A sliced ZmailSystem registers EVERY global host
-// id — so host-index arithmetic, wire formats, and bank bookkeeping are
-// unchanged — but owns state (Isp/Population, Bank, stores, handlers) only
-// for the hosts this shard is responsible for; the rest become remote
-// routes.  Ownership rule: ISP i lives on shard i % shards, the bank on
-// shard 0.
-struct ShardSlice {
-  std::size_t shard = 0;
-  std::size_t shards = 1;
-  // Seed for pair-keyed latency and fault draws (partition-independent
-  // randomness; see util/rng.hpp pair_keyed_rng).
-  std::uint64_t keyed_seed = 0;
-
-  static std::size_t owner_of_isp(std::size_t isp, std::size_t shards) {
-    return isp % shards;
-  }
-  static std::size_t owner_of_bank(std::size_t /*shards*/) { return 0; }
-};
-
 class ZmailSystem {
  public:
   explicit ZmailSystem(ZmailParams params, std::uint64_t seed = 42);
-  // Slice-mode construction: this instance is shard `slice.shard` of a
-  // `slice.shards`-way partition.  Use ShardedSystem instead of calling
-  // this directly; the facade wires the remote routes and hooks.
-  ZmailSystem(ZmailParams params, std::uint64_t seed, const ShardSlice& slice);
 
   // --- Mail ----------------------------------------------------------------
   // Sends from any user (compliant or legacy) to any user.  For compliant
@@ -130,12 +105,6 @@ class ZmailSystem {
   // days); billing-period boundaries are where real deployments would do
   // this, and it keeps the first snapshot after the flip consistent.
   void make_compliant(IspId isp);
-  // Slice-mode halves of make_compliant, driven by ShardedSystem: the owner
-  // shard constructs the ISP (joining the bank's billing period via
-  // `bank_seq`, read on the bank shard); every other shard just flips its
-  // params copy so compliance checks agree world-wide.
-  void make_compliant_owned(IspId isp, std::uint64_t bank_seq);
-  void adopt_compliance(IspId isp);
 
   // --- Periodic machinery ---------------------------------------------------
   void enable_daily_resets();
@@ -145,8 +114,8 @@ class ZmailSystem {
   void start_snapshot();
 
   // --- Telemetry (src/telemetry; off by default, like tracing) --------------
-  // Registers one time-series sampler per owned entity signal (econ, core,
-  // store scopes plus engine-only sim/net series) and schedules a read-only
+  // Registers one time-series sampler per entity signal (econ, core, store
+  // scopes plus engine-only sim/net series) and schedules a read-only
   // sampling tick every cfg.sample_period of simulated time.  The tick draws
   // no randomness and mutates nothing, so enabling telemetry never changes
   // what the world does.  Call once, before the run.
@@ -213,32 +182,6 @@ class ZmailSystem {
   sim::Simulator& simulator() noexcept { return sim_; }
   const sim::Simulator& simulator() const noexcept { return sim_; }
 
-  // --- Shard slice (see ShardSlice above; all no-ops on whole worlds) ------
-  bool sliced() const noexcept { return slice_.has_value(); }
-  const ShardSlice* slice() const noexcept {
-    return slice_ ? &*slice_ : nullptr;
-  }
-  // Does this instance own (hold the state and handler of) global host id
-  // `host`?  Whole worlds own everything.
-  bool owns_host(std::size_t host) const noexcept {
-    if (!slice_) return true;
-    if (host == bank_host())
-      return slice_->shard == ShardSlice::owner_of_bank(slice_->shards);
-    return slice_->shard == ShardSlice::owner_of_isp(host, slice_->shards);
-  }
-  bool owns_bank() const noexcept { return bank_ != nullptr; }
-  // Quiesce timeouts for snapshot rounds must fire on the shard owning the
-  // ISP, but the round (and its common absolute deadline) starts on the
-  // bank shard; the facade installs this hook to carry (isp, deadline)
-  // across that gap via the engine mailbox.
-  using RemoteQuiesceFn = std::function<void(std::size_t isp, sim::SimTime at)>;
-  void set_remote_quiesce_hook(RemoteQuiesceFn fn) {
-    remote_quiesce_ = std::move(fn);
-  }
-  // Owner-side landing point for the hook: runs the same check the local
-  // schedule would have.
-  void quiesce_timeout(std::size_t isp_index);
-
   // --- Introspection ---------------------------------------------------------
   const ZmailParams& params() const noexcept { return params_; }
   bool is_compliant(IspId i) const { return params_.is_compliant(i.index()); }
@@ -280,23 +223,15 @@ class ZmailSystem {
   // e-pennies travelling inside in-flight paid emails.
   EPenny total_epennies() const;
   EPenny epennies_in_flight() const noexcept { return in_flight_paid_; }
-  // Σ ISP bank accounts + Σ user real-money accounts + Σ ISP tills.  On a
-  // slice: only this shard's share (bank accounts count on the bank shard,
-  // tills and user accounts on their owner) — sum across shards for the
-  // global figure.
+  // Σ ISP bank accounts + Σ user real-money accounts + Σ ISP tills.
   Money total_real_money() const;
-  // Initial e-penny endowment of the compliant ISPs this instance owns
-  // (all of them on a whole world).
-  EPenny initial_endowment_owned() const;
+  // Initial e-penny endowment of the compliant ISPs (the conservation
+  // baseline telemetry's derived gap series subtracts from).
+  EPenny initial_endowment() const;
   // True when supply equals holdings: minted - burned == total_epennies().
-  // Per-shard escrow drift makes this meaningless on a slice mid-run; use
-  // ShardedSystem::conservation_holds for the global check.
   bool conservation_holds() const;
 
  private:
-  ZmailSystem(ZmailParams params, std::uint64_t seed,
-              std::optional<ShardSlice> slice);
-
   struct LegacyHost {
     LegacyHostStats stats;
   };
@@ -334,9 +269,9 @@ class ZmailSystem {
   void handle_email_ack(const net::Datagram& d);
   // Retry/backoff recovery poll (armed when params.retry.enabled).
   void poll_fault_recovery();
-  // Arm the common-deadline quiesce timeout for one snapshot request —
-  // locally when this shard owns the ISP, via the remote hook otherwise.
+  // Arm the common-deadline quiesce timeout for one snapshot request.
   void schedule_quiesce_timeout(std::size_t isp_index, sim::SimTime deadline);
+  void quiesce_timeout(std::size_t isp_index);
 
   ZmailParams params_;
   Rng rng_;
@@ -344,8 +279,6 @@ class ZmailSystem {
   std::uint64_t seed_;
   sim::Simulator sim_;
   net::Network net_;
-  std::optional<ShardSlice> slice_;
-  RemoteQuiesceFn remote_quiesce_;
 
   std::vector<std::unique_ptr<Isp>> isps_;       // null for legacy slots
   std::vector<LegacyHost> legacy_;               // indexed like isps_
@@ -355,7 +288,7 @@ class ZmailSystem {
   Sample latency_;
   // Telemetry (null when off — the off path constructs and schedules
   // nothing).  telem_latency_[i]: histogram channel for deliveries INTO
-  // ISP i, kNoChannel for unowned/legacy slots.
+  // ISP i, kNoChannel for legacy slots.
   std::unique_ptr<telemetry::TelemetryRegistry> telemetry_;
   std::vector<std::size_t> telem_latency_;
   EPenny in_flight_paid_ = 0;

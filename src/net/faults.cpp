@@ -35,56 +35,47 @@ FaultInjector::Fate FaultInjector::on_send(sim::SimTime now, HostId from,
     return fate;
   }
   if (!plan_.applies_to(type)) return fate;
-  if (keyed_stride_ != 0) {
-    // One per-pair stream per decision: every probabilistic draw for this
-    // datagram (and its payload mutations, which follow synchronously)
-    // comes from a generator that is a pure function of
-    // (seed, from, to, k) — partition-independent by construction.
-    const std::uint64_t k = keyed_draws_[from * keyed_stride_ + to]++;
-    keyed_rng_ = pair_keyed_rng(seed_ ^ 0xFA17FA17FA17FA17ULL, from, to, k);
-  }
-  Rng& rng = draw_rng();
   // Fixed draw order keeps the fault stream replayable: drop, duplicate,
   // then per-copy fates decided by the caller via this same Fate.
   const FaultRates& r = plan_.rates;
-  if (r.drop > 0.0 && rng.bernoulli(r.drop)) {
+  if (r.drop > 0.0 && rng_.bernoulli(r.drop)) {
     ++counters_.dropped;
     fate.drop = true;
     return fate;
   }
-  if (r.duplicate > 0.0 && rng.bernoulli(r.duplicate)) {
+  if (r.duplicate > 0.0 && rng_.bernoulli(r.duplicate)) {
     ++counters_.duplicated;
     fate.copies = 2;
   }
-  if (r.reorder > 0.0 && rng.bernoulli(r.reorder)) {
+  if (r.reorder > 0.0 && rng_.bernoulli(r.reorder)) {
     ++counters_.reordered;
     fate.reorder = true;
   }
-  if (r.corrupt > 0.0 && rng.bernoulli(r.corrupt)) {
+  if (r.corrupt > 0.0 && rng_.bernoulli(r.corrupt)) {
     ++counters_.corrupted;
     fate.corrupt = true;
   }
-  if (r.truncate > 0.0 && rng.bernoulli(r.truncate)) {
+  if (r.truncate > 0.0 && rng_.bernoulli(r.truncate)) {
     ++counters_.truncated;
     fate.truncate = true;
   }
-  if (r.delay_spike > 0.0 && rng.bernoulli(r.delay_spike)) {
+  if (r.delay_spike > 0.0 && rng_.bernoulli(r.delay_spike)) {
     ++counters_.delayed;
     fate.extra_delay = sim::from_seconds(
-        rng.exponential(1.0 / sim::to_seconds(r.spike_mean)));
+        rng_.exponential(1.0 / sim::to_seconds(r.spike_mean)));
   }
   return fate;
 }
 
 void FaultInjector::corrupt_payload(crypto::Bytes& payload) {
   if (payload.empty()) return;
-  const std::uint64_t bit = draw_rng().next_below(payload.size() * 8);
+  const std::uint64_t bit = rng_.next_below(payload.size() * 8);
   payload[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
 }
 
 void FaultInjector::truncate_payload(crypto::Bytes& payload) {
   if (payload.empty()) return;
-  payload.resize(draw_rng().next_below(payload.size()));
+  payload.resize(rng_.next_below(payload.size()));
 }
 
 }  // namespace zmail::net

@@ -109,22 +109,10 @@ class FaultInjector {
   };
 
   FaultInjector(FaultPlan plan, std::uint64_t seed)
-      : plan_(std::move(plan)), seed_(seed), rng_(seed) {}
+      : plan_(std::move(plan)), rng_(seed) {}
 
   const FaultPlan& plan() const noexcept { return plan_; }
   const FaultCounters& counters() const noexcept { return counters_; }
-
-  // Pair-keyed fate draws: decision k for host pair (from,to) becomes a
-  // pure function of (seed, from, to, k) instead of a draw from the shared
-  // stream, so a sharded run injects the identical fault pattern at any
-  // shard count.  Call after construction, before any traffic; `n_hosts`
-  // fixes the pair-counter table.  Legacy single-shard runs never enable
-  // this and keep their original stream.
-  void enable_keyed(std::size_t n_hosts) {
-    keyed_stride_ = n_hosts;
-    keyed_draws_.assign(n_hosts * n_hosts, 0);
-  }
-  bool keyed() const noexcept { return keyed_stride_ != 0; }
 
   // Send-time decision for a datagram from->to at `now`.
   Fate on_send(sim::SimTime now, HostId from, HostId to, MsgType type);
@@ -149,19 +137,9 @@ class FaultInjector {
 
  private:
   bool partitioned(sim::SimTime now, HostId a, HostId b) const noexcept;
-  // Stream the next draws should come from: the shared stream, or (keyed
-  // mode) the per-pair stream prepared by the latest on_send.  The payload
-  // mutators run synchronously right after on_send in Network::send, so
-  // routing them through the same per-pair stream keeps corruption bits
-  // partition-independent too.
-  Rng& draw_rng() noexcept { return keyed_stride_ != 0 ? keyed_rng_ : rng_; }
 
   FaultPlan plan_;
-  std::uint64_t seed_;
   Rng rng_;
-  std::size_t keyed_stride_ = 0;
-  std::vector<std::uint64_t> keyed_draws_;  // per (from,to) decision counter
-  Rng keyed_rng_{0};  // stream for the current keyed decision
   FaultCounters counters_;
 };
 

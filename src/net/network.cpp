@@ -7,10 +7,9 @@ namespace zmail::net {
 
 Network::Network(sim::Simulator& simulator, Rng rng, LatencyModel latency)
     : sim_(simulator), rng_(rng), latency_(latency) {
-  // A zero-or-negative floor would give the sharded engine a zero-width
-  // conservative window (cross-shard messages could arrive "now"), so an
-  // instantaneous network is rejected at construction rather than silently
-  // deadlocking or reordering a sharded run later.
+  // Every hop takes strictly positive time: a zero-or-negative floor would
+  // let a reply land at the instant its request was sent, which no real
+  // network does, so such a model is rejected as a configuration error.
   ZMAIL_ASSERT_MSG(latency_.min_latency() > 0,
                    "latency model must have a strictly positive minimum");
   ZMAIL_ASSERT(latency_.jitter_mean >= 0);
@@ -18,39 +17,9 @@ Network::Network(sim::Simulator& simulator, Rng rng, LatencyModel latency)
 
 HostId Network::add_host(std::string name, HandlerFn handler) {
   ZMAIL_ASSERT(handler != nullptr);
-  ZMAIL_ASSERT_MSG(keyed_stride_ == 0,
-                   "register all hosts before enabling keyed latency");
   hosts_.push_back(Host{std::move(name), std::move(handler), {}});
   bytes_to_.push_back(0);
   return hosts_.size() - 1;
-}
-
-HostId Network::add_remote_host(std::string name) {
-  ZMAIL_ASSERT_MSG(keyed_stride_ == 0,
-                   "register all hosts before enabling keyed latency");
-  hosts_.push_back(Host{std::move(name), nullptr, {}});
-  bytes_to_.push_back(0);
-  return hosts_.size() - 1;
-}
-
-void Network::enable_keyed_latency(std::uint64_t key_seed) {
-  ZMAIL_ASSERT_MSG(!hosts_.empty(), "enable keyed latency after adding hosts");
-  keyed_seed_ = key_seed;
-  keyed_stride_ = hosts_.size();
-  keyed_draws_.assign(keyed_stride_ * keyed_stride_, 0);
-}
-
-sim::Duration Network::sample_latency(HostId from, HostId to) {
-  if (keyed_stride_ == 0) return latency_.sample(rng_);
-  if (latency_.jitter_mean <= 0) return latency_.base;
-  // Sample k of pair (from,to) is a pure function of (seed, from, to, k):
-  // identical whichever shard or thread evaluates it, and independent of
-  // how sends from other pairs interleave with this one.
-  const std::uint64_t k = keyed_draws_[from * keyed_stride_ + to]++;
-  Rng draw = pair_keyed_rng(keyed_seed_, from, to, k);
-  return latency_.base +
-         sim::from_seconds(
-             draw.exponential(1.0 / sim::to_seconds(latency_.jitter_mean)));
 }
 
 void Network::bind_domain(const std::string& domain, HostId host) {
@@ -120,7 +89,7 @@ void Network::schedule_copy(HostId from, HostId to, MsgType type,
                             crypto::Bytes&& payload, bool skip_fifo,
                             sim::Duration extra_delay) {
   ZMAIL_ASSERT(extra_delay >= 0);  // fault spikes only ever push later
-  sim::SimTime deliver_at = sim_.now() + sample_latency(from, to) + extra_delay;
+  sim::SimTime deliver_at = sim_.now() + latency_.sample(rng_) + extra_delay;
   // Enforce per-(from,to) FIFO: never deliver before an earlier datagram.
   // A reorder fault skips both the clamp and the watermark update, so this
   // copy may overtake (or be overtaken by) its neighbours.
@@ -129,27 +98,6 @@ void Network::schedule_copy(HostId from, HostId to, MsgType type,
   if (!skip_fifo) {
     if (deliver_at <= fifo[from]) deliver_at = fifo[from] + 1;
     fifo[from] = deliver_at;
-  }
-
-  if (hosts_[to].handler == nullptr) {
-    // Destination lives on another shard.  The delivery time is fully
-    // resolved here (keyed latency + FIFO clamp + fault delay, all of
-    // which only push later than now + min_latency), so the remote side
-    // can schedule it verbatim after the next lookahead barrier.
-    ZMAIL_ASSERT_MSG(remote_route_ != nullptr,
-                     "remote host registered but no remote route installed");
-    Datagram d;
-    d.type = type;
-    d.payload = std::move(payload);
-    d.from = from;
-    d.to = to;
-    d.trace = trace::current();
-    if (d.trace != 0)
-      trace::instant(trace::Ev::kNetSend, d.trace,
-                     static_cast<std::uint16_t>(from),
-                     static_cast<std::uint64_t>(to));
-    remote_route_(std::move(d), deliver_at);
-    return;
   }
 
   const std::uint32_t slot = claim_slot();
@@ -166,22 +114,6 @@ void Network::schedule_copy(HostId from, HostId to, MsgType type,
                    static_cast<std::uint16_t>(from),
                    static_cast<std::uint64_t>(to));
   sim_.schedule_at(deliver_at, [this, slot] { deliver(slot); });
-}
-
-void Network::deliver_remote(Datagram&& d, sim::SimTime at) {
-  ZMAIL_ASSERT_MSG(d.to < hosts_.size() && hosts_[d.to].handler != nullptr,
-                   "remote datagram routed to a shard that does not own it");
-  if (at < sim_.now()) {
-    // Conservative-lookahead violation upstream.  Deterministic runs must
-    // never take this branch (the window math plus the extra_delay >= 0
-    // invariant forbid it); clamp so the run stays causal and count it so
-    // tests can assert the clamp never fired.
-    ++horizon_clamps_;
-    at = sim_.now();
-  }
-  const std::uint32_t slot = claim_slot();
-  pending_[slot] = std::move(d);
-  sim_.schedule_at(at, [this, slot] { deliver(slot); });
 }
 
 void Network::deliver(std::uint32_t slot) {

@@ -62,10 +62,7 @@ struct LatencyModel {
   }
 
   // Smallest latency any sample can produce.  Jitter is additive and
-  // non-negative, so this is exactly `base`.  The sharded engine derives
-  // its conservative lookahead window from this bound: a message sent
-  // inside window [w, w+L) arrives no earlier than w+L, so draining
-  // mailboxes at window edges can never deliver into a shard's past.
+  // non-negative, so this is exactly `base`.
   sim::Duration min_latency() const noexcept { return base; }
 };
 
@@ -78,40 +75,6 @@ class Network {
 
   // Registers a host; the handler runs at delivery time.
   HostId add_host(std::string name, HandlerFn handler);
-
-  // Registers a host that lives on another shard.  It occupies a normal id
-  // slot (so host-id arithmetic is partition-independent) but has no local
-  // handler; sends toward it are handed to the remote route with a fully
-  // resolved delivery time (latency sampled and per-pair FIFO clamped at
-  // the source — the source shard is the only sender from `from`, so the
-  // watermark is complete there).
-  HostId add_remote_host(std::string name);
-  bool is_remote(HostId h) const {
-    return h < hosts_.size() && hosts_[h].handler == nullptr;
-  }
-
-  // Where sends to remote hosts go: (datagram, absolute delivery time).
-  // The sharded engine pushes these into the (src,dst)-shard mailbox.
-  using RemoteRouteFn = std::function<void(Datagram&&, sim::SimTime)>;
-  void set_remote_route(RemoteRouteFn fn) { remote_route_ = std::move(fn); }
-
-  // Destination side of a cross-shard hop: inject a datagram that was
-  // routed from another shard.  Runs the normal delivery path (outage
-  // check, trace events, handler).  `at` below the local clock means the
-  // conservative lookahead bound was violated upstream; the delivery is
-  // clamped to `now` and counted so tests can assert the count stays 0.
-  void deliver_remote(Datagram&& d, sim::SimTime at);
-  std::uint64_t horizon_clamps() const noexcept { return horizon_clamps_; }
-
-  // Pair-keyed latency: sample k for host pair (from,to) becomes a pure
-  // function of (key_seed, from, to, k) instead of a draw from the shared
-  // stream.  Event interleaving then cannot perturb latency values, which
-  // makes a sharded run's timings independent of shard count and thread
-  // count.  Must be called after all hosts are registered and before any
-  // traffic.  Single-shard legacy runs never enable this, so their RNG
-  // sequence is untouched.
-  void enable_keyed_latency(std::uint64_t key_seed);
-  bool keyed_latency() const noexcept { return keyed_stride_ != 0; }
 
   const LatencyModel& latency() const noexcept { return latency_; }
 
@@ -161,7 +124,6 @@ class Network {
                      crypto::Bytes&& payload, bool skip_fifo,
                      sim::Duration extra_delay);
   std::uint32_t claim_slot();
-  sim::Duration sample_latency(HostId from, HostId to);
 
   sim::Simulator& sim_;
   Rng rng_;
@@ -169,16 +131,10 @@ class Network {
   FaultInjector* faults_ = nullptr;
   std::vector<Host> hosts_;
   std::unordered_map<std::string, HostId> mx_;
-  RemoteRouteFn remote_route_;
   std::uint64_t datagrams_ = 0;
   std::uint64_t bytes_ = 0;
   std::uint64_t send_errors_ = 0;
-  std::uint64_t horizon_clamps_ = 0;
   std::vector<std::uint64_t> bytes_to_;
-  // Keyed-latency state: stride 0 means disabled (legacy shared stream).
-  std::uint64_t keyed_seed_ = 0;
-  std::size_t keyed_stride_ = 0;
-  std::vector<std::uint64_t> keyed_draws_;  // per (from,to) sample counter
   // In-flight datagram pool: slots are recycled so steady-state traffic
   // stops allocating; payload buffers are moved in and out, never copied.
   std::vector<Datagram> pending_;

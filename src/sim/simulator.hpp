@@ -61,29 +61,12 @@ class Simulator {
   std::size_t pending() const noexcept { return queue_.size(); }
   std::uint64_t events_executed() const noexcept { return executed_; }
 
-  // Timestamp of the earliest pending event, or INT64_MAX when the queue is
-  // empty.  The sharded engine uses this to size conservative windows and to
-  // jump idle gaps with a schedule that depends only on world state.
-  SimTime next_event_at() {
-    const Entry* top = queue_.peek();
-    return top ? top->at : INT64_MAX;
-  }
-
   // Times the wheel was re-anchored (idle jumps, far-future drains).  A
   // rebase is where a clock-skew bug would silently reorder events, so the
   // count is surfaced as an obs counter (`calendar_rebase_count`) and the
   // drain path asserts monotonicity on every pop.
   std::uint64_t calendar_rebases() const noexcept {
     return queue_.rebase_count();
-  }
-
-  // Force the clock forward to `t` (>= now) without executing anything.
-  // Used by the sharded engine to close a window whose events all landed
-  // earlier than the barrier, so cross-shard messages scheduled afterwards
-  // are stamped relative to the window edge, never before it.
-  void advance_to(SimTime t) {
-    ZMAIL_ASSERT_MSG(t >= now_, "cannot move the clock backwards");
-    now_ = t;
   }
 
  private:

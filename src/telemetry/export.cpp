@@ -132,52 +132,13 @@ std::vector<Series> merge_collected(std::vector<Series> all,
     }
   }
 
-  // Engine: busiest/idlest shard event-rate ratio, from the per-shard
-  // "sim.shard<k>.events" rates (partition-dependent by nature).
-  if (!find_series(all, "sim.shard_imbalance_ratio")) {
-    std::vector<const Series*> shards;
-    for (const Series& s : all)
-      if (s.engine && s.scope == "sim" &&
-          s.name.compare(0, 5, "shard") == 0 &&
-          s.name.size() > 12 &&
-          s.name.compare(s.name.size() - 7, 7, ".events") == 0)
-        shards.push_back(&s);
-    if (shards.size() >= 2) {
-      bool grids_ok = true;
-      for (const Series* s : shards)
-        grids_ok = grids_ok && same_grid(*shards.front(), *s);
-      if (grids_ok) {
-        std::vector<Point> pts = shards.front()->points;
-        for (std::size_t i = 0; i < pts.size(); ++i) {
-          double lo = shards.front()->points[i].value;
-          double hi = lo;
-          for (const Series* s : shards) {
-            lo = std::min(lo, s->points[i].value);
-            hi = std::max(hi, s->points[i].value);
-          }
-          pts[i].value = lo > 0.0 ? hi / lo : (hi > 0.0 ? hi : 1.0);
-        }
-        all.push_back(Series{"sim", "shard_imbalance_ratio", Kind::kGauge,
-                             true, std::move(pts)});
-      }
-    }
-  }
-
   canonical_sort(all);
   return all;
 }
 
-std::vector<Series> merge_series(
-    const std::vector<const TelemetryRegistry*>& registries,
-    const DeriveSpec& spec) {
-  std::vector<Series> all;
-  for (const TelemetryRegistry* r : registries) {
-    if (!r) continue;
-    auto part = r->collect();
-    all.insert(all.end(), std::make_move_iterator(part.begin()),
-               std::make_move_iterator(part.end()));
-  }
-  return merge_collected(std::move(all), spec);
+std::vector<Series> merge_series(const TelemetryRegistry& registry,
+                                 const DeriveSpec& spec) {
+  return merge_collected(registry.collect(), spec);
 }
 
 json::Value timeseries_json(const std::vector<Series>& series, bool engine) {

@@ -2,18 +2,17 @@
 //
 // Formats:
 //   - JSON: the obs v3 "timeseries" / "timeseries_engine" sections
-//     (canonically sorted keys; deterministic section bit-identical across
-//     shard/thread counts).
+//     (canonically sorted keys; the deterministic section is a pure
+//     function of the simulated world).
 //   - CSV (long format): one row per point —
 //       section,scope,series,kind,t_us,value,count,sum,min,max,p50,p99
 //     the format zmail_top renders and spreadsheets ingest.
 //   - Prometheus text exposition: current value per series, rewritten at
 //     sampling cadence (the scrape surface for the future socket mode).
 //
-// Merging: a sharded world holds one registry per shard; every
-// deterministic series has exactly one owner, so the merged view is the
-// sorted union plus export-time derived aggregates (integer-exact
-// point-wise sums walked in canonical key order).
+// Merging: the merged view is the registry's series in canonical key order
+// plus export-time derived aggregates (integer-exact point-wise sums walked
+// in canonical key order).
 #pragma once
 
 #include <string>
@@ -32,20 +31,18 @@ struct DeriveSpec {
   double endowment_epennies = -1.0;
 };
 
-// Union of every registry's series, canonically sorted by key, with
-// derived aggregates appended:
+// The registry's series, canonically sorted by key, with derived aggregates
+// appended:
 //   core.total.delivered / core.total.blocked / core.total.refused —
 //     point-wise sums of the per-ISP rates;
 //   econ.total.epennies_held — point-wise sum of per-ISP holdings;
 //   econ.total.conservation_gap — supply + endowment - holdings (>= 0:
 //     e-pennies in flight; a growing floor is a leak);
-//   econ.market.stamp_price_micros — mean of the per-ISP price gauges;
-//   sim.shard_imbalance_ratio (engine) — busiest/idlest shard event rate.
+//   econ.market.stamp_price_micros — mean of the per-ISP price gauges.
 // Derived sums only combine series with identical timestamp grids (always
-// true for same-cadence registries); mismatches are skipped, not guessed.
-std::vector<Series> merge_series(
-    const std::vector<const TelemetryRegistry*>& registries,
-    const DeriveSpec& spec = {});
+// true within one registry); mismatches are skipped, not guessed.
+std::vector<Series> merge_series(const TelemetryRegistry& registry,
+                                 const DeriveSpec& spec = {});
 
 // Convenience over already-collected series (zmail_top's CSV path).
 std::vector<Series> merge_collected(std::vector<Series> series,

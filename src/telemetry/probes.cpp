@@ -182,11 +182,6 @@ std::vector<ProbeRule> default_rules() {
   rules.push_back(ProbeRule{"delivery_latency_p99",
                             "core.*.delivery_latency_us", Agg::kMax,
                             Cmp::kGt, 9e8, 5, 1, 1});
-  // Engine health: busiest/idlest shard event-rate ratio (derived series,
-  // partition-dependent by nature).
-  rules.push_back(ProbeRule{"shard_imbalance",
-                            "sim.shard_imbalance_ratio", Agg::kLast,
-                            Cmp::kGt, 8.0, 3, 2, 2});
   return rules;
 }
 

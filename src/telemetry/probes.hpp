@@ -6,8 +6,7 @@
 // threshold, and fire/clear hysteresis in consecutive evaluations.  Rules
 // are evaluated retrospectively over the full recorded series at export
 // time — a pure function of the (deterministic) series data, so the same
-// probe fires and clears at the same sim-times on any shard or thread
-// count.  Each transition is logged through the "probe" component (which
+// probe fires and clears at the same sim-times on every replay of a seed.  Each transition is logged through the "probe" component (which
 // the flight recorder mirrors into trace kLog events when tracing is on),
 // and the summary ProbeReport is what auditors and CI assert on.
 #pragma once
@@ -111,9 +110,9 @@ class ProbeEngine {
 ProbeStatus evaluate_rule(const ProbeRule& rule, const Series& s);
 
 // The stock rule set the scenario runner and zmail_top use: WAL backlog
-// growth per durable party, conservation-gap drift, settlement/delivery
-// latency p99, and (engine scope) shard event-backlog imbalance.  Rules
-// whose series never registered simply report evaluated == false.
+// growth per durable party, conservation-gap drift, and settlement/delivery
+// latency p99.  Rules whose series never registered simply report
+// evaluated == false.
 std::vector<ProbeRule> default_rules();
 
 json::Value to_json(const ProbeReport& report);

@@ -1,8 +1,7 @@
 // TelemetryRegistry — the per-world sampling engine.
 //
-// A system facade (ZmailSystem / FederatedZmailSystem; ShardedSystem keeps
-// one registry per shard) registers named gauge/rate samplers and histogram
-// channels at enable time, then schedules one read-only sampling tick per
+// A system facade (ZmailSystem / FederatedZmailSystem) registers named
+// gauge/rate samplers and histogram channels at enable time, then schedules one read-only sampling tick per
 // sample_period of simulated time.  The determinism contract mirrors
 // zmail::trace:
 //
@@ -11,10 +10,9 @@
 //     without telemetry.
 //   - Telemetry on: the tick draws no randomness and mutates no simulation
 //     state, so enabling it cannot change what the world does; it only adds
-//     observation events.  Every series is sampled by exactly one owner
-//     entity at sim-time stamps that are multiples of sample_period, so the
-//     merged multi-shard series are bit-identical at any shard or thread
-//     count.
+//     observation events.  Every series is sampled at sim-time stamps that
+//     are multiples of sample_period, so the recorded series are a pure
+//     function of the simulated world.
 //   - Execution-dependent signals (event backlogs, wall-clock costs)
 //     register with the engine_* variants: they stay out of the
 //     deterministic section and never feed bit-identity diffs.

@@ -3,11 +3,8 @@
 //
 // Everything here is a pure function of the sample stream: appending the
 // same sequence of points to two rings yields bit-identical stored series,
-// no matter when or on which thread the appends ran.  That property is what
-// lets a sharded run's merged `timeseries` section diff clean against the
-// single-threaded run — each series is sampled by exactly one owner (the
-// shard that owns the ISP/bank it describes) at deterministic sim-time
-// stamps, so the union of per-shard series is partition-independent.
+// no matter when or on which thread the appends ran, so a world's
+// `timeseries` section diffs clean between replays of the same seed.
 #pragma once
 
 #include <cstdint>
@@ -108,8 +105,8 @@ class LogHistogram {
 
 // One named series, with owned points — the unit the exporters, probes, and
 // zmail_top all consume.  `engine == true` marks execution-dependent series
-// (per-shard backlogs, wall-clock costs): they describe *how* the run
-// executed, vary with the partition, and are excluded from the
+// (event backlogs, wall-clock costs): they describe *how* the run
+// executed, not the simulated world, and are excluded from the
 // deterministic `timeseries` section (they export under `timeseries_engine`
 // and the CSV `engine` section instead).
 struct Series {

@@ -11,17 +11,6 @@ std::uint64_t splitmix64(std::uint64_t& state) noexcept {
   return z ^ (z >> 31);
 }
 
-Rng pair_keyed_rng(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
-                   std::uint64_t k) noexcept {
-  std::uint64_t st = seed ^ (0x9E3779B97F4A7C15ULL * (a + 1));
-  std::uint64_t h = splitmix64(st);
-  st ^= 0xBF58476D1CE4E5B9ULL * (b + 1);
-  h ^= splitmix64(st);
-  st ^= 0x94D049BB133111EBULL * (k + 1);
-  h ^= splitmix64(st);
-  return Rng(h);
-}
-
 namespace {
 inline std::uint64_t rotl(std::uint64_t x, int k) noexcept {
   return (x << k) | (x >> (64 - k));

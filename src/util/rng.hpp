@@ -17,17 +17,6 @@ namespace zmail {
 // SplitMix64 step; used for seeding and as a cheap stateless mixer.
 std::uint64_t splitmix64(std::uint64_t& state) noexcept;
 
-class Rng;
-
-// Counter-based stream derivation: a generator that is a pure function of
-// (seed, a, b, k).  Used for pair-keyed draws — e.g. "latency sample k of
-// host pair (a,b)" — so the value drawn does not depend on how draws for
-// other pairs interleave with this one.  That independence is what lets a
-// sharded simulation reproduce a partitioned world bit-identically at any
-// shard or thread count.
-Rng pair_keyed_rng(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
-                   std::uint64_t k) noexcept;
-
 // xoshiro256** generator.  Copyable (cheap 32-byte state) so simulations can
 // fork independent streams with `split()`.
 class Rng {

@@ -45,6 +45,20 @@ TEST(ParseDuration, Malformed) {
   EXPECT_FALSE(parse_duration("-5m").has_value());
 }
 
+TEST(ParseCount, WholeTokens) {
+  EXPECT_EQ(parse_count("0"), 0u);
+  EXPECT_EQ(parse_count("8"), 8u);
+  EXPECT_EQ(parse_int("-1"), -1);  // an integer, but not a count
+}
+
+TEST(ParseCount, Malformed) {
+  EXPECT_FALSE(parse_count("abc").has_value());
+  EXPECT_FALSE(parse_count("3x").has_value());
+  EXPECT_FALSE(parse_count("-1").has_value());
+  EXPECT_FALSE(parse_count("").has_value());
+  EXPECT_FALSE(parse_count("99999999999999999999").has_value());
+}
+
 // --- Script parsing -------------------------------------------------------------
 
 TEST(ScenarioParse, MinimalScript) {
@@ -142,7 +156,7 @@ TEST(ScenarioRun, SnapshotAndViolationsExpectation) {
   ASSERT_TRUE(s.has_value());
   ScenarioRunner runner(*s);
   EXPECT_TRUE(runner.run().ok());
-  EXPECT_EQ(runner.system().bank().seq(), 1u);
+  EXPECT_EQ(runner.world().bank().seq(), 1u);
 }
 
 TEST(ScenarioRun, SpamBuySellDayFlip) {
@@ -161,10 +175,10 @@ TEST(ScenarioRun, SpamBuySellDayFlip) {
   ScenarioRunner runner(*s);
   const ScenarioResult r = runner.run();
   EXPECT_TRUE(r.ok()) << (r.failures.empty() ? "" : r.failures[0].message);
-  EXPECT_TRUE(runner.system().is_compliant(2));
+  EXPECT_TRUE(runner.world().is_compliant(2));
   // 30 initial + 20 bought - 5 sold, plus any spam windfall that happened
   // to land on this user.
-  const auto u = runner.system().isp(1).user(1);
+  const auto u = runner.world().isp(1).user(1);
   EXPECT_EQ(u.balance, 45 + u.lifetime_received_paid);
 }
 
@@ -191,9 +205,9 @@ TEST(ScenarioRun, PolicyVerbSetsUserOverrides) {
   const ScenarioResult r = runner.run();
   EXPECT_TRUE(r.ok()) << (r.failures.empty() ? "" : r.failures[0].message);
   // ISP 0's users discard legacy mail; ISP 1's accept it.
-  EXPECT_EQ(runner.system().isp(0).metrics().emails_delivered, 0u);
-  EXPECT_GT(runner.system().isp(0).metrics().emails_discarded +
-                runner.system().isp(1).metrics().emails_delivered,
+  EXPECT_EQ(runner.world().isp(0).metrics().emails_delivered, 0u);
+  EXPECT_GT(runner.world().isp(0).metrics().emails_discarded +
+                runner.world().isp(1).metrics().emails_delivered,
             0u);
 }
 
@@ -275,7 +289,7 @@ TEST(ScenarioRun, CrashVerbRecoversFromTheStore) {
   ScenarioRunner runner(*s);
   const ScenarioResult r = runner.run();
   EXPECT_EQ(r.failures.size(), 2u);  // exactly the two malformed crash lines
-  EXPECT_EQ(runner.system().state_recoveries(), 2u);
+  EXPECT_EQ(runner.world().state_recoveries(), 2u);
   std::filesystem::remove_all("scenario_crash_test_store");
 }
 

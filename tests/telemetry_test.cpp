@@ -1,6 +1,7 @@
 // Unit tests for zmail::telemetry primitives: point merging, downsampling
 // rings, log-bucket histograms, probe hysteresis and wildcard matching, the
-// CSV round trip, and merge/derive idempotency.
+// CSV round trip, and merge/derive idempotency — plus the end-to-end check
+// that enabling telemetry on a ZmailSystem does not change the world.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -9,6 +10,9 @@
 #include <string>
 #include <vector>
 
+#include "core/obs.hpp"
+#include "core/system.hpp"
+#include "net/address.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/probes.hpp"
 #include "telemetry/registry.hpp"
@@ -287,7 +291,7 @@ TEST(Export, MergeCollectedIsIdempotent) {
   }
   DeriveSpec spec;
   spec.endowment_epennies = 200.0;
-  const std::vector<Series> once = merge_series({&reg}, spec);
+  const std::vector<Series> once = merge_series(reg, spec);
   const std::vector<Series> twice = merge_collected(once, spec);
   EXPECT_EQ(csv_string(once), csv_string(twice));
 
@@ -326,3 +330,62 @@ TEST(Export, TimeseriesJsonSplitsEngineSeries) {
 
 }  // namespace
 }  // namespace zmail::telemetry
+
+namespace zmail::core {
+namespace {
+
+ZmailParams world_params() {
+  ZmailParams p;
+  p.n_isps = 8;
+  p.users_per_isp = 3;
+  p.initial_user_balance = 200;
+  p.default_daily_limit = 1'000;
+  p.initial_avail = 300;
+  p.minavail = 100;
+  p.maxavail = 600;
+  p.record_inboxes = false;
+  return p;
+}
+
+// One fixed verb stream: the draws depend only on the seed, never on world
+// state, so every run issues the same verbs.
+void drive_mixed_traffic(ZmailSystem& w, std::uint64_t seed, int rounds) {
+  Rng rng(seed);
+  const std::size_t n = w.params().n_isps;
+  const std::size_t u = w.params().users_per_isp;
+  for (int i = 0; i < rounds; ++i) {
+    const std::size_t src = rng.next_below(n);
+    const std::size_t dst = (src + 1 + rng.next_below(n - 1)) % n;
+    w.send_email(net::make_user_address(src, rng.next_below(u)),
+                 net::make_user_address(dst, rng.next_below(u)), "t",
+                 "b" + std::to_string(i));
+    if (i % 7 == 3)
+      w.buy_epennies(net::make_user_address(src, 0),
+                     static_cast<EPenny>(1 + rng.next_below(5)));
+    if (i % 11 == 6)
+      w.sell_epennies(net::make_user_address(dst, 0),
+                      static_cast<EPenny>(1 + rng.next_below(3)));
+    w.run_for(sim::kMinute);
+  }
+  w.run_for(sim::kHour);
+}
+
+TEST(TelemetryWorldTest, EnablingTelemetryDoesNotChangeTheWorld) {
+  // The zero-cost contract's other half: the sampling tick is read-only,
+  // so an instrumented run's world state must match an uninstrumented one.
+  ZmailSystem off(world_params(), 818);
+  drive_mixed_traffic(off, 819, 40);
+
+  ZmailSystem on(world_params(), 818);
+  telemetry::TelemetryConfig cfg;
+  cfg.enabled = true;
+  cfg.sample_period = sim::kMinute;
+  on.enable_telemetry(cfg);
+  drive_mixed_traffic(on, 819, 40);
+
+  EXPECT_EQ(obs::snapshot(off, obs::Schema::kV1).dump(),
+            obs::snapshot(on, obs::Schema::kV1).dump());
+}
+
+}  // namespace
+}  // namespace zmail::core

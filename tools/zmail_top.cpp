@@ -10,7 +10,7 @@
 //   - market panel: mean stamp price, per-ISP price range;
 //   - mail panel: delivered/blocked/refused rates with sparklines;
 //   - health panel: WAL backlogs, quiesce buffers, delivery-latency p99;
-//   - engine panel: event backlog and rate per shard (partition-dependent);
+//   - engine panel: event backlog and event rate (execution signals);
 //   - probe panel: the default health rules re-evaluated over the series,
 //     with fire/clear transition history.
 // In follow mode the CSV is re-parsed each poll, so pointing it at a file
@@ -133,7 +133,7 @@ void render(const std::vector<telemetry::Series>& merged, const Args& args) {
     t.print("durability & quiesce");
   }
 
-  // Engine panel (partition-dependent by nature).
+  // Engine panel (execution signals, not world state).
   {
     Table t({"series", "last", "trend"});
     for (const auto& s : merged)
