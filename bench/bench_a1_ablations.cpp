@@ -151,7 +151,12 @@ void a1d_federation() {
     core::ZmailParams p;
     p.n_isps = 16;
     p.users_per_isp = 2;
-    core::BankFederation fed(p, n_banks, 900 + n_banks);
+    p.n_banks = n_banks;
+    Rng key_rng(900 + n_banks);
+    std::vector<crypto::KeyPair> keys;
+    for (std::size_t k = 0; k < n_banks; ++k)
+      keys.push_back(crypto::generate_keypair(key_rng));
+    core::BankFederation fed(p, std::move(keys), 900 + n_banks);
     std::vector<core::Isp> isps;
     for (std::size_t i = 0; i < p.n_isps; ++i)
       isps.emplace_back(i, p, fed.public_key_for(i), 1'000 + i);
@@ -175,7 +180,7 @@ void a1d_federation() {
                Table::num(fed.metrics().interbank_messages),
                Table::num(fed.metrics().interbank_bytes),
                Table::num(fed.metrics().clearing_transfers),
-               Table::num(fed.metrics().violations_found)});
+               Table::num(fed.metrics().inconsistent_pairs_found)});
     if (n_banks == 2) msgs_at_2 = fed.metrics().interbank_messages;
     if (n_banks == 8) msgs_at_8 = fed.metrics().interbank_messages;
   }

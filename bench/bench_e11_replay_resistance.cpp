@@ -13,7 +13,7 @@
 //          harness) duplicates datagrams of every type; nonce, sequence,
 //          and ARQ dedupe shields must absorb all of it end-to-end
 #include "bench_common.hpp"
-#include "core/bank.hpp"
+#include "core/federation.hpp"
 #include "core/invariants.hpp"
 #include "core/isp.hpp"
 #include "core/system.hpp"
@@ -42,7 +42,7 @@ void e11a_trade_replay() {
     const crypto::KeyPair keys = crypto::generate_keypair(rng);
     core::ZmailParams p = small();
     core::Isp isp(0, p, keys.pub, 7);
-    core::Bank bank(p, keys, 8);
+    core::BankFederation bank(p, {keys}, 8);
 
     // One legitimate buy...
     isp.set_avail(10);
@@ -78,7 +78,7 @@ void e11b_snapshot_replay() {
   const crypto::KeyPair keys = crypto::generate_keypair(rng);
   core::ZmailParams p = small();
   core::Isp isp(0, p, keys.pub, 9);
-  core::Bank bank(p, keys, 10);
+  core::BankFederation bank(p, {keys}, 10);
 
   // Round 0, legitimately.
   auto requests = bank.start_snapshot();

@@ -121,7 +121,8 @@ void e12c_verify_wallclock() {
   Table t({"ISPs", "verify pairs", "verify wall-clock (us)"});
   for (std::size_t n : {64u, 256u, 1'024u}) {
     // Pure bank computation: fill a synthetic antisymmetric matrix and
-    // time the pairwise check, exactly as Bank::verify_round performs it.
+    // time the pairwise check, as BankFederation::verify_owned_pairs
+    // performs it.
     std::vector<std::vector<EPenny>> verify(n, std::vector<EPenny>(n, 0));
     Rng rng(124);
     for (std::size_t i = 0; i < n; ++i) {

@@ -253,8 +253,8 @@ void e7e_durable_snapshot_cost(bench::Bench& harness) {
     min_disk = std::min(min_disk, disk);
   }
   const std::uint64_t bank_disk = time_party(
-      "bank", sys.bank_index(), [&] { return sys.bank().serialize_state(); },
-      [&](const crypto::Bytes& b) { return sys.bank().restore_state(b); });
+      "bank", sys.bank_index(), [&] { return sys.bank().serialize_state(0); },
+      [&](const crypto::Bytes& b) { return sys.bank().restore_state(0, b); });
   min_disk = std::min(min_disk, bank_disk);
   t.print("E7.e  per-checkpoint cost with the durable store enabled");
   harness.metrics()["e7e_snapshot_cost"] = std::move(rows);

@@ -20,7 +20,7 @@
 //         snapshot + WAL replay): the round completes after recovery,
 //         the federation drains idle, zero conservation violations
 //
-// `--audit` additionally runs the FederationAuditor *continuously*
+// `--audit` additionally runs the InvariantAuditor *continuously*
 // (every 10 simulated minutes) inside each replica instead of only at
 // the end.
 #include <cstdio>
@@ -29,8 +29,8 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/federated_system.hpp"
 #include "core/invariants.hpp"
+#include "core/system.hpp"
 #include "net/address.hpp"
 #include "net/faults.hpp"
 #include "net/msg_type.hpp"
@@ -56,8 +56,8 @@ core::ZmailParams federated_params() {
 
 // The settlement plane: every datagram type the federation's money flow
 // rides on.  Fault rates are restricted to these so the chaos lands on
-// the subsystem under test (the facade's raw-mail plane has no ARQ — its
-// hardening is ZmailSystem's and is swept by bench_r1).
+// the subsystem under test (the mail plane and its acknowledged transport
+// are swept by bench_r1).
 std::vector<net::MsgType> settlement_plane() {
   return {net::kMsgBuy,
           net::kMsgBuyReply,
@@ -97,10 +97,11 @@ sweep::MetricBag run_fed_chaos(const Scenario& sc, std::uint64_t seed,
   std::filesystem::remove_all(dir);
   core::ZmailParams p = federated_params();
   p.store.dir = dir;
+  p.n_banks = sc.banks;
 
   sweep::MetricBag bag;
   {
-    core::FederatedZmailSystem sys(p, sc.banks, seed);
+    core::ZmailSystem sys(p, seed);
     sys.enable_bank_trading();
 
     // Independent fault stream: the same (plan, seed) replays
@@ -108,7 +109,7 @@ sweep::MetricBag run_fed_chaos(const Scenario& sc, std::uint64_t seed,
     net::FaultInjector inj(sc.plan, seed ^ 0x5DEECE66Dull);
     sys.attach_faults(&inj);
 
-    core::FederationAuditor auditor(sys);
+    core::InvariantAuditor auditor(sys);
     if (sc.audit_continuous) auditor.run_continuously(10 * sim::kMinute);
 
     Rng traffic(seed + 17);
@@ -133,9 +134,9 @@ sweep::MetricBag run_fed_chaos(const Scenario& sc, std::uint64_t seed,
       if (r == sc.crash_round2)
         sys.crash_host(sys.bank_host(sc.crash_bank2), 20 * sim::kMinute);
       int guard = 0;
-      while (sys.federation().round_open() && guard++ < 16 * 60)
+      while (sys.bank().round_open() && guard++ < 16 * 60)
         sys.run_for(sim::kMinute);
-      if (!sys.federation().round_open())
+      if (!sys.bank().round_open())
         bag.stat("round_latency_min")
             .add(static_cast<double>(sys.now() - t0) /
                  static_cast<double>(sim::kMinute));
@@ -143,7 +144,7 @@ sweep::MetricBag run_fed_chaos(const Scenario& sc, std::uint64_t seed,
 
     // Drain with the faults still injecting: recovery under fire.
     sys.run_for(sim::kHour);
-    for (int k = 0; k < 24 && !sys.federation().idle(); ++k)
+    for (int k = 0; k < 24 && !sys.bank().idle(); ++k)
       sys.run_for(15 * sim::kMinute);
     sys.attach_faults(nullptr);
 
@@ -153,12 +154,11 @@ sweep::MetricBag run_fed_chaos(const Scenario& sc, std::uint64_t seed,
         std::fprintf(stderr, "r3 seed=%llu: INVARIANT: %s\n",
                      static_cast<unsigned long long>(seed), msg.c_str());
 
-    const core::FederationMetrics fm = sys.federation().metrics();
+    const core::BankMetrics fm = sys.bank().metrics();
     bag.count("replica", 1);
-    bag.count("rounds", static_cast<double>(fm.rounds_completed));
+    bag.count("rounds", static_cast<double>(fm.snapshot_rounds));
     bag.count("rounds_target", static_cast<double>(sc.rounds));
-    bag.count("settled", static_cast<double>(fm.settlements_intra_bank +
-                                             fm.settlements_cross_bank));
+    bag.count("settled", static_cast<double>(fm.settlement_transfers));
     bag.count("clearing_transfers", static_cast<double>(fm.clearing_transfers));
     bag.count("interbank_msgs",
               static_cast<double>(fm.interbank_messages + fm.clearing_messages +
@@ -167,11 +167,13 @@ sweep::MetricBag run_fed_chaos(const Scenario& sc, std::uint64_t seed,
     bag.count("interbank_retries", static_cast<double>(fm.interbank_retries));
     bag.count("rerequests", static_cast<double>(fm.snapshot_rerequests));
     bag.count("replays",
-              static_cast<double>(fm.duplicate_trades + fm.stale_trades +
-                                  fm.duplicate_interbank + fm.stale_interbank));
-    bag.count("fed_violations", static_cast<double>(fm.violations_found));
+              static_cast<double>(fm.duplicate_buys + fm.duplicate_sells +
+                                  fm.stale_trades + fm.duplicate_interbank +
+                                  fm.stale_interbank));
+    bag.count("fed_violations",
+              static_cast<double>(fm.inconsistent_pairs_found));
     bag.count("violations", static_cast<double>(auditor.report().violations));
-    bag.count("idle", sys.federation().idle() ? 1 : 0);
+    bag.count("idle", sys.bank().idle() ? 1 : 0);
     bag.count("recoveries", static_cast<double>(sys.state_recoveries()));
     bag.count("sim_hours", static_cast<double>(sys.now()) /
                                static_cast<double>(sim::kHour));
@@ -282,7 +284,7 @@ void r3a_grid(bench::Bench& harness) {
   bench::check(v.closed,
                "every settlement round closed at every bank count and rate");
   bench::check(v.drained, "no inter-bank wire left pending after the drain");
-  bench::check(v.clean, "the federation auditor found zero violations");
+  bench::check(v.clean, "the invariant auditor found zero violations");
 
   bool faultfree_quiet = true, injected = true;
   double msgs1 = 0, msgs2 = 0, msgs8 = 0;

@@ -6,7 +6,7 @@
 //   ./federated_banks
 #include <cstdio>
 
-#include "core/federated_system.hpp"
+#include "core/system.hpp"
 #include "util/table.hpp"
 
 using namespace zmail;
@@ -16,14 +16,15 @@ int main() {
   params.n_isps = 6;
   params.users_per_isp = 4;
   params.initial_user_balance = 40;
+  params.n_banks = 3;
 
-  core::FederatedZmailSystem sys(params, /*n_banks=*/3, /*seed=*/2005);
+  core::ZmailSystem sys(params, /*seed=*/2005);
 
   std::printf("6 ISPs served by 3 collaborating banks (round-robin homes)\n");
   Table homes({"ISP", "home bank"});
   for (std::size_t i = 0; i < params.n_isps; ++i)
     homes.add_row({net::isp_domain(i),
-                   "bank" + std::to_string(sys.federation().home_bank(i)) +
+                   "bank" + std::to_string(sys.bank().home_bank(i)) +
                        ".example"});
   homes.print("home-bank assignment");
 
@@ -41,25 +42,26 @@ int main() {
   sys.start_snapshot();
   sys.run_for(30 * sim::kMinute);
 
-  const core::FederationMetrics& m = sys.federation().metrics();
+  const core::BankMetrics m = sys.bank().metrics();
   Table round({"metric", "value"});
-  round.add_row({"reports gathered", Table::num(m.reports_received)});
+  round.add_row({"reports gathered", Table::num(m.credit_reports_received)});
   round.add_row({"inter-bank column-exchange messages",
                  Table::num(m.interbank_messages)});
   round.add_row({"inter-bank bytes", Table::num(m.interbank_bytes)});
-  round.add_row({"intra-bank settlements",
-                 Table::num(m.settlements_intra_bank)});
+  round.add_row(
+      {"intra-bank settlements",
+       Table::num(m.settlement_transfers - m.settlements_cross_bank)});
   round.add_row({"cross-bank settlements",
                  Table::num(m.settlements_cross_bank)});
   round.add_row({"netted clearing transfers",
                  Table::num(m.clearing_transfers)});
-  round.add_row({"violations", Table::num(m.violations_found)});
+  round.add_row({"violations", Table::num(m.inconsistent_pairs_found)});
   round.print("federated snapshot round");
 
   Table clearing({"bank", "net clearing position"});
   for (std::size_t b = 0; b < 3; ++b)
     clearing.add_row({"bank" + std::to_string(b) + ".example",
-                      sys.federation().clearing_position(b).str()});
+                      sys.bank().clearing_position(b).str()});
   clearing.print("inter-bank clearing (sums to $0)");
 
   std::printf("\nconservation holds: %s\n",

@@ -16,7 +16,8 @@
 // DIR/r<k>), which also unlocks the script's `crash` verb: a crashed host's
 // in-memory state is wiped and rebuilt from its snapshot + WAL tail.
 // --checkpoint-interval adds time-based checkpoints on top of the default
-// quiesce-boundary ones.
+// quiesce-boundary ones.  --banks N splits the bank into N member banks;
+// --audit runs the invariant auditor throughout the run.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -77,8 +78,8 @@ struct Args {
   std::string script;  // empty = demo, "-" = stdin
   std::size_t replicas = 1;
   std::size_t threads = 1;
-  std::size_t banks = 0;   // >0 = run against a FederatedZmailSystem
-  bool audit = false;      // federated runs: continuous FederationAuditor
+  std::size_t banks = 0;   // >0 = params.n_banks (member banks)
+  bool audit = false;      // continuous InvariantAuditor
   std::uint64_t seed = 0;
   bool seed_given = false;
   std::string json_path;
@@ -103,14 +104,13 @@ int usage(const char* argv0) {
                " [--seed S] [--json PATH]\n"
                "       [--banks N] [--audit] [--store-dir DIR]"
                " [--checkpoint-interval DUR] [--trace PATH]\n"
-               "  --banks N                 run the script against a\n"
-               "                            FederatedZmailSystem with N\n"
-               "                            member banks (all-compliant\n"
-               "                            world; `crash bank<k> DUR`\n"
-               "                            crashes member bank k)\n"
-               "  --audit                   federated runs only: run the\n"
-               "                            FederationAuditor continuously\n"
-               "                            and fail on any violation\n"
+               "  --banks N                 split the bank into N >= 1\n"
+               "                            member banks (ISP i is homed\n"
+               "                            on bank i %% N; `crash bank<k>\n"
+               "                            DUR` crashes member bank k)\n"
+               "  --audit                   run the invariant auditor every\n"
+               "                            10 simulated minutes and fail\n"
+               "                            on any violation\n"
                "  --store-dir DIR           enable the durable store (WAL +\n"
                "                            snapshots) under DIR; replica k\n"
                "                            writes to DIR/r<k>.  Unlocks the\n"
@@ -217,7 +217,7 @@ int main(int argc, char** argv) {
       args.threads = *n;
     } else if (std::strcmp(a, "--banks") == 0) {
       const auto n = count();
-      if (!n) return usage(argv[0]);
+      if (!n || *n == 0) return usage(argv[0]);
       args.banks = *n;
     } else if (std::strcmp(a, "--audit") == 0) {
       args.audit = true;
@@ -313,16 +313,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--telemetry requires --replicas 1\n");
     return 2;
   }
-  if (args.audit && args.banks == 0) {
-    std::fprintf(stderr, "--audit requires --banks\n");
-    return 2;
-  }
-  if (args.banks > 0 && !scenario->params().compliant.empty()) {
-    std::fprintf(stderr,
-                 "--banks needs an all-compliant world (drop the script's"
-                 " compliant= mask)\n");
-    return 2;
-  }
 
   // Replica runs go through the sweep harness; the default invocation is a
   // 1-replica sweep with the script's own seed, which reproduces the
@@ -353,69 +343,45 @@ int main(int argc, char** argv) {
           st.dir = args.store_dir + "/r" + std::to_string(replica);
           st.checkpoint_interval_us = args.checkpoint_interval;
         }
+        if (args.banks > 0) copy.mutable_params().n_banks = args.banks;
         sweep::MetricBag bag;
-        core::ScenarioResult r;
-        if (args.banks > 0) {
-          core::FederatedScenarioRunner runner(copy, args.banks);
-          core::FederationAuditor auditor(runner.world());
-          if (args.audit) auditor.run_continuously(10 * sim::kMinute);
-          if (args.telemetry_on())
-            runner.world().enable_telemetry(telemetry_config(args));
-          r = runner.run();
+        core::ScenarioRunner runner(copy);
+        core::InvariantAuditor auditor(runner.world());
+        if (args.audit) auditor.run_continuously(10 * sim::kMinute);
+        if (args.telemetry_on())
+          runner.world().enable_telemetry(telemetry_config(args));
+        core::ScenarioResult r = runner.run();
+        if (args.audit) {
           auditor.check_now();
-          if (args.audit && !auditor.report().ok())
-            for (const auto& msg : auditor.report().messages)
-              r.failures.push_back(core::ScenarioError{0, "audit: " + msg});
-          const core::FederationMetrics fm =
-              runner.world().federation().metrics();
-          bag.count("fed_rounds", static_cast<double>(fm.rounds_completed));
-          bag.count("fed_interbank_messages",
-                    static_cast<double>(fm.interbank_messages));
-          bag.count("fed_clearing_transfers",
-                    static_cast<double>(fm.clearing_transfers));
-          bag.count("fed_violations",
-                    static_cast<double>(fm.violations_found));
-          bag.count("audit_violations",
-                    static_cast<double>(auditor.report().violations));
-          bag.count("state_recoveries",
-                    static_cast<double>(runner.world().state_recoveries()));
-          const core::IspMetrics m = runner.world().total_isp_metrics();
-          bag.count("emails_delivered",
-                    static_cast<double>(m.emails_delivered));
-          if (args.telemetry_on()) {
-            const core::ZmailParams& wp = runner.world().params();
-            const double endowment =
-                static_cast<double>(wp.n_isps) *
-                (static_cast<double>(wp.initial_avail) +
-                 static_cast<double>(wp.users_per_isp) *
-                     static_cast<double>(wp.initial_user_balance));
-            obs::MetricsRegistry reg;
-            reg.set_schema(obs::Schema::kV3);
-            reg.add_system("scenario", runner.world());
-            telemetry_rc = export_telemetry(
-                args, *runner.world().telemetry(), endowment,
-                [&reg] { return reg.snapshot(); });
-          }
-        } else {
-          core::ScenarioRunner runner(copy);
-          if (args.telemetry_on())
-            runner.world().enable_telemetry(telemetry_config(args));
-          r = runner.run();
-          const core::IspMetrics m = runner.world().total_isp_metrics();
-          bag.count("emails_delivered", static_cast<double>(m.emails_delivered));
-          bag.count("refused_no_balance",
-                    static_cast<double>(m.refused_no_balance));
-          bag.count("refused_daily_limit",
-                    static_cast<double>(m.refused_daily_limit));
-          if (args.telemetry_on()) {
-            obs::MetricsRegistry reg;
-            reg.set_schema(obs::Schema::kV3);
-            reg.add_system("scenario", runner.world());
-            telemetry_rc = export_telemetry(
-                args, *runner.world().telemetry(),
-                static_cast<double>(runner.world().initial_endowment()),
-                [&reg] { return reg.snapshot(); });
-          }
+          for (const auto& msg : auditor.report().messages)
+            r.failures.push_back(core::ScenarioError{0, "audit: " + msg});
+        }
+        const core::IspMetrics m = runner.world().total_isp_metrics();
+        const core::BankMetrics bm = runner.world().bank().metrics();
+        bag.count("emails_delivered", static_cast<double>(m.emails_delivered));
+        bag.count("refused_no_balance",
+                  static_cast<double>(m.refused_no_balance));
+        bag.count("refused_daily_limit",
+                  static_cast<double>(m.refused_daily_limit));
+        bag.count("bank_rounds", static_cast<double>(bm.snapshot_rounds));
+        bag.count("bank_violations",
+                  static_cast<double>(bm.inconsistent_pairs_found));
+        bag.count("interbank_messages",
+                  static_cast<double>(bm.interbank_messages));
+        bag.count("clearing_transfers",
+                  static_cast<double>(bm.clearing_transfers));
+        bag.count("audit_violations",
+                  static_cast<double>(auditor.report().violations));
+        bag.count("state_recoveries",
+                  static_cast<double>(runner.world().state_recoveries()));
+        if (args.telemetry_on()) {
+          obs::MetricsRegistry reg;
+          reg.set_schema(obs::Schema::kV3);
+          reg.add_system("scenario", runner.world());
+          telemetry_rc = export_telemetry(
+              args, *runner.world().telemetry(),
+              static_cast<double>(runner.world().initial_endowment()),
+              [&reg] { return reg.snapshot(); });
         }
         bag.count("commands_executed", static_cast<double>(r.commands_executed));
         bag.count("failures", static_cast<double>(r.failures.size()));

@@ -1,10 +1,12 @@
-// Durability half of the federated bank state machine (see bank_persist.cpp
-// for the single-bank pattern).  Each member bank serializes independently:
-// its member account slice, round-in-progress state, idempotency ledgers,
+// Durability half of the bank state machine (see isp_persist.cpp for the
+// pattern).  Each member bank serializes independently: its member account
+// slice, round-in-progress state, drift streaks, idempotency ledgers,
 // unacked inter-bank wires, and its RNG stream — everything a crash must
-// not lose and a WAL replay must rebuild deterministically.  The handlers
-// are idempotent against duplicated inter-bank wires, which makes them
+// not lose and a WAL replay must rebuild deterministically (reply and
+// request sealing draws from that stream).  The handlers are idempotent
+// against duplicated trade requests and inter-bank wires, which makes them
 // doubly safe to replay.
+#include <array>
 #include <bit>
 
 #include "core/federation.hpp"
@@ -14,7 +16,7 @@ namespace zmail::core {
 
 namespace {
 
-constexpr std::uint8_t kStateVersion = 1;
+constexpr std::uint8_t kStateVersion = 2;
 
 void put_bool(crypto::Bytes& b, bool v) { crypto::put_u8(b, v ? 1 : 0); }
 bool get_bool(crypto::ByteReader& r) { return r.get_u8() != 0; }
@@ -57,6 +59,24 @@ bool get_matrix_i64(crypto::ByteReader& r,
   return r.ok();
 }
 
+// Every u64 counter of BankMetrics, in serialization order (the two
+// e-penny totals are signed and travel separately).
+template <typename M>
+auto metric_fields(M& m) {
+  return std::array{&m.buys_received, &m.buys_accepted, &m.buys_rejected,
+                    &m.sells_received, &m.snapshot_rounds,
+                    &m.credit_reports_received, &m.inconsistent_pairs_found,
+                    &m.bad_envelopes, &m.stale_reports, &m.duplicate_buys,
+                    &m.duplicate_sells, &m.stale_trades,
+                    &m.snapshot_rerequests, &m.settlement_transfers,
+                    &m.settlement_bytes, &m.requests_sent,
+                    &m.settlements_cross_bank, &m.clearing_transfers,
+                    &m.interbank_messages, &m.interbank_bytes,
+                    &m.clearing_messages, &m.interbank_acks,
+                    &m.interbank_retries, &m.duplicate_interbank,
+                    &m.stale_interbank};
+}
+
 }  // namespace
 
 crypto::Bytes BankFederation::serialize_state(std::size_t bank) const {
@@ -64,7 +84,7 @@ crypto::Bytes BankFederation::serialize_state(std::size_t bank) const {
   crypto::Bytes b;
   crypto::put_u8(b, kStateVersion);
   crypto::put_u64(b, params_.n_isps);
-  crypto::put_u64(b, n_banks_);
+  crypto::put_u64(b, bank_count());
   crypto::put_u64(b, bank);
 
   // Member account slice (ISP ascending; the peers own the other slots).
@@ -81,9 +101,13 @@ crypto::Bytes BankFederation::serialize_state(std::size_t bank) const {
   for (bool v : mb.reported) put_bool(b, v);
   crypto::put_u64(b, mb.outstanding);
   put_matrix_i64(b, mb.verify);
+  put_matrix_i64(b, mb.drift);
+  for (const auto& row : mb.drift_streak)
+    for (std::uint32_t v : row) crypto::put_u32(b, v);
+  crypto::put_u64(b, mb.persistent_drift_pairs);
 
-  crypto::put_u32(b, static_cast<std::uint32_t>(n_banks_));
-  for (std::size_t p = 0; p < n_banks_; ++p) {
+  crypto::put_u32(b, static_cast<std::uint32_t>(bank_count()));
+  for (std::size_t p = 0; p < bank_count(); ++p) {
     put_bool(b, mb.colset_from[p]);
     put_bool(b, mb.transfer_from[p]);
     put_bool(b, mb.pair_netted[p]);
@@ -128,17 +152,10 @@ crypto::Bytes BankFederation::serialize_state(std::size_t bank) const {
     crypto::put_i64(b, v.discrepancy);
   }
 
-  const FederationMetrics& m = mb.metrics;
-  for (std::uint64_t v :
-       {m.rounds_completed, m.requests_sent, m.reports_received,
-        m.interbank_messages, m.interbank_bytes, m.settlements_intra_bank,
-        m.settlements_cross_bank, m.clearing_transfers, m.violations_found,
-        m.clearing_messages, m.interbank_acks, m.interbank_retries,
-        m.duplicate_trades, m.stale_trades, m.duplicate_interbank,
-        m.stale_interbank, m.bad_envelopes, m.snapshot_rerequests})
-    crypto::put_u64(b, v);
-  crypto::put_i64(b, m.epennies_minted);
-  crypto::put_i64(b, m.epennies_burned);
+  for (const std::uint64_t* v : metric_fields(mb.metrics))
+    crypto::put_u64(b, *v);
+  crypto::put_i64(b, mb.metrics.epennies_minted);
+  crypto::put_i64(b, mb.metrics.epennies_burned);
 
   put_rng(b, mb.rng);
   return b;
@@ -149,7 +166,7 @@ bool BankFederation::restore_state(std::size_t bank,
   MemberBank& mb = banks_.at(bank);
   crypto::ByteReader r(state);
   if (r.get_u8() != kStateVersion) return false;
-  if (r.get_u64() != params_.n_isps || r.get_u64() != n_banks_ ||
+  if (r.get_u64() != params_.n_isps || r.get_u64() != bank_count() ||
       r.get_u64() != bank || !r.ok())
     return false;
 
@@ -170,18 +187,23 @@ bool BankFederation::restore_state(std::size_t bank,
   mb.reported.assign(n_rep, false);
   for (std::uint32_t i = 0; i < n_rep; ++i) mb.reported[i] = get_bool(r);
   mb.outstanding = r.get_u64();
-  if (!get_matrix_i64(r, mb.verify)) return false;
-  if (mb.verify.size() != params_.n_isps) return false;
+  if (!get_matrix_i64(r, mb.verify) || mb.verify.size() != params_.n_isps)
+    return false;
+  if (!get_matrix_i64(r, mb.drift) || mb.drift.size() != params_.n_isps)
+    return false;
+  for (auto& row : mb.drift_streak)
+    for (auto& v : row) v = r.get_u32();
+  mb.persistent_drift_pairs = r.get_u64();
 
   const std::uint32_t n_peers = r.get_u32();
-  if (!r.ok() || n_peers != n_banks_) return false;
-  mb.colset_from.assign(n_banks_, false);
-  mb.transfer_from.assign(n_banks_, false);
-  mb.pair_netted.assign(n_banks_, false);
-  mb.partial_net.assign(n_banks_, Money::zero());
-  mb.peer_partial.assign(n_banks_, Money::zero());
-  mb.clearing_pair.assign(n_banks_, Money::zero());
-  for (std::size_t p = 0; p < n_banks_; ++p) {
+  if (!r.ok() || n_peers != bank_count()) return false;
+  mb.colset_from.assign(bank_count(), false);
+  mb.transfer_from.assign(bank_count(), false);
+  mb.pair_netted.assign(bank_count(), false);
+  mb.partial_net.assign(bank_count(), Money::zero());
+  mb.peer_partial.assign(bank_count(), Money::zero());
+  mb.clearing_pair.assign(bank_count(), Money::zero());
+  for (std::size_t p = 0; p < bank_count(); ++p) {
     mb.colset_from[p] = get_bool(r);
     mb.transfer_from[p] = get_bool(r);
     mb.pair_netted[p] = get_bool(r);
@@ -194,7 +216,7 @@ bool BankFederation::restore_state(std::size_t bank,
 
   for (auto* ledger : {&mb.col_ledger, &mb.clr_ledger}) {
     const std::uint32_t n = r.get_u32();
-    if (!r.ok() || n != n_banks_) return false;
+    if (!r.ok() || n != bank_count()) return false;
     ledger->assign(n, PeerLedger{});
     for (PeerLedger& l : *ledger) {
       l.any_applied = get_bool(r);
@@ -214,7 +236,7 @@ bool BankFederation::restore_state(std::size_t bank,
   }
 
   const std::uint32_t n_pend = r.get_u32();
-  if (!r.ok() || n_pend != 2 * n_banks_) return false;
+  if (!r.ok() || n_pend != 2 * bank_count()) return false;
   mb.pending.assign(n_pend, PendingWire{});
   for (PendingWire& pw : mb.pending) {
     pw.active = get_bool(r);
@@ -234,15 +256,8 @@ bool BankFederation::restore_state(std::size_t bank,
     v.discrepancy = r.get_i64();
   }
 
-  FederationMetrics& m = mb.metrics;
-  for (std::uint64_t* v :
-       {&m.rounds_completed, &m.requests_sent, &m.reports_received,
-        &m.interbank_messages, &m.interbank_bytes, &m.settlements_intra_bank,
-        &m.settlements_cross_bank, &m.clearing_transfers, &m.violations_found,
-        &m.clearing_messages, &m.interbank_acks, &m.interbank_retries,
-        &m.duplicate_trades, &m.stale_trades, &m.duplicate_interbank,
-        &m.stale_interbank, &m.bad_envelopes, &m.snapshot_rerequests})
-    *v = r.get_u64();
+  BankMetrics& m = mb.metrics;
+  for (std::uint64_t* v : metric_fields(m)) *v = r.get_u64();
   m.epennies_minted = r.get_i64();
   m.epennies_burned = r.get_i64();
 
@@ -293,7 +308,7 @@ void BankFederation::apply_wal_record(std::size_t bank, std::uint8_t op,
       const std::size_t from = r.get_u64();
       const std::uint8_t kind = r.get_u8();
       const crypto::Bytes wire = r.get_bytes();
-      if (r.ok() && from < n_banks_) on_interbank(bank, from, kind, wire);
+      if (r.ok() && from < bank_count()) on_interbank(bank, from, kind, wire);
       break;
     }
     case WalOp::kResendRequests:

@@ -50,7 +50,7 @@ enum class NonCompliantPolicy : std::uint8_t {
   kDiscard,      // drop
 };
 
-// Exponential backoff + jitter for ISP<->Bank exchanges (buy/sell requests
+// Exponential backoff + jitter for ISP<->bank exchanges (buy/sell requests
 // and credit reports).  Disabled by default: with a reliable network the
 // retry timers would add scheduled events and perturb the deterministic
 // (at, seq) event interleaving that the bit-identical sweeps depend on.
@@ -84,6 +84,11 @@ struct ZmailParams {
   // when empty.
   std::vector<bool> compliant;
 
+  // Member banks sharing the bank's role (paper Section 5: "a set of
+  // distributed banks").  1 is the central bank; ISP i's home bank is
+  // i % n_banks.
+  std::size_t n_banks = 1;
+
   // Paper input limit[j]: max # of paid emails sent per user per day.
   std::int64_t default_daily_limit = 100;
 
@@ -115,7 +120,7 @@ struct ZmailParams {
   // --- Fault tolerance (all default-off: zero scheduled events, zero RNG
   // draws, bit-identical behaviour when a run never sees a fault plan). ---
 
-  // ISP<->Bank retry/backoff; see RetryPolicy above.
+  // ISP<->bank retry/backoff; see RetryPolicy above.
   RetryPolicy retry;
 
   // Acknowledged, exactly-once inter-ISP email transport: paid email rides
@@ -161,6 +166,7 @@ struct ZmailParams {
     std::vector<std::string> problems;
     if (n_isps < 1) problems.push_back("n_isps must be >= 1");
     if (users_per_isp < 1) problems.push_back("users_per_isp must be >= 1");
+    if (n_banks < 1) problems.push_back("n_banks must be >= 1");
     if (!compliant.empty() && compliant.size() != n_isps)
       problems.push_back("compliant array length must equal n_isps");
     if (default_daily_limit < 0)

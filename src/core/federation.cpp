@@ -19,53 +19,56 @@ void put_header(crypto::Bytes& b, BankFederation::FedMsg kind,
 
 }  // namespace
 
-BankFederation::BankFederation(const ZmailParams& params, std::size_t n_banks,
+BankFederation::BankFederation(const ZmailParams& params,
+                               std::vector<crypto::KeyPair> keys,
                                std::uint64_t seed)
-    : params_(params), n_banks_(n_banks), rng_(seed ^ 0xFEDBULL) {
-  ZMAIL_ASSERT(n_banks_ >= 1);
-  keys_.reserve(n_banks_);
-  for (std::size_t b = 0; b < n_banks_; ++b)
-    keys_.push_back(crypto::generate_keypair(rng_));
+    : params_(params), keys_(std::move(keys)), seed_(seed) {
+  ZMAIL_ASSERT(keys_.size() == params_.n_banks && !keys_.empty());
   accounts_.assign(params_.n_isps, params_.initial_isp_bank_account);
-  seed_ = seed;
-  banks_.resize(n_banks_);
-  for (std::size_t b = 0; b < n_banks_; ++b) init_bank(b);
+  banks_.resize(keys_.size());
+  for (std::size_t b = 0; b < banks_.size(); ++b) init_bank(b);
 }
 
 void BankFederation::init_bank(std::size_t bank) {
+  const std::size_t n = params_.n_isps;
+  const std::size_t k = bank_count();
   MemberBank& mb = banks_.at(bank);
   mb = MemberBank{};
-  // Each shard gets its own splitmix-derived stream so sealing draws stay
-  // deterministic per bank regardless of peer activity (and serialize).
-  mb.rng = Rng(seed_ * 0x9E3779B97F4A7C15ULL + 0xB4A9ULL + bank);
-  mb.reported.assign(params_.n_isps, false);
-  mb.verify.assign(params_.n_isps, std::vector<EPenny>(params_.n_isps, 0));
-  mb.colset_from.assign(n_banks_, false);
-  mb.partial_net.assign(n_banks_, Money::zero());
-  mb.peer_partial.assign(n_banks_, Money::zero());
-  mb.transfer_from.assign(n_banks_, false);
-  mb.pair_netted.assign(n_banks_, false);
-  mb.clearing_pair.assign(n_banks_, Money::zero());
-  mb.col_ledger.assign(n_banks_, PeerLedger{});
-  mb.clr_ledger.assign(n_banks_, PeerLedger{});
-  mb.buy_ledger.assign(params_.n_isps, TradeLedger{});
-  mb.sell_ledger.assign(params_.n_isps, TradeLedger{});
-  mb.pending.assign(2 * n_banks_, PendingWire{});
+  // Each member gets its own stream so sealing draws stay deterministic
+  // per bank regardless of peer activity (and serialize).  Bank 0's seed
+  // is `seed ^ 0xBA4B`, the stream one-bank worlds are pinned to.
+  mb.rng = Rng((seed_ ^ 0xBA4BULL) + bank * 0x9E3779B97F4A7C15ULL);
+  mb.reported.assign(n, false);
+  mb.verify.assign(n, std::vector<EPenny>(n, 0));
+  mb.drift.assign(n, std::vector<EPenny>(n, 0));
+  mb.drift_streak.assign(n, std::vector<std::uint32_t>(n, 0));
+  mb.colset_from.assign(k, false);
+  mb.partial_net.assign(k, Money::zero());
+  mb.peer_partial.assign(k, Money::zero());
+  mb.transfer_from.assign(k, false);
+  mb.pair_netted.assign(k, false);
+  mb.clearing_pair.assign(k, Money::zero());
+  mb.col_ledger.assign(k, PeerLedger{});
+  mb.clr_ledger.assign(k, PeerLedger{});
+  mb.buy_ledger.assign(n, TradeLedger{});
+  mb.sell_ledger.assign(n, TradeLedger{});
+  mb.pending.assign(2 * k, PendingWire{});
 }
 
 void BankFederation::reset_bank(std::size_t bank) {
-  // Fresh-construct semantics ahead of recover(): wiped shard state and
+  // Fresh-construct semantics ahead of recovery: wiped member state and
   // member accounts back at their endowment, exactly what replaying the
   // command log from LSN 0 (or a snapshot) expects to build on.
   init_bank(bank);
   for (std::size_t i = 0; i < params_.n_isps; ++i)
     if (home_bank(i) == bank)
       accounts_.at(i) = params_.initial_isp_bank_account;
+  rebuild_violations();
 }
 
 std::size_t BankFederation::home_bank(std::size_t isp) const {
   ZMAIL_ASSERT(isp < params_.n_isps);
-  return isp % n_banks_;
+  return isp % bank_count();
 }
 
 const crypto::RsaKey& BankFederation::public_key_for(std::size_t isp) const {
@@ -77,14 +80,6 @@ std::size_t BankFederation::compliant_members(std::size_t bank) const {
   for (std::size_t i = 0; i < params_.n_isps; ++i)
     if (home_bank(i) == bank && params_.is_compliant(i)) ++n;
   return n;
-}
-
-Money BankFederation::isp_account(std::size_t isp) const {
-  return accounts_.at(isp);
-}
-
-void BankFederation::set_isp_account(std::size_t isp, Money v) {
-  accounts_.at(isp) = v;
 }
 
 Money BankFederation::clearing_position(std::size_t bank) const {
@@ -124,45 +119,32 @@ bool BankFederation::idle() const {
   return true;
 }
 
-FederationMetrics BankFederation::metrics() const {
-  FederationMetrics t;
-  t.rounds_completed = banks_.front().metrics.rounds_completed;
-  for (const MemberBank& mb : banks_) {
-    const FederationMetrics& m = mb.metrics;
-    t.rounds_completed = std::min(t.rounds_completed, m.rounds_completed);
-    t.requests_sent += m.requests_sent;
-    t.reports_received += m.reports_received;
-    t.interbank_messages += m.interbank_messages;
-    t.interbank_bytes += m.interbank_bytes;
-    t.settlements_intra_bank += m.settlements_intra_bank;
-    t.settlements_cross_bank += m.settlements_cross_bank;
-    t.clearing_transfers += m.clearing_transfers;
-    t.violations_found += m.violations_found;
-    t.epennies_minted += m.epennies_minted;
-    t.epennies_burned += m.epennies_burned;
-    t.clearing_messages += m.clearing_messages;
-    t.interbank_acks += m.interbank_acks;
-    t.interbank_retries += m.interbank_retries;
-    t.duplicate_trades += m.duplicate_trades;
-    t.stale_trades += m.stale_trades;
-    t.duplicate_interbank += m.duplicate_interbank;
-    t.stale_interbank += m.stale_interbank;
-    t.bad_envelopes += m.bad_envelopes;
-    t.snapshot_rerequests += m.snapshot_rerequests;
-  }
+std::uint64_t BankFederation::persistent_drift_pairs() const noexcept {
+  std::uint64_t n = 0;
+  for (const MemberBank& mb : banks_) n += mb.persistent_drift_pairs;
+  return n;
+}
+
+BankMetrics BankFederation::metrics() const {
+  BankMetrics t;
+  for (const MemberBank& mb : banks_) t.merge(mb.metrics);
+  t.snapshot_rounds = banks_.front().metrics.snapshot_rounds;
+  for (const MemberBank& mb : banks_)
+    t.snapshot_rounds = std::min(t.snapshot_rounds, mb.metrics.snapshot_rounds);
   return t;
 }
 
-const FederationMetrics& BankFederation::metrics(std::size_t bank) const {
+const BankMetrics& BankFederation::metrics(std::size_t bank) const {
   return banks_.at(bank).metrics;
+}
+
+EPenny BankFederation::epennies_outstanding() const {
+  const BankMetrics m = metrics();
+  return m.epennies_minted - m.epennies_burned;
 }
 
 void BankFederation::attach_wal(std::size_t bank, store::WalSink* wal) {
   banks_.at(bank).wal = wal;
-}
-
-store::WalSink* BankFederation::wal(std::size_t bank) const {
-  return banks_.at(bank).wal;
 }
 
 void BankFederation::log_op(std::size_t bank, WalOp op,
@@ -171,25 +153,54 @@ void BankFederation::log_op(std::size_t bank, WalOp op,
   if (mb.wal) mb.wal->append(static_cast<std::uint8_t>(op), payload);
 }
 
-// --- Section 4.3 trade (idempotent, mirrors Bank::on_buy/on_sell) ----------
+void BankFederation::log_wire(std::size_t bank, WalOp op, std::uint64_t who,
+                              const crypto::Bytes& wire) {
+  if (!banks_.at(bank).wal) return;
+  crypto::Bytes p;
+  crypto::put_u64(p, who);
+  crypto::put_bytes(p, wire);
+  log_op(bank, op, p);
+}
+
+void BankFederation::audit(std::size_t bank, AuditKind kind, std::size_t a,
+                           std::size_t b, std::int64_t amount) {
+  if (journal_ && !replaying_)
+    journal_->record(AuditEvent{kind, banks_.at(bank).seq, a, b, amount});
+}
+
+crypto::Bytes BankFederation::seal_from(std::size_t bank,
+                                        const crypto::RsaKey& key,
+                                        const crypto::Bytes& plain) {
+  crypto::Bytes wire;
+  seal_into(key, plain, banks_.at(bank).rng, env_scratch_, wire);
+  return wire;
+}
+
+// --- Section 4.3 trade (idempotent) -----------------------------------------
+
+crypto::Bytes BankFederation::apply_trade(std::size_t isp, TradeLedger& led,
+                                          const crypto::Nonce& nonce,
+                                          const crypto::Bytes& reply) {
+  const std::size_t b = home_bank(isp);
+  crypto::Bytes out = seal_from(b, keys_[b].priv, reply);
+  led.any_applied = true;
+  led.applied_hi = nonce.counter;
+  led.last_nonce = nonce;
+  led.last_reply = out;
+  return out;
+}
 
 crypto::Bytes BankFederation::on_buy(std::size_t isp,
                                      const crypto::Bytes& wire) {
   const std::size_t b = home_bank(isp);
-  MemberBank& mb = banks_.at(b);
-  if (mb.wal) {
-    crypto::Bytes p;
-    crypto::put_u64(p, isp);
-    crypto::put_bytes(p, wire);
-    log_op(b, WalOp::kOnBuy, p);
-  }
-  const crypto::KeyPair& keys = keys_.at(b);
-  const auto plain = unseal(keys.priv, wire);
-  if (!plain) {
+  MemberBank& mb = banks_[b];
+  log_wire(b, WalOp::kOnBuy, isp, wire);
+  ++mb.metrics.buys_received;
+  if (!unseal_into(keys_[b].priv, wire, env_scratch_, plain_scratch_)) {
     ++mb.metrics.bad_envelopes;
     return {};
   }
-  const auto req = BuyRequest::deserialize(*plain);
+  const auto req = BuyRequest::deserialize(plain_scratch_);
   if (!req || req->buyvalue <= 0) {
     ++mb.metrics.bad_envelopes;
     return {};
@@ -199,10 +210,10 @@ crypto::Bytes BankFederation::on_buy(std::size_t isp,
   TradeLedger& led = mb.buy_ledger.at(isp);
   if (led.any_applied && req->nonce.counter <= led.applied_hi) {
     if (req->nonce == led.last_nonce) {
-      ++mb.metrics.duplicate_trades;
+      ++mb.metrics.duplicate_buys;
       return led.last_reply;  // re-send the cached reply, no re-mint
     }
-    ++mb.metrics.stale_trades;
+    ++mb.metrics.stale_trades;  // delayed duplicate of an older exchange
     return {};
   }
 
@@ -213,40 +224,35 @@ crypto::Bytes BankFederation::on_buy(std::size_t isp,
     accounts_.at(isp) -= cost;
     mb.metrics.epennies_minted += req->buyvalue;
     reply.accepted = true;
+    ++mb.metrics.buys_accepted;
+    audit(b, AuditKind::kMint, isp, 0, req->buyvalue);
+  } else {
+    ++mb.metrics.buys_rejected;
+    audit(b, AuditKind::kMintRejected, isp, 0, req->buyvalue);
   }
-  crypto::Bytes out = seal(keys.priv, reply.serialize(), mb.rng);
-  led.any_applied = true;
-  led.applied_hi = req->nonce.counter;
-  led.last_nonce = req->nonce;
-  led.last_reply = out;
-  return out;
+  return apply_trade(isp, led, req->nonce, reply.serialize());
 }
 
 crypto::Bytes BankFederation::on_sell(std::size_t isp,
                                       const crypto::Bytes& wire) {
   const std::size_t b = home_bank(isp);
-  MemberBank& mb = banks_.at(b);
-  if (mb.wal) {
-    crypto::Bytes p;
-    crypto::put_u64(p, isp);
-    crypto::put_bytes(p, wire);
-    log_op(b, WalOp::kOnSell, p);
-  }
-  const crypto::KeyPair& keys = keys_.at(b);
-  const auto plain = unseal(keys.priv, wire);
-  if (!plain) {
+  MemberBank& mb = banks_[b];
+  log_wire(b, WalOp::kOnSell, isp, wire);
+  ++mb.metrics.sells_received;
+  if (!unseal_into(keys_[b].priv, wire, env_scratch_, plain_scratch_)) {
     ++mb.metrics.bad_envelopes;
     return {};
   }
-  const auto req = SellRequest::deserialize(*plain);
+  const auto req = SellRequest::deserialize(plain_scratch_);
   if (!req || req->sellvalue <= 0) {
     ++mb.metrics.bad_envelopes;
     return {};
   }
+  // Idempotency shield: never burn (or pay out) twice for one nonce.
   TradeLedger& led = mb.sell_ledger.at(isp);
   if (led.any_applied && req->nonce.counter <= led.applied_hi) {
     if (req->nonce == led.last_nonce) {
-      ++mb.metrics.duplicate_trades;
+      ++mb.metrics.duplicate_sells;
       return led.last_reply;
     }
     ++mb.metrics.stale_trades;
@@ -254,12 +260,8 @@ crypto::Bytes BankFederation::on_sell(std::size_t isp,
   }
   accounts_.at(isp) += Money::from_epennies(req->sellvalue);
   mb.metrics.epennies_burned += req->sellvalue;
-  crypto::Bytes out = seal(keys.priv, SellReply{req->nonce}.serialize(), mb.rng);
-  led.any_applied = true;
-  led.applied_hi = req->nonce.counter;
-  led.last_nonce = req->nonce;
-  led.last_reply = out;
-  return out;
+  audit(b, AuditKind::kBurn, isp, 0, req->sellvalue);
+  return apply_trade(isp, led, req->nonce, SellReply{req->nonce}.serialize());
 }
 
 // --- Snapshot round ---------------------------------------------------------
@@ -273,38 +275,36 @@ void BankFederation::open_round(std::size_t bank) {
   mb.reported.assign(params_.n_isps, false);
   for (auto& row : mb.verify)
     for (auto& cell : row) cell = 0;
-  mb.colset_from.assign(n_banks_, false);
+  mb.colset_from.assign(bank_count(), false);
   mb.verified = false;
-  mb.partial_net.assign(n_banks_, Money::zero());
-  mb.peer_partial.assign(n_banks_, Money::zero());
-  mb.transfer_from.assign(n_banks_, false);
-  mb.pair_netted.assign(n_banks_, false);
+  mb.partial_net.assign(bank_count(), Money::zero());
+  mb.peer_partial.assign(bank_count(), Money::zero());
+  mb.transfer_from.assign(bank_count(), false);
+  mb.pair_netted.assign(bank_count(), false);
 }
 
 std::vector<std::pair<std::size_t, crypto::Bytes>>
 BankFederation::start_snapshot() {
-  if (round_open()) return {};
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < params_.n_isps; ++i)
-    if (params_.is_compliant(i)) ++total;
-  if (total == 0) return {};
-
-  for (std::size_t b = 0; b < n_banks_; ++b) open_round(b);
-  // Requests go out in global ISP order (the legacy facade send order);
-  // each bank's sealing draws form the same per-bank subsequence the WAL
-  // replay of its kStartRound record regenerates.
+  if (round_open() || params_.compliant_count() == 0) return {};
+  for (std::size_t b = 0; b < bank_count(); ++b) open_round(b);
+  // Requests go out in global ISP order; each bank's sealing draws form
+  // the same per-bank subsequence the WAL replay of its kStartRound record
+  // regenerates.
   std::vector<std::pair<std::size_t, crypto::Bytes>> out;
   for (std::size_t i = 0; i < params_.n_isps; ++i) {
     if (!params_.is_compliant(i)) continue;
-    MemberBank& mb = banks_.at(home_bank(i));
+    const std::size_t b = home_bank(i);
+    MemberBank& mb = banks_[b];
     ++mb.outstanding;
     ++mb.metrics.requests_sent;
-    SnapshotRequest req{mb.seq};
     out.emplace_back(
-        i, seal(keys_.at(home_bank(i)).priv, req.serialize(), mb.rng));
+        i, seal_from(b, keys_[b].priv, SnapshotRequest{mb.seq}.serialize()));
   }
-  for (std::size_t b = 0; b < n_banks_; ++b)
+  for (std::size_t b = 0; b < bank_count(); ++b) {
+    audit(b, AuditKind::kRoundStarted, b, 0,
+          static_cast<std::int64_t>(banks_[b].outstanding));
     if (banks_[b].outstanding == 0) gather_complete(b);
+  }
   return out;
 }
 
@@ -314,13 +314,15 @@ BankFederation::start_snapshot_for(std::size_t bank) {
   if (!mb.canrequest) return {};
   open_round(bank);
   std::vector<std::pair<std::size_t, crypto::Bytes>> out;
-  SnapshotRequest req{mb.seq};
+  const crypto::Bytes req = SnapshotRequest{mb.seq}.serialize();
   for (std::size_t i = 0; i < params_.n_isps; ++i) {
     if (home_bank(i) != bank || !params_.is_compliant(i)) continue;
     ++mb.outstanding;
     ++mb.metrics.requests_sent;
-    out.emplace_back(i, seal(keys_.at(bank).priv, req.serialize(), mb.rng));
+    out.emplace_back(i, seal_from(bank, keys_[bank].priv, req));
   }
+  audit(bank, AuditKind::kRoundStarted, bank, 0,
+        static_cast<std::int64_t>(mb.outstanding));
   if (mb.outstanding == 0) gather_complete(bank);
   return out;
 }
@@ -331,36 +333,38 @@ BankFederation::resend_requests(std::size_t bank) {
   if (mb.canrequest) return {};
   log_op(bank, WalOp::kResendRequests, crypto::Bytes{});
   std::vector<std::pair<std::size_t, crypto::Bytes>> out;
-  SnapshotRequest req{mb.seq};
+  const crypto::Bytes req = SnapshotRequest{mb.seq}.serialize();
   for (std::size_t i = 0; i < params_.n_isps; ++i) {
     if (home_bank(i) != bank || !params_.is_compliant(i)) continue;
     if (mb.reported.at(i)) continue;
     ++mb.metrics.snapshot_rerequests;
-    out.emplace_back(i, seal(keys_.at(bank).priv, req.serialize(), mb.rng));
+    out.emplace_back(i, seal_from(bank, keys_[bank].priv, req));
   }
   return out;
 }
 
 void BankFederation::on_reply(std::size_t isp, const crypto::Bytes& wire) {
-  if (!params_.is_compliant(isp)) return;
+  if (!params_.is_compliant(isp)) return;  // paper: "~compliant[g] -> skip"
   const std::size_t b = home_bank(isp);
-  MemberBank& mb = banks_.at(b);
-  if (mb.wal) {
-    crypto::Bytes p;
-    crypto::put_u64(p, isp);
-    crypto::put_bytes(p, wire);
-    log_op(b, WalOp::kOnReply, p);
-  }
-  const auto plain = unseal(keys_.at(b).priv, wire);
-  if (!plain) {
+  MemberBank& mb = banks_[b];
+  log_wire(b, WalOp::kOnReply, isp, wire);
+  if (!unseal_into(keys_[b].priv, wire, env_scratch_, plain_scratch_)) {
     ++mb.metrics.bad_envelopes;
     return;
   }
-  const auto report = CreditReport::deserialize(*plain);
-  if (!report || report->credit.size() != params_.n_isps) return;
-  if (mb.canrequest || report->seq != mb.seq || mb.reported.at(isp)) return;
+  const auto report = CreditReport::deserialize(plain_scratch_);
+  if (!report || report->credit.size() != params_.n_isps) {
+    ++mb.metrics.bad_envelopes;
+    return;
+  }
+  if (mb.canrequest || report->seq != mb.seq || mb.reported.at(isp)) {
+    ++mb.metrics.stale_reports;  // replayed or out-of-round report
+    audit(b, AuditKind::kStaleReport, isp);
+    return;
+  }
   mb.reported.at(isp) = true;
-  ++mb.metrics.reports_received;
+  ++mb.metrics.credit_reports_received;
+  audit(b, AuditKind::kReportReceived, isp);
   for (std::size_t i = 0; i < params_.n_isps; ++i)
     mb.verify[i][isp] = report->credit[i];
   ZMAIL_ASSERT(mb.outstanding > 0);
@@ -372,14 +376,11 @@ void BankFederation::gather_complete(std::size_t bank) {
   mb.colset_from.at(bank) = true;
   // Broadcast the gathered member columns to every peer (the inter-bank
   // traffic E12 measures), as acknowledged, retryable wires.
-  for (std::size_t p = 0; p < n_banks_; ++p) {
+  for (std::size_t p = 0; p < bank_count(); ++p) {
     if (p == bank) continue;
     crypto::Bytes plain;
     put_header(plain, FedMsg::kColumns, bank, mb.seq);
-    std::uint32_t members = 0;
-    for (std::size_t g = 0; g < params_.n_isps; ++g)
-      if (home_bank(g) == bank && params_.is_compliant(g)) ++members;
-    crypto::put_u32(plain, members);
+    crypto::put_u32(plain, static_cast<std::uint32_t>(compliant_members(bank)));
     for (std::size_t g = 0; g < params_.n_isps; ++g) {
       if (home_bank(g) != bank || !params_.is_compliant(g)) continue;
       crypto::put_u64(plain, g);
@@ -395,7 +396,7 @@ void BankFederation::gather_complete(std::size_t bank) {
 void BankFederation::maybe_verify(std::size_t bank) {
   MemberBank& mb = banks_.at(bank);
   if (mb.canrequest || mb.verified) return;
-  for (std::size_t p = 0; p < n_banks_; ++p)
+  for (std::size_t p = 0; p < bank_count(); ++p)
     if (!mb.colset_from[p]) return;
   verify_owned_pairs(bank);
 }
@@ -406,31 +407,44 @@ void BankFederation::verify_owned_pairs(std::size_t bank) {
   // Foreign account deltas this bank's verified pairs produce, grouped by
   // the member's home bank (shipped inside the clearing transfer).
   std::vector<std::vector<std::pair<std::uint64_t, std::int64_t>>> items(
-      n_banks_);
+      bank_count());
 
   // Pair (i, j) is owned by home(min(i, j)) == home(i).
   for (std::size_t i = 0; i < params_.n_isps; ++i) {
     if (home_bank(i) != bank || !params_.is_compliant(i)) continue;
     for (std::size_t j = i + 1; j < params_.n_isps; ++j) {
       if (!params_.is_compliant(j)) continue;
+      // verify[j][i] = credit_i[j]  (ISP i's view of its flow toward j)
+      // verify[i][j] = credit_j[i]  (ISP j's view of its flow toward i)
       const EPenny d = mb.verify[j][i] + mb.verify[i][j];
+      mb.drift[i][j] += d;
+      if (mb.drift[i][j] != 0)
+        ++mb.drift_streak[i][j];
+      else
+        mb.drift_streak[i][j] = 0;
+      if (mb.drift_streak[i][j] == 2) ++mb.persistent_drift_pairs;
       if (d != 0) {
         mb.violations.push_back(CreditViolation{i, j, d});
-        ++mb.metrics.violations_found;
-        continue;  // disputed pair stays unsettled
+        ++mb.metrics.inconsistent_pairs_found;
+        audit(bank, AuditKind::kViolationFlagged, i, j, d);
+        continue;  // no settlement across a disputed pair
       }
-      const EPenny net = mb.verify[j][i];  // flow i -> j
+      // Bulk settlement: net flow i -> j is credit_i[j]; a positive value
+      // means i's users paid j's users, so real money moves i -> j.
+      const EPenny net = mb.verify[j][i];
       if (net == 0) continue;
       const Money amount = Money::from_epennies(net > 0 ? net : -net);
       const std::size_t payer = net > 0 ? i : j;
       const std::size_t payee = net > 0 ? j : i;
+      ++mb.metrics.settlement_transfers;
+      mb.metrics.settlement_bytes += 2 * sizeof(EPenny);
+      audit(bank, AuditKind::kSettlement, payer, payee, net > 0 ? net : -net);
       const std::size_t payer_bank = home_bank(payer);
       const std::size_t payee_bank = home_bank(payee);
       if (payer_bank == payee_bank) {
         // Both members of this bank: settle in place.
         accounts_.at(payer) -= amount;
         accounts_.at(payee) += amount;
-        ++mb.metrics.settlements_intra_bank;
         continue;
       }
       ++mb.metrics.settlements_cross_bank;
@@ -450,7 +464,7 @@ void BankFederation::verify_owned_pairs(std::size_t bank) {
 
   // Ship one clearing transfer per peer per round — even an empty one is
   // the peer's signal that this bank's side of the round is final.
-  for (std::size_t p = 0; p < n_banks_; ++p) {
+  for (std::size_t p = 0; p < bank_count(); ++p) {
     if (p == bank) continue;
     crypto::Bytes plain;
     put_header(plain, FedMsg::kClearing, bank, mb.seq);
@@ -462,7 +476,7 @@ void BankFederation::verify_owned_pairs(std::size_t bank) {
     }
     emit(bank, p, FedMsg::kClearing, mb.seq, plain, /*track=*/true);
   }
-  for (std::size_t p = 0; p < n_banks_; ++p) {
+  for (std::size_t p = 0; p < bank_count(); ++p) {
     if (p == bank) continue;
     if (mb.transfer_from[p] && !mb.pair_netted[p]) combine_pair(bank, p);
   }
@@ -487,15 +501,16 @@ void BankFederation::combine_pair(std::size_t bank, std::size_t peer) {
 void BankFederation::try_close_round(std::size_t bank) {
   MemberBank& mb = banks_.at(bank);
   if (mb.canrequest || !mb.verified) return;
-  for (std::size_t p = 0; p < n_banks_; ++p) {
+  for (std::size_t p = 0; p < bank_count(); ++p) {
     if (p == bank) continue;
     if (!mb.transfer_from[p] || !mb.pair_netted[p]) return;
   }
   for (auto& row : mb.verify)
     for (auto& cell : row) cell = 0;
+  audit(bank, AuditKind::kRoundCompleted, bank);
   mb.seq += 1;
   mb.canrequest = true;
-  ++mb.metrics.rounds_completed;
+  ++mb.metrics.snapshot_rounds;
 }
 
 // --- Inter-bank plane -------------------------------------------------------
@@ -504,12 +519,12 @@ void BankFederation::emit(std::size_t from, std::size_t to, FedMsg kind,
                           std::uint64_t round, const crypto::Bytes& plain,
                           bool track) {
   MemberBank& mb = banks_.at(from);
-  crypto::Bytes wire = seal(keys_.at(to).pub, plain, mb.rng);
+  crypto::Bytes wire = seal_from(from, keys_.at(to).pub, plain);
   switch (kind) {
     case FedMsg::kColumns:
       ++mb.metrics.interbank_messages;
-      // Loopback keeps the legacy synthetic accounting (the E12/A1.d
-      // observable); the networked plane counts real sealed wire bytes.
+      // Loopback keeps synthetic accounting (the E12/A1.d observable); the
+      // networked plane counts real sealed wire bytes.
       mb.metrics.interbank_bytes +=
           sink_ ? wire.size()
                 : compliant_members(from) *
@@ -534,22 +549,22 @@ void BankFederation::emit(std::size_t from, std::size_t to, FedMsg kind,
     pw.wire = wire;
   }
   if (replaying_) return;  // replayed output already left pre-crash
-  if (sink_) {
-    sink_(from, to, static_cast<std::uint8_t>(kind), std::move(wire));
-  } else {
-    loopback_.emplace_back(from, to, static_cast<std::uint8_t>(kind),
-                           std::move(wire));
-    drain_loopback();
-  }
+  deliver(from, to, static_cast<std::uint8_t>(kind), std::move(wire));
 }
 
-void BankFederation::drain_loopback() {
+void BankFederation::deliver(std::size_t from, std::size_t to,
+                             std::uint8_t kind, crypto::Bytes wire) {
+  if (sink_) {
+    sink_(from, to, kind, std::move(wire));
+    return;
+  }
+  loopback_.emplace_back(from, to, kind, std::move(wire));
   if (draining_) return;
   draining_ = true;
   while (!loopback_.empty()) {
-    auto [from, to, kind, wire] = std::move(loopback_.front());
+    auto [f, t, k, w] = std::move(loopback_.front());
     loopback_.pop_front();
-    on_interbank(to, from, kind, wire);
+    on_interbank(t, f, k, w);
   }
   draining_ = false;
 }
@@ -574,16 +589,18 @@ void BankFederation::on_interbank(std::size_t bank, std::size_t from_bank,
     crypto::put_bytes(p, wire);
     log_op(bank, WalOp::kOnInterbank, p);
   }
-  const auto plain = unseal(keys_.at(bank).priv, wire);
-  if (!plain) {
+  if (!unseal_into(keys_.at(bank).priv, wire, env_scratch_, plain_scratch_)) {
     ++mb.metrics.bad_envelopes;
     return;
   }
-  crypto::ByteReader r(*plain);
+  // A private copy: the handlers below may seal (and, over the loopback,
+  // deliver) further wires, which reuse the scratch buffers.
+  const crypto::Bytes plain = plain_scratch_;
+  crypto::ByteReader r(plain);
   const std::uint8_t inner = r.get_u8();
   const std::uint64_t from = r.get_u64();
   const std::uint64_t round = r.get_u64();
-  if (!r.ok() || inner != kind || from != from_bank || from >= n_banks_ ||
+  if (!r.ok() || inner != kind || from != from_bank || from >= bank_count() ||
       from == bank) {
     ++mb.metrics.bad_envelopes;
     return;
@@ -692,10 +709,6 @@ void BankFederation::handle_clearing(std::size_t bank, std::size_t from,
     }
     items.emplace_back(g, micros);
   }
-  if (!r.ok()) {
-    ++mb.metrics.bad_envelopes;
-    return;
-  }
   for (const auto& [g, micros] : items)
     accounts_.at(g) += Money::from_micros(micros);
   mb.peer_partial.at(from) = Money::from_micros(peer_net);
@@ -719,13 +732,9 @@ void BankFederation::handle_ack(std::size_t bank, std::size_t from,
 
 void BankFederation::poll_interbank(std::size_t bank, std::int64_t now) {
   MemberBank& mb = banks_.at(bank);
-  bool any = false;
-  for (const PendingWire& pw : mb.pending)
-    if (pw.active) {
-      any = true;
-      break;
-    }
-  if (!any) return;
+  if (std::none_of(mb.pending.begin(), mb.pending.end(),
+                   [](const PendingWire& pw) { return pw.active; }))
+    return;
   if (mb.wal) {
     crypto::Bytes p;
     crypto::put_i64(p, now);
@@ -744,14 +753,7 @@ void BankFederation::poll_interbank(std::size_t bank, std::int64_t now) {
     ++pw.attempts;
     ++mb.metrics.interbank_retries;
     pw.next_at = now + params_.retry.backoff_for(pw.attempts);
-    if (replaying_) continue;
-    const std::size_t to = slot / 2;
-    if (sink_) {
-      sink_(bank, to, pw.kind, pw.wire);
-    } else {
-      loopback_.emplace_back(bank, to, pw.kind, pw.wire);
-      drain_loopback();
-    }
+    if (!replaying_) deliver(bank, slot / 2, pw.kind, pw.wire);
   }
 }
 

@@ -1,15 +1,26 @@
-// Collaborating-banks extension (paper Section 5, "Bank Setup").
+// The bank state machine (paper Section 4, process bank), run as a
+// federation of params.n_banks collaborating member banks (Section 5,
+// "Bank Setup").
+//
+// The bank (1) exchanges e-pennies against the real-money accounts of
+// compliant ISPs (Section 4.3), and (2) periodically gathers every
+// compliant ISP's credit array and checks pairwise antisymmetry
+// (Section 4.4), flagging misbehaving/colluding ISPs.  The paper leaves
+// inter-ISP settlement implicit ("an accounting relationship among
+// compliant ISPs, which reconcile payments"); we make it concrete: after a
+// consistent snapshot the bank performs a *bulk* transfer per ISP pair
+// equal to the netted credit — one ledger operation per pair per billing
+// period, which is the whole point of E5's comparison with per-message
+// schemes.
 //
 // "In fact, the role of the bank in the Zmail protocol can be implemented
-//  as a set of distributed banks or a hierarchy of banks.  It is fairly
-//  straightforward to extend the Zmail protocol to incorporate multiple
-//  collaborating banks."
-//
-// Design (the paper leaves it open; we make the natural choice concrete):
-//   - every compliant ISP has one *home bank* (round-robin assignment);
-//     its real-money account and its buy/sell traffic live there;
-//   - a federation snapshot round: each bank sends requests to its member
-//     ISPs and gathers their credit reports;
+//  as a set of distributed banks or a hierarchy of banks."  The central
+// bank is the k = 1 case; with k > 1 (the paper leaves the design open, we
+// make the natural choice concrete):
+//   - every ISP has one *home bank* (round-robin assignment); its
+//     real-money account and its buy/sell traffic live there;
+//   - a snapshot round: each bank sends requests to its member ISPs and
+//     gathers their credit reports;
 //   - banks then exchange the gathered report columns all-to-all (counted
 //     as inter-bank messages/bytes — the cost the E12 federation bench
 //     measures);
@@ -18,63 +29,45 @@
 //     money through inter-bank clearing accounts, netted per bank pair per
 //     round (bulk, like everything else in Zmail).
 //
-// Crash tolerance (this file's second act): each member bank is now a
-// self-contained state machine — its own RNG, report gathering, verify
-// matrix, trade idempotency ledgers, clearing ledgers, and unacked
-// outbound wires — so it can be serialized, WAL-logged, crashed, and
-// rebuilt independently of its peers.  The inter-bank column exchange and
-// the netted clearing transfers are real acknowledged messages carrying a
-// round id; a per-peer ledger absorbs duplicated or stale deliveries, so
-// retransmitting after loss (or replaying a WAL after a crash) never
-// double-applies a settlement.
+// Crash tolerance: each member bank is a self-contained state machine —
+// its own RNG, report gathering, verify matrix, drift streaks, trade
+// idempotency ledgers, clearing ledgers, and unacked outbound wires — so
+// it can be serialized, WAL-logged, crashed, and rebuilt independently of
+// its peers.  The inter-bank column exchange and the netted clearing
+// transfers are acknowledged messages carrying a round id; a per-peer
+// ledger absorbs duplicated or stale deliveries, so retransmitting after
+// loss (or replaying a WAL after a crash) never double-applies a
+// settlement.
 //
-// Two transports:
-//   - loopback (default, no sink installed): inter-bank wires self-deliver
-//     synchronously inside the federation and the legacy synthetic
-//     accounting is kept verbatim, so untimed callers (tests, ablations)
-//     see byte-for-byte the monolithic behaviour;
-//   - sink (FederatedZmailSystem installs one when hardening is on): wires
-//     travel as sealed datagrams over the latency-modelled network, with
-//     RetryPolicy-paced retransmission of unacked wires.
+// Two inter-bank transports:
+//   - loopback (no sink installed): inter-bank wires self-deliver
+//     synchronously inside the federation, with synthetic byte accounting
+//     (the untimed E12/A1 callers and tests);
+//   - sink (ZmailSystem installs one when the store or retries are on):
+//     wires travel as sealed datagrams over the latency-modelled network,
+//     with RetryPolicy-paced retransmission of unacked wires.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <optional>
 #include <tuple>
 #include <vector>
 
-#include "core/bank.hpp"  // CreditViolation
+#include "core/audit.hpp"
 #include "core/config.hpp"
 #include "core/messages.hpp"
+#include "core/metrics.hpp"
 #include "crypto/rsa.hpp"
 #include "store/wal.hpp"
 
 namespace zmail::core {
 
-struct FederationMetrics {
-  std::uint64_t rounds_completed = 0;
-  std::uint64_t requests_sent = 0;
-  std::uint64_t reports_received = 0;
-  std::uint64_t interbank_messages = 0;
-  std::uint64_t interbank_bytes = 0;
-  std::uint64_t settlements_intra_bank = 0;
-  std::uint64_t settlements_cross_bank = 0;
-  std::uint64_t clearing_transfers = 0;  // netted bank-to-bank movements
-  std::uint64_t violations_found = 0;
-  EPenny epennies_minted = 0;
-  EPenny epennies_burned = 0;
-  // Robustness counters (all zero on the happy path).
-  std::uint64_t clearing_messages = 0;   // ClearingTransfer wires sent
-  std::uint64_t interbank_acks = 0;      // ack wires sent
-  std::uint64_t interbank_retries = 0;   // unacked wires retransmitted
-  std::uint64_t duplicate_trades = 0;    // buy/sell replays answered from cache
-  std::uint64_t stale_trades = 0;        // buy/sell replays of older nonces
-  std::uint64_t duplicate_interbank = 0; // column/clearing replays absorbed
-  std::uint64_t stale_interbank = 0;     // inter-bank wires for closed rounds
-  std::uint64_t bad_envelopes = 0;       // unseal/decode failures
-  std::uint64_t snapshot_rerequests = 0; // re-requests to silent members
+// A detected antisymmetry violation: credit_i[j] + credit_j[i] != 0.
+struct CreditViolation {
+  std::size_t isp_i = 0;
+  std::size_t isp_j = 0;
+  EPenny discrepancy = 0;  // credit_i[j] + credit_j[i]
 };
 
 class BankFederation {
@@ -100,32 +93,47 @@ class BankFederation {
     kPollWires = 7,
   };
 
-  BankFederation(const ZmailParams& params, std::size_t n_banks,
+  // `params` is held by reference and must outlive the federation (see
+  // Isp); it supplies the member count params.n_banks.  `keys[b]` is bank
+  // b's keypair (construction input, not serialized state); bank b seals
+  // with its own stream derived from `seed`.
+  BankFederation(const ZmailParams& params, std::vector<crypto::KeyPair> keys,
                  std::uint64_t seed);
 
-  std::size_t bank_count() const noexcept { return n_banks_; }
-  // Home-bank assignment (round-robin over compliant ISP indices).
+  std::size_t bank_count() const noexcept { return keys_.size(); }
+  // Home-bank assignment (round-robin over ISP indices).
   std::size_t home_bank(std::size_t isp) const;
   // Key the ISP seals its traffic with (its home bank's public key).
   const crypto::RsaKey& public_key_for(std::size_t isp) const;
-  const crypto::KeyPair& bank_keys(std::size_t bank) const {
-    return keys_.at(bank);
-  }
 
-  // --- Section 4.3 trade, routed to the home bank -------------------------
+  // --- Section 4.3: e-penny trade, at the ISP's home bank ------------------
+  // Returns the sealed reply wire bytes to send back to the ISP (empty when
+  // the request is dropped).  Both handlers are idempotent under
+  // duplication: a request whose nonce was already applied re-sends the
+  // cached reply without minting/burning again, and a delayed duplicate of
+  // an older exchange is dropped — so transport-level duplicates and ISP
+  // retries can never double-credit (NCR/DCR replay safety).
   crypto::Bytes on_buy(std::size_t isp, const crypto::Bytes& wire);
   crypto::Bytes on_sell(std::size_t isp, const crypto::Bytes& wire);
 
-  // --- Federated snapshot round --------------------------------------------
-  // Emits one sealed request per compliant ISP (from its home bank).
+  // --- Section 4.4: snapshot / verification ---------------------------------
+  // `canrequest ->` action at every bank: one sealed request per compliant
+  // ISP (from its home bank), in ISP order.  Empty when a round is open.
   std::vector<std::pair<std::size_t, crypto::Bytes>> start_snapshot();
   // Restarts (or starts) the round at one bank only — the recovery path
-  // when a bank was down while its peers opened the round.
+  // when a bank lost its round opening while its peers kept the round open.
   std::vector<std::pair<std::size_t, crypto::Bytes>> start_snapshot_for(
       std::size_t bank);
-  // Re-requests reports from `bank`'s silent members (round still open).
+  // Re-seals the open round's request for every compliant member of `bank`
+  // that has not reported yet.  The snapshot-recovery path: a lost request
+  // would otherwise leave the round open forever.  ISPs that already
+  // reported bumped their seq, so a re-request cannot re-quiesce them.
   std::vector<std::pair<std::size_t, crypto::Bytes>> resend_requests(
       std::size_t bank);
+  // `rcv reply` action.  When a bank's last outstanding report arrives it
+  // ships its columns, verifies the pairs it owns and settles.  A
+  // duplicated, replayed or out-of-round report counts stale and is
+  // ignored; a malformed one counts as a bad envelope.
   void on_reply(std::size_t isp, const crypto::Bytes& wire);
   // Inter-bank plane: deliver a peer bank's sealed wire to `bank`.
   void on_interbank(std::size_t bank, std::size_t from_bank,
@@ -141,13 +149,24 @@ class BankFederation {
   // ack — the globally consistent cut the auditor's pairwise checks need.
   bool idle() const;
 
+  // Violations found by each bank's most recent verification, by pair.
   const std::vector<CreditViolation>& last_violations() const noexcept {
     return last_violations_;
   }
+  // ISP pairs whose *cumulative* inconsistency has been nonzero for two or
+  // more consecutive rounds.  Single-round skew (an ISP that quiesced late
+  // because its snapshot request had to be re-sent) self-cancels in the
+  // next round; a free-riding pair drifts monotonically and stays counted.
+  std::uint64_t persistent_drift_pairs() const noexcept;
 
-  // --- Accounts --------------------------------------------------------------
-  Money isp_account(std::size_t isp) const;
-  void set_isp_account(std::size_t isp, Money v);
+  // Attaches an audit journal; every member bank records its monetary and
+  // verification events there (nullptr detaches).  The journal must
+  // outlive the federation.  WAL replay does not re-record.
+  void attach_journal(AuditJournal* journal) noexcept { journal_ = journal; }
+
+  // --- Accounts and metrics -------------------------------------------------
+  Money account(std::size_t isp) const { return accounts_.at(isp); }
+  void set_account(std::size_t isp, Money v) { accounts_.at(isp) = v; }
   // Net clearing position of bank b toward the rest of the federation
   // (positive: the federation owes b).
   Money clearing_position(std::size_t bank) const;
@@ -155,12 +174,20 @@ class BankFederation {
   // bank's members paid peer's members net).  Antisymmetric at idle cuts.
   Money clearing_pair(std::size_t bank, std::size_t peer) const;
 
-  // Aggregated across member banks; rounds_completed is the minimum (a
-  // round counts when *every* bank closed it), everything else sums.
-  FederationMetrics metrics() const;
-  const FederationMetrics& metrics(std::size_t bank) const;
+  // Summed across member banks, except snapshot_rounds, which is the
+  // minimum (a round counts when *every* bank closed it).
+  BankMetrics metrics() const;
+  const BankMetrics& metrics(std::size_t bank) const;
+  // Net e-pennies currently minted into the ISP world.
+  EPenny epennies_outstanding() const;
 
-  // --- Durability & the networked inter-bank plane -------------------------
+  // --- Durability (src/store) & the networked inter-bank plane --------------
+  // Mirror of the Isp durability contract (see isp.hpp): with a sink
+  // attached every mutating handler logs its inputs, and replay re-invokes
+  // the handler with the sink, the journal and wire emission suppressed,
+  // discarding returned reply wires (they were sent pre-crash; ISP retries
+  // recover a lost one via the idempotency ledger's cached replies).
+  //
   // When set, inter-bank wires are handed to the sink (the facade sends
   // them as datagrams); when null, they self-deliver synchronously.
   using InterbankSink = std::function<void(
@@ -168,12 +195,11 @@ class BankFederation {
   void set_interbank_sink(InterbankSink sink) { sink_ = std::move(sink); }
 
   void attach_wal(std::size_t bank, store::WalSink* wal);
-  store::WalSink* wal(std::size_t bank) const;
   crypto::Bytes serialize_state(std::size_t bank) const;
   bool restore_state(std::size_t bank, const crypto::Bytes& state);
   void apply_wal_record(std::size_t bank, std::uint8_t op,
                         const crypto::Bytes& payload);
-  // Drops one bank's in-memory state (fresh-construct) ahead of recover().
+  // Drops one bank's in-memory state (fresh-construct) ahead of recovery.
   void reset_bank(std::size_t bank);
 
  private:
@@ -181,6 +207,11 @@ class BankFederation {
     bool any_applied = false;
     std::uint64_t applied_hi = 0;  // highest round applied from this peer
   };
+  // Idempotency record for one ISP's most recent applied trade.  ISP nonces
+  // carry a strictly increasing counter (crypto::NonceGenerator), and each
+  // ISP has at most one buy and one sell outstanding, so "counter <= the
+  // highest applied" identifies every duplicate; the latest one also gets
+  // its cached reply replayed so a lost reply is recoverable by retry.
   struct TradeLedger {
     bool any_applied = false;
     std::uint64_t applied_hi = 0;  // highest applied nonce counter
@@ -195,14 +226,22 @@ class BankFederation {
     std::int64_t next_at = 0;  // 0 = not yet armed by a poll
     crypto::Bytes wire;
   };
-  // One self-contained federation shard: everything a crash must not lose.
+  // One self-contained member bank: everything a crash must not lose.
   struct MemberBank {
     Rng rng{0};
     std::uint64_t seq = 0;
     bool canrequest = true;
     std::vector<bool> reported;     // per ISP; only members meaningful
     std::size_t outstanding = 0;
-    std::vector<std::vector<EPenny>> verify;  // full n×n matrix view
+    std::vector<std::vector<EPenny>> verify;  // verify[i][g] = credit_g[i]
+    // Cumulative per-pair inconsistency across rounds (owned pairs,
+    // drift[i][j] for i < j) and how many consecutive rounds it has been
+    // nonzero.  A recovered snapshot (one ISP quiesced late after a lost
+    // request) skews a pair by +/-d across two adjacent rounds, which nets
+    // to zero here; genuine misbehaviour accumulates and keeps the streak.
+    std::vector<std::vector<EPenny>> drift;
+    std::vector<std::vector<std::uint32_t>> drift_streak;
+    std::uint64_t persistent_drift_pairs = 0;
     std::vector<bool> colset_from;  // per bank; self ⇔ gather complete
     bool verified = false;          // owned pairs checked this round
     std::vector<Money> partial_net;   // per peer: my net flow me→peer
@@ -217,11 +256,20 @@ class BankFederation {
     std::vector<TradeLedger> sell_ledger;  // per ISP
     std::vector<PendingWire> pending;      // [2p]=columns→p, [2p+1]=clearing→p
     std::vector<CreditViolation> violations;  // owned pairs, last verify
-    FederationMetrics metrics;
+    BankMetrics metrics;
     store::WalSink* wal = nullptr;  // not serialized; reattached on rebuild
   };
 
   void log_op(std::size_t bank, WalOp op, const crypto::Bytes& payload);
+  void log_wire(std::size_t bank, WalOp op, std::uint64_t who,
+                const crypto::Bytes& wire);
+  void audit(std::size_t bank, AuditKind kind, std::size_t a,
+             std::size_t b = 0, std::int64_t amount = 0);
+  crypto::Bytes seal_from(std::size_t bank, const crypto::RsaKey& key,
+                          const crypto::Bytes& plain);
+  crypto::Bytes apply_trade(std::size_t isp, TradeLedger& led,
+                            const crypto::Nonce& nonce,
+                            const crypto::Bytes& reply);
   void init_bank(std::size_t bank);
   void open_round(std::size_t bank);
   std::size_t compliant_members(std::size_t bank) const;
@@ -240,25 +288,29 @@ class BankFederation {
             const crypto::Bytes& plain, bool track);
   void send_ack(std::size_t from, std::size_t to, FedMsg acked,
                 std::uint64_t round);
-  void drain_loopback();
+  void deliver(std::size_t from, std::size_t to, std::uint8_t kind,
+               crypto::Bytes wire);
   void rebuild_violations();
 
   const ZmailParams& params_;
-  std::size_t n_banks_;
   std::vector<crypto::KeyPair> keys_;
-  Rng rng_;  // key generation only; per-bank streams do the sealing
   std::uint64_t seed_ = 0;
+  AuditJournal* journal_ = nullptr;
 
   std::vector<Money> accounts_;  // per ISP, held at its home bank
   std::vector<MemberBank> banks_;
 
   InterbankSink sink_;
-  bool replaying_ = false;  // WAL replay: suppress wire emission
+  bool replaying_ = false;  // WAL replay: suppress wire emission + journal
   bool draining_ = false;
   std::deque<std::tuple<std::size_t, std::size_t, std::uint8_t, crypto::Bytes>>
       loopback_;
 
   std::vector<CreditViolation> last_violations_;
+  // Scratch envelope/plaintext reused across every seal/unseal (see
+  // core::seal_into) so message handling stops reallocating.
+  crypto::Envelope env_scratch_;
+  crypto::Bytes plain_scratch_;
 };
 
 }  // namespace zmail::core

@@ -24,6 +24,14 @@
 //      peer's new-epoch mail lands in its old-epoch array and the pair reads
 //      -d then +d across adjacent rounds.  Disable via
 //      expect_consistent(false) when a bench injects misbehaviour on purpose.
+//   6. clearing zero-sum (several member banks) — at every globally idle
+//      cut (all rounds closed, no inter-bank wire awaiting an ack) the
+//      pairwise clearing entries are antisymmetric and the net positions
+//      sum to zero across banks.  Mid-round a pair is legitimately lopsided
+//      (one side combined its partials, the other still awaits a clearing
+//      wire), so this check is gated on bank().idle().
+//   7. no round double-applies — at idle cuts every member bank agrees on
+//      how many rounds settled, even across crash + WAL replay.
 //
 // Run it continuously in tests (`run_continuously`) or behind `--audit` in
 // benches; failures are collected, not thrown, so a sweep can report the
@@ -34,7 +42,6 @@
 #include <string>
 #include <vector>
 
-#include "core/federated_system.hpp"
 #include "core/system.hpp"
 
 namespace zmail::core {
@@ -73,43 +80,8 @@ class InvariantAuditor {
 
   ZmailSystem* sys_;
   Money initial_real_money_;
+  std::size_t initial_compliant_;
   bool expect_consistent_ = true;
-  InvariantReport report_;
-};
-
-// Federation-wide zero-sum auditor: the same safety net over a
-// FederatedZmailSystem.  Beyond the single-bank invariants (e-penny
-// conservation against the summed mint of all member banks, real-money
-// conservation against the federation's vault backing) it checks the
-// properties only a federation can violate:
-//
-//   - clearing accounts net to zero — at every globally idle cut (all
-//     rounds closed, no inter-bank wire awaiting an ack) the pairwise
-//     clearing entries are antisymmetric (pair(a,b) + pair(b,a) == 0) and
-//     the net positions sum to zero across banks;
-//   - no round double-applies — after any crash/WAL-replay the banks'
-//     round seqs agree at idle cuts, and duplicate inter-bank deliveries
-//     were absorbed by the ledgers (tallied, not re-applied; a
-//     re-application would break antisymmetry or conservation above).
-//
-// Mid-round cuts legitimately hold asymmetric partial state (one side of
-// a pair combined, the other still waiting on a clearing wire), so the
-// pairwise checks are gated on federation().idle(); the conservation
-// checks run unconditionally.
-class FederationAuditor {
- public:
-  explicit FederationAuditor(FederatedZmailSystem& sys);
-
-  void check_now();
-  void run_continuously(sim::Duration period);
-  const InvariantReport& report() const noexcept { return report_; }
-  void assert_ok() const;
-
- private:
-  void fail(std::string msg);
-
-  FederatedZmailSystem* sys_;
-  Money initial_real_money_;
   InvariantReport report_;
 };
 

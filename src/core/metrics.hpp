@@ -88,16 +88,18 @@ struct IspMetrics {
   }
 };
 
+// Counters of one member bank; BankFederation::metrics() sums them over
+// the federation.
 struct BankMetrics {
-  std::uint64_t buys_received = 0;
+  std::uint64_t buys_received = 0;   // every buy wire that reached the bank
   std::uint64_t buys_accepted = 0;
   std::uint64_t buys_rejected = 0;
-  std::uint64_t sells_received = 0;
+  std::uint64_t sells_received = 0;  // every sell wire, duplicates included
   std::uint64_t snapshot_rounds = 0;
   std::uint64_t credit_reports_received = 0;
   std::uint64_t inconsistent_pairs_found = 0;
-  std::uint64_t bad_envelopes = 0;
-  std::uint64_t stale_reports = 0;
+  std::uint64_t bad_envelopes = 0;   // unseal/decode failures
+  std::uint64_t stale_reports = 0;   // duplicated or out-of-round reports
 
   // Idempotency shield: duplicated/retried trade requests absorbed without
   // re-applying (cached reply re-sent) and out-of-date ones dropped.
@@ -111,8 +113,51 @@ struct BankMetrics {
   EPenny epennies_burned = 0;
 
   // Bulk-settlement ledger activity (for E5 vs per-message schemes).
-  std::uint64_t settlement_transfers = 0;
+  std::uint64_t settlement_transfers = 0;  // settled pairs, any bank pair
   std::uint64_t settlement_bytes = 0;
+
+  // Inter-bank plane (all zero with a single bank).
+  std::uint64_t requests_sent = 0;           // snapshot requests sealed
+  std::uint64_t settlements_cross_bank = 0;  // settled pairs across banks
+  std::uint64_t clearing_transfers = 0;   // netted bank-to-bank movements
+  std::uint64_t interbank_messages = 0;   // column wires sent
+  std::uint64_t interbank_bytes = 0;
+  std::uint64_t clearing_messages = 0;    // clearing wires sent
+  std::uint64_t interbank_acks = 0;       // ack wires sent
+  std::uint64_t interbank_retries = 0;    // unacked wires retransmitted
+  std::uint64_t duplicate_interbank = 0;  // column/clearing replays absorbed
+  std::uint64_t stale_interbank = 0;      // inter-bank wires for closed rounds
+
+  // Field-wise sum, for federation-wide aggregation.
+  void merge(const BankMetrics& o) noexcept {
+    buys_received += o.buys_received;
+    buys_accepted += o.buys_accepted;
+    buys_rejected += o.buys_rejected;
+    sells_received += o.sells_received;
+    snapshot_rounds += o.snapshot_rounds;
+    credit_reports_received += o.credit_reports_received;
+    inconsistent_pairs_found += o.inconsistent_pairs_found;
+    bad_envelopes += o.bad_envelopes;
+    stale_reports += o.stale_reports;
+    duplicate_buys += o.duplicate_buys;
+    duplicate_sells += o.duplicate_sells;
+    stale_trades += o.stale_trades;
+    snapshot_rerequests += o.snapshot_rerequests;
+    epennies_minted += o.epennies_minted;
+    epennies_burned += o.epennies_burned;
+    settlement_transfers += o.settlement_transfers;
+    settlement_bytes += o.settlement_bytes;
+    requests_sent += o.requests_sent;
+    settlements_cross_bank += o.settlements_cross_bank;
+    clearing_transfers += o.clearing_transfers;
+    interbank_messages += o.interbank_messages;
+    interbank_bytes += o.interbank_bytes;
+    clearing_messages += o.clearing_messages;
+    interbank_acks += o.interbank_acks;
+    interbank_retries += o.interbank_retries;
+    duplicate_interbank += o.duplicate_interbank;
+    stale_interbank += o.stale_interbank;
+  }
 };
 
 }  // namespace zmail::core

@@ -1,6 +1,5 @@
 #include "core/obs.hpp"
 
-#include "core/bank.hpp"
 #include "core/isp.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/probes.hpp"
@@ -21,15 +20,13 @@ const char* schema_name(Schema v) noexcept {
 
 namespace {
 
-// The kV3 telemetry sections, shared by every facade's snapshot: merged
-// deterministic series, engine series, and the default probe rules
-// evaluated over the run (without re-logging transitions the live run
-// already logged).
-void append_timeseries(json::Value& j,
-                       const telemetry::TelemetryRegistry& registry,
-                       double endowment_epennies) {
+// The kV3 telemetry sections: merged deterministic series, engine series,
+// and the default probe rules evaluated over the run (without re-logging
+// transitions the live run already logged).
+void append_timeseries(json::Value& j, const core::ZmailSystem& sys) {
+  const telemetry::TelemetryRegistry& registry = *sys.telemetry();
   telemetry::DeriveSpec spec;
-  spec.endowment_epennies = endowment_epennies;
+  spec.endowment_epennies = static_cast<double>(sys.initial_endowment());
   const std::vector<telemetry::Series> merged =
       telemetry::merge_series(registry, spec);
   j["timeseries"] = telemetry::timeseries_json(merged, /*engine=*/false);
@@ -161,7 +158,36 @@ json::Value snapshot(const core::ZmailSystem& sys, Schema v) {
 
   j["isp_totals"] = to_json(sys.total_isp_metrics(), v);
   j["legacy_totals"] = to_json(sys.total_legacy_stats());
-  j["bank"] = to_json(sys.bank().metrics(), v);
+  const core::BankFederation& bank = sys.bank();
+  const core::BankMetrics bm = bank.metrics();
+  j["bank"] = to_json(bm, v);
+  if (bank.bank_count() > 1) {
+    json::Value& f = j["federation"];
+    f["n_banks"] = static_cast<std::uint64_t>(bank.bank_count());
+    f["requests_sent"] = bm.requests_sent;
+    f["interbank_messages"] = bm.interbank_messages;
+    f["interbank_bytes"] = bm.interbank_bytes;
+    f["settlements_cross_bank"] = bm.settlements_cross_bank;
+    f["clearing_transfers"] = bm.clearing_transfers;
+    if (v != Schema::kV1) {
+      f["clearing_messages"] = bm.clearing_messages;
+      f["interbank_acks"] = bm.interbank_acks;
+      f["interbank_retries"] = bm.interbank_retries;
+      f["duplicate_interbank"] = bm.duplicate_interbank;
+      f["stale_interbank"] = bm.stale_interbank;
+    }
+    json::Value& banks = f["per_bank"];
+    banks = json::Value::array();
+    for (std::size_t b = 0; b < bank.bank_count(); ++b) {
+      json::Value e = json::Value::object();
+      e["bank"] = static_cast<std::uint64_t>(b);
+      e["seq"] = bank.seq(b);
+      e["round_open"] = bank.round_open(b);
+      e["clearing_position_micros"] =
+          static_cast<std::int64_t>(bank.clearing_position(b).micros());
+      banks.push_back(std::move(e));
+    }
+  }
   j["delivery_latency_seconds"] = to_json(sys.delivery_latency());
 
   json::Value& net = j["network"];
@@ -217,89 +243,7 @@ json::Value snapshot(const core::ZmailSystem& sys, Schema v) {
       j["profiles"] = trace::profiles_to_json();
     }
   }
-  if (v == Schema::kV3 && sys.telemetry())
-    append_timeseries(j, *sys.telemetry(),
-                      static_cast<double>(sys.initial_endowment()));
-  return j;
-}
-
-json::Value snapshot(const core::FederatedZmailSystem& sys, Schema v) {
-  const core::ZmailParams& p = sys.params();
-  const core::BankFederation& fed = sys.federation();
-  json::Value j = json::Value::object();
-  j["sim_time"] = static_cast<std::int64_t>(sys.now());
-  j["n_isps"] = static_cast<std::uint64_t>(p.n_isps);
-  j["users_per_isp"] = static_cast<std::uint64_t>(p.users_per_isp);
-  j["n_banks"] = static_cast<std::uint64_t>(sys.bank_count());
-
-  j["isp_totals"] = to_json(sys.total_isp_metrics(), v);
-
-  const core::FederationMetrics m = fed.metrics();
-  json::Value& f = j["federation"];
-  f["rounds_completed"] = m.rounds_completed;
-  f["requests_sent"] = m.requests_sent;
-  f["reports_received"] = m.reports_received;
-  f["interbank_messages"] = m.interbank_messages;
-  f["interbank_bytes"] = m.interbank_bytes;
-  f["settlements_intra_bank"] = m.settlements_intra_bank;
-  f["settlements_cross_bank"] = m.settlements_cross_bank;
-  f["clearing_transfers"] = m.clearing_transfers;
-  f["violations_found"] = m.violations_found;
-  f["epennies_minted"] = static_cast<std::int64_t>(m.epennies_minted);
-  f["epennies_burned"] = static_cast<std::int64_t>(m.epennies_burned);
-  if (v != Schema::kV1) {
-    f["clearing_messages"] = m.clearing_messages;
-    f["interbank_acks"] = m.interbank_acks;
-    f["interbank_retries"] = m.interbank_retries;
-    f["duplicate_trades"] = m.duplicate_trades;
-    f["stale_trades"] = m.stale_trades;
-    f["duplicate_interbank"] = m.duplicate_interbank;
-    f["stale_interbank"] = m.stale_interbank;
-    f["bad_envelopes"] = m.bad_envelopes;
-    f["snapshot_rerequests"] = m.snapshot_rerequests;
-  }
-  json::Value& banks = f["per_bank"];
-  banks = json::Value::array();
-  for (std::size_t b = 0; b < sys.bank_count(); ++b) {
-    json::Value e = json::Value::object();
-    e["bank"] = static_cast<std::uint64_t>(b);
-    e["seq"] = fed.seq(b);
-    e["round_open"] = fed.round_open(b);
-    e["clearing_position_micros"] =
-        static_cast<std::int64_t>(fed.clearing_position(b).micros());
-    banks.push_back(std::move(e));
-  }
-
-  json::Value& net = j["network"];
-  net["datagrams_sent"] = sys.network().datagrams_sent();
-  net["bytes_sent"] = sys.network().bytes_sent();
-  net["bank_host_bytes"] = sys.bank_host_bytes();
-
-  json::Value& cons = j["conservation"];
-  cons["total_epennies"] = static_cast<std::int64_t>(sys.total_epennies());
-  cons["holds"] = sys.conservation_holds();
-
-  if (v != Schema::kV1) {
-    const core::ZmailSystem::StoreTotals st = sys.store_totals();
-    json::Value& store = j["store"];
-    store["checkpoints"] = st.checkpoints;
-    store["snapshot_bytes"] = st.snapshot_bytes;
-    store["wal_records_appended"] = st.wal_records_appended;
-    store["wal_records_truncated"] = st.wal_records_truncated;
-    store["wal_bytes_appended"] = st.wal_bytes_appended;
-    store["wal_syncs"] = st.wal_syncs;
-    store["wal_fsyncs"] = st.wal_fsyncs;
-    store["state_recoveries"] = sys.state_recoveries();
-  }
-  if (v == Schema::kV3 && sys.telemetry()) {
-    // Federated endowment: every ISP is compliant in this facade.
-    const double endowment =
-        static_cast<double>(p.n_isps) *
-        (static_cast<double>(p.initial_avail) +
-         static_cast<double>(p.users_per_isp) *
-             static_cast<double>(p.initial_user_balance));
-    append_timeseries(j, *sys.telemetry(), endowment);
-  }
+  if (v == Schema::kV3 && sys.telemetry()) append_timeseries(j, sys);
   return j;
 }
 
@@ -321,12 +265,6 @@ bool MetricsRegistry::add_system(std::string name,
                                  const core::ZmailSystem& sys) {
   // Captures `this` so the schema chosen via set_schema() — possibly after
   // registration — governs the export.
-  return add(std::move(name),
-             [this, &sys] { return zmail::obs::snapshot(sys, schema_); });
-}
-
-bool MetricsRegistry::add_system(std::string name,
-                                 const core::FederatedZmailSystem& sys) {
   return add(std::move(name),
              [this, &sys] { return zmail::obs::snapshot(sys, schema_); });
 }

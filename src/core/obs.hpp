@@ -13,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/federated_system.hpp"
 #include "core/metrics.hpp"
 #include "core/system.hpp"
 #include "util/json.hpp"
@@ -48,16 +47,11 @@ json::Value to_json(const Sample& s);
 // Whole-system snapshot: aggregate + per-ISP metrics, bank metrics,
 // delivery latency, network totals, conservation status.  kV2 appends the
 // "store", and (when tracing is on) "trace_breakdown" + "profiles"
-// sections; kV1 is the legacy layout, unchanged.
+// sections; kV1 is the legacy layout, unchanged.  With several member
+// banks a "federation" section follows the bank metrics (inter-bank
+// traffic, cross-bank settlements, clearing, and per-bank seq/clearing
+// positions; kV2 adds the inter-bank robustness counters).
 json::Value snapshot(const core::ZmailSystem& sys, Schema v = Schema::kV1);
-
-// Snapshot of a federated-bank world: ISP totals plus a "federation"
-// section (rounds, inter-bank messages/bytes, cross-bank settlements,
-// clearing transfers, violations, and per-bank seq/clearing positions).
-// kV2 appends the robustness counters (retries, absorbed duplicates,
-// re-requests) and the per-bank durable-store totals.
-json::Value snapshot(const core::FederatedZmailSystem& sys,
-                     Schema v = Schema::kV1);
 
 // Named lazy metric sources.  Providers are invoked at snapshot() time, so
 // a registry built before a run observes the state at export, not at
@@ -74,7 +68,6 @@ class MetricsRegistry {
   // schema is read at snapshot() time, so set_schema() may follow.  The
   // system must outlive the registry's last snapshot() call.
   bool add_system(std::string name, const core::ZmailSystem& sys);
-  bool add_system(std::string name, const core::FederatedZmailSystem& sys);
 
   // Selects the export schema (default kV1, the legacy byte-stable
   // layout).  Affects the top-level "schema" string and every provider

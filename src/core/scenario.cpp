@@ -244,18 +244,24 @@ ScenarioResult ScenarioRunner::run() {
     } else if (cmd.verb == "snapshot") {
       world_.start_snapshot();
     } else if (cmd.verb == "crash") {
-      // crash <isp-index|bank> <duration>: wipe the host's in-memory state
-      // and recover it from snapshot + WAL replay after <duration>.  Only
-      // meaningful with the durable store (there is nothing to recover from
-      // otherwise), so it refuses on store-off worlds.
+      // crash <isp-index|bank<k>> <duration>: wipe the host's in-memory
+      // state and recover it from snapshot + WAL replay after <duration>
+      // (`bank` is member bank 0).  Only meaningful with the durable store
+      // (there is nothing to recover from otherwise), so it refuses on
+      // store-off worlds.
       if (!world_.params().store.enabled) {
         fail(cmd.line, "crash requires the durable store (--store-dir)");
         continue;
       }
       const auto d = a.size() == 2 ? parse_duration(a[1]) : std::nullopt;
       std::optional<std::size_t> host;
-      if (a.size() == 2 && a[0] == "bank") {
-        host = world_.bank_index();
+      if (a.size() == 2 && a[0].rfind("bank", 0) == 0) {
+        const std::string idx = a[0].substr(4);
+        const auto b = idx.empty() ? std::optional<std::int64_t>(0)
+                                   : parse_int(idx);
+        if (b && *b >= 0 &&
+            static_cast<std::size_t>(*b) < world_.bank().bank_count())
+          host = world_.bank_host(static_cast<std::size_t>(*b));
       } else if (a.size() == 2) {
         const auto i = parse_int(a[0]);
         if (i && *i >= 0 &&
@@ -264,7 +270,7 @@ ScenarioResult ScenarioRunner::run() {
           host = static_cast<std::size_t>(*i);
       }
       if (!host || !d) {
-        fail(cmd.line, "crash needs <compliant-isp|bank> <duration>");
+        fail(cmd.line, "crash needs <compliant-isp|bank<k>> <duration>");
         continue;
       }
       world_.crash_host(*host, *d);
@@ -339,150 +345,6 @@ ScenarioResult ScenarioRunner::run() {
                       sim::format_time(world_.now()).c_str());
         result.output.emplace_back(line);
       }
-    }
-  }
-  return result;
-}
-
-FederatedScenarioRunner::FederatedScenarioRunner(const Scenario& scenario,
-                                                 std::size_t n_banks)
-    : scenario_(scenario),
-      world_(std::make_unique<FederatedZmailSystem>(scenario.params_, n_banks,
-                                                    scenario.seed_)) {}
-
-ScenarioResult FederatedScenarioRunner::run() {
-  ScenarioResult result;
-  auto fail = [&](std::size_t line, const std::string& msg) {
-    result.failures.push_back(ScenarioError{line, msg});
-  };
-  auto addr = [](std::size_t isp, std::size_t user) {
-    return net::make_user_address(isp, user);
-  };
-  auto in_range = [&](const std::pair<std::size_t, std::size_t>& who) {
-    return who.first < world_->params().n_isps &&
-           who.second < world_->params().users_per_isp;
-  };
-
-  for (const auto& cmd : scenario_.commands_) {
-    ++result.commands_executed;
-    const auto& a = cmd.args;
-
-    if (cmd.verb == "send") {
-      if (a.size() < 2) {
-        fail(cmd.line, "send needs <from> <to>");
-        continue;
-      }
-      const auto from = parse_user_ref(a[0]);
-      const auto to = parse_user_ref(a[1]);
-      if (!from || !to || !in_range(*from) || !in_range(*to)) {
-        fail(cmd.line, "send: bad or out-of-range user ref");
-        continue;
-      }
-      std::string subject = "scenario";
-      if (a.size() > 2 && a[2] == "subject" && a.size() > 3) subject = a[3];
-      world_->send_email(addr(from->first, from->second),
-                         addr(to->first, to->second), subject, "body");
-    } else if (cmd.verb == "buy" || cmd.verb == "sell") {
-      if (a.size() != 2) {
-        fail(cmd.line, cmd.verb + " needs <user> <n>");
-        continue;
-      }
-      const auto who = parse_user_ref(a[0]);
-      const auto n = parse_int(a[1]);
-      if (!who || !n || !in_range(*who)) {
-        fail(cmd.line, cmd.verb + ": bad arguments");
-        continue;
-      }
-      const auto address = addr(who->first, who->second);
-      const TradeOutcome out = cmd.verb == "buy"
-                                   ? world_->buy_epennies(address, *n)
-                                   : world_->sell_epennies(address, *n);
-      if (!out.ok()) fail(cmd.line, cmd.verb + " refused");
-    } else if (cmd.verb == "run") {
-      const auto d = a.empty() ? std::nullopt : parse_duration(a[0]);
-      if (!d) {
-        fail(cmd.line, "run needs a duration like 10m");
-        continue;
-      }
-      world_->run_for(*d);
-    } else if (cmd.verb == "day") {
-      for (std::size_t i = 0; i < world_->params().n_isps; ++i)
-        world_->isp(i).end_of_day();
-    } else if (cmd.verb == "snapshot") {
-      world_->start_snapshot();
-    } else if (cmd.verb == "crash") {
-      // crash bank<k> <duration>: only the banks are durable in a
-      // federated world; ISPs keep in-memory state.
-      if (!world_->params().store.enabled) {
-        fail(cmd.line, "crash requires the durable store (--store-dir)");
-        continue;
-      }
-      const auto d = a.size() == 2 ? parse_duration(a[1]) : std::nullopt;
-      std::optional<std::size_t> bank;
-      if (a.size() == 2 && a[0].rfind("bank", 0) == 0) {
-        const std::string idx = a[0].substr(4);
-        const auto b = idx.empty() ? std::optional<std::int64_t>(0)
-                                   : parse_int(idx);
-        if (b && *b >= 0 &&
-            static_cast<std::size_t>(*b) < world_->bank_count())
-          bank = static_cast<std::size_t>(*b);
-      }
-      if (!bank || !d) {
-        fail(cmd.line, "crash needs bank<k> <duration> in a federated world");
-        continue;
-      }
-      world_->crash_host(world_->bank_host(*bank), *d);
-    } else if (cmd.verb == "expect") {
-      if (a.empty()) {
-        fail(cmd.line, "empty expect");
-        continue;
-      }
-      if (a[0] == "balance" && a.size() == 3) {
-        const auto who = parse_user_ref(a[1]);
-        const auto want = parse_int(a[2]);
-        if (!who || !want || !in_range(*who)) {
-          fail(cmd.line, "expect balance <user> <n>");
-          continue;
-        }
-        const EPenny got = world_->isp(who->first).user(who->second).balance;
-        if (got != *want)
-          fail(cmd.line, "expect balance " + a[1] + ": got " +
-                             std::to_string(got) + ", want " + a[2]);
-      } else if (a[0] == "violations" && a.size() == 2) {
-        const auto want = parse_int(a[1]);
-        const auto got = static_cast<std::int64_t>(
-            world_->federation().last_violations().size());
-        if (!want || got != *want)
-          fail(cmd.line, "expect violations: got " + std::to_string(got));
-      } else if (a[0] == "conservation") {
-        if (!world_->conservation_holds())
-          fail(cmd.line, "conservation violated");
-      } else {
-        fail(cmd.line, "unknown expectation: " + a[0]);
-      }
-    } else if (cmd.verb == "print") {
-      if (!a.empty() && a[0] == "balances") {
-        for (std::size_t i = 0; i < world_->params().n_isps; ++i) {
-          for (std::size_t u = 0; u < world_->params().users_per_isp; ++u) {
-            char line[96];
-            std::snprintf(line, sizeof line, "%s balance=%lld",
-                          net::make_user_address(i, u).str().c_str(),
-                          static_cast<long long>(
-                              world_->isp(i).user(u).balance));
-            result.output.emplace_back(line);
-          }
-        }
-      } else {
-        char line[64];
-        std::snprintf(line, sizeof line, "t=%s",
-                      sim::format_time(world_->now()).c_str());
-        result.output.emplace_back(line);
-      }
-    } else {
-      // spam / flip / policy model the mixed compliant/legacy deployment,
-      // which the all-compliant federated facade does not have.
-      fail(cmd.line,
-           "verb not supported in a federated world: " + cmd.verb);
     }
   }
   return result;

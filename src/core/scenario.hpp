@@ -10,6 +10,7 @@
 //     run 2h
 //     snapshot
 //     crash 1 20m        # durable store only: kill isp1, recover after 20m
+//     crash bank1 20m    # ... or member bank 1 (`bank` = `bank0`)
 //     run 30m
 //     day
 //     flip 2
@@ -25,12 +26,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "core/federated_system.hpp"
 #include "core/system.hpp"
 
 namespace zmail::core {
@@ -50,8 +49,8 @@ class Scenario {
 
   const ZmailParams& params() const noexcept { return params_; }
   // Harnesses overlay configuration the script language does not cover
-  // (e.g. scenario_runner --store-dir enables the durable store) before
-  // handing the scenario to a ScenarioRunner.
+  // (e.g. scenario_runner --store-dir enables the durable store, --banks
+  // sets n_banks) before handing the scenario to a ScenarioRunner.
   ZmailParams& mutable_params() noexcept { return params_; }
   std::size_t command_count() const noexcept { return commands_.size(); }
 
@@ -63,7 +62,6 @@ class Scenario {
 
  private:
   friend class ScenarioRunner;
-  friend class FederatedScenarioRunner;
 
   struct Command {
     std::size_t line = 0;
@@ -98,24 +96,6 @@ class ScenarioRunner {
  private:
   const Scenario& scenario_;
   ZmailSystem world_;
-};
-
-// Executes a parsed scenario against a FederatedZmailSystem with `n_banks`
-// member banks (scenario_runner --banks N).  The federated world is
-// all-compliant, so the mixed-deployment verbs (`spam`, `flip`, `policy`)
-// fail cleanly; `crash bank<k> <dur>` crashes member bank k (durable store
-// required), and `expect violations` reads the federation's last verify.
-class FederatedScenarioRunner {
- public:
-  FederatedScenarioRunner(const Scenario& scenario, std::size_t n_banks);
-
-  ScenarioResult run();
-
-  FederatedZmailSystem& world() noexcept { return *world_; }
-
- private:
-  const Scenario& scenario_;
-  std::unique_ptr<FederatedZmailSystem> world_;
 };
 
 // --- Parsing helpers exposed for reuse and direct testing -----------------

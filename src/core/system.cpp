@@ -2,7 +2,6 @@
 
 #include <optional>
 
-#include "core/telemetry_wiring.hpp"
 #include "trace/trace.hpp"
 #include "util/assert.hpp"
 #include "util/log.hpp"
@@ -35,6 +34,30 @@ net::MsgType msg_email_ack() {
   return t;
 }
 
+// Inter-bank datagram types (interned once).  Index = FedMsg value - 1.
+net::MsgType fed_msg_type(std::uint8_t kind) {
+  static const net::MsgType kTypes[4] = {
+      net::MsgType::intern("fed-columns"),
+      net::MsgType::intern("fed-columns-ack"),
+      net::MsgType::intern("fed-clearing"),
+      net::MsgType::intern("fed-clearing-ack"),
+  };
+  ZMAIL_ASSERT(kind >= 1 && kind <= 4);
+  return kTypes[kind - 1];
+}
+
+std::uint8_t fed_msg_kind(net::MsgType t) {
+  for (std::uint8_t k = 1; k <= 4; ++k)
+    if (t == fed_msg_type(k)) return k;
+  return 0;
+}
+
+// Bank b's party name (store files, telemetry, host name): plain "bank"
+// for the central bank, "bank<b>" in a federation.
+std::string bank_tag(std::size_t bank, std::size_t n_banks) {
+  return n_banks == 1 ? std::string("bank") : "bank" + std::to_string(bank);
+}
+
 // Transfer ids and acks travel over a corruptible network, and a bit-flip
 // that redirects an ack (or a frame) to a *different* live transfer id
 // would silently complete the wrong transfer.  Both id words are therefore
@@ -65,8 +88,12 @@ ZmailSystem::ZmailSystem(ZmailParams params, std::uint64_t seed)
   ZMAIL_ASSERT_MSG(problems.empty(),
                    problems.empty() ? "" : problems.front().c_str());
 
-  bank_keys_ = crypto::generate_keypair(rng_);
-  bank_ = std::make_unique<Bank>(params_, bank_keys_, seed ^ 0xB0B0ULL);
+  // Bank keys come first off the world stream (bank 0's first).
+  std::vector<crypto::KeyPair> bank_keys;
+  for (std::size_t b = 0; b < params_.n_banks; ++b)
+    bank_keys.push_back(crypto::generate_keypair(rng_));
+  bank_ = std::make_unique<BankFederation>(params_, std::move(bank_keys),
+                                           seed ^ 0xB0B0ULL);
 
   legacy_.resize(params_.n_isps);
   smtp_bytes_in_.assign(params_.n_isps, 0);
@@ -77,7 +104,7 @@ ZmailSystem::ZmailSystem(ZmailParams params, std::uint64_t seed)
     // rebuilds ISP i from the same seed.
     isp_ctor_seed_[i] = seed * 0x5851F42D4C957F2DULL + i;
     if (params_.is_compliant(i))
-      isps_[i] = std::make_unique<Isp>(i, params_, bank_keys_.pub,
+      isps_[i] = std::make_unique<Isp>(i, params_, bank_->public_key_for(i),
                                        isp_ctor_seed_[i]);
     const net::HostId h = net_.add_host(
         net::isp_domain(i),
@@ -85,18 +112,32 @@ ZmailSystem::ZmailSystem(ZmailParams params, std::uint64_t seed)
     ZMAIL_ASSERT(h == i);
     net_.bind_domain(net::isp_domain(i), h);
   }
-  const net::HostId bh = net_.add_host(
-      "bank.example",
-      [this](const net::Datagram& d) { on_datagram(bank_host(), d); });
-  ZMAIL_ASSERT(bh == bank_host());
+  for (std::size_t b = 0; b < params_.n_banks; ++b) {
+    const net::HostId h = net_.add_host(
+        bank_tag(b, params_.n_banks) + ".example",
+        [this, b](const net::Datagram& d) { on_bank_datagram(b, d); });
+    ZMAIL_ASSERT(h == bank_host(b));
+  }
+  bank_ckpt_seq_.assign(params_.n_banks, 0);
+
+  // With the store or retries on, the inter-bank plane leaves the
+  // federation's synchronous loopback and travels as datagrams between
+  // bank hosts (a single bank has no inter-bank traffic at all).
+  if (params_.store.enabled || params_.retry.enabled) {
+    bank_->set_interbank_sink([this](std::size_t from, std::size_t to,
+                                     std::uint8_t kind, crypto::Bytes wire) {
+      net_.send(bank_host(from), bank_host(to), fed_msg_type(kind),
+                std::move(wire));
+    });
+  }
 
   if (params_.store.enabled) {
     std::string err;
     ZMAIL_ASSERT_MSG(store::ensure_dir(params_.store.dir, &err), err.c_str());
-    stores_.resize(params_.n_isps + 1);
+    stores_.resize(params_.n_isps + params_.n_banks);
     for (std::size_t i = 0; i < params_.n_isps; ++i)
       if (isps_[i]) open_store(i);
-    open_store(bank_host());
+    for (std::size_t b = 0; b < params_.n_banks; ++b) open_store(bank_host(b));
     if (params_.store.checkpoint_interval_us > 0) {
       sim_.schedule_every(
           static_cast<sim::Duration>(params_.store.checkpoint_interval_us),
@@ -108,9 +149,10 @@ ZmailSystem::ZmailSystem(ZmailParams params, std::uint64_t seed)
   }
 
   if (params_.retry.enabled) {
-    // Fault-recovery poll: drives ISP buy/sell/report backoff timers and
-    // the bank's snapshot re-requests.  Only armed when retries are on, so
-    // default runs schedule no extra events and stay bit-identical.
+    // Fault-recovery poll: drives ISP buy/sell/report backoff timers, the
+    // banks' inter-bank retransmits and their snapshot re-requests.  Only
+    // armed when retries are on, so default runs schedule no extra events
+    // and stay bit-identical.
     sim::Duration poll = params_.retry.base / 2;
     if (poll < 100 * sim::kMillisecond) poll = 100 * sim::kMillisecond;
     sim_.schedule_every(poll, [this] {
@@ -269,12 +311,13 @@ void ZmailSystem::make_compliant(IspId isp) {
   params_.compliant[isp_index] = true;
   isp_ctor_seed_[isp_index] =
       seed_ * 0x5851F42D4C957F2DULL + isp_index + 0x9E37ULL;
-  isps_[isp_index] = std::make_unique<Isp>(isp_index, params_, bank_keys_.pub,
-                                           isp_ctor_seed_[isp_index]);
+  isps_[isp_index] = std::make_unique<Isp>(
+      isp_index, params_, bank_->public_key_for(isp_index),
+      isp_ctor_seed_[isp_index]);
   if (spam_filter_) isps_[isp_index]->set_filter(spam_filter_);
   if (params_.store.enabled) open_store(isp_index);
-  // Join the bank's current billing period.
-  isps_[isp_index]->set_seq(bank_->seq());
+  // Join the home bank's current billing period.
+  isps_[isp_index]->set_seq(bank_->seq(bank_->home_bank(isp_index)));
   // set_seq is a harness-side fixup, not a logged command; baseline the
   // flipped ISP with an immediate checkpoint so recovery starts from a
   // snapshot that already carries the adopted seq.
@@ -326,21 +369,35 @@ void ZmailSystem::poll_fault_recovery() {
     isps_[i]->poll_retries(sim_.now());
     pump_isp(i);
   }
+  const sim::SimTime now = sim_.now();
+  // Retransmit unacked inter-bank wires whose backoff expired.
+  for (std::size_t b = 0; b < bank_->bank_count(); ++b)
+    bank_->poll_interbank(b, now);
+  if (!bank_->round_open()) return;
+  // A recovered bank that lost its round opening (e.g. a WAL tail lost with
+  // the crash) rejoins at the same seq; its peers have been waiting on its
+  // columns all along.
+  for (std::size_t b = 0; b < bank_->bank_count(); ++b) {
+    if (bank_->round_open(b) || bank_->seq(b) != bank_->seq()) continue;
+    auto requests = bank_->start_snapshot_for(b);
+    if (requests.empty()) continue;
+    const sim::SimTime deadline = now + kQuiesceWindow;
+    if (deadline > snapshot_deadline_) snapshot_deadline_ = deadline;
+    send_requests(std::move(requests), deadline);
+  }
   // Bank-side snapshot recovery: a round still open after its deadline has
   // lost requests or reports in transit.  Re-request every silent ISP and
   // push the deadline out a full window, so re-requests back off instead
   // of flooding.  (ISPs that reported already advanced their seq and see a
   // re-request as stale; ISPs mid-quiesce just re-confirm.)
-  if (!bank_->round_open() || sim_.now() < snapshot_deadline_)
-    return;
-  auto requests = bank_->resend_requests();
+  if (now < snapshot_deadline_) return;
+  std::vector<std::pair<std::size_t, crypto::Bytes>> requests;
+  for (std::size_t b = 0; b < bank_->bank_count(); ++b)
+    for (auto& rw : bank_->resend_requests(b))
+      requests.push_back(std::move(rw));
   if (requests.empty()) return;
-  const sim::SimTime deadline = sim_.now() + kQuiesceWindow;
-  snapshot_deadline_ = deadline;
-  for (auto& [isp_index, wire] : requests) {
-    net_.send(bank_host(), isp_index, kMsgRequest, std::move(wire));
-    schedule_quiesce_timeout(isp_index, deadline);
-  }
+  snapshot_deadline_ = now + kQuiesceWindow;
+  send_requests(std::move(requests), snapshot_deadline_);
 }
 
 void ZmailSystem::quiesce_timeout(std::size_t i) {
@@ -351,9 +408,14 @@ void ZmailSystem::quiesce_timeout(std::size_t i) {
   }
 }
 
-void ZmailSystem::schedule_quiesce_timeout(std::size_t isp_index,
-                                           sim::SimTime deadline) {
-  sim_.schedule_at(deadline, [this, i = isp_index] { quiesce_timeout(i); });
+void ZmailSystem::send_requests(
+    std::vector<std::pair<std::size_t, crypto::Bytes>> reqs,
+    sim::SimTime deadline) {
+  for (auto& [isp_index, wire] : reqs) {
+    net_.send(bank_host(bank_->home_bank(isp_index)), isp_index, kMsgRequest,
+              std::move(wire));
+    sim_.schedule_at(deadline, [this, i = isp_index] { quiesce_timeout(i); });
+  }
 }
 
 void ZmailSystem::enable_periodic_snapshots(sim::Duration period) {
@@ -371,8 +433,21 @@ void ZmailSystem::enable_telemetry(const telemetry::TelemetryConfig& cfg) {
   telem_latency_.assign(params_.n_isps,
                         telemetry::TelemetryRegistry::kNoChannel);
 
+  // WAL backlog (records logged since the last truncating checkpoint; a
+  // party that stops checkpointing climbs steadily) + checkpoint rate.
+  auto add_store_series = [&t](const std::string& tag,
+                               const store::Checkpointer* cp) {
+    t.add_gauge("store", tag + ".wal_backlog_records", [cp] {
+      return static_cast<double>(cp->wal().stats().records_appended -
+                                 cp->stats().wal_records_truncated);
+    });
+    t.add_rate("store", tag + ".checkpoints", [cp] {
+      return static_cast<double>(cp->stats().checkpoints);
+    });
+  };
+
   // Samplers read through isps_[i] / bank_ at tick time, never a cached
-  // pointer: crash recovery replaces the object under the same slot.
+  // Isp pointer: crash recovery replaces the object under the same slot.
   // During an outage window they read the party's last pre-crash state,
   // which is itself sim-deterministic.
   for (std::size_t i = 0; i < params_.n_isps; ++i) {
@@ -384,11 +459,74 @@ void ZmailSystem::enable_telemetry(const telemetry::TelemetryConfig& cfg) {
       });
       continue;
     }
-    detail::register_isp_telemetry(
-        t, tag, [this, i]() -> const Isp& { return *isps_[i]; });
+    auto get = [this, i]() -> const Isp& { return *isps_[i]; };
+    auto lifetime_traded = [get](bool bought) {
+      double total = 0;
+      get().users().for_each_active([&](UserId, ConstUserRef u) {
+        total += static_cast<double>(bought ? u.lifetime_epennies_bought
+                                            : u.lifetime_epennies_sold);
+      });
+      return total;
+    };
+    // econ — the market view of this ISP.
+    // Effective stamp price: till micros moved per net e-penny traded over
+    // the window; carries the last observed price (the paper's $0.01 par
+    // until the first trade) through windows with no net trade.
+    t.add_gauge("econ", tag + ".stamp_price_micros",
+                [get, lifetime_traded,
+                 last_price = double(Money::from_epennies(1).micros()),
+                 prev_till = std::int64_t{0}, prev_bought = double(0),
+                 prev_sold = double(0)]() mutable {
+                  const double bought = lifetime_traded(true);
+                  const double sold = lifetime_traded(false);
+                  const std::int64_t till = get().till().micros();
+                  const double net =
+                      (bought - prev_bought) - (sold - prev_sold);
+                  if (net != 0.0)
+                    last_price = static_cast<double>(till - prev_till) / net;
+                  prev_till = till;
+                  prev_bought = bought;
+                  prev_sold = sold;
+                  return last_price;
+                });
+    t.add_gauge("econ", tag + ".till_micros", [get] {
+      return static_cast<double>(get().till().micros());
+    });
+    t.add_gauge("econ", tag + ".avail_epennies",
+                [get] { return static_cast<double>(get().avail()); });
+    // Everything resident at this ISP: user balances + avail pool +
+    // quiesce-buffered stamps.  Σ over ISPs + in-flight wire = supply.
+    t.add_gauge("econ", tag + ".epennies_held", [get] {
+      return static_cast<double>(get().epennies_held() +
+                                 get().buffered_paid());
+    });
+    t.add_rate("econ", tag + ".user_epennies_bought",
+               [lifetime_traded] { return lifetime_traded(true); });
+    t.add_rate("econ", tag + ".refunds", [get] {
+      return static_cast<double>(get().metrics().emails_refunded);
+    });
+    // core — mail flow and quiesce health.
+    t.add_rate("core", tag + ".delivered", [get] {
+      return static_cast<double>(get().metrics().emails_delivered);
+    });
+    t.add_rate("core", tag + ".blocked", [get] {
+      const IspMetrics& m = get().metrics();
+      return static_cast<double>(m.emails_segregated + m.emails_discarded +
+                                 m.emails_filtered_out);
+    });
+    t.add_rate("core", tag + ".refused", [get] {
+      const IspMetrics& m = get().metrics();
+      return static_cast<double>(m.refused_no_balance +
+                                 m.refused_daily_limit);
+    });
+    t.add_rate("core", tag + ".retransmitted", [get] {
+      return static_cast<double>(get().metrics().emails_retransmitted);
+    });
+    t.add_gauge("core", tag + ".quiesce_buffered", [get] {
+      return static_cast<double>(get().buffered_count());
+    });
     telem_latency_[i] = t.add_histogram("core", tag + ".delivery_latency_us");
-    if (store::Checkpointer* cp = host_store(i))
-      detail::register_store_telemetry(t, tag, cp);
+    if (store::Checkpointer* cp = host_store(i)) add_store_series(tag, cp);
   }
 
   t.add_gauge("econ", "bank.epenny_supply", [this] {
@@ -409,8 +547,26 @@ void ZmailSystem::enable_telemetry(const telemetry::TelemetryConfig& cfg) {
   t.add_rate("core", "bank.credit_reports", [this] {
     return static_cast<double>(bank_->metrics().credit_reports_received);
   });
-  if (store::Checkpointer* cp = host_store(bank_host()))
-    detail::register_store_telemetry(t, "bank", cp);
+  if (bank_->bank_count() > 1) {
+    t.add_rate("econ", "fed.clearing_transfers", [this] {
+      return static_cast<double>(bank_->metrics().clearing_transfers);
+    });
+    t.add_rate("net", "fed.interbank_msgs", [this] {
+      return static_cast<double>(bank_->metrics().interbank_messages);
+    });
+    t.add_rate("net", "fed.interbank_retries", [this] {
+      return static_cast<double>(bank_->metrics().interbank_retries);
+    });
+  }
+  for (std::size_t b = 0; b < bank_->bank_count(); ++b) {
+    const std::string tag = bank_tag(b, bank_->bank_count());
+    if (bank_->bank_count() > 1)
+      t.add_gauge("econ", tag + ".clearing_position_micros", [this, b] {
+        return static_cast<double>(bank_->clearing_position(b).micros());
+      });
+    if (store::Checkpointer* cp = host_store(bank_host(b)))
+      add_store_series(tag, cp);
+  }
 
   // engine — execution signals (backlogs, engine totals); these describe
   // this process, not the simulated world, so they live outside the
@@ -454,16 +610,12 @@ void ZmailSystem::start_snapshot() {
   if (trace::enabled()) {
     trace::set_sim_now(sim_.now());
     // Host-scoped (id 0) span over the whole round: request fan-out through
-    // the last report; closed when on_datagram sees the round close.
+    // the last report; closed by after_bank_step when the round closes.
     trace::begin(trace::Ev::kSnapshotRound, 0,
-                 static_cast<std::uint16_t>(bank_host()), bank_->seq());
+                 static_cast<std::uint16_t>(bank_index()), bank_->seq());
   }
-  const sim::SimTime deadline = sim_.now() + kQuiesceWindow;
-  snapshot_deadline_ = deadline;
-  for (auto& [isp_index, wire] : requests) {
-    net_.send(bank_host(), isp_index, kMsgRequest, std::move(wire));
-    schedule_quiesce_timeout(isp_index, deadline);
-  }
+  snapshot_deadline_ = sim_.now() + kQuiesceWindow;
+  send_requests(std::move(requests), snapshot_deadline_);
 }
 
 void ZmailSystem::attach_faults(net::FaultInjector* injector) {
@@ -481,9 +633,10 @@ void ZmailSystem::attach_faults(net::FaultInjector* injector) {
 void ZmailSystem::open_store(std::size_t host) {
   auto cp = std::make_unique<store::Checkpointer>();
   std::string err;
-  const std::string party = host == bank_host()
-                                ? std::string("bank")
-                                : "isp" + std::to_string(host);
+  const std::string party =
+      host >= params_.n_isps
+          ? bank_tag(host - params_.n_isps, params_.n_banks)
+          : "isp" + std::to_string(host);
   ZMAIL_ASSERT_MSG(cp->open(params_.store, party, &err), err.c_str());
   stores_[host] = std::move(cp);
   // Recover-at-open makes reopening an existing store directory resume the
@@ -504,10 +657,11 @@ void ZmailSystem::checkpoint_host(std::size_t host) {
                              static_cast<std::uint16_t>(host));
   std::string err;
   const auto sim_us = static_cast<std::uint64_t>(sim_.now());
-  if (host == bank_host()) {
-    ZMAIL_ASSERT_MSG(
-        stores_[host]->checkpoint(bank_->serialize_state(), sim_us, &err),
-        err.c_str());
+  if (host >= params_.n_isps) {
+    ZMAIL_ASSERT_MSG(stores_[host]->checkpoint(
+                         bank_->serialize_state(host - params_.n_isps),
+                         sim_us, &err),
+                     err.c_str());
   } else {
     // ISPs checkpoint in the v2 columnar layout: a scalar section plus one
     // raw section per Population column, each a single sequential write.
@@ -564,18 +718,22 @@ void ZmailSystem::rebuild_from_store(std::size_t host) {
   trace::SpanScope recovery_span(trace::Ev::kRecovery, 0,
                                  static_cast<std::uint16_t>(host));
   trace::ReplayGuard replay_guard;
-  if (host == bank_host()) {
-    AuditJournal* journal = bank_->journal();
-    bank_ = std::make_unique<Bank>(params_, bank_keys_, seed_ ^ 0xB0B0ULL);
-    Bank* b = bank_.get();
+  if (host >= params_.n_isps) {
+    const std::size_t b = host - params_.n_isps;
+    BankFederation* fed = bank_.get();
+    fed->reset_bank(b);
     ok = cp->recover(
-        [b](const crypto::Bytes& s) { ZMAIL_ASSERT(b->restore_state(s)); },
-        [b](std::uint8_t t, const crypto::Bytes& p) { b->apply_wal_record(t, p); },
+        [fed, b](const crypto::Bytes& s) {
+          ZMAIL_ASSERT(fed->restore_state(b, s));
+        },
+        [fed, b](std::uint8_t t, const crypto::Bytes& p) {
+          fed->apply_wal_record(b, t, p);
+        },
         &rs, &err);
-    bank_->attach_wal(&cp->wal());
-    if (journal) bank_->attach_journal(journal);
+    fed->attach_wal(b, &cp->wal());
   } else {
-    isps_[host] = std::make_unique<Isp>(host, params_, bank_keys_.pub,
+    isps_[host] = std::make_unique<Isp>(host, params_,
+                                        bank_->public_key_for(host),
                                         isp_ctor_seed_[host]);
     Isp* isp = isps_[host].get();
     // recover_view maps the snapshot read-only; restore_snapshot handles
@@ -609,7 +767,8 @@ void ZmailSystem::pump_isp(std::size_t i) {
     // when the send happens long after submission (quiesce flush, retry).
     trace::Scope tscope(o.trace_id);
     if (o.dest == Outbound::Dest::kBank) {
-      net_.send(i, bank_host(), std::move(o.type), std::move(o.payload));
+      net_.send(i, bank_host(bank_->home_bank(i)), std::move(o.type),
+                std::move(o.payload));
       continue;
     }
     if (o.type == kMsgEmail && params_.is_compliant(o.isp_index)) {
@@ -813,37 +972,46 @@ void ZmailSystem::deliver_via_smtp(std::size_t to_isp, std::size_t from_isp,
   }
 }
 
-void ZmailSystem::on_datagram(std::size_t host, const net::Datagram& d) {
-  if (host == bank_host()) {
-    const std::size_t g = d.from;
-    if (d.type == kMsgBuy) {
-      crypto::Bytes reply = bank_->on_buy(g, d.payload);
-      if (!reply.empty())
-        net_.send(bank_host(), g, kMsgBuyReply, std::move(reply));
-    } else if (d.type == kMsgSell) {
-      crypto::Bytes reply = bank_->on_sell(g, d.payload);
-      if (!reply.empty())
-        net_.send(bank_host(), g, kMsgSellReply, std::move(reply));
-    } else if (d.type == kMsgReply) {
-      const bool was_open = bank_->round_open();
-      bank_->on_reply(g, d.payload);
-      if (was_open && !bank_->round_open() && trace::enabled()) {
-        const auto bh = static_cast<std::uint16_t>(bank_host());
-        trace::instant(trace::Ev::kSettle, 0, bh, bank_->seq());
-        trace::end(trace::Ev::kSnapshotRound, 0, bh, bank_->seq());
-      }
-      // A round that just closed (seq advanced, no round open) is the
-      // bank's snapshot-quiesce boundary: checkpoint once per round.
-      if (!stores_.empty() && params_.store.checkpoint_at_snapshot &&
-          !bank_->round_open() && bank_->seq() != bank_ckpt_seq_) {
-        checkpoint_host(bank_host());
-        bank_ckpt_seq_ = bank_->seq();
-      }
-    }
-    return;
+void ZmailSystem::on_bank_datagram(std::size_t bank, const net::Datagram& d) {
+  const std::size_t g = d.from;
+  const bool was_open = bank_->round_open();
+  if (g >= params_.n_isps) {
+    // A peer bank's wire (the inter-bank plane rides the network only
+    // when the store or retries are on).
+    const std::uint8_t kind = fed_msg_kind(d.type);
+    if (kind == 0 || g - params_.n_isps >= bank_->bank_count()) return;
+    bank_->on_interbank(bank, g - params_.n_isps, kind, d.payload);
+    after_bank_step(bank, was_open);
+  } else if (d.type == kMsgBuy) {
+    crypto::Bytes reply = bank_->on_buy(g, d.payload);
+    if (!reply.empty())
+      net_.send(bank_host(bank), g, kMsgBuyReply, std::move(reply));
+  } else if (d.type == kMsgSell) {
+    crypto::Bytes reply = bank_->on_sell(g, d.payload);
+    if (!reply.empty())
+      net_.send(bank_host(bank), g, kMsgSellReply, std::move(reply));
+  } else if (d.type == kMsgReply) {
+    bank_->on_reply(g, d.payload);
+    after_bank_step(bank, was_open);
   }
+}
 
-  // ISP host.
+void ZmailSystem::after_bank_step(std::size_t bank, bool round_was_open) {
+  if (round_was_open && !bank_->round_open() && trace::enabled()) {
+    const auto bh = static_cast<std::uint16_t>(bank_index());
+    trace::instant(trace::Ev::kSettle, 0, bh, bank_->seq());
+    trace::end(trace::Ev::kSnapshotRound, 0, bh, bank_->seq());
+  }
+  // A round that just closed at this bank (seq advanced, no round open) is
+  // its snapshot-quiesce boundary: checkpoint once per round.
+  if (!stores_.empty() && params_.store.checkpoint_at_snapshot &&
+      !bank_->round_open(bank) && bank_->seq(bank) != bank_ckpt_seq_[bank]) {
+    checkpoint_host(bank_host(bank));
+    bank_ckpt_seq_[bank] = bank_->seq(bank);
+  }
+}
+
+void ZmailSystem::on_datagram(std::size_t host, const net::Datagram& d) {
   if (params_.reliable_email_transport) {
     if (d.type == msg_email_rel()) {
       handle_reliable_email(host, d);

@@ -4,7 +4,12 @@
 // It wires together:
 //   - one core::Isp per compliant ISP and a lightweight legacy host per
 //     non-compliant ISP (plain SMTP, no accounting),
-//   - the core::Bank,
+//   - the bank: a core::BankFederation of params.n_banks member banks on
+//     their own network hosts (1 = the central bank); each ISP trades and
+//     reports with its home bank, and with several banks the inter-bank
+//     column exchange and clearing ride the network too (as datagrams when
+//     the store or retries are on, over the federation's loopback
+//     otherwise),
 //   - a latency-modelled Network over the discrete-event Simulator,
 //   - real SMTP dialogues for every inter-ISP message (the byte counts feed
 //     the ISP-overhead experiment),
@@ -24,8 +29,8 @@
 #include <unordered_set>
 #include <vector>
 
-#include "core/bank.hpp"
 #include "core/config.hpp"
+#include "core/federation.hpp"
 #include "core/isp.hpp"
 #include "net/network.hpp"
 #include "net/smtp.hpp"
@@ -58,10 +63,9 @@ struct SendOutcome {
   bool all_sent() const noexcept { return refused == 0; }
   constexpr operator SendResult() const noexcept { return result; }
 
-  // Classification used by both send paths; mirrors the historical
-  // MultiSendResult semantics (quarantine blocks the sender before any
-  // recipient is considered, so it is not a per-recipient refusal — the
-  // enum still reports it).
+  // Classification used by both send paths (quarantine blocks the sender
+  // before any recipient is considered, so it is not a per-recipient
+  // refusal — the enum still reports it).
   static constexpr bool counts_as_refused(SendResult r) noexcept {
     return r == SendResult::kNoBalance || r == SendResult::kDailyLimit;
   }
@@ -88,10 +92,6 @@ class ZmailSystem {
   // with Zmail's per-receiver payment semantics).  Returns the per-recipient
   // counts.
   SendOutcome send_email_multi(const net::EmailMessage& msg);
-
-  // Deprecated alias from before the SendOutcome unification; the fields
-  // (`sent`, `refused`) carried over unchanged.
-  using MultiSendResult = SendOutcome;
 
   // --- User e-penny trades (Section 4.2) -----------------------------------
   bool buy_epennies(const net::EmailAddress& user, EPenny n);
@@ -141,9 +141,9 @@ class ZmailSystem {
   std::size_t pending_transfers() const noexcept { return transfers_.size(); }
 
   // --- Durable store (params.store; see src/store) --------------------------
-  // Crashes `host` (an ISP index or bank_host()) for `down_for`: the
-  // network isolates it for the window, and at restart its state is
-  // rebuilt from disk.  Requires params.store.enabled.  Attaches an
+  // Crashes `host` (a compliant ISP index or any bank_host(b)) for
+  // `down_for`: the network isolates it for the window, and at restart its
+  // state is rebuilt from disk.  Requires params.store.enabled.  Attaches an
   // internal outage-only fault injector when none is attached yet.
   void crash_host(std::size_t host, sim::Duration down_for);
   // Wipes and rebuilds one party from snapshot + WAL replay, right now.
@@ -154,11 +154,15 @@ class ZmailSystem {
   void checkpoint_host(std::size_t host);
   void checkpoint_all();
   // The party's Checkpointer, or nullptr when the store is off (or the
-  // host is legacy).  Bank lives at bank_index().
+  // host is legacy).  Member bank b lives at bank_host(b).
   store::Checkpointer* host_store(std::size_t host) noexcept {
     return host < stores_.size() ? stores_[host].get() : nullptr;
   }
-  std::size_t bank_index() const noexcept { return bank_host(); }
+  // Network host of member bank b (banks live after the ISPs).
+  std::size_t bank_host(std::size_t bank) const noexcept {
+    return params_.n_isps + bank;
+  }
+  std::size_t bank_index() const noexcept { return bank_host(0); }
   // Crash recoveries performed via the durable store.
   std::uint64_t state_recoveries() const noexcept { return state_recoveries_; }
 
@@ -191,8 +195,8 @@ class ZmailSystem {
   // isp(i).user(u); both ids convert implicitly from indices.
   UserRef user(IspId i, UserId u) { return isp(i).user(u); }
   ConstUserRef user(IspId i, UserId u) const { return isp(i).user(u); }
-  Bank& bank() noexcept { return *bank_; }
-  const Bank& bank() const noexcept { return *bank_; }
+  BankFederation& bank() noexcept { return *bank_; }
+  const BankFederation& bank() const noexcept { return *bank_; }
   net::Network& network() noexcept { return net_; }
   const net::Network& network() const noexcept { return net_; }
   const LegacyHostStats& legacy_stats(IspId i) const;
@@ -247,12 +251,15 @@ class ZmailSystem {
     std::uint64_t trace_id = 0;    // causal id of the email riding inside
   };
 
-  void on_datagram(std::size_t host, const net::Datagram& d);
+  void on_datagram(std::size_t host, const net::Datagram& d);  // ISP hosts
+  void on_bank_datagram(std::size_t bank, const net::Datagram& d);
+  // Round-close bookkeeping after a bank handler ran: closes the round's
+  // trace span and checkpoints the bank once per closed round.
+  void after_bank_step(std::size_t bank, bool round_was_open);
   void deliver_via_smtp(std::size_t to_isp, std::size_t from_isp,
                         const crypto::Bytes& payload);
   void pump_isp(std::size_t i);
   void pump_all();
-  std::size_t bank_host() const noexcept { return params_.n_isps; }
 
   // Durable store plumbing (all no-ops when params_.store.enabled is off).
   void open_store(std::size_t host);
@@ -269,20 +276,21 @@ class ZmailSystem {
   void handle_email_ack(const net::Datagram& d);
   // Retry/backoff recovery poll (armed when params.retry.enabled).
   void poll_fault_recovery();
-  // Arm the common-deadline quiesce timeout for one snapshot request.
-  void schedule_quiesce_timeout(std::size_t isp_index, sim::SimTime deadline);
+  // Sends snapshot requests from each ISP's home bank and arms their
+  // common-deadline quiesce timeouts.
+  void send_requests(std::vector<std::pair<std::size_t, crypto::Bytes>> reqs,
+                     sim::SimTime deadline);
   void quiesce_timeout(std::size_t isp_index);
 
   ZmailParams params_;
   Rng rng_;
-  crypto::KeyPair bank_keys_;
   std::uint64_t seed_;
   sim::Simulator sim_;
   net::Network net_;
 
   std::vector<std::unique_ptr<Isp>> isps_;       // null for legacy slots
   std::vector<LegacyHost> legacy_;               // indexed like isps_
-  std::unique_ptr<Bank> bank_;
+  std::unique_ptr<BankFederation> bank_;
 
   std::vector<std::uint64_t> smtp_bytes_in_;
   Sample latency_;
@@ -296,13 +304,13 @@ class ZmailSystem {
 
   // Durable store state (all empty/null when params_.store.enabled is off,
   // so disabled runs construct nothing and schedule nothing extra).
-  std::vector<std::unique_ptr<store::Checkpointer>> stores_;  // bank last
+  std::vector<std::unique_ptr<store::Checkpointer>> stores_;  // banks last
   std::vector<std::uint64_t> isp_ctor_seed_;  // per-slot construction seeds
   std::function<bool(const net::EmailMessage&)> spam_filter_;  // reinstalled
   net::FaultInjector* faults_ = nullptr;  // whatever attach_faults() saw last
   std::unique_ptr<net::FaultInjector> crash_faults_;  // crash_host() fallback
   std::uint64_t state_recoveries_ = 0;
-  std::uint64_t bank_ckpt_seq_ = 0;  // bank round already checkpointed
+  std::vector<std::uint64_t> bank_ckpt_seq_;  // per bank: round checkpointed
 
   // Reliable-transport state (empty/idle unless reliable_email_transport).
   std::unordered_map<std::uint64_t, PendingTransfer> transfers_;

@@ -6,7 +6,7 @@
 //   <dir>/<party>.zsnap   latest full-state snapshot (store/snapshot.hpp)
 //
 // and is deliberately generic: the party hands it opaque state blobs and
-// replay callbacks, so this layer knows nothing about Bank/Isp internals
+// replay callbacks, so this layer knows nothing about bank/ISP internals
 // and `zmail_store` stays below `zmail_core` in the link graph.
 //
 // Lifecycle:

@@ -3,7 +3,8 @@
 // The settlement state of a Zmail party (bank or compliant ISP) is a
 // deterministic state machine; the WAL records every command applied to it,
 // so <latest snapshot> + <WAL tail replay> reconstructs the exact pre-crash
-// state (see core::Isp::apply_wal_record / core::Bank::apply_wal_record).
+// state (see core::Isp::apply_wal_record and
+// core::BankFederation::apply_wal_record).
 //
 // On-disk grammar (all integers big-endian, matching the wire format):
 //
@@ -39,9 +40,10 @@ namespace zmail::store {
 // Log sequence number.  1-based; 0 means "none".
 using Lsn = std::uint64_t;
 
-// Where state machines log commands (core::Isp / core::Bank hold one of
-// these, attached by the harness; detached during replay so recovery does
-// not re-log the records it is applying).
+// Where state machines log commands (each core::Isp and member bank of a
+// core::BankFederation holds one of these, attached by the harness;
+// detached during replay so recovery does not re-log the records it is
+// applying).
 class WalSink {
  public:
   virtual ~WalSink() = default;

@@ -1,9 +1,9 @@
 // TelemetryRegistry — the per-world sampling engine.
 //
-// A system facade (ZmailSystem / FederatedZmailSystem) registers named
-// gauge/rate samplers and histogram channels at enable time, then schedules one read-only sampling tick per
-// sample_period of simulated time.  The determinism contract mirrors
-// zmail::trace:
+// The system facade (core::ZmailSystem) registers named gauge/rate
+// samplers and histogram channels at enable time, then schedules one
+// read-only sampling tick per sample_period of simulated time.  The
+// determinism contract mirrors zmail::trace:
 //
 //   - Telemetry off (the default): no registry is constructed, no events
 //     are scheduled, no sampler runs — runs are bit-identical to a build

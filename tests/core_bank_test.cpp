@@ -1,4 +1,4 @@
-#include "core/bank.hpp"
+#include "core/federation.hpp"
 
 #include <gtest/gtest.h>
 
@@ -16,7 +16,8 @@ ZmailParams params4() {
 
 class BankTest : public ::testing::Test {
  protected:
-  BankTest() : keys_(crypto::generate_keypair(rng_)), bank_(params_, keys_, 5) {}
+  BankTest()
+      : keys_(crypto::generate_keypair(rng_)), bank_(params_, {keys_}, 5) {}
 
   // Builds a sealed CreditReport as isp g would send it.
   crypto::Bytes sealed_report(std::uint64_t seq, std::vector<EPenny> credit) {
@@ -27,7 +28,7 @@ class BankTest : public ::testing::Test {
   Rng rng_{500};
   ZmailParams params_ = params4();
   crypto::KeyPair keys_;
-  Bank bank_;
+  BankFederation bank_;
 };
 
 TEST_F(BankTest, BuyDebitsAccountAndMints) {
@@ -94,7 +95,7 @@ TEST_F(BankTest, SnapshotSendsOneRequestPerCompliantIsp) {
 
 TEST_F(BankTest, SnapshotSkipsNonCompliant) {
   params_.compliant = {true, false, true, false};
-  Bank bank(params_, keys_, 5);
+  BankFederation bank(params_, {keys_}, 5);
   const auto reqs = bank.start_snapshot();
   ASSERT_EQ(reqs.size(), 2u);
   EXPECT_EQ(reqs[0].first, 0u);

@@ -1,6 +1,11 @@
-#include "core/federated_system.hpp"
+#include "core/system.hpp"
 
 #include <gtest/gtest.h>
+
+#include <filesystem>
+#include <string>
+
+#include "core/invariants.hpp"
 
 namespace zmail::core {
 namespace {
@@ -9,9 +14,10 @@ net::EmailAddress user(std::size_t i, std::size_t u) {
   return net::make_user_address(i, u);
 }
 
-ZmailParams fed_params() {
+ZmailParams fed_params(std::size_t n_banks) {
   ZmailParams p;
   p.n_isps = 6;
+  p.n_banks = n_banks;
   p.users_per_isp = 3;
   p.initial_user_balance = 30;
   p.minavail = 100;
@@ -21,7 +27,7 @@ ZmailParams fed_params() {
 }
 
 TEST(FederatedSystem, MailFlowsAcrossBankBoundaries) {
-  FederatedZmailSystem sys(fed_params(), 3, 1);
+  ZmailSystem sys(fed_params(3), 1);
   // ISP 0 (bank 0) -> ISP 1 (bank 1), ISP 4 (bank 1) -> ISP 5 (bank 2).
   EXPECT_EQ(sys.send_email(user(0, 0), user(1, 0), "x", "b"),
             SendResult::kSentPaid);
@@ -34,58 +40,58 @@ TEST(FederatedSystem, MailFlowsAcrossBankBoundaries) {
 }
 
 TEST(FederatedSystem, TradesGoToTheHomeBankOverTheNetwork) {
-  ZmailParams p = fed_params();
+  ZmailParams p = fed_params(3);
   p.initial_avail = 120;  // near minavail: the first purchase triggers a buy
-  FederatedZmailSystem sys(p, 3, 2);
+  ZmailSystem sys(p, 2);
   sys.enable_bank_trading(sim::kMinute);
   sys.buy_epennies(user(4, 0), 30);  // ISP 4's pool drops to 90 < 100
   sys.run_for(10 * sim::kMinute);
   EXPECT_EQ(sys.isp(4).avail(), 1'000);  // refilled to maxavail
   // The home bank (4 % 3 == 1) paid out of ISP 4's account.
-  EXPECT_LT(sys.federation().isp_account(4), p.initial_isp_bank_account);
-  EXPECT_GT(sys.federation().metrics().epennies_minted, 0);
+  EXPECT_LT(sys.bank().account(4), p.initial_isp_bank_account);
+  EXPECT_GT(sys.bank().metrics().epennies_minted, 0);
   EXPECT_TRUE(sys.conservation_holds());
-  EXPECT_GT(sys.bank_host_bytes(), 0u);
+  EXPECT_GT(sys.network().bytes_sent_to(sys.bank_host(1)), 0u);
 }
 
 TEST(FederatedSystem, SnapshotRoundSettlesAcrossBanks) {
-  FederatedZmailSystem sys(fed_params(), 2, 3);
+  ZmailSystem sys(fed_params(2), 3);
   for (int k = 0; k < 4; ++k)
     sys.send_email(user(0, 0), user(1, 0), "s", "b");  // bank0 -> bank1
   sys.run_for(sim::kHour);
   sys.start_snapshot();
   sys.run_for(30 * sim::kMinute);
 
-  EXPECT_FALSE(sys.federation().round_open());
-  EXPECT_TRUE(sys.federation().last_violations().empty());
-  EXPECT_EQ(sys.federation().metrics().rounds_completed, 1u);
-  EXPECT_EQ(sys.federation().isp_account(0),
-            fed_params().initial_isp_bank_account - Money::from_epennies(4));
-  EXPECT_EQ(sys.federation().isp_account(1),
-            fed_params().initial_isp_bank_account + Money::from_epennies(4));
-  EXPECT_EQ(sys.federation().metrics().settlements_cross_bank, 1u);
-  EXPECT_EQ(sys.federation().metrics().clearing_transfers, 1u);
+  EXPECT_FALSE(sys.bank().round_open());
+  EXPECT_TRUE(sys.bank().last_violations().empty());
+  EXPECT_EQ(sys.bank().metrics().snapshot_rounds, 1u);
+  EXPECT_EQ(sys.bank().account(0),
+            fed_params(2).initial_isp_bank_account - Money::from_epennies(4));
+  EXPECT_EQ(sys.bank().account(1),
+            fed_params(2).initial_isp_bank_account + Money::from_epennies(4));
+  EXPECT_EQ(sys.bank().metrics().settlements_cross_bank, 1u);
+  EXPECT_EQ(sys.bank().metrics().clearing_transfers, 1u);
   // Clearing nets to zero across the federation.
   Money net = Money::zero();
-  for (std::size_t b = 0; b < 2; ++b) net += sys.federation().clearing_position(b);
+  for (std::size_t b = 0; b < 2; ++b) net += sys.bank().clearing_position(b);
   EXPECT_TRUE(net.is_zero());
 }
 
 TEST(FederatedSystem, CheatDetectionStillWorksEndToEnd) {
-  FederatedZmailSystem sys(fed_params(), 3, 4);
+  ZmailSystem sys(fed_params(3), 4);
   sys.isp(2).set_misbehavior(Isp::Misbehavior::kFreeRide);
   for (int k = 0; k < 3; ++k)
     sys.send_email(user(2, 0), user(3, 0), "s", "b");
   sys.run_for(sim::kHour);
   sys.start_snapshot();
   sys.run_for(30 * sim::kMinute);
-  ASSERT_EQ(sys.federation().last_violations().size(), 1u);
-  EXPECT_EQ(sys.federation().last_violations()[0].isp_i, 2u);
-  EXPECT_EQ(sys.federation().last_violations()[0].isp_j, 3u);
+  ASSERT_EQ(sys.bank().last_violations().size(), 1u);
+  EXPECT_EQ(sys.bank().last_violations()[0].isp_i, 2u);
+  EXPECT_EQ(sys.bank().last_violations()[0].isp_j, 3u);
 }
 
 TEST(FederatedSystem, QuiesceBuffersAcrossTheRound) {
-  FederatedZmailSystem sys(fed_params(), 2, 5);
+  ZmailSystem sys(fed_params(2), 5);
   sys.start_snapshot();
   sys.run_for(sim::kMinute);
   ASSERT_TRUE(sys.isp(0).in_quiesce());
@@ -93,21 +99,66 @@ TEST(FederatedSystem, QuiesceBuffersAcrossTheRound) {
             SendResult::kBuffered);
   sys.run_for(15 * sim::kMinute);
   EXPECT_EQ(sys.isp(1).user(0).balance,
-            fed_params().initial_user_balance + 1);
+            fed_params(2).initial_user_balance + 1);
   EXPECT_TRUE(sys.conservation_holds());
 }
 
-TEST(FederatedSystem, SingleBankMatchesCentralBehaviour) {
-  FederatedZmailSystem sys(fed_params(), 1, 6);
-  for (int k = 0; k < 5; ++k)
-    sys.send_email(user(0, 0), user(3, 1), "s", "b");
-  sys.run_for(sim::kHour);
+// A combination the single facade makes possible: two member banks, a
+// legacy ISP, the acknowledged email transport, retries and the durable
+// store, with an ISP and a member bank crashing in the middle of a round.
+TEST(FederatedSystem, LegacyIspArqAndMidRoundCrashesStayClean) {
+  const std::string dir = "core_federated_system_test_store";
+  std::filesystem::remove_all(dir);
+  ZmailParams p = fed_params(2);
+  p.compliant = {true, true, true, true, true, false};
+  p.reliable_email_transport = true;
+  p.retry.enabled = true;
+  p.store.enabled = true;
+  p.store.dir = dir;
+  ZmailSystem sys(p, 7);
+  sys.enable_bank_trading();
+  InvariantAuditor auditor(sys);
+  auditor.run_continuously(10 * sim::kMinute);
+
+  Rng traffic(8);
+  auto burst = [&](int n) {
+    for (int k = 0; k < n; ++k) {
+      // Compliant senders only, so every accepted email is a paid or local
+      // one; the legacy ISP still receives its share.
+      const std::size_t src = traffic.next_below(p.n_isps - 1);
+      const std::size_t dst = traffic.next_below(p.n_isps);
+      sys.send_email(user(src, traffic.next_below(p.users_per_isp)),
+                     user(dst, traffic.next_below(p.users_per_isp)), "c",
+                     "b" + std::to_string(k));
+      sys.run_for(sim::kMinute);
+    }
+  };
+  burst(30);
   sys.start_snapshot();
-  sys.run_for(30 * sim::kMinute);
-  EXPECT_TRUE(sys.federation().last_violations().empty());
-  EXPECT_EQ(sys.federation().metrics().interbank_messages, 0u);
-  EXPECT_EQ(sys.federation().metrics().settlements_intra_bank, 1u);
-  EXPECT_TRUE(sys.conservation_holds());
+  sys.run_for(sim::kMinute);
+  ASSERT_TRUE(sys.bank().round_open());
+  sys.crash_host(2, 20 * sim::kMinute);  // an ISP homed on bank 0
+  sys.crash_host(sys.bank_host(1), 20 * sim::kMinute);
+  burst(30);
+  sys.run_for(3 * sim::kHour);
+  sys.start_snapshot();  // and the recovered world settles once more
+  sys.run_for(2 * sim::kHour);
+
+  EXPECT_EQ(sys.state_recoveries(), 2u);
+  EXPECT_FALSE(sys.bank().round_open());
+  EXPECT_TRUE(sys.bank().idle());
+  EXPECT_EQ(sys.bank().metrics().snapshot_rounds, 2u);
+  EXPECT_EQ(sys.pending_transfers(), 0u);
+  auditor.check_now();
+  EXPECT_TRUE(auditor.report().ok())
+      << (auditor.report().messages.empty()
+              ? ""
+              : auditor.report().messages.front());
+  const IspMetrics m = sys.total_isp_metrics();
+  const std::uint64_t accepted = m.emails_sent_local + m.emails_sent_compliant;
+  EXPECT_EQ(m.emails_delivered + m.emails_refunded, accepted);
+  EXPECT_GT(sys.total_legacy_stats().emails_received, 0u);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -10,10 +10,10 @@
 #include <string>
 #include <vector>
 
-#include "core/federated_system.hpp"
 #include "core/federation.hpp"
 #include "core/invariants.hpp"
 #include "core/isp.hpp"
+#include "core/system.hpp"
 #include "net/address.hpp"
 #include "store/wal.hpp"
 
@@ -26,9 +26,10 @@ std::string fresh_dir(const std::string& name) {
   return dir;
 }
 
-ZmailParams fed_store_params(const std::string& dir) {
+ZmailParams fed_store_params(const std::string& dir, std::size_t n_banks) {
   ZmailParams p;
   p.n_isps = 8;
+  p.n_banks = n_banks;
   p.users_per_isp = 3;
   p.initial_user_balance = 200;
   p.default_daily_limit = 1'000;
@@ -42,7 +43,7 @@ ZmailParams fed_store_params(const std::string& dir) {
   return p;
 }
 
-void drive_traffic(FederatedZmailSystem& sys, std::uint64_t seed, int rounds) {
+void drive_traffic(ZmailSystem& sys, std::uint64_t seed, int rounds) {
   Rng rng(seed);
   const auto& p = sys.params();
   for (int i = 0; i < rounds; ++i) {
@@ -57,30 +58,30 @@ void drive_traffic(FederatedZmailSystem& sys, std::uint64_t seed, int rounds) {
 
 TEST(FederationPersistTest, RecoveredBankIsByteExactAtAQuietPoint) {
   const std::string dir = fresh_dir("exact");
-  FederatedZmailSystem sys(fed_store_params(dir), 4, 91);
+  ZmailSystem sys(fed_store_params(dir, 4), 91);
   sys.enable_bank_trading();
   drive_traffic(sys, 92, 30);
   sys.start_snapshot();
   drive_traffic(sys, 93, 20);
   sys.run_for(2 * sim::kHour);  // settle: round closed, wires acked
-  ASSERT_FALSE(sys.federation().round_open());
-  ASSERT_TRUE(sys.federation().idle());
+  ASSERT_FALSE(sys.bank().round_open());
+  ASSERT_TRUE(sys.bank().idle());
 
   std::vector<crypto::Bytes> before;
   for (std::size_t b = 0; b < 4; ++b)
-    before.push_back(sys.federation().serialize_state(b));
+    before.push_back(sys.bank().serialize_state(b));
   ASSERT_FALSE(before[0].empty());
 
   for (std::size_t b = 0; b < 4; ++b) sys.recover_host(sys.bank_host(b));
   EXPECT_EQ(sys.state_recoveries(), 4u);
 
-  // The rebuilt shards (fresh construction -> snapshot restore -> WAL
+  // The rebuilt banks (fresh construction -> snapshot restore -> WAL
   // replay) must match the pre-crash state byte for byte, RNG and all.
   for (std::size_t b = 0; b < 4; ++b)
-    EXPECT_EQ(sys.federation().serialize_state(b), before[b]) << "bank " << b;
+    EXPECT_EQ(sys.bank().serialize_state(b), before[b]) << "bank " << b;
 
   // And the recovered federation keeps settling: more traffic, clean audit.
-  FederationAuditor auditor(sys);
+  InvariantAuditor auditor(sys);
   drive_traffic(sys, 94, 10);
   sys.start_snapshot();
   sys.run_for(2 * sim::kHour);
@@ -100,17 +101,16 @@ TEST(FederationPersistTest, RecoveredBankIsByteExactAtAQuietPoint) {
 TEST(FederationPersistTest, TornFederationWalTailStopsAtLastValidRecord) {
   const std::string dir = fresh_dir("torn");
   {
-    ZmailParams p = fed_store_params(dir);
+    ZmailParams p = fed_store_params(dir, 2);
     p.initial_avail = 120;  // a few user buys push every pool below minavail
-    FederatedZmailSystem sys(p, 2, 77);
+    ZmailSystem sys(p, 77);
     sys.enable_bank_trading();
     // Trades only, no snapshot: no checkpoint runs, so the buy records
     // stay in the log for the fuzz below.  ISPs 1/3/5/7 are homed on
     // bank1; deplete each pool so each ISP buys from it once.
     for (std::size_t isp : {1u, 3u, 5u, 7u}) {
       for (int k = 0; k < 3; ++k)
-        ASSERT_TRUE(
-            sys.buy_epennies(net::make_user_address(isp, k % 3), 10).ok());
+        ASSERT_TRUE(sys.buy_epennies(net::make_user_address(isp, k % 3), 10));
       sys.run_for(6 * sim::kMinute);  // let the trading poll fire
     }
     drive_traffic(sys, 78, 10);
@@ -156,9 +156,9 @@ TEST(FederationPersistTest, TornFederationWalTailStopsAtLastValidRecord) {
     ASSERT_EQ(std::fwrite(intact.data(), 1, final_start, f), final_start);
     std::fclose(f);
   }
-  FederatedZmailSystem reopened(fed_store_params(dir), 2, 77);
+  ZmailSystem reopened(fed_store_params(dir, 2), 77);
   EXPECT_EQ(reopened.state_recoveries(), 0u);
-  EXPECT_FALSE(reopened.federation().serialize_state(1).empty());
+  EXPECT_FALSE(reopened.bank().serialize_state(1).empty());
   std::filesystem::remove_all(dir);
 }
 
@@ -166,7 +166,12 @@ TEST(FederationPersistTest, DuplicateAndStaleInterbankWiresAbsorbed) {
   ZmailParams p;
   p.n_isps = 6;
   p.users_per_isp = 2;
-  BankFederation fed(p, 3, 11);
+  p.n_banks = 3;
+  Rng key_rng(11);
+  std::vector<crypto::KeyPair> keys;
+  for (std::size_t b = 0; b < p.n_banks; ++b)
+    keys.push_back(crypto::generate_keypair(key_rng));
+  BankFederation fed(p, std::move(keys), 11);
 
   struct Wire {
     std::size_t from, to;
@@ -217,7 +222,7 @@ TEST(FederationPersistTest, DuplicateAndStaleInterbankWiresAbsorbed) {
   ASSERT_TRUE(fed.idle());
   ASSERT_FALSE(seen.empty());
 
-  const FederationMetrics base = fed.metrics();
+  const BankMetrics base = fed.metrics();
   std::vector<Money> positions;
   for (std::size_t b = 0; b < 3; ++b)
     positions.push_back(fed.clearing_position(b));
@@ -230,8 +235,8 @@ TEST(FederationPersistTest, DuplicateAndStaleInterbankWiresAbsorbed) {
     fed.on_interbank(d.to, d.from, d.kind, d.wire);
   }
 
-  const FederationMetrics after = fed.metrics();
-  EXPECT_EQ(after.rounds_completed, base.rounds_completed);
+  const BankMetrics after = fed.metrics();
+  EXPECT_EQ(after.snapshot_rounds, base.snapshot_rounds);
   EXPECT_EQ(after.clearing_transfers, base.clearing_transfers);
   EXPECT_EQ(after.settlements_cross_bank, base.settlements_cross_bank);
   EXPECT_GT(after.duplicate_interbank + after.stale_interbank, 0u);
@@ -246,9 +251,9 @@ TEST(FederationPersistTest, DuplicateAndStaleInterbankWiresAbsorbed) {
 
 TEST(FederationPersistTest, MidRoundBankCrashRecoversAndSettles) {
   const std::string dir = fresh_dir("crash");
-  FederatedZmailSystem sys(fed_store_params(dir), 4, 314);
+  ZmailSystem sys(fed_store_params(dir, 4), 314);
   sys.enable_bank_trading();
-  FederationAuditor auditor(sys);
+  InvariantAuditor auditor(sys);
   auditor.run_continuously(10 * sim::kMinute);
 
   drive_traffic(sys, 315, 20);
@@ -261,9 +266,9 @@ TEST(FederationPersistTest, MidRoundBankCrashRecoversAndSettles) {
   sys.run_for(3 * sim::kHour);
 
   EXPECT_EQ(sys.state_recoveries(), 1u);
-  EXPECT_FALSE(sys.federation().round_open());
-  EXPECT_EQ(sys.federation().metrics().rounds_completed, 1u);
-  EXPECT_TRUE(sys.federation().idle());
+  EXPECT_FALSE(sys.bank().round_open());
+  EXPECT_EQ(sys.bank().metrics().snapshot_rounds, 1u);
+  EXPECT_TRUE(sys.bank().idle());
   auditor.check_now();
   EXPECT_TRUE(auditor.report().ok())
       << (auditor.report().messages.empty()
@@ -276,20 +281,20 @@ TEST(FederationPersistTest, MidRoundBankCrashRecoversAndSettles) {
 TEST(FederationPersistTest, HardenedFaultFreeRunsAreDeterministic) {
   const std::string da = fresh_dir("det_a");
   const std::string db = fresh_dir("det_b");
-  FederatedZmailSystem a(fed_store_params(da), 4, 55);
-  FederatedZmailSystem b(fed_store_params(db), 4, 55);
-  for (FederatedZmailSystem* s : {&a, &b}) {
+  ZmailSystem a(fed_store_params(da, 4), 55);
+  ZmailSystem b(fed_store_params(db, 4), 55);
+  for (ZmailSystem* s : {&a, &b}) {
     s->enable_bank_trading();
     drive_traffic(*s, 56, 20);
     s->start_snapshot();
     s->run_for(2 * sim::kHour);
   }
   for (std::size_t bk = 0; bk < 4; ++bk)
-    EXPECT_EQ(a.federation().serialize_state(bk),
-              b.federation().serialize_state(bk))
+    EXPECT_EQ(a.bank().serialize_state(bk),
+              b.bank().serialize_state(bk))
         << "bank " << bk;
-  EXPECT_EQ(a.federation().metrics().interbank_messages,
-            b.federation().metrics().interbank_messages);
+  EXPECT_EQ(a.bank().metrics().interbank_messages,
+            b.bank().metrics().interbank_messages);
   EXPECT_EQ(a.total_epennies(), b.total_epennies());
   std::filesystem::remove_all(da);
   std::filesystem::remove_all(db);

@@ -14,8 +14,62 @@ ZmailParams fed_params(std::size_t n = 6) {
   return p;
 }
 
+std::vector<crypto::KeyPair> bank_keys(std::size_t k, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<crypto::KeyPair> keys;
+  for (std::size_t b = 0; b < k; ++b)
+    keys.push_back(crypto::generate_keypair(rng));
+  return keys;
+}
+
+// A federation of `k` member banks over `p` (whose n_banks it sets); `p`
+// must outlive the federation.
+BankFederation make_federation(ZmailParams& p, std::size_t k,
+                               std::uint64_t seed) {
+  p.n_banks = k;
+  return BankFederation(p, bank_keys(k, seed), seed);
+}
+
 class FederationTest : public ::testing::Test {
  protected:
+  BankFederation make(std::size_t k, std::uint64_t seed) {
+    return make_federation(params_, k, seed);
+  }
+
+  std::vector<Isp> make_isps(const BankFederation& fed,
+                             std::uint64_t seed) const {
+    std::vector<Isp> isps;
+    isps.reserve(params_.n_isps);
+    for (std::size_t i = 0; i < params_.n_isps; ++i)
+      isps.emplace_back(i, params_, fed.public_key_for(i), seed + i);
+    return isps;
+  }
+
+  // `k` emails from user 0 of ISP a to user 0 of ISP b, delivered.
+  static void mail_between(std::vector<Isp>& isps, std::size_t a,
+                           std::size_t b, int k) {
+    for (int m = 0; m < k; ++m)
+      isps[a].user_send(0, b, 0,
+                        net::make_email(net::make_user_address(a, 0),
+                                        net::make_user_address(b, 0), "s",
+                                        "b"));
+    for (const Outbound& o : isps[a].take_outbox())
+      isps[b].on_email(a, o.payload);
+  }
+
+  // Drives ISP `isp` through one bank trade (buy below minavail, sell
+  // above maxavail).
+  static void trade(BankFederation& fed, Isp& isp, EPenny avail) {
+    isp.set_avail(avail);
+    isp.maybe_trade_with_bank();
+    for (const Outbound& o : isp.take_outbox()) {
+      if (o.type == kMsgBuy)
+        isp.on_buyreply(fed.on_buy(isp.index(), o.payload));
+      if (o.type == kMsgSell)
+        isp.on_sellreply(fed.on_sell(isp.index(), o.payload));
+    }
+  }
+
   // Drives a full snapshot round through real Isp state machines that seal
   // to their home banks' keys.
   void run_round(BankFederation& fed, std::vector<Isp>& isps) {
@@ -31,7 +85,7 @@ class FederationTest : public ::testing::Test {
 };
 
 TEST_F(FederationTest, HomeBankAssignmentIsRoundRobin) {
-  BankFederation fed(params_, 3, 1);
+  BankFederation fed = make(3, 1);
   EXPECT_EQ(fed.home_bank(0), 0u);
   EXPECT_EQ(fed.home_bank(1), 1u);
   EXPECT_EQ(fed.home_bank(2), 2u);
@@ -39,22 +93,15 @@ TEST_F(FederationTest, HomeBankAssignmentIsRoundRobin) {
   EXPECT_EQ(fed.bank_count(), 3u);
 }
 
-TEST_F(FederationTest, SingleBankDegeneratesToCentralBank) {
-  BankFederation fed(params_, 1, 2);
-  for (std::size_t i = 0; i < params_.n_isps; ++i)
-    EXPECT_EQ(fed.home_bank(i), 0u);
-  EXPECT_EQ(fed.metrics().interbank_messages, 0u);
-}
-
 TEST_F(FederationTest, BanksHaveDistinctKeys) {
-  BankFederation fed(params_, 3, 3);
-  EXPECT_NE(fed.bank_keys(0).pub.n, fed.bank_keys(1).pub.n);
-  EXPECT_NE(fed.bank_keys(1).pub.n, fed.bank_keys(2).pub.n);
-  EXPECT_EQ(fed.public_key_for(4).n, fed.bank_keys(1).pub.n);  // 4 % 3 == 1
+  BankFederation fed = make(3, 3);
+  EXPECT_NE(fed.public_key_for(0).n, fed.public_key_for(1).n);
+  EXPECT_NE(fed.public_key_for(1).n, fed.public_key_for(2).n);
+  EXPECT_EQ(fed.public_key_for(4).n, fed.public_key_for(1).n);  // 4 % 3 == 1
 }
 
 TEST_F(FederationTest, BuySellRoutedToHomeBank) {
-  BankFederation fed(params_, 2, 4);
+  BankFederation fed = make(2, 4);
   ZmailParams p2 = params_;
   p2.minavail = 50;
   p2.maxavail = 200;
@@ -67,17 +114,17 @@ TEST_F(FederationTest, BuySellRoutedToHomeBank) {
   ASSERT_FALSE(reply.empty());
   isp2.on_buyreply(reply);
   EXPECT_EQ(isp2.avail(), 200);
-  EXPECT_EQ(fed.isp_account(3), params_.initial_isp_bank_account -
+  EXPECT_EQ(fed.account(3), params_.initial_isp_bank_account -
                                     Money::from_epennies(190));
   EXPECT_EQ(fed.metrics().epennies_minted, 190);
 }
 
 TEST_F(FederationTest, BuySealedToWrongBankRejected) {
-  BankFederation fed(params_, 2, 5);
+  BankFederation fed = make(2, 5);
   ZmailParams p2 = params_;
   p2.minavail = 50;
   // ISP 3's home bank is 1, but it seals to bank 0's key.
-  Isp wrong(3, p2, fed.bank_keys(0).pub, 8);
+  Isp wrong(3, p2, fed.public_key_for(0), 8);
   wrong.set_avail(10);
   wrong.maybe_trade_with_bank();
   for (const Outbound& o : wrong.take_outbox())
@@ -85,7 +132,7 @@ TEST_F(FederationTest, BuySealedToWrongBankRejected) {
 }
 
 TEST_F(FederationTest, CleanRoundAcrossBanks) {
-  BankFederation fed(params_, 3, 6);
+  BankFederation fed = make(3, 6);
   std::vector<Isp> isps;
   isps.reserve(params_.n_isps);
   for (std::size_t i = 0; i < params_.n_isps; ++i)
@@ -108,22 +155,22 @@ TEST_F(FederationTest, CleanRoundAcrossBanks) {
   run_round(fed, isps);
   EXPECT_FALSE(fed.round_open());
   EXPECT_TRUE(fed.last_violations().empty());
-  EXPECT_EQ(fed.metrics().rounds_completed, 1u);
+  EXPECT_EQ(fed.metrics().snapshot_rounds, 1u);
   EXPECT_EQ(fed.seq(), 1u);
 
   // Settlement: 0 paid 1 three e-pennies; 1 paid 5 two.
-  EXPECT_EQ(fed.isp_account(0),
+  EXPECT_EQ(fed.account(0),
             params_.initial_isp_bank_account - Money::from_epennies(3));
-  EXPECT_EQ(fed.isp_account(1),
+  EXPECT_EQ(fed.account(1),
             params_.initial_isp_bank_account + Money::from_epennies(1));
-  EXPECT_EQ(fed.isp_account(5),
+  EXPECT_EQ(fed.account(5),
             params_.initial_isp_bank_account + Money::from_epennies(2));
   EXPECT_EQ(fed.metrics().settlements_cross_bank, 2u);
-  EXPECT_EQ(fed.metrics().settlements_intra_bank, 0u);
+  EXPECT_EQ(fed.metrics().settlement_transfers, 2u);  // none intra-bank
 }
 
 TEST_F(FederationTest, ClearingPositionsNetToZero) {
-  BankFederation fed(params_, 3, 7);
+  BankFederation fed = make(3, 7);
   std::vector<Isp> isps;
   for (std::size_t i = 0; i < params_.n_isps; ++i)
     isps.emplace_back(i, params_, fed.public_key_for(i), 200 + i);
@@ -152,7 +199,7 @@ TEST_F(FederationTest, ClearingPositionsNetToZero) {
 }
 
 TEST_F(FederationTest, CrossBankCheatDetected) {
-  BankFederation fed(params_, 2, 8);
+  BankFederation fed = make(2, 8);
   std::vector<Isp> isps;
   for (std::size_t i = 0; i < params_.n_isps; ++i)
     isps.emplace_back(i, params_, fed.public_key_for(i), 300 + i);
@@ -171,14 +218,14 @@ TEST_F(FederationTest, CrossBankCheatDetected) {
   EXPECT_EQ(fed.last_violations()[0].isp_j, 1u);
   EXPECT_EQ(fed.last_violations()[0].discrepancy, -4);
   // The disputed pair is not settled.
-  EXPECT_EQ(fed.isp_account(1), params_.initial_isp_bank_account);
+  EXPECT_EQ(fed.account(1), params_.initial_isp_bank_account);
 }
 
 TEST_F(FederationTest, InterbankTrafficScalesWithBanks) {
   std::uint64_t msgs2 = 0, msgs4 = 0;
   for (std::size_t n_banks : {2u, 4u}) {
     ZmailParams p = fed_params(8);
-    BankFederation fed(p, n_banks, 9);
+    BankFederation fed = make_federation(p, n_banks, 9);
     std::vector<Isp> isps;
     for (std::size_t i = 0; i < p.n_isps; ++i)
       isps.emplace_back(i, p, fed.public_key_for(i), 400 + i);
@@ -199,7 +246,7 @@ TEST_F(FederationTest, InterbankTrafficScalesWithBanks) {
 TEST_F(FederationTest, PartialComplianceSkipsLegacyIsps) {
   ZmailParams p = fed_params(6);
   p.compliant = {true, true, false, true, false, true};
-  BankFederation fed(p, 2, 11);
+  BankFederation fed = make_federation(p, 2, 11);
   std::vector<Isp> isps;
   for (std::size_t i = 0; i < p.n_isps; ++i)
     isps.emplace_back(i, p, fed.public_key_for(i), 600 + i);
@@ -216,7 +263,7 @@ TEST_F(FederationTest, PartialComplianceSkipsLegacyIsps) {
 }
 
 TEST_F(FederationTest, GarbageWireIgnoredEverywhere) {
-  BankFederation fed(params_, 2, 12);
+  BankFederation fed = make(2, 12);
   EXPECT_TRUE(fed.on_buy(0, {1, 2, 3}).empty());
   EXPECT_TRUE(fed.on_sell(1, {}).empty());
   fed.start_snapshot();
@@ -225,7 +272,7 @@ TEST_F(FederationTest, GarbageWireIgnoredEverywhere) {
 }
 
 TEST_F(FederationTest, StaleAndDuplicateRepliesIgnored) {
-  BankFederation fed(params_, 2, 10);
+  BankFederation fed = make(2, 10);
   std::vector<Isp> isps;
   for (std::size_t i = 0; i < params_.n_isps; ++i)
     isps.emplace_back(i, params_, fed.public_key_for(i), 500 + i);
@@ -243,10 +290,94 @@ TEST_F(FederationTest, StaleAndDuplicateRepliesIgnored) {
     }
   }
   EXPECT_FALSE(fed.round_open());
-  const std::uint64_t reports = fed.metrics().reports_received;
+  const std::uint64_t reports = fed.metrics().credit_reports_received;
   fed.on_reply(0, first_report);  // replay after the round closed
-  EXPECT_EQ(fed.metrics().reports_received, reports);
-  EXPECT_EQ(fed.metrics().rounds_completed, 1u);
+  EXPECT_EQ(fed.metrics().credit_reports_received, reports);
+  EXPECT_EQ(fed.metrics().snapshot_rounds, 1u);
+}
+
+// --- Member banks carry the whole central-bank contract ---------------------
+
+TEST_F(FederationTest, DuplicateAndOutOfRoundReportsCountStale) {
+  BankFederation fed = make(2, 13);
+  std::vector<Isp> isps = make_isps(fed, 700);
+  Rng rng(14);
+  auto report = [&](std::size_t g, std::uint64_t seq) {
+    return seal(fed.public_key_for(g),
+                CreditReport{seq, std::vector<EPenny>(params_.n_isps, 0)}
+                    .serialize(),
+                rng);
+  };
+  fed.on_reply(1, report(1, 0));  // no round open yet
+  EXPECT_EQ(fed.metrics(1).stale_reports, 1u);
+  fed.start_snapshot();
+  fed.on_reply(1, report(1, 0));
+  fed.on_reply(1, report(1, 0));  // duplicate within the round
+  fed.on_reply(3, report(3, 7));  // wrong round
+  EXPECT_EQ(fed.metrics(1).stale_reports, 3u);
+  EXPECT_EQ(fed.metrics(1).credit_reports_received, 1u);
+  EXPECT_EQ(fed.metrics(0).stale_reports, 0u);
+  EXPECT_EQ(fed.metrics().stale_reports, 3u);
+}
+
+TEST_F(FederationTest, WrongSizeCreditVectorCountsBadEnvelope) {
+  BankFederation fed = make(2, 15);
+  Rng rng(16);
+  fed.start_snapshot();
+  fed.on_reply(1, seal(fed.public_key_for(1),
+                       CreditReport{0, {0, 0}}.serialize(), rng));
+  EXPECT_EQ(fed.metrics(1).bad_envelopes, 1u);
+  EXPECT_EQ(fed.metrics(1).credit_reports_received, 0u);
+  EXPECT_TRUE(fed.round_open(1));
+}
+
+TEST_F(FederationTest, EveryMemberBankJournals) {
+  BankFederation fed = make(2, 17);
+  AuditJournal journal;
+  fed.attach_journal(&journal);
+  std::vector<Isp> isps = make_isps(fed, 800);
+  trade(fed, isps[0], 10);       // bank 0 mints
+  trade(fed, isps[1], 10);       // bank 1 mints
+  trade(fed, isps[2], 20'000);   // bank 0 burns
+  trade(fed, isps[3], 20'000);   // bank 1 burns
+  isps[5].set_misbehavior(Isp::Misbehavior::kFreeRide);
+  mail_between(isps, 0, 2, 3);  // pair (0,2) owned and settled by bank 0
+  mail_between(isps, 1, 3, 2);  // pair (1,3) owned and settled by bank 1
+  mail_between(isps, 5, 0, 1);  // pair (0,5) flagged by bank 0
+  mail_between(isps, 5, 1, 1);  // pair (1,5) flagged by bank 1
+  run_round(fed, isps);
+
+  auto has = [&](AuditKind kind, std::size_t a, std::size_t b) {
+    for (const AuditEvent& e : journal.events())
+      if (e.kind == kind && e.a == a && e.b == b) return true;
+    return false;
+  };
+  EXPECT_TRUE(has(AuditKind::kMint, 0, 0));
+  EXPECT_TRUE(has(AuditKind::kMint, 1, 0));
+  EXPECT_TRUE(has(AuditKind::kBurn, 2, 0));
+  EXPECT_TRUE(has(AuditKind::kBurn, 3, 0));
+  EXPECT_TRUE(has(AuditKind::kSettlement, 0, 2));
+  EXPECT_TRUE(has(AuditKind::kSettlement, 1, 3));
+  EXPECT_TRUE(has(AuditKind::kViolationFlagged, 0, 5));
+  EXPECT_TRUE(has(AuditKind::kViolationFlagged, 1, 5));
+  EXPECT_EQ(journal.count(AuditKind::kRoundCompleted), 2u);  // one per bank
+  EXPECT_EQ(journal.net_minted(), fed.epennies_outstanding());
+  EXPECT_EQ(journal.settlement_volume(), 5);
+}
+
+TEST_F(FederationTest, FreeRidingCrossBankPairKeepsDriftStreak) {
+  BankFederation fed = make(2, 19);
+  std::vector<Isp> isps = make_isps(fed, 900);
+  isps[0].set_misbehavior(Isp::Misbehavior::kFreeRide);
+  mail_between(isps, 0, 1, 2);  // bank 0's member free-rides into bank 1
+  run_round(fed, isps);
+  EXPECT_EQ(fed.metrics().inconsistent_pairs_found, 1u);
+  EXPECT_EQ(fed.persistent_drift_pairs(), 0u);  // one round could be skew
+  mail_between(isps, 0, 1, 1);
+  run_round(fed, isps);
+  EXPECT_EQ(fed.persistent_drift_pairs(), 1u);  // two rounds cannot
+  run_round(fed, isps);
+  EXPECT_EQ(fed.persistent_drift_pairs(), 1u);  // counted once per episode
 }
 
 }  // namespace

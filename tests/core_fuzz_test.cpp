@@ -32,7 +32,7 @@ TEST_P(WireFuzzTest, GarbageNeverCrashesOrMovesMoney) {
   Rng key_rng(GetParam() ^ 0xFF);
   const crypto::KeyPair keys = crypto::generate_keypair(key_rng);
   Isp isp(0, p, keys.pub, 5);
-  Bank bank(p, keys, 6);
+  BankFederation bank(p, {keys}, 6);
 
   const EPenny isp_held = isp.epennies_held();
   const Money bank_account = bank.account(0);
@@ -65,7 +65,7 @@ TEST_P(WireFuzzTest, BitFlippedRealMessagesRejected) {
   Rng key_rng(GetParam() ^ 0xAA);
   const crypto::KeyPair keys = crypto::generate_keypair(key_rng);
   Isp isp(0, p, keys.pub, 7);
-  Bank bank(p, keys, 8);
+  BankFederation bank(p, {keys}, 8);
 
   // Produce one real buy, capture its reply, then flip bits in copies.
   isp.set_avail(10);

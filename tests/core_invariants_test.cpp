@@ -7,7 +7,7 @@
 
 #include <string>
 
-#include "core/bank.hpp"
+#include "core/federation.hpp"
 #include "core/isp.hpp"
 #include "core/system.hpp"
 #include "net/address.hpp"
@@ -70,12 +70,29 @@ TEST(InvariantAuditorTest, CleanTimedRunAuditsGreen) {
   EXPECT_EQ(auditor.report().replays_absorbed, 0u);
 }
 
+TEST(InvariantAuditorTest, IspAdoptingZmailJoinsTheRealMoneyBaseline) {
+  ZmailParams p = small_params();
+  p.n_isps = 3;
+  p.compliant = {true, true, false};
+  ZmailSystem sys(p, 23);
+  InvariantAuditor auditor(sys);
+  sys.send_email(net::make_user_address(0, 0), net::make_user_address(1, 1),
+                 "t", "b");
+  sys.run_for(sim::kMinute);
+  sys.make_compliant(2);  // its users' fresh accounts enter the books
+  sys.send_email(net::make_user_address(2, 0), net::make_user_address(0, 1),
+                 "t", "b");
+  sys.run_for(sim::kMinute);
+  auditor.check_now();
+  EXPECT_TRUE(auditor.report().ok()) << first_message(auditor);
+}
+
 TEST(BankIdempotencyTest, DuplicatedBuyMintsOnceAndReplaysTheReply) {
   Rng rng(101);
   const crypto::KeyPair keys = crypto::generate_keypair(rng);
   const ZmailParams p = small_params();
   Isp isp(0, p, keys.pub, 7);
-  Bank bank(p, keys, 8);
+  BankFederation bank(p, {keys}, 8);
 
   isp.set_avail(10);  // below minavail: triggers a buy of 190
   isp.maybe_trade_with_bank();
@@ -101,7 +118,7 @@ TEST(BankIdempotencyTest, OutOfDateTradeWireIsDropped) {
   const crypto::KeyPair keys = crypto::generate_keypair(rng);
   const ZmailParams p = small_params();
   Isp isp(0, p, keys.pub, 9);
-  Bank bank(p, keys, 10);
+  BankFederation bank(p, {keys}, 10);
 
   isp.set_avail(10);
   isp.maybe_trade_with_bank();
@@ -129,7 +146,7 @@ TEST(IspRetryTest, LostBuyReplyIsRecoveredByBackoffRetry) {
   ZmailParams p = small_params();
   p.retry.enabled = true;  // base 2s, jitter 25%: first retry due <= 2.5s
   Isp isp(0, p, keys.pub, 11);
-  Bank bank(p, keys, 12);
+  BankFederation bank(p, {keys}, 12);
 
   isp.set_avail(10);
   isp.maybe_trade_with_bank(/*now=*/0);
@@ -196,7 +213,7 @@ TEST(ReliableTransportTest, EveryPaidEmailLandsUnderHeavyLoss) {
 }
 
 // Drives one complete snapshot round at the unit level (no network).
-void run_round(Bank& bank, Isp& isp0, Isp& isp1,
+void run_round(BankFederation& bank, Isp& isp0, Isp& isp1,
                std::vector<Outbound>* mail_out = nullptr) {
   auto requests = bank.start_snapshot();
   for (auto& [idx, wire] : requests) (idx == 0 ? isp0 : isp1).on_request(wire);
@@ -218,7 +235,7 @@ TEST(PersistentDriftTest, SingleRoundSkewSelfCancels) {
   const ZmailParams p = small_params();
   Isp isp0(0, p, keys.pub, 13);
   Isp isp1(1, p, keys.pub, 14);
-  Bank bank(p, keys, 15);
+  BankFederation bank(p, {keys}, 15);
 
   // isp0 pays for a send whose delivery straggles past the next round: the
   // +1 is reported this round, the -1 only in the following one.
@@ -246,7 +263,7 @@ TEST(PersistentDriftTest, FreeRidingPairStaysFlagged) {
   const ZmailParams p = small_params();
   Isp isp0(0, p, keys.pub, 16);
   Isp isp1(1, p, keys.pub, 17);
-  Bank bank(p, keys, 18);
+  BankFederation bank(p, {keys}, 18);
   isp0.set_misbehavior(Isp::Misbehavior::kFreeRide);
 
   const auto cheat_once = [&] {

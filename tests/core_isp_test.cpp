@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/bank.hpp"
+#include "core/federation.hpp"
 
 namespace zmail::core {
 namespace {
@@ -256,7 +256,7 @@ TEST_F(IspTest, NonPositiveTradesRejected) {
 
 class IspBankTest : public IspTest {
  protected:
-  IspBankTest() : bank_(params_, keys_, 7) {}
+  IspBankTest() : bank_(params_, {keys_}, 7) {}
 
   // Routes the ISP's outbox through the bank and returns replies delivered.
   void pump_through_bank(Isp& isp) {
@@ -272,7 +272,7 @@ class IspBankTest : public IspTest {
     }
   }
 
-  Bank bank_;
+  BankFederation bank_;
 };
 
 TEST_F(IspBankTest, RefillsPoolWhenBelowMinavail) {

@@ -67,6 +67,29 @@ TEST(ObsSnapshot, ReflectsSystemActivity) {
   ASSERT_NE(j.find("conservation"), nullptr);
   EXPECT_TRUE(j.find("conservation")->find("holds")->as_bool());
   EXPECT_EQ(j.find("per_isp")->size(), 2u);
+  EXPECT_EQ(j.find("federation"), nullptr);  // one bank: no federation
+}
+
+TEST(ObsSnapshot, SeveralBanksAddAFederationSection) {
+  core::ZmailParams p;
+  p.n_isps = 4;
+  p.users_per_isp = 2;
+  p.n_banks = 2;
+  core::ZmailSystem sys(p, 8);
+  sys.send_email(net::make_user_address(0, 0), net::make_user_address(1, 1),
+                 "hi", "body");  // bank 0's member pays bank 1's
+  sys.run_for(sim::kMinute);
+  sys.start_snapshot();
+  sys.run_for(sim::kHour);
+
+  const json::Value j = obs::snapshot(sys, obs::Schema::kV2);
+  const json::Value* f = j.find("federation");
+  ASSERT_NE(f, nullptr);
+  EXPECT_EQ(f->find("n_banks")->as_uint64(), 2u);
+  EXPECT_EQ(f->find("interbank_messages")->as_uint64(), 2u);
+  EXPECT_EQ(f->find("settlements_cross_bank")->as_uint64(), 1u);
+  EXPECT_EQ(f->find("per_bank")->size(), 2u);
+  EXPECT_EQ(j.find("bank")->find("snapshot_rounds")->as_uint64(), 1u);
 }
 
 TEST(ObsRegistry, ProvidersAreLazyAndOrdered) {

@@ -8,7 +8,6 @@
 
 #include <cstdio>
 
-#include "core/bank.hpp"
 #include "core/isp.hpp"
 #include "store/snapshot.hpp"
 

@@ -293,5 +293,32 @@ TEST(ScenarioRun, CrashVerbRecoversFromTheStore) {
   std::filesystem::remove_all("scenario_crash_test_store");
 }
 
+TEST(ScenarioRun, CrashVerbNamesMemberBanks) {
+  auto s = Scenario::parse(
+      "world isps=3 users=3 balance=50 limit=100 retry=1 reliable=1 "
+      "compliant=110\n"
+      "send 0.0 1.1 subject hi\n"
+      "send 2.0 0.1 subject legacy\n"
+      "run 10m\n"
+      "snapshot\n"
+      "crash bank1 15m\n"
+      "crash bank0 15m\n"
+      "run 2h\n"
+      "crash bank2 10m\n"  // only two member banks: reported
+      "crash bankx 10m\n"  // not an index: reported
+      "expect conservation\n"
+      "expect violations 0\n");
+  ASSERT_TRUE(s.has_value());
+  s->mutable_params().n_banks = 2;
+  s->mutable_params().store.enabled = true;
+  s->mutable_params().store.dir = "scenario_bank_crash_test_store";
+  ScenarioRunner runner(*s);
+  const ScenarioResult r = runner.run();
+  EXPECT_EQ(r.failures.size(), 2u);  // exactly the two bad bank names
+  EXPECT_EQ(runner.world().state_recoveries(), 2u);
+  EXPECT_EQ(runner.world().bank().seq(), 1u);
+  std::filesystem::remove_all("scenario_bank_crash_test_store");
+}
+
 }  // namespace
 }  // namespace zmail::core

@@ -60,7 +60,7 @@ TEST(StoreRecoveryTest, RecoverHostIsByteExactAtAQuietPoint) {
   sys.run_for(sim::kHour);  // settle: outboxes drained, replies processed
 
   const crypto::Bytes isp_before = sys.isp(0).serialize_state();
-  const crypto::Bytes bank_before = sys.bank().serialize_state();
+  const crypto::Bytes bank_before = sys.bank().serialize_state(0);
   ASSERT_FALSE(isp_before.empty());
 
   sys.recover_host(0);
@@ -70,7 +70,7 @@ TEST(StoreRecoveryTest, RecoverHostIsByteExactAtAQuietPoint) {
   // The rebuilt parties (fresh construction -> snapshot restore -> WAL
   // replay) must match the pre-crash state byte for byte, RNG and all.
   EXPECT_EQ(sys.isp(0).serialize_state(), isp_before);
-  EXPECT_EQ(sys.bank().serialize_state(), bank_before);
+  EXPECT_EQ(sys.bank().serialize_state(0), bank_before);
 
   // And the recovered system keeps working: more traffic, clean audits.
   InvariantAuditor auditor(sys);
@@ -132,7 +132,7 @@ TEST(StoreRecoveryTest, ReopeningAStoreDirectoryResumesPersistedState) {
     sys.run_for(sim::kHour);
     sys.checkpoint_all();
     isp_saved = sys.isp(1).serialize_state();
-    bank_saved = sys.bank().serialize_state();
+    bank_saved = sys.bank().serialize_state(0);
   }  // process "exits"
 
   // Same params + seed, same directory: construction recovers every party
@@ -140,7 +140,7 @@ TEST(StoreRecoveryTest, ReopeningAStoreDirectoryResumesPersistedState) {
   ZmailSystem sys(store_params(dir), 77);
   EXPECT_EQ(sys.state_recoveries(), 0u);
   EXPECT_EQ(sys.isp(1).serialize_state(), isp_saved);
-  EXPECT_EQ(sys.bank().serialize_state(), bank_saved);
+  EXPECT_EQ(sys.bank().serialize_state(0), bank_saved);
   std::filesystem::remove_all(dir);
 }
 
@@ -161,12 +161,12 @@ TEST(StoreRecoveryTest, StoreOffRunsAreBitIdenticalToEachOther) {
     s->run_for(sim::kHour);
   }
   EXPECT_EQ(a.isp(0).serialize_state(), b.isp(0).serialize_state());
-  EXPECT_EQ(a.bank().serialize_state(), b.bank().serialize_state());
+  EXPECT_EQ(a.bank().serialize_state(0), b.bank().serialize_state(0));
   // The durable store must not perturb the simulation: state bytes match
   // the store-off run exactly (the WAL observes commands, never reorders
   // or reinterprets them).
   EXPECT_EQ(a.isp(0).serialize_state(), c.isp(0).serialize_state());
-  EXPECT_EQ(a.bank().serialize_state(), c.bank().serialize_state());
+  EXPECT_EQ(a.bank().serialize_state(0), c.bank().serialize_state(0));
   EXPECT_EQ(a.total_epennies(), c.total_epennies());
   std::filesystem::remove_all(dir);
 }
