@@ -1,10 +1,15 @@
 // Microbenchmarks for the mail substrate: SMTP dialogues, message
-// serialization, address parsing.
+// serialization, address parsing, and the facade's remote-delivery path.
 #include <benchmark/benchmark.h>
+
+#include <optional>
 
 #include "bench_micro_common.hpp"
 
+#include "core/isp.hpp"
+#include "crypto/rsa.hpp"
 #include "net/smtp.hpp"
+#include "util/rng.hpp"
 
 using namespace zmail;
 
@@ -27,6 +32,62 @@ void BM_SmtpTransfer(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_SmtpTransfer)->Arg(100)->Arg(1000)->Arg(10000);
+
+// One session per email, as ZmailSystem::deliver_via_smtp opens one per
+// inter-ISP delivery (with the per-ISP domain strings built once).
+void BM_SmtpTransferFreshSession(benchmark::State& state) {
+  const net::EmailMessage msg =
+      sample_message(static_cast<std::size_t>(state.range(0)));
+  const std::string server_domain = net::isp_domain(1);
+  const std::string client_domain = net::isp_domain(0);
+  std::uint64_t delivered = 0;
+  for (auto _ : state) {
+    net::SmtpServerSession session(
+        server_domain, [&delivered](const net::EmailMessage&) { ++delivered; });
+    benchmark::DoNotOptimize(
+        net::smtp_transfer(msg, client_domain, session));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_SmtpTransferFreshSession)->Arg(100)->Arg(1000);
+
+// The facade's whole remote-delivery path for one email: decode the
+// datagram payload, play the SMTP dialogue into a fresh session, and hand
+// the parsed message to the receiving ISP.
+void BM_DeliverRemote(benchmark::State& state) {
+  core::ZmailParams params;
+  params.n_isps = 2;
+  params.users_per_isp = 4;
+  params.record_inboxes = false;  // keep memory flat across iterations
+  Rng key_rng(7);
+  const crypto::KeyPair bank_keys = crypto::generate_keypair(key_rng);
+  core::Isp isp(0, params, bank_keys.pub, 42);
+
+  net::EmailMessage msg = net::make_email(
+      net::make_user_address(1, 1), net::make_user_address(0, 2),
+      "benchmark message",
+      std::string(static_cast<std::size_t>(state.range(0)), 'x'));
+  msg.set_header("X-Zmail-Sent-At", "123456789");
+  const crypto::Bytes wire = msg.serialize();
+  const std::string server_domain = net::isp_domain(0);
+  const std::string client_domain = net::isp_domain(1);
+
+  for (auto _ : state) {
+    const auto sent = net::EmailMessage::deserialize(wire);
+    std::optional<net::EmailMessage> received;
+    net::SmtpServerSession session(
+        server_domain,
+        [&received](net::EmailMessage&& m) { received = std::move(m); });
+    const net::SmtpTransferResult xfer =
+        net::smtp_transfer(*sent, client_domain, session);
+    if (xfer.accepted && received) isp.on_email(1, std::move(*received));
+  }
+  if (isp.metrics().emails_received_compliant !=
+      static_cast<std::uint64_t>(state.iterations()))
+    state.SkipWithError("remote deliveries went missing");
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_DeliverRemote)->Arg(100)->Arg(1000);
 
 void BM_EmailSerialize(benchmark::State& state) {
   const net::EmailMessage msg =

@@ -326,22 +326,33 @@ void Isp::send_zombie_warning(UserId s) {
     u.quarantined = true;
 }
 
+void Isp::log_on_email(std::size_t from_isp, const crypto::Bytes& payload) {
+  crypto::Bytes p;
+  crypto::put_u64(p, from_isp);
+  crypto::put_bytes(p, payload);
+  log_op(WalOp::kOnEmail, p);
+}
+
+void Isp::on_email(std::size_t from_isp, net::EmailMessage msg) {
+  if (wal_) log_on_email(from_isp, msg.serialize());
+  receive_email(from_isp, msg);
+}
+
 void Isp::on_email(std::size_t from_isp, const crypto::Bytes& payload) {
-  if (wal_) {
-    crypto::Bytes p;
-    crypto::put_u64(p, from_isp);
-    crypto::put_bytes(p, payload);
-    log_op(WalOp::kOnEmail, p);
-  }
-  auto msg = net::EmailMessage::deserialize(payload);
+  if (wal_) log_on_email(from_isp, payload);
+  const auto msg = net::EmailMessage::deserialize(payload);
   if (!msg) {
     ++metrics_.bad_envelopes;
     return;
   }
+  receive_email(from_isp, *msg);
+}
+
+void Isp::receive_email(std::size_t from_isp, const net::EmailMessage& msg) {
   // Resolve the recipient among our users.
   std::size_t rcpt_isp = 0, rcpt_user = 0;
-  if (msg->to.empty() ||
-      !net::decode_user_address(msg->to.front(), rcpt_isp, rcpt_user) ||
+  if (msg.to.empty() ||
+      !net::decode_user_address(msg.to.front(), rcpt_isp, rcpt_user) ||
       rcpt_isp != index_ || rcpt_user >= users_.size()) {
     ++metrics_.bad_envelopes;
     return;
@@ -350,8 +361,8 @@ void Isp::on_email(std::size_t from_isp, const crypto::Bytes& payload) {
   // Receive/classify span: covers payment accounting, policy, and the
   // delivery (or drop) decision for this message.
   std::optional<trace::SpanScope> classify;
-  if (msg->trace_id != 0)
-    classify.emplace(trace::Ev::kClassify, msg->trace_id,
+  if (msg.trace_id != 0)
+    classify.emplace(trace::Ev::kClassify, msg.trace_id,
                      static_cast<std::uint16_t>(index_));
 
   if (params_.is_compliant(from_isp)) {
@@ -361,8 +372,8 @@ void Isp::on_email(std::size_t from_isp, const crypto::Bytes& payload) {
     rcpt.lifetime_received_paid += 1;
     credit_.at(from_isp) -= 1;
     ++metrics_.emails_received_compliant;
-    deliver_locally(rcpt_user, *msg, 1, false);
-    maybe_generate_ack(rcpt_user, *msg);
+    deliver_locally(rcpt_user, msg, 1, false);
+    maybe_generate_ack(rcpt_user, msg);
     return;
   }
 
@@ -373,33 +384,33 @@ void Isp::on_email(std::size_t from_isp, const crypto::Bytes& payload) {
       users_.policy_or(rcpt_user, params_.noncompliant_policy);
   switch (policy) {
     case NonCompliantPolicy::kAccept:
-      deliver_locally(rcpt_user, *msg, 0, false);
+      deliver_locally(rcpt_user, msg, 0, false);
       break;
     case NonCompliantPolicy::kSegregate:
-      deliver_locally(rcpt_user, *msg, 0, true);
+      deliver_locally(rcpt_user, msg, 0, true);
       break;
     case NonCompliantPolicy::kDiscard:
       ++metrics_.emails_discarded;
-      if (msg->trace_id != 0) {
-        trace::instant(trace::Ev::kDiscard, msg->trace_id,
+      if (msg.trace_id != 0) {
+        trace::instant(trace::Ev::kDiscard, msg.trace_id,
                        static_cast<std::uint16_t>(index_));
-        trace::end(trace::Ev::kMessage, msg->trace_id,
+        trace::end(trace::Ev::kMessage, msg.trace_id,
                    static_cast<std::uint16_t>(index_));
       }
       break;
     case NonCompliantPolicy::kFilter:
       // "require any email from a non-compliant ISP to pass a spam filter".
       // Fail-open when no filter is installed.
-      if (filter_ && filter_(*msg)) {
+      if (filter_ && filter_(msg)) {
         ++metrics_.emails_filtered_out;
-        if (msg->trace_id != 0) {
-          trace::instant(trace::Ev::kFilterDrop, msg->trace_id,
+        if (msg.trace_id != 0) {
+          trace::instant(trace::Ev::kFilterDrop, msg.trace_id,
                          static_cast<std::uint16_t>(index_));
-          trace::end(trace::Ev::kMessage, msg->trace_id,
+          trace::end(trace::Ev::kMessage, msg.trace_id,
                      static_cast<std::uint16_t>(index_));
         }
       } else {
-        deliver_locally(rcpt_user, *msg, 0, false);
+        deliver_locally(rcpt_user, msg, 0, false);
       }
       break;
   }

@@ -93,8 +93,12 @@ class Isp {
                        net::EmailMessage msg);
 
   // --- Section 4.1: receiving (the `rcv email` action) ------------------
-  // `from_isp` is the sending ISP's index; payload is a serialized
-  // net::EmailMessage addressed to one of our users.
+  // `from_isp` is the sending ISP's index; `msg` is addressed to one of our
+  // users (the SMTP layer hands over the message it parsed).
+  void on_email(std::size_t from_isp, net::EmailMessage msg);
+  // The same for a serialized net::EmailMessage (WAL replay, tests).  Both
+  // overloads log the same kOnEmail record: this one logs `payload` as
+  // given, the other logs msg.serialize().
   void on_email(std::size_t from_isp, const crypto::Bytes& payload);
 
   // --- Section 4.2: user <-> ISP e-penny trades --------------------------
@@ -298,6 +302,8 @@ class Isp {
     std::uint64_t trace_id = 0;  // exchange's trace id; retries re-join it
   };
 
+  void log_on_email(std::size_t from_isp, const crypto::Bytes& payload);
+  void receive_email(std::size_t from_isp, const net::EmailMessage& msg);
   void deliver_locally(UserId r, const net::EmailMessage& msg,
                        EPenny paid, bool junk);
   void transport_paid_email(std::size_t dest_isp, const net::EmailMessage& msg,

@@ -97,6 +97,9 @@ ZmailSystem::ZmailSystem(ZmailParams params, std::uint64_t seed)
 
   legacy_.resize(params_.n_isps);
   smtp_bytes_in_.assign(params_.n_isps, 0);
+  isp_domains_.reserve(params_.n_isps);
+  for (std::size_t i = 0; i < params_.n_isps; ++i)
+    isp_domains_.push_back(net::isp_domain(i));
   isps_.resize(params_.n_isps);
   isp_ctor_seed_.assign(params_.n_isps, 0);
   for (std::size_t i = 0; i < params_.n_isps; ++i) {
@@ -107,10 +110,10 @@ ZmailSystem::ZmailSystem(ZmailParams params, std::uint64_t seed)
       isps_[i] = std::make_unique<Isp>(i, params_, bank_->public_key_for(i),
                                        isp_ctor_seed_[i]);
     const net::HostId h = net_.add_host(
-        net::isp_domain(i),
+        isp_domains_[i],
         [this, i](const net::Datagram& d) { on_datagram(i, d); });
     ZMAIL_ASSERT(h == i);
-    net_.bind_domain(net::isp_domain(i), h);
+    net_.bind_domain(isp_domains_[i], h);
   }
   for (std::size_t b = 0; b < params_.n_banks; ++b) {
     const net::HostId h = net_.add_host(
@@ -913,7 +916,8 @@ void ZmailSystem::deliver_via_smtp(std::size_t to_isp, std::size_t from_isp,
                                    const crypto::Bytes& payload) {
   // Reconstruct the message and play a real SMTP dialogue into the
   // destination host, so every inter-ISP email exercises RFC-821 framing
-  // and the byte counters reflect true protocol overhead.
+  // and the byte counters reflect true protocol overhead.  The message the
+  // server parses is the one the ISP receives: no second codec round trip.
   auto msg = net::EmailMessage::deserialize(payload);
   if (!msg) return;
 
@@ -925,10 +929,10 @@ void ZmailSystem::deliver_via_smtp(std::size_t to_isp, std::size_t from_isp,
 
   std::optional<net::EmailMessage> received;
   net::SmtpServerSession session(
-      net::isp_domain(to_isp),
-      [&received](const net::EmailMessage& m) { received = m; });
+      isp_domains_.at(to_isp),
+      [&received](net::EmailMessage&& m) { received = std::move(m); });
   const net::SmtpTransferResult xfer =
-      net::smtp_transfer(*msg, net::isp_domain(from_isp), session);
+      net::smtp_transfer(*msg, isp_domains_.at(from_isp), session);
   smtp_bytes_in_.at(to_isp) +=
       xfer.bytes_client_to_server + xfer.bytes_server_to_client;
   if (smtp_span)
@@ -957,7 +961,7 @@ void ZmailSystem::deliver_via_smtp(std::size_t to_isp, std::size_t from_isp,
   }
 
   if (isps_[to_isp]) {
-    isps_[to_isp]->on_email(from_isp, received->serialize());
+    isps_[to_isp]->on_email(from_isp, std::move(*received));
     pump_isp(to_isp);  // acknowledgments may have been generated
   } else {
     ++legacy_[to_isp].stats.emails_received;

@@ -25,6 +25,7 @@
 
 #include <functional>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -293,6 +294,7 @@ class ZmailSystem {
   std::unique_ptr<BankFederation> bank_;
 
   std::vector<std::uint64_t> smtp_bytes_in_;
+  std::vector<std::string> isp_domains_;  // net::isp_domain(i), built once
   Sample latency_;
   // Telemetry (null when off — the off path constructs and schedules
   // nothing).  telem_latency_[i]: histogram channel for deliveries INTO

@@ -83,8 +83,16 @@ void ByteReader::get_bytes_into(Bytes& out) noexcept {
 }
 
 std::string ByteReader::get_string() noexcept {
-  const Bytes b = get_bytes();
-  return {b.begin(), b.end()};
+  return std::string(get_string_view());
+}
+
+std::string_view ByteReader::get_string_view() noexcept {
+  const std::uint32_t n = get_u32();
+  if (!have(n)) return {};
+  const std::string_view out(
+      reinterpret_cast<const char*>(data_->data()) + pos_, n);
+  pos_ += n;
+  return out;
 }
 
 std::string to_hex(const Bytes& b) {

@@ -41,6 +41,9 @@ class ByteReader {
   // Reads a length-prefixed byte string into `out`, reusing its capacity.
   void get_bytes_into(Bytes& out) noexcept;
   std::string get_string() noexcept;
+  // The same string as a view into the buffer being read (valid while that
+  // buffer is); no copy.
+  std::string_view get_string_view() noexcept;
 
  private:
   bool have(std::size_t n) noexcept;

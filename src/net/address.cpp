@@ -1,6 +1,7 @@
 #include "net/address.hpp"
 
 #include <cctype>
+#include <charconv>
 
 namespace zmail::net {
 
@@ -18,6 +19,15 @@ bool valid_part(std::string_view part) noexcept {
   for (std::size_t i = 1; i < part.size(); ++i)
     if (part[i] == '.' && part[i - 1] == '.') return false;
   return true;
+}
+
+// Parses exactly what std::to_string prints for a size_t: digits only, no
+// sign, no leading zero (except "0" itself), no overflow.
+bool parse_canonical_index(std::string_view s, std::size_t& out) noexcept {
+  if (s.empty() || (s.size() > 1 && s.front() == '0')) return false;
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, out);
+  return ec == std::errc() && ptr == end;
 }
 }  // namespace
 
@@ -47,17 +57,23 @@ std::string isp_domain(std::size_t isp_index) {
 
 bool decode_user_address(const EmailAddress& a, std::size_t& isp_index,
                          std::size_t& user_index) {
-  if (a.local.size() < 2 || a.local[0] != 'u') return false;
-  if (a.domain.size() < 12 || a.domain.substr(0, 3) != "isp") return false;
-  const std::size_t dot = a.domain.find('.');
-  if (dot == std::string::npos || a.domain.substr(dot) != ".example")
+  // The exact inverse of make_user_address: "u<k>@isp<i>.example".
+  constexpr std::string_view kPrefix = "isp", kSuffix = ".example";
+  const std::string_view local = a.local, domain = a.domain;
+  if (local.empty() || local.front() != 'u') return false;
+  if (domain.size() <= kPrefix.size() + kSuffix.size() ||
+      domain.substr(0, kPrefix.size()) != kPrefix ||
+      domain.substr(domain.size() - kSuffix.size()) != kSuffix)
     return false;
-  try {
-    user_index = std::stoul(a.local.substr(1));
-    isp_index = std::stoul(a.domain.substr(3, dot - 3));
-  } catch (...) {
+  std::size_t isp = 0, user = 0;
+  if (!parse_canonical_index(local.substr(1), user) ||
+      !parse_canonical_index(
+          domain.substr(kPrefix.size(),
+                        domain.size() - kPrefix.size() - kSuffix.size()),
+          isp))
     return false;
-  }
+  isp_index = isp;
+  user_index = user;
   return true;
 }
 

@@ -32,8 +32,9 @@ std::optional<EmailAddress> parse_path(std::string_view s);
 // Convenience constructor for simulated populations: user `u` at ISP `i`.
 EmailAddress make_user_address(std::size_t isp_index, std::size_t user_index);
 
-// The reverse mapping; returns false if the address is not of the simulated
-// "u<k>@isp<i>.example" shape.
+// The reverse mapping; returns false (outputs untouched) unless the address
+// is exactly what make_user_address prints: "u<k>@isp<i>.example" with <k>
+// and <i> plain decimal, without sign, spaces or leading zeros.
 bool decode_user_address(const EmailAddress& a, std::size_t& isp_index,
                          std::size_t& user_index);
 

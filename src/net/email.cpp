@@ -1,6 +1,9 @@
 #include "net/email.hpp"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <functional>
 
 namespace zmail::net {
 
@@ -53,24 +56,38 @@ std::size_t EmailMessage::wire_size() const noexcept {
 
 std::string EmailMessage::to_rfc822() const {
   std::string out;
-  out += "From: " + from.str() + "\r\n";
-  std::string tos;
-  for (std::size_t i = 0; i < to.size(); ++i) {
-    if (i) tos += ", ";
-    tos += to[i].str();
-  }
-  out += "To: " + tos + "\r\n";
-  for (const auto& [k, v] : headers) out += k + ": " + v + "\r\n";
-  out += "\r\n";
-  out += body;
+  render_rfc822([&out](std::string_view piece) { out += piece; });
   return out;
 }
 
+namespace {
+// Wire form of an address: the length-prefixed string "local@domain",
+// written without building that string.
+std::size_t address_wire_size(const EmailAddress& a) noexcept {
+  return 4 + a.local.size() + 1 + a.domain.size();
+}
+
+void put_address(crypto::Bytes& b, const EmailAddress& a) {
+  crypto::put_u32(b,
+                  static_cast<std::uint32_t>(address_wire_size(a) - 4));
+  b.insert(b.end(), a.local.begin(), a.local.end());
+  b.push_back('@');
+  b.insert(b.end(), a.domain.begin(), a.domain.end());
+}
+}  // namespace
+
 crypto::Bytes EmailMessage::serialize() const {
+  std::size_t size = address_wire_size(from) + 4;
+  for (const auto& r : to) size += address_wire_size(r);
+  size += 4;
+  for (const auto& [k, v] : headers) size += 8 + k.size() + v.size();
+  size += 4 + body.size() + 1 + (trace_id != 0 ? 8 : 0);
+
   crypto::Bytes b;
-  crypto::put_string(b, from.str());
+  b.reserve(size);
+  put_address(b, from);
   crypto::put_u32(b, static_cast<std::uint32_t>(to.size()));
-  for (const auto& r : to) crypto::put_string(b, r.str());
+  for (const auto& r : to) put_address(b, r);
   crypto::put_u32(b, static_cast<std::uint32_t>(headers.size()));
   for (const auto& [k, v] : headers) {
     crypto::put_string(b, k);
@@ -88,16 +105,18 @@ std::optional<EmailMessage> EmailMessage::deserialize(
     const crypto::Bytes& wire) {
   crypto::ByteReader r(wire);
   EmailMessage m;
-  auto from = parse_address(r.get_string());
+  auto from = parse_address(r.get_string_view());
   if (!from) return std::nullopt;
-  m.from = *from;
+  m.from = std::move(*from);
   const std::uint32_t nto = r.get_u32();
   for (std::uint32_t i = 0; i < nto && r.ok(); ++i) {
-    auto a = parse_address(r.get_string());
+    auto a = parse_address(r.get_string_view());
     if (!a) return std::nullopt;
-    m.to.push_back(*a);
+    m.to.push_back(std::move(*a));
   }
   const std::uint32_t nh = r.get_u32();
+  // nh is untrusted: reserve for the usual few headers only.
+  m.headers.reserve(std::min<std::uint32_t>(nh, 4));
   for (std::uint32_t i = 0; i < nh && r.ok(); ++i) {
     std::string k = r.get_string();
     std::string v = r.get_string();
@@ -117,14 +136,31 @@ std::optional<EmailMessage> EmailMessage::deserialize(
 EmailMessage make_email(const EmailAddress& from, const EmailAddress& to,
                         std::string subject, std::string body,
                         MailClass truth) {
+  // The Message-ID hashes from+to+subject+body.  std::hash of a
+  // string_view equals std::hash of a string with the same characters, so
+  // hashing a reused buffer gives the same id as hashing a fresh string.
+  thread_local std::string key;
+  key.clear();
+  key.append(from.local).append(1, '@').append(from.domain);
+  key.append(to.local).append(1, '@').append(to.domain);
+  key.append(subject).append(body);
+  char hash[24];
+  const auto [hash_end, ec] = std::to_chars(
+      hash, hash + sizeof hash, std::hash<std::string_view>{}(key));
+  const std::string_view digits(hash,
+                                static_cast<std::size_t>(hash_end - hash));
+
   EmailMessage m;
   m.from = from;
   m.to.push_back(to);
-  m.set_header("Subject", subject);
-  m.set_header("Message-ID",
-               "<" + std::to_string(std::hash<std::string>{}(
-                         from.str() + to.str() + subject + body)) +
-                   "@" + from.domain + ">");
+  // Room for the headers callers usually add (X-Zmail-Sent-At, ack tags).
+  m.headers.reserve(4);
+  m.headers.emplace_back("Subject", std::move(subject));
+  std::string id;
+  id.reserve(digits.size() + from.domain.size() + 3);
+  id.append(1, '<').append(digits).append(1, '@');
+  id.append(from.domain).append(1, '>');
+  m.headers.emplace_back("Message-ID", std::move(id));
   m.body = std::move(body);
   m.truth = truth;
   return m;

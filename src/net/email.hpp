@@ -59,6 +59,32 @@ struct EmailMessage {
   // (dot-stuffing happens in the SMTP layer).
   std::string to_rfc822() const;
 
+  // Streams the to_rfc822() text to `sink(std::string_view)` piece by
+  // piece, without building it.  The SMTP client renders DATA from this.
+  template <class Sink>
+  void render_rfc822(Sink&& sink) const {
+    sink("From: ");
+    sink(from.local);
+    sink("@");
+    sink(from.domain);
+    sink("\r\nTo: ");
+    for (std::size_t i = 0; i < to.size(); ++i) {
+      if (i) sink(", ");
+      sink(to[i].local);
+      sink("@");
+      sink(to[i].domain);
+    }
+    sink("\r\n");
+    for (const auto& [k, v] : headers) {
+      sink(k);
+      sink(": ");
+      sink(v);
+      sink("\r\n");
+    }
+    sink("\r\n");
+    sink(body);
+  }
+
   // Binary serialization for channel payloads.
   crypto::Bytes serialize() const;
   static std::optional<EmailMessage> deserialize(const crypto::Bytes& wire);

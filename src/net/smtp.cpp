@@ -2,6 +2,8 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <cstring>
+#include <optional>
 
 #include "util/assert.hpp"
 
@@ -10,8 +12,8 @@ namespace zmail::net {
 namespace {
 
 // Case-insensitive prefix match; returns the remainder after the prefix.
-std::optional<std::string> strip_prefix_ci(const std::string& line,
-                                           std::string_view prefix) {
+std::optional<std::string_view> strip_prefix_ci(std::string_view line,
+                                                std::string_view prefix) {
   if (line.size() < prefix.size()) return std::nullopt;
   for (std::size_t i = 0; i < prefix.size(); ++i)
     if (std::toupper(static_cast<unsigned char>(line[i])) !=
@@ -20,11 +22,137 @@ std::optional<std::string> strip_prefix_ci(const std::string& line,
   return line.substr(prefix.size());
 }
 
-std::string trim(const std::string& s) {
+std::string_view trim(std::string_view s) {
   std::size_t b = 0, e = s.size();
   while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
   while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
   return s.substr(b, e - b);
+}
+
+// Size of reply.line() without building it.  Reply codes are non-negative.
+std::size_t reply_wire_size(const SmtpReply& reply) {
+  std::size_t digits = 1;
+  for (int c = reply.code; c >= 10; c /= 10) ++digits;
+  return digits + 1 + reply.text.size() + 2;  // code, ' ', text, CRLF
+}
+
+// Position of the first '\r' or '\n' in `s`, or npos.  Two memchr scans
+// (bodies are long runs between line breaks) instead of find_first_of,
+// which tests every character against the set one by one.
+std::size_t find_line_break(std::string_view s) {
+  const char* p = s.data();
+  const auto* lf = static_cast<const char*>(std::memchr(p, '\n', s.size()));
+  const std::size_t limit = lf ? static_cast<std::size_t>(lf - p) : s.size();
+  if (const auto* cr = static_cast<const char*>(std::memchr(p, '\r', limit)))
+    return static_cast<std::size_t>(cr - p);
+  return lf ? limit : std::string_view::npos;
+}
+
+// Cuts DATA text into the lines a client sends: a line ends at "\r\n" or
+// at a bare "\n" (a lone '\r' is content), a line starting with '.' is
+// dot-stuffed, and a final unterminated line is still sent.  The text
+// arrives in pieces; a line lying inside one piece is passed on as a view
+// into it, and only a line spanning pieces (or a stuffed one) is assembled
+// in `buf`.  Once `emit` returns false, the rest is ignored.
+template <class Emit>
+class DataLineSplitter {
+ public:
+  DataLineSplitter(std::string& buf, Emit& emit) : buf_(buf), emit_(emit) {
+    buf_.clear();
+  }
+
+  void feed(std::string_view s) {
+    if (stopped_ || s.empty()) return;
+    if (cr_) {
+      cr_ = false;
+      if (s.front() == '\n') {
+        end_line({});
+        s.remove_prefix(1);
+      } else {
+        buf_ += '\r';
+      }
+    }
+    while (!stopped_) {
+      const std::size_t k = find_line_break(s);
+      if (k == std::string_view::npos) {
+        buf_.append(s);
+        return;
+      }
+      if (s[k] == '\n') {
+        end_line(s.substr(0, k));
+        s.remove_prefix(k + 1);
+      } else if (k + 1 == s.size()) {
+        buf_.append(s.substr(0, k));  // a '\n' may open the next piece
+        cr_ = true;
+        return;
+      } else if (s[k + 1] == '\n') {
+        end_line(s.substr(0, k));
+        s.remove_prefix(k + 2);
+      } else {
+        buf_.append(s.substr(0, k + 1));
+        s.remove_prefix(k + 1);
+      }
+    }
+  }
+
+  // Flushes the final line, if the text did not end in a line break.
+  void finish() {
+    if (stopped_) return;
+    if (cr_) buf_ += '\r';
+    cr_ = false;
+    if (!buf_.empty()) end_line({});
+  }
+
+  bool stopped() const noexcept { return stopped_; }
+
+ private:
+  // Emits buf_ + tail as one line.
+  void end_line(std::string_view tail) {
+    std::string_view line = tail;
+    if (!buf_.empty()) line = buf_.append(tail);
+    if (!line.empty() && line.front() == '.') {
+      if (buf_.empty()) buf_.append(tail);
+      buf_.insert(buf_.begin(), '.');
+      line = buf_;
+    }
+    stopped_ = !emit_(line);
+    buf_.clear();
+  }
+
+  std::string& buf_;
+  Emit& emit_;
+  bool cr_ = false;  // the previous piece ended in '\r'
+  bool stopped_ = false;
+};
+
+// Renders the client half of a dialogue (HELO..QUIT) from the message
+// fields, handing each line (without CRLF) to `emit(std::string_view)`,
+// which returns false to abort.  `buf` is scratch space for the lines.
+template <class Emit>
+void render_client(const EmailMessage& msg, std::string_view client_domain,
+                   std::string& buf, Emit& emit) {
+  buf.assign("HELO ").append(client_domain);
+  if (!emit(std::string_view(buf))) return;
+  buf.assign("MAIL FROM:<")
+      .append(msg.from.local)
+      .append(1, '@')
+      .append(msg.from.domain)
+      .append(1, '>');
+  if (!emit(std::string_view(buf))) return;
+  for (const EmailAddress& r : msg.to) {
+    buf.assign("RCPT TO:<")
+        .append(r.local)
+        .append(1, '@')
+        .append(r.domain)
+        .append(1, '>');
+    if (!emit(std::string_view(buf))) return;
+  }
+  if (!emit(std::string_view("DATA"))) return;
+  DataLineSplitter data(buf, emit);
+  msg.render_rfc822([&data](std::string_view piece) { data.feed(piece); });
+  data.finish();
+  if (data.stopped() || !emit(std::string_view("."))) return;
+  emit(std::string_view("QUIT"));
 }
 
 }  // namespace
@@ -40,60 +168,82 @@ SmtpReply SmtpServerSession::greeting() const {
 }
 
 void SmtpServerSession::reset_transaction() {
-  envelope_from_ = {};
-  envelope_to_.clear();
-  data_lines_.clear();
+  pending_ = EmailMessage{};
+  in_headers_ = true;
+  body_open_ = false;
   data_bytes_ = 0;
   if (state_ != State::kConnected) state_ = State::kGreeted;
 }
 
-SmtpReply SmtpServerSession::consume_line(const std::string& line) {
-  if (state_ == State::kData) {
-    if (line == ".") {
-      EmailMessage msg =
-          parse_rfc822(envelope_from_, envelope_to_, data_lines_);
-      deliver_(msg);
-      ++accepted_;
-      reset_transaction();
-      return {250, "OK"};
-    }
-    // Reverse dot-stuffing: a leading ".." becomes ".".
-    if (line.size() >= 2 && line[0] == '.' && line[1] == '.')
-      data_lines_.push_back(line.substr(1));
-    else
-      data_lines_.push_back(line);
-    data_bytes_ += line.size() + 2;
-    if (max_size_ > 0 && data_bytes_ > max_size_) {
-      reset_transaction();
-      return {552, "Message exceeds maximum size"};
-    }
-    return {0, ""};
+SmtpReply SmtpServerSession::consume_line(std::string_view line) {
+  if (state_ != State::kData) return handle_command(line);
+  if (line == ".") {
+    deliver_(std::move(pending_));
+    ++accepted_;
+    reset_transaction();
+    return {250, "OK"};
   }
-  return handle_command(line);
+  data_bytes_ += line.size() + 2;
+  if (max_size_ > 0 && data_bytes_ > max_size_) {
+    reset_transaction();
+    return {552, "Message exceeds maximum size"};
+  }
+  // Reverse dot-stuffing: a leading ".." becomes ".".
+  if (line.size() >= 2 && line[0] == '.' && line[1] == '.')
+    line.remove_prefix(1);
+  add_data_line(line);
+  return {0, ""};
 }
 
-SmtpReply SmtpServerSession::handle_command(const std::string& line) {
+void SmtpServerSession::add_data_line(std::string_view line) {
+  if (!in_headers_) {
+    if (body_open_) pending_.body += '\n';
+    pending_.body += line;
+    body_open_ = true;
+    return;
+  }
+  if (line.empty()) {
+    in_headers_ = false;  // the blank line separating headers and body
+    return;
+  }
+  const std::size_t colon = line.find(':');
+  if (colon == std::string_view::npos) return;  // tolerate malformed headers
+  const std::string_view key = trim(line.substr(0, colon));
+  // From:/To: duplicate the envelope in this simulation; keep the rest.
+  if (key == "From" || key == "To") return;
+  // Subject, Message-ID and X-Zmail-Sent-At, as submitted mail carries.
+  if (pending_.headers.empty()) pending_.headers.reserve(4);
+  pending_.headers.emplace_back(std::string(key),
+                                std::string(trim(line.substr(colon + 1))));
+}
+
+SmtpReply SmtpServerSession::handle_command(std::string_view line) {
   if (auto rest = strip_prefix_ci(line, "HELO");
       rest || (rest = strip_prefix_ci(line, "EHLO"))) {
-    if (trim(*rest).empty()) return {501, "Syntax: HELO hostname"};
+    const std::string_view client = trim(*rest);
+    if (client.empty()) return {501, "Syntax: HELO hostname"};
     reset_transaction();
     state_ = State::kGreeted;
-    return {250, domain_ + " Hello " + trim(*rest)};
+    std::string text = domain_;
+    text.append(" Hello ").append(client);
+    return {250, std::move(text)};
   }
   if (auto rest = strip_prefix_ci(line, "MAIL FROM:")) {
     if (state_ == State::kConnected) return {503, "Polite people say HELO first"};
     if (state_ != State::kGreeted) return {503, "Nested MAIL command"};
     // Optional RFC-1870 SIZE parameter: "MAIL FROM:<a@b> SIZE=12345".
-    std::string spec = trim(*rest);
+    std::string_view spec = trim(*rest);
     const std::size_t space = spec.find(' ');
-    if (space != std::string::npos) {
-      const std::string param = trim(spec.substr(space + 1));
+    if (space != std::string_view::npos) {
+      const std::string_view param = trim(spec.substr(space + 1));
       spec = spec.substr(0, space);
       if (auto size = strip_prefix_ci(param, "SIZE=")) {
+        // strtoull needs a terminated string; this path is rare.
+        const std::string digits(*size);
         char* end = nullptr;
         const unsigned long long declared =
-            std::strtoull(size->c_str(), &end, 10);
-        if (end == size->c_str() || *end != '\0')
+            std::strtoull(digits.c_str(), &end, 10);
+        if (end == digits.c_str() || *end != '\0')
           return {501, "Bad SIZE parameter"};
         if (max_size_ > 0 && declared > max_size_)
           return {552, "Message size exceeds fixed maximum"};
@@ -103,7 +253,7 @@ SmtpReply SmtpServerSession::handle_command(const std::string& line) {
     }
     auto addr = parse_path(spec);
     if (!addr) return {501, "Syntax error in MAIL FROM path"};
-    envelope_from_ = *addr;
+    pending_.from = std::move(*addr);
     state_ = State::kMailFrom;
     return {250, "OK"};
   }
@@ -114,12 +264,12 @@ SmtpReply SmtpServerSession::handle_command(const std::string& line) {
     if (!addr) return {501, "Syntax error in RCPT TO path"};
     if (verify_ && addr->domain == domain_ && !verify_(*addr))
       return {550, "No such user here"};
-    envelope_to_.push_back(*addr);
+    pending_.to.push_back(std::move(*addr));
     state_ = State::kRcptTo;
     return {250, "OK"};
   }
   if (auto rest = strip_prefix_ci(line, "VRFY")) {
-    const std::string who = trim(*rest);
+    const std::string_view who = trim(*rest);
     if (who.empty()) return {501, "VRFY needs an address"};
     const auto addr = parse_address(who);
     if (!addr) return {501, "Syntax error in address"};
@@ -149,96 +299,47 @@ SmtpReply SmtpServerSession::handle_command(const std::string& line) {
 }
 
 std::vector<std::string> smtp_client_script(const EmailMessage& msg,
-                                            const std::string& client_domain) {
+                                            std::string_view client_domain) {
   std::vector<std::string> lines;
-  lines.push_back("HELO " + client_domain);
-  lines.push_back("MAIL FROM:<" + msg.from.str() + ">");
-  for (const auto& r : msg.to) lines.push_back("RCPT TO:<" + r.str() + ">");
-  lines.push_back("DATA");
-
-  // Render headers + body as individual lines with dot-stuffing.
-  std::string text = msg.to_rfc822();
-  std::string current;
-  auto flush = [&]() {
-    if (!current.empty() && current[0] == '.')
-      lines.push_back("." + current);  // dot-stuffing
-    else
-      lines.push_back(current);
-    current.clear();
+  std::string buf;
+  auto emit = [&lines](std::string_view line) {
+    lines.emplace_back(line);
+    return true;
   };
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    if (text[i] == '\r' && i + 1 < text.size() && text[i + 1] == '\n') {
-      flush();
-      ++i;
-    } else if (text[i] == '\n') {
-      flush();
-    } else {
-      current += text[i];
-    }
-  }
-  if (!current.empty()) flush();
-
-  lines.push_back(".");
-  lines.push_back("QUIT");
+  render_client(msg, client_domain, buf, emit);
   return lines;
 }
 
 SmtpTransferResult smtp_transfer(const EmailMessage& msg,
-                                 const std::string& client_domain,
+                                 std::string_view client_domain,
                                  SmtpServerSession& server) {
   SmtpTransferResult result;
   const SmtpReply greet = server.greeting();
-  result.bytes_server_to_client += greet.line().size();
+  result.bytes_server_to_client += reply_wire_size(greet);
   if (!greet.positive()) {
     result.first_error_code = greet.code;
     return result;
   }
 
   bool data_accepted = false;
-  for (const auto& line : smtp_client_script(msg, client_domain)) {
+  auto emit = [&](std::string_view line) {
     result.bytes_client_to_server += line.size() + 2;  // + CRLF
     const SmtpReply reply = server.consume_line(line);
-    if (reply.code == 0) continue;  // swallowed data line
-    result.bytes_server_to_client += reply.line().size();
+    if (reply.code == 0) return true;  // swallowed data line
+    result.bytes_server_to_client += reply_wire_size(reply);
     if (!reply.positive()) {
       if (result.first_error_code == 0) result.first_error_code = reply.code;
-      return result;
+      return false;
     }
+    // Dot-stuffing keeps "." unique to the DATA terminator.
     if (line == "." && reply.code == 250) data_accepted = true;
-  }
-  result.accepted = data_accepted;
+    return true;
+  };
+  std::string buf;
+  buf.reserve(128);  // every command and header line of a typical email
+  render_client(msg, client_domain, buf, emit);
+  result.accepted = data_accepted && result.first_error_code == 0;
   return result;
-}
-
-EmailMessage parse_rfc822(const EmailAddress& envelope_from,
-                          const std::vector<EmailAddress>& envelope_to,
-                          const std::vector<std::string>& lines) {
-  EmailMessage msg;
-  msg.from = envelope_from;
-  msg.to = envelope_to;
-  std::size_t i = 0;
-  for (; i < lines.size(); ++i) {
-    const std::string& line = lines[i];
-    if (line.empty()) {
-      ++i;
-      break;
-    }
-    const std::size_t colon = line.find(':');
-    if (colon == std::string::npos) continue;  // tolerate malformed headers
-    std::string key = trim(line.substr(0, colon));
-    std::string value = trim(line.substr(colon + 1));
-    // From:/To: duplicate the envelope in this simulation; keep the rest.
-    if (key == "From" || key == "To") continue;
-    msg.headers.emplace_back(std::move(key), std::move(value));
-  }
-  std::string body;
-  for (; i < lines.size(); ++i) {
-    body += lines[i];
-    body += '\n';
-  }
-  if (!body.empty() && body.back() == '\n') body.pop_back();
-  msg.body = std::move(body);
-  return msg;
 }
 
 }  // namespace zmail::net

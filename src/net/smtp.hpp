@@ -8,8 +8,8 @@
 #pragma once
 
 #include <functional>
-#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/email.hpp"
@@ -28,10 +28,13 @@ struct SmtpReply {
 };
 
 // Server-side session.  Feed it command lines; it returns replies and emits
-// completed messages through the callback.
+// completed messages through the callback.  DATA is parsed as it streams
+// in: header lines are split once on arrival and body lines are appended
+// straight into the pending message, which is handed over by move.
 class SmtpServerSession {
  public:
-  using DeliverFn = std::function<void(const EmailMessage&)>;
+  // A callback taking `const EmailMessage&` binds here as well.
+  using DeliverFn = std::function<void(EmailMessage&&)>;
   // Optional address validator for VRFY and RCPT (nullptr accepts all).
   using VerifyFn = std::function<bool(const EmailAddress&)>;
 
@@ -51,8 +54,9 @@ class SmtpServerSession {
 
   // Processes one CRLF-terminated line (without the CRLF).  During DATA,
   // lines are message content until the lone "." terminator; the returned
-  // reply is empty (code 0) for swallowed data lines.
-  SmtpReply consume_line(const std::string& line);
+  // reply is empty (code 0) for swallowed data lines.  The session keeps
+  // no reference to `line`.
+  SmtpReply consume_line(std::string_view line);
 
   bool quit_received() const noexcept { return quit_; }
   std::uint64_t messages_accepted() const noexcept { return accepted_; }
@@ -60,7 +64,8 @@ class SmtpServerSession {
  private:
   enum class State { kConnected, kGreeted, kMailFrom, kRcptTo, kData };
 
-  SmtpReply handle_command(const std::string& line);
+  SmtpReply handle_command(std::string_view line);
+  void add_data_line(std::string_view line);
   void reset_transaction();
 
   std::string domain_;
@@ -72,19 +77,23 @@ class SmtpServerSession {
   bool quit_ = false;
   std::uint64_t accepted_ = 0;
 
-  EmailAddress envelope_from_;
-  std::vector<EmailAddress> envelope_to_;
-  std::vector<std::string> data_lines_;
+  // The transaction in progress: the envelope from MAIL FROM / RCPT TO,
+  // then the headers and body as DATA lines arrive.
+  EmailMessage pending_;
+  bool in_headers_ = true;  // DATA has not reached the blank line yet
+  bool body_open_ = false;  // at least one body line has been appended
 };
 
 // Client-side: renders a message as the exact line sequence a client would
-// send (HELO..QUIT), with dot-stuffing applied to the body.
+// send (HELO..QUIT), with dot-stuffing applied to the body.  A thin wrapper
+// over the renderer smtp_transfer() streams from.
 std::vector<std::string> smtp_client_script(const EmailMessage& msg,
-                                            const std::string& client_domain);
+                                            std::string_view client_domain);
 
-// Runs a full in-memory SMTP dialogue: plays the client script against the
-// server session, checking reply codes.  Returns the transcript size in
-// bytes (both directions) and whether the transfer was accepted.
+// Runs a full in-memory SMTP dialogue: renders the client side line by
+// line from the message fields and feeds each line to the server session,
+// checking reply codes.  Returns the transcript size in bytes (both
+// directions) and whether the transfer was accepted.
 struct SmtpTransferResult {
   bool accepted = false;
   std::size_t bytes_client_to_server = 0;
@@ -93,12 +102,7 @@ struct SmtpTransferResult {
 };
 
 SmtpTransferResult smtp_transfer(const EmailMessage& msg,
-                                 const std::string& client_domain,
+                                 std::string_view client_domain,
                                  SmtpServerSession& server);
-
-// Parses a completed RFC-822 text back into headers/body (used by tests).
-EmailMessage parse_rfc822(const EmailAddress& envelope_from,
-                          const std::vector<EmailAddress>& envelope_to,
-                          const std::vector<std::string>& lines);
 
 }  // namespace zmail::net

@@ -611,5 +611,74 @@ TEST(SendResultNames, AllDistinct) {
   EXPECT_STREQ(send_result_name(SendResult::kDailyLimit), "daily-limit");
 }
 
+// --- Receive path: message and wire overloads ------------------------------
+
+// Keeps every WAL append in memory.
+class RecordingWal : public store::WalSink {
+ public:
+  void append(std::uint8_t type, const crypto::Bytes& payload) override {
+    records.emplace_back(type, payload);
+  }
+  std::vector<std::pair<std::uint8_t, crypto::Bytes>> records;
+};
+
+TEST_F(IspTest, OnEmailMessageAndWireOverloadsAreEquivalent) {
+  // The SMTP layer hands Isp the parsed message; WAL replay and older
+  // callers hand it the serialized wire.  Both must leave the same state
+  // and write byte-identical kOnEmail records.
+  std::vector<std::pair<std::size_t, net::EmailMessage>> inputs;
+  inputs.emplace_back(1, mail(1, 3, 0, 2));
+  inputs.emplace_back(2, mail(2, 0, 0, 1, net::MailClass::kSpam));
+  inputs.emplace_back(1, mail(1, 0, 1, 2));  // misrouted: bad envelope
+  {
+    net::EmailMessage traced = mail(1, 1, 0, 3);
+    traced.trace_id = 77;  // serialized as the optional tail
+    inputs.emplace_back(1, std::move(traced));
+  }
+  {
+    net::EmailMessage list = mail(1, 0, 0, 2, net::MailClass::kMailingList);
+    list.set_header("X-Zmail-Ack-To", net::make_user_address(1, 0).str());
+    inputs.emplace_back(1, std::move(list));
+  }
+
+  Isp by_msg{0, params_, keys_.pub, 42};
+  Isp by_wire{0, params_, keys_.pub, 42};
+  const crypto::Bytes initial = by_msg.serialize_state();
+  RecordingWal wal_msg, wal_wire;
+  by_msg.attach_wal(&wal_msg);
+  by_wire.attach_wal(&wal_wire);
+  for (const auto& [from, m] : inputs) {
+    by_msg.on_email(from, m);
+    by_wire.on_email(from, m.serialize());
+  }
+
+  EXPECT_EQ(by_msg.serialize_state(), by_wire.serialize_state());
+  EXPECT_EQ(by_msg.metrics().bad_envelopes, 1u);
+  for (std::size_t u = 0; u < params_.users_per_isp; ++u) {
+    const auto& a = by_msg.inbox(UserId(u));
+    const auto& b = by_wire.inbox(UserId(u));
+    ASSERT_EQ(a.size(), b.size()) << "user " << u;
+    for (std::size_t k = 0; k < a.size(); ++k)
+      EXPECT_EQ(a[k].msg.serialize(), b[k].msg.serialize());
+  }
+  const auto out_msg = by_msg.take_outbox();
+  const auto out_wire = by_wire.take_outbox();
+  ASSERT_EQ(out_msg.size(), out_wire.size());
+  for (std::size_t k = 0; k < out_msg.size(); ++k)
+    EXPECT_EQ(out_msg[k].payload, out_wire[k].payload);
+
+  ASSERT_EQ(wal_msg.records.size(), inputs.size());
+  EXPECT_EQ(wal_msg.records, wal_wire.records);
+  for (const auto& [type, payload] : wal_msg.records)
+    EXPECT_EQ(type, static_cast<std::uint8_t>(Isp::WalOp::kOnEmail));
+
+  // Replaying the log from the initial state restores the same ISP.
+  Isp replayed{0, params_, keys_.pub, 42};
+  ASSERT_TRUE(replayed.restore_state(initial));
+  for (const auto& [type, payload] : wal_msg.records)
+    replayed.apply_wal_record(type, payload);
+  EXPECT_EQ(replayed.serialize_state(), by_msg.serialize_state());
+}
+
 }  // namespace
 }  // namespace zmail::core

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+
 namespace zmail::net {
 namespace {
 
@@ -64,6 +66,41 @@ TEST(Address, DecodeRejectsForeignShapes) {
   EXPECT_FALSE(decode_user_address({"u1", "example.com"}, i, u));
   EXPECT_FALSE(decode_user_address({"alice", "isp1.example"}, i, u));
   EXPECT_FALSE(decode_user_address({"u", "isp1.example"}, i, u));
+  // Only the exact inverse of make_user_address decodes: junk, signs,
+  // spaces and leading zeros must not alias a malformed address onto a
+  // real user.
+  for (const EmailAddress& a : std::initializer_list<EmailAddress>{
+           {"u12abc", "isp3.example"},
+           {"u12", "isp3x.example"},
+           {"u12abc", "isp3x.example"},
+           {"u007", "isp1.example"},
+           {"u7", "isp01.example"},
+           {"u00", "isp1.example"},
+           {"u 7", "isp1.example"},
+           {"u7 ", "isp1.example"},
+           {"u+7", "isp1.example"},
+           {"u-1", "isp1.example"},
+           {"u7", "isp 1.example"},
+           {"u7", "isp+1.example"},
+           {"u7", "isp-1.example"},
+           {"u7", "isp.example"},
+           {"u7", "isp1.sub.example"},
+           {"u7", "isp1.example.com"},
+           {"u7", "ISP1.example"},
+           {"U7", "isp1.example"},
+           {"u99999999999999999999999", "isp1.example"},
+           {"u7", "isp99999999999999999999999.example"},
+       }) {
+    i = 123;
+    u = 456;
+    EXPECT_FALSE(decode_user_address(a, i, u)) << a.str();
+    EXPECT_EQ(i, 123u) << a.str();  // outputs untouched on failure
+    EXPECT_EQ(u, 456u) << a.str();
+  }
+  // Zero itself is canonical.
+  ASSERT_TRUE(decode_user_address({"u0", "isp0.example"}, i, u));
+  EXPECT_EQ(i, 0u);
+  EXPECT_EQ(u, 0u);
 }
 
 TEST(Address, IspDomainShape) {

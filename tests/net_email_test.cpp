@@ -21,6 +21,28 @@ TEST(Email, MakeEmailFillsStandardFields) {
   EXPECT_EQ(m.truth, MailClass::kLegitimate);
 }
 
+TEST(Email, MessageIdHashesFromToSubjectBody) {
+  // The id is part of the simulated wire and of every modelled byte count,
+  // so it must stay the hash of the concatenated string, whatever buffer
+  // make_email hashes it through.
+  for (const auto& [subject, body] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"Hello", "body text"}, {"", ""}, {"s", std::string(300, 'b')}}) {
+    const EmailAddress from = addr("u12@isp3.example");
+    const EmailAddress to = addr("u4@isp0.example");
+    const EmailMessage m = make_email(from, to, subject, body);
+    const std::string want =
+        "<" +
+        std::to_string(std::hash<std::string>{}(from.str() + to.str() +
+                                                 subject + body)) +
+        "@isp3.example>";
+    EXPECT_EQ(m.header("Message-ID"), want);
+    ASSERT_EQ(m.headers.size(), 2u);
+    EXPECT_EQ(m.headers[0].first, "Subject");
+    EXPECT_EQ(m.headers[1].first, "Message-ID");
+  }
+}
+
 TEST(Email, HeaderLookupIsCaseInsensitive) {
   EmailMessage m = make_email(addr("a@x.y"), addr("b@z.w"), "S", "B");
   EXPECT_EQ(m.header("subject").value(), "S");
@@ -37,6 +59,32 @@ TEST(Email, SetHeaderOverwritesExisting) {
   for (const auto& [k, v] : m.headers)
     if (k == "Subject") ++count;
   EXPECT_EQ(count, 1);
+}
+
+TEST(Email, SerializeWireFormatIsPinned) {
+  // Payloads are simulated datagrams (byte counters, WAL records), so the
+  // layout is fixed: length-prefixed "local@domain" strings, counted lists,
+  // body, class byte, and the trace tail only when nonzero.
+  EmailMessage m = make_email(addr("u1@isp0.example"), addr("u2@isp1.example"),
+                              "Subj", "b", MailClass::kSpam);
+  m.to.push_back(addr("x@y.z"));
+  for (const std::uint64_t trace : {std::uint64_t{0}, std::uint64_t{42}}) {
+    m.trace_id = trace;
+    crypto::Bytes want;
+    crypto::put_string(want, "u1@isp0.example");
+    crypto::put_u32(want, 2);
+    crypto::put_string(want, "u2@isp1.example");
+    crypto::put_string(want, "x@y.z");
+    crypto::put_u32(want, static_cast<std::uint32_t>(m.headers.size()));
+    for (const auto& [k, v] : m.headers) {
+      crypto::put_string(want, k);
+      crypto::put_string(want, v);
+    }
+    crypto::put_string(want, "b");
+    crypto::put_u8(want, static_cast<std::uint8_t>(MailClass::kSpam));
+    if (trace != 0) crypto::put_u64(want, trace);
+    EXPECT_EQ(m.serialize(), want) << "trace " << trace;
+  }
 }
 
 TEST(Email, SerializeRoundTripsEverything) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <optional>
+
 #include "util/rng.hpp"
 
 namespace zmail::net {
@@ -299,20 +302,364 @@ TEST_P(SmtpCommandFuzzTest, RandomCommandSequencesAreSafe) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SmtpCommandFuzzTest,
                          ::testing::Range<std::uint64_t>(70, 76));
 
-TEST(ParseRfc822, SkipsMalformedHeaderLines) {
-  const EmailMessage m = parse_rfc822(
-      *parse_address("a@b.c"), {*parse_address("d@e.f")},
-      {"Subject: ok", "this line has no colon", "", "body"});
+// Streams raw DATA lines into a fresh session and returns what it
+// delivered (the session parses headers and body as the lines arrive).
+EmailMessage deliver_data(const std::vector<std::string>& data) {
+  std::vector<EmailMessage> out;
+  SmtpServerSession session("e.f",
+                            [&out](EmailMessage&& m) { out.push_back(m); });
+  session.consume_line("HELO x");
+  session.consume_line("MAIL FROM:<a@b.c>");
+  session.consume_line("RCPT TO:<d@e.f>");
+  EXPECT_EQ(session.consume_line("DATA").code, 354);
+  for (const std::string& line : data)
+    EXPECT_EQ(session.consume_line(line).code, 0);
+  EXPECT_EQ(session.consume_line(".").code, 250);
+  EXPECT_EQ(out.size(), 1u);
+  return out.empty() ? EmailMessage{} : out.front();
+}
+
+TEST(SmtpDataParse, SkipsMalformedHeaderLines) {
+  const EmailMessage m =
+      deliver_data({"Subject: ok", "this line has no colon", "", "body"});
   EXPECT_EQ(m.subject(), "ok");
+  EXPECT_EQ(m.headers.size(), 1u);
   EXPECT_EQ(m.body, "body");
 }
 
-TEST(ParseRfc822, EmptyBody) {
-  const EmailMessage m = parse_rfc822(*parse_address("a@b.c"),
-                                      {*parse_address("d@e.f")},
-                                      {"Subject: only headers", ""});
+TEST(SmtpDataParse, EmptyBody) {
+  const EmailMessage m = deliver_data({"Subject: only headers", ""});
   EXPECT_EQ(m.body, "");
 }
+
+TEST(SmtpDataParse, EnvelopeComesFromMailAndRcpt) {
+  const EmailMessage m = deliver_data({"From: x@y.z", "To: q@r.s", "", "b"});
+  EXPECT_EQ(m.from.str(), "a@b.c");
+  ASSERT_EQ(m.to.size(), 1u);
+  EXPECT_EQ(m.to[0].str(), "d@e.f");
+  EXPECT_TRUE(m.headers.empty());
+}
+
+// --- Differential check against the line-vector reference ------------------
+//
+// The reference below is the former SMTP path kept verbatim: render the
+// whole RFC-822 text, cut it into a vector of dot-stuffed lines, play each
+// line through consume_line() summing SmtpReply::line() sizes, and parse
+// the collected DATA lines after the fact.  The streaming smtp_transfer()
+// must agree with it field for field.
+
+std::string reference_rfc822(const EmailMessage& msg) {
+  std::string out;
+  out += "From: " + msg.from.str() + "\r\n";
+  std::string tos;
+  for (std::size_t i = 0; i < msg.to.size(); ++i) {
+    if (i) tos += ", ";
+    tos += msg.to[i].str();
+  }
+  out += "To: " + tos + "\r\n";
+  for (const auto& [k, v] : msg.headers) out += k + ": " + v + "\r\n";
+  out += "\r\n";
+  out += msg.body;
+  return out;
+}
+
+std::vector<std::string> reference_client_script(
+    const EmailMessage& msg, const std::string& client_domain) {
+  std::vector<std::string> lines;
+  lines.push_back("HELO " + client_domain);
+  lines.push_back("MAIL FROM:<" + msg.from.str() + ">");
+  for (const auto& r : msg.to) lines.push_back("RCPT TO:<" + r.str() + ">");
+  lines.push_back("DATA");
+  const std::string text = reference_rfc822(msg);
+  std::string current;
+  auto flush = [&]() {
+    if (!current.empty() && current[0] == '.')
+      lines.push_back("." + current);  // dot-stuffing
+    else
+      lines.push_back(current);
+    current.clear();
+  };
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    if (text[i] == '\r' && i + 1 < text.size() && text[i + 1] == '\n') {
+      flush();
+      ++i;
+    } else if (text[i] == '\n') {
+      flush();
+    } else {
+      current += text[i];
+    }
+  }
+  if (!current.empty()) flush();
+  lines.push_back(".");
+  lines.push_back("QUIT");
+  return lines;
+}
+
+std::string reference_trim(const std::string& s) {
+  std::size_t b = 0, e = s.size();
+  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
+  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
+  return s.substr(b, e - b);
+}
+
+EmailMessage reference_parse_rfc822(
+    const EmailAddress& envelope_from,
+    const std::vector<EmailAddress>& envelope_to,
+    const std::vector<std::string>& lines) {
+  EmailMessage msg;
+  msg.from = envelope_from;
+  msg.to = envelope_to;
+  std::size_t i = 0;
+  for (; i < lines.size(); ++i) {
+    const std::string& line = lines[i];
+    if (line.empty()) {
+      ++i;
+      break;
+    }
+    const std::size_t colon = line.find(':');
+    if (colon == std::string::npos) continue;
+    std::string key = reference_trim(line.substr(0, colon));
+    std::string value = reference_trim(line.substr(colon + 1));
+    if (key == "From" || key == "To") continue;
+    msg.headers.emplace_back(std::move(key), std::move(value));
+  }
+  std::string body;
+  for (; i < lines.size(); ++i) {
+    body += lines[i];
+    body += '\n';
+  }
+  if (!body.empty() && body.back() == '\n') body.pop_back();
+  msg.body = std::move(body);
+  return msg;
+}
+
+struct ReferenceOutcome {
+  SmtpTransferResult xfer;
+  std::optional<EmailMessage> delivered;
+};
+
+ReferenceOutcome reference_transfer(const EmailMessage& msg,
+                                    const std::string& client_domain,
+                                    SmtpServerSession& server) {
+  ReferenceOutcome out;
+  const SmtpReply greet = server.greeting();
+  out.xfer.bytes_server_to_client += greet.line().size();
+  if (!greet.positive()) {
+    out.xfer.first_error_code = greet.code;
+    return out;
+  }
+  bool in_data = false;
+  std::vector<std::string> data;
+  for (const auto& line : reference_client_script(msg, client_domain)) {
+    out.xfer.bytes_client_to_server += line.size() + 2;
+    if (in_data && line != ".")
+      data.push_back(line.size() >= 2 && line[0] == '.' && line[1] == '.'
+                         ? line.substr(1)
+                         : line);
+    const SmtpReply reply = server.consume_line(line);
+    if (reply.code == 0) continue;
+    out.xfer.bytes_server_to_client += reply.line().size();
+    if (!reply.positive()) {
+      if (out.xfer.first_error_code == 0)
+        out.xfer.first_error_code = reply.code;
+      return out;
+    }
+    if (!in_data && line == "DATA") in_data = true;
+    if (line == "." && reply.code == 250) {
+      out.xfer.accepted = true;
+      out.delivered = reference_parse_rfc822(msg.from, msg.to, data);
+      in_data = false;
+    }
+  }
+  return out;
+}
+
+struct DiffCase {
+  const char* name;
+  EmailMessage msg;
+  std::size_t max_size = 0;  // 0 = unlimited
+  bool verify = false;       // install a verifier that only knows u1
+  int want_error = 0;        // expected first_error_code (0 = accepted)
+};
+
+std::vector<DiffCase> diff_cases() {
+  const EmailAddress from = addr("u7@isp0.example");
+  const EmailAddress to = addr("u1@isp1.example");
+  std::vector<DiffCase> cases;
+  auto add = [&](const char* name, std::string body) {
+    cases.push_back({name, make_email(from, to, "subj", std::move(body))});
+    return &cases.back();
+  };
+  add("leading_dots", ".a\n..b\n.\n...\nplain\n.");
+  add("crlf_and_bare_lf", "l1\r\nl2\nl3\r\n\nl5");
+  add("ends_in_newline", "last line\n");
+  add("ends_in_crlf", "last line\r\n");
+  add("empty_body", "");
+  add("only_newlines", "\n\n\r\n");
+  add("lone_cr", "a\rb\r\rc\r");
+  add("trailing_cr", "x\r");
+  {
+    DiffCase* c = add("odd_headers", "body: with colon\n To: not a header");
+    c->msg.headers.emplace_back("X-Time", "  12:30:45  ");
+    c->msg.headers.emplace_back("From", "spoof@elsewhere.example");
+    c->msg.headers.emplace_back("To", "other@elsewhere.example");
+    c->msg.headers.emplace_back("  X-Padded  ", " a : b ");
+    c->msg.headers.emplace_back("X-Empty", "");
+    c->msg.headers.emplace_back("X-Multi", "one\ntwo: 2\r\n.dot: 3");
+    c->msg.headers.emplace_back("X-Lone-Cr", "a\rb");
+    c->msg.headers.emplace_back("X-Cr-End", "v\r");  // '\r' ends a piece
+  }
+  {
+    DiffCase* c = add("two_recipients", "hello both");
+    c->msg.to.push_back(addr("u2@isp2.example"));
+  }
+  {
+    DiffCase* c = add("size_limit_mid_data",
+                      std::string(40, 'x') + "\n" + std::string(40, 'y') +
+                          "\n" + std::string(40, 'z'));
+    c->max_size = 150;
+    c->want_error = 552;
+  }
+  {
+    DiffCase* c = add("verifier_rejects_rcpt", "never delivered");
+    c->msg.to = {addr("u9@isp1.example")};
+    c->verify = true;
+    c->want_error = 550;
+  }
+  {
+    DiffCase* c = add("verifier_accepts_rcpt", "delivered");
+    c->verify = true;
+  }
+  return cases;
+}
+
+class SmtpDifferentialTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(SmtpDifferentialTest, StreamingMatchesLineVectorReference) {
+  const DiffCase c = diff_cases()[GetParam()];
+  SCOPED_TRACE(c.name);
+  auto make_session = [&c](std::vector<EmailMessage>& sink) {
+    SmtpServerSession s("isp1.example",
+                        [&sink](EmailMessage&& m) { sink.push_back(m); });
+    if (c.max_size) s.set_max_message_size(c.max_size);
+    if (c.verify)
+      s.set_verifier([](const EmailAddress& a) { return a.local == "u1"; });
+    return s;
+  };
+  std::vector<EmailMessage> ref_sink, got_sink;
+  SmtpServerSession ref_session = make_session(ref_sink);
+  SmtpServerSession got_session = make_session(got_sink);
+
+  const ReferenceOutcome want =
+      reference_transfer(c.msg, "isp0.example", ref_session);
+  const SmtpTransferResult got =
+      smtp_transfer(c.msg, "isp0.example", got_session);
+
+  EXPECT_EQ(got.bytes_client_to_server, want.xfer.bytes_client_to_server);
+  EXPECT_EQ(got.bytes_server_to_client, want.xfer.bytes_server_to_client);
+  EXPECT_EQ(got.accepted, want.xfer.accepted);
+  EXPECT_EQ(got.first_error_code, want.xfer.first_error_code);
+  EXPECT_EQ(got.first_error_code, c.want_error);  // the case is what it says
+  ASSERT_EQ(got_sink.size(), want.delivered ? 1u : 0u);
+  if (want.delivered) {
+    const EmailMessage& g = got_sink.front();
+    EXPECT_EQ(g.from, want.delivered->from);
+    EXPECT_EQ(g.to, want.delivered->to);
+    EXPECT_EQ(g.headers, want.delivered->headers);
+    EXPECT_EQ(g.body, want.delivered->body);
+  }
+  // The wrappers render through the same code as the stream.
+  EXPECT_EQ(smtp_client_script(c.msg, "isp0.example"),
+            reference_client_script(c.msg, "isp0.example"));
+  EXPECT_EQ(c.msg.to_rfc822(), reference_rfc822(c.msg));
+}
+
+INSTANTIATE_TEST_SUITE_P(Cases, SmtpDifferentialTest,
+                         ::testing::Range<std::size_t>(0, diff_cases().size()),
+                         [](const ::testing::TestParamInfo<std::size_t>& i) {
+                           return std::string(diff_cases()[i.param].name);
+                         });
+
+// --- Session fuzz: one reused session, hostile lines -----------------------
+//
+// Random, truncated and NUL-bearing command/DATA lines (lone ".", "..",
+// RSET/HELO in mid-transaction) are fed through one buffer that is
+// overwritten for every line, so a session that kept a view into its input
+// would read freed or rewritten memory (ASan/UBSan builds run this binary
+// by name).  Afterwards a clean transfer on the same session must still be
+// accepted and delivered intact.
+class SmtpSessionFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SmtpSessionFuzzTest, HostileLinesLeaveSessionUsable) {
+  zmail::Rng rng(GetParam());
+  std::vector<EmailMessage> delivered;
+  SmtpServerSession session("isp1.example", [&delivered](EmailMessage&& m) {
+    delivered.push_back(std::move(m));
+  });
+  if (rng.next_below(2) == 0) session.set_max_message_size(200);
+  const EmailMessage template_msg =
+      make_email(addr("u1@isp0.example"), addr("u2@isp1.example"), "s",
+                 ".dot\nline two\n..two dots\n");
+  const std::vector<std::string> script =
+      smtp_client_script(template_msg, "isp0.example");
+  static const char* kSpecial[] = {".", "..", "...", "", "RSET", "HELO x",
+                                   "EHLO", "DATA", "QUIT", "NOOP",
+                                   "Subject: x", "MAIL FROM:<a@b.c> SIZE=",
+                                   "RCPT TO:<u2@isp1.example>"};
+  std::string line;
+  for (int i = 0; i < 600; ++i) {
+    line.clear();
+    switch (rng.next_below(4)) {
+      case 0: {  // a script line, possibly truncated
+        const std::string& s = script[rng.next_below(script.size())];
+        line.assign(s, 0, rng.next_below(s.size() + 1));
+        break;
+      }
+      case 1:  // a special line
+        line = kSpecial[rng.next_below(std::size(kSpecial))];
+        break;
+      default: {  // random bytes, NULs and line breaks included
+        const std::size_t len = rng.next_below(40);
+        for (std::size_t k = 0; k < len; ++k) {
+          static const char kAlphabet[] = "aZ0.:<>@ \t\r\n\0.-";
+          line += kAlphabet[rng.next_below(sizeof(kAlphabet) - 1)];
+        }
+        break;
+      }
+    }
+    if (rng.next_below(8) == 0 && !line.empty())
+      line[rng.next_below(line.size())] = '\0';
+    const SmtpReply r = session.consume_line(line);
+    EXPECT_TRUE(r.code == 0 || (r.code >= 200 && r.code < 600)) << r.code;
+    line.assign(64, '#');  // clobber the buffer the session just read
+  }
+  // Delivered messages own their bytes, and DATA is only reachable after
+  // MAIL FROM and at least one RCPT TO.
+  for (const EmailMessage& m : delivered) {
+    EXPECT_TRUE(parse_address(m.from.str()).has_value());
+    ASSERT_FALSE(m.to.empty());
+    for (const EmailAddress& a : m.to)
+      EXPECT_TRUE(parse_address(a.str()).has_value());
+    for (const auto& [k, v] : m.headers)
+      EXPECT_EQ(k.find(':'), std::string::npos);
+  }
+
+  // Close any open DATA, then a clean transfer must go through.
+  session.consume_line(".");
+  const std::size_t before = delivered.size();
+  session.set_max_message_size(0);
+  const SmtpTransferResult r =
+      smtp_transfer(template_msg, "isp0.example", session);
+  EXPECT_TRUE(r.accepted);
+  ASSERT_EQ(delivered.size(), before + 1);
+  EXPECT_EQ(delivered.back().body, template_msg.body.substr(
+                                       0, template_msg.body.size() - 1));
+  EXPECT_EQ(delivered.back().headers, template_msg.headers);
+  EXPECT_EQ(delivered.back().to, template_msg.to);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SmtpSessionFuzzTest,
+                         ::testing::Range<std::uint64_t>(90, 106));
 
 }  // namespace
 }  // namespace zmail::net
