@@ -9,8 +9,8 @@
 //   A1.d  bank federation (Section 5): inter-bank overhead vs bank count
 #include "bench_common.hpp"
 #include "core/ap_spec.hpp"
-#include "core/federation.hpp"
 #include "core/isp.hpp"
+#include "core/system.hpp"
 #include "econ/legal.hpp"
 #include "util/table.hpp"
 
@@ -152,37 +152,25 @@ void a1d_federation() {
     p.n_isps = 16;
     p.users_per_isp = 2;
     p.n_banks = n_banks;
-    Rng key_rng(900 + n_banks);
-    std::vector<crypto::KeyPair> keys;
-    for (std::size_t k = 0; k < n_banks; ++k)
-      keys.push_back(crypto::generate_keypair(key_rng));
-    core::BankFederation fed(p, std::move(keys), 900 + n_banks);
-    std::vector<core::Isp> isps;
-    for (std::size_t i = 0; i < p.n_isps; ++i)
-      isps.emplace_back(i, p, fed.public_key_for(i), 1'000 + i);
-    // A ring of cross-ISP mail.
+    core::ZmailSystem sys(p, 900 + n_banks);
+    // A ring of cross-ISP mail, then one snapshot round whose inter-bank
+    // wires travel as datagrams between the bank hosts.
     for (std::size_t i = 0; i < p.n_isps; ++i) {
       const std::size_t j = (i + 1) % p.n_isps;
-      isps[i].user_send(0, j, 0,
-                        net::make_email(net::make_user_address(i, 0),
-                                        net::make_user_address(j, 0), "s",
-                                        "b"));
-      for (const core::Outbound& o : isps[i].take_outbox())
-        isps[j].on_email(i, o.payload);
+      sys.send_email(net::make_user_address(i, 0), net::make_user_address(j, 0),
+                     "s", "b");
     }
-    for (auto& [idx, wire] : fed.start_snapshot()) {
-      isps[idx].on_request(wire);
-      isps[idx].on_quiesce_timeout();
-      for (const core::Outbound& o : isps[idx].take_outbox())
-        if (o.type == core::kMsgReply) fed.on_reply(idx, o.payload);
-    }
+    sys.run_for(sim::kHour);
+    sys.start_snapshot();
+    sys.run_for(sim::kHour);
+    const core::BankMetrics m = sys.bank().metrics();
     t.add_row({Table::num(std::uint64_t{n_banks}),
-               Table::num(fed.metrics().interbank_messages),
-               Table::num(fed.metrics().interbank_bytes),
-               Table::num(fed.metrics().clearing_transfers),
-               Table::num(fed.metrics().inconsistent_pairs_found)});
-    if (n_banks == 2) msgs_at_2 = fed.metrics().interbank_messages;
-    if (n_banks == 8) msgs_at_8 = fed.metrics().interbank_messages;
+               Table::num(m.interbank_messages),
+               Table::num(m.interbank_bytes),
+               Table::num(m.clearing_transfers),
+               Table::num(m.inconsistent_pairs_found)});
+    if (n_banks == 2) msgs_at_2 = m.interbank_messages;
+    if (n_banks == 8) msgs_at_8 = m.interbank_messages;
   }
   t.print("A1.d  federated banks: coordination overhead (16 ISPs, 1 round)");
   bench::check(msgs_at_2 == 2 && msgs_at_8 == 56,

@@ -33,8 +33,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -55,29 +53,9 @@ struct Options {
   bool audit = false;  // run the InvariantAuditor continuously inside replicas
   bool telemetry = false;  // run the bench's telemetry-overlay section
   bool write_json = true;
-  std::string json_path;     // empty: BENCH_<name>.json in the working dir
-  std::string compare_path;  // previous BENCH_<name>.json to diff against
-  std::string trace_path;    // empty: flight recorder stays off
+  std::string json_path;   // empty: BENCH_<name>.json in the working dir
+  std::string trace_path;  // empty: flight recorder stays off
 };
-
-// Reads a previously written BENCH_<name>.json and returns its wall_seconds,
-// or a negative value when the file is missing/invalid.  Shared by the
-// --compare flag and tools/bench_compare.
-inline double load_baseline_wall_seconds(const std::string& path,
-                                         std::string* bench_name = nullptr) {
-  std::ifstream in(path);
-  if (!in) return -1.0;
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const auto v = json::parse(buf.str());
-  if (!v) return -1.0;
-  const json::Value* wall = v->find("wall_seconds");
-  if (!wall || !wall->is_number()) return -1.0;
-  if (bench_name) {
-    if (const json::Value* n = v->find("bench")) *bench_name = n->as_string();
-  }
-  return wall->as_double();
-}
 
 class Bench;
 inline Bench* g_current = nullptr;
@@ -169,7 +147,6 @@ class Bench {
           trace::breakdown_to_json(trace::breakdown(trace::collect()));
       json_["profiles"] = trace::profiles_to_json();
     }
-    if (!options_.compare_path.empty()) report_compare(wall);
     if (options_.write_json) {
       const std::string path = options_.json_path.empty()
                                    ? "BENCH_" + name_ + ".json"
@@ -188,33 +165,6 @@ class Bench {
   }
 
  private:
-  // Report-only wall-clock diff against a previous run's JSON: perf drift
-  // is surfaced, never turned into a failing exit code (timings on shared
-  // CI runners are too noisy to gate on).
-  void report_compare(double wall) {
-    std::string base_name;
-    const double base =
-        load_baseline_wall_seconds(options_.compare_path, &base_name);
-    if (base <= 0.0) {
-      std::fprintf(stderr, "bench-compare: cannot read wall_seconds from %s\n",
-                   options_.compare_path.c_str());
-      return;
-    }
-    if (!base_name.empty() && base_name != name_)
-      std::printf("bench-compare: warning: baseline is for bench '%s'\n",
-                  base_name.c_str());
-    const double speedup = wall > 0.0 ? base / wall : 0.0;
-    std::printf(
-        "bench-compare: baseline %.6fs -> current %.6fs  (%.2fx %s)\n", base,
-        wall, speedup >= 1.0 ? speedup : 1.0 / speedup,
-        speedup >= 1.0 ? "speedup" : "regression");
-    json::Value cmp = json::Value::object();
-    cmp["baseline_path"] = options_.compare_path;
-    cmp["baseline_wall_seconds"] = base;
-    cmp["speedup"] = speedup;
-    json_["compare"] = std::move(cmp);
-  }
-
   sweep::SweepResult record_sweep(const std::string& section,
                                   sweep::SweepResult result) {
     json_["sweeps"][section] = result.to_json();
@@ -225,7 +175,7 @@ class Bench {
     std::fprintf(stderr,
                  "usage: %s [--threads N] [--replicas N] [--seed S] [--smoke]"
                  " [--audit] [--telemetry] [--json PATH] [--no-json]"
-                 " [--compare BASELINE.json] [--trace PATH]\n",
+                 " [--trace PATH]\n",
                  argv0);
     std::exit(2);
   }
@@ -267,8 +217,6 @@ class Bench {
         options_.json_path = need_value(i, a);
       } else if (std::strcmp(a, "--no-json") == 0) {
         options_.write_json = false;
-      } else if (std::strcmp(a, "--compare") == 0) {
-        options_.compare_path = need_value(i, a);
       } else if (std::strcmp(a, "--trace") == 0) {
         options_.trace_path = need_value(i, a);
       } else if (std::strncmp(a, "--benchmark_", 12) == 0) {

@@ -2,21 +2,18 @@
 // datagram delivery, exact-reserve serialization, and scratch-buffer
 // envelopes.
 //
-// The event-dispatch section embeds the pre-optimization implementation —
-// std::function events in a single std::priority_queue, exactly the code the
-// simulator shipped with before the calendar queue / InlineEvent rewrite —
-// and drives both through an identical delivery-shaped cascade, plus an
-// era-faithful replica of the pre-change Network::send path.  The headline
-// number (and the acceptance check, asserted in full runs only) is the
-// per-message delivery speedup of the new machinery over that replica.
+// The binary replaces the global operator new to count heap allocations.
+// Its one check is exact, so it runs in --smoke too: once warm, dispatching
+// events through sim::Simulator and delivering moved payloads through
+// net::Network must not allocate at all.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <queue>
+#include <cstdio>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,49 +29,51 @@
 
 using namespace zmail;
 
+// --- Allocation counting --------------------------------------------------
+// Every global operator new in this binary, the aligned overloads included,
+// counts one allocation.  The nothrow forms forward to these.
 namespace {
 
-// --- The pre-change event loop, verbatim in shape -------------------------
-// std::function<void()> events (heap-allocated once the capture exceeds the
-// ~16-byte SBO) ordered by one global binary heap.  Kept here as the fixed
-// baseline the acceptance check measures against.
-class LegacySimulator {
- public:
-  using EventFn = std::function<void()>;
+std::atomic<std::uint64_t> g_allocations{0};
 
-  sim::SimTime now() const noexcept { return now_; }
+void* counted_alloc(std::size_t n, std::size_t align) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (n == 0) n = 1;
+  void* p = align == 0
+                ? std::malloc(n)
+                : std::aligned_alloc(align, (n + align - 1) / align * align);
+  if (!p) throw std::bad_alloc();
+  return p;
+}
 
-  void schedule_at(sim::SimTime at, EventFn fn) {
-    queue_.push(Event{at, next_seq_++, std::move(fn)});
-  }
+std::uint64_t allocations() {
+  return g_allocations.load(std::memory_order_relaxed);
+}
 
-  std::uint64_t run() {
-    std::uint64_t n = 0;
-    while (!queue_.empty()) {
-      Event e = std::move(const_cast<Event&>(queue_.top()));
-      queue_.pop();
-      now_ = e.at;
-      e.fn();
-      ++n;
-    }
-    return n;
-  }
+}  // namespace
 
- private:
-  struct Event {
-    sim::SimTime at;
-    std::uint64_t seq;
-    EventFn fn;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const noexcept {
-      return a.at != b.at ? a.at > b.at : a.seq > b.seq;
-    }
-  };
-  sim::SimTime now_ = 0;
-  std::uint64_t next_seq_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-};
+void* operator new(std::size_t n) { return counted_alloc(n, 0); }
+void* operator new[](std::size_t n) { return counted_alloc(n, 0); }
+void* operator new(std::size_t n, std::align_val_t a) {
+  return counted_alloc(n, static_cast<std::size_t>(a));
+}
+void* operator new[](std::size_t n, std::align_val_t a) {
+  return counted_alloc(n, static_cast<std::size_t>(a));
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+
+namespace {
 
 // --- Delivery-shaped cascade ---------------------------------------------
 // Each event carries a datagram-sized context (a payload buffer plus
@@ -88,7 +87,6 @@ struct FakeDatagram {
   std::uint32_t to = 0;
 };
 
-template <class SimT>
 class Cascade {
  public:
   std::uint64_t run(std::size_t population, std::uint64_t events) {
@@ -118,24 +116,22 @@ class Cascade {
     });
   }
 
-  SimT sim_;
+  sim::Simulator sim_;
   Rng rng_{2026};
   std::uint64_t remaining_ = 0;
   std::uint64_t checksum_ = 0;
 };
 
-template <class SimT>
 void BM_EventCascade(benchmark::State& state) {
   const auto events = static_cast<std::uint64_t>(state.range(0));
   for (auto _ : state) {
-    Cascade<SimT> c;
+    Cascade c;
     benchmark::DoNotOptimize(c.run(1024, events));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(events));
 }
-BENCHMARK(BM_EventCascade<LegacySimulator>)->Arg(100000)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_EventCascade<sim::Simulator>)->Arg(100000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EventCascade)->Arg(100000)->Unit(benchmark::kMillisecond);
 
 // --- Network send/deliver ------------------------------------------------
 // A ping-pong between two hosts through the real Network: interned type tag,
@@ -219,117 +215,68 @@ void BM_UnsealInto(benchmark::State& state) {
 }
 BENCHMARK(BM_UnsealInto);
 
-// --- Acceptance check: per-message delivery hot path ----------------------
-// The tentpole claim is about the *delivery path*: a host hands a payload to
-// the network, an event carries it, the receiving handler observes it.  The
-// legacy half below replicates that path exactly as it shipped before this
-// change: std::string type tag, payload taken by value (call sites passed
-// lvalues, so every send copied the buffer), a std::map FIFO clamp per host,
-// and the datagram captured inside a heap-allocating std::function on the
-// single priority queue.  The new half is the real net::Network on the real
-// simulator: interned MsgType, moved payload, pooled pending slot, 16-byte
-// trivially-relocatable closure, calendar queue.  Both halves are fed
-// identical host sequences, payload sizes, and latency draws.
-class LegacyNetwork {
- public:
-  struct Datagram {
-    std::string type;
-    crypto::Bytes payload;
-    std::uint32_t from = 0;
-    std::uint32_t to = 0;
-  };
-  using HandlerFn = std::function<void(const Datagram&)>;
-
-  LegacyNetwork(LegacySimulator& simulator, Rng rng, net::LatencyModel latency)
-      : sim_(simulator), rng_(rng), latency_(latency) {}
-
-  std::uint32_t add_host(std::string name, HandlerFn handler) {
-    hosts_.push_back(Host{std::move(name), std::move(handler), {}});
-    return static_cast<std::uint32_t>(hosts_.size() - 1);
-  }
-
-  void send(std::uint32_t from, std::uint32_t to, std::string type,
-            crypto::Bytes payload) {
-    bytes_ += payload.size() + type.size() + 16;
-    sim::SimTime deliver_at = sim_.now() + latency_.sample(rng_);
-    auto& last = hosts_[to].last_delivery[from];
-    if (deliver_at <= last) deliver_at = last + 1;
-    last = deliver_at;
-    Datagram d{std::move(type), std::move(payload), from, to};
-    sim_.schedule_at(deliver_at, [this, to, d = std::move(d)]() mutable {
-      hosts_[to].handler(d);
-    });
-  }
-
-  std::uint64_t bytes_sent() const noexcept { return bytes_; }
-
- private:
-  struct Host {
-    std::string name;
-    HandlerFn handler;
-    std::map<std::uint32_t, sim::SimTime> last_delivery;
-  };
-  LegacySimulator& sim_;
-  Rng rng_;
-  net::LatencyModel latency_;
-  std::vector<Host> hosts_;
-  std::uint64_t bytes_ = 0;
-};
-
-struct SendPlan {
-  std::vector<std::uint32_t> from, to;
-  std::vector<crypto::Bytes> payloads;  // one 128-byte buffer per message
-};
-
+// --- Zero-allocation check ------------------------------------------------
+// Both paths run in bursts of kInFlight messages with a drain in between,
+// modelling a steady traffic stream.  The first bursts grow the calendar
+// queue, the pending-datagram pool and the per-pair FIFO clamps; after that
+// warm-up a burst must not touch the heap.
+constexpr std::size_t kInFlight = 8192;
 constexpr std::size_t kDeliveryHosts = 64;
-// Sends are issued in bounded bursts with a drain in between, modelling a
-// steady traffic stream rather than an unbounded in-flight backlog (which
-// would measure DRAM, not the send machinery, on both sides).  8192 in
-// flight matches the federated E3 runs, where every group keeps a batch of
-// emails and bank traffic in the air at once.
-constexpr std::size_t kDeliveryBatch = 8192;
 
-SendPlan make_plan(std::size_t rounds) {
-  Rng rng(31337);
-  SendPlan plan;
-  plan.from.reserve(rounds);
-  plan.to.reserve(rounds);
-  plan.payloads.reserve(rounds);
-  for (std::size_t i = 0; i < rounds; ++i) {
-    plan.from.push_back(
-        static_cast<std::uint32_t>(rng.next_u64() % kDeliveryHosts));
-    plan.to.push_back(
-        static_cast<std::uint32_t>(rng.next_u64() % kDeliveryHosts));
-    plan.payloads.emplace_back(128, static_cast<std::uint8_t>(i));
+struct HotPathCost {
+  double seconds = 0.0;  // measured bursts only
+  std::uint64_t items = 0;
+  std::uint64_t allocations = 0;
+};
+
+// Runs `warmup` unmeasured bursts, then `measured` bursts whose wall time
+// and heap allocations are summed.  `prepare` runs before every burst,
+// outside both measurements.
+template <class Prepare, class Burst>
+HotPathCost measure(std::size_t warmup, std::size_t measured,
+                    Prepare&& prepare, Burst&& burst) {
+  for (std::size_t b = 0; b < warmup; ++b) {
+    prepare();
+    burst();
   }
-  return plan;
+  HotPathCost cost;
+  for (std::size_t b = 0; b < measured; ++b) {
+    prepare();
+    const std::uint64_t a0 = allocations();
+    const auto t0 = std::chrono::steady_clock::now();
+    burst();
+    cost.seconds += std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+    cost.allocations += allocations() - a0;
+    cost.items += kInFlight;
+  }
+  return cost;
 }
 
-double time_legacy_delivery(const SendPlan& plan) {
-  std::vector<crypto::Bytes> payloads = plan.payloads;  // fresh lvalue bufs
-  LegacySimulator sim;
-  LegacyNetwork net(sim, Rng(7), net::LatencyModel{});
-  std::uint64_t checksum = 0;
-  for (std::size_t h = 0; h < kDeliveryHosts; ++h)
-    net.add_host("h", [&checksum](const LegacyNetwork::Datagram& d) {
-      checksum += d.payload[0];
-    });
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < payloads.size();) {
-    const std::size_t end = std::min(i + kDeliveryBatch, payloads.size());
-    for (; i < end; ++i)
-      net.send(plan.from[i], plan.to[i], "email", payloads[i]);
+// Events straight on the simulator: 16-byte closures, the size of
+// net::Network's {network*, slot} delivery events, spread over a
+// deterministic 32 ms window.
+HotPathCost dispatch_cost(std::size_t warmup, std::size_t measured) {
+  sim::Simulator sim;
+  std::uint64_t sum = 0;
+  std::uint64_t i = 0;
+  const auto burst = [&] {
+    for (const std::uint64_t end = i + kInFlight; i < end; ++i)
+      sim.schedule_at(sim.now() + (20 + static_cast<sim::SimTime>(i & 31)) *
+                                      sim::kMillisecond,
+                      [sp = &sum, to = i + 1] { *sp += to; });
     sim.run();
-  }
-  const double s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  benchmark::DoNotOptimize(checksum);
-  return s;
+  };
+  const HotPathCost cost = measure(warmup, measured, [] {}, burst);
+  benchmark::DoNotOptimize(sum);
+  return cost;
 }
 
-double time_new_delivery(const SendPlan& plan) {
-  std::vector<crypto::Bytes> payloads = plan.payloads;
+// The full send -> event -> handler path through the real Network: random
+// hosts, random latency draws, 128-byte payloads moved in.  The payloads of
+// a burst are allocated before it starts.
+HotPathCost delivery_cost(std::size_t warmup, std::size_t measured) {
   sim::Simulator sim;
   net::Network net(sim, Rng(7), net::LatencyModel{});
   std::uint64_t checksum = 0;
@@ -337,151 +284,58 @@ double time_new_delivery(const SendPlan& plan) {
     net.add_host("h", [&checksum](const net::Datagram& d) {
       checksum += d.payload[0];
     });
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < payloads.size();) {
-    const std::size_t end = std::min(i + kDeliveryBatch, payloads.size());
-    for (; i < end; ++i)
-      net.send(plan.from[i], plan.to[i], net::kMsgEmail,
-               std::move(payloads[i]));
+  Rng pick(31337);
+  std::vector<crypto::Bytes> payloads(kInFlight);
+  const auto prepare = [&] {
+    for (crypto::Bytes& p : payloads) p.assign(128, 0xAB);
+  };
+  const auto burst = [&] {
+    for (crypto::Bytes& p : payloads) {
+      const auto from =
+          static_cast<net::HostId>(pick.next_u64() % kDeliveryHosts);
+      const auto to =
+          static_cast<net::HostId>(pick.next_u64() % kDeliveryHosts);
+      net.send(from, to, net::kMsgEmail, std::move(p));
+    }
     sim.run();
-  }
-  const double s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  };
+  const HotPathCost cost = measure(warmup, measured, prepare, burst);
   benchmark::DoNotOptimize(checksum);
-  return s;
+  return cost;
 }
 
-// --- Acceptance check: event dispatch -------------------------------------
-// Schedules and dispatches delivery events through the bare queues, each
-// side carrying its era's real event shape.  Pre-change, a delivery event
-// was a std::function owning the whole datagram — heap-allocated closure,
-// std::string type tag, and a payload the by-value send API had already
-// copied — percolating through one global binary heap.  Post-change, the
-// datagram sits in a recycled slot and the event is a 16-byte
-// trivially-relocatable InlineEvent in the calendar queue.  Both sides run
-// the same deterministic 32ms arrival spread (no RNG) at the same in-flight
-// depth, so the ratio isolates exactly what this PR changed.
-constexpr std::size_t kDispatchInFlight = 8192;
-
-double time_legacy_dispatch(std::uint64_t events) {
-  LegacySimulator sim;
-  std::uint64_t sum = 0;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::uint64_t i = 0; i < events;) {
-    const std::uint64_t end = std::min(i + kDispatchInFlight, events);
-    for (; i < end; ++i) {
-      LegacyNetwork::Datagram d{"email", crypto::Bytes(128, 1),
-                                static_cast<std::uint32_t>(i),
-                                static_cast<std::uint32_t>(i + 1)};
-      sim.schedule_at(
-          sim.now() + (20 + static_cast<sim::SimTime>(i & 31)) * sim::kMillisecond,
-          [&sum, d = std::move(d)] { sum += d.to; });
-    }
-    sim.run();
-  }
-  const double s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  benchmark::DoNotOptimize(sum);
-  return s;
+void report(bench::Bench& harness, const char* name, const char* unit,
+            const HotPathCost& cost) {
+  std::printf("%-16s %.1f ns/%s, %llu allocations in %llu %ss after warm-up\n",
+              name, 1e9 * cost.seconds / static_cast<double>(cost.items), unit,
+              static_cast<unsigned long long>(cost.allocations),
+              static_cast<unsigned long long>(cost.items), unit);
+  const std::string key = name;
+  harness.metrics()[key + "_seconds"] = cost.seconds;
+  harness.metrics()[key + "_items"] = cost.items;
+  harness.metrics()[key + "_allocations"] = cost.allocations;
 }
 
-double time_new_dispatch(std::uint64_t events) {
-  sim::Simulator sim;
-  std::vector<net::Datagram> pool;
-  std::vector<std::uint32_t> free_slots;
-  std::uint64_t sum = 0;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::uint64_t i = 0; i < events;) {
-    const std::uint64_t end = std::min(i + kDispatchInFlight, events);
-    for (; i < end; ++i) {
-      std::uint32_t slot;
-      if (free_slots.empty()) {
-        slot = static_cast<std::uint32_t>(pool.size());
-        pool.emplace_back();
-      } else {
-        slot = free_slots.back();
-        free_slots.pop_back();
-      }
-      net::Datagram& d = pool[slot];
-      d.type = net::kMsgEmail;
-      d.from = i;
-      d.to = i + 1;
-      auto* pp = &pool;
-      auto* fp = &free_slots;
-      auto* sp = &sum;
-      sim.schedule_at(
-          sim.now() + (20 + static_cast<sim::SimTime>(i & 31)) * sim::kMillisecond,
-          [pp, fp, sp, slot] {
-            net::Datagram d = std::move((*pp)[slot]);
-            fp->push_back(slot);
-            *sp += d.to;
-          });
-    }
-    sim.run();
-  }
-  const double s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  benchmark::DoNotOptimize(sum);
-  return s;
-}
-
-void check_dispatch_speedup(bench::Bench& harness) {
+void check_zero_allocations(bench::Bench& harness) {
   const bool smoke = harness.options().smoke;
-
-  // Event dispatch, era-faithful event shapes (the acceptance number).
-  const std::uint64_t events =
-      (smoke ? 4 : 48) * static_cast<std::uint64_t>(kDispatchInFlight);
-  const int reps = smoke ? 3 : 5;
-  double legacy_s = 1e99, new_s = 1e99;
-  for (int r = 0; r < reps; ++r) {
-    legacy_s = std::min(legacy_s, time_legacy_dispatch(events));
-    new_s = std::min(new_s, time_new_dispatch(events));
-  }
-  const double speedup = new_s > 0.0 ? legacy_s / new_s : 0.0;
-  std::printf(
-      "event dispatch:  legacy %.1f ns/ev, calendar+inline %.1f ns/ev, "
-      "%.2fx speedup\n",
-      1e9 * legacy_s / static_cast<double>(events),
-      1e9 * new_s / static_cast<double>(events), speedup);
-  harness.metrics()["dispatch_legacy_seconds"] = legacy_s;
-  harness.metrics()["dispatch_new_seconds"] = new_s;
-  harness.metrics()["dispatch_events"] = static_cast<double>(events);
-  harness.metrics()["dispatch_speedup"] = speedup;
-
-  // Full send -> event -> handler network path, era-faithful on both sides
-  // (reported; shared costs — latency sampling, payload frees, handler —
-  // sit on both sides, so this end-to-end ratio is naturally smaller).
-  const std::size_t rounds = (smoke ? 2 : 24) * kDeliveryBatch;
-  const int dreps = smoke ? 3 : 5;
-  const SendPlan plan = make_plan(rounds);
-  double dlegacy_s = 1e99, dnew_s = 1e99;
-  for (int r = 0; r < dreps; ++r) {
-    dlegacy_s = std::min(dlegacy_s, time_legacy_delivery(plan));
-    dnew_s = std::min(dnew_s, time_new_delivery(plan));
-  }
-  const double dspeedup = dnew_s > 0.0 ? dlegacy_s / dnew_s : 0.0;
-  std::printf(
-      "network e2e:     legacy %.1f ns/msg, flattened %.1f ns/msg, "
-      "%.2fx speedup\n",
-      1e9 * dlegacy_s / static_cast<double>(rounds),
-      1e9 * dnew_s / static_cast<double>(rounds), dspeedup);
-  harness.metrics()["delivery_legacy_seconds"] = dlegacy_s;
-  harness.metrics()["delivery_new_seconds"] = dnew_s;
-  harness.metrics()["delivery_speedup"] = dspeedup;
-
-  if (!smoke)
-    harness.check(speedup >= 3.0,
-                  "event dispatch >= 3x faster than the pre-change "
-                  "std::function/priority_queue pipeline");
+  // The counts reach zero after 16 dispatch and 128 delivery bursts; the
+  // warm-ups are twice that.
+  const HotPathCost dispatch = dispatch_cost(32, smoke ? 4 : 48);
+  const HotPathCost delivery = delivery_cost(256, smoke ? 4 : 24);
+  report(harness, "dispatch", "event", dispatch);
+  report(harness, "delivery", "message", delivery);
+  harness.check(dispatch.allocations == 0,
+                "warm event dispatch through sim::Simulator makes no heap "
+                "allocations");
+  harness.check(delivery.allocations == 0,
+                "warm delivery of moved payloads through net::Network makes "
+                "no heap allocations");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   zmail::bench::Bench harness("micro_hotpath", argc, argv);
-  check_dispatch_speedup(harness);
+  check_zero_allocations(harness);
   return zmail::bench::run_micro(harness, argc, argv);
 }

@@ -523,12 +523,7 @@ void BankFederation::emit(std::size_t from, std::size_t to, FedMsg kind,
   switch (kind) {
     case FedMsg::kColumns:
       ++mb.metrics.interbank_messages;
-      // Loopback keeps synthetic accounting (the E12/A1.d observable); the
-      // networked plane counts real sealed wire bytes.
-      mb.metrics.interbank_bytes +=
-          sink_ ? wire.size()
-                : compliant_members(from) *
-                      (params_.n_isps * sizeof(EPenny) + 32);
+      mb.metrics.interbank_bytes += wire.size();
       break;
     case FedMsg::kClearing:
       ++mb.metrics.clearing_messages;
@@ -554,19 +549,8 @@ void BankFederation::emit(std::size_t from, std::size_t to, FedMsg kind,
 
 void BankFederation::deliver(std::size_t from, std::size_t to,
                              std::uint8_t kind, crypto::Bytes wire) {
-  if (sink_) {
-    sink_(from, to, kind, std::move(wire));
-    return;
-  }
-  loopback_.emplace_back(from, to, kind, std::move(wire));
-  if (draining_) return;
-  draining_ = true;
-  while (!loopback_.empty()) {
-    auto [f, t, k, w] = std::move(loopback_.front());
-    loopback_.pop_front();
-    on_interbank(t, f, k, w);
-  }
-  draining_ = false;
+  ZMAIL_ASSERT_MSG(sink_, "inter-bank wire emitted with no sink installed");
+  sink_(from, to, kind, std::move(wire));
 }
 
 void BankFederation::send_ack(std::size_t from, std::size_t to, FedMsg acked,
@@ -593,8 +577,8 @@ void BankFederation::on_interbank(std::size_t bank, std::size_t from_bank,
     ++mb.metrics.bad_envelopes;
     return;
   }
-  // A private copy: the handlers below may seal (and, over the loopback,
-  // deliver) further wires, which reuse the scratch buffers.
+  // A private copy: the handlers below seal further wires (acks, clearing
+  // transfers), which reuse the scratch buffers.
   const crypto::Bytes plain = plain_scratch_;
   crypto::ByteReader r(plain);
   const std::uint8_t inner = r.get_u8();

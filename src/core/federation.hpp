@@ -39,19 +39,15 @@
 // loss (or replaying a WAL after a crash) never double-applies a
 // settlement.
 //
-// Two inter-bank transports:
-//   - loopback (no sink installed): inter-bank wires self-deliver
-//     synchronously inside the federation, with synthetic byte accounting
-//     (the untimed E12/A1 callers and tests);
-//   - sink (ZmailSystem installs one when the store or retries are on):
-//     wires travel as sealed datagrams over the latency-modelled network,
-//     with RetryPolicy-paced retransmission of unacked wires.
+// One inter-bank transport: every wire is handed to the installed sink
+// (ZmailSystem sends it as a sealed datagram over the latency-modelled
+// network; tests queue it) and comes back through on_interbank.  Unacked
+// wires are retransmitted at RetryPolicy pace by poll_interbank.  A single
+// bank sends no inter-bank wires, so a k = 1 federation needs no sink.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <tuple>
 #include <vector>
 
 #include "core/audit.hpp"
@@ -188,8 +184,10 @@ class BankFederation {
   // discarding returned reply wires (they were sent pre-crash; ISP retries
   // recover a lost one via the idempotency ledger's cached replies).
   //
-  // When set, inter-bank wires are handed to the sink (the facade sends
-  // them as datagrams); when null, they self-deliver synchronously.
+  // Every inter-bank wire is handed to the sink, which must be installed
+  // before a k > 1 federation emits one.  The sink must not call back into
+  // the federation synchronously: it queues or sends the wire, and the
+  // transport delivers it later through on_interbank.
   using InterbankSink = std::function<void(
       std::size_t from, std::size_t to, std::uint8_t kind, crypto::Bytes wire)>;
   void set_interbank_sink(InterbankSink sink) { sink_ = std::move(sink); }
@@ -302,9 +300,6 @@ class BankFederation {
 
   InterbankSink sink_;
   bool replaying_ = false;  // WAL replay: suppress wire emission + journal
-  bool draining_ = false;
-  std::deque<std::tuple<std::size_t, std::size_t, std::uint8_t, crypto::Bytes>>
-      loopback_;
 
   std::vector<CreditViolation> last_violations_;
   // Scratch envelope/plaintext reused across every seal/unseal (see

@@ -121,7 +121,7 @@ struct BankMetrics {
   std::uint64_t settlements_cross_bank = 0;  // settled pairs across banks
   std::uint64_t clearing_transfers = 0;   // netted bank-to-bank movements
   std::uint64_t interbank_messages = 0;   // column wires sent
-  std::uint64_t interbank_bytes = 0;
+  std::uint64_t interbank_bytes = 0;      // sealed column wire bytes
   std::uint64_t clearing_messages = 0;    // clearing wires sent
   std::uint64_t interbank_acks = 0;       // ack wires sent
   std::uint64_t interbank_retries = 0;    // unacked wires retransmitted

@@ -123,16 +123,13 @@ ZmailSystem::ZmailSystem(ZmailParams params, std::uint64_t seed)
   }
   bank_ckpt_seq_.assign(params_.n_banks, 0);
 
-  // With the store or retries on, the inter-bank plane leaves the
-  // federation's synchronous loopback and travels as datagrams between
-  // bank hosts (a single bank has no inter-bank traffic at all).
-  if (params_.store.enabled || params_.retry.enabled) {
-    bank_->set_interbank_sink([this](std::size_t from, std::size_t to,
-                                     std::uint8_t kind, crypto::Bytes wire) {
-      net_.send(bank_host(from), bank_host(to), fed_msg_type(kind),
-                std::move(wire));
-    });
-  }
+  // The inter-bank plane travels as datagrams between bank hosts (a single
+  // bank has no inter-bank traffic at all).
+  bank_->set_interbank_sink([this](std::size_t from, std::size_t to,
+                                   std::uint8_t kind, crypto::Bytes wire) {
+    net_.send(bank_host(from), bank_host(to), fed_msg_type(kind),
+              std::move(wire));
+  });
 
   if (params_.store.enabled) {
     std::string err;
@@ -980,8 +977,7 @@ void ZmailSystem::on_bank_datagram(std::size_t bank, const net::Datagram& d) {
   const std::size_t g = d.from;
   const bool was_open = bank_->round_open();
   if (g >= params_.n_isps) {
-    // A peer bank's wire (the inter-bank plane rides the network only
-    // when the store or retries are on).
+    // A peer bank's wire on the inter-bank plane.
     const std::uint8_t kind = fed_msg_kind(d.type);
     if (kind == 0 || g - params_.n_isps >= bank_->bank_count()) return;
     bank_->on_interbank(bank, g - params_.n_isps, kind, d.payload);

@@ -7,9 +7,8 @@
 //   - the bank: a core::BankFederation of params.n_banks member banks on
 //     their own network hosts (1 = the central bank); each ISP trades and
 //     reports with its home bank, and with several banks the inter-bank
-//     column exchange and clearing ride the network too (as datagrams when
-//     the store or retries are on, over the federation's loopback
-//     otherwise),
+//     column exchange and clearing ride the network too, as datagrams
+//     between bank hosts,
 //   - a latency-modelled Network over the discrete-event Simulator,
 //   - real SMTP dialogues for every inter-ISP message (the byte counts feed
 //     the ISP-overhead experiment),

@@ -5,7 +5,6 @@
 // mid-round bank crash must end in a settled round with clean audits.
 #include <gtest/gtest.h>
 
-#include <deque>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -14,6 +13,7 @@
 #include "core/invariants.hpp"
 #include "core/isp.hpp"
 #include "core/system.hpp"
+#include "interbank_wire_queue.hpp"
 #include "net/address.hpp"
 #include "store/wal.hpp"
 
@@ -173,17 +173,8 @@ TEST(FederationPersistTest, DuplicateAndStaleInterbankWiresAbsorbed) {
     keys.push_back(crypto::generate_keypair(key_rng));
   BankFederation fed(p, std::move(keys), 11);
 
-  struct Wire {
-    std::size_t from, to;
-    std::uint8_t kind;
-    crypto::Bytes wire;
-  };
-  std::deque<Wire> queue;
-  fed.set_interbank_sink(
-      [&](std::size_t from, std::size_t to, std::uint8_t kind,
-          crypto::Bytes wire) {
-        queue.push_back(Wire{from, to, kind, std::move(wire)});
-      });
+  InterbankWireQueue queue;
+  queue.attach(fed);
 
   std::vector<Isp> isps;
   isps.reserve(p.n_isps);
@@ -211,13 +202,7 @@ TEST(FederationPersistTest, DuplicateAndStaleInterbankWiresAbsorbed) {
   }
   // Deliver the inter-bank plane (columns, clearing, acks) to quiescence,
   // remembering every wire for the replay below.
-  std::vector<Wire> seen;
-  while (!queue.empty()) {
-    Wire d = std::move(queue.front());
-    queue.pop_front();
-    fed.on_interbank(d.to, d.from, d.kind, d.wire);
-    seen.push_back(std::move(d));
-  }
+  const std::vector<InterbankWire> seen = queue.drain(fed);
   ASSERT_FALSE(fed.round_open());
   ASSERT_TRUE(fed.idle());
   ASSERT_FALSE(seen.empty());
@@ -228,12 +213,9 @@ TEST(FederationPersistTest, DuplicateAndStaleInterbankWiresAbsorbed) {
     positions.push_back(fed.clearing_position(b));
 
   // A confused (or malicious) peer replays the entire round's traffic.
-  for (const Wire& d : seen) fed.on_interbank(d.to, d.from, d.kind, d.wire);
-  while (!queue.empty()) {  // re-acks provoked by the replay: also absorbed
-    Wire d = std::move(queue.front());
-    queue.pop_front();
+  for (const InterbankWire& d : seen)
     fed.on_interbank(d.to, d.from, d.kind, d.wire);
-  }
+  queue.drain(fed);  // re-acks provoked by the replay: also absorbed
 
   const BankMetrics after = fed.metrics();
   EXPECT_EQ(after.snapshot_rounds, base.snapshot_rounds);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/isp.hpp"
+#include "interbank_wire_queue.hpp"
 
 namespace zmail::core {
 namespace {
@@ -32,8 +33,11 @@ BankFederation make_federation(ZmailParams& p, std::size_t k,
 
 class FederationTest : public ::testing::Test {
  protected:
+  // A federation whose inter-bank wires go to the fixture's queue.
   BankFederation make(std::size_t k, std::uint64_t seed) {
-    return make_federation(params_, k, seed);
+    BankFederation fed = make_federation(params_, k, seed);
+    wires_.attach(fed);
+    return fed;
   }
 
   std::vector<Isp> make_isps(const BankFederation& fed,
@@ -71,7 +75,7 @@ class FederationTest : public ::testing::Test {
   }
 
   // Drives a full snapshot round through real Isp state machines that seal
-  // to their home banks' keys.
+  // to their home banks' keys, then the inter-bank plane to quiescence.
   void run_round(BankFederation& fed, std::vector<Isp>& isps) {
     for (auto& [idx, wire] : fed.start_snapshot()) {
       isps[idx].on_request(wire);
@@ -79,9 +83,11 @@ class FederationTest : public ::testing::Test {
       for (const Outbound& o : isps[idx].take_outbox())
         if (o.type == kMsgReply) fed.on_reply(idx, o.payload);
     }
+    wires_.drain(fed);
   }
 
   ZmailParams params_ = fed_params();
+  InterbankWireQueue wires_;
 };
 
 TEST_F(FederationTest, HomeBankAssignmentIsRoundRobin) {
@@ -226,6 +232,8 @@ TEST_F(FederationTest, InterbankTrafficScalesWithBanks) {
   for (std::size_t n_banks : {2u, 4u}) {
     ZmailParams p = fed_params(8);
     BankFederation fed = make_federation(p, n_banks, 9);
+    InterbankWireQueue wires;
+    wires.attach(fed);
     std::vector<Isp> isps;
     for (std::size_t i = 0; i < p.n_isps; ++i)
       isps.emplace_back(i, p, fed.public_key_for(i), 400 + i);
@@ -236,6 +244,14 @@ TEST_F(FederationTest, InterbankTrafficScalesWithBanks) {
       for (const Outbound& o : ref[idx].take_outbox())
         if (o.type == kMsgReply) fed.on_reply(idx, o.payload);
     }
+    // interbank_bytes counts the sealed column wires the sink received.
+    std::uint64_t column_bytes = 0;
+    for (const InterbankWire& w : wires.drain(fed))
+      if (w.kind == static_cast<std::uint8_t>(BankFederation::FedMsg::kColumns))
+        column_bytes += w.wire.size();
+    EXPECT_FALSE(fed.round_open());
+    EXPECT_GT(column_bytes, 0u);
+    EXPECT_EQ(fed.metrics().interbank_bytes, column_bytes);
     if (n_banks == 2) msgs2 = fed.metrics().interbank_messages;
     if (n_banks == 4) msgs4 = fed.metrics().interbank_messages;
   }
@@ -247,6 +263,8 @@ TEST_F(FederationTest, PartialComplianceSkipsLegacyIsps) {
   ZmailParams p = fed_params(6);
   p.compliant = {true, true, false, true, false, true};
   BankFederation fed = make_federation(p, 2, 11);
+  InterbankWireQueue wires;
+  wires.attach(fed);
   std::vector<Isp> isps;
   for (std::size_t i = 0; i < p.n_isps; ++i)
     isps.emplace_back(i, p, fed.public_key_for(i), 600 + i);
@@ -258,6 +276,7 @@ TEST_F(FederationTest, PartialComplianceSkipsLegacyIsps) {
     for (const Outbound& o : isps[idx].take_outbox())
       if (o.type == kMsgReply) fed.on_reply(idx, o.payload);
   }
+  wires.drain(fed);
   EXPECT_FALSE(fed.round_open());
   EXPECT_TRUE(fed.last_violations().empty());
 }
@@ -289,6 +308,7 @@ TEST_F(FederationTest, StaleAndDuplicateRepliesIgnored) {
       if (idx == 0) first_report = o.payload;
     }
   }
+  wires_.drain(fed);
   EXPECT_FALSE(fed.round_open());
   const std::uint64_t reports = fed.metrics().credit_reports_received;
   fed.on_reply(0, first_report);  // replay after the round closed
