@@ -5,6 +5,8 @@
 #include <filesystem>
 #include <string>
 
+#include "store/crc32c.hpp"
+
 namespace zmail::core {
 namespace {
 
@@ -356,6 +358,13 @@ TEST(CentralBankGolden, SingleBankWorldFinalStateIsPinned) {
   EXPECT_EQ(sys.state_recoveries(), 1u);
   EXPECT_EQ(sys.bank().seq(), 3u);
   EXPECT_FALSE(sys.bank().round_open());
+
+  // Persisted-layout pins: a reordered or dropped counter in either
+  // serializer still round-trips, so only the bytes themselves catch it.
+  const crypto::Bytes isp_state = sys.isp(0).serialize_state();
+  EXPECT_EQ(store::crc32c(isp_state.data(), isp_state.size()), 0x0bd77f04u);
+  const crypto::Bytes bank_state = sys.bank().serialize_state(0);
+  EXPECT_EQ(store::crc32c(bank_state.data(), bank_state.size()), 0xee770265u);
   std::filesystem::remove_all(dir);
 }
 
