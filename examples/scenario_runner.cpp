@@ -22,7 +22,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <mutex>
 #include <optional>
@@ -148,16 +147,13 @@ telemetry::TelemetryConfig telemetry_config(const Args& args) {
 
 // Post-run telemetry export (single replica): merged series to CSV, the
 // default probe rules evaluated retrospectively (fires/clears logged via
-// the "probe" tag) with a console summary, and optionally the obs v3
-// snapshot built by `v3_snapshot`.  Returns 0 or the process exit code.
-int export_telemetry(const Args& args,
-                     const telemetry::TelemetryRegistry& registry,
-                     double endowment_epennies,
-                     const std::function<json::Value()>& v3_snapshot) {
+// the "probe" tag) with a console summary, and optionally the world's obs
+// snapshot.  Returns 0 or the process exit code.
+int export_telemetry(const Args& args, const core::ZmailSystem& world) {
   telemetry::DeriveSpec spec;
-  spec.endowment_epennies = endowment_epennies;
+  spec.endowment_epennies = static_cast<double>(world.initial_endowment());
   const std::vector<telemetry::Series> merged =
-      telemetry::merge_series(registry, spec);
+      telemetry::merge_series(*world.telemetry(), spec);
   std::size_t points = 0;
   for (const auto& s : merged) points += s.points.size();
 
@@ -183,7 +179,10 @@ int export_telemetry(const Args& args,
   }
   if (!args.telemetry_json.empty()) {
     std::string err;
-    if (!json::write_file(args.telemetry_json, v3_snapshot(), &err)) {
+    json::Value file = json::Value::object();
+    file["schema"] = "zmail-obs-v3";
+    file["scenario"] = obs::snapshot(world);
+    if (!json::write_file(args.telemetry_json, file, &err)) {
       std::fprintf(stderr, "telemetry JSON export failed: %s\n", err.c_str());
       return 2;
     }
@@ -375,13 +374,7 @@ int main(int argc, char** argv) {
         bag.count("state_recoveries",
                   static_cast<double>(runner.world().state_recoveries()));
         if (args.telemetry_on()) {
-          obs::MetricsRegistry reg;
-          reg.set_schema(obs::Schema::kV3);
-          reg.add_system("scenario", runner.world());
-          telemetry_rc = export_telemetry(
-              args, *runner.world().telemetry(),
-              static_cast<double>(runner.world().initial_endowment()),
-              [&reg] { return reg.snapshot(); });
+          telemetry_rc = export_telemetry(args, runner.world());
         }
         bag.count("commands_executed", static_cast<double>(r.commands_executed));
         bag.count("failures", static_cast<double>(r.failures.size()));

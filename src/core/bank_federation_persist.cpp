@@ -6,8 +6,8 @@
 // request sealing draws from that stream).  The handlers are idempotent
 // against duplicated trade requests and inter-bank wires, which makes them
 // doubly safe to replay.
-#include <array>
 #include <bit>
+#include <type_traits>
 
 #include "core/federation.hpp"
 #include "store/wal.hpp"
@@ -57,24 +57,6 @@ bool get_matrix_i64(crypto::ByteReader& r,
     for (auto& v : row) v = r.get_i64();
   }
   return r.ok();
-}
-
-// Every u64 counter of BankMetrics, in serialization order (the two
-// e-penny totals are signed and travel separately).
-template <typename M>
-auto metric_fields(M& m) {
-  return std::array{&m.buys_received, &m.buys_accepted, &m.buys_rejected,
-                    &m.sells_received, &m.snapshot_rounds,
-                    &m.credit_reports_received, &m.inconsistent_pairs_found,
-                    &m.bad_envelopes, &m.stale_reports, &m.duplicate_buys,
-                    &m.duplicate_sells, &m.stale_trades,
-                    &m.snapshot_rerequests, &m.settlement_transfers,
-                    &m.settlement_bytes, &m.requests_sent,
-                    &m.settlements_cross_bank, &m.clearing_transfers,
-                    &m.interbank_messages, &m.interbank_bytes,
-                    &m.clearing_messages, &m.interbank_acks,
-                    &m.interbank_retries, &m.duplicate_interbank,
-                    &m.stale_interbank};
 }
 
 }  // namespace
@@ -152,8 +134,12 @@ crypto::Bytes BankFederation::serialize_state(std::size_t bank) const {
     crypto::put_i64(b, v.discrepancy);
   }
 
-  for (const std::uint64_t* v : metric_fields(mb.metrics))
-    crypto::put_u64(b, *v);
+  // The u64 counters in fields() order; the two signed e-penny totals
+  // travel after them.
+  BankMetrics::fields([&](const char*, auto p) {
+    if constexpr (std::is_same_v<decltype(p), std::uint64_t BankMetrics::*>)
+      crypto::put_u64(b, mb.metrics.*p);
+  });
   crypto::put_i64(b, mb.metrics.epennies_minted);
   crypto::put_i64(b, mb.metrics.epennies_burned);
 
@@ -257,7 +243,10 @@ bool BankFederation::restore_state(std::size_t bank,
   }
 
   BankMetrics& m = mb.metrics;
-  for (std::uint64_t* v : metric_fields(m)) *v = r.get_u64();
+  BankMetrics::fields([&](const char*, auto p) {
+    if constexpr (std::is_same_v<decltype(p), std::uint64_t BankMetrics::*>)
+      m.*p = r.get_u64();
+  });
   m.epennies_minted = r.get_i64();
   m.epennies_burned = r.get_i64();
 

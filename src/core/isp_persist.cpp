@@ -121,20 +121,8 @@ void Isp::serialize_scalar_tail(crypto::Bytes& b) const {
 
   crypto::put_u8(b, static_cast<std::uint8_t>(misbehavior_));
 
-  const IspMetrics& m = metrics_;
-  for (std::uint64_t v :
-       {m.emails_sent_local, m.emails_sent_compliant,
-        m.emails_sent_noncompliant, m.emails_received_compliant,
-        m.emails_received_noncompliant, m.emails_delivered,
-        m.emails_segregated, m.emails_discarded, m.emails_filtered_out,
-        m.refused_no_balance, m.refused_daily_limit,
-        m.emails_buffered_during_quiesce, m.snapshots_answered,
-        m.zombie_warnings_sent, m.acks_generated, m.acks_received,
-        m.bank_buys_attempted, m.bank_buys_accepted, m.bank_sells,
-        m.bad_nonce_replies, m.bad_envelopes, m.stale_requests,
-        m.bank_retries, m.report_retries, m.emails_retransmitted,
-        m.emails_refunded, m.emails_shed, m.duplicate_emails_dropped})
-    crypto::put_u64(b, v);
+  IspMetrics::fields(
+      [&](const char*, auto p) { crypto::put_u64(b, metrics_.*p); });
 
   put_rng(b, rng_);
   crypto::put_u64(b, nonce_gen_.issued());
@@ -202,20 +190,7 @@ bool Isp::restore_scalar_tail(crypto::ByteReader& r) {
 
   misbehavior_ = static_cast<Misbehavior>(r.get_u8());
 
-  IspMetrics& m = metrics_;
-  for (std::uint64_t* v :
-       {&m.emails_sent_local, &m.emails_sent_compliant,
-        &m.emails_sent_noncompliant, &m.emails_received_compliant,
-        &m.emails_received_noncompliant, &m.emails_delivered,
-        &m.emails_segregated, &m.emails_discarded, &m.emails_filtered_out,
-        &m.refused_no_balance, &m.refused_daily_limit,
-        &m.emails_buffered_during_quiesce, &m.snapshots_answered,
-        &m.zombie_warnings_sent, &m.acks_generated, &m.acks_received,
-        &m.bank_buys_attempted, &m.bank_buys_accepted, &m.bank_sells,
-        &m.bad_nonce_replies, &m.bad_envelopes, &m.stale_requests,
-        &m.bank_retries, &m.report_retries, &m.emails_retransmitted,
-        &m.emails_refunded, &m.emails_shed, &m.duplicate_emails_dropped})
-    *v = r.get_u64();
+  IspMetrics::fields([&](const char*, auto p) { metrics_.*p = r.get_u64(); });
 
   get_rng(r, rng_);
   nonce_gen_.restore_issued(r.get_u64());

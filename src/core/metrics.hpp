@@ -55,36 +55,47 @@ struct IspMetrics {
   std::uint64_t emails_shed = 0;        // quiesce buffer overflow, refunded
   std::uint64_t duplicate_emails_dropped = 0;  // receiver-side ARQ dedupe
 
+  // Every counter, in declaration order.  merge(), the obs export and the
+  // persisted layout (isp_persist.cpp) all walk this list, so a new
+  // counter is added here and nowhere else — with a kStateVersion bump,
+  // because it changes the persisted bytes.
+  template <class F>
+  static void fields(F&& f) {
+    f("emails_sent_local", &IspMetrics::emails_sent_local);
+    f("emails_sent_compliant", &IspMetrics::emails_sent_compliant);
+    f("emails_sent_noncompliant", &IspMetrics::emails_sent_noncompliant);
+    f("emails_received_compliant", &IspMetrics::emails_received_compliant);
+    f("emails_received_noncompliant",
+      &IspMetrics::emails_received_noncompliant);
+    f("emails_delivered", &IspMetrics::emails_delivered);
+    f("emails_segregated", &IspMetrics::emails_segregated);
+    f("emails_discarded", &IspMetrics::emails_discarded);
+    f("emails_filtered_out", &IspMetrics::emails_filtered_out);
+    f("refused_no_balance", &IspMetrics::refused_no_balance);
+    f("refused_daily_limit", &IspMetrics::refused_daily_limit);
+    f("emails_buffered_during_quiesce",
+      &IspMetrics::emails_buffered_during_quiesce);
+    f("snapshots_answered", &IspMetrics::snapshots_answered);
+    f("zombie_warnings_sent", &IspMetrics::zombie_warnings_sent);
+    f("acks_generated", &IspMetrics::acks_generated);
+    f("acks_received", &IspMetrics::acks_received);
+    f("bank_buys_attempted", &IspMetrics::bank_buys_attempted);
+    f("bank_buys_accepted", &IspMetrics::bank_buys_accepted);
+    f("bank_sells", &IspMetrics::bank_sells);
+    f("bad_nonce_replies", &IspMetrics::bad_nonce_replies);
+    f("bad_envelopes", &IspMetrics::bad_envelopes);
+    f("stale_requests", &IspMetrics::stale_requests);
+    f("bank_retries", &IspMetrics::bank_retries);
+    f("report_retries", &IspMetrics::report_retries);
+    f("emails_retransmitted", &IspMetrics::emails_retransmitted);
+    f("emails_refunded", &IspMetrics::emails_refunded);
+    f("emails_shed", &IspMetrics::emails_shed);
+    f("duplicate_emails_dropped", &IspMetrics::duplicate_emails_dropped);
+  }
+
   // Field-wise sum, for fleet-wide aggregation (obs snapshots, sweeps).
   void merge(const IspMetrics& o) noexcept {
-    emails_sent_local += o.emails_sent_local;
-    emails_sent_compliant += o.emails_sent_compliant;
-    emails_sent_noncompliant += o.emails_sent_noncompliant;
-    emails_received_compliant += o.emails_received_compliant;
-    emails_received_noncompliant += o.emails_received_noncompliant;
-    emails_delivered += o.emails_delivered;
-    emails_segregated += o.emails_segregated;
-    emails_discarded += o.emails_discarded;
-    emails_filtered_out += o.emails_filtered_out;
-    refused_no_balance += o.refused_no_balance;
-    refused_daily_limit += o.refused_daily_limit;
-    emails_buffered_during_quiesce += o.emails_buffered_during_quiesce;
-    snapshots_answered += o.snapshots_answered;
-    zombie_warnings_sent += o.zombie_warnings_sent;
-    acks_generated += o.acks_generated;
-    acks_received += o.acks_received;
-    bank_buys_attempted += o.bank_buys_attempted;
-    bank_buys_accepted += o.bank_buys_accepted;
-    bank_sells += o.bank_sells;
-    bad_nonce_replies += o.bad_nonce_replies;
-    bad_envelopes += o.bad_envelopes;
-    stale_requests += o.stale_requests;
-    bank_retries += o.bank_retries;
-    report_retries += o.report_retries;
-    emails_retransmitted += o.emails_retransmitted;
-    emails_refunded += o.emails_refunded;
-    emails_shed += o.emails_shed;
-    duplicate_emails_dropped += o.duplicate_emails_dropped;
+    fields([&](const char*, auto p) { this->*p += o.*p; });
   }
 };
 
@@ -128,35 +139,44 @@ struct BankMetrics {
   std::uint64_t duplicate_interbank = 0;  // column/clearing replays absorbed
   std::uint64_t stale_interbank = 0;      // inter-bank wires for closed rounds
 
+  // Every counter, in declaration order.  merge(), the obs export and the
+  // persisted layout (bank_federation_persist.cpp) all walk this list, so
+  // a new counter is added here and nowhere else — with a kStateVersion
+  // bump, because it changes the persisted bytes.
+  template <class F>
+  static void fields(F&& f) {
+    f("buys_received", &BankMetrics::buys_received);
+    f("buys_accepted", &BankMetrics::buys_accepted);
+    f("buys_rejected", &BankMetrics::buys_rejected);
+    f("sells_received", &BankMetrics::sells_received);
+    f("snapshot_rounds", &BankMetrics::snapshot_rounds);
+    f("credit_reports_received", &BankMetrics::credit_reports_received);
+    f("inconsistent_pairs_found", &BankMetrics::inconsistent_pairs_found);
+    f("bad_envelopes", &BankMetrics::bad_envelopes);
+    f("stale_reports", &BankMetrics::stale_reports);
+    f("duplicate_buys", &BankMetrics::duplicate_buys);
+    f("duplicate_sells", &BankMetrics::duplicate_sells);
+    f("stale_trades", &BankMetrics::stale_trades);
+    f("snapshot_rerequests", &BankMetrics::snapshot_rerequests);
+    f("epennies_minted", &BankMetrics::epennies_minted);
+    f("epennies_burned", &BankMetrics::epennies_burned);
+    f("settlement_transfers", &BankMetrics::settlement_transfers);
+    f("settlement_bytes", &BankMetrics::settlement_bytes);
+    f("requests_sent", &BankMetrics::requests_sent);
+    f("settlements_cross_bank", &BankMetrics::settlements_cross_bank);
+    f("clearing_transfers", &BankMetrics::clearing_transfers);
+    f("interbank_messages", &BankMetrics::interbank_messages);
+    f("interbank_bytes", &BankMetrics::interbank_bytes);
+    f("clearing_messages", &BankMetrics::clearing_messages);
+    f("interbank_acks", &BankMetrics::interbank_acks);
+    f("interbank_retries", &BankMetrics::interbank_retries);
+    f("duplicate_interbank", &BankMetrics::duplicate_interbank);
+    f("stale_interbank", &BankMetrics::stale_interbank);
+  }
+
   // Field-wise sum, for federation-wide aggregation.
   void merge(const BankMetrics& o) noexcept {
-    buys_received += o.buys_received;
-    buys_accepted += o.buys_accepted;
-    buys_rejected += o.buys_rejected;
-    sells_received += o.sells_received;
-    snapshot_rounds += o.snapshot_rounds;
-    credit_reports_received += o.credit_reports_received;
-    inconsistent_pairs_found += o.inconsistent_pairs_found;
-    bad_envelopes += o.bad_envelopes;
-    stale_reports += o.stale_reports;
-    duplicate_buys += o.duplicate_buys;
-    duplicate_sells += o.duplicate_sells;
-    stale_trades += o.stale_trades;
-    snapshot_rerequests += o.snapshot_rerequests;
-    epennies_minted += o.epennies_minted;
-    epennies_burned += o.epennies_burned;
-    settlement_transfers += o.settlement_transfers;
-    settlement_bytes += o.settlement_bytes;
-    requests_sent += o.requests_sent;
-    settlements_cross_bank += o.settlements_cross_bank;
-    clearing_transfers += o.clearing_transfers;
-    interbank_messages += o.interbank_messages;
-    interbank_bytes += o.interbank_bytes;
-    clearing_messages += o.clearing_messages;
-    interbank_acks += o.interbank_acks;
-    interbank_retries += o.interbank_retries;
-    duplicate_interbank += o.duplicate_interbank;
-    stale_interbank += o.stale_interbank;
+    fields([&](const char*, auto p) { this->*p += o.*p; });
   }
 };
 

@@ -189,9 +189,8 @@ LegacyHostStats ZmailSystem::total_legacy_stats() const {
   LegacyHostStats total;
   for (std::size_t i = 0; i < legacy_.size(); ++i) {
     if (params_.is_compliant(i)) continue;
-    total.emails_sent += legacy_[i].stats.emails_sent;
-    total.emails_received += legacy_[i].stats.emails_received;
-    total.emails_received_spam += legacy_[i].stats.emails_received_spam;
+    LegacyHostStats::fields(
+        [&](const char*, auto p) { total.*p += legacy_[i].stats.*p; });
   }
   return total;
 }
@@ -570,24 +569,23 @@ void ZmailSystem::enable_telemetry(const telemetry::TelemetryConfig& cfg) {
 
   // engine — execution signals (backlogs, engine totals); these describe
   // this process, not the simulated world, so they live outside the
-  // deterministic section.  The "shard0" prefix keeps the exported series
-  // names stable.
-  t.add_engine_gauge("sim", "shard0.event_backlog", [this] {
+  // deterministic section.
+  t.add_engine_gauge("sim", "event_backlog", [this] {
     return static_cast<double>(sim_.pending());
   });
-  t.add_engine_rate("sim", "shard0.events", [this] {
+  t.add_engine_rate("sim", "events", [this] {
     return static_cast<double>(sim_.events_executed());
   });
-  t.add_engine_rate("sim", "shard0.calendar_rebases", [this] {
+  t.add_engine_rate("sim", "calendar_rebases", [this] {
     return static_cast<double>(sim_.calendar_rebases());
   });
-  t.add_engine_rate("net", "shard0.datagrams", [this] {
+  t.add_engine_rate("net", "datagrams", [this] {
     return static_cast<double>(net_.datagrams_sent());
   });
-  t.add_engine_rate("net", "shard0.bytes", [this] {
+  t.add_engine_rate("net", "bytes", [this] {
     return static_cast<double>(net_.bytes_sent());
   });
-  t.add_engine_gauge("net", "shard0.in_flight_transfers", [this] {
+  t.add_engine_gauge("net", "in_flight_transfers", [this] {
     return static_cast<double>(transfers_.size());
   });
 

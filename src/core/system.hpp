@@ -45,6 +45,14 @@ struct LegacyHostStats {
   std::uint64_t emails_sent = 0;
   std::uint64_t emails_received = 0;
   std::uint64_t emails_received_spam = 0;  // by ground truth
+
+  // Every counter, in declaration order (see IspMetrics::fields).
+  template <class F>
+  static void fields(F&& f) {
+    f("emails_sent", &LegacyHostStats::emails_sent);
+    f("emails_received", &LegacyHostStats::emails_received);
+    f("emails_received_spam", &LegacyHostStats::emails_received_spam);
+  }
 };
 
 // Unified result of every facade send: the protocol outcome enum plus
@@ -167,7 +175,7 @@ class ZmailSystem {
   std::uint64_t state_recoveries() const noexcept { return state_recoveries_; }
 
   // Field-wise sum of every open store's checkpoint + WAL counters (all
-  // zeros when the durable store is off).  Feeds the obs v2 snapshot.
+  // zeros when the durable store is off).  Feeds the obs snapshot.
   struct StoreTotals {
     std::uint64_t checkpoints = 0;
     std::uint64_t snapshot_bytes = 0;  // Σ last_snapshot_bytes over stores

@@ -62,30 +62,11 @@ json::Value MetricBag::to_json() const {
   }
   if (!stats_.empty()) {
     json::Value& st = out["stats"];
-    for (const auto& [name, s] : stats_) {
-      json::Value& j = st[name];
-      j["count"] = s.count();
-      j["mean"] = s.mean();
-      j["stddev"] = s.stddev();
-      j["min"] = s.min();
-      j["max"] = s.max();
-      j["sum"] = s.sum();
-    }
+    for (const auto& [name, s] : stats_) st[name] = zmail::to_json(s);
   }
   if (!hists_.empty()) {
     json::Value& hs = out["histograms"];
-    for (const auto& [name, h] : hists_) {
-      json::Value& j = hs[name];
-      j["lo"] = h.lo();
-      j["hi"] = h.hi();
-      j["total"] = h.total();
-      j["p50"] = h.percentile(50);
-      j["p90"] = h.percentile(90);
-      j["p99"] = h.percentile(99);
-      json::Value& counts = j["counts"];
-      counts = json::Value::array();
-      for (std::uint64_t c : h.buckets()) counts.push_back(c);
-    }
+    for (const auto& [name, h] : hists_) hs[name] = zmail::to_json(h);
   }
   return out;
 }

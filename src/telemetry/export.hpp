@@ -1,7 +1,7 @@
 // Exporters and merge/derive logic for recorded telemetry.
 //
 // Formats:
-//   - JSON: the obs v3 "timeseries" / "timeseries_engine" sections
+//   - JSON: the obs snapshot's "timeseries" / "timeseries_engine" sections
 //     (canonically sorted keys; the deterministic section is a pure
 //     function of the simulated world).
 //   - CSV (long format): one row per point —

@@ -1,6 +1,6 @@
 // Offline analysis over a collected (or re-loaded) flight-recorder stream:
 // span reconstruction, causal-chain validation, and the per-stage latency
-// breakdown that tools/trace_report prints and obs v2 embeds.
+// breakdown that tools/trace_report prints and the obs snapshot embeds.
 //
 // All analysis is in sim-time — the deterministic clock the span invariants
 // are stated in.  Wall-time is available on every event for ad-hoc queries
@@ -111,7 +111,7 @@ std::map<std::string, StageStats> breakdown(
     const std::vector<TraceEvent>& events);
 
 // {"<stage>": {count, total_us, mean_us, min_us, max_us}} — the
-// "trace_breakdown" object of the zmail-obs-v2 snapshot.
+// "trace_breakdown" object of the obs snapshot.
 json::Value breakdown_to_json(const std::map<std::string, StageStats>& b);
 
 }  // namespace zmail::trace

@@ -141,4 +141,43 @@ double Sample::max() const {
   return *std::max_element(xs_.begin(), xs_.end());
 }
 
+json::Value to_json(const OnlineStats& s) {
+  json::Value j = json::Value::object();
+  j["count"] = s.count();
+  j["mean"] = s.mean();
+  j["stddev"] = s.stddev();
+  j["min"] = s.min();
+  j["max"] = s.max();
+  j["sum"] = s.sum();
+  return j;
+}
+
+json::Value to_json(const Histogram& h) {
+  json::Value j = json::Value::object();
+  j["lo"] = h.lo();
+  j["hi"] = h.hi();
+  j["total"] = h.total();
+  j["p50"] = h.percentile(50);
+  j["p90"] = h.percentile(90);
+  j["p99"] = h.percentile(99);
+  json::Value& counts = j["counts"];
+  counts = json::Value::array();
+  for (std::uint64_t c : h.buckets()) counts.push_back(c);
+  return j;
+}
+
+json::Value to_json(const Sample& s) {
+  json::Value j = json::Value::object();
+  j["count"] = static_cast<std::uint64_t>(s.size());
+  if (!s.empty()) {
+    j["mean"] = s.mean();
+    j["min"] = s.min();
+    j["max"] = s.max();
+    j["p50"] = s.percentile(50);
+    j["p90"] = s.percentile(90);
+    j["p99"] = s.percentile(99);
+  }
+  return j;
+}
+
 }  // namespace zmail

@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "util/json.hpp"
+
 namespace zmail {
 
 // Welford online mean/variance with min/max tracking.
@@ -85,5 +87,13 @@ class Sample {
  private:
   std::vector<double> xs_;
 };
+
+// JSON shapes shared by obs snapshots and sweep MetricBags (key order is
+// part of the BENCH_*.json format).  Samples export summary percentiles,
+// not raw observations: raw data can be millions of points and the
+// consumers only read quantiles.
+json::Value to_json(const OnlineStats& s);
+json::Value to_json(const Histogram& h);
+json::Value to_json(const Sample& s);
 
 }  // namespace zmail

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
 #include "core/system.hpp"
 
@@ -19,36 +20,66 @@ core::ZmailSystem make_system() {
   return core::ZmailSystem(p, 7);
 }
 
-TEST(ObsToJson, IspMetricsCarriesEveryCounter) {
-  core::IspMetrics m;
-  m.emails_delivered = 3;
-  m.refused_no_balance = 1;
-  const json::Value j = obs::to_json(m);
-  EXPECT_EQ(j.find("emails_delivered")->as_uint64(), 3u);
-  EXPECT_EQ(j.find("refused_no_balance")->as_uint64(), 1u);
-  // Field count guards against new IspMetrics counters being forgotten in
-  // the exporter: one JSON key per struct field.
-  EXPECT_EQ(j.items().size(), 22u);
+// Every counter set through fields() to its own value base+1, base+2, ...,
+// so a counter dropped, doubled or swapped by a consumer reads wrong.
+template <class M>
+M distinct_counters(std::uint64_t base) {
+  M m;
+  M::fields([&](const char*, auto p) {
+    m.*p = static_cast<std::decay_t<decltype(m.*p)>>(++base);
+  });
+  return m;
 }
 
-TEST(ObsToJson, StatsShapes) {
-  OnlineStats s;
-  s.add(1.0);
-  s.add(3.0);
-  const json::Value js = obs::to_json(s);
-  EXPECT_EQ(js.find("count")->as_uint64(), 2u);
-  EXPECT_DOUBLE_EQ(js.find("mean")->as_double(), 2.0);
+// fields() lists every member: all counters are 8 bytes wide, so a member
+// missing from the list leaves the byte count short.
+template <class M>
+std::size_t field_count() {
+  std::size_t n = 0;
+  M::fields([&](const char*, auto) { ++n; });
+  EXPECT_EQ(n * sizeof(std::uint64_t), sizeof(M));
+  return n;
+}
 
-  Histogram h(0.0, 10.0, 10);
-  h.add(5.0);
-  const json::Value jh = obs::to_json(h);
-  EXPECT_EQ(jh.find("total")->as_uint64(), 1u);
-  EXPECT_EQ(jh.find("counts")->size(), 10u);
+template <class M>
+void expect_each_counter_once(const json::Value& j, const M& m) {
+  ASSERT_EQ(j.items().size(), field_count<M>());
+  std::size_t i = 0;
+  M::fields([&](const char* name, auto p) {
+    EXPECT_EQ(j.items()[i++].first, name);  // declaration order
+    const json::Value* v = j.find(name);
+    ASSERT_NE(v, nullptr) << name;
+    EXPECT_EQ(v->dump(), json::Value(m.*p).dump()) << name;
+  });
+}
 
-  Sample sample;
-  const json::Value je = obs::to_json(sample);
-  EXPECT_EQ(je.find("count")->as_uint64(), 0u);
-  EXPECT_EQ(je.find("mean"), nullptr);  // omitted when empty
+TEST(ObsToJson, EveryCounterAppearsExactlyOnce) {
+  EXPECT_EQ(field_count<core::IspMetrics>(), 28u);
+  EXPECT_EQ(field_count<core::BankMetrics>(), 27u);
+  EXPECT_EQ(field_count<core::LegacyHostStats>(), 3u);
+
+  const auto isp = distinct_counters<core::IspMetrics>(0);
+  expect_each_counter_once(obs::to_json(isp), isp);
+  const auto bank = distinct_counters<core::BankMetrics>(100);
+  expect_each_counter_once(obs::to_json(bank), bank);
+  const auto legacy = distinct_counters<core::LegacyHostStats>(200);
+  expect_each_counter_once(obs::to_json(legacy), legacy);
+}
+
+template <class M>
+void expect_merge_sums_every_counter() {
+  const M a = distinct_counters<M>(0);
+  const M b = distinct_counters<M>(1000);
+  M sum = a;
+  sum.merge(b);
+  M::fields([&](const char* name, auto p) {
+    EXPECT_EQ(sum.*p, a.*p + b.*p) << name;
+  });
+}
+
+TEST(ObsToJson, MergeSumsEveryCounter) {
+  expect_merge_sums_every_counter<core::IspMetrics>();
+  expect_merge_sums_every_counter<core::BankMetrics>();
 }
 
 TEST(ObsSnapshot, ReflectsSystemActivity) {
@@ -62,12 +93,16 @@ TEST(ObsSnapshot, ReflectsSystemActivity) {
   EXPECT_EQ(j.find("n_isps")->as_uint64(), 2u);
   EXPECT_EQ(j.find("compliant_isps")->as_uint64(), 2u);
   EXPECT_GE(j.find("isp_totals")->find("emails_delivered")->as_uint64(), 1u);
+  EXPECT_EQ(j.find("isp_totals")->items().size(), 28u);
+  EXPECT_EQ(j.find("bank")->items().size(), 27u);
   EXPECT_GT(j.find("network")->find("datagrams_sent")->as_uint64(), 0u);
   EXPECT_EQ(j.find("network")->find("smtp_bytes_received")->size(), 2u);
   ASSERT_NE(j.find("conservation"), nullptr);
   EXPECT_TRUE(j.find("conservation")->find("holds")->as_bool());
   EXPECT_EQ(j.find("per_isp")->size(), 2u);
+  EXPECT_NE(j.find("store"), nullptr);
   EXPECT_EQ(j.find("federation"), nullptr);  // one bank: no federation
+  EXPECT_EQ(j.find("timeseries"), nullptr);  // no telemetry registry
 }
 
 TEST(ObsSnapshot, SeveralBanksAddAFederationSection) {
@@ -82,54 +117,26 @@ TEST(ObsSnapshot, SeveralBanksAddAFederationSection) {
   sys.start_snapshot();
   sys.run_for(sim::kHour);
 
-  const json::Value j = obs::snapshot(sys, obs::Schema::kV2);
+  const json::Value j = obs::snapshot(sys);
+  const json::Value* bank = j.find("bank");
+  EXPECT_EQ(bank->find("snapshot_rounds")->as_uint64(), 1u);
+  EXPECT_EQ(bank->find("interbank_messages")->as_uint64(), 2u);
+  EXPECT_EQ(bank->find("settlements_cross_bank")->as_uint64(), 1u);
   const json::Value* f = j.find("federation");
   ASSERT_NE(f, nullptr);
+  EXPECT_EQ(f->items().size(), 2u);  // the counters live under "bank"
   EXPECT_EQ(f->find("n_banks")->as_uint64(), 2u);
-  EXPECT_EQ(f->find("interbank_messages")->as_uint64(), 2u);
-  EXPECT_EQ(f->find("settlements_cross_bank")->as_uint64(), 1u);
   EXPECT_EQ(f->find("per_bank")->size(), 2u);
-  EXPECT_EQ(j.find("bank")->find("snapshot_rounds")->as_uint64(), 1u);
 }
 
-TEST(ObsRegistry, ProvidersAreLazyAndOrdered) {
-  int calls = 0;
-  obs::MetricsRegistry reg;
-  reg.add("first", [&] {
-    ++calls;
-    return json::Value(1);
-  });
-  reg.add("second", [&] {
-    ++calls;
-    return json::Value("two");
-  });
-  EXPECT_EQ(calls, 0);  // lazy: nothing invoked at registration
-  const json::Value j = reg.snapshot();
-  EXPECT_EQ(calls, 2);
-  EXPECT_EQ(j.find("schema")->as_string(), "zmail-obs-v1");
-  // Registration order == serialization order (after the schema key).
-  EXPECT_EQ(j.items()[1].first, "first");
-  EXPECT_EQ(j.items()[2].first, "second");
-}
-
-TEST(ObsRegistry, DuplicateNameIsRejectedFirstRegistrationWins) {
-  obs::MetricsRegistry reg;
-  EXPECT_TRUE(reg.add("dup", [] { return json::Value(1); }));
-  EXPECT_FALSE(reg.add("dup", [] { return json::Value(2); }));
-  EXPECT_EQ(reg.size(), 1u);
-  const json::Value j = reg.snapshot();
-  EXPECT_EQ(j.find("dup")->as_int64(), 1);  // first registration wins
-}
-
-TEST(ObsRegistry, WriteFileRoundTripsThroughParser) {
+TEST(ObsSnapshot, WriteFileRoundTripsThroughParser) {
   core::ZmailSystem sys = make_system();
-  obs::MetricsRegistry reg;
-  reg.add_system("system", sys);
   sys.run_for(sim::kMinute);
+  const json::Value snap = obs::snapshot(sys);
 
-  const std::string path = "obs_test_out.json";
+  const std::string path = ::testing::TempDir() + "obs_test_out.json";
   std::string err;
-  ASSERT_TRUE(reg.write_file(path, &err)) << err;
+  ASSERT_TRUE(json::write_file(path, snap, &err)) << err;
 
   std::ifstream f(path);
   ASSERT_TRUE(f.good());
@@ -137,11 +144,9 @@ TEST(ObsRegistry, WriteFileRoundTripsThroughParser) {
   ss << f.rdbuf();
   const auto parsed = json::parse(ss.str(), &err);
   ASSERT_TRUE(parsed.has_value()) << err;
-  EXPECT_EQ(parsed->find("schema")->as_string(), "zmail-obs-v1");
-  // add_system is lazy: run_for happened after registration, and the file
-  // must reflect the post-run state.
-  EXPECT_EQ(parsed->find("system")->find("sim_time")->as_int64(),
+  EXPECT_EQ(parsed->find("sim_time")->as_int64(),
             static_cast<std::int64_t>(sim::kMinute));
+  EXPECT_EQ(parsed->dump(), snap.dump());
   std::remove(path.c_str());
 }
 

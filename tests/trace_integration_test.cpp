@@ -226,31 +226,17 @@ TEST_F(TraceIntegrationTest, ObsV2FoldsCountersAndBreakdown) {
                  "v2", "b");
   sys.run_for(sim::kHour);
 
-  // v1 must not know the v2 keys (byte-stable legacy schema) ...
-  const json::Value v1 = obs::snapshot(sys, obs::Schema::kV1);
-  EXPECT_EQ(v1.find("isp_totals")->find("emails_retransmitted"), nullptr);
-  EXPECT_EQ(v1.find("store"), nullptr);
-  EXPECT_EQ(v1.find("trace_breakdown"), nullptr);
-
-  // ... while v2 carries the fault counters, bank idempotency counters,
+  // The snapshot carries the fault counters, bank idempotency counters,
   // store totals, and the live trace breakdown.
-  const json::Value v2 = obs::snapshot(sys, obs::Schema::kV2);
-  ASSERT_NE(v2.find("isp_totals"), nullptr);
-  EXPECT_NE(v2.find("isp_totals")->find("emails_retransmitted"), nullptr);
-  ASSERT_NE(v2.find("bank"), nullptr);
-  EXPECT_NE(v2.find("bank")->find("duplicate_buys"), nullptr);
-  ASSERT_NE(v2.find("store"), nullptr);
-  EXPECT_NE(v2.find("store")->find("state_recoveries"), nullptr);
-  ASSERT_NE(v2.find("trace_breakdown"), nullptr);
-  EXPECT_NE(v2.find("trace_breakdown")->find("message"), nullptr);
-
-  obs::MetricsRegistry reg;
-  reg.add_system("sys", sys);
-  json::Value snap1 = reg.snapshot();
-  EXPECT_EQ(snap1.find("schema")->as_string(), "zmail-obs-v1");
-  reg.set_schema(obs::Schema::kV2);
-  json::Value snap2 = reg.snapshot();
-  EXPECT_EQ(snap2.find("schema")->as_string(), "zmail-obs-v2");
+  const json::Value snap = obs::snapshot(sys);
+  ASSERT_NE(snap.find("isp_totals"), nullptr);
+  EXPECT_NE(snap.find("isp_totals")->find("emails_retransmitted"), nullptr);
+  ASSERT_NE(snap.find("bank"), nullptr);
+  EXPECT_NE(snap.find("bank")->find("duplicate_buys"), nullptr);
+  ASSERT_NE(snap.find("store"), nullptr);
+  EXPECT_NE(snap.find("store")->find("state_recoveries"), nullptr);
+  ASSERT_NE(snap.find("trace_breakdown"), nullptr);
+  EXPECT_NE(snap.find("trace_breakdown")->find("message"), nullptr);
 }
 
 }  // namespace

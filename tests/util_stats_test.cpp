@@ -194,5 +194,25 @@ TEST(Sample, MergeConcatenatesOursFirst) {
   EXPECT_DOUBLE_EQ(a.sum(), 6.0);
 }
 
+TEST(StatsJson, Shapes) {
+  OnlineStats s;
+  s.add(1.0);
+  s.add(3.0);
+  const json::Value js = to_json(s);
+  EXPECT_EQ(js.find("count")->as_uint64(), 2u);
+  EXPECT_DOUBLE_EQ(js.find("mean")->as_double(), 2.0);
+
+  Histogram h(0.0, 10.0, 10);
+  h.add(5.0);
+  const json::Value jh = to_json(h);
+  EXPECT_EQ(jh.find("total")->as_uint64(), 1u);
+  EXPECT_EQ(jh.find("counts")->size(), 10u);
+
+  Sample sample;
+  const json::Value je = to_json(sample);
+  EXPECT_EQ(je.find("count")->as_uint64(), 0u);
+  EXPECT_EQ(je.find("mean"), nullptr);  // omitted when empty
+}
+
 }  // namespace
 }  // namespace zmail
