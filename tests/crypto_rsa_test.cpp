@@ -4,6 +4,7 @@
 
 #include "crypto/hmac.hpp"
 #include "crypto/primes.hpp"
+#include "store/crc32c.hpp"
 
 namespace zmail::crypto {
 namespace {
@@ -117,6 +118,37 @@ TEST_F(RsaTest, SignVerify) {
   EXPECT_FALSE(rsa_verify(keys_.pub, from_string("forged"), sig));
   EXPECT_FALSE(rsa_verify(keys_.pub, msg, sig ^ 1));
   EXPECT_FALSE(rsa_verify(keys_.pub, msg, keys_.pub.n));  // out of range
+}
+
+// Pins the sealed wire bytes (as CRC32C) of a fixed-seed envelope stream
+// under both key halves, so any change to the session-key derivation,
+// keystream, MAC input or serialization shows up as a changed checksum.
+TEST(EnvelopeGolden, SealedWireBytesArePinned) {
+  struct Case {
+    std::size_t len;
+    std::uint32_t pub_crc;
+    std::uint32_t priv_crc;
+  };
+  const Case kCases[] = {
+      {0, 0x0AB40B88, 0xCB5C8114},    {1, 0x80F98622, 0xA1A9C4FC},
+      {7, 0xF81D4F31, 0x7B2128C0},    {8, 0x2E0AC2F0, 0xF7196897},
+      {9, 0xA3BE3E8D, 0xEA23360C},    {24, 0xBCFF1270, 0x0C8EC916},
+      {63, 0x563D7673, 0x7F21E4AE},   {64, 0x4399AF43, 0x33E18867},
+      {65, 0x5D0C548F, 0x01D1DF89},   {520, 0x79ED19E0, 0xB3A78096},
+      {1000, 0xD26D7CF4, 0xD14F031B},
+  };
+  zmail::Rng rng(77);
+  const KeyPair keys = generate_keypair(rng);
+  for (const Case& c : kCases) {
+    Bytes plain(c.len);
+    for (auto& b : plain) b = static_cast<std::uint8_t>(rng.next_u64());
+    const Bytes by_pub = ncr(keys.pub, plain, rng).serialize();
+    const Bytes by_priv = ncr(keys.priv, plain, rng).serialize();
+    EXPECT_EQ(store::crc32c(by_pub.data(), by_pub.size()), c.pub_crc)
+        << "len=" << c.len;
+    EXPECT_EQ(store::crc32c(by_priv.data(), by_priv.size()), c.priv_crc)
+        << "len=" << c.len;
+  }
 }
 
 TEST(RsaKeygen, SmallModulusStillRoundTrips) {
