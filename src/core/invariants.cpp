@@ -48,13 +48,15 @@ void InvariantAuditor::check_now() {
     fail("real-money total (accounts + e-penny backing) drifted from its"
          " initial value");
 
-  // 3. per-user limit safety and non-negative pools.
+  // 3. per-user limit safety, non-negative pools, and the ISP's running
+  //    trade totals agree with its lifetime bought/sold columns.
   for (std::size_t i = 0; i < params.n_isps; ++i) {
     if (!params.is_compliant(i)) continue;
     const Isp& isp = sys.isp(i);
     if (isp.avail() < 0) fail("negative avail pool at isp " + std::to_string(i));
     if (isp.buffered_paid() < 0)
       fail("negative buffered-paid escrow at isp " + std::to_string(i));
+    EPenny bought = 0, sold = 0;
     isp.users().for_each_active([&](UserId u, ConstUserRef acc) {
       if (acc.balance < 0)
         fail("negative balance: user " + std::to_string(u.slot()) +
@@ -62,7 +64,12 @@ void InvariantAuditor::check_now() {
       if (acc.sent > acc.limit)
         fail("daily limit exceeded: user " + std::to_string(u.slot()) +
              " at isp " + std::to_string(i));
+      bought += acc.lifetime_epennies_bought;
+      sold += acc.lifetime_epennies_sold;
     });
+    if (isp.users_bought() != bought || isp.users_sold() != sold)
+      fail("running trade totals drifted from the user columns at isp " +
+           std::to_string(i));
   }
 
   // 4. nonce non-reuse: duplicates were absorbed, not re-applied.  A

@@ -433,6 +433,7 @@ bool Isp::user_buy(UserId t, EPenny x) {
   till_ += cost;
   u.balance += x;
   u.lifetime_epennies_bought += x;
+  users_bought_ += x;
   avail_ -= x;
   return true;
 }
@@ -453,6 +454,7 @@ bool Isp::user_sell(UserId t, EPenny x) {
   u.account += value;
   till_ -= value;
   u.lifetime_epennies_sold += x;
+  users_sold_ += x;
   avail_ += x;
   return true;
 }

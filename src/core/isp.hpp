@@ -196,8 +196,15 @@ class Isp {
       std::function<void(UserId user, const net::EmailMessage&)> sink) {
     ack_sink_ = std::move(sink);
   }
-  // Sum of user balances + avail pool (for conservation checks).
+  // Sum of user balances + avail pool (for conservation checks).  A real
+  // pass over the balance column, so conservation never trusts a cached
+  // total.
   EPenny epennies_held() const noexcept;
+  // Running totals of the lifetime_epennies_bought/sold columns: user_buy
+  // and user_sell add to them and every restore recounts them, so the
+  // telemetry trade gauges read them in O(1).  Not persisted.
+  EPenny users_bought() const noexcept { return users_bought_; }
+  EPenny users_sold() const noexcept { return users_sold_; }
 
   // Transport-layer events attributed to this ISP's counters (the harness
   // owns the reliable email transport but the metrics live here so obs
@@ -328,6 +335,8 @@ class Isp {
   // RNG/nonce streams).
   void serialize_scalar_tail(crypto::Bytes& b) const;
   bool restore_scalar_tail(crypto::ByteReader& r);
+  // Re-derives users_bought_/users_sold_ from the restored columns.
+  void recount_trade_totals() noexcept;
 
   std::size_t index_;
   const ZmailParams& params_;
@@ -336,6 +345,8 @@ class Isp {
   crypto::NonceGenerator nonce_gen_;
 
   Population users_;
+  EPenny users_bought_ = 0;  // Σ lifetime_epennies_bought
+  EPenny users_sold_ = 0;    // Σ lifetime_epennies_sold
   std::vector<std::vector<Delivery>> inboxes_;
   EPenny avail_ = 0;
   Money till_;  // real money received from users buying e-pennies

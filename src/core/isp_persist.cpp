@@ -250,6 +250,7 @@ bool Isp::restore_state(const crypto::Bytes& state) {
     u.lifetime_epennies_bought = r.get_i64();
     u.lifetime_epennies_sold = r.get_i64();
   }
+  recount_trade_totals();
   // The mail spool is not settlement state; recovery starts it empty.
   inboxes_.assign(n_users, std::vector<Delivery>{});
 
@@ -326,7 +327,20 @@ bool Isp::restore_columnar(const std::vector<RawSection>& sections) {
     if (!cols[c]) return false;
     if (!users_.load_column(col, cols[c]->data, cols[c]->size)) return false;
   }
+  recount_trade_totals();
   return true;
+}
+
+void Isp::recount_trade_totals() noexcept {
+  using Column = Population::Column;
+  users_bought_ = 0;
+  for (const EPenny x :
+       users_.column_span<EPenny>(Column::kLifetimeEpenniesBought))
+    users_bought_ += x;
+  users_sold_ = 0;
+  for (const EPenny x :
+       users_.column_span<EPenny>(Column::kLifetimeEpenniesSold))
+    users_sold_ += x;
 }
 
 bool Isp::restore_snapshot(const store::SnapshotFileView& view) {

@@ -5,6 +5,7 @@
 // pair is all the wire format needs.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -22,6 +23,12 @@ void put_i64(Bytes& b, std::int64_t v);
 // Length-prefixed (u32) byte string.
 void put_bytes(Bytes& b, const Bytes& v);
 void put_string(Bytes& b, std::string_view v);
+// The low `n` bytes of `v`, big-endian, into a fixed buffer (the byte
+// order of the put_* writers, for callers that must not allocate).
+inline void store_be(std::uint8_t* p, std::uint64_t v, std::size_t n) noexcept {
+  for (std::size_t i = 0; i < n; ++i)
+    p[i] = static_cast<std::uint8_t>(v >> (8 * (n - 1 - i)));
+}
 
 // Sequential reader over a Bytes buffer.  Reads past the end abort (protocol
 // messages in the simulation are never truncated unless a test does it on

@@ -1,43 +1,42 @@
 #include "crypto/hmac.hpp"
 
+#include <cstring>
+
 namespace zmail::crypto {
 
-namespace {
-Digest hmac_impl(const Bytes& key, const std::uint8_t* msg,
-                 std::size_t len) noexcept {
+HmacSha256::HmacSha256(std::span<const std::uint8_t> key) noexcept {
   constexpr std::size_t kBlock = 64;
-  Bytes k = key;
-  if (k.size() > kBlock) {
-    const Digest d = sha256(k);
-    k.assign(d.begin(), d.end());
+  std::uint8_t k[kBlock] = {};
+  if (key.size() > kBlock) {
+    Sha256 h;
+    h.update(key.data(), key.size());
+    const Digest d = h.finish();
+    std::memcpy(k, d.data(), d.size());
+  } else if (!key.empty()) {
+    std::memcpy(k, key.data(), key.size());
   }
-  k.resize(kBlock, 0);
-
-  Bytes ipad(kBlock), opad(kBlock);
+  std::uint8_t ipad[kBlock];
   for (std::size_t i = 0; i < kBlock; ++i) {
     ipad[i] = static_cast<std::uint8_t>(k[i] ^ 0x36);
-    opad[i] = static_cast<std::uint8_t>(k[i] ^ 0x5c);
+    opad_[i] = static_cast<std::uint8_t>(k[i] ^ 0x5c);
   }
+  inner_.update(ipad, kBlock);
+}
 
-  Sha256 inner;
-  inner.update(ipad);
-  inner.update(msg, len);
-  const Digest inner_digest = inner.finish();
-
+Digest HmacSha256::finish() noexcept {
+  const Digest inner_digest = inner_.finish();
   Sha256 outer;
-  outer.update(opad);
+  outer.update(opad_.data(), opad_.size());
   outer.update(inner_digest.data(), inner_digest.size());
   return outer.finish();
 }
-}  // namespace
 
 Digest hmac_sha256(const Bytes& key, const Bytes& message) noexcept {
-  return hmac_impl(key, message.data(), message.size());
+  return HmacSha256(key).update(message.data(), message.size()).finish();
 }
 
 Digest hmac_sha256(const Bytes& key, std::string_view message) noexcept {
-  return hmac_impl(key, reinterpret_cast<const std::uint8_t*>(message.data()),
-                   message.size());
+  return HmacSha256(key).update(message).finish();
 }
 
 bool digest_equal(const Digest& a, const Digest& b) noexcept {

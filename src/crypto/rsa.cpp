@@ -67,19 +67,27 @@ bool Envelope::deserialize_into(const Bytes& wire, Envelope& env) {
 
 namespace {
 
-// Session-key bytes from the two RSA-transported halves.
-Bytes session_key_material(std::uint64_t k1, std::uint64_t k2) {
-  Bytes material;
-  put_u64(material, k1);
-  put_u64(material, k2);
+using SessionKey = std::array<std::uint8_t, 16>;
+
+// Session-key bytes from the two RSA-transported halves (k1 ‖ k2,
+// big-endian).
+SessionKey session_key_material(std::uint64_t k1, std::uint64_t k2) noexcept {
+  SessionKey material{};
+  store_be(material.data(), k1, 8);
+  store_be(material.data() + 8, k2, 8);
   return material;
 }
 
-Digest envelope_mac(const Bytes& key_material, const Envelope& env) {
-  Bytes mac_input;
-  put_u64(mac_input, env.ctr_nonce);
-  put_bytes(mac_input, env.ciphertext);
-  return hmac_sha256(key_material, mac_input);
+// HMAC over u64 nonce ‖ u32 length ‖ ciphertext (the put_u64/put_bytes
+// encoding), streamed without assembling the input.
+Digest envelope_mac(const SessionKey& key_material, const Envelope& env) {
+  std::uint8_t head[12] = {};
+  store_be(head, env.ctr_nonce, 8);
+  store_be(head + 8, env.ciphertext.size(), 4);
+  return HmacSha256(key_material)
+      .update(head, sizeof head)
+      .update(env.ciphertext.data(), env.ciphertext.size())
+      .finish();
 }
 
 }  // namespace
@@ -100,7 +108,7 @@ void ncr_into(const RsaKey& key, const Bytes& plaintext, zmail::Rng& rng,
   env.wrapped_key2 = rsa_apply(key, k2);
   env.ctr_nonce = rng.next_u64();
 
-  const Bytes material = session_key_material(k1, k2);
+  const SessionKey material = session_key_material(k1, k2);
   const XteaKey sym = xtea_key_from_bytes(material);
   xtea_ctr_into(plaintext, sym, env.ctr_nonce, env.ciphertext);
   env.mac = envelope_mac(material, env);
@@ -117,7 +125,7 @@ bool dcr_into(const RsaKey& key, const Envelope& env, Bytes& plain_out) {
     return false;
   const std::uint64_t k1 = rsa_apply(key, env.wrapped_key1);
   const std::uint64_t k2 = rsa_apply(key, env.wrapped_key2);
-  const Bytes material = session_key_material(k1, k2);
+  const SessionKey material = session_key_material(k1, k2);
   if (!digest_equal(envelope_mac(material, env), env.mac))
     return false;  // tampered, replay-spliced, or wrong key
   const XteaKey sym = xtea_key_from_bytes(material);

@@ -5,7 +5,10 @@
 // bank's private key R_b (authenticity: `buyreply`/`sellreply`/`request`).
 // We model both directions with textbook RSA over a 62-bit modulus wrapped
 // in a hybrid envelope: RSA transports a fresh session key, XTEA-CTR carries
-// the payload, and HMAC-SHA256 authenticates the whole envelope.
+// the payload, and HMAC-SHA256 authenticates the whole envelope.  The
+// session key stays on the stack and the MAC streams nonce ‖ length ‖
+// ciphertext without assembling a copy, so sealing allocates nothing but
+// the ciphertext (and *_into reuses that).
 //
 // The modulus is deliberately small — this is a *protocol simulation*, not a
 // production cryptosystem — but every operation (keygen, wrap, unwrap, sign,

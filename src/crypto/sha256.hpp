@@ -31,7 +31,10 @@ class Sha256 {
   Digest finish() noexcept;
 
  private:
-  void process_block(const std::uint8_t* block) noexcept;
+  // Compresses whole 64-byte blocks through the SHA-NI path when the CPU
+  // has it, the portable one otherwise (see sha256_impl.hpp).
+  void process_blocks(const std::uint8_t* blocks,
+                      std::size_t n_blocks) noexcept;
 
   std::array<std::uint32_t, 8> h_;
   std::array<std::uint8_t, 64> buf_;

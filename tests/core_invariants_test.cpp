@@ -87,6 +87,22 @@ TEST(InvariantAuditorTest, IspAdoptingZmailJoinsTheRealMoneyBaseline) {
   EXPECT_TRUE(auditor.report().ok()) << first_message(auditor);
 }
 
+TEST(InvariantAuditorTest, TradeTotalsThatDriftFromTheColumnsAreFlagged) {
+  ZmailSystem sys(small_params(), 24);
+  InvariantAuditor auditor(sys);
+  ASSERT_TRUE(sys.buy_epennies(net::make_user_address(0, 0), 5));
+  ASSERT_TRUE(sys.sell_epennies(net::make_user_address(0, 1), 2));
+  auditor.check_now();
+  EXPECT_TRUE(auditor.report().ok()) << first_message(auditor);
+  // A column write that bypasses user_sell leaves the running total stale.
+  sys.isp(0).user(1).lifetime_epennies_sold += 1;
+  auditor.check_now();
+  EXPECT_FALSE(auditor.report().ok());
+  EXPECT_NE(first_message(auditor).find("running trade totals"),
+            std::string::npos)
+      << first_message(auditor);
+}
+
 TEST(BankIdempotencyTest, DuplicatedBuyMintsOnceAndReplaysTheReply) {
   Rng rng(101);
   const crypto::KeyPair keys = crypto::generate_keypair(rng);

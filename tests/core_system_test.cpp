@@ -6,6 +6,8 @@
 #include <string>
 
 #include "store/crc32c.hpp"
+#include "store/snapshot.hpp"
+#include "telemetry/registry.hpp"
 
 namespace zmail::core {
 namespace {
@@ -365,6 +367,88 @@ TEST(CentralBankGolden, SingleBankWorldFinalStateIsPinned) {
   EXPECT_EQ(store::crc32c(isp_state.data(), isp_state.size()), 0x0bd77f04u);
   const crypto::Bytes bank_state = sys.bank().serialize_state(0);
   EXPECT_EQ(store::crc32c(bank_state.data(), bank_state.size()), 0xee770265u);
+  std::filesystem::remove_all(dir);
+}
+
+// Isp keeps users_bought()/users_sold() as running totals for the O(1)
+// telemetry trade gauges.  They must equal the lifetime column sums after
+// live trades, a v1 restore_state, a columnar restore_snapshot and a
+// recover_host that replays trades from the WAL tail.
+TEST(TradeTotals, RunningTotalsMatchTheColumnsAfterEveryRestore) {
+  const std::string dir = "core_system_test_trade_totals";
+  std::filesystem::remove_all(dir);
+  ZmailParams p;
+  p.n_isps = 2;
+  p.users_per_isp = 4;
+  p.initial_user_balance = 20;
+  p.store.enabled = true;
+  p.store.dir = dir;
+  ZmailSystem sys(p, 31);
+  telemetry::TelemetryConfig tc;
+  tc.enabled = true;
+  sys.enable_telemetry(tc);
+
+  Rng rng(32);
+  auto trade = [&](int n) {
+    for (int k = 0; k < n; ++k) {
+      const auto u = user(0, rng.next_below(p.users_per_isp));
+      if (k % 3 == 2)
+        sys.sell_epennies(u, 1 + static_cast<EPenny>(rng.next_below(4)));
+      else
+        sys.buy_epennies(u, 1 + static_cast<EPenny>(rng.next_below(8)));
+      sys.run_for(sim::kMinute);
+    }
+  };
+  auto column_sums = [](const Isp& isp) {
+    std::pair<EPenny, EPenny> sums{0, 0};
+    isp.users().for_each_active([&](UserId, ConstUserRef u) {
+      sums.first += u.lifetime_epennies_bought;
+      sums.second += u.lifetime_epennies_sold;
+    });
+    return sums;
+  };
+  auto expect_totals = [&](const Isp& isp, const char* path) {
+    const auto [bought, sold] = column_sums(isp);
+    EXPECT_EQ(isp.users_bought(), bought) << path;
+    EXPECT_EQ(isp.users_sold(), sold) << path;
+  };
+
+  trade(24);
+  const auto live = column_sums(sys.isp(0));
+  ASSERT_GT(live.first, 0);
+  ASSERT_GT(live.second, 0);
+  expect_totals(sys.isp(0), "live trades");
+
+  const crypto::RsaKey bank_pub = sys.bank().public_key_for(0);
+  Isp by_row(0, sys.params(), bank_pub, 1);
+  ASSERT_TRUE(by_row.restore_state(sys.isp(0).serialize_state()));
+  expect_totals(by_row, "restore_state");
+  EXPECT_EQ(column_sums(by_row), live);
+
+  store::SnapshotData snap;
+  snap.meta.version = store::kSnapshotVersionColumnar;
+  sys.isp(0).serialize_sections(snap.sections);
+  Isp by_column(0, sys.params(), bank_pub, 1);
+  ASSERT_TRUE(by_column.restore_snapshot(snap));
+  expect_totals(by_column, "restore_snapshot");
+  EXPECT_EQ(column_sums(by_column), live);
+
+  // Trades after the checkpoint live only in the WAL tail.
+  sys.checkpoint_host(0);
+  trade(12);
+  const auto before_crash = column_sums(sys.isp(0));
+  ASSERT_GT(before_crash.first, live.first);
+  sys.recover_host(0);
+  expect_totals(sys.isp(0), "recover_host");
+  EXPECT_EQ(column_sums(sys.isp(0)), before_crash);
+
+  // The rate series' points sum to its last reading, the running total.
+  sys.telemetry()->sample(sys.now());
+  double sampled = 0;
+  for (const auto& series : sys.telemetry()->collect())
+    if (series.key() == "econ.isp0.user_epennies_bought")
+      for (const auto& pt : series.points) sampled += pt.value;
+  EXPECT_EQ(sampled, static_cast<double>(before_crash.first));
   std::filesystem::remove_all(dir);
 }
 
