@@ -318,21 +318,18 @@ void e7f_population_scale(bench::Bench& harness) {
     bench::check(rest.restore_state(blob), "e7f: row restore succeeds");
     const double row_deser = seconds_since(t0);
 
-    // Columnar v2 sections: serialize + restore from borrowed sections.
+    // Columnar v2 sections: serialize (borrowed views of the columns) +
+    // restore from them.
+    crypto::Bytes scalars;
     std::vector<store::SnapshotSection> sections;
     t0 = std::chrono::steady_clock::now();
-    isp.serialize_sections(sections);
+    isp.serialize_sections(scalars, sections);
     const double col_ser = seconds_since(t0);
     std::uint64_t col_bytes = 0;
-    std::vector<core::Isp::RawSection> raw;
-    raw.reserve(sections.size());
-    for (const auto& s : sections) {
-      raw.push_back(
-          core::Isp::RawSection{s.id, s.payload.data(), s.payload.size()});
-      col_bytes += s.payload.size();
-    }
+    for (const auto& s : sections) col_bytes += s.payload.size();
     t0 = std::chrono::steady_clock::now();
-    bench::check(rest.restore_columnar(raw), "e7f: columnar restore succeeds");
+    bench::check(rest.restore_columnar(sections),
+                 "e7f: columnar restore succeeds");
     const double col_deser = seconds_since(t0);
 
     // The real recovery path: v2 snapshot file, mapped read-only, columns
@@ -350,7 +347,8 @@ void e7f_population_scale(bench::Bench& harness) {
     store::SnapshotFileView view;
     bench::check(view.open(path) == store::StoreStatus::kOk,
                  "e7f: snapshot file maps and validates");
-    bench::check(rest.restore_snapshot(view), "e7f: mmap restore succeeds");
+    bench::check(rest.restore_snapshot(view.snapshot()),
+                 "e7f: mmap restore succeeds");
     const double mmap_restore = seconds_since(t0);
     view.close();
     bench::check(rest.serialize_state() == blob,

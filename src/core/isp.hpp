@@ -34,7 +34,6 @@ namespace zmail::store {
 class WalSink;
 struct SnapshotSection;
 struct SnapshotData;
-class SnapshotFileView;
 }  // namespace zmail::store
 
 namespace zmail::core {
@@ -259,18 +258,18 @@ class Isp {
   // (WAL-era snapshots, tests, and the row-serialization baseline);
   // checkpoints write sections, and recovery restores them column-direct
   // from a read-only mapping of the snapshot file.
-  void serialize_sections(std::vector<store::SnapshotSection>& out) const;
-  // A borrowed snapshot section (mmap view or decoded buffer).
-  struct RawSection {
-    std::uint32_t id = 0;
-    const std::uint8_t* data = nullptr;
-    std::size_t size = 0;
-  };
-  bool restore_columnar(const std::vector<RawSection>& sections);
-  // Restores from a whole snapshot of either version: v1 state blobs go
-  // through restore_state(), v2 columnar sections through
-  // restore_columnar() (bulk column copies out of the mapping).
-  bool restore_snapshot(const store::SnapshotFileView& view);
+  //
+  // serialize_sections copies nothing: the scalar section borrows
+  // `scalars` (filled here) and each column section borrows the live
+  // Population column, so the sections are valid until `scalars` dies or
+  // the population next changes.
+  void serialize_sections(crypto::Bytes& scalars,
+                          std::vector<store::SnapshotSection>& out) const;
+  bool restore_columnar(const std::vector<store::SnapshotSection>& sections);
+  // Restores from a whole snapshot of either version (a decoded buffer or
+  // SnapshotFileView::snapshot()): v1 state blobs go through
+  // restore_state(), v2 columnar sections through restore_columnar() (bulk
+  // column copies out of the mapping).
   bool restore_snapshot(const store::SnapshotData& snap);
 
   // Testing hooks.

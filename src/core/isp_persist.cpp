@@ -15,8 +15,9 @@
 //     the row-serialization baseline the E7 bench compares against.
 //   v2 (serialize_sections/restore_columnar) — a scalar section carrying
 //     everything but the per-user rows, plus one raw little-endian section
-//     per Population column.  Checkpoints write this; recovery maps the
-//     snapshot file read-only and bulk-copies the columns back in.
+//     per Population column.  Checkpoints stream this straight from the
+//     live columns; recovery maps the snapshot file read-only and
+//     bulk-copies the columns back in.
 #include <bit>
 
 #include "core/isp.hpp"
@@ -258,40 +259,39 @@ bool Isp::restore_state(const crypto::Bytes& state) {
   return r.ok() && r.at_end();
 }
 
-void Isp::serialize_sections(std::vector<store::SnapshotSection>& out) const {
+void Isp::serialize_sections(crypto::Bytes& scalars,
+                             std::vector<store::SnapshotSection>& out) const {
   out.clear();
   out.reserve(1 + Population::kColumnCount);
 
   // Scalar section: user count + sparse policy table + the shared tail.
-  crypto::Bytes b;
-  crypto::put_u8(b, kColumnarStateVersion);
-  crypto::put_u32(b, static_cast<std::uint32_t>(users_.size()));
+  scalars.clear();
+  crypto::put_u8(scalars, kColumnarStateVersion);
+  crypto::put_u32(scalars, static_cast<std::uint32_t>(users_.size()));
   const auto& pol = users_.policy_overrides();
-  crypto::put_u32(b, static_cast<std::uint32_t>(pol.size()));
+  crypto::put_u32(scalars, static_cast<std::uint32_t>(pol.size()));
   for (const auto& [slot, p] : pol) {
-    crypto::put_u32(b, slot);
-    crypto::put_u8(b, static_cast<std::uint8_t>(p));
+    crypto::put_u32(scalars, slot);
+    crypto::put_u8(scalars, static_cast<std::uint8_t>(p));
   }
-  serialize_scalar_tail(b);
-  out.push_back(store::SnapshotSection{store::kIspScalarsSection,
-                                       std::move(b)});
+  serialize_scalar_tail(scalars);
+  out.push_back(store::SnapshotSection{store::kIspScalarsSection, scalars});
 
-  // One raw section per column: a single sequential copy each, checksummed
-  // by the container's per-section CRC.
+  // One section per column, pointing at the column itself: the snapshot
+  // writer streams it to the file and CRCs it in place.
   for (std::size_t c = 0; c < Population::kColumnCount; ++c) {
     const auto col = static_cast<Population::Column>(c);
-    store::SnapshotSection s;
-    s.id = store::kUserColumnBase + static_cast<std::uint32_t>(c);
-    const std::uint8_t* d = users_.column_data(col);
-    s.payload.assign(d, d + users_.column_bytes(col));
-    out.push_back(std::move(s));
+    out.push_back(store::SnapshotSection{
+        store::kUserColumnBase + static_cast<std::uint32_t>(c),
+        {users_.column_data(col), users_.column_bytes(col)}});
   }
 }
 
-bool Isp::restore_columnar(const std::vector<RawSection>& sections) {
-  const RawSection* scalars = nullptr;
-  const RawSection* cols[Population::kColumnCount] = {};
-  for (const RawSection& s : sections) {
+bool Isp::restore_columnar(
+    const std::vector<store::SnapshotSection>& sections) {
+  const store::SnapshotSection* scalars = nullptr;
+  const store::SnapshotSection* cols[Population::kColumnCount] = {};
+  for (const store::SnapshotSection& s : sections) {
     if (s.id == store::kIspScalarsSection) {
       scalars = &s;
     } else if (s.id >= store::kUserColumnBase &&
@@ -303,7 +303,7 @@ bool Isp::restore_columnar(const std::vector<RawSection>& sections) {
   }
   if (!scalars) return false;
 
-  const crypto::Bytes blob(scalars->data, scalars->data + scalars->size);
+  const crypto::Bytes blob(scalars->payload.begin(), scalars->payload.end());
   crypto::ByteReader r(blob);
   if (r.get_u8() != kColumnarStateVersion) return false;
   const std::uint32_t n_users = r.get_u32();
@@ -325,7 +325,8 @@ bool Isp::restore_columnar(const std::vector<RawSection>& sections) {
   for (std::size_t c = 0; c < Population::kColumnCount; ++c) {
     const auto col = static_cast<Population::Column>(c);
     if (!cols[c]) return false;
-    if (!users_.load_column(col, cols[c]->data, cols[c]->size)) return false;
+    const auto payload = cols[c]->payload;
+    if (!users_.load_column(col, payload.data(), payload.size())) return false;
   }
   recount_trade_totals();
   return true;
@@ -343,32 +344,16 @@ void Isp::recount_trade_totals() noexcept {
     users_sold_ += x;
 }
 
-bool Isp::restore_snapshot(const store::SnapshotFileView& view) {
-  if (view.meta().version < store::kSnapshotVersionColumnar) {
-    // v1 compatibility: a pre-columnar snapshot still restores — copy the
-    // single state blob out of the mapping and run the row decoder.
-    const auto* s = view.find(store::kStateSection);
-    if (!s) return false;
-    return restore_state(crypto::Bytes(s->data, s->data + s->size));
-  }
-  std::vector<RawSection> secs;
-  secs.reserve(view.sections().size());
-  for (const auto& s : view.sections())
-    secs.push_back(RawSection{s.id, s.data, static_cast<std::size_t>(s.size)});
-  return restore_columnar(secs);
-}
-
 bool Isp::restore_snapshot(const store::SnapshotData& snap) {
   if (snap.meta.version < store::kSnapshotVersionColumnar) {
+    // v1 compatibility: a pre-columnar snapshot still restores — copy the
+    // single state blob out and run the row decoder.
     for (const store::SnapshotSection& s : snap.sections)
-      if (s.id == store::kStateSection) return restore_state(s.payload);
+      if (s.id == store::kStateSection)
+        return restore_state(crypto::Bytes(s.payload.begin(), s.payload.end()));
     return false;
   }
-  std::vector<RawSection> secs;
-  secs.reserve(snap.sections.size());
-  for (const store::SnapshotSection& s : snap.sections)
-    secs.push_back(RawSection{s.id, s.payload.data(), s.payload.size()});
-  return restore_columnar(secs);
+  return restore_columnar(snap.sections);
 }
 
 void Isp::apply_wal_record(std::uint8_t op, const crypto::Bytes& payload) {

@@ -654,9 +654,10 @@ void ZmailSystem::checkpoint_host(std::size_t host) {
                      err.c_str());
   } else {
     // ISPs checkpoint in the v2 columnar layout: a scalar section plus one
-    // raw section per Population column, each a single sequential write.
+    // section per Population column, streamed from the live columns.
+    crypto::Bytes scalars;
     std::vector<store::SnapshotSection> sections;
-    isps_[host]->serialize_sections(sections);
+    isps_[host]->serialize_sections(scalars, sections);
     ZMAIL_ASSERT_MSG(
         stores_[host]->checkpoint_sections(std::move(sections), sim_us, &err),
         err.c_str());
@@ -730,7 +731,7 @@ void ZmailSystem::rebuild_from_store(std::size_t host) {
     // both v2 (bulk column copies from the mapping) and legacy v1 files.
     ok = cp->recover_view(
         [isp](const store::SnapshotFileView& v) {
-          return isp->restore_snapshot(v);
+          return isp->restore_snapshot(v.snapshot());
         },
         [isp](std::uint8_t t, const crypto::Bytes& p) {
           isp->apply_wal_record(t, p);

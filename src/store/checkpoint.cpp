@@ -48,7 +48,7 @@ bool Checkpointer::write_checkpoint(SnapshotData& snap,
   if (ws != StoreStatus::kOk) return false;
   if (!wal_.truncate_behind_checkpoint(error)) return false;
   ++stats_.checkpoints;
-  stats_.last_snapshot_bytes = encode_snapshot(snap).size();
+  stats_.last_snapshot_bytes = encoded_snapshot_size(snap);
   stats_.wal_records_truncated +=
       wal_.stats().records_appended - records_at_last_ckpt_;
   records_at_last_ckpt_ = wal_.stats().records_appended;
@@ -76,34 +76,14 @@ bool Checkpointer::recover(
     const std::function<void(const crypto::Bytes&)>& restore,
     const std::function<void(std::uint8_t, const crypto::Bytes&)>& replay,
     RecoveryStats* stats, std::string* error) {
-  RecoveryStats local;
-  RecoveryStats& st = stats ? *stats : local;
-  st = RecoveryStats{};
-
-  Lsn replay_from = 1;
-  SnapshotData snap;
-  st.snapshot_status = read_snapshot_file(snap_path_, snap);
-  if (st.snapshot_status == StoreStatus::kOk) {
-    const SnapshotSection* state = nullptr;
-    for (const SnapshotSection& s : snap.sections)
-      if (s.id == kStateSection) state = &s;
-    if (!state) {
-      if (error) *error = "recover: snapshot has no state section";
-      return false;
-    }
-    restore(state->payload);
-    st.snapshot_loaded = true;
-    st.snapshot_bytes = encode_snapshot(snap).size();
-    st.recovered_lsn = snap.meta.next_lsn - 1;
-    replay_from = snap.meta.next_lsn;
-  } else if (st.snapshot_status != StoreStatus::kNotFound) {
-    if (error)
-      *error = std::string("recover: snapshot unreadable: ") +
-               store_status_name(st.snapshot_status);
-    return false;
-  }
-
-  return replay_wal_tail(replay_from, replay, st, error);
+  return recover_view(
+      [&restore](const SnapshotFileView& view) {
+        const SnapshotSection* state = view.find(kStateSection);
+        if (!state) return false;
+        restore(crypto::Bytes(state->payload.begin(), state->payload.end()));
+        return true;
+      },
+      replay, stats, error);
 }
 
 bool Checkpointer::recover_view(

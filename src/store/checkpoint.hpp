@@ -84,7 +84,9 @@ class Checkpointer {
 
   // Same, but writes the party-provided section list as a v2 columnar
   // snapshot (kFeatureColumnarUserState set).  Used by ISPs, whose state
-  // serializes as a scalar section plus whole Population columns.
+  // serializes as a scalar section plus whole Population columns.  The
+  // payloads are borrowed: they stream from the party's memory to the file
+  // and are not retained.
   bool checkpoint_sections(std::vector<SnapshotSection> sections,
                            std::uint64_t sim_time_us,
                            std::string* error = nullptr);
@@ -93,7 +95,8 @@ class Checkpointer {
   void simulate_crash() { wal_.simulate_crash(); }
 
   // Rebuilds party state from disk.  `restore` installs a snapshot state
-  // blob; `replay` applies one logged command.  Neither is called when the
+  // blob (a copy of the kStateSection payload; built on recover_view);
+  // `replay` applies one logged command.  Neither is called when the
   // corresponding file is absent (fresh party).  A torn/corrupt WAL tail
   // is not an error — replay simply stops at the last valid record, which
   // is exactly the crash contract.  Returns false only on unrecoverable
@@ -118,12 +121,12 @@ class Checkpointer {
   const std::string& snapshot_path() const { return snap_path_; }
 
  private:
-  // Stamps LSN coverage, writes the snapshot atomically, truncates the
-  // WAL, and updates stats — shared by both checkpoint flavors.
+  // Stamps LSN coverage, streams the snapshot to disk atomically, truncates
+  // the WAL, and updates stats — shared by both checkpoint flavors.
   bool write_checkpoint(SnapshotData& snap, std::uint64_t sim_time_us,
                         std::string* error);
-  // Replays the WAL tail from `replay_from` into `replay`; shared by both
-  // recovery flavors.  Updates `st` and tolerates a torn tail.
+  // Replays the WAL tail from `replay_from` into `replay` (the second half
+  // of recover_view).  Updates `st` and tolerates a torn tail.
   bool replay_wal_tail(
       Lsn replay_from,
       const std::function<void(std::uint8_t, const crypto::Bytes&)>& replay,

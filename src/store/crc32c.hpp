@@ -5,8 +5,10 @@
 // record" at every byte.  Castagnoli is the storage-industry choice (iSCSI,
 // ext4, RocksDB) because its error-detection properties at 32 bits are
 // strictly better than the zlib polynomial for the short records a WAL
-// carries.  Software slice-by-8 implementation — no SSE4.2 dependency, so
-// the same bytes verify on any build host.
+// carries.  The CRC is a property of the bytes, not of the build: on x86-64
+// CPUs with SSE4.2 it runs on the crc32 instruction (selected once per
+// process), elsewhere on a software slice-by-8 table walk, and both give
+// the same value (store/crc32c_impl.hpp; pinned by the store WAL tests).
 #pragma once
 
 #include <cstddef>

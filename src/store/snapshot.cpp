@@ -3,10 +3,12 @@
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
-#include <cstdio>
+#include <climits>
 #include <cstring>
 
 #include "store/crc32c.hpp"
@@ -17,7 +19,9 @@ namespace {
 
 constexpr std::uint8_t kMagic[4] = {'Z', 'S', 'N', 'P'};
 constexpr std::size_t kHeaderSize = 36;
-constexpr std::size_t kSectionOverhead = 16;  // id + len + crc
+constexpr std::size_t kSectionPrefix = 12;    // id + len
+constexpr std::size_t kSectionTrailer = 4;    // crc
+constexpr std::size_t kSectionOverhead = kSectionPrefix + kSectionTrailer;
 constexpr std::uint64_t kMaxSection = 1ull << 32;
 
 std::uint32_t read_u32(const std::uint8_t* p) noexcept {
@@ -30,39 +34,112 @@ std::uint64_t read_u64(const std::uint8_t* p) noexcept {
   return (static_cast<std::uint64_t>(read_u32(p)) << 32) | read_u32(p + 4);
 }
 
+// The one framing routine.  Writes the header and every section's prefix
+// and CRC trailer into `frame` (36 + 16 bytes per section) and lists the
+// encoded image in file order as `pieces`: framing bytes out of `frame`,
+// payloads borrowed from the sections.  encode_snapshot concatenates the
+// pieces and write_snapshot_file hands them to writev, so the in-memory
+// and on-disk images cannot diverge.
+void frame_snapshot(const SnapshotData& snap, crypto::Bytes& frame,
+                    std::vector<iovec>& pieces) {
+  frame.resize(kHeaderSize + kSectionOverhead * snap.sections.size());
+  pieces.clear();
+  pieces.reserve(1 + 3 * snap.sections.size());
+  std::uint8_t* h = frame.data();
+  std::memcpy(h, kMagic, 4);
+  crypto::store_be(h + 4, snap.meta.version, 4);
+  crypto::store_be(h + 8, snap.meta.features, 4);
+  crypto::store_be(h + 12, snap.meta.next_lsn, 8);
+  crypto::store_be(h + 20, snap.meta.sim_time_us, 8);
+  crypto::store_be(h + 28, snap.sections.size(), 4);
+  crypto::store_be(h + 32, crc32c(h, 32), 4);
+  pieces.push_back(iovec{h, kHeaderSize});
+  std::uint8_t* f = h + kHeaderSize;
+  for (const SnapshotSection& s : snap.sections) {
+    crypto::store_be(f, s.id, 4);
+    crypto::store_be(f + 4, s.payload.size(), 8);
+    pieces.push_back(iovec{f, kSectionPrefix});
+    // writev never writes through iov_base; the cast only meets its type.
+    pieces.push_back(iovec{const_cast<std::uint8_t*>(s.payload.data()),
+                           s.payload.size()});
+    f += kSectionPrefix;
+    crypto::store_be(f, crc32c(s.payload.data(), s.payload.size()), 4);
+    pieces.push_back(iovec{f, kSectionTrailer});
+    f += kSectionTrailer;
+  }
+}
+
+// Writes every piece to `fd`, resuming after short writes and EINTR.
+bool write_all(int fd, std::vector<iovec>& pieces) {
+  iovec* iov = pieces.data();
+  std::size_t left = pieces.size();
+  while (left > 0) {
+    if (iov->iov_len == 0) {
+      ++iov;
+      --left;
+      continue;
+    }
+    const ssize_t n = ::writev(
+        fd, iov, static_cast<int>(std::min<std::size_t>(left, IOV_MAX)));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    auto done = static_cast<std::size_t>(n);
+    for (; left > 0 && done >= iov->iov_len; ++iov, --left)
+      done -= iov->iov_len;
+    if (done > 0) {
+      iov->iov_base = static_cast<std::uint8_t*>(iov->iov_base) + done;
+      iov->iov_len -= done;
+    }
+  }
+  return true;
+}
+
+// fsyncs the directory holding `path`, which POSIX requires before a
+// rename into it survives power loss.
+bool sync_parent_dir(const std::string& path) {
+  const std::size_t slash = path.rfind('/');
+  const std::string dir = slash == std::string::npos ? "."
+                          : slash == 0               ? "/"
+                                                     : path.substr(0, slash);
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) return false;
+  const bool ok = ::fsync(fd) == 0;
+  ::close(fd);
+  return ok;
+}
+
 }  // namespace
 
+std::uint64_t encoded_snapshot_size(const SnapshotData& snap) noexcept {
+  std::uint64_t n = kHeaderSize;
+  for (const SnapshotSection& s : snap.sections)
+    n += kSectionOverhead + s.payload.size();
+  return n;
+}
+
 crypto::Bytes encode_snapshot(const SnapshotData& snap) {
+  crypto::Bytes frame;
+  std::vector<iovec> pieces;
+  frame_snapshot(snap, frame, pieces);
   crypto::Bytes out;
-  out.reserve(kHeaderSize);
-  out.insert(out.end(), kMagic, kMagic + 4);
-  crypto::put_u32(out, snap.meta.version);
-  crypto::put_u32(out, snap.meta.features);
-  crypto::put_u64(out, snap.meta.next_lsn);
-  crypto::put_u64(out, snap.meta.sim_time_us);
-  crypto::put_u32(out, static_cast<std::uint32_t>(snap.sections.size()));
-  crypto::put_u32(out, crc32c(out.data(), out.size()));
-  for (const SnapshotSection& s : snap.sections) {
-    crypto::put_u32(out, s.id);
-    crypto::put_u64(out, s.payload.size());
-    out.insert(out.end(), s.payload.begin(), s.payload.end());
-    crypto::put_u32(out, crc32c(s.payload.data(), s.payload.size()));
+  out.reserve(encoded_snapshot_size(snap));
+  for (const iovec& v : pieces) {
+    const auto* p = static_cast<const std::uint8_t*>(v.iov_base);
+    out.insert(out.end(), p, p + v.iov_len);
   }
   return out;
 }
 
-namespace {
-
-// Shared validation walk over a raw snapshot image: header checks, then
-// CRC-verify each section and hand (id, payload ptr, len) to `emit`.  Both
-// the copying decoder and the mmap view are thin wrappers over this.
-template <typename Emit>
-StoreStatus parse_snapshot(const std::uint8_t* data, std::size_t size,
-                           SnapshotMeta& meta, Emit&& emit) {
+StoreStatus decode_snapshot(std::span<const std::uint8_t> image,
+                            SnapshotData& out) {
+  out = SnapshotData{};
+  const std::uint8_t* data = image.data();
+  const std::size_t size = image.size();
   if (size < kHeaderSize)
     return size == 0 ? StoreStatus::kNotFound : StoreStatus::kTruncated;
   if (std::memcmp(data, kMagic, 4) != 0) return StoreStatus::kBadMagic;
   if (read_u32(data + 32) != crc32c(data, 32)) return StoreStatus::kCorrupt;
+  SnapshotMeta& meta = out.meta;
   meta.version = read_u32(data + 4);
   if (meta.version < kSnapshotVersion || meta.version > kMaxSnapshotVersion)
     return StoreStatus::kUnknownVersion;
@@ -82,68 +159,45 @@ StoreStatus parse_snapshot(const std::uint8_t* data, std::size_t size,
     const std::uint64_t len = read_u64(data + pos + 4);
     if (len > kMaxSection) return StoreStatus::kCorrupt;
     if (size - pos - kSectionOverhead < len) return StoreStatus::kTruncated;
-    const std::uint8_t* payload = data + pos + 12;
+    const std::uint8_t* payload = data + pos + kSectionPrefix;
     if (read_u32(payload + len) != crc32c(payload, len))
       return StoreStatus::kCorrupt;
-    emit(id, payload, len);
+    out.sections.push_back(SnapshotSection{id, {payload, len}});
     pos += kSectionOverhead + len;
   }
   return StoreStatus::kOk;
 }
 
-}  // namespace
-
-StoreStatus decode_snapshot(const crypto::Bytes& file, SnapshotData& out) {
-  out = SnapshotData{};
-  out.sections.clear();
-  return parse_snapshot(
-      file.data(), file.size(), out.meta,
-      [&out](std::uint32_t id, const std::uint8_t* payload,
-             std::uint64_t len) {
-        SnapshotSection s;
-        s.id = id;
-        s.payload.assign(payload, payload + len);
-        out.sections.push_back(std::move(s));
-      });
-}
-
 StoreStatus write_snapshot_file(const std::string& path,
                                 const SnapshotData& snap, bool fsync_data,
                                 std::string* error) {
-  const crypto::Bytes encoded = encode_snapshot(snap);
+  crypto::Bytes frame;
+  std::vector<iovec> pieces;
+  frame_snapshot(snap, frame, pieces);
   const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    if (error) *error = "snapshot: open " + tmp + ": " + std::strerror(errno);
-    return StoreStatus::kIoError;
-  }
-  std::size_t off = 0;
-  while (off < encoded.size()) {
-    const ssize_t n = ::write(fd, encoded.data() + off, encoded.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (error) *error = "snapshot: write: " + std::string(std::strerror(errno));
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return StoreStatus::kIoError;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  if (fsync_data) ::fsync(fd);
-  ::close(fd);
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    if (error) *error = "snapshot: rename: " + std::string(std::strerror(errno));
+  const auto fail = [&](const char* what, int fd) {
+    const int err = errno;
+    if (error) *error = std::string("snapshot: ") + what + " " + tmp + ": " +
+                        std::strerror(err);
+    if (fd >= 0) ::close(fd);
     ::unlink(tmp.c_str());
+    return StoreStatus::kIoError;
+  };
+  const int fd =
+      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) return fail("open", -1);
+  if (!write_all(fd, pieces)) return fail("write", fd);
+  if (fsync_data && ::fsync(fd) != 0) return fail("fsync", fd);
+  ::close(fd);
+  if (::rename(tmp.c_str(), path.c_str()) != 0)
+    return fail("rename", -1);
+  if (fsync_data && !sync_parent_dir(path)) {
+    if (error)
+      *error = "snapshot: fsync directory of " + path + ": " +
+               std::strerror(errno);
     return StoreStatus::kIoError;
   }
   return StoreStatus::kOk;
-}
-
-StoreStatus read_snapshot_file(const std::string& path, SnapshotData& out) {
-  crypto::Bytes file;
-  const StoreStatus rs = read_file(path, file);
-  if (rs != StoreStatus::kOk) return rs;
-  return decode_snapshot(file, out);
 }
 
 StoreStatus SnapshotFileView::open(const std::string& path) {
@@ -167,14 +221,9 @@ StoreStatus SnapshotFileView::open(const std::string& path) {
   map_ = static_cast<const std::uint8_t*>(map);
   map_size_ = size;
 
-  // CRC-verify everything once up front; afterwards section views are
+  // CRC-verify everything once up front; afterwards the sections are
   // trusted pointers into the mapping.
-  const StoreStatus rs = parse_snapshot(
-      map_, map_size_, meta_,
-      [this](std::uint32_t id, const std::uint8_t* payload,
-             std::uint64_t len) {
-        sections_.push_back(SectionView{id, payload, len});
-      });
+  const StoreStatus rs = decode_snapshot({map_, map_size_}, snap_);
   if (rs != StoreStatus::kOk) close();
   return rs;
 }
@@ -184,13 +233,12 @@ void SnapshotFileView::close() {
     ::munmap(const_cast<std::uint8_t*>(map_), map_size_);
   map_ = nullptr;
   map_size_ = 0;
-  sections_.clear();
-  meta_ = SnapshotMeta{};
+  snap_ = SnapshotData{};
 }
 
-const SnapshotFileView::SectionView* SnapshotFileView::find(
+const SnapshotSection* SnapshotFileView::find(
     std::uint32_t id) const noexcept {
-  for (const SectionView& s : sections_)
+  for (const SnapshotSection& s : snap_.sections)
     if (s.id == id) return &s;
   return nullptr;
 }

@@ -34,11 +34,18 @@
 // copies straight out of the page cache instead of field-by-field
 // deserialization.
 //
-// Writes are atomic: encode to `<path>.tmp`, fsync, rename over `path`, so
-// a crash mid-checkpoint leaves the previous snapshot intact.
+// Writes stream straight from the sections: write_snapshot_file frames the
+// header and each section's prefix and CRC trailer, then hands those and
+// the borrowed payloads (an ISP's live Population columns) to writev, so a
+// checkpoint never stages the image in memory.  encode_snapshot uses the
+// same framing routine, so the in-memory and on-disk images are the same
+// bytes.  Writes are atomic: stream into `<path>.tmp`, fsync it, rename it
+// over `path`, then fsync the directory so the rename itself is durable.  A
+// crash mid-checkpoint leaves the previous snapshot intact.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -71,9 +78,12 @@ constexpr std::uint32_t kStateSection = 1;  // v1: the whole row blob
 constexpr std::uint32_t kIspScalarsSection = 2;
 constexpr std::uint32_t kUserColumnBase = 0x10;
 
+// One section: an id and a borrowed payload.  Writers point the payload at
+// live state, readers at the bytes of a decoded or mapped image; a section
+// never owns its bytes, which must outlive it.
 struct SnapshotSection {
   std::uint32_t id = 0;
-  crypto::Bytes payload;
+  std::span<const std::uint8_t> payload;
 };
 
 struct SnapshotMeta {
@@ -88,30 +98,34 @@ struct SnapshotData {
   std::vector<SnapshotSection> sections;
 };
 
-// Pure (de)serialization — the fuzz and golden tests work on buffers.
-crypto::Bytes encode_snapshot(const SnapshotData& snap);
-StoreStatus decode_snapshot(const crypto::Bytes& file, SnapshotData& out);
+// Exact encoded size of `snap`: the header, 16 framing bytes per section
+// and the payloads.  Equals encode_snapshot(snap).size() without encoding.
+std::uint64_t encoded_snapshot_size(const SnapshotData& snap) noexcept;
 
-// Atomic file write (temp + rename) / whole-file read.
+// Pure (de)serialization — the fuzz and golden tests work on buffers.
+// decode_snapshot validates every CRC and points out.sections into `image`,
+// which must outlive them.
+crypto::Bytes encode_snapshot(const SnapshotData& snap);
+StoreStatus decode_snapshot(std::span<const std::uint8_t> image,
+                            SnapshotData& out);
+// The sections would point into a buffer that dies with the call.
+StoreStatus decode_snapshot(const crypto::Bytes&& image,
+                            SnapshotData& out) = delete;
+
+// Atomic streamed file write (temp + fsync + rename + directory fsync; the
+// fsyncs only when `fsync_data`).  The bytes written are exactly
+// encode_snapshot(snap).
 StoreStatus write_snapshot_file(const std::string& path,
                                 const SnapshotData& snap, bool fsync_data,
                                 std::string* error = nullptr);
-StoreStatus read_snapshot_file(const std::string& path, SnapshotData& out);
 
 // Read-only mmap view of a snapshot file.  open() maps the file and
-// validates the header and every section CRC once; sections() then point
+// validates the header and every section CRC once; the sections then point
 // straight into the mapping, so consumers (Isp::restore_snapshot) can bulk
-// copy column payloads without an intermediate deserialized SnapshotData.
-// The view owns the mapping; section pointers are valid until close() or
-// destruction.
+// copy column payloads without an intermediate copy of the file.  The view
+// owns the mapping; sections are valid until close() or destruction.
 class SnapshotFileView {
  public:
-  struct SectionView {
-    std::uint32_t id = 0;
-    const std::uint8_t* data = nullptr;
-    std::uint64_t size = 0;
-  };
-
   SnapshotFileView() = default;
   ~SnapshotFileView() { close(); }
   SnapshotFileView(const SnapshotFileView&) = delete;
@@ -120,17 +134,17 @@ class SnapshotFileView {
   StoreStatus open(const std::string& path);
   void close();
 
-  const SnapshotMeta& meta() const noexcept { return meta_; }
+  const SnapshotData& snapshot() const noexcept { return snap_; }
+  const SnapshotMeta& meta() const noexcept { return snap_.meta; }
   std::size_t file_size() const noexcept { return map_size_; }
-  const std::vector<SectionView>& sections() const noexcept {
-    return sections_;
+  const std::vector<SnapshotSection>& sections() const noexcept {
+    return snap_.sections;
   }
   // First section with this id, or nullptr.
-  const SectionView* find(std::uint32_t id) const noexcept;
+  const SnapshotSection* find(std::uint32_t id) const noexcept;
 
  private:
-  SnapshotMeta meta_;
-  std::vector<SectionView> sections_;
+  SnapshotData snap_;
   const std::uint8_t* map_ = nullptr;
   std::size_t map_size_ = 0;
 };

@@ -210,17 +210,23 @@ bool WalWriter::open(const std::string& path, std::uint32_t group_commit_records
 
 Lsn WalWriter::append_record(std::uint8_t type, const crypto::Bytes& payload) {
   const Lsn lsn = next_lsn_++;
-  crypto::Bytes body;
-  body.reserve(kBodyFixed + payload.size());
-  crypto::put_u64(body, lsn);
-  crypto::put_u8(body, type);
-  body.insert(body.end(), payload.begin(), payload.end());
-  crypto::put_u32(pending_, static_cast<std::uint32_t>(body.size()));
-  crypto::put_u32(pending_, crc32c(body.data(), body.size()));
-  pending_.insert(pending_.end(), body.begin(), body.end());
+  // Encode in place at the end of pending_ (its capacity survives sync(),
+  // so a warm log appends without allocating): the body first, then the
+  // length and CRC over the body bytes as they sit in the buffer.
+  const std::size_t body_len = kBodyFixed + payload.size();
+  const std::size_t start = pending_.size();
+  pending_.resize(start + kRecordOverhead + body_len);
+  std::uint8_t* rec = pending_.data() + start;
+  std::uint8_t* body = rec + kRecordOverhead;
+  crypto::store_be(body, lsn, 8);
+  body[8] = type;
+  if (!payload.empty())
+    std::memcpy(body + kBodyFixed, payload.data(), payload.size());
+  crypto::store_be(rec, body_len, 4);
+  crypto::store_be(rec + 4, crc32c(body, body_len), 4);
   ++pending_records_;
   ++stats_.records_appended;
-  stats_.bytes_appended += kRecordOverhead + body.size();
+  stats_.bytes_appended += kRecordOverhead + body_len;
   if (pending_records_ >= group_) sync();
   return lsn;
 }

@@ -172,16 +172,13 @@ TEST_F(PopulationSnapshotTest, ColumnarSectionsRoundTripExactly) {
   Isp a(0, params_, keys_.pub, 42);
   dirty(a);
 
+  crypto::Bytes scalars;
   std::vector<store::SnapshotSection> sections;
-  a.serialize_sections(sections);
+  a.serialize_sections(scalars, sections);
   ASSERT_EQ(sections.size(), 1 + Population::kColumnCount);
 
-  std::vector<Isp::RawSection> raw;
-  for (const auto& s : sections)
-    raw.push_back(Isp::RawSection{s.id, s.payload.data(), s.payload.size()});
-
   Isp b(0, params_, keys_.pub, 7);  // different seed: fully overwritten
-  ASSERT_TRUE(b.restore_columnar(raw));
+  ASSERT_TRUE(b.restore_columnar(sections));
   // The v1 blob is a complete, canonical rendition of ISP state; byte
   // equality proves the columnar round trip restored everything.
   EXPECT_EQ(b.serialize_state(), a.serialize_state());
@@ -192,14 +189,12 @@ TEST_F(PopulationSnapshotTest, ColumnarSectionsRoundTripExactly) {
 TEST_F(PopulationSnapshotTest, MissingColumnSectionIsRejected) {
   Isp a(0, params_, keys_.pub, 42);
   dirty(a);
+  crypto::Bytes scalars;
   std::vector<store::SnapshotSection> sections;
-  a.serialize_sections(sections);
+  a.serialize_sections(scalars, sections);
   sections.pop_back();  // drop the last column
-  std::vector<Isp::RawSection> raw;
-  for (const auto& s : sections)
-    raw.push_back(Isp::RawSection{s.id, s.payload.data(), s.payload.size()});
   Isp b(0, params_, keys_.pub, 7);
-  EXPECT_FALSE(b.restore_columnar(raw));
+  EXPECT_FALSE(b.restore_columnar(sections));
 }
 
 TEST_F(PopulationSnapshotTest, V1SnapshotsStillRestore) {
@@ -207,9 +202,9 @@ TEST_F(PopulationSnapshotTest, V1SnapshotsStillRestore) {
   dirty(a);
 
   // A pre-columnar snapshot: v1 container, single state-blob section.
+  const crypto::Bytes state = a.serialize_state();
   store::SnapshotData snap;
-  snap.sections.push_back(
-      store::SnapshotSection{store::kStateSection, a.serialize_state()});
+  snap.sections.push_back(store::SnapshotSection{store::kStateSection, state});
 
   Isp b(0, params_, keys_.pub, 7);
   ASSERT_TRUE(b.restore_snapshot(snap));
@@ -223,7 +218,8 @@ TEST_F(PopulationSnapshotTest, V2SnapshotRestoresViaMmapView) {
   store::SnapshotData snap;
   snap.meta.version = store::kSnapshotVersionColumnar;
   snap.meta.features = store::kFeatureColumnarUserState;
-  a.serialize_sections(snap.sections);
+  crypto::Bytes scalars;
+  a.serialize_sections(scalars, snap.sections);
   const std::string path = "core_population_test.zsnap";
   std::string err;
   ASSERT_EQ(store::write_snapshot_file(path, snap, true, &err),
@@ -233,7 +229,7 @@ TEST_F(PopulationSnapshotTest, V2SnapshotRestoresViaMmapView) {
   store::SnapshotFileView view;
   ASSERT_EQ(view.open(path), store::StoreStatus::kOk);
   Isp b(0, params_, keys_.pub, 7);
-  ASSERT_TRUE(b.restore_snapshot(view));
+  ASSERT_TRUE(b.restore_snapshot(view.snapshot()));
   EXPECT_EQ(b.serialize_state(), a.serialize_state());
   view.close();
   std::remove(path.c_str());

@@ -427,7 +427,8 @@ TEST(TradeTotals, RunningTotalsMatchTheColumnsAfterEveryRestore) {
 
   store::SnapshotData snap;
   snap.meta.version = store::kSnapshotVersionColumnar;
-  sys.isp(0).serialize_sections(snap.sections);
+  crypto::Bytes scalars;
+  sys.isp(0).serialize_sections(scalars, snap.sections);
   Isp by_column(0, sys.params(), bank_pub, 1);
   ASSERT_TRUE(by_column.restore_snapshot(snap));
   expect_totals(by_column, "restore_snapshot");

@@ -1,15 +1,42 @@
 // Snapshot format: the v1 and v2 byte layouts are pinned by golden files,
 // unknown versions/features are rejected with typed errors (feature bits
-// version-gated), and the file writer is atomic (temp + rename).
+// version-gated), the file writer is atomic (temp + rename) and streams
+// exactly the bytes encode_snapshot produces, and the checkpointer's size
+// figures match the files it writes.
 #include "store/snapshot.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <iterator>
 #include <string>
+
+#include "core/isp.hpp"
+#include "crypto/rsa.hpp"
+#include "store/checkpoint.hpp"
+#include "util/rng.hpp"
 
 namespace zmail::store {
 namespace {
+
+constexpr std::uint8_t kStatePayload[] = {0xDE, 0xAD, 0xBE, 0xEF, 0x00, 0x42};
+constexpr std::uint8_t kScalarsPayload[] = {0xAA, 0xBB, 0xCC};
+constexpr std::uint8_t kColumnPayload[] = {0x01, 0x02, 0x03, 0x04,
+                                           0x05, 0x06, 0x07, 0x08};
+
+crypto::Bytes bytes_of(std::span<const std::uint8_t> s) {
+  return crypto::Bytes(s.begin(), s.end());
+}
+
+// The status of decoding `snap`'s encoded image; the sections, which would
+// point into that image, are dropped with it.
+StoreStatus decode_status(const SnapshotData& snap) {
+  const crypto::Bytes image = encode_snapshot(snap);
+  SnapshotData out;
+  return decode_snapshot(image, out);
+}
 
 SnapshotData golden_snapshot() {
   SnapshotData s;
@@ -19,7 +46,7 @@ SnapshotData golden_snapshot() {
   s.meta.sim_time_us = 1234567890;
   SnapshotSection sec;
   sec.id = kStateSection;
-  sec.payload = {0xDE, 0xAD, 0xBE, 0xEF, 0x00, 0x42};
+  sec.payload = kStatePayload;
   s.sections.push_back(sec);
   return s;
 }
@@ -34,11 +61,11 @@ SnapshotData golden_columnar_snapshot() {
   s.meta.sim_time_us = 1234567890;
   SnapshotSection scalars;
   scalars.id = kIspScalarsSection;
-  scalars.payload = {0xAA, 0xBB, 0xCC};
+  scalars.payload = kScalarsPayload;
   s.sections.push_back(scalars);
   SnapshotSection column;
   column.id = kUserColumnBase;  // column 0 (account)
-  column.payload = {0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08};
+  column.payload = kColumnPayload;
   s.sections.push_back(column);
   return s;
 }
@@ -78,15 +105,17 @@ TEST(SnapshotGoldenTest, V1ByteLayoutIsPinned) {
 
 TEST(SnapshotCodecTest, EncodeDecodeRoundTrip) {
   const SnapshotData in = golden_snapshot();
+  const crypto::Bytes image = encode_snapshot(in);
   SnapshotData out;
-  ASSERT_EQ(decode_snapshot(encode_snapshot(in), out), StoreStatus::kOk);
+  ASSERT_EQ(decode_snapshot(image, out), StoreStatus::kOk);
   EXPECT_EQ(out.meta.version, in.meta.version);
   EXPECT_EQ(out.meta.features, in.meta.features);
   EXPECT_EQ(out.meta.next_lsn, in.meta.next_lsn);
   EXPECT_EQ(out.meta.sim_time_us, in.meta.sim_time_us);
   ASSERT_EQ(out.sections.size(), 1u);
   EXPECT_EQ(out.sections[0].id, kStateSection);
-  EXPECT_EQ(out.sections[0].payload, in.sections[0].payload);
+  EXPECT_EQ(bytes_of(out.sections[0].payload),
+            bytes_of(in.sections[0].payload));
 }
 
 // The v2 columnar layout, also pinned: same container grammar, new
@@ -117,39 +146,35 @@ TEST(SnapshotGoldenTest, V2ColumnarByteLayoutIsPinned) {
 
 TEST(SnapshotCodecTest, ColumnarRoundTrip) {
   const SnapshotData in = golden_columnar_snapshot();
+  const crypto::Bytes image = encode_snapshot(in);
   SnapshotData out;
-  ASSERT_EQ(decode_snapshot(encode_snapshot(in), out), StoreStatus::kOk);
+  ASSERT_EQ(decode_snapshot(image, out), StoreStatus::kOk);
   EXPECT_EQ(out.meta.version, kSnapshotVersionColumnar);
   EXPECT_EQ(out.meta.features, kFeatureColumnarUserState);
   ASSERT_EQ(out.sections.size(), 2u);
   EXPECT_EQ(out.sections[0].id, kIspScalarsSection);
   EXPECT_EQ(out.sections[1].id, kUserColumnBase);
-  EXPECT_EQ(out.sections[1].payload, in.sections[1].payload);
+  EXPECT_EQ(bytes_of(out.sections[1].payload),
+            bytes_of(in.sections[1].payload));
 }
 
 TEST(SnapshotCodecTest, UnknownVersionIsATypedError) {
   SnapshotData s = golden_snapshot();
   s.meta.version = kMaxSnapshotVersion + 1;  // a future format
-  SnapshotData out;
-  EXPECT_EQ(decode_snapshot(encode_snapshot(s), out),
-            StoreStatus::kUnknownVersion);
+  EXPECT_EQ(decode_status(s), StoreStatus::kUnknownVersion);
 
   s.meta.version = 0;  // below the floor is just as unknown
-  EXPECT_EQ(decode_snapshot(encode_snapshot(s), out),
-            StoreStatus::kUnknownVersion);
+  EXPECT_EQ(decode_status(s), StoreStatus::kUnknownVersion);
 }
 
 TEST(SnapshotCodecTest, UnknownFeatureBitIsATypedError) {
   SnapshotData s = golden_snapshot();
   s.meta.features = 0x80000000u;  // a feature flag this build predates
-  SnapshotData out;
-  EXPECT_EQ(decode_snapshot(encode_snapshot(s), out),
-            StoreStatus::kUnknownFeature);
+  EXPECT_EQ(decode_status(s), StoreStatus::kUnknownFeature);
 
   SnapshotData v2 = golden_columnar_snapshot();
   v2.meta.features |= 0x80000000u;
-  EXPECT_EQ(decode_snapshot(encode_snapshot(v2), out),
-            StoreStatus::kUnknownFeature);
+  EXPECT_EQ(decode_status(v2), StoreStatus::kUnknownFeature);
 }
 
 // Feature acceptance is gated by version: the columnar bit only exists
@@ -158,9 +183,7 @@ TEST(SnapshotCodecTest, UnknownFeatureBitIsATypedError) {
 TEST(SnapshotCodecTest, FeatureBitsAreVersionGated) {
   SnapshotData s = golden_snapshot();
   s.meta.features = kFeatureColumnarUserState;  // bit on a v1 header
-  SnapshotData out;
-  EXPECT_EQ(decode_snapshot(encode_snapshot(s), out),
-            StoreStatus::kUnknownFeature);
+  EXPECT_EQ(decode_status(s), StoreStatus::kUnknownFeature);
 }
 
 TEST(SnapshotCodecTest, DamageIsDetected) {
@@ -182,29 +205,32 @@ TEST(SnapshotCodecTest, DamageIsDetected) {
   crypto::Bytes short_file(intact.begin(), intact.begin() + 40);
   EXPECT_EQ(decode_snapshot(short_file, out), StoreStatus::kTruncated);
 
-  EXPECT_EQ(decode_snapshot(crypto::Bytes{}, out), StoreStatus::kNotFound);
+  const crypto::Bytes empty;
+  EXPECT_EQ(decode_snapshot(empty, out), StoreStatus::kNotFound);
 }
 
 TEST(SnapshotFileTest, WriteReadRoundTripAndMissingFile) {
   const std::string path = "store_snapshot_test_file.zsnap";
   std::remove(path.c_str());
 
-  SnapshotData missing;
-  EXPECT_EQ(read_snapshot_file(path, missing), StoreStatus::kNotFound);
+  crypto::Bytes image;
+  EXPECT_EQ(read_file(path, image), StoreStatus::kNotFound);
 
   std::string err;
   ASSERT_EQ(write_snapshot_file(path, golden_snapshot(), true, &err),
             StoreStatus::kOk)
       << err;
   SnapshotData out;
-  ASSERT_EQ(read_snapshot_file(path, out), StoreStatus::kOk);
+  ASSERT_EQ(read_file(path, image), StoreStatus::kOk);
+  ASSERT_EQ(decode_snapshot(image, out), StoreStatus::kOk);
   EXPECT_EQ(out.meta.next_lsn, golden_snapshot().meta.next_lsn);
 
   // A rewrite replaces the file atomically — no .tmp litter on success.
   SnapshotData second = golden_snapshot();
   second.meta.sim_time_us = 777;
   ASSERT_EQ(write_snapshot_file(path, second, true, &err), StoreStatus::kOk);
-  ASSERT_EQ(read_snapshot_file(path, out), StoreStatus::kOk);
+  ASSERT_EQ(read_file(path, image), StoreStatus::kOk);
+  ASSERT_EQ(decode_snapshot(image, out), StoreStatus::kOk);
   EXPECT_EQ(out.meta.sim_time_us, 777u);
   FILE* tmp = std::fopen((path + ".tmp").c_str(), "rb");
   EXPECT_EQ(tmp, nullptr);
@@ -231,9 +257,7 @@ TEST(SnapshotFileViewTest, MapsSectionsAndValidatesOnOpen) {
   ASSERT_EQ(view.sections().size(), 2u);
   const auto* col = view.find(kUserColumnBase);
   ASSERT_NE(col, nullptr);
-  ASSERT_EQ(col->size, snap.sections[1].payload.size());
-  EXPECT_EQ(crypto::Bytes(col->data, col->data + col->size),
-            snap.sections[1].payload);
+  EXPECT_EQ(bytes_of(col->payload), bytes_of(snap.sections[1].payload));
   EXPECT_EQ(view.find(kUserColumnBase + 7), nullptr);
   view.close();
 
@@ -249,6 +273,96 @@ TEST(SnapshotFileViewTest, MapsSectionsAndValidatesOnOpen) {
   EXPECT_EQ(view.open(path), StoreStatus::kCorrupt);
   EXPECT_TRUE(view.sections().empty());
   std::remove(path.c_str());
+}
+
+// The streamed writer and encode_snapshot share one framing routine; the
+// bytes on disk must be exactly the in-memory image, for the pinned golden
+// snapshots and for a real ISP's sections borrowed from its live columns.
+TEST(SnapshotFileTest, StreamedFileEqualsEncodeSnapshot) {
+  const std::string path = "store_snapshot_streamed_test.zsnap";
+  const auto expect_file_is_image = [&](const SnapshotData& snap,
+                                        const char* what) {
+    std::string err;
+    ASSERT_EQ(write_snapshot_file(path, snap, false, &err), StoreStatus::kOk)
+        << what << ": " << err;
+    crypto::Bytes file;
+    ASSERT_EQ(read_file(path, file), StoreStatus::kOk) << what;
+    const crypto::Bytes image = encode_snapshot(snap);
+    EXPECT_EQ(image.size(), encoded_snapshot_size(snap)) << what;
+    EXPECT_TRUE(file == image) << what << ": " << file.size() << " bytes on "
+                               << "disk, " << image.size() << " encoded";
+  };
+  expect_file_is_image(golden_snapshot(), "v1 golden");
+  expect_file_is_image(golden_columnar_snapshot(), "v2 golden");
+
+  core::ZmailParams p;
+  p.n_isps = 4;
+  p.users_per_isp = 10'000;
+  p.initial_user_balance = 100;
+  Rng key_rng(11);
+  const crypto::KeyPair keys = crypto::generate_keypair(key_rng);
+  core::Isp isp(0, p, keys.pub, 42);
+  for (std::size_t u = 0; u < p.users_per_isp; u += 37)
+    isp.user(u).balance += static_cast<EPenny>(u % 11);
+  SnapshotData snap;
+  snap.meta.version = kSnapshotVersionColumnar;
+  snap.meta.features = kFeatureColumnarUserState;
+  crypto::Bytes scalars;
+  isp.serialize_sections(scalars, snap.sections);
+  expect_file_is_image(snap, "10k-user ISP");
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotFileTest, UnwritablePathIsAnIoError) {
+  std::string err;
+  EXPECT_EQ(write_snapshot_file("store_snapshot_no_such_dir/x.zsnap",
+                                golden_snapshot(), true, &err),
+            StoreStatus::kIoError);
+  EXPECT_FALSE(err.empty());
+}
+
+// last_snapshot_bytes and both recovery flavors' snapshot_bytes are
+// computed without re-encoding; they must still be the file's size.
+TEST(CheckpointerTest, SnapshotBytesEqualTheFileSize) {
+  const std::string dir = "store_snapshot_test_ckpt";
+  std::filesystem::remove_all(dir);
+  StoreConfig cfg;
+  cfg.enabled = true;
+  cfg.dir = dir;
+  const auto file_size = [](const std::string& path) {
+    struct stat st{};
+    EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
+    return static_cast<std::uint64_t>(st.st_size);
+  };
+  const auto no_replay = [](std::uint8_t, const crypto::Bytes&) {};
+
+  Checkpointer v1;
+  std::string err;
+  ASSERT_TRUE(v1.open(cfg, "bank", &err)) << err;
+  const crypto::Bytes state(kStatePayload, std::end(kStatePayload));
+  ASSERT_TRUE(v1.checkpoint(state, 5, &err)) << err;
+  const std::uint64_t v1_bytes = file_size(v1.snapshot_path());
+  EXPECT_EQ(v1.stats().last_snapshot_bytes, v1_bytes);
+  RecoveryStats rs;
+  crypto::Bytes restored;
+  ASSERT_TRUE(v1.recover([&](const crypto::Bytes& s) { restored = s; },
+                         no_replay, &rs, &err))
+      << err;
+  EXPECT_EQ(restored, state);
+  EXPECT_EQ(rs.snapshot_bytes, v1_bytes);
+
+  Checkpointer v2;
+  ASSERT_TRUE(v2.open(cfg, "isp0", &err)) << err;
+  const SnapshotData golden = golden_columnar_snapshot();
+  ASSERT_TRUE(v2.checkpoint_sections(golden.sections, 7, &err)) << err;
+  const std::uint64_t v2_bytes = file_size(v2.snapshot_path());
+  EXPECT_EQ(v2.stats().last_snapshot_bytes, v2_bytes);
+  ASSERT_TRUE(v2.recover_view(
+      [](const SnapshotFileView& v) { return v.sections().size() == 2; },
+      no_replay, &rs, &err))
+      << err;
+  EXPECT_EQ(rs.snapshot_bytes, v2_bytes);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -10,6 +10,8 @@
 #include <vector>
 
 #include "store/crc32c.hpp"
+#include "store/crc32c_impl.hpp"
+#include "util/rng.hpp"
 
 namespace zmail::store {
 namespace {
@@ -47,6 +49,50 @@ TEST(Crc32cTest, KnownVectorsAndSeedChaining) {
   EXPECT_EQ(crc32c(zeros, 32), 0x8A9136AAu);
   // Seeding with a finalized crc chains: crc(a||b) == crc(b, crc(a)).
   EXPECT_EQ(crc32c(digits + 4, 5, crc32c(digits, 4)), 0xE3069283u);
+}
+
+// The SSE4.2 path must give the portable reference's value for every
+// length around the 8-byte stride at every start alignment, on a buffer the
+// size of a 100k-user ISP checkpoint, and when chained across the two.
+TEST(Crc32cTest, Sse42MatchesPortable) {
+#if ZMAIL_STORE_SSE42
+  if (!detail::have_sse42()) {
+    GTEST_SKIP() << "this CPU lacks SSE4.2; only the portable CRC32C runs "
+                    "here";
+  }
+  Rng rng(2026);
+  std::vector<std::uint8_t> buf(7'400'000 + 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_u64());
+
+  for (std::size_t off = 0; off < 8; ++off)
+    for (std::size_t len = 0; len <= 4096; ++len)
+      ASSERT_EQ(detail::crc32c_sse42(buf.data() + off, len, 0),
+                detail::crc32c_portable(buf.data() + off, len, 0))
+          << "offset " << off << " length " << len;
+
+  const std::size_t big = 7'400'000;
+  const std::uint32_t whole = detail::crc32c_portable(buf.data() + 3, big, 0);
+  EXPECT_EQ(detail::crc32c_sse42(buf.data() + 3, big, 0), whole);
+  EXPECT_EQ(crc32c(buf.data() + 3, big), whole);
+
+  // Seed chaining in both directions across the implementations.
+  for (const std::size_t split : {std::size_t{0}, std::size_t{1},
+                                  std::size_t{7}, std::size_t{4093}, big}) {
+    const std::uint8_t* a = buf.data() + 3;
+    const std::uint8_t* b = a + split;
+    const std::size_t b_len = big - split;
+    EXPECT_EQ(detail::crc32c_sse42(b, b_len,
+                                   detail::crc32c_portable(a, split, 0)),
+              whole)
+        << "split " << split;
+    EXPECT_EQ(detail::crc32c_portable(b, b_len,
+                                      detail::crc32c_sse42(a, split, 0)),
+              whole)
+        << "split " << split;
+  }
+#else
+  GTEST_SKIP() << "the SSE4.2 CRC32C is built only for x86-64";
+#endif
 }
 
 TEST(WalWriterTest, AppendSyncReopenRoundTrip) {
