@@ -209,7 +209,7 @@ void Isp::deliver_locally(UserId r, const net::EmailMessage& msg,
   ZMAIL_ASSERT(r.slot() < users_.size());
   // Acknowledgments are "processed automatically, rather than being
   // delivered to the receiver's inbox for human attention" (Section 5).
-  if (msg.header(kAckFlagHeader)) {
+  if (msg.find_header(kAckFlagHeader)) {
     ++metrics_.acks_received;
     if (msg.trace_id != 0) {
       // Terminal for the acknowledgment's own chain (arg1 = 2 marks
@@ -239,7 +239,7 @@ void Isp::deliver_locally(UserId r, const net::EmailMessage& msg,
 void Isp::maybe_generate_ack(UserId recipient,
                              const net::EmailMessage& msg) {
   if (!params_.auto_acknowledge_lists) return;
-  const auto ack_to = msg.header(kAckHeader);
+  const std::string* ack_to = msg.find_header(kAckHeader);
   if (!ack_to) return;
   const auto dist = net::parse_address(*ack_to);
   if (!dist) return;
@@ -333,7 +333,7 @@ void Isp::log_on_email(std::size_t from_isp, const crypto::Bytes& payload) {
   log_op(WalOp::kOnEmail, p);
 }
 
-void Isp::on_email(std::size_t from_isp, net::EmailMessage msg) {
+void Isp::on_email(std::size_t from_isp, const net::EmailMessage& msg) {
   if (wal_) log_on_email(from_isp, msg.serialize());
   receive_email(from_isp, msg);
 }
@@ -721,9 +721,14 @@ void Isp::end_of_day() {
   users_.reset_day();
 }
 
+void Isp::take_outbox(std::vector<Outbound>& out) {
+  ZMAIL_ASSERT(out.empty());
+  out.swap(outbox_);
+}
+
 std::vector<Outbound> Isp::take_outbox() {
   std::vector<Outbound> out;
-  out.swap(outbox_);
+  take_outbox(out);
   return out;
 }
 

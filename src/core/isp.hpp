@@ -93,8 +93,9 @@ class Isp {
 
   // --- Section 4.1: receiving (the `rcv email` action) ------------------
   // `from_isp` is the sending ISP's index; `msg` is addressed to one of our
-  // users (the SMTP layer hands over the message it parsed).
-  void on_email(std::size_t from_isp, net::EmailMessage msg);
+  // users (the SMTP layer hands over the message it parsed).  Nothing of
+  // `msg` is kept beyond the call unless an inbox records it.
+  void on_email(std::size_t from_isp, const net::EmailMessage& msg);
   // The same for a serialized net::EmailMessage (WAL replay, tests).  Both
   // overloads log the same kOnEmail record: this one logs `payload` as
   // given, the other logs msg.serialize().
@@ -147,6 +148,10 @@ class Isp {
   void release_user(UserId u);
 
   // --- Harness interface --------------------------------------------------
+  // Moves the queued outbound messages into `out`, which must be empty;
+  // the outbox keeps `out`'s capacity for the next ones.
+  void take_outbox(std::vector<Outbound>& out);
+  // The same into a fresh vector.
   std::vector<Outbound> take_outbox();
   bool outbox_empty() const noexcept { return outbox_.empty(); }
 

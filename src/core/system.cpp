@@ -1,6 +1,8 @@
 #include "core/system.hpp"
 
+#include <charconv>
 #include <optional>
+#include <string_view>
 
 #include "trace/trace.hpp"
 #include "util/assert.hpp"
@@ -22,6 +24,21 @@ sim::Duration email_rto(std::uint32_t attempts) {
   sim::Duration rto = kEmailRtoBase;
   for (std::uint32_t i = 1; i < attempts && rto < kEmailRtoCap; ++i) rto *= 2;
   return rto < kEmailRtoCap ? rto : kEmailRtoCap;
+}
+
+// The X-Zmail-Sent-At stamp as std::stoll read it (an optional sign, the
+// leading digits, anything after them ignored; nothing when no digit leads
+// or the value overflows), without the copy or the exception.  Header
+// values arrive trimmed, so there is no leading space to skip.
+std::optional<long long> parse_stamp(std::string_view s) {
+  if (!s.empty() && s.front() == '+') {
+    s.remove_prefix(1);
+    if (!s.empty() && s.front() == '-') return std::nullopt;
+  }
+  long long v = 0;
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc()) return std::nullopt;
+  return v;
 }
 
 // Id-framed reliable-email datagram types (interned once).
@@ -98,8 +115,13 @@ ZmailSystem::ZmailSystem(ZmailParams params, std::uint64_t seed)
   legacy_.resize(params_.n_isps);
   smtp_bytes_in_.assign(params_.n_isps, 0);
   isp_domains_.reserve(params_.n_isps);
-  for (std::size_t i = 0; i < params_.n_isps; ++i)
+  smtp_sessions_.reserve(params_.n_isps);
+  for (std::size_t i = 0; i < params_.n_isps; ++i) {
     isp_domains_.push_back(net::isp_domain(i));
+    smtp_sessions_.emplace_back(
+        isp_domains_[i],
+        [this](net::EmailMessage&& m) { std::swap(received_, m); });
+  }
   isps_.resize(params_.n_isps);
   isp_ctor_seed_.assign(params_.n_isps, 0);
   for (std::size_t i = 0; i < params_.n_isps; ++i) {
@@ -752,7 +774,10 @@ void ZmailSystem::run_until_quiet(sim::Duration max) {
 
 void ZmailSystem::pump_isp(std::size_t i) {
   ZMAIL_ASSERT(isps_[i] != nullptr);
-  for (Outbound& o : isps_[i]->take_outbox()) {
+  std::vector<Outbound> batch;
+  batch.swap(outbox_spare_);
+  isps_[i]->take_outbox(batch);
+  for (Outbound& o : batch) {
     // Restore the causal context the ISP captured when it queued this
     // outbound, so the datagram (and any ARQ transfer) inherits it even
     // when the send happens long after submission (quiesce flush, retry).
@@ -771,6 +796,8 @@ void ZmailSystem::pump_isp(std::size_t i) {
     }
     net_.send(i, o.isp_index, std::move(o.type), std::move(o.payload));
   }
+  batch.clear();
+  outbox_spare_.swap(batch);
 }
 
 void ZmailSystem::start_transfer(std::size_t from_isp, std::size_t to_isp,
@@ -902,64 +929,71 @@ void ZmailSystem::pump_all() {
 
 void ZmailSystem::deliver_via_smtp(std::size_t to_isp, std::size_t from_isp,
                                    const crypto::Bytes& payload) {
+  // decoded_ and received_ are shared by every delivery; nothing on this
+  // path may start another one before it returns.
+  ZMAIL_ASSERT_MSG(!delivering_, "deliver_via_smtp re-entered");
+  delivering_ = true;
+  struct Done {
+    bool& flag;
+    ~Done() { flag = false; }
+  } done{delivering_};
+
   // Reconstruct the message and play a real SMTP dialogue into the
   // destination host, so every inter-ISP email exercises RFC-821 framing
   // and the byte counters reflect true protocol overhead.  The message the
   // server parses is the one the ISP receives: no second codec round trip.
-  auto msg = net::EmailMessage::deserialize(payload);
-  if (!msg) return;
+  if (!net::EmailMessage::deserialize_into(payload, decoded_)) return;
+  const net::EmailMessage& msg = decoded_;
 
-  trace::Scope tscope(msg->trace_id);
+  trace::Scope tscope(msg.trace_id);
   std::optional<trace::SpanScope> smtp_span;
-  if (msg->trace_id != 0)
-    smtp_span.emplace(trace::Ev::kSmtp, msg->trace_id,
+  if (msg.trace_id != 0)
+    smtp_span.emplace(trace::Ev::kSmtp, msg.trace_id,
                       static_cast<std::uint16_t>(to_isp));
 
-  std::optional<net::EmailMessage> received;
-  net::SmtpServerSession session(
-      isp_domains_.at(to_isp),
-      [&received](net::EmailMessage&& m) { received = std::move(m); });
-  const net::SmtpTransferResult xfer =
-      net::smtp_transfer(*msg, isp_domains_.at(from_isp), session);
+  const net::SmtpTransferResult xfer = net::smtp_transfer(
+      msg, isp_domains_.at(from_isp), smtp_sessions_.at(to_isp));
   smtp_bytes_in_.at(to_isp) +=
       xfer.bytes_client_to_server + xfer.bytes_server_to_client;
   if (smtp_span)
     smtp_span->set_end_arg0(xfer.bytes_client_to_server +
                             xfer.bytes_server_to_client);
-  if (!xfer.accepted || !received) return;
+  // An accepted transfer is one whose "." the session answered with 250,
+  // right after swapping the parsed message into received_.
+  if (!xfer.accepted) return;
 
   // SMTP does not carry the simulation's ground-truth label — or the trace
   // id, which lives in the serialized tail the dialogue re-parses away;
   // restore both.
-  received->truth = msg->truth;
-  received->trace_id = msg->trace_id;
+  net::EmailMessage& received = received_;
+  received.truth = msg.truth;
+  received.trace_id = msg.trace_id;
 
-  if (const auto stamp = received->header("X-Zmail-Sent-At")) {
-    try {
-      const auto sent_at = static_cast<sim::SimTime>(std::stoll(*stamp));
+  if (const std::string* stamp = received.find_header("X-Zmail-Sent-At")) {
+    if (const auto parsed = parse_stamp(*stamp)) {
+      const auto sent_at = static_cast<sim::SimTime>(*parsed);
       if (sent_at >= 0 && sent_at <= sim_.now()) {
         latency_.add(sim::to_seconds(sim_.now() - sent_at));
         if (telemetry_ && to_isp < telem_latency_.size())
           telemetry_->observe(telem_latency_[to_isp],
                               static_cast<std::uint64_t>(sim_.now() - sent_at));
       }
-    } catch (...) {
-      // Foreign or corrupted stamp: not a latency sample.
     }
+    // Otherwise a foreign or corrupted stamp: not a latency sample.
   }
 
   if (isps_[to_isp]) {
-    isps_[to_isp]->on_email(from_isp, std::move(*received));
+    isps_[to_isp]->on_email(from_isp, received);
     pump_isp(to_isp);  // acknowledgments may have been generated
   } else {
     ++legacy_[to_isp].stats.emails_received;
-    if (received->truth == net::MailClass::kSpam)
+    if (received.truth == net::MailClass::kSpam)
       ++legacy_[to_isp].stats.emails_received_spam;
-    if (received->trace_id != 0) {
+    if (received.trace_id != 0) {
       const auto h = static_cast<std::uint16_t>(to_isp);
-      trace::instant(trace::Ev::kDeliver, received->trace_id, h, 0,
-                     received->truth == net::MailClass::kSpam ? 1u : 0u);
-      trace::end(trace::Ev::kMessage, received->trace_id, h);
+      trace::instant(trace::Ev::kDeliver, received.trace_id, h, 0,
+                     received.truth == net::MailClass::kSpam ? 1u : 0u);
+      trace::end(trace::Ev::kMessage, received.trace_id, h);
     }
   }
 }

@@ -85,6 +85,10 @@ struct SendOutcome {
 class ZmailSystem {
  public:
   explicit ZmailSystem(ZmailParams params, std::uint64_t seed = 42);
+  // Network hosts and SMTP sessions call back into `this`: not copyable,
+  // and so not movable either.
+  ZmailSystem(const ZmailSystem&) = delete;
+  ZmailSystem& operator=(const ZmailSystem&) = delete;
 
   // --- Mail ----------------------------------------------------------------
   // Sends from any user (compliant or legacy) to any user.  For compliant
@@ -302,6 +306,16 @@ class ZmailSystem {
 
   std::vector<std::uint64_t> smtp_bytes_in_;
   std::vector<std::string> isp_domains_;  // net::isp_domain(i), built once
+  // Inter-ISP delivery state, reused by every deliver_via_smtp call so a
+  // warm delivery allocates nothing: one SMTP server session per receiving
+  // host (its callback swaps the parsed message into received_), the
+  // message decoded from the datagram, and the spare outbox pump_isp
+  // trades with the ISP.  delivering_ guards the pair against re-entry.
+  std::vector<net::SmtpServerSession> smtp_sessions_;
+  net::EmailMessage decoded_;
+  net::EmailMessage received_;
+  bool delivering_ = false;
+  std::vector<Outbound> outbox_spare_;
   Sample latency_;
   // Telemetry (null when off — the off path constructs and schedules
   // nothing).  telem_latency_[i]: histogram channel for deliveries INTO

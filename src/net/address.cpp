@@ -31,19 +31,32 @@ bool parse_canonical_index(std::string_view s, std::size_t& out) noexcept {
 }
 }  // namespace
 
-std::optional<EmailAddress> parse_address(std::string_view s) {
+bool assign_address(std::string_view s, EmailAddress& out) {
   const std::size_t at = s.find('@');
-  if (at == std::string_view::npos) return std::nullopt;
-  if (s.find('@', at + 1) != std::string_view::npos) return std::nullopt;
-  EmailAddress a{std::string(s.substr(0, at)), std::string(s.substr(at + 1))};
-  if (!valid_part(a.local) || !valid_part(a.domain)) return std::nullopt;
+  if (at == std::string_view::npos) return false;
+  if (s.find('@', at + 1) != std::string_view::npos) return false;
+  const std::string_view local = s.substr(0, at), domain = s.substr(at + 1);
+  if (!valid_part(local) || !valid_part(domain)) return false;
+  out.local.assign(local);
+  out.domain.assign(domain);
+  return true;
+}
+
+bool assign_path(std::string_view s, EmailAddress& out) {
+  if (s.size() < 2 || s.front() != '<' || s.back() != '>') return false;
+  return assign_address(s.substr(1, s.size() - 2), out);
+}
+
+std::optional<EmailAddress> parse_address(std::string_view s) {
+  EmailAddress a;
+  if (!assign_address(s, a)) return std::nullopt;
   return a;
 }
 
 std::optional<EmailAddress> parse_path(std::string_view s) {
-  if (s.size() < 2 || s.front() != '<' || s.back() != '>')
-    return std::nullopt;
-  return parse_address(s.substr(1, s.size() - 2));
+  EmailAddress a;
+  if (!assign_path(s, a)) return std::nullopt;
+  return a;
 }
 
 EmailAddress make_user_address(std::size_t isp_index, std::size_t user_index) {

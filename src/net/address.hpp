@@ -29,6 +29,11 @@ std::optional<EmailAddress> parse_address(std::string_view s);
 // Parses the bracketed form used in SMTP paths: "<local@domain>".
 std::optional<EmailAddress> parse_path(std::string_view s);
 
+// The same parses into an existing address, reusing its strings' capacity.
+// On malformed input they return false and leave `out` untouched.
+bool assign_address(std::string_view s, EmailAddress& out);
+bool assign_path(std::string_view s, EmailAddress& out);
+
 // Convenience constructor for simulated populations: user `u` at ISP `i`.
 EmailAddress make_user_address(std::size_t isp_index, std::size_t user_index);
 

@@ -1,7 +1,6 @@
 #include "net/email.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <charconv>
 #include <functional>
 
@@ -20,19 +19,27 @@ std::string_view mail_class_name(MailClass c) noexcept {
 }
 
 namespace {
+char ascii_lower(char c) noexcept {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
 bool iequals(std::string_view a, std::string_view b) noexcept {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i)
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i])))
-      return false;
+    if (ascii_lower(a[i]) != ascii_lower(b[i])) return false;
   return true;
 }
 }  // namespace
 
-std::optional<std::string> EmailMessage::header(std::string_view name) const {
+const std::string* EmailMessage::find_header(
+    std::string_view name) const noexcept {
   for (const auto& [k, v] : headers)
-    if (iequals(k, name)) return v;
+    if (iequals(k, name)) return &v;
+  return nullptr;
+}
+
+std::optional<std::string> EmailMessage::header(std::string_view name) const {
+  if (const std::string* v = find_header(name)) return *v;
   return std::nullopt;
 }
 
@@ -103,34 +110,42 @@ crypto::Bytes EmailMessage::serialize() const {
 
 std::optional<EmailMessage> EmailMessage::deserialize(
     const crypto::Bytes& wire) {
-  crypto::ByteReader r(wire);
   EmailMessage m;
-  auto from = parse_address(r.get_string_view());
-  if (!from) return std::nullopt;
-  m.from = std::move(*from);
+  if (!deserialize_into(wire, m)) return std::nullopt;
+  return m;
+}
+
+bool EmailMessage::deserialize_into(const crypto::Bytes& wire,
+                                    EmailMessage& out) {
+  crypto::ByteReader r(wire);
+  if (!assign_address(r.get_string_view(), out.from)) return false;
+  // Counts are untrusted: entries are appended one decoded item at a time,
+  // never reserved up front.
   const std::uint32_t nto = r.get_u32();
-  for (std::uint32_t i = 0; i < nto && r.ok(); ++i) {
-    auto a = parse_address(r.get_string_view());
-    if (!a) return std::nullopt;
-    m.to.push_back(std::move(*a));
-  }
+  std::size_t n = 0;
+  for (; n < nto && r.ok(); ++n)
+    if (!assign_address(r.get_string_view(), reuse_slot(out.to, n)))
+      return false;
+  out.to.resize(n);
   const std::uint32_t nh = r.get_u32();
-  // nh is untrusted: reserve for the usual few headers only.
-  m.headers.reserve(std::min<std::uint32_t>(nh, 4));
-  for (std::uint32_t i = 0; i < nh && r.ok(); ++i) {
-    std::string k = r.get_string();
-    std::string v = r.get_string();
-    m.headers.emplace_back(std::move(k), std::move(v));
+  // Reserve for the usual few headers only.
+  if (out.headers.capacity() == 0)
+    out.headers.reserve(std::min<std::uint32_t>(nh, 4));
+  n = 0;
+  for (; n < nh && r.ok(); ++n) {
+    auto& [k, v] = reuse_slot(out.headers, n);
+    k.assign(r.get_string_view());
+    v.assign(r.get_string_view());
   }
-  m.body = r.get_string();
+  out.headers.resize(n);
+  out.body.assign(r.get_string_view());
   const std::uint8_t truth = r.get_u8();
   // A flipped bit must not smuggle an out-of-range enum into the system.
-  if (truth > static_cast<std::uint8_t>(MailClass::kVirus)) return std::nullopt;
-  m.truth = static_cast<MailClass>(truth);
-  if (!r.ok()) return std::nullopt;
-  if (!r.at_end()) m.trace_id = r.get_u64();
-  if (!r.ok()) return std::nullopt;
-  return m;
+  if (truth > static_cast<std::uint8_t>(MailClass::kVirus)) return false;
+  out.truth = static_cast<MailClass>(truth);
+  if (!r.ok()) return false;
+  out.trace_id = r.at_end() ? 0 : r.get_u64();
+  return r.ok();
 }
 
 EmailMessage make_email(const EmailAddress& from, const EmailAddress& to,

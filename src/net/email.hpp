@@ -14,6 +14,7 @@
 
 #include "crypto/bytes.hpp"
 #include "net/address.hpp"
+#include "util/assert.hpp"
 
 namespace zmail::net {
 
@@ -46,7 +47,9 @@ struct EmailMessage {
   // nonzero, so untraced runs produce byte-identical wires.
   std::uint64_t trace_id = 0;
 
-  // Header access (first match; header names compare case-insensitively).
+  // Header access (first match; header names compare case-insensitively,
+  // ASCII only).  find_header returns the stored value or nullptr.
+  const std::string* find_header(std::string_view name) const noexcept;
   std::optional<std::string> header(std::string_view name) const;
   void set_header(std::string_view name, std::string_view value);
 
@@ -88,7 +91,23 @@ struct EmailMessage {
   // Binary serialization for channel payloads.
   crypto::Bytes serialize() const;
   static std::optional<EmailMessage> deserialize(const crypto::Bytes& wire);
+  // The decoder behind deserialize(): overwrites every field of `out`,
+  // reusing the capacity of its strings and of the recipient and header
+  // entries it already holds, so decoding into a warm message of the same
+  // shape allocates nothing.  On malformed input it returns false and
+  // `out` holds an unspecified (valid) message.
+  static bool deserialize_into(const crypto::Bytes& wire, EmailMessage& out);
 };
+
+// Entry `n` of `v`, appending a default one when `n == v.size()`, so that
+// filling a vector front to back overwrites the entries (and their string
+// capacity) a previous fill left; the caller trims to the final count.
+template <class T>
+T& reuse_slot(std::vector<T>& v, std::size_t n) {
+  ZMAIL_ASSERT(n <= v.size());
+  if (n == v.size()) v.emplace_back();
+  return v[n];
+}
 
 // Builds a plain message with standard headers filled in.
 EmailMessage make_email(const EmailAddress& from, const EmailAddress& to,

@@ -11,15 +11,27 @@ namespace zmail::net {
 
 namespace {
 
+char ascii_upper(char c) noexcept {
+  return c >= 'a' && c <= 'z' ? static_cast<char>(c - 'a' + 'A') : c;
+}
+
 // Case-insensitive prefix match; returns the remainder after the prefix.
 std::optional<std::string_view> strip_prefix_ci(std::string_view line,
                                                 std::string_view prefix) {
   if (line.size() < prefix.size()) return std::nullopt;
   for (std::size_t i = 0; i < prefix.size(); ++i)
-    if (std::toupper(static_cast<unsigned char>(line[i])) !=
-        std::toupper(static_cast<unsigned char>(prefix[i])))
-      return std::nullopt;
+    if (ascii_upper(line[i]) != ascii_upper(prefix[i])) return std::nullopt;
   return line.substr(prefix.size());
+}
+
+// A command verb: the case-insensitive `verb` followed by SP or the end of
+// the line (RFC 821 4.1.1), so "HELOfoo" or "NOOPS" is no command at all.
+// Returns the arguments after the verb.
+std::optional<std::string_view> match_verb(std::string_view line,
+                                           std::string_view verb) {
+  auto rest = strip_prefix_ci(line, verb);
+  if (rest && !rest->empty() && rest->front() != ' ') return std::nullopt;
+  return rest;
 }
 
 std::string_view trim(std::string_view s) {
@@ -163,12 +175,24 @@ SmtpServerSession::SmtpServerSession(std::string server_domain,
   ZMAIL_ASSERT(deliver_ != nullptr);
 }
 
-SmtpReply SmtpServerSession::greeting() const {
-  return {220, domain_ + " Simple Mail Transfer Service Ready"};
+SmtpReply SmtpServerSession::greeting() {
+  reset_transaction();
+  state_ = State::kConnected;
+  quit_ = false;
+  reply_.assign(domain_).append(" Simple Mail Transfer Service Ready");
+  return {220, reply_};
 }
 
 void SmtpServerSession::reset_transaction() {
-  pending_ = EmailMessage{};
+  // Clears without freeing: the strings keep their capacity and the
+  // recipient and header entries stay allocated for the next message.
+  pending_.from.local.clear();
+  pending_.from.domain.clear();
+  n_to_ = 0;
+  n_headers_ = 0;
+  pending_.body.clear();
+  pending_.truth = MailClass::kLegitimate;
+  pending_.trace_id = 0;
   in_headers_ = true;
   body_open_ = false;
   data_bytes_ = 0;
@@ -178,6 +202,8 @@ void SmtpServerSession::reset_transaction() {
 SmtpReply SmtpServerSession::consume_line(std::string_view line) {
   if (state_ != State::kData) return handle_command(line);
   if (line == ".") {
+    pending_.to.resize(n_to_);
+    pending_.headers.resize(n_headers_);
     deliver_(std::move(pending_));
     ++accepted_;
     reset_transaction();
@@ -212,21 +238,21 @@ void SmtpServerSession::add_data_line(std::string_view line) {
   // From:/To: duplicate the envelope in this simulation; keep the rest.
   if (key == "From" || key == "To") return;
   // Subject, Message-ID and X-Zmail-Sent-At, as submitted mail carries.
-  if (pending_.headers.empty()) pending_.headers.reserve(4);
-  pending_.headers.emplace_back(std::string(key),
-                                std::string(trim(line.substr(colon + 1))));
+  if (pending_.headers.capacity() == 0) pending_.headers.reserve(4);
+  auto& [k, v] = reuse_slot(pending_.headers, n_headers_++);
+  k.assign(key);
+  v.assign(trim(line.substr(colon + 1)));
 }
 
 SmtpReply SmtpServerSession::handle_command(std::string_view line) {
-  if (auto rest = strip_prefix_ci(line, "HELO");
-      rest || (rest = strip_prefix_ci(line, "EHLO"))) {
+  if (auto rest = match_verb(line, "HELO");
+      rest || (rest = match_verb(line, "EHLO"))) {
     const std::string_view client = trim(*rest);
     if (client.empty()) return {501, "Syntax: HELO hostname"};
     reset_transaction();
     state_ = State::kGreeted;
-    std::string text = domain_;
-    text.append(" Hello ").append(client);
-    return {250, std::move(text)};
+    reply_.assign(domain_).append(" Hello ").append(client);
+    return {250, reply_};
   }
   if (auto rest = strip_prefix_ci(line, "MAIL FROM:")) {
     if (state_ == State::kConnected) return {503, "Polite people say HELO first"};
@@ -251,49 +277,51 @@ SmtpReply SmtpServerSession::handle_command(std::string_view line) {
         return {501, "Unrecognized MAIL parameter"};
       }
     }
-    auto addr = parse_path(spec);
-    if (!addr) return {501, "Syntax error in MAIL FROM path"};
-    pending_.from = std::move(*addr);
+    if (!assign_path(spec, pending_.from))
+      return {501, "Syntax error in MAIL FROM path"};
     state_ = State::kMailFrom;
     return {250, "OK"};
   }
   if (auto rest = strip_prefix_ci(line, "RCPT TO:")) {
     if (state_ != State::kMailFrom && state_ != State::kRcptTo)
       return {503, "Need MAIL command first"};
-    auto addr = parse_path(trim(*rest));
-    if (!addr) return {501, "Syntax error in RCPT TO path"};
-    if (verify_ && addr->domain == domain_ && !verify_(*addr))
+    EmailAddress& rcpt = reuse_slot(pending_.to, n_to_);
+    if (!assign_path(trim(*rest), rcpt))
+      return {501, "Syntax error in RCPT TO path"};
+    if (verify_ && rcpt.domain == domain_ && !verify_(rcpt))
       return {550, "No such user here"};
-    pending_.to.push_back(std::move(*addr));
+    ++n_to_;
     state_ = State::kRcptTo;
     return {250, "OK"};
   }
-  if (auto rest = strip_prefix_ci(line, "VRFY")) {
+  if (auto rest = match_verb(line, "VRFY")) {
     const std::string_view who = trim(*rest);
     if (who.empty()) return {501, "VRFY needs an address"};
     const auto addr = parse_address(who);
     if (!addr) return {501, "Syntax error in address"};
     if (!verify_) return {252, "Cannot VRFY user, but will accept message"};
-    return verify_(*addr) ? SmtpReply{250, addr->str()}
-                          : SmtpReply{550, "No such user here"};
+    if (!verify_(*addr)) return {550, "No such user here"};
+    reply_.assign(addr->local).append(1, '@').append(addr->domain);
+    return {250, reply_};
   }
-  if (strip_prefix_ci(line, "HELP")) {
+  if (match_verb(line, "HELP")) {
     return {214, "Commands: HELO MAIL RCPT DATA RSET NOOP VRFY HELP QUIT"};
   }
-  if (strip_prefix_ci(line, "DATA") && trim(line).size() == 4) {
+  if (auto rest = match_verb(line, "DATA"); rest && trim(*rest).empty()) {
     if (state_ != State::kRcptTo)
       return {503, "Need RCPT before DATA"};
     state_ = State::kData;
     return {354, "Start mail input; end with <CRLF>.<CRLF>"};
   }
-  if (strip_prefix_ci(line, "RSET") && trim(line).size() == 4) {
+  if (auto rest = match_verb(line, "RSET"); rest && trim(*rest).empty()) {
     reset_transaction();
     return {250, "OK"};
   }
-  if (strip_prefix_ci(line, "NOOP")) return {250, "OK"};
-  if (strip_prefix_ci(line, "QUIT")) {
+  if (match_verb(line, "NOOP")) return {250, "OK"};
+  if (match_verb(line, "QUIT")) {
     quit_ = true;
-    return {221, domain_ + " Service closing transmission channel"};
+    reply_.assign(domain_).append(" Service closing transmission channel");
+    return {221, reply_};
   }
   return {500, "Syntax error, command unrecognized"};
 }
@@ -335,7 +363,7 @@ SmtpTransferResult smtp_transfer(const EmailMessage& msg,
     if (line == "." && reply.code == 250) data_accepted = true;
     return true;
   };
-  std::string buf;
+  std::string& buf = server.client_line_;
   buf.reserve(128);  // every command and header line of a typical email
   render_client(msg, client_domain, buf, emit);
   result.accepted = data_accepted && result.first_error_code == 0;

@@ -54,24 +54,24 @@ void Simulator::CalendarQueue::insert_wheel(SimTime at, std::uint64_t seq,
 }
 
 void Simulator::CalendarQueue::push(SimTime at, std::uint64_t seq,
-                                    EventFn&& fn) {
+                                    EventFn&& fn, SimTime now) {
   ++size_;
   if (!in_wheel(at)) {
-    if (at >= base_) {  // beyond the wheel
-      if (wheel_count_ == 0 && overflow_.empty()) {
-        // Idle queue: re-anchor the wheel directly instead of bouncing the
-        // event through the overflow heap (the common shape of sparse
-        // recurring tasks).
-        base_ = at - (at % kWidth);
-        cursor_ = 0;
-        sorted_ = false;
-      } else {
-        overflow_.emplace_back(at, seq, std::move(fn));
-        std::push_heap(overflow_.begin(), overflow_.end(), Later{});
-        return;
-      }
+    if (wheel_count_ == 0 &&
+        (overflow_.empty() || at < overflow_.front().at)) {
+      // Empty wheel and the new event precedes every overflow event:
+      // re-anchor directly.  This is the common shape of an open loop —
+      // run(until) over a gap leaves the wheel drained and the next send
+      // lands well before the next far-out task — so the all-bucket dump of
+      // rebase() is never needed here.  The anchor is `now` when the event
+      // fits in the span from there: no later push can fall behind it.
+      anchor(at - (now - now % kWidth) < kSpan ? now : at);
+    } else if (at >= base_) {  // beyond the wheel
+      overflow_.emplace_back(at, seq, std::move(fn));
+      std::push_heap(overflow_.begin(), overflow_.end(), Later{});
+      return;
     } else {
-      rebase(at);  // rare: the wheel jumped ahead over an idle gap
+      rebase(at);  // rare: an event behind a wheel that still holds events
     }
   }
   insert_wheel(at, seq, std::move(fn));
@@ -88,6 +88,18 @@ void Simulator::CalendarQueue::sort_bucket() {
             });
   pos_ = 0;
   sorted_ = true;
+}
+
+void Simulator::CalendarQueue::anchor(SimTime t) {
+  cursor_ = 0;
+  sorted_ = false;
+  base_ = t - (t % kWidth);
+  while (!overflow_.empty() && in_wheel(overflow_.front().at)) {
+    std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
+    Entry e = std::move(overflow_.back());
+    overflow_.pop_back();
+    insert_wheel(e.at, e.seq, std::move(e.fn));
+  }
 }
 
 void Simulator::CalendarQueue::rebase(SimTime t) {
@@ -118,15 +130,7 @@ void Simulator::CalendarQueue::rebase(SimTime t) {
     std::make_heap(overflow_.begin(), overflow_.end(), Later{});
     wheel_count_ = 0;
   }
-  cursor_ = 0;
-  sorted_ = false;
-  base_ = t - (t % kWidth);
-  while (!overflow_.empty() && in_wheel(overflow_.front().at)) {
-    std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
-    Entry e = std::move(overflow_.back());
-    overflow_.pop_back();
-    insert_wheel(e.at, e.seq, std::move(e.fn));
-  }
+  anchor(t);
 }
 
 const Simulator::Entry* Simulator::CalendarQueue::peek() {
@@ -140,25 +144,29 @@ const Simulator::Entry* Simulator::CalendarQueue::peek() {
       ++cursor_;
       continue;
     }
-    if (wheel_count_ > 0) {
-      ZMAIL_ASSERT(cursor_ < kBuckets);
-      if (buckets_[cursor_].empty()) {
-        ++cursor_;
-        continue;
-      }
-      sort_bucket();
+    if (wheel_count_ == 0) break;
+    ZMAIL_ASSERT(cursor_ < kBuckets);
+    if (buckets_[cursor_].empty()) {
+      ++cursor_;
       continue;
     }
-    // Wheel exhausted; everything pending sits in the overflow heap.
-    if (overflow_.empty()) return nullptr;
-    rebase(overflow_.front().at);
+    sort_bucket();
   }
+  // Wheel exhausted: everything pending sits in the overflow heap.  Its
+  // front is the minimum; the wheel stays where it is until pop() needs it,
+  // so a bounded step() that stops here re-anchors nothing.
+  return overflow_.empty() ? nullptr : &overflow_.front();
 }
 
 Simulator::Entry Simulator::CalendarQueue::pop() {
-  const Entry* top = peek();
-  ZMAIL_ASSERT(top != nullptr);
-  // peek() leaves the cursor on a sorted bucket with order_[pos_] = top.
+  ZMAIL_ASSERT(size_ > 0);
+  peek();
+  if (wheel_count_ == 0) {
+    rebase(overflow_.front().at);
+    peek();
+  }
+  // peek() leaves the cursor on a sorted bucket whose order_[pos_] is the
+  // earliest entry.
   Entry e = std::move(buckets_[cursor_][order_[pos_].idx]);
   ++pos_;
   --wheel_count_;
@@ -171,7 +179,7 @@ Simulator::Entry Simulator::CalendarQueue::pop() {
 void Simulator::schedule_at(SimTime at, EventFn fn) {
   ZMAIL_ASSERT_MSG(at >= now_, "cannot schedule into the past");
   ZMAIL_ASSERT_MSG(static_cast<bool>(fn), "cannot schedule an empty event");
-  queue_.push(at, next_seq_++, std::move(fn));
+  queue_.push(at, next_seq_++, std::move(fn), now_);
 }
 
 void Simulator::schedule_after(Duration delay, EventFn fn) {

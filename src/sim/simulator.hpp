@@ -61,10 +61,13 @@ class Simulator {
   std::size_t pending() const noexcept { return queue_.size(); }
   std::uint64_t events_executed() const noexcept { return executed_; }
 
-  // Times the wheel was re-anchored (idle jumps, far-future drains).  A
-  // rebase is where a clock-skew bug would silently reorder events, so the
-  // count is surfaced as an obs counter (`calendar_rebase_count`) and the
-  // drain path asserts monotonicity on every pop.
+  // Calls to the calendar's rebase(): a pop that drains the far-future
+  // overflow into an exhausted wheel, or a push behind a wheel that still
+  // holds events.  A push that re-anchors an *empty* wheel directly (the
+  // event precedes every overflow event) is not counted.  A rebase is where
+  // a clock-skew bug would silently reorder events, so the count is
+  // surfaced as an obs counter (`calendar_rebase_count`) and the drain path
+  // asserts monotonicity on every pop.
   std::uint64_t calendar_rebases() const noexcept {
     return queue_.rebase_count();
   }
@@ -94,8 +97,10 @@ class Simulator {
 
   // Two-level calendar queue.  Level 1: `kBuckets` buckets of `kWidth`
   // covering [base, base + kSpan); level 2: an overflow heap for everything
-  // at or beyond base + kSpan.  When the wheel drains it is re-based onto
-  // the earliest overflow event and eligible events migrate in.
+  // at or beyond base + kSpan.  When the wheel has drained, the next pop
+  // re-bases it onto the earliest overflow event and eligible events
+  // migrate in; a push into an empty wheel that precedes every overflow
+  // event re-anchors it onto that push instead.
   //
   // Buckets are unsorted vectors; the entries of the bucket under the drain
   // cursor are ordered through `order_`, a sorted array of {at, seq, index}
@@ -108,12 +113,15 @@ class Simulator {
     std::size_t size() const noexcept { return size_; }
 
     // Components are passed through to one emplace into the destination
-    // vector, so a schedule costs a single event relocation.
-    void push(SimTime at, std::uint64_t seq, EventFn&& fn);
+    // vector, so a schedule costs a single event relocation.  `now` (<= at)
+    // bounds every later push from below.
+    void push(SimTime at, std::uint64_t seq, EventFn&& fn, SimTime now);
     // Earliest (at, seq) entry, or nullptr when empty.  May advance the
-    // bucket cursor / re-base the wheel, hence non-const.
+    // bucket cursor, hence non-const; an exhausted wheel is left as it is
+    // and the overflow front is returned.
     const Entry* peek();
-    // Remove and return the earliest entry; requires !empty().
+    // Remove and return the earliest entry; requires !empty().  The only
+    // place the wheel is re-based onto the overflow heap.
     Entry pop();
 
     std::uint64_t rebase_count() const noexcept { return rebases_; }
@@ -141,8 +149,10 @@ class Simulator {
     void insert_wheel(SimTime at, std::uint64_t seq, EventFn&& fn);
     // Build `order_` for the cursor bucket, skipping popped husks.
     void sort_bucket();
-    // Re-anchor the wheel so `t` falls in bucket 0 and migrate newly
-    // eligible overflow events in.
+    // Point the wheel (which must hold no live entries) at `t`'s bucket and
+    // migrate newly eligible overflow events in.
+    void anchor(SimTime t);
+    // Dump the wheel's live entries into the overflow heap, then anchor(t).
     void rebase(SimTime t);
 
     std::vector<std::vector<Entry>> buckets_{kBuckets};

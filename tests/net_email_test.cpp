@@ -116,6 +116,59 @@ TEST(Email, DeserializeRejectsBadAddress) {
   EXPECT_FALSE(EmailMessage::deserialize(wire).has_value());
 }
 
+// Two messages decoded the same way compare equal field for field.
+void expect_same_message(const EmailMessage& got, const EmailMessage& want) {
+  EXPECT_EQ(got.from, want.from);
+  EXPECT_EQ(got.to, want.to);
+  EXPECT_EQ(got.headers, want.headers);
+  EXPECT_EQ(got.body, want.body);
+  EXPECT_EQ(got.truth, want.truth);
+  EXPECT_EQ(got.trace_id, want.trace_id);
+}
+
+// deserialize_into overwrites a message in place, reusing its storage: a
+// 1-recipient/1-header message decoded into a slot that held 2 recipients,
+// 4 headers and a trace tail must leave nothing of them behind, and match
+// a fresh decode; so must the growth back.
+TEST(Email, DeserializeIntoReusedMessageLeavesNothingStale) {
+  EmailMessage big = make_email(addr("u1@isp0.example"),
+                                addr("u2@isp1.example"), "a longer subject",
+                                std::string(300, 'b'), MailClass::kSpam);
+  big.to.push_back(addr("u3@isp2.example"));
+  big.set_header("X-One", "1");
+  big.set_header("X-Two", "2");
+  big.trace_id = 77;
+  EmailMessage small;
+  small.from = addr("a@b.c");
+  small.to = {addr("d@e.f")};
+  small.headers = {{"Subject", "s"}};
+  small.body = "x";
+
+  EmailMessage slot;
+  ASSERT_TRUE(EmailMessage::deserialize_into(big.serialize(), slot));
+  ASSERT_EQ(slot.to.size(), 2u);
+  ASSERT_EQ(slot.headers.size(), 4u);
+  ASSERT_EQ(slot.trace_id, 77u);
+  expect_same_message(slot, *EmailMessage::deserialize(big.serialize()));
+
+  ASSERT_TRUE(EmailMessage::deserialize_into(small.serialize(), slot));
+  ASSERT_EQ(slot.to.size(), 1u);
+  ASSERT_EQ(slot.headers.size(), 1u);
+  EXPECT_EQ(slot.trace_id, 0u);
+  EXPECT_EQ(slot.truth, MailClass::kLegitimate);
+  expect_same_message(slot, small);
+  expect_same_message(slot, *EmailMessage::deserialize(small.serialize()));
+
+  ASSERT_TRUE(EmailMessage::deserialize_into(big.serialize(), slot));
+  expect_same_message(slot, big);
+
+  // Malformed wires are refused in place as well.
+  EXPECT_FALSE(EmailMessage::deserialize_into({0x01, 0x02, 0x03}, slot));
+  crypto::Bytes bad = small.serialize();
+  bad[4] = '@';
+  EXPECT_FALSE(EmailMessage::deserialize_into(bad, slot));
+}
+
 TEST(Email, Rfc822RenderingHasHeadersBlankLineBody) {
   EmailMessage m = make_email(addr("a@x.y"), addr("b@z.w"), "S", "the body");
   const std::string text = m.to_rfc822();

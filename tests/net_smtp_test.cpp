@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <functional>
 #include <optional>
 
 #include "util/rng.hpp"
@@ -212,6 +213,141 @@ TEST_F(SmtpTest, OversizedDataAborted552) {
   EXPECT_EQ(delivered_.size(), 0u);
   // The session recovers for the next transaction.
   EXPECT_EQ(session_.consume_line("MAIL FROM:<a@b.c>").code, 250);
+}
+
+// RFC 821 4.1.1: a verb ends at SP or the end of the line.  A longer word
+// that merely starts with a verb is no command.
+TEST_F(SmtpTest, VerbMustEndAtSpaceOrLineEnd) {
+  for (const char* line : {"HELOfoo", "EHLOx", "NOOPS", "HELPME", "QUITE",
+                           "VRFYbob", "DATAx", "RSETx"})
+    EXPECT_EQ(session_.consume_line(line).code, 500) << line;
+  EXPECT_FALSE(session_.quit_received());
+  EXPECT_EQ(session_.consume_line("NOOP").code, 250);
+  EXPECT_EQ(session_.consume_line("noop x").code, 250);
+  EXPECT_EQ(session_.consume_line("HELP DATA").code, 214);
+  EXPECT_EQ(session_.consume_line("VRFY bob").code, 501);
+  const SmtpReply helo = session_.consume_line("ehlo isp0.example");
+  EXPECT_EQ(helo.code, 250);
+  EXPECT_EQ(helo.text, "isp1.example Hello isp0.example");
+  const SmtpReply quit = session_.consume_line("QUIT");
+  EXPECT_EQ(quit.code, 221);
+  EXPECT_EQ(quit.text, "isp1.example Service closing transmission channel");
+  EXPECT_TRUE(session_.quit_received());
+}
+
+// --- One session, many connections ------------------------------------------
+//
+// A session reused through consecutive connections (greeting() opens each)
+// must answer exactly as a fresh session per connection: reply codes and
+// texts, transfer byte counts, and the parsed messages.  The connections
+// put an RSET, a 550 recipient, a 552 SIZE refusal and a 552 mid-DATA abort
+// between transfers, and shrink the message shape after a larger one.  The
+// reused session's callback swaps each message out for a spent one, as
+// ZmailSystem's does, so later transactions parse into storage that held a
+// bigger message.
+
+using Connection =
+    std::function<void(SmtpServerSession&, std::vector<std::string>&)>;
+
+std::string describe(const SmtpReply& r) {
+  return std::to_string(r.code) + " " + std::string(r.text);
+}
+
+Connection script(std::vector<std::string> lines) {
+  return [lines](SmtpServerSession& s, std::vector<std::string>& log) {
+    log.push_back(describe(s.greeting()));
+    for (const std::string& line : lines)
+      log.push_back(describe(s.consume_line(line)));
+  };
+}
+
+Connection transfer(EmailMessage msg) {
+  return [msg](SmtpServerSession& s, std::vector<std::string>& log) {
+    const SmtpTransferResult x = smtp_transfer(msg, "isp0.example", s);
+    log.push_back("transfer accepted=" + std::to_string(x.accepted) +
+                  " c2s=" + std::to_string(x.bytes_client_to_server) +
+                  " s2c=" + std::to_string(x.bytes_server_to_client) +
+                  " error=" + std::to_string(x.first_error_code));
+  };
+}
+
+SmtpServerSession configured(SmtpServerSession::DeliverFn deliver) {
+  SmtpServerSession s("isp1.example", std::move(deliver));
+  s.set_verifier(
+      [](const EmailAddress& a) { return a.local == "u1" || a.local == "u2"; });
+  s.set_max_message_size(400);
+  return s;
+}
+
+TEST(SmtpSessionReuse, MatchesAFreshSessionPerConnection) {
+  EmailMessage wide = make_email(addr("u7@isp0.example"),
+                                 addr("u1@isp1.example"), "wide", "w1\nw2");
+  wide.to.push_back(addr("u2@isp1.example"));
+  wide.set_header("X-Zmail-Sent-At", "123456789012345678");
+  wide.set_header("X-Extra", "e");
+  EmailMessage narrow;
+  narrow.from = addr("u8@isp0.example");
+  narrow.to = {addr("u2@isp1.example")};
+  narrow.headers = {{"Subject", "n"}};
+  narrow.body = "x";
+  EmailMessage unknown_rcpt = narrow;
+  unknown_rcpt.to = {addr("u9@isp1.example")};
+
+  const std::vector<Connection> connections = {
+      transfer(make_email(addr("u7@isp0.example"), addr("u1@isp1.example"),
+                          "one", "hello\n.dot")),
+      script({"HELO isp0.example", "MAIL FROM:<u7@isp0.example>",
+              "RCPT TO:<u1@isp1.example>", "RSET",
+              "MAIL FROM:<u8@isp0.example>", "RCPT TO:<u9@isp1.example>",
+              "RCPT TO:<u2@isp1.example>", "DATA", "Subject: two", "X-A: 1",
+              "", "body two", ".", "QUIT"}),
+      script({"HELO isp0.example", "MAIL FROM:<u7@isp0.example> SIZE=100000",
+              "MAIL FROM:<u7@isp0.example> SIZE=100",
+              "RCPT TO:<u1@isp1.example>", "DATA", "Subject: three", "",
+              std::string(500, 'z'), "MAIL FROM:<u7@isp0.example>",
+              "RCPT TO:<u1@isp1.example>", "DATA", "", "short", ".",
+              "VRFY u2@isp1.example", "QUIT"}),
+      transfer(wide),
+      transfer(narrow),
+      transfer(unknown_rcpt),
+      transfer(narrow),
+  };
+
+  // The reused session: its callback swaps the parsed message into `slot`,
+  // which starts out holding a bigger message than any of the above.
+  EmailMessage slot = wide;
+  slot.to.push_back(addr("u3@isp1.example"));
+  slot.set_header("X-Stale", "s");
+  slot.body = std::string(300, 's');
+  slot.truth = MailClass::kSpam;
+  slot.trace_id = 99;
+  std::vector<EmailMessage> reused_got;
+  SmtpServerSession reused = configured([&](EmailMessage&& m) {
+    std::swap(slot, m);
+    reused_got.push_back(slot);
+  });
+
+  for (std::size_t i = 0; i < connections.size(); ++i) {
+    SCOPED_TRACE("connection " + std::to_string(i));
+    std::vector<EmailMessage> fresh_got;
+    SmtpServerSession fresh = configured(
+        [&fresh_got](EmailMessage&& m) { fresh_got.push_back(std::move(m)); });
+    std::vector<std::string> want, got;
+    connections[i](fresh, want);
+    reused_got.clear();
+    connections[i](reused, got);
+    EXPECT_EQ(got, want);
+    ASSERT_EQ(reused_got.size(), fresh_got.size());
+    for (std::size_t k = 0; k < fresh_got.size(); ++k) {
+      EXPECT_EQ(reused_got[k].from, fresh_got[k].from);
+      EXPECT_EQ(reused_got[k].to, fresh_got[k].to);
+      EXPECT_EQ(reused_got[k].headers, fresh_got[k].headers);
+      EXPECT_EQ(reused_got[k].body, fresh_got[k].body);
+      EXPECT_EQ(reused_got[k].truth, fresh_got[k].truth);
+      EXPECT_EQ(reused_got[k].trace_id, fresh_got[k].trace_id);
+    }
+  }
+  EXPECT_EQ(reused.messages_accepted(), 6u);
 }
 
 // --- Round-trip property fuzz ------------------------------------------------
