@@ -381,6 +381,7 @@ void e7f_population_scale(bench::Bench& harness) {
                    "e7f: columnar snapshot 3x+ faster than rows at 1M users");
   }
   std::filesystem::remove(path);
+  std::filesystem::remove(path + ".tmp");  // the spare a rewrite leaves
   t.print("E7.f  snapshot cost vs population (columnar vs legacy rows)");
   harness.metrics()["e7f_population_curve"] = std::move(rows);
 }

@@ -2,8 +2,10 @@
 
 #include <charconv>
 #include <optional>
+#include <span>
 #include <string_view>
 
+#include "store/crc32c.hpp"
 #include "trace/trace.hpp"
 #include "util/assert.hpp"
 #include "util/log.hpp"
@@ -82,16 +84,16 @@ std::string bank_tag(std::size_t bank, std::size_t n_banks) {
 // breaks the pair and the frame is dropped for the retransmit to replace.
 constexpr std::uint64_t kIdGuard = 0xA5A5'5A5A'C3C3'3C3CULL;
 
-// FNV-1a over the email bytes: any payload corruption fails the frame, so
-// a corrupted copy is never acknowledged (the sender's clean retransmit
-// eventually gets through).
-std::uint64_t frame_checksum(const std::uint8_t* p, std::size_t n) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 0x100000001B3ULL;
-  }
-  return h;
+// Bytes before the email in an ARQ frame: [id][id ^ guard][checksum].
+constexpr std::size_t kFrameHeader = 24;
+
+// CRC32C of the email bytes, zero-extended into the frame's u64 checksum
+// word: any payload corruption fails the frame (CRC32C catches every
+// single-bit error, which is what the fault injector makes), so a
+// corrupted copy is never acknowledged and the sender's clean retransmit
+// eventually gets through.
+std::uint64_t frame_checksum(std::span<const std::uint8_t> email) {
+  return store::crc32c(email.data(), email.size());
 }
 }  // namespace
 
@@ -809,6 +811,7 @@ void ZmailSystem::start_transfer(std::size_t from_isp, std::size_t to_isp,
   t.sender_user = sender_user;
   t.epoch = isps_[from_isp]->seq();
   t.payload = std::move(email);
+  t.checksum = frame_checksum(t.payload);
   t.trace_id = trace::current();
   if (t.trace_id != 0)
     trace::begin(trace::Ev::kTransit, t.trace_id,
@@ -830,10 +833,10 @@ void ZmailSystem::transmit_transfer(std::uint64_t id) {
                    static_cast<std::uint16_t>(t.from_isp), t.attempts);
   // Frame: [id][id ^ guard][checksum(email)][email bytes].
   crypto::Bytes wire;
-  wire.reserve(24 + t.payload.size());
+  wire.reserve(kFrameHeader + t.payload.size());
   crypto::put_u64(wire, id);
   crypto::put_u64(wire, id ^ kIdGuard);
-  crypto::put_u64(wire, frame_checksum(t.payload.data(), t.payload.size()));
+  crypto::put_u64(wire, t.checksum);
   wire.insert(wire.end(), t.payload.begin(), t.payload.end());
   net_.send(t.from_isp, t.to_isp, msg_email_rel(), std::move(wire));
   sim_.schedule_at(sim_.now() + email_rto(t.attempts),
@@ -891,8 +894,9 @@ void ZmailSystem::handle_reliable_email(std::size_t host,
     net_.send(host, d.from, msg_email_ack(), std::move(ack));
     return;
   }
-  const crypto::Bytes email(d.payload.begin() + 24, d.payload.end());
-  if (frame_checksum(email.data(), email.size()) != sum)
+  // Verified and decoded in place: the email is never copied out.
+  const auto email = std::span(d.payload).subspan(kFrameHeader);
+  if (frame_checksum(email) != sum)
     return;  // corrupted in transit: drop silently, retransmit replaces it
   seen_transfers_.insert(id);
   crypto::Bytes ack;
@@ -928,7 +932,7 @@ void ZmailSystem::pump_all() {
 }
 
 void ZmailSystem::deliver_via_smtp(std::size_t to_isp, std::size_t from_isp,
-                                   const crypto::Bytes& payload) {
+                                   std::span<const std::uint8_t> payload) {
   // decoded_ and received_ are shared by every delivery; nothing on this
   // path may start another one before it returns.
   ZMAIL_ASSERT_MSG(!delivering_, "deliver_via_smtp re-entered");

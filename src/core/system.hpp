@@ -24,6 +24,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -260,6 +261,7 @@ class ZmailSystem {
     std::uint64_t epoch = 0;       // sender's snapshot seq at first transmit
     std::uint32_t attempts = 0;    // transmissions so far
     crypto::Bytes payload;         // clean email bytes kept for retransmit
+    std::uint64_t checksum = 0;    // frame_checksum(payload), computed once
     std::uint64_t trace_id = 0;    // causal id of the email riding inside
   };
 
@@ -269,7 +271,7 @@ class ZmailSystem {
   // trace span and checkpoints the bank once per closed round.
   void after_bank_step(std::size_t bank, bool round_was_open);
   void deliver_via_smtp(std::size_t to_isp, std::size_t from_isp,
-                        const crypto::Bytes& payload);
+                        std::span<const std::uint8_t> payload);
   void pump_isp(std::size_t i);
   void pump_all();
 

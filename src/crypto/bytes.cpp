@@ -33,7 +33,7 @@ void put_string(Bytes& b, std::string_view v) {
 }
 
 bool ByteReader::have(std::size_t n) noexcept {
-  if (failed_ || data_->size() - pos_ < n) {
+  if (failed_ || data_.size() - pos_ < n) {
     failed_ = true;
     return false;
   }
@@ -42,13 +42,13 @@ bool ByteReader::have(std::size_t n) noexcept {
 
 std::uint8_t ByteReader::get_u8() noexcept {
   if (!have(1)) return 0;
-  return (*data_)[pos_++];
+  return data_[pos_++];
 }
 
 std::uint32_t ByteReader::get_u32() noexcept {
   if (!have(4)) return 0;
   std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v = (v << 8) | (*data_)[pos_++];
+  for (int i = 0; i < 4; ++i) v = (v << 8) | data_[pos_++];
   return v;
 }
 
@@ -65,8 +65,8 @@ std::int64_t ByteReader::get_i64() noexcept {
 Bytes ByteReader::get_bytes() noexcept {
   const std::uint32_t n = get_u32();
   if (!have(n)) return {};
-  Bytes out(data_->begin() + static_cast<std::ptrdiff_t>(pos_),
-            data_->begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+  Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
+            data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
   pos_ += n;
   return out;
 }
@@ -77,8 +77,8 @@ void ByteReader::get_bytes_into(Bytes& out) noexcept {
     out.clear();
     return;
   }
-  out.assign(data_->begin() + static_cast<std::ptrdiff_t>(pos_),
-             data_->begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+  out.assign(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
+             data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
   pos_ += n;
 }
 
@@ -90,7 +90,7 @@ std::string_view ByteReader::get_string_view() noexcept {
   const std::uint32_t n = get_u32();
   if (!have(n)) return {};
   const std::string_view out(
-      reinterpret_cast<const char*>(data_->data()) + pos_, n);
+      reinterpret_cast<const char*>(data_.data()) + pos_, n);
   pos_ += n;
   return out;
 }

@@ -7,6 +7,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -30,15 +31,15 @@ inline void store_be(std::uint8_t* p, std::uint64_t v, std::size_t n) noexcept {
     p[i] = static_cast<std::uint8_t>(v >> (8 * (n - 1 - i)));
 }
 
-// Sequential reader over a Bytes buffer.  Reads past the end abort (protocol
-// messages in the simulation are never truncated unless a test does it on
-// purpose, and those tests use `ok()`).
+// Sequential reader over a byte buffer (a Bytes, or a span into one).
+// Reads past the end abort (protocol messages in the simulation are never
+// truncated unless a test does it on purpose, and those tests use `ok()`).
 class ByteReader {
  public:
-  explicit ByteReader(const Bytes& b) noexcept : data_(&b) {}
+  explicit ByteReader(std::span<const std::uint8_t> b) noexcept : data_(b) {}
 
   bool ok() const noexcept { return !failed_; }
-  bool at_end() const noexcept { return pos_ == data_->size(); }
+  bool at_end() const noexcept { return pos_ == data_.size(); }
 
   std::uint8_t get_u8() noexcept;
   std::uint32_t get_u32() noexcept;
@@ -54,7 +55,7 @@ class ByteReader {
 
  private:
   bool have(std::size_t n) noexcept;
-  const Bytes* data_;
+  std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;
   bool failed_ = false;
 };

@@ -115,7 +115,7 @@ std::optional<EmailMessage> EmailMessage::deserialize(
   return m;
 }
 
-bool EmailMessage::deserialize_into(const crypto::Bytes& wire,
+bool EmailMessage::deserialize_into(std::span<const std::uint8_t> wire,
                                     EmailMessage& out) {
   crypto::ByteReader r(wire);
   if (!assign_address(r.get_string_view(), out.from)) return false;

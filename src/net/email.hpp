@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -94,9 +95,15 @@ struct EmailMessage {
   // The decoder behind deserialize(): overwrites every field of `out`,
   // reusing the capacity of its strings and of the recipient and header
   // entries it already holds, so decoding into a warm message of the same
-  // shape allocates nothing.  On malformed input it returns false and
-  // `out` holds an unspecified (valid) message.
-  static bool deserialize_into(const crypto::Bytes& wire, EmailMessage& out);
+  // shape allocates nothing.  `wire` may be a view into a larger buffer
+  // (the ARQ receive path decodes straight out of its frame).  On malformed
+  // input it returns false and `out` holds an unspecified (valid) message.
+  static bool deserialize_into(std::span<const std::uint8_t> wire,
+                               EmailMessage& out);
+  // The same for a whole buffer, so braced byte lists still convert.
+  static bool deserialize_into(const crypto::Bytes& wire, EmailMessage& out) {
+    return deserialize_into(std::span<const std::uint8_t>(wire), out);
+  }
 };
 
 // Entry `n` of `v`, appending a default one when `n == v.size()`, so that

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <climits>
+#include <cstdio>
 #include <cstring>
 
 #include "store/crc32c.hpp"
@@ -165,6 +166,9 @@ StoreStatus decode_snapshot(std::span<const std::uint8_t> image,
     out.sections.push_back(SnapshotSection{id, {payload, len}});
     pos += kSectionOverhead + len;
   }
+  // The grammar ends at the last section; anything after it is corruption
+  // (or a rewrite that was never trimmed).
+  if (pos != size) return StoreStatus::kCorrupt;
   return StoreStatus::kOk;
 }
 
@@ -183,14 +187,24 @@ StoreStatus write_snapshot_file(const std::string& path,
     ::unlink(tmp.c_str());
     return StoreStatus::kIoError;
   };
-  const int fd =
-      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  // No O_TRUNC: the spare left by the previous exchange is overwritten in
+  // place and then trimmed, so its blocks are reused rather than freed.
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_CLOEXEC, 0644);
   if (fd < 0) return fail("open", -1);
   if (!write_all(fd, pieces)) return fail("write", fd);
+  if (::ftruncate(fd, static_cast<off_t>(encoded_snapshot_size(snap))) != 0)
+    return fail("ftruncate", fd);
   if (fsync_data && ::fsync(fd) != 0) return fail("fsync", fd);
   ::close(fd);
-  if (::rename(tmp.c_str(), path.c_str()) != 0)
-    return fail("rename", -1);
+  // Swap the new image in; the previous snapshot becomes the next spare.
+  // A plain rename is the first write's path (no `path` yet) and the
+  // fallback on filesystems without RENAME_EXCHANGE.
+  if (::renameat2(AT_FDCWD, tmp.c_str(), AT_FDCWD, path.c_str(),
+                  RENAME_EXCHANGE) != 0) {
+    if (errno != ENOENT && errno != EINVAL && errno != ENOSYS)
+      return fail("exchange", -1);
+    if (::rename(tmp.c_str(), path.c_str()) != 0) return fail("rename", -1);
+  }
   if (fsync_data && !sync_parent_dir(path)) {
     if (error)
       *error = "snapshot: fsync directory of " + path + ": " +

@@ -39,9 +39,26 @@
 // the borrowed payloads (an ISP's live Population columns) to writev, so a
 // checkpoint never stages the image in memory.  encode_snapshot uses the
 // same framing routine, so the in-memory and on-disk images are the same
-// bytes.  Writes are atomic: stream into `<path>.tmp`, fsync it, rename it
-// over `path`, then fsync the directory so the rename itself is durable.  A
-// crash mid-checkpoint leaves the previous snapshot intact.
+// bytes.  Writes are atomic and recycle the previous snapshot's inode:
+//
+//   1. open `<path>.tmp` without O_TRUNC and stream the image over its
+//      old bytes (the spare the previous write left, or a new file);
+//   2. ftruncate it to encoded_snapshot_size(), fsync it;
+//   3. swap it into `path` with renameat2(RENAME_EXCHANGE), then fsync the
+//      directory so the swap itself is durable.
+//
+// (The fsyncs only when `fsync_data`.)  The swapped-out previous snapshot
+// stays behind, complete, as `<path>.tmp`, and the next write overwrites it
+// in place, so a checkpoint neither allocates an inode nor frees one.  A
+// plain rename(2) is used only when `path` does not exist yet or the
+// filesystem rejects the exchange.  A crash mid-checkpoint leaves the
+// previous snapshot intact at `path`; steady-state disk use is two
+// snapshots per party.
+//
+// View lifetime: a SnapshotFileView of `path` must be closed before the
+// next-but-one write to `path`.  The next write swaps the mapped inode out
+// to `<path>.tmp`; the one after rewrites and trims it in place, and a
+// MAP_PRIVATE mapping does not freeze file pages it has not written.
 #pragma once
 
 #include <cstdint>
@@ -103,8 +120,8 @@ struct SnapshotData {
 std::uint64_t encoded_snapshot_size(const SnapshotData& snap) noexcept;
 
 // Pure (de)serialization — the fuzz and golden tests work on buffers.
-// decode_snapshot validates every CRC and points out.sections into `image`,
-// which must outlive them.
+// decode_snapshot validates every CRC, rejects bytes after the last section
+// (kCorrupt) and points out.sections into `image`, which must outlive them.
 crypto::Bytes encode_snapshot(const SnapshotData& snap);
 StoreStatus decode_snapshot(std::span<const std::uint8_t> image,
                             SnapshotData& out);
@@ -112,9 +129,10 @@ StoreStatus decode_snapshot(std::span<const std::uint8_t> image,
 StoreStatus decode_snapshot(const crypto::Bytes&& image,
                             SnapshotData& out) = delete;
 
-// Atomic streamed file write (temp + fsync + rename + directory fsync; the
-// fsyncs only when `fsync_data`).  The bytes written are exactly
-// encode_snapshot(snap).
+// Atomic streamed file write (overwrite the spare + trim + fsync + exchange
+// + directory fsync; the fsyncs only when `fsync_data`).  The bytes at
+// `path` are exactly encode_snapshot(snap); the previous snapshot is left
+// as `<path>.tmp`.
 StoreStatus write_snapshot_file(const std::string& path,
                                 const SnapshotData& snap, bool fsync_data,
                                 std::string* error = nullptr);
@@ -123,7 +141,9 @@ StoreStatus write_snapshot_file(const std::string& path,
 // validates the header and every section CRC once; the sections then point
 // straight into the mapping, so consumers (Isp::restore_snapshot) can bulk
 // copy column payloads without an intermediate copy of the file.  The view
-// owns the mapping; sections are valid until close() or destruction.
+// owns the mapping; sections are valid until close() or destruction, which
+// must come before the next-but-one write_snapshot_file to the same path
+// (see the header comment).
 class SnapshotFileView {
  public:
   SnapshotFileView() = default;

@@ -1,7 +1,8 @@
 // Snapshot format: the v1 and v2 byte layouts are pinned by golden files,
 // unknown versions/features are rejected with typed errors (feature bits
-// version-gated), the file writer is atomic (temp + rename) and streams
-// exactly the bytes encode_snapshot produces, and the checkpointer's size
+// version-gated), trailing bytes are corruption, the file writer is atomic
+// (temp + exchange), streams exactly the bytes encode_snapshot produces and
+// recycles the previous snapshot's inode, and the checkpointer's size
 // figures match the files it writes.
 #include "store/snapshot.hpp"
 
@@ -12,6 +13,7 @@
 #include <filesystem>
 #include <iterator>
 #include <string>
+#include <vector>
 
 #include "core/isp.hpp"
 #include "crypto/rsa.hpp"
@@ -209,6 +211,28 @@ TEST(SnapshotCodecTest, DamageIsDetected) {
   EXPECT_EQ(decode_snapshot(empty, out), StoreStatus::kNotFound);
 }
 
+// The grammar is `header section*` and nothing after: one byte appended to
+// a golden image is corruption, in memory and through the file view.
+TEST(SnapshotCodecTest, TrailingBytesAreCorrupt) {
+  for (const SnapshotData& golden :
+       {golden_snapshot(), golden_columnar_snapshot()}) {
+    crypto::Bytes image = encode_snapshot(golden);
+    image.push_back(0x00);
+    SnapshotData out;
+    EXPECT_EQ(decode_snapshot(image, out), StoreStatus::kCorrupt);
+
+    const std::string path = "store_snapshot_trailing_test.zsnap";
+    FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(image.data(), 1, image.size(), f), image.size());
+    std::fclose(f);
+    SnapshotFileView view;
+    EXPECT_EQ(view.open(path), StoreStatus::kCorrupt);
+    EXPECT_TRUE(view.sections().empty());
+    std::remove(path.c_str());
+  }
+}
+
 TEST(SnapshotFileTest, WriteReadRoundTripAndMissingFile) {
   const std::string path = "store_snapshot_test_file.zsnap";
   std::remove(path.c_str());
@@ -225,17 +249,120 @@ TEST(SnapshotFileTest, WriteReadRoundTripAndMissingFile) {
   ASSERT_EQ(decode_snapshot(image, out), StoreStatus::kOk);
   EXPECT_EQ(out.meta.next_lsn, golden_snapshot().meta.next_lsn);
 
-  // A rewrite replaces the file atomically — no .tmp litter on success.
+  // A rewrite swaps the new image in and keeps the previous one, complete,
+  // as the spare `.tmp` the next write overwrites in place.
   SnapshotData second = golden_snapshot();
   second.meta.sim_time_us = 777;
   ASSERT_EQ(write_snapshot_file(path, second, true, &err), StoreStatus::kOk);
   ASSERT_EQ(read_file(path, image), StoreStatus::kOk);
+  EXPECT_TRUE(image == encode_snapshot(second));
   ASSERT_EQ(decode_snapshot(image, out), StoreStatus::kOk);
   EXPECT_EQ(out.meta.sim_time_us, 777u);
-  FILE* tmp = std::fopen((path + ".tmp").c_str(), "rb");
-  EXPECT_EQ(tmp, nullptr);
-  if (tmp) std::fclose(tmp);
+  crypto::Bytes spare;
+  ASSERT_EQ(read_file(path + ".tmp", spare), StoreStatus::kOk);
+  EXPECT_TRUE(spare == encode_snapshot(golden_snapshot()));
+  EXPECT_EQ(decode_snapshot(spare, out), StoreStatus::kOk);
   std::remove(path.c_str());
+  std::remove((path + ".tmp").c_str());
+}
+
+// A snapshot of `n` payload bytes derived from `gen`, so that every
+// generation's image differs from its neighbours in size and content.
+SnapshotData generation(std::uint64_t gen, crypto::Bytes& payload,
+                        std::size_t n) {
+  payload.resize(n);
+  for (std::size_t i = 0; i < n; ++i)
+    payload[i] = static_cast<std::uint8_t>(gen * 131 + i * 7);
+  SnapshotData s;
+  s.meta.next_lsn = gen;
+  s.meta.sim_time_us = gen * 1000;
+  s.sections.push_back(SnapshotSection{kStateSection, payload});
+  return s;
+}
+
+std::uint64_t inode_of(const std::string& path) {
+  struct stat st{};
+  EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
+  return static_cast<std::uint64_t>(st.st_ino);
+}
+
+// Rewrites recycle the previous snapshot's inode: after write k the path
+// holds generation k and the spare holds generation k-1, exactly, while
+// the images alternately grow and shrink (a missing trim would leave the
+// larger image's tail behind), and the path alternates between the same
+// two inodes, so no write frees one.
+TEST(SnapshotFileTest, RewritesAlternateBetweenTwoInodes) {
+  for (const bool fsync_data : {false, true}) {
+    SCOPED_TRACE(fsync_data ? "fsync" : "no fsync");
+    const std::string path = "store_snapshot_generations_test.zsnap";
+    const std::string spare = path + ".tmp";
+    std::remove(path.c_str());
+    std::remove(spare.c_str());
+    constexpr std::size_t kSizes[] = {4096, 64, 20000, 1000, 30000, 7};
+    crypto::Bytes prev_image;
+    std::vector<std::uint64_t> inodes;  // the path's inode after each write
+    for (std::size_t k = 1; k <= std::size(kSizes); ++k) {
+      SCOPED_TRACE(k);
+      crypto::Bytes payload;
+      const SnapshotData snap = generation(k, payload, kSizes[k - 1]);
+      std::string err;
+      ASSERT_EQ(write_snapshot_file(path, snap, fsync_data, &err),
+                StoreStatus::kOk)
+          << err;
+      const crypto::Bytes image = encode_snapshot(snap);
+      crypto::Bytes file;
+      ASSERT_EQ(read_file(path, file), StoreStatus::kOk);
+      EXPECT_TRUE(file == image);
+      inodes.push_back(inode_of(path));
+      if (k >= 2) {
+        ASSERT_EQ(read_file(spare, file), StoreStatus::kOk);
+        EXPECT_TRUE(file == prev_image);
+        EXPECT_EQ(inode_of(spare), inodes[k - 2]);
+        EXPECT_NE(inodes[k - 1], inodes[k - 2]);
+      }
+      if (k >= 3) {
+        EXPECT_EQ(inodes[k - 1], inodes[k - 3]);
+      }
+      prev_image = image;
+    }
+    std::remove(path.c_str());
+    std::remove(spare.c_str());
+  }
+}
+
+// A torn earlier write can leave a garbage spare larger than the next
+// image; the rewrite overwrites and trims it, with or without a snapshot
+// already at the path.
+TEST(SnapshotFileTest, GarbageSpareLargerThanTheImageIsOverwritten) {
+  const std::string path = "store_snapshot_garbage_spare_test.zsnap";
+  const std::string spare = path + ".tmp";
+  const auto leave_garbage = [&] {
+    const crypto::Bytes garbage(4 * encode_snapshot(golden_snapshot()).size() +
+                                    4096,
+                                0xA7);
+    FILE* f = std::fopen(spare.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(garbage.data(), 1, garbage.size(), f),
+              garbage.size());
+    std::fclose(f);
+  };
+  std::remove(path.c_str());
+  for (const bool path_exists : {false, true}) {
+    SCOPED_TRACE(path_exists ? "over a snapshot" : "first write");
+    leave_garbage();
+    SnapshotData snap = golden_snapshot();
+    snap.meta.sim_time_us = path_exists ? 2 : 1;
+    std::string err;
+    ASSERT_EQ(write_snapshot_file(path, snap, false, &err), StoreStatus::kOk)
+        << err;
+    crypto::Bytes file;
+    ASSERT_EQ(read_file(path, file), StoreStatus::kOk);
+    EXPECT_TRUE(file == encode_snapshot(snap));
+    SnapshotFileView view;
+    EXPECT_EQ(view.open(path), StoreStatus::kOk);
+  }
+  std::remove(path.c_str());
+  std::remove(spare.c_str());
 }
 
 TEST(SnapshotFileViewTest, MapsSectionsAndValidatesOnOpen) {
@@ -311,6 +438,7 @@ TEST(SnapshotFileTest, StreamedFileEqualsEncodeSnapshot) {
   isp.serialize_sections(scalars, snap.sections);
   expect_file_is_image(snap, "10k-user ISP");
   std::remove(path.c_str());
+  std::remove((path + ".tmp").c_str());
 }
 
 TEST(SnapshotFileTest, UnwritablePathIsAnIoError) {
