@@ -398,6 +398,50 @@ MailCost mail_cost(std::size_t warmup, std::size_t measured) {
   return cost;
 }
 
+// Warm snapshot rounds on a small world: 16 compliant ISPs x 100 users,
+// a little mail between rounds so every credit array has nonzero entries.
+// One measured round is start_snapshot() plus run_for(15 min): the bank
+// seals one request per ISP with R_b, every ISP unseals it, quiesces for
+// the 10-minute window and seals its credit report with B_b, and the bank
+// unseals every report, verifies every pair and settles.
+constexpr std::size_t kRoundIsps = 16;
+// Allocations in one warm round, measured: per ISP, the sealed request
+// wire, the sealed report wire and the report's retry copy; per round, the
+// request list's growth and the verifier's scratch.
+constexpr std::uint64_t kMaxRoundAllocations = 54;
+
+// Items are ISP-rounds.
+HotPathCost snapshot_round_cost(std::size_t warmup, std::size_t measured) {
+  core::ZmailParams p;
+  p.n_isps = kRoundIsps;
+  p.users_per_isp = 100;
+  p.record_inboxes = false;
+  core::ZmailSystem sys(p, 2027);
+  HotPathCost cost;
+  for (std::size_t r = 0; r < warmup + measured; ++r) {
+    for (std::size_t i = 0; i < 4 * kRoundIsps; ++i) {
+      const std::size_t from = i % kRoundIsps;
+      sys.send_email(net::make_user_address(from, i % p.users_per_isp),
+                     net::make_user_address((from + 1 + r) % kRoundIsps, 7),
+                     "round", "body");
+    }
+    sys.run_for(sim::kMinute);  // mail delivered before the round opens
+    const std::uint64_t a0 = allocations();
+    const auto t0 = std::chrono::steady_clock::now();
+    sys.start_snapshot();
+    sys.run_for(15 * sim::kMinute);
+    if (r < warmup) continue;
+    cost.seconds += std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+    cost.allocations += allocations() - a0;
+    cost.items += kRoundIsps;
+  }
+  ZMAIL_ASSERT_MSG(sys.bank().metrics().snapshot_rounds == warmup + measured,
+                   "every snapshot round must close inside its window");
+  return cost;
+}
+
 void report(bench::Bench& harness, const char* name, const char* unit,
             const HotPathCost& cost) {
   std::printf("%-16s %.1f ns/%s, %llu allocations in %llu %ss after warm-up\n",
@@ -417,10 +461,14 @@ void check_zero_allocations(bench::Bench& harness) {
   const HotPathCost dispatch = dispatch_cost(32, smoke ? 4 : 48);
   const HotPathCost delivery = delivery_cost(256, smoke ? 4 : 24);
   const MailCost mail = mail_cost(8, smoke ? 2 : 8);
+  // Per-round counts settle after about 10 rounds (calendar and pool
+  // growth); the warm-up is 12.
+  const HotPathCost round = snapshot_round_cost(12, smoke ? 2 : 16);
   report(harness, "dispatch", "event", dispatch);
   report(harness, "delivery", "message", delivery);
   report(harness, "mail_submit", "email", mail.submit);
   report(harness, "mail_receive", "email", mail.receive);
+  report(harness, "snapshot_round", "ISP-round", round);
   const std::uint64_t receive_allocations =
       mail.receive.allocations - mail.latency_regrowths;
   const double submit_per_email =
@@ -437,6 +485,12 @@ void check_zero_allocations(bench::Bench& harness) {
   harness.metrics()["mail_submit_allocations_per_email"] = submit_per_email;
   harness.metrics()["mail_receive_allocations_per_email"] = receive_per_email;
   harness.metrics()["mail_latency_record_regrowths"] = mail.latency_regrowths;
+  const double round_per_isp = static_cast<double>(round.allocations) /
+                               static_cast<double>(round.items);
+  std::printf("snapshot round   %.3f allocations per ISP per round (%zu "
+              "ISPs)\n",
+              round_per_isp, kRoundIsps);
+  harness.metrics()["snapshot_round_allocations_per_isp"] = round_per_isp;
   harness.check(dispatch.allocations == 0,
                 "warm event dispatch through sim::Simulator makes no heap "
                 "allocations");
@@ -453,6 +507,13 @@ void check_zero_allocations(bench::Bench& harness) {
                 "allocations from datagram arrival through the receiving ISP, "
                 "and at most " +
                     std::to_string(kMaxSubmitAllocations) + " at submit");
+  harness.check(round.allocations <=
+                    kMaxRoundAllocations * (round.items / kRoundIsps),
+                "a warm snapshot round (request seal and unseal, quiesce, "
+                "report seal and unseal, verify, settle) makes at most " +
+                    std::to_string(kMaxRoundAllocations) +
+                    " heap allocations for " + std::to_string(kRoundIsps) +
+                    " ISPs");
 }
 
 }  // namespace

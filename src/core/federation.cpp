@@ -352,12 +352,13 @@ void BankFederation::on_reply(std::size_t isp, const crypto::Bytes& wire) {
     ++mb.metrics.bad_envelopes;
     return;
   }
-  const auto report = CreditReport::deserialize(plain_scratch_);
-  if (!report || report->credit.size() != params_.n_isps) {
+  CreditReport& report = report_scratch_;
+  if (!CreditReport::decode_into(plain_scratch_, report) ||
+      report.credit.size() != params_.n_isps) {
     ++mb.metrics.bad_envelopes;
     return;
   }
-  if (mb.canrequest || report->seq != mb.seq || mb.reported.at(isp)) {
+  if (mb.canrequest || report.seq != mb.seq || mb.reported.at(isp)) {
     ++mb.metrics.stale_reports;  // replayed or out-of-round report
     audit(b, AuditKind::kStaleReport, isp);
     return;
@@ -366,7 +367,7 @@ void BankFederation::on_reply(std::size_t isp, const crypto::Bytes& wire) {
   ++mb.metrics.credit_reports_received;
   audit(b, AuditKind::kReportReceived, isp);
   for (std::size_t i = 0; i < params_.n_isps; ++i)
-    mb.verify[i][isp] = report->credit[i];
+    mb.verify[i][isp] = report.credit[i];
   ZMAIL_ASSERT(mb.outstanding > 0);
   if (--mb.outstanding == 0) gather_complete(b);
 }

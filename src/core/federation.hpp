@@ -306,6 +306,7 @@ class BankFederation {
   // core::seal_into) so message handling stops reallocating.
   crypto::Envelope env_scratch_;
   crypto::Bytes plain_scratch_;
+  CreditReport report_scratch_;  // decoded credit reports, reused
 };
 
 }  // namespace zmail::core

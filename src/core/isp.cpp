@@ -664,13 +664,13 @@ void Isp::on_quiesce_timeout(sim::SimTime now) {
   quiescing_ = false;
 
   // send reply(NCR(B_b, credit)) to bank
-  CreditReport report{seq_, credit_};
   Outbound o{Outbound::Dest::kBank, 0, kMsgReply, {}};
   o.trace_id = trace::next_id();
   if (o.trace_id != 0)
     trace::instant(trace::Ev::kCreditReport, o.trace_id,
                    static_cast<std::uint16_t>(index_), seq_);
-  seal_into(bank_pub_, report.serialize(), rng_, env_scratch_, o.payload);
+  CreditReport::encode_into(seq_, credit_, plain_scratch_);
+  seal_into(bank_pub_, plain_scratch_, rng_, env_scratch_, o.payload);
   arm_retry(pending_report_, kMsgReply, o.payload, now);
   pending_report_.trace_id = o.trace_id;
   outbox_.push_back(std::move(o));

@@ -1,7 +1,5 @@
 #include "core/messages.hpp"
 
-#include <algorithm>
-
 #include "trace/trace.hpp"
 
 namespace zmail::core {
@@ -132,34 +130,57 @@ std::optional<SnapshotRequest> SnapshotRequest::deserialize(
   return m;
 }
 
+namespace {
+// Tag, seq and entry count ahead of the entries.
+constexpr std::size_t kReportHeader = 1 + 8 + 4;
+}  // namespace
+
 std::size_t CreditReport::serialized_size() const noexcept {
-  return 1 + 8 + 4 + 8 * credit.size();
+  return kReportHeader + 8 * credit.size();
 }
 
 crypto::Bytes CreditReport::serialize() const {
   crypto::Bytes b;
-  b.reserve(serialized_size());
-  crypto::put_u8(b, kTagReport);
-  crypto::put_u64(b, seq);
-  crypto::put_u32(b, static_cast<std::uint32_t>(credit.size()));
-  for (EPenny c : credit) crypto::put_i64(b, c);
+  encode_into(seq, credit, b);
   return b;
 }
 
 std::optional<CreditReport> CreditReport::deserialize(const crypto::Bytes& b) {
-  crypto::ByteReader r(b);
-  if (r.get_u8() != kTagReport) return std::nullopt;
   CreditReport m;
-  m.seq = r.get_u64();
-  const std::uint32_t n = r.get_u32();
-  // The count is attacker-controlled; never reserve more than the buffer
-  // could actually carry (8 bytes per entry), or a corrupt length field
-  // turns into an allocation bomb before the ok() checks run.
-  m.credit.reserve(std::min<std::size_t>(n, b.size() / 8));
-  for (std::uint32_t i = 0; i < n && r.ok(); ++i)
-    m.credit.push_back(r.get_i64());
-  if (!r.ok() || !r.at_end()) return std::nullopt;
+  if (!decode_into(b, m)) return std::nullopt;
   return m;
+}
+
+void CreditReport::encode_into(std::uint64_t seq,
+                               std::span<const EPenny> credit,
+                               crypto::Bytes& out) {
+  out.resize(kReportHeader + 8 * credit.size());
+  std::uint8_t* p = out.data();
+  p[0] = kTagReport;
+  crypto::store_be(p + 1, seq, 8);
+  crypto::store_be(p + 9, credit.size(), 4);
+  p += kReportHeader;
+  for (EPenny c : credit) {
+    crypto::store_be(p, static_cast<std::uint64_t>(c), 8);
+    p += 8;
+  }
+}
+
+bool CreditReport::decode_into(std::span<const std::uint8_t> b,
+                               CreditReport& out) {
+  if (b.size() < kReportHeader || b[0] != kTagReport) return false;
+  // The count is attacker-controlled: it must match the bytes actually
+  // present before anything is sized from it.
+  const std::uint64_t n = crypto::load_be(b.data() + 9, 4);
+  if (b.size() - kReportHeader != 8 * n) return false;
+  out.seq = crypto::load_be(b.data() + 1, 8);
+  out.credit.resize(n);
+  const std::uint8_t* p = b.data() + kReportHeader;
+  for (EPenny& c : out.credit) {
+    c = static_cast<EPenny>(crypto::load_be(p, 8));
+    p += 8;
+  }
+  return true;
 }
 
 crypto::Bytes seal(const crypto::RsaKey& key, const crypto::Bytes& plaintext,

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "crypto/bytes.hpp"
@@ -92,6 +93,15 @@ struct CreditReport {
   std::size_t serialized_size() const noexcept;
   crypto::Bytes serialize() const;
   static std::optional<CreditReport> deserialize(const crypto::Bytes& b);
+
+  // The one codec behind serialize()/deserialize(), for the round's hot
+  // path.  encode_into writes (seq, credit) straight from the caller's
+  // array into `out`, reusing its capacity.  decode_into parses into
+  // `out`, reusing its credit buffer, after one length check; it returns
+  // false (leaving `out` unspecified) when the bytes are malformed.
+  static void encode_into(std::uint64_t seq, std::span<const EPenny> credit,
+                          crypto::Bytes& out);
+  static bool decode_into(std::span<const std::uint8_t> b, CreditReport& out);
 };
 
 // --- Envelope helpers ---

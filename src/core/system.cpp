@@ -95,6 +95,14 @@ constexpr std::size_t kFrameHeader = 24;
 std::uint64_t frame_checksum(std::span<const std::uint8_t> email) {
   return store::crc32c(email.data(), email.size());
 }
+
+// The ack of transfer `id`: [id][id ^ guard], in one sized buffer.
+crypto::Bytes ack_frame(std::uint64_t id) {
+  crypto::Bytes ack(16);
+  crypto::store_be(ack.data(), id, 8);
+  crypto::store_be(ack.data() + 8, id ^ kIdGuard, 8);
+  return ack;
+}
 }  // namespace
 
 ZmailSystem::ZmailSystem(ZmailParams params, std::uint64_t seed)
@@ -888,10 +896,7 @@ void ZmailSystem::handle_reliable_email(std::size_t host,
     if (trace::current() != 0)
       trace::instant(trace::Ev::kDuplicateDrop, trace::current(),
                      static_cast<std::uint16_t>(host), id);
-    crypto::Bytes ack;
-    crypto::put_u64(ack, id);
-    crypto::put_u64(ack, id ^ kIdGuard);
-    net_.send(host, d.from, msg_email_ack(), std::move(ack));
+    net_.send(host, d.from, msg_email_ack(), ack_frame(id));
     return;
   }
   // Verified and decoded in place: the email is never copied out.
@@ -899,10 +904,7 @@ void ZmailSystem::handle_reliable_email(std::size_t host,
   if (frame_checksum(email) != sum)
     return;  // corrupted in transit: drop silently, retransmit replaces it
   seen_transfers_.insert(id);
-  crypto::Bytes ack;
-  crypto::put_u64(ack, id);
-  crypto::put_u64(ack, id ^ kIdGuard);
-  net_.send(host, d.from, msg_email_ack(), std::move(ack));
+  net_.send(host, d.from, msg_email_ack(), ack_frame(id));
   if (d.from < params_.n_isps && params_.is_compliant(d.from) &&
       params_.is_compliant(host))
     in_flight_paid_ -= 1;

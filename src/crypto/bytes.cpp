@@ -71,17 +71,6 @@ Bytes ByteReader::get_bytes() noexcept {
   return out;
 }
 
-void ByteReader::get_bytes_into(Bytes& out) noexcept {
-  const std::uint32_t n = get_u32();
-  if (!have(n)) {
-    out.clear();
-    return;
-  }
-  out.assign(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-             data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-  pos_ += n;
-}
-
 std::string ByteReader::get_string() noexcept {
   return std::string(get_string_view());
 }

@@ -30,6 +30,12 @@ inline void store_be(std::uint8_t* p, std::uint64_t v, std::size_t n) noexcept {
   for (std::size_t i = 0; i < n; ++i)
     p[i] = static_cast<std::uint8_t>(v >> (8 * (n - 1 - i)));
 }
+// The inverse: `n` big-endian bytes at `p` as an integer.
+inline std::uint64_t load_be(const std::uint8_t* p, std::size_t n) noexcept {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < n; ++i) v = (v << 8) | p[i];
+  return v;
+}
 
 // Sequential reader over a byte buffer (a Bytes, or a span into one).
 // Reads past the end abort (protocol messages in the simulation are never
@@ -46,8 +52,6 @@ class ByteReader {
   std::uint64_t get_u64() noexcept;
   std::int64_t get_i64() noexcept;
   Bytes get_bytes() noexcept;
-  // Reads a length-prefixed byte string into `out`, reusing its capacity.
-  void get_bytes_into(Bytes& out) noexcept;
   std::string get_string() noexcept;
   // The same string as a view into the buffer being read (valid while that
   // buffer is); no copy.

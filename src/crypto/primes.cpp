@@ -10,10 +10,64 @@ std::uint64_t mulmod(std::uint64_t a, std::uint64_t b,
       static_cast<__uint128_t>(a) * b % m);
 }
 
-std::uint64_t powmod(std::uint64_t base, std::uint64_t exp,
-                     std::uint64_t m) noexcept {
-  ZMAIL_ASSERT(m != 0);
-  if (m == 1) return 0;
+namespace {
+
+// Montgomery arithmetic modulo an odd n with R = 2^64 (Montgomery,
+// "Modular multiplication without trial division", Math. Comp. 1985).
+// A residue x is held as x·R mod n, so a product needs three multiplies
+// and no 128-by-64-bit division.
+struct Montgomery {
+  std::uint64_t n;
+  std::uint64_t n_inv;  // n^-1 mod 2^64
+  std::uint64_t one;    // R mod n
+  std::uint64_t r2;     // R^2 mod n
+
+  explicit Montgomery(std::uint64_t odd_n) noexcept : n(odd_n) {
+    // Newton's iteration doubles the correct low bits: 3 (n·n ≡ 1 mod 8)
+    // -> 6 -> 12 -> 24 -> 48 -> 96.
+    std::uint64_t inv = n;
+    for (int i = 0; i < 5; ++i) inv *= 2 - n * inv;
+    n_inv = inv;
+    one = (0 - n) % n;
+    r2 = static_cast<std::uint64_t>(static_cast<__uint128_t>(one) * one % n);
+  }
+
+  // (t - m·n) / R for t < n·R, with m = t·n^-1 mod R: m·n agrees with t in
+  // the low word, so this is hi(t) - hi(m·n), both below n.  Unlike the
+  // (t + m·n) / R form, nothing overflows for any n < 2^64.
+  struct Halves {
+    std::uint64_t hi;
+    std::uint64_t mn_hi;
+  };
+  Halves reduce(__uint128_t t) const noexcept {
+    const std::uint64_t m = static_cast<std::uint64_t>(t) * n_inv;
+    return {static_cast<std::uint64_t>(t >> 64),
+            static_cast<std::uint64_t>(
+                (static_cast<__uint128_t>(m) * n) >> 64)};
+  }
+  // t·R^-1 mod n in [0, n), for t < n·R.
+  std::uint64_t redc(__uint128_t t) const noexcept {
+    const auto [hi, mn_hi] = reduce(t);
+    return hi >= mn_hi ? hi - mn_hi : hi - mn_hi + n;
+  }
+  // a·b·R^-1 mod n for a, b < n, in [0, n).
+  std::uint64_t mul(std::uint64_t a, std::uint64_t b) const noexcept {
+    return redc(static_cast<__uint128_t>(a) * b);
+  }
+  // The same residue for a, b < 2n, left in [0, 2n) without the final
+  // correction: valid when 4n <= R (n < 2^62), since then a·b < n·R and
+  // hi(a·b) < n.  It shortens the ladder's dependency chain.
+  std::uint64_t mul_lazy(std::uint64_t a, std::uint64_t b) const noexcept {
+    const auto [hi, mn_hi] = reduce(static_cast<__uint128_t>(a) * b);
+    return hi + n - mn_hi;
+  }
+  std::uint64_t to(std::uint64_t x) const noexcept { return mul(x % n, r2); }
+  std::uint64_t from(std::uint64_t x) const noexcept { return redc(x); }
+};
+
+// The division ladder, for even moduli (Montgomery needs n odd).
+std::uint64_t powmod_division(std::uint64_t base, std::uint64_t exp,
+                              std::uint64_t m) noexcept {
   std::uint64_t result = 1;
   base %= m;
   while (exp > 0) {
@@ -22,6 +76,56 @@ std::uint64_t powmod(std::uint64_t base, std::uint64_t exp,
     exp >>= 1;
   }
   return result;
+}
+
+// Right-to-left square-and-multiply in Montgomery form, kLanes bases under
+// one exponent: the lanes' multiplies are independent and overlap in the
+// pipeline.
+template <std::size_t kLanes, bool kLazy>
+std::array<std::uint64_t, kLanes> ladder(const Montgomery& mont,
+                                         std::array<std::uint64_t, kLanes> x,
+                                         std::uint64_t exp) noexcept {
+  const auto mul = [&mont](std::uint64_t a, std::uint64_t b) {
+    return kLazy ? mont.mul_lazy(a, b) : mont.mul(a, b);
+  };
+  std::array<std::uint64_t, kLanes> r;
+  r.fill(mont.one);
+  for (auto& v : x) v = mont.to(v);
+  for (; exp > 0; exp >>= 1) {
+    if (exp & 1)
+      for (std::size_t i = 0; i < kLanes; ++i) r[i] = mul(r[i], x[i]);
+    for (std::size_t i = 0; i < kLanes; ++i) x[i] = mul(x[i], x[i]);
+  }
+  for (auto& v : r) v = mont.from(v);
+  return r;
+}
+
+template <std::size_t kLanes>
+std::array<std::uint64_t, kLanes> powmod_lanes(
+    std::array<std::uint64_t, kLanes> x, std::uint64_t exp,
+    std::uint64_t m) noexcept {
+  ZMAIL_ASSERT(m != 0);
+  if (m == 1) return {};
+  if ((m & 1) == 0) {
+    for (auto& v : x) v = powmod_division(v, exp, m);
+    return x;
+  }
+  const Montgomery mont(m);
+  return m < (1ULL << 62) ? ladder<kLanes, true>(mont, x, exp)
+                          : ladder<kLanes, false>(mont, x, exp);
+}
+
+}  // namespace
+
+std::uint64_t powmod(std::uint64_t base, std::uint64_t exp,
+                     std::uint64_t m) noexcept {
+  return powmod_lanes<1>({base}, exp, m)[0];
+}
+
+std::array<std::uint64_t, 2> powmod2(std::uint64_t a, std::uint64_t b,
+                                     std::uint64_t exp,
+                                     std::uint64_t m) noexcept {
+  return powmod_lanes<2>({a, b}, exp, m);
 }
 
 namespace {

@@ -4,6 +4,7 @@
 // (bank public/private key) and the NCR/DCR operations of Section 4.3.
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 #include "util/rng.hpp"
@@ -14,9 +15,19 @@ namespace zmail::crypto {
 std::uint64_t mulmod(std::uint64_t a, std::uint64_t b,
                      std::uint64_t m) noexcept;
 
-// (base ^ exp) mod m.
+// (base ^ exp) mod m.  Odd moduli (every RSA modulus, every Miller-Rabin
+// candidate) run a Montgomery-form square-and-multiply ladder with no
+// division in the loop (below 2^62, without each product's final
+// correction either); even moduli keep the mulmod ladder.
 std::uint64_t powmod(std::uint64_t base, std::uint64_t exp,
                      std::uint64_t m) noexcept;
+
+// {powmod(a, exp, m), powmod(b, exp, m)}, the two ladders interleaved so
+// their multiplies overlap (both envelope session-key halves share the key
+// and the exponent).
+std::array<std::uint64_t, 2> powmod2(std::uint64_t a, std::uint64_t b,
+                                     std::uint64_t exp,
+                                     std::uint64_t m) noexcept;
 
 // Deterministic Miller-Rabin for 64-bit integers (known witness set).
 bool is_prime_u64(std::uint64_t n) noexcept;

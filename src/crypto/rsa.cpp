@@ -1,5 +1,7 @@
 #include "crypto/rsa.hpp"
 
+#include <cstring>
+
 #include "crypto/hmac.hpp"
 #include "crypto/primes.hpp"
 #include "crypto/xtea.hpp"
@@ -28,8 +30,19 @@ std::uint64_t rsa_apply(const RsaKey& key, std::uint64_t m) noexcept {
   return powmod(m, key.exp, key.n);
 }
 
+std::array<std::uint64_t, 2> rsa_apply2(const RsaKey& key, std::uint64_t a,
+                                        std::uint64_t b) noexcept {
+  ZMAIL_ASSERT(a < key.n && b < key.n);
+  return powmod2(a, b, key.exp, key.n);
+}
+
+namespace {
+// wrapped_key1 ‖ wrapped_key2 ‖ ctr_nonce ‖ u32 ciphertext length.
+constexpr std::size_t kEnvelopeHeader = 8 + 8 + 8 + 4;
+}  // namespace
+
 std::size_t Envelope::serialized_size() const noexcept {
-  return 8 + 8 + 8 + 4 + ciphertext.size() + mac.size();
+  return kEnvelopeHeader + ciphertext.size() + mac.size();
 }
 
 Bytes Envelope::serialize() const {
@@ -39,13 +52,15 @@ Bytes Envelope::serialize() const {
 }
 
 void Envelope::serialize_into(Bytes& out) const {
-  out.clear();
-  out.reserve(serialized_size());
-  put_u64(out, wrapped_key1);
-  put_u64(out, wrapped_key2);
-  put_u64(out, ctr_nonce);
-  put_bytes(out, ciphertext);
-  out.insert(out.end(), mac.begin(), mac.end());
+  out.resize(serialized_size());
+  std::uint8_t* p = out.data();
+  store_be(p, wrapped_key1, 8);
+  store_be(p + 8, wrapped_key2, 8);
+  store_be(p + 16, ctr_nonce, 8);
+  store_be(p + 24, ciphertext.size(), 4);
+  p += kEnvelopeHeader;
+  if (!ciphertext.empty()) std::memcpy(p, ciphertext.data(), ciphertext.size());
+  std::memcpy(p + ciphertext.size(), mac.data(), mac.size());
 }
 
 std::optional<Envelope> Envelope::deserialize(const Bytes& wire) {
@@ -55,14 +70,19 @@ std::optional<Envelope> Envelope::deserialize(const Bytes& wire) {
 }
 
 bool Envelope::deserialize_into(const Bytes& wire, Envelope& env) {
-  ByteReader r(wire);
-  env.wrapped_key1 = r.get_u64();
-  env.wrapped_key2 = r.get_u64();
-  env.ctr_nonce = r.get_u64();
-  r.get_bytes_into(env.ciphertext);
-  if (!r.ok()) return false;
-  for (auto& byte : env.mac) byte = r.get_u8();
-  return r.ok() && r.at_end();
+  // One length check covers every field: the header, exactly the
+  // ciphertext its length field announces, and the MAC.
+  if (wire.size() < kEnvelopeHeader + env.mac.size()) return false;
+  const std::uint8_t* p = wire.data();
+  const std::uint64_t len = load_be(p + 24, 4);
+  if (wire.size() - kEnvelopeHeader - env.mac.size() != len) return false;
+  env.wrapped_key1 = load_be(p, 8);
+  env.wrapped_key2 = load_be(p + 8, 8);
+  env.ctr_nonce = load_be(p + 16, 8);
+  p += kEnvelopeHeader;
+  env.ciphertext.assign(p, p + len);
+  std::memcpy(env.mac.data(), p + len, env.mac.size());
+  return true;
 }
 
 namespace {
@@ -104,8 +124,9 @@ void ncr_into(const RsaKey& key, const Bytes& plaintext, zmail::Rng& rng,
   const std::uint64_t k1 = rng.next_below(key.n);
   const std::uint64_t k2 = rng.next_below(key.n);
 
-  env.wrapped_key1 = rsa_apply(key, k1);
-  env.wrapped_key2 = rsa_apply(key, k2);
+  const auto [w1, w2] = rsa_apply2(key, k1, k2);
+  env.wrapped_key1 = w1;
+  env.wrapped_key2 = w2;
   env.ctr_nonce = rng.next_u64();
 
   const SessionKey material = session_key_material(k1, k2);
@@ -123,8 +144,8 @@ std::optional<Bytes> dcr(const RsaKey& key, const Envelope& env) {
 bool dcr_into(const RsaKey& key, const Envelope& env, Bytes& plain_out) {
   if (key.n <= 1 || env.wrapped_key1 >= key.n || env.wrapped_key2 >= key.n)
     return false;
-  const std::uint64_t k1 = rsa_apply(key, env.wrapped_key1);
-  const std::uint64_t k2 = rsa_apply(key, env.wrapped_key2);
+  const auto [k1, k2] =
+      rsa_apply2(key, env.wrapped_key1, env.wrapped_key2);
   const SessionKey material = session_key_material(k1, k2);
   if (!digest_equal(envelope_mac(material, env), env.mac))
     return false;  // tampered, replay-spliced, or wrong key

@@ -8,7 +8,10 @@
 // the payload, and HMAC-SHA256 authenticates the whole envelope.  The
 // session key stays on the stack and the MAC streams nonce ‖ length ‖
 // ciphertext without assembling a copy, so sealing allocates nothing but
-// the ciphertext (and *_into reuses that).
+// the ciphertext (and *_into reuses that).  The two 64-bit session-key
+// halves are wrapped and unwrapped together by rsa_apply2, one two-lane
+// Montgomery ladder (see powmod2): with the private exponent, about as
+// wide as n, that ladder is the largest single step of a short envelope.
 //
 // The modulus is deliberately small — this is a *protocol simulation*, not a
 // production cryptosystem — but every operation (keygen, wrap, unwrap, sign,
@@ -16,6 +19,7 @@
 // bench_e11 exercise genuine code paths.
 #pragma once
 
+#include <array>
 #include <optional>
 
 #include "crypto/bytes.hpp"
@@ -43,6 +47,10 @@ KeyPair generate_keypair(zmail::Rng& rng, int modulus_bits = 62);
 
 // Raw textbook-RSA on a value < n.
 std::uint64_t rsa_apply(const RsaKey& key, std::uint64_t m) noexcept;
+// {rsa_apply(key, a), rsa_apply(key, b)} in one interleaved two-lane
+// ladder: NCR/DCR wrap and unwrap both session-key halves this way.
+std::array<std::uint64_t, 2> rsa_apply2(const RsaKey& key, std::uint64_t a,
+                                        std::uint64_t b) noexcept;
 
 // Hybrid envelope produced by NCR.
 struct Envelope {

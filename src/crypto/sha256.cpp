@@ -1,6 +1,7 @@
 #include "crypto/sha256.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "crypto/sha256_impl.hpp"
@@ -200,12 +201,15 @@ Digest Sha256::finish() noexcept {
     buf_[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
   process_blocks(buf_.data(), 1);
 
+  // One big-endian word store per state word (a byte loop here is
+  // auto-vectorized into a long shuffle sequence that costs more than the
+  // SHA-NI compress of a short message).
   Digest out;
   for (int i = 0; i < 8; ++i) {
-    out[4 * i] = static_cast<std::uint8_t>(h_[i] >> 24);
-    out[4 * i + 1] = static_cast<std::uint8_t>(h_[i] >> 16);
-    out[4 * i + 2] = static_cast<std::uint8_t>(h_[i] >> 8);
-    out[4 * i + 3] = static_cast<std::uint8_t>(h_[i]);
+    std::uint32_t word = h_[i];
+    if constexpr (std::endian::native == std::endian::little)
+      word = __builtin_bswap32(word);
+    std::memcpy(out.data() + 4 * i, &word, 4);
   }
   return out;
 }

@@ -3,8 +3,13 @@
 // XTEA is small enough to implement exactly and fast enough for simulated
 // mail volumes; CTR mode turns it into the symmetric layer of the hybrid
 // NCR/DCR envelope.  The CTR stream precomputes the 64 round constants
-// once per call and runs eight counter blocks at a time in vector lanes;
-// xtea_encrypt_block is the one-block reference it must match.
+// once per call.  Inputs longer than 64 bytes run through one wide kernel,
+// built for AVX-512 and for AVX2 and chosen once by __builtin_cpu_supports
+// (like the SHA-NI compress), in batches of 16 to 48 counter blocks.
+// Inputs of at most 64 bytes, and every input on a CPU without AVX2, run
+// eight blocks at a time in two four-wide SSE2 lanes.  xtea_encrypt_block
+// is the one-block reference every kernel must match
+// (crypto/xtea_impl.hpp exposes them to the tests).
 #pragma once
 
 #include <array>

@@ -72,6 +72,45 @@ TEST_F(MessagesTest, TruncationDetected) {
   EXPECT_FALSE(CreditReport::deserialize(wire).has_value());
 }
 
+// tag 6 ‖ u64 seq ‖ u32 count ‖ count big-endian i64 entries.
+TEST_F(MessagesTest, CreditReportWireBytesArePinned) {
+  const crypto::Bytes expected = {
+      6,    0,    0,    0,    0,    0,    0,    0,    7,    0,    0,
+      0,    2,    0,    0,    0,    0,    0,    0,    0,    3,    0xFF,
+      0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFB};
+  EXPECT_EQ((CreditReport{7, {3, -5}}.serialize()), expected);
+  const std::vector<EPenny> credit = {3, -5};
+  crypto::Bytes out(100, 0xAA);  // stale contents and spare capacity
+  CreditReport::encode_into(7, credit, out);
+  EXPECT_EQ(out, expected);
+}
+
+TEST_F(MessagesTest, CreditReportDecodeRejectsMalformedShapes) {
+  const crypto::Bytes good = CreditReport{9, {1, -2, 3}}.serialize();
+  CreditReport out{5, std::vector<EPenny>(64, 77)};  // reused, larger
+  ASSERT_TRUE(CreditReport::decode_into(good, out));
+  EXPECT_EQ(out.seq, 9u);
+  EXPECT_EQ(out.credit, (std::vector<EPenny>{1, -2, 3}));
+
+  auto rejects = [&](crypto::Bytes wire) {
+    return !CreditReport::decode_into(wire, out) &&
+           !CreditReport::deserialize(wire).has_value();
+  };
+  EXPECT_TRUE(rejects({}));
+  EXPECT_TRUE(rejects(crypto::Bytes(good.begin(), good.begin() + 12)));
+  crypto::Bytes trailing = good;
+  trailing.push_back(0);
+  EXPECT_TRUE(rejects(trailing));
+  crypto::Bytes bad_tag = good;
+  bad_tag[0] = 5;
+  EXPECT_TRUE(rejects(bad_tag));
+  for (std::uint32_t count : {2u, 4u, 0xFFFFFFFFu}) {
+    crypto::Bytes lying = good;  // count field disagrees with the body
+    crypto::store_be(lying.data() + 9, count, 4);
+    EXPECT_TRUE(rejects(lying)) << count;
+  }
+}
+
 TEST_F(MessagesTest, TrailingBytesDetected) {
   const SnapshotRequest m{1};
   crypto::Bytes wire = m.serialize();

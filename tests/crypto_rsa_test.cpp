@@ -28,6 +28,19 @@ TEST_F(RsaTest, RawRsaRoundTripsBothDirections) {
   }
 }
 
+TEST_F(RsaTest, TwoLaneApplyMatchesTwoApplies) {
+  zmail::Rng rng(31);
+  for (const RsaKey& key : {keys_.pub, keys_.priv}) {
+    for (int i = 0; i < 200; ++i) {
+      const std::uint64_t a = i == 0 ? 0 : rng.next_below(key.n);
+      const std::uint64_t b = i == 1 ? key.n - 1 : rng.next_below(key.n);
+      const std::array<std::uint64_t, 2> expected = {rsa_apply(key, a),
+                                                     rsa_apply(key, b)};
+      EXPECT_EQ(rsa_apply2(key, a, b), expected) << "a=" << a << " b=" << b;
+    }
+  }
+}
+
 TEST_F(RsaTest, NcrDcrRoundTripPublicToPrivate) {
   const Bytes plain = from_string("buy 500 e-pennies, nonce 17");
   const Envelope env = ncr(keys_.pub, plain, rng_);
@@ -109,6 +122,17 @@ TEST_F(RsaTest, TrailingGarbageRejected) {
   Bytes wire = ncr(keys_.pub, from_string("x"), rng_).serialize();
   wire.push_back(0);
   EXPECT_FALSE(Envelope::deserialize(wire).has_value());
+}
+
+// The ciphertext length field must match the bytes between the header and
+// the MAC exactly, whatever it claims.
+TEST_F(RsaTest, LyingCiphertextLengthRejected) {
+  const Bytes wire = ncr(keys_.pub, from_string("pay 100"), rng_).serialize();
+  for (std::uint32_t len : {0u, 6u, 8u, 39u, 0xFFFFFFFFu}) {
+    Bytes lying = wire;
+    store_be(lying.data() + 24, len, 4);
+    EXPECT_FALSE(Envelope::deserialize(lying).has_value()) << len;
+  }
 }
 
 TEST_F(RsaTest, SignVerify) {

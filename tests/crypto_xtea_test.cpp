@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "crypto/xtea_impl.hpp"
 #include "util/rng.hpp"
 
 namespace zmail::crypto {
@@ -41,21 +42,42 @@ TEST(XteaCtr, RoundTripVariousLengths) {
 // CTR is its own inverse, so round trips accept any consistent keystream.
 // Pin the stream itself: block i is xtea_encrypt_block(nonce ^ i), laid
 // out big-endian and XORed over the data, including the partial tail.
+// Lengths run to 600 B, past the 525-byte credit report of a 64-ISP world,
+// so every batch boundary and partial tail up to two wide batches is hit.
+// xtea_ctr picks a kernel by length (xtea_kernel_for); each kernel the CPU
+// has, the SSE2 one included, must produce the same stream on its own at
+// every length.
 TEST(XteaCtr, KeystreamIsBigEndianCounterBlocks) {
+  constexpr std::size_t kMaxLen = 600;
   const XteaKey key{0x01234567, 0x89ABCDEF, 0xFEDCBA98, 0x76543210};
   zmail::Rng rng(11);
-  for (std::uint64_t nonce : {0ULL, 12345ULL, ~0ULL}) {
-    for (std::size_t len = 0; len <= 130; ++len) {
-      Bytes plain(len);
-      for (auto& b : plain) b = static_cast<std::uint8_t>(rng.next_u64());
+  Bytes plain(kMaxLen);
+  for (auto& b : plain) b = static_cast<std::uint8_t>(rng.next_u64());
+  // Low word all ones: adding a block's counter instead of XORing it in
+  // would carry into the high word.
+  for (std::uint64_t nonce : {0ULL, 12345ULL, ~0ULL, 0xFFFFFFFFULL}) {
+    Bytes keystream(kMaxLen);
+    for (std::size_t i = 0; i < kMaxLen; ++i) {
+      const std::uint64_t ks = xtea_encrypt_block(nonce ^ (i / 8), key);
+      keystream[i] = static_cast<std::uint8_t>(ks >> (56 - 8 * (i % 8)));
+    }
+    for (std::size_t len = 0; len <= kMaxLen; ++len) {
+      const Bytes in(plain.begin(),
+                     plain.begin() + static_cast<std::ptrdiff_t>(len));
       Bytes expected(len);
-      for (std::size_t i = 0; i < len; ++i) {
-        const std::uint64_t ks = xtea_encrypt_block(nonce ^ (i / 8), key);
-        expected[i] = static_cast<std::uint8_t>(
-            plain[i] ^ static_cast<std::uint8_t>(ks >> (56 - 8 * (i % 8))));
-      }
-      EXPECT_EQ(xtea_ctr(plain, key, nonce), expected)
+      for (std::size_t i = 0; i < len; ++i)
+        expected[i] = static_cast<std::uint8_t>(in[i] ^ keystream[i]);
+      EXPECT_EQ(xtea_ctr(in, key, nonce), expected)
           << "nonce=" << nonce << " len=" << len;
+      for (auto kernel : {detail::XteaKernel::kSse2, detail::XteaKernel::kAvx2,
+                          detail::XteaKernel::kAvx512}) {
+        if (!detail::xtea_kernel_supported(kernel)) continue;
+        Bytes out(len);
+        detail::xtea_ctr_with(kernel, in.data(), len, key, nonce, out.data());
+        EXPECT_EQ(out, expected)
+            << detail::xtea_kernel_name(kernel) << " nonce=" << nonce
+            << " len=" << len;
+      }
     }
   }
 }
