@@ -365,6 +365,13 @@ TEST(CentralBankGolden, SingleBankWorldFinalStateIsPinned) {
   // serializer still round-trips, so only the bytes themselves catch it.
   const crypto::Bytes isp_state = sys.isp(0).serialize_state();
   EXPECT_EQ(store::crc32c(isp_state.data(), isp_state.size()), 0x0bd77f04u);
+  store::SnapshotData isp_snap;
+  isp_snap.meta.version = store::kSnapshotVersionColumnar;
+  isp_snap.meta.features = store::kFeatureColumnarUserState;
+  crypto::Bytes isp_scalars;
+  sys.isp(0).serialize_sections(isp_scalars, isp_snap.sections);
+  const crypto::Bytes isp_image = store::encode_snapshot(isp_snap);
+  EXPECT_EQ(store::crc32c(isp_image.data(), isp_image.size()), 0x67feedacu);
   const crypto::Bytes bank_state = sys.bank().serialize_state(0);
   EXPECT_EQ(store::crc32c(bank_state.data(), bank_state.size()), 0xee770265u);
   std::filesystem::remove_all(dir);
