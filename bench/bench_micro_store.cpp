@@ -155,7 +155,7 @@ struct CheckpointRig {
     crypto::Bytes scalars;
     std::vector<store::SnapshotSection> sections;
     isp->serialize_sections(scalars, sections);
-    return cp.checkpoint_sections(std::move(sections), sim_us, &err);
+    return cp.checkpoint(std::move(sections), sim_us, &err);
   }
 
   Rng key_rng;

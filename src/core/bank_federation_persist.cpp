@@ -148,7 +148,7 @@ crypto::Bytes BankFederation::serialize_state(std::size_t bank) const {
 }
 
 bool BankFederation::restore_state(std::size_t bank,
-                                   const crypto::Bytes& state) {
+                                   std::span<const std::uint8_t> state) {
   MemberBank& mb = banks_.at(bank);
   crypto::ByteReader r(state);
   if (r.get_u8() != kStateVersion) return false;

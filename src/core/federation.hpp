@@ -48,6 +48,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "core/audit.hpp"
@@ -194,7 +195,7 @@ class BankFederation {
 
   void attach_wal(std::size_t bank, store::WalSink* wal);
   crypto::Bytes serialize_state(std::size_t bank) const;
-  bool restore_state(std::size_t bank, const crypto::Bytes& state);
+  bool restore_state(std::size_t bank, std::span<const std::uint8_t> state);
   void apply_wal_record(std::size_t bank, std::uint8_t op,
                         const crypto::Bytes& payload);
   // Drops one bank's in-memory state (fresh-construct) ahead of recovery.

@@ -227,12 +227,13 @@ class Isp {
   // every mutating command logs its inputs before applying, and
   // apply_wal_record() re-invokes the same method with the sink detached
   // (so replay does not re-log) and the outbox discarded (replayed output
-  // was already transported pre-crash).  serialize_state()/restore_state()
-  // capture everything replay depends on — including the RNG and nonce
-  // streams — except construction-time inputs (params, bank key, seeds)
-  // and the user-facing inbox spool, which is mail storage, not settlement
-  // state.  The filter and ack sink callbacks must be re-installed by the
-  // harness after restore.
+  // was already transported pre-crash).  The snapshot sections
+  // (serialize_sections()/restore_snapshot()) capture everything replay
+  // depends on — including the RNG and nonce streams — except
+  // construction-time inputs (params, bank key, seeds) and the user-facing
+  // inbox spool, which is mail storage, not settlement state.  The filter
+  // and ack sink callbacks must be re-installed by the harness after
+  // restore.
   enum class WalOp : std::uint8_t {
     kUserSend = 1,
     kOnEmail,
@@ -253,16 +254,12 @@ class Isp {
   };
   void attach_wal(store::WalSink* wal) noexcept { wal_ = wal; }
   store::WalSink* wal() const noexcept { return wal_; }
-  crypto::Bytes serialize_state() const;
-  bool restore_state(const crypto::Bytes& state);
   void apply_wal_record(std::uint8_t op, const crypto::Bytes& payload);
 
-  // Columnar ("ZSNP" v2) snapshot rendition: one scalar-state section plus
-  // one raw little-endian section per user column, each with its own CRC.
-  // serialize_state()/restore_state() remain the v1 single-blob rendition
-  // (WAL-era snapshots, tests, and the row-serialization baseline);
-  // checkpoints write sections, and recovery restores them column-direct
-  // from a read-only mapping of the snapshot file.
+  // Snapshot encoding ("ZSNP" sections): one scalar-state section plus one
+  // raw little-endian section per user column, each with its own CRC.
+  // Checkpoints write these sections, and recovery restores them
+  // column-direct from a read-only mapping of the snapshot file.
   //
   // serialize_sections copies nothing: the scalar section borrows
   // `scalars` (filled here) and each column section borrows the live
@@ -270,11 +267,9 @@ class Isp {
   // the population next changes.
   void serialize_sections(crypto::Bytes& scalars,
                           std::vector<store::SnapshotSection>& out) const;
-  bool restore_columnar(const std::vector<store::SnapshotSection>& sections);
-  // Restores from a whole snapshot of either version (a decoded buffer or
-  // SnapshotFileView::snapshot()): v1 state blobs go through
-  // restore_state(), v2 columnar sections through restore_columnar() (bulk
-  // column copies out of the mapping).
+  // Restores from a snapshot's sections (a decoded buffer or
+  // SnapshotFileView::snapshot()), reading the scalar section in place and
+  // bulk-copying the columns.  False on a missing or malformed section.
   bool restore_snapshot(const store::SnapshotData& snap);
 
   // Testing hooks.
@@ -378,7 +373,7 @@ class Isp {
   store::WalSink* wal_ = nullptr;
   IspMetrics metrics_;
   // Open bank-exchange trace spans (zmail::trace).  Deliberately NOT part
-  // of serialize_state: a crash orphans the open span, and the validator's
+  // of the snapshot: a crash orphans the open span, and the validator's
   // crash-forgives rule accounts for it; the reply handlers skip the end
   // emission when the id is 0 (fresh or recovered instance).
   std::uint64_t buy_trace_ = 0;

@@ -1,23 +1,18 @@
-// Durability half of the Isp state machine: full-state (de)serialization
-// for snapshots, WAL command logging helpers, and command replay.  Kept out
-// of isp.cpp so the protocol logic stays readable; the two files share the
-// private state via the class.
+// Durability half of the Isp state machine: snapshot (de)serialization,
+// WAL command logging helpers, and command replay.  Kept out of isp.cpp so
+// the protocol logic stays readable; the two files share the private state
+// via the class.
 //
-// Replay correctness rests on determinism: serialize_state() captures every
-// input a mutating method reads — including the RNG stream (seal_into and
-// backoff jitter draw from it) and the nonce counter — so re-invoking the
-// logged commands in order reproduces the pre-crash state bit for bit.
+// Replay correctness rests on determinism: serialize_sections() captures
+// every input a mutating method reads — including the RNG stream (seal_into
+// and backoff jitter draw from it) and the nonce counter — so re-invoking
+// the logged commands in order reproduces the pre-crash state bit for bit.
 //
-// Two snapshot renditions coexist:
-//   v1 (serialize_state/restore_state) — one big-endian blob, per-user
-//     rows serialized field by field.  Byte layout frozen: it is what WAL-
-//     era snapshots on disk contain, what the round-trip tests pin, and
-//     the row-serialization baseline the E7 bench compares against.
-//   v2 (serialize_sections/restore_columnar) — a scalar section carrying
-//     everything but the per-user rows, plus one raw little-endian section
-//     per Population column.  Checkpoints stream this straight from the
-//     live columns; recovery maps the snapshot file read-only and
-//     bulk-copies the columns back in.
+// The state has one encoding: a scalar section carrying everything but the
+// per-user rows, plus one raw little-endian section per Population column.
+// Checkpoints stream it straight from the live columns; recovery maps the
+// snapshot file read-only and bulk-copies the columns back in.  Enum bytes
+// read from disk or the WAL are range-checked before they are cast.
 #include <bit>
 
 #include "core/isp.hpp"
@@ -28,8 +23,8 @@ namespace zmail::core {
 
 namespace {
 
-constexpr std::uint8_t kStateVersion = 1;          // v1 row blob
-constexpr std::uint8_t kColumnarStateVersion = 2;  // v2 scalar section
+// Version byte of the scalar section (1 was the row encoding's).
+constexpr std::uint8_t kScalarsVersion = 2;
 
 void put_money(crypto::Bytes& b, Money m) { crypto::put_i64(b, m.micros()); }
 Money get_money(crypto::ByteReader& r) {
@@ -71,8 +66,7 @@ void Isp::log_misbehavior(Misbehavior m) {
   log_op(WalOp::kSetMisbehavior, p);
 }
 
-// Everything after the per-user state, shared verbatim by both snapshot
-// renditions (the byte layout here is part of the frozen v1 format).
+// Everything in the scalar section after the user count and policy table.
 void Isp::serialize_scalar_tail(crypto::Bytes& b) const {
   crypto::put_i64(b, avail_);
   put_money(b, till_);
@@ -180,7 +174,9 @@ bool Isp::restore_scalar_tail(crypto::ByteReader& r) {
   outbox_.clear();
   for (std::uint32_t i = 0; i < n_out; ++i) {
     Outbound o{};
-    o.dest = static_cast<Outbound::Dest>(r.get_u8());
+    const std::uint8_t dest = r.get_u8();
+    if (dest > static_cast<std::uint8_t>(Outbound::Dest::kBank)) return false;
+    o.dest = static_cast<Outbound::Dest>(dest);
     o.isp_index = r.get_u64();
     const std::string type_name = r.get_string();
     o.type = type_name.empty() ? net::MsgType{} : net::MsgType::intern(type_name);
@@ -189,7 +185,10 @@ bool Isp::restore_scalar_tail(crypto::ByteReader& r) {
     outbox_.push_back(std::move(o));
   }
 
-  misbehavior_ = static_cast<Misbehavior>(r.get_u8());
+  const std::uint8_t misbehavior = r.get_u8();
+  if (misbehavior > static_cast<std::uint8_t>(Misbehavior::kFreeRide))
+    return false;
+  misbehavior_ = static_cast<Misbehavior>(misbehavior);
 
   IspMetrics::fields([&](const char*, auto p) { metrics_.*p = r.get_u64(); });
 
@@ -198,75 +197,14 @@ bool Isp::restore_scalar_tail(crypto::ByteReader& r) {
   return r.ok();
 }
 
-crypto::Bytes Isp::serialize_state() const {
-  crypto::Bytes b;
-  crypto::put_u8(b, kStateVersion);
-
-  crypto::put_u32(b, static_cast<std::uint32_t>(users_.size()));
-  for (std::size_t i = 0; i < users_.size(); ++i) {
-    const UserId id(i);
-    const auto pol = users_.policy_override(id);
-    crypto::put_u8(b, pol ? static_cast<std::uint8_t>(*pol) + 1 : 0);
-    const ConstUserRef u = users_.at(id);
-    put_money(b, u.account);
-    crypto::put_i64(b, u.balance);
-    crypto::put_i64(b, u.sent);
-    crypto::put_i64(b, u.limit);
-    put_bool(b, u.blocked_today != 0);
-    crypto::put_i64(b, u.warnings);
-    put_bool(b, u.quarantined != 0);
-    crypto::put_i64(b, u.lifetime_sent);
-    crypto::put_i64(b, u.lifetime_received_paid);
-    crypto::put_i64(b, u.lifetime_epennies_bought);
-    crypto::put_i64(b, u.lifetime_epennies_sold);
-  }
-
-  serialize_scalar_tail(b);
-  return b;
-}
-
-bool Isp::restore_state(const crypto::Bytes& state) {
-  crypto::ByteReader r(state);
-  if (r.get_u8() != kStateVersion) return false;
-
-  const std::uint32_t n_users = r.get_u32();
-  if (!r.ok() || n_users > (1u << 24)) return false;
-  users_.reset(n_users, Money::zero(), 0, 0);
-  for (std::uint32_t i = 0; i < n_users; ++i) {
-    const UserId id(i);
-    const std::uint8_t pol = r.get_u8();
-    if (pol != 0)
-      users_.set_policy_override(id,
-                                 static_cast<NonCompliantPolicy>(pol - 1));
-    const UserRef u = users_.at(id);
-    u.account = get_money(r);
-    u.balance = r.get_i64();
-    u.sent = r.get_i64();
-    u.limit = r.get_i64();
-    u.blocked_today = get_bool(r) ? 1 : 0;
-    u.warnings = r.get_i64();
-    u.quarantined = get_bool(r) ? 1 : 0;
-    u.lifetime_sent = r.get_i64();
-    u.lifetime_received_paid = r.get_i64();
-    u.lifetime_epennies_bought = r.get_i64();
-    u.lifetime_epennies_sold = r.get_i64();
-  }
-  recount_trade_totals();
-  // The mail spool is not settlement state; recovery starts it empty.
-  inboxes_.assign(n_users, std::vector<Delivery>{});
-
-  if (!restore_scalar_tail(r)) return false;
-  return r.ok() && r.at_end();
-}
-
 void Isp::serialize_sections(crypto::Bytes& scalars,
                              std::vector<store::SnapshotSection>& out) const {
   out.clear();
   out.reserve(1 + Population::kColumnCount);
 
-  // Scalar section: user count + sparse policy table + the shared tail.
+  // Scalar section: user count + sparse policy table + the scalar tail.
   scalars.clear();
-  crypto::put_u8(scalars, kColumnarStateVersion);
+  crypto::put_u8(scalars, kScalarsVersion);
   crypto::put_u32(scalars, static_cast<std::uint32_t>(users_.size()));
   const auto& pol = users_.policy_overrides();
   crypto::put_u32(scalars, static_cast<std::uint32_t>(pol.size()));
@@ -287,11 +225,10 @@ void Isp::serialize_sections(crypto::Bytes& scalars,
   }
 }
 
-bool Isp::restore_columnar(
-    const std::vector<store::SnapshotSection>& sections) {
+bool Isp::restore_snapshot(const store::SnapshotData& snap) {
   const store::SnapshotSection* scalars = nullptr;
   const store::SnapshotSection* cols[Population::kColumnCount] = {};
-  for (const store::SnapshotSection& s : sections) {
+  for (const store::SnapshotSection& s : snap.sections) {
     if (s.id == store::kIspScalarsSection) {
       scalars = &s;
     } else if (s.id >= store::kUserColumnBase &&
@@ -303,9 +240,8 @@ bool Isp::restore_columnar(
   }
   if (!scalars) return false;
 
-  const crypto::Bytes blob(scalars->payload.begin(), scalars->payload.end());
-  crypto::ByteReader r(blob);
-  if (r.get_u8() != kColumnarStateVersion) return false;
+  crypto::ByteReader r(scalars->payload);
+  if (r.get_u8() != kScalarsVersion) return false;
   const std::uint32_t n_users = r.get_u32();
   if (!r.ok() || n_users > (1u << 24)) return false;
   users_.reset(n_users, Money::zero(), 0, 0);
@@ -314,10 +250,13 @@ bool Isp::restore_columnar(
   for (std::uint32_t i = 0; i < n_pol; ++i) {
     const std::uint32_t slot = r.get_u32();
     const std::uint8_t p = r.get_u8();
-    if (!r.ok() || slot >= n_users) return false;
+    if (!r.ok() || slot >= n_users ||
+        p > static_cast<std::uint8_t>(NonCompliantPolicy::kDiscard))
+      return false;
     users_.set_policy_override(UserId(slot),
                                static_cast<NonCompliantPolicy>(p));
   }
+  // The mail spool is not settlement state; recovery starts it empty.
   inboxes_.assign(n_users, std::vector<Delivery>{});
   if (!restore_scalar_tail(r)) return false;
   if (!r.ok() || !r.at_end()) return false;
@@ -342,18 +281,6 @@ void Isp::recount_trade_totals() noexcept {
   for (const EPenny x :
        users_.column_span<EPenny>(Column::kLifetimeEpenniesSold))
     users_sold_ += x;
-}
-
-bool Isp::restore_snapshot(const store::SnapshotData& snap) {
-  if (snap.meta.version < store::kSnapshotVersionColumnar) {
-    // v1 compatibility: a pre-columnar snapshot still restores — copy the
-    // single state blob out and run the row decoder.
-    for (const store::SnapshotSection& s : snap.sections)
-      if (s.id == store::kStateSection)
-        return restore_state(crypto::Bytes(s.payload.begin(), s.payload.end()));
-    return false;
-  }
-  return restore_columnar(snap.sections);
 }
 
 void Isp::apply_wal_record(std::uint8_t op, const crypto::Bytes& payload) {
@@ -426,9 +353,12 @@ void Isp::apply_wal_record(std::uint8_t op, const crypto::Bytes& payload) {
     case WalOp::kNoteDupEmail:
       note_duplicate_email();
       break;
-    case WalOp::kSetMisbehavior:
-      set_misbehavior(static_cast<Misbehavior>(r.get_u8()));
+    case WalOp::kSetMisbehavior: {
+      const std::uint8_t m = r.get_u8();
+      if (r.ok() && m <= static_cast<std::uint8_t>(Misbehavior::kFreeRide))
+        set_misbehavior(static_cast<Misbehavior>(m));
       break;
+    }
   }
   outbox_.clear();
   wal_ = saved;

@@ -57,7 +57,7 @@ struct IspMetrics {
 
   // Every counter, in declaration order.  merge(), the obs export and the
   // persisted layout (isp_persist.cpp) all walk this list, so a new
-  // counter is added here and nowhere else — with a kStateVersion bump,
+  // counter is added here and nowhere else — with a kScalarsVersion bump,
   // because it changes the persisted bytes.
   template <class F>
   static void fields(F&& f) {

@@ -679,21 +679,20 @@ void ZmailSystem::checkpoint_host(std::size_t host) {
                              static_cast<std::uint16_t>(host));
   std::string err;
   const auto sim_us = static_cast<std::uint64_t>(sim_.now());
+  // Both parties write the same container: a bank its state blob as one
+  // section, an ISP a scalar section plus one section per Population
+  // column, streamed from the live columns.
+  crypto::Bytes state;
+  std::vector<store::SnapshotSection> sections;
   if (host >= params_.n_isps) {
-    ZMAIL_ASSERT_MSG(stores_[host]->checkpoint(
-                         bank_->serialize_state(host - params_.n_isps),
-                         sim_us, &err),
-                     err.c_str());
+    state = bank_->serialize_state(host - params_.n_isps);
+    sections.push_back(store::SnapshotSection{store::kBankStateSection, state});
   } else {
-    // ISPs checkpoint in the v2 columnar layout: a scalar section plus one
-    // section per Population column, streamed from the live columns.
-    crypto::Bytes scalars;
-    std::vector<store::SnapshotSection> sections;
-    isps_[host]->serialize_sections(scalars, sections);
-    ZMAIL_ASSERT_MSG(
-        stores_[host]->checkpoint_sections(std::move(sections), sim_us, &err),
-        err.c_str());
+    isps_[host]->serialize_sections(state, sections);
   }
+  ZMAIL_ASSERT_MSG(
+      stores_[host]->checkpoint(std::move(sections), sim_us, &err),
+      err.c_str());
   ckpt_span.set_end_arg0(stores_[host]->stats().last_snapshot_bytes);
 }
 
@@ -746,8 +745,9 @@ void ZmailSystem::rebuild_from_store(std::size_t host) {
     BankFederation* fed = bank_.get();
     fed->reset_bank(b);
     ok = cp->recover(
-        [fed, b](const crypto::Bytes& s) {
-          ZMAIL_ASSERT(fed->restore_state(b, s));
+        [fed, b](const store::SnapshotFileView& v) {
+          const store::SnapshotSection* s = v.find(store::kBankStateSection);
+          return s != nullptr && fed->restore_state(b, s->payload);
         },
         [fed, b](std::uint8_t t, const crypto::Bytes& p) {
           fed->apply_wal_record(b, t, p);
@@ -759,9 +759,9 @@ void ZmailSystem::rebuild_from_store(std::size_t host) {
                                         bank_->public_key_for(host),
                                         isp_ctor_seed_[host]);
     Isp* isp = isps_[host].get();
-    // recover_view maps the snapshot read-only; restore_snapshot handles
-    // both v2 (bulk column copies from the mapping) and legacy v1 files.
-    ok = cp->recover_view(
+    // recover maps the snapshot read-only; restore_snapshot bulk-copies
+    // the columns out of the mapping.
+    ok = cp->recover(
         [isp](const store::SnapshotFileView& v) {
           return isp->restore_snapshot(v.snapshot());
         },

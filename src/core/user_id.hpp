@@ -10,7 +10,7 @@
 // `kInvalidUser` is the "no user" sentinel (slot 0xFFFFFFFF): it marks
 // unpaid sends in Outbound/PendingTransfer records, replacing the old
 // size_t(-1) kNoUser.  On the WAL/wire, user ids keep their pre-UserId u64
-// encoding (invalid <-> u64 max) so v1 logs and snapshots replay unchanged;
+// encoding (invalid <-> u64 max), so logs and snapshots keep their bytes;
 // use user_to_wire()/user_from_wire() at the boundary.
 #pragma once
 

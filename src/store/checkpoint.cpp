@@ -36,9 +36,12 @@ bool Checkpointer::open(const StoreConfig& cfg, const std::string& party,
   return wal_.open(wal_path_, cfg.group_commit_records, cfg.fsync_data, error);
 }
 
-bool Checkpointer::write_checkpoint(SnapshotData& snap,
-                                    std::uint64_t sim_time_us,
-                                    std::string* error) {
+bool Checkpointer::checkpoint(std::vector<SnapshotSection> sections,
+                              std::uint64_t sim_time_us, std::string* error) {
+  SnapshotData snap;
+  snap.sections = std::move(sections);
+  for (const SnapshotSection& s : snap.sections)
+    if (s.id >= kUserColumnBase) snap.meta.features = kFeatureColumnarUserState;
   // next_lsn() (not durable_lsn()) — commands still in the group-commit
   // buffer are already reflected in the state, so the snapshot covers them.
   snap.meta.next_lsn = wal_.next_lsn();
@@ -55,38 +58,7 @@ bool Checkpointer::write_checkpoint(SnapshotData& snap,
   return true;
 }
 
-bool Checkpointer::checkpoint(const crypto::Bytes& state,
-                              std::uint64_t sim_time_us, std::string* error) {
-  SnapshotData snap;
-  snap.sections.push_back(SnapshotSection{kStateSection, state});
-  return write_checkpoint(snap, sim_time_us, error);
-}
-
-bool Checkpointer::checkpoint_sections(std::vector<SnapshotSection> sections,
-                                       std::uint64_t sim_time_us,
-                                       std::string* error) {
-  SnapshotData snap;
-  snap.meta.version = kSnapshotVersionColumnar;
-  snap.meta.features = kFeatureColumnarUserState;
-  snap.sections = std::move(sections);
-  return write_checkpoint(snap, sim_time_us, error);
-}
-
 bool Checkpointer::recover(
-    const std::function<void(const crypto::Bytes&)>& restore,
-    const std::function<void(std::uint8_t, const crypto::Bytes&)>& replay,
-    RecoveryStats* stats, std::string* error) {
-  return recover_view(
-      [&restore](const SnapshotFileView& view) {
-        const SnapshotSection* state = view.find(kStateSection);
-        if (!state) return false;
-        restore(crypto::Bytes(state->payload.begin(), state->payload.end()));
-        return true;
-      },
-      replay, stats, error);
-}
-
-bool Checkpointer::recover_view(
     const std::function<bool(const SnapshotFileView&)>& restore,
     const std::function<void(std::uint8_t, const crypto::Bytes&)>& replay,
     RecoveryStats* stats, std::string* error) {

@@ -5,9 +5,9 @@
 //   <dir>/<party>.zwal    append-only command log (store/wal.hpp)
 //   <dir>/<party>.zsnap   latest full-state snapshot (store/snapshot.hpp)
 //
-// and is deliberately generic: the party hands it opaque state blobs and
-// replay callbacks, so this layer knows nothing about bank/ISP internals
-// and `zmail_store` stays below `zmail_core` in the link graph.
+// and is deliberately generic: the party hands it snapshot sections and
+// restore/replay callbacks, so this layer knows nothing about bank/ISP
+// internals and `zmail_store` stays below `zmail_core` in the link graph.
 //
 // Lifecycle:
 //   open()        — open/create both files; scan + trim the WAL tail
@@ -74,59 +74,40 @@ class Checkpointer {
   WalWriter& wal() { return wal_; }
   const WalWriter& wal() const { return wal_; }
 
-  // Writes a snapshot of `state` (one kStateSection blob, v1 layout)
-  // covering every command logged so far, then truncates the WAL behind
-  // it.  Single-threaded simulation makes snapshot+truncate atomic: both
-  // happen within one event, and a modeled crash can only land between
-  // events.
-  bool checkpoint(const crypto::Bytes& state, std::uint64_t sim_time_us,
-                  std::string* error = nullptr);
-
-  // Same, but writes the party-provided section list as a v2 columnar
-  // snapshot (kFeatureColumnarUserState set).  Used by ISPs, whose state
-  // serializes as a scalar section plus whole Population columns.  The
-  // payloads are borrowed: they stream from the party's memory to the file
-  // and are not retained.
-  bool checkpoint_sections(std::vector<SnapshotSection> sections,
-                           std::uint64_t sim_time_us,
-                           std::string* error = nullptr);
+  // Writes the party-provided sections as one snapshot covering every
+  // command logged so far, then truncates the WAL behind it.  The header's
+  // kFeatureColumnarUserState bit is set when a section is a user column
+  // (id >= kUserColumnBase).  The payloads are borrowed: they stream from
+  // the party's memory to the file and are not retained.  Single-threaded
+  // simulation makes snapshot+truncate atomic: both happen within one
+  // event, and a modeled crash can only land between events.
+  bool checkpoint(std::vector<SnapshotSection> sections,
+                  std::uint64_t sim_time_us, std::string* error = nullptr);
 
   // Models process death: the un-synced WAL tail vanishes.
   void simulate_crash() { wal_.simulate_crash(); }
 
-  // Rebuilds party state from disk.  `restore` installs a snapshot state
-  // blob (a copy of the kStateSection payload; built on recover_view);
-  // `replay` applies one logged command.  Neither is called when the
-  // corresponding file is absent (fresh party).  A torn/corrupt WAL tail
-  // is not an error — replay simply stops at the last valid record, which
-  // is exactly the crash contract.  Returns false only on unrecoverable
-  // problems (unreadable snapshot, unknown snapshot version, WAL/snapshot
-  // LSN mismatch).
-  bool recover(const std::function<void(const crypto::Bytes&)>& restore,
+  // Rebuilds party state from disk.  `restore` gets a read-only mmap view
+  // of the snapshot file, so a restore copies sections straight out of
+  // the mapping; it returns false if the contents are unusable (missing
+  // sections, decode failure), which is fatal.  `replay` applies one
+  // logged command.  Neither is called when the corresponding file is
+  // absent (fresh party).  A torn/corrupt WAL tail is not an error —
+  // replay simply stops at the last valid record, which is exactly the
+  // crash contract.  Returns false only on unrecoverable problems
+  // (unreadable or unrestorable snapshot, unknown snapshot version,
+  // WAL/snapshot LSN mismatch).
+  bool recover(const std::function<bool(const SnapshotFileView&)>& restore,
                const std::function<void(std::uint8_t, const crypto::Bytes&)>& replay,
                RecoveryStats* stats = nullptr, std::string* error = nullptr);
-
-  // Like recover(), but hands the restore callback a read-only mmap view
-  // of the snapshot file instead of a copied state blob, so columnar
-  // restores bulk-copy sections straight from the mapping.  `restore`
-  // returns false if the snapshot contents are unusable (missing
-  // sections, decode failure), which recover_view treats as fatal.
-  bool recover_view(const std::function<bool(const SnapshotFileView&)>& restore,
-                    const std::function<void(std::uint8_t, const crypto::Bytes&)>& replay,
-                    RecoveryStats* stats = nullptr,
-                    std::string* error = nullptr);
 
   const Stats& stats() const { return stats_; }
   const std::string& wal_path() const { return wal_path_; }
   const std::string& snapshot_path() const { return snap_path_; }
 
  private:
-  // Stamps LSN coverage, streams the snapshot to disk atomically, truncates
-  // the WAL, and updates stats — shared by both checkpoint flavors.
-  bool write_checkpoint(SnapshotData& snap, std::uint64_t sim_time_us,
-                        std::string* error);
   // Replays the WAL tail from `replay_from` into `replay` (the second half
-  // of recover_view).  Updates `st` and tolerates a torn tail.
+  // of recover).  Updates `st` and tolerates a torn tail.
   bool replay_wal_tail(
       Lsn replay_from,
       const std::function<void(std::uint8_t, const crypto::Bytes&)>& replay,

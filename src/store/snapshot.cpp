@@ -142,12 +142,9 @@ StoreStatus decode_snapshot(std::span<const std::uint8_t> image,
   if (read_u32(data + 32) != crc32c(data, 32)) return StoreStatus::kCorrupt;
   SnapshotMeta& meta = out.meta;
   meta.version = read_u32(data + 4);
-  if (meta.version < kSnapshotVersion || meta.version > kMaxSnapshotVersion)
-    return StoreStatus::kUnknownVersion;
+  if (meta.version != kSnapshotVersion) return StoreStatus::kUnknownVersion;
   meta.features = read_u32(data + 8);
-  // Feature acceptance is version-gated: a v1 file may not carry bits that
-  // only v2 defines, even if this build would understand them.
-  if ((meta.features & ~supported_features_for(meta.version)) != 0)
+  if ((meta.features & ~kSupportedFeatures) != 0)
     return StoreStatus::kUnknownFeature;
   meta.next_lsn = read_u64(data + 12);
   meta.sim_time_us = read_u64(data + 20);

@@ -15,24 +15,23 @@
 //   section  := id:u32 len:u64 payload:u8[len] crc:u32
 //               (crc is CRC32C over payload)
 //
-// Versioning contract: `version` bumps on any incompatible layout change
-// and readers reject unknown versions with StoreStatus::kUnknownVersion.
+// Versioning contract: there is one container version, kSnapshotVersion,
+// and readers reject every other with StoreStatus::kUnknownVersion.  A
+// layout change means a new version, not an edit; the byte layout is
+// pinned by a golden-file test (tests/store_snapshot_test.cpp).
 // `features` is a bitmask of *required* capabilities — a reader that does
 // not recognize a set bit must refuse the file (kUnknownFeature) rather
-// than silently ignore data it cannot interpret.  Feature bits are gated
-// per version: v1 defines none, v2 defines kFeatureColumnarUserState.
-// Both byte layouts are pinned by golden-file tests
-// (tests/store_snapshot_test.cpp); changing one means adding v3, not
-// editing it.
+// than silently ignore data it cannot interpret.  The one bit defined,
+// kFeatureColumnarUserState, marks a snapshot carrying user columns.
 //
-// v2 ("ZSNP" columnar) shares the container grammar with v1; only the
-// section population differs.  An ISP checkpoint is one kIspScalarsSection
-// (counts, pending protocol state, metrics, RNG) followed by eleven
-// kUserColumnBase+i sections, each the raw little-endian bytes of one
-// Population column.  SnapshotFileView maps such a file read-only and
-// validates every CRC once at open, so restore is a handful of bulk
-// copies straight out of the page cache instead of field-by-field
-// deserialization.
+// Both parties write the same container.  An ISP checkpoint is one
+// kIspScalarsSection (counts, pending protocol state, metrics, RNG)
+// followed by eleven kUserColumnBase+i sections, each the raw
+// little-endian bytes of one Population column.  A member bank's
+// checkpoint is one kBankStateSection holding its state blob.
+// SnapshotFileView maps a file read-only and validates every CRC once at
+// open, so an ISP restore is a handful of bulk copies straight out of the
+// page cache instead of field-by-field deserialization.
 //
 // Writes stream straight from the sections: write_snapshot_file frames the
 // header and each section's prefix and CRC trailer, then hands those and
@@ -72,26 +71,23 @@
 
 namespace zmail::store {
 
-constexpr std::uint32_t kSnapshotVersion = 1;
-// v2: columnar user-state sections (whole Population columns as raw
-// little-endian payloads).  The bank still writes v1.
-constexpr std::uint32_t kSnapshotVersionColumnar = 2;
-constexpr std::uint32_t kMaxSnapshotVersion = kSnapshotVersionColumnar;
+// The one container version; decode_snapshot rejects every other.
+constexpr std::uint32_t kSnapshotVersion = 2;
 
-// Feature bits.  Introduced in v2; a v1 file with any bit set is invalid.
+// Feature bits: user-state sections are whole Population columns as raw
+// little-endian payloads.  The checkpointer sets the bit when a section id
+// is a user column.
 constexpr std::uint32_t kFeatureColumnarUserState = 1u << 0;
-// Feature bits this build understands, by version.
+// Feature bits this build understands.
 constexpr std::uint32_t kSupportedFeatures = kFeatureColumnarUserState;
-constexpr std::uint32_t supported_features_for(std::uint32_t version) {
-  return version >= kSnapshotVersionColumnar ? kSupportedFeatures : 0;
-}
 
 // Section ids.  The id space leaves room for side tables (metrics,
 // indexes) without a version bump — readers skip
 // recognized-but-unneeded sections.
-constexpr std::uint32_t kStateSection = 1;  // v1: the whole row blob
-// v2 ISP sections: scalar tail + one section per Population column at
-// kUserColumnBase + static_cast<u32>(Population::Column).
+constexpr std::uint32_t kBankStateSection = 1;  // a member bank's blob
+// ISP sections: scalar tail + one section per Population column at
+// kUserColumnBase + static_cast<u32>(Population::Column).  Every id from
+// kUserColumnBase up is a user column.
 constexpr std::uint32_t kIspScalarsSection = 2;
 constexpr std::uint32_t kUserColumnBase = 0x10;
 

@@ -1,7 +1,6 @@
 // Columnar user-state core: UserId semantics, Population column/arena
-// behavior, and the two ISP snapshot renditions agreeing with each other
-// (v1 row blob <-> v2 columnar sections, including the v1 read-compat
-// path used for pre-columnar snapshots on disk).
+// behavior, and the ISP snapshot sections: exact round trips in memory and
+// through a mapped file, and restores that refuse malformed sections.
 #include "core/population.hpp"
 
 #include <gtest/gtest.h>
@@ -9,6 +8,7 @@
 #include <cstdio>
 
 #include "core/isp.hpp"
+#include "isp_image.hpp"
 #include "store/snapshot.hpp"
 
 namespace zmail::core {
@@ -128,7 +128,7 @@ TEST(PopulationTest, ColumnSpansAndRawBytes) {
                              p.column_data(Population::Column::kBalance), 7));
 }
 
-// --- ISP snapshot renditions ------------------------------------------------
+// --- ISP snapshot sections --------------------------------------------------
 
 ZmailParams small_params() {
   ZmailParams p;
@@ -172,16 +172,16 @@ TEST_F(PopulationSnapshotTest, ColumnarSectionsRoundTripExactly) {
   Isp a(0, params_, keys_.pub, 42);
   dirty(a);
 
+  store::SnapshotData snap;
   crypto::Bytes scalars;
-  std::vector<store::SnapshotSection> sections;
-  a.serialize_sections(scalars, sections);
-  ASSERT_EQ(sections.size(), 1 + Population::kColumnCount);
+  a.serialize_sections(scalars, snap.sections);
+  ASSERT_EQ(snap.sections.size(), 1 + Population::kColumnCount);
 
   Isp b(0, params_, keys_.pub, 7);  // different seed: fully overwritten
-  ASSERT_TRUE(b.restore_columnar(sections));
-  // The v1 blob is a complete, canonical rendition of ISP state; byte
-  // equality proves the columnar round trip restored everything.
-  EXPECT_EQ(b.serialize_state(), a.serialize_state());
+  ASSERT_TRUE(b.restore_snapshot(snap));
+  // The image is a complete, canonical rendition of ISP state; byte
+  // equality proves the round trip restored everything.
+  EXPECT_EQ(isp_image(b), isp_image(a));
   EXPECT_EQ(b.users().policy_override(UserId(3)),
             NonCompliantPolicy::kDiscard);
 }
@@ -189,26 +189,77 @@ TEST_F(PopulationSnapshotTest, ColumnarSectionsRoundTripExactly) {
 TEST_F(PopulationSnapshotTest, MissingColumnSectionIsRejected) {
   Isp a(0, params_, keys_.pub, 42);
   dirty(a);
+  store::SnapshotData snap;
+  crypto::Bytes scalars;
+  a.serialize_sections(scalars, snap.sections);
+  snap.sections.pop_back();  // drop the last column
+  Isp b(0, params_, keys_.pub, 7);
+  EXPECT_FALSE(b.restore_snapshot(snap));
+}
+
+// Every enum byte in the scalar section is range-checked before it is
+// cast.  Each case re-frames the image around one out-of-range byte, so
+// every CRC still checks and only the restore can refuse it.
+TEST_F(PopulationSnapshotTest, OutOfRangeEnumBytesFailTheRestore) {
+  Isp a(0, params_, keys_.pub, 42);
+  a.users().set_policy_override(3, NonCompliantPolicy::kDiscard);
+  a.user_send(1, 1, 2, mail(0, 1, 1, 2));  // one remote email stays queued
+  a.set_misbehavior(Isp::Misbehavior::kFreeRide);
   crypto::Bytes scalars;
   std::vector<store::SnapshotSection> sections;
   a.serialize_sections(scalars, sections);
-  sections.pop_back();  // drop the last column
-  Isp b(0, params_, keys_.pub, 7);
-  EXPECT_FALSE(b.restore_columnar(sections));
+  const std::vector<Outbound> outbox = a.take_outbox();
+  ASSERT_EQ(outbox.size(), 1u);
+
+  // The scalar section opens with version u8, user count u32, override
+  // count u32 and the first override's slot u32, then its policy byte.  It
+  // ends with the misbehavior byte, the metrics, the RNG state (four u64
+  // words, a double and a flag) and the nonce counter; the one outbox
+  // entry (dest u8, index u64, type and payload with u32 lengths, sender
+  // u64) sits just before the misbehavior byte.
+  std::size_t n_metrics = 0;
+  IspMetrics::fields([&](const char*, auto) { ++n_metrics; });
+  const std::size_t policy_at = 13;
+  const std::size_t misbehavior_at =
+      scalars.size() - 8 - (4 * 8 + 8 + 1) - 8 * n_metrics - 1;
+  const std::size_t dest_at = misbehavior_at -
+                              (1 + 8 + 4 + outbox[0].type.name().size() + 4 +
+                               outbox[0].payload.size() + 8);
+  ASSERT_EQ(scalars[policy_at],
+            static_cast<std::uint8_t>(NonCompliantPolicy::kDiscard));
+  ASSERT_EQ(scalars[misbehavior_at],
+            static_cast<std::uint8_t>(Isp::Misbehavior::kFreeRide));
+  ASSERT_EQ(scalars[dest_at],
+            static_cast<std::uint8_t>(Outbound::Dest::kIsp));
+
+  const auto restores = [&](std::size_t at, std::uint8_t value) {
+    crypto::Bytes bad = scalars;
+    bad[at] = value;
+    std::vector<store::SnapshotSection> framed = sections;
+    framed[0].payload = bad;
+    const crypto::Bytes image = store::encode_snapshot({{}, framed});
+    store::SnapshotData snap;
+    EXPECT_EQ(store::decode_snapshot(image, snap), store::StoreStatus::kOk);
+    Isp b(0, params_, keys_.pub, 7);
+    return b.restore_snapshot(snap);
+  };
+  EXPECT_TRUE(restores(policy_at, scalars[policy_at]));  // control
+  for (const std::uint8_t v : {std::uint8_t{4}, std::uint8_t{0xFF}})
+    EXPECT_FALSE(restores(policy_at, v)) << "policy " << int{v};
+  for (const std::uint8_t v : {std::uint8_t{2}, std::uint8_t{0xFF}}) {
+    EXPECT_FALSE(restores(misbehavior_at, v)) << "misbehavior " << int{v};
+    EXPECT_FALSE(restores(dest_at, v)) << "dest " << int{v};
+  }
 }
 
-TEST_F(PopulationSnapshotTest, V1SnapshotsStillRestore) {
-  Isp a(0, params_, keys_.pub, 42);
-  dirty(a);
-
-  // A pre-columnar snapshot: v1 container, single state-blob section.
-  const crypto::Bytes state = a.serialize_state();
-  store::SnapshotData snap;
-  snap.sections.push_back(store::SnapshotSection{store::kStateSection, state});
-
-  Isp b(0, params_, keys_.pub, 7);
-  ASSERT_TRUE(b.restore_snapshot(snap));
-  EXPECT_EQ(b.serialize_state(), a.serialize_state());
+TEST_F(PopulationSnapshotTest, ReplayedOutOfRangeMisbehaviorIsSkipped) {
+  Isp isp(0, params_, keys_.pub, 42);
+  const auto op = static_cast<std::uint8_t>(Isp::WalOp::kSetMisbehavior);
+  for (const std::uint8_t v : {std::uint8_t{2}, std::uint8_t{0xFF}})
+    isp.apply_wal_record(op, crypto::Bytes{v});
+  EXPECT_EQ(isp.misbehavior(), Isp::Misbehavior::kNone);
+  isp.apply_wal_record(op, crypto::Bytes{1});  // control: in range applies
+  EXPECT_EQ(isp.misbehavior(), Isp::Misbehavior::kFreeRide);
 }
 
 TEST_F(PopulationSnapshotTest, V2SnapshotRestoresViaMmapView) {
@@ -216,7 +267,6 @@ TEST_F(PopulationSnapshotTest, V2SnapshotRestoresViaMmapView) {
   dirty(a);
 
   store::SnapshotData snap;
-  snap.meta.version = store::kSnapshotVersionColumnar;
   snap.meta.features = store::kFeatureColumnarUserState;
   crypto::Bytes scalars;
   a.serialize_sections(scalars, snap.sections);
@@ -230,7 +280,7 @@ TEST_F(PopulationSnapshotTest, V2SnapshotRestoresViaMmapView) {
   ASSERT_EQ(view.open(path), store::StoreStatus::kOk);
   Isp b(0, params_, keys_.pub, 7);
   ASSERT_TRUE(b.restore_snapshot(view.snapshot()));
-  EXPECT_EQ(b.serialize_state(), a.serialize_state());
+  EXPECT_EQ(isp_image(b), isp_image(a));
   view.close();
   std::remove(path.c_str());
 }

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <string>
 
+#include "isp_image.hpp"
 #include "store/crc32c.hpp"
 #include "store/snapshot.hpp"
 #include "telemetry/registry.hpp"
@@ -363,15 +364,8 @@ TEST(CentralBankGolden, SingleBankWorldFinalStateIsPinned) {
 
   // Persisted-layout pins: a reordered or dropped counter in either
   // serializer still round-trips, so only the bytes themselves catch it.
-  const crypto::Bytes isp_state = sys.isp(0).serialize_state();
-  EXPECT_EQ(store::crc32c(isp_state.data(), isp_state.size()), 0x0bd77f04u);
-  store::SnapshotData isp_snap;
-  isp_snap.meta.version = store::kSnapshotVersionColumnar;
-  isp_snap.meta.features = store::kFeatureColumnarUserState;
-  crypto::Bytes isp_scalars;
-  sys.isp(0).serialize_sections(isp_scalars, isp_snap.sections);
-  const crypto::Bytes isp_image = store::encode_snapshot(isp_snap);
-  EXPECT_EQ(store::crc32c(isp_image.data(), isp_image.size()), 0x67feedacu);
+  const crypto::Bytes isp_state = isp_image(sys.isp(0));
+  EXPECT_EQ(store::crc32c(isp_state.data(), isp_state.size()), 0x67feedacu);
   const crypto::Bytes bank_state = sys.bank().serialize_state(0);
   EXPECT_EQ(store::crc32c(bank_state.data(), bank_state.size()), 0xee770265u);
   std::filesystem::remove_all(dir);
@@ -379,8 +373,8 @@ TEST(CentralBankGolden, SingleBankWorldFinalStateIsPinned) {
 
 // Isp keeps users_bought()/users_sold() as running totals for the O(1)
 // telemetry trade gauges.  They must equal the lifetime column sums after
-// live trades, a v1 restore_state, a columnar restore_snapshot and a
-// recover_host that replays trades from the WAL tail.
+// live trades, a restore_snapshot and a recover_host that replays trades
+// from the WAL tail.
 TEST(TradeTotals, RunningTotalsMatchTheColumnsAfterEveryRestore) {
   const std::string dir = "core_system_test_trade_totals";
   std::filesystem::remove_all(dir);
@@ -427,13 +421,7 @@ TEST(TradeTotals, RunningTotalsMatchTheColumnsAfterEveryRestore) {
   expect_totals(sys.isp(0), "live trades");
 
   const crypto::RsaKey bank_pub = sys.bank().public_key_for(0);
-  Isp by_row(0, sys.params(), bank_pub, 1);
-  ASSERT_TRUE(by_row.restore_state(sys.isp(0).serialize_state()));
-  expect_totals(by_row, "restore_state");
-  EXPECT_EQ(column_sums(by_row), live);
-
   store::SnapshotData snap;
-  snap.meta.version = store::kSnapshotVersionColumnar;
   crypto::Bytes scalars;
   sys.isp(0).serialize_sections(scalars, snap.sections);
   Isp by_column(0, sys.params(), bank_pub, 1);

@@ -9,6 +9,7 @@
 
 #include "core/invariants.hpp"
 #include "core/system.hpp"
+#include "isp_image.hpp"
 #include "net/address.hpp"
 #include "net/faults.hpp"
 #include "store/checkpoint.hpp"
@@ -59,7 +60,7 @@ TEST(StoreRecoveryTest, RecoverHostIsByteExactAtAQuietPoint) {
   drive_traffic(sys, 93, 20);
   sys.run_for(sim::kHour);  // settle: outboxes drained, replies processed
 
-  const crypto::Bytes isp_before = sys.isp(0).serialize_state();
+  const crypto::Bytes isp_before = isp_image(sys.isp(0));
   const crypto::Bytes bank_before = sys.bank().serialize_state(0);
   ASSERT_FALSE(isp_before.empty());
 
@@ -69,7 +70,7 @@ TEST(StoreRecoveryTest, RecoverHostIsByteExactAtAQuietPoint) {
 
   // The rebuilt parties (fresh construction -> snapshot restore -> WAL
   // replay) must match the pre-crash state byte for byte, RNG and all.
-  EXPECT_EQ(sys.isp(0).serialize_state(), isp_before);
+  EXPECT_EQ(isp_image(sys.isp(0)), isp_before);
   EXPECT_EQ(sys.bank().serialize_state(0), bank_before);
 
   // And the recovered system keeps working: more traffic, clean audits.
@@ -131,7 +132,7 @@ TEST(StoreRecoveryTest, ReopeningAStoreDirectoryResumesPersistedState) {
     sys.start_snapshot();
     sys.run_for(sim::kHour);
     sys.checkpoint_all();
-    isp_saved = sys.isp(1).serialize_state();
+    isp_saved = isp_image(sys.isp(1));
     bank_saved = sys.bank().serialize_state(0);
   }  // process "exits"
 
@@ -139,7 +140,7 @@ TEST(StoreRecoveryTest, ReopeningAStoreDirectoryResumesPersistedState) {
   // from disk (recover-at-open), not counted as a crash recovery.
   ZmailSystem sys(store_params(dir), 77);
   EXPECT_EQ(sys.state_recoveries(), 0u);
-  EXPECT_EQ(sys.isp(1).serialize_state(), isp_saved);
+  EXPECT_EQ(isp_image(sys.isp(1)), isp_saved);
   EXPECT_EQ(sys.bank().serialize_state(0), bank_saved);
   std::filesystem::remove_all(dir);
 }
@@ -160,12 +161,12 @@ TEST(StoreRecoveryTest, StoreOffRunsAreBitIdenticalToEachOther) {
     s->start_snapshot();
     s->run_for(sim::kHour);
   }
-  EXPECT_EQ(a.isp(0).serialize_state(), b.isp(0).serialize_state());
+  EXPECT_EQ(isp_image(a.isp(0)), isp_image(b.isp(0)));
   EXPECT_EQ(a.bank().serialize_state(0), b.bank().serialize_state(0));
   // The durable store must not perturb the simulation: state bytes match
   // the store-off run exactly (the WAL observes commands, never reorders
   // or reinterprets them).
-  EXPECT_EQ(a.isp(0).serialize_state(), c.isp(0).serialize_state());
+  EXPECT_EQ(isp_image(a.isp(0)), isp_image(c.isp(0)));
   EXPECT_EQ(a.bank().serialize_state(0), c.bank().serialize_state(0));
   EXPECT_EQ(a.total_epennies(), c.total_epennies());
   std::filesystem::remove_all(dir);

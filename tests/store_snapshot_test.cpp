@@ -1,6 +1,6 @@
-// Snapshot format: the v1 and v2 byte layouts are pinned by golden files,
-// unknown versions/features are rejected with typed errors (feature bits
-// version-gated), trailing bytes are corruption, the file writer is atomic
+// Snapshot format: the byte layout is pinned by a golden file, unknown
+// versions/features are rejected with typed errors, trailing bytes are
+// corruption, the file writer is atomic
 // (temp + exchange), streams exactly the bytes encode_snapshot produces and
 // recycles the previous snapshot's inode, and the checkpointer's size
 // figures match the files it writes.
@@ -40,24 +40,19 @@ StoreStatus decode_status(const SnapshotData& snap) {
   return decode_snapshot(image, out);
 }
 
-SnapshotData golden_snapshot() {
+// A bank-shaped snapshot: one state-blob section, no feature bits.
+SnapshotData bank_snapshot() {
   SnapshotData s;
-  s.meta.version = kSnapshotVersion;
-  s.meta.features = 0;
   s.meta.next_lsn = 0x0102030405060708ull;
   s.meta.sim_time_us = 1234567890;
-  SnapshotSection sec;
-  sec.id = kStateSection;
-  sec.payload = kStatePayload;
-  s.sections.push_back(sec);
+  s.sections.push_back(SnapshotSection{kBankStateSection, kStatePayload});
   return s;
 }
 
-// A v2 columnar snapshot: one scalar section plus one raw column section
+// An ISP-shaped snapshot: one scalar section plus one raw column section
 // (payload little-endian, unlike the big-endian container framing).
-SnapshotData golden_columnar_snapshot() {
+SnapshotData golden_snapshot() {
   SnapshotData s;
-  s.meta.version = kSnapshotVersionColumnar;
   s.meta.features = kFeatureColumnarUserState;
   s.meta.next_lsn = 0x0102030405060708ull;
   s.meta.sim_time_us = 1234567890;
@@ -83,30 +78,8 @@ std::string to_hex(const crypto::Bytes& b) {
   return out;
 }
 
-// The v1 on-disk layout, byte for byte.  If this test breaks, the format
-// changed: bump kSnapshotVersion and teach decode_snapshot the old layout
-// instead of editing the golden string.
-TEST(SnapshotGoldenTest, V1ByteLayoutIsPinned) {
-  const crypto::Bytes encoded = encode_snapshot(golden_snapshot());
-  EXPECT_EQ(to_hex(encoded),
-            // magic  version  features next_lsn
-            "5a534e50"
-            "00000001"
-            "00000000"
-            "0102030405060708"
-            // sim_time_us      sections header-crc
-            "00000000499602d2"
-            "00000001"
-            "cebfcd9c"
-            // section: id      len              payload    payload-crc
-            "00000001"
-            "0000000000000006"
-            "deadbeef0042"
-            "fb6bb3d0");
-}
-
 TEST(SnapshotCodecTest, EncodeDecodeRoundTrip) {
-  const SnapshotData in = golden_snapshot();
+  const SnapshotData in = bank_snapshot();
   const crypto::Bytes image = encode_snapshot(in);
   SnapshotData out;
   ASSERT_EQ(decode_snapshot(image, out), StoreStatus::kOk);
@@ -115,15 +88,15 @@ TEST(SnapshotCodecTest, EncodeDecodeRoundTrip) {
   EXPECT_EQ(out.meta.next_lsn, in.meta.next_lsn);
   EXPECT_EQ(out.meta.sim_time_us, in.meta.sim_time_us);
   ASSERT_EQ(out.sections.size(), 1u);
-  EXPECT_EQ(out.sections[0].id, kStateSection);
+  EXPECT_EQ(out.sections[0].id, kBankStateSection);
   EXPECT_EQ(bytes_of(out.sections[0].payload),
             bytes_of(in.sections[0].payload));
 }
 
-// The v2 columnar layout, also pinned: same container grammar, new
-// version/features words and section ids.  Bump to v3 rather than edit.
+// The on-disk layout, byte for byte.  If this test breaks, the format
+// changed: add a new version rather than edit the golden string.
 TEST(SnapshotGoldenTest, V2ColumnarByteLayoutIsPinned) {
-  const crypto::Bytes encoded = encode_snapshot(golden_columnar_snapshot());
+  const crypto::Bytes encoded = encode_snapshot(golden_snapshot());
   EXPECT_EQ(to_hex(encoded),
             // magic  version  features next_lsn
             "5a534e50"
@@ -147,11 +120,11 @@ TEST(SnapshotGoldenTest, V2ColumnarByteLayoutIsPinned) {
 }
 
 TEST(SnapshotCodecTest, ColumnarRoundTrip) {
-  const SnapshotData in = golden_columnar_snapshot();
+  const SnapshotData in = golden_snapshot();
   const crypto::Bytes image = encode_snapshot(in);
   SnapshotData out;
   ASSERT_EQ(decode_snapshot(image, out), StoreStatus::kOk);
-  EXPECT_EQ(out.meta.version, kSnapshotVersionColumnar);
+  EXPECT_EQ(out.meta.version, kSnapshotVersion);
   EXPECT_EQ(out.meta.features, kFeatureColumnarUserState);
   ASSERT_EQ(out.sections.size(), 2u);
   EXPECT_EQ(out.sections[0].id, kIspScalarsSection);
@@ -162,30 +135,21 @@ TEST(SnapshotCodecTest, ColumnarRoundTrip) {
 
 TEST(SnapshotCodecTest, UnknownVersionIsATypedError) {
   SnapshotData s = golden_snapshot();
-  s.meta.version = kMaxSnapshotVersion + 1;  // a future format
-  EXPECT_EQ(decode_status(s), StoreStatus::kUnknownVersion);
-
-  s.meta.version = 0;  // below the floor is just as unknown
-  EXPECT_EQ(decode_status(s), StoreStatus::kUnknownVersion);
+  // A future format, nothing, and the retired v1 row-blob layout.
+  for (const std::uint32_t version : {kSnapshotVersion + 1, 0u, 1u}) {
+    s.meta.version = version;
+    EXPECT_EQ(decode_status(s), StoreStatus::kUnknownVersion) << version;
+  }
 }
 
 TEST(SnapshotCodecTest, UnknownFeatureBitIsATypedError) {
-  SnapshotData s = golden_snapshot();
+  SnapshotData s = bank_snapshot();
   s.meta.features = 0x80000000u;  // a feature flag this build predates
   EXPECT_EQ(decode_status(s), StoreStatus::kUnknownFeature);
 
-  SnapshotData v2 = golden_columnar_snapshot();
-  v2.meta.features |= 0x80000000u;
-  EXPECT_EQ(decode_status(v2), StoreStatus::kUnknownFeature);
-}
-
-// Feature acceptance is gated by version: the columnar bit only exists
-// from v2 on, so a v1 file claiming it is refused even though this build
-// understands the feature.
-TEST(SnapshotCodecTest, FeatureBitsAreVersionGated) {
-  SnapshotData s = golden_snapshot();
-  s.meta.features = kFeatureColumnarUserState;  // bit on a v1 header
-  EXPECT_EQ(decode_status(s), StoreStatus::kUnknownFeature);
+  SnapshotData isp = golden_snapshot();
+  isp.meta.features |= 0x80000000u;
+  EXPECT_EQ(decode_status(isp), StoreStatus::kUnknownFeature);
 }
 
 TEST(SnapshotCodecTest, DamageIsDetected) {
@@ -214,8 +178,7 @@ TEST(SnapshotCodecTest, DamageIsDetected) {
 // The grammar is `header section*` and nothing after: one byte appended to
 // a golden image is corruption, in memory and through the file view.
 TEST(SnapshotCodecTest, TrailingBytesAreCorrupt) {
-  for (const SnapshotData& golden :
-       {golden_snapshot(), golden_columnar_snapshot()}) {
+  for (const SnapshotData& golden : {bank_snapshot(), golden_snapshot()}) {
     crypto::Bytes image = encode_snapshot(golden);
     image.push_back(0x00);
     SnapshotData out;
@@ -276,7 +239,7 @@ SnapshotData generation(std::uint64_t gen, crypto::Bytes& payload,
   SnapshotData s;
   s.meta.next_lsn = gen;
   s.meta.sim_time_us = gen * 1000;
-  s.sections.push_back(SnapshotSection{kStateSection, payload});
+  s.sections.push_back(SnapshotSection{kBankStateSection, payload});
   return s;
 }
 
@@ -372,14 +335,14 @@ TEST(SnapshotFileViewTest, MapsSectionsAndValidatesOnOpen) {
   SnapshotFileView missing;
   EXPECT_EQ(missing.open(path), StoreStatus::kNotFound);
 
-  const SnapshotData snap = golden_columnar_snapshot();
+  const SnapshotData snap = golden_snapshot();
   std::string err;
   ASSERT_EQ(write_snapshot_file(path, snap, true, &err), StoreStatus::kOk)
       << err;
 
   SnapshotFileView view;
   ASSERT_EQ(view.open(path), StoreStatus::kOk);
-  EXPECT_EQ(view.meta().version, kSnapshotVersionColumnar);
+  EXPECT_EQ(view.meta().version, kSnapshotVersion);
   EXPECT_EQ(view.meta().next_lsn, snap.meta.next_lsn);
   ASSERT_EQ(view.sections().size(), 2u);
   const auto* col = view.find(kUserColumnBase);
@@ -419,8 +382,8 @@ TEST(SnapshotFileTest, StreamedFileEqualsEncodeSnapshot) {
     EXPECT_TRUE(file == image) << what << ": " << file.size() << " bytes on "
                                << "disk, " << image.size() << " encoded";
   };
-  expect_file_is_image(golden_snapshot(), "v1 golden");
-  expect_file_is_image(golden_columnar_snapshot(), "v2 golden");
+  expect_file_is_image(bank_snapshot(), "bank-shaped");
+  expect_file_is_image(golden_snapshot(), "golden");
 
   core::ZmailParams p;
   p.n_isps = 4;
@@ -432,7 +395,6 @@ TEST(SnapshotFileTest, StreamedFileEqualsEncodeSnapshot) {
   for (std::size_t u = 0; u < p.users_per_isp; u += 37)
     isp.user(u).balance += static_cast<EPenny>(u % 11);
   SnapshotData snap;
-  snap.meta.version = kSnapshotVersionColumnar;
   snap.meta.features = kFeatureColumnarUserState;
   crypto::Bytes scalars;
   isp.serialize_sections(scalars, snap.sections);
@@ -449,8 +411,9 @@ TEST(SnapshotFileTest, UnwritablePathIsAnIoError) {
   EXPECT_FALSE(err.empty());
 }
 
-// last_snapshot_bytes and both recovery flavors' snapshot_bytes are
-// computed without re-encoding; they must still be the file's size.
+// last_snapshot_bytes and the recovery's snapshot_bytes are computed
+// without re-encoding; they must still be the file's size.  The feature
+// bit follows the sections: set for user columns, clear for a bank blob.
 TEST(CheckpointerTest, SnapshotBytesEqualTheFileSize) {
   const std::string dir = "store_snapshot_test_ckpt";
   std::filesystem::remove_all(dir);
@@ -464,32 +427,52 @@ TEST(CheckpointerTest, SnapshotBytesEqualTheFileSize) {
   };
   const auto no_replay = [](std::uint8_t, const crypto::Bytes&) {};
 
-  Checkpointer v1;
-  std::string err;
-  ASSERT_TRUE(v1.open(cfg, "bank", &err)) << err;
-  const crypto::Bytes state(kStatePayload, std::end(kStatePayload));
-  ASSERT_TRUE(v1.checkpoint(state, 5, &err)) << err;
-  const std::uint64_t v1_bytes = file_size(v1.snapshot_path());
-  EXPECT_EQ(v1.stats().last_snapshot_bytes, v1_bytes);
-  RecoveryStats rs;
-  crypto::Bytes restored;
-  ASSERT_TRUE(v1.recover([&](const crypto::Bytes& s) { restored = s; },
-                         no_replay, &rs, &err))
-      << err;
-  EXPECT_EQ(restored, state);
-  EXPECT_EQ(rs.snapshot_bytes, v1_bytes);
+  for (const SnapshotData& golden : {bank_snapshot(), golden_snapshot()}) {
+    const bool columnar = golden.sections.size() == 2;
+    SCOPED_TRACE(columnar ? "isp" : "bank");
+    Checkpointer cp;
+    std::string err;
+    ASSERT_TRUE(cp.open(cfg, columnar ? "isp0" : "bank", &err)) << err;
+    ASSERT_TRUE(cp.checkpoint(golden.sections, 7, &err)) << err;
+    const std::uint64_t bytes = file_size(cp.snapshot_path());
+    EXPECT_EQ(cp.stats().last_snapshot_bytes, bytes);
+    RecoveryStats rs;
+    std::vector<crypto::Bytes> restored;
+    std::uint32_t features = ~0u;
+    ASSERT_TRUE(cp.recover(
+        [&](const SnapshotFileView& v) {
+          features = v.meta().features;
+          for (const SnapshotSection& s : v.sections())
+            restored.push_back(bytes_of(s.payload));
+          return true;
+        },
+        no_replay, &rs, &err))
+        << err;
+    EXPECT_EQ(features, columnar ? kFeatureColumnarUserState : 0u);
+    ASSERT_EQ(restored.size(), golden.sections.size());
+    for (std::size_t i = 0; i < restored.size(); ++i)
+      EXPECT_EQ(restored[i], bytes_of(golden.sections[i].payload));
+    EXPECT_EQ(rs.snapshot_bytes, bytes);
+  }
+  std::filesystem::remove_all(dir);
+}
 
-  Checkpointer v2;
-  ASSERT_TRUE(v2.open(cfg, "isp0", &err)) << err;
-  const SnapshotData golden = golden_columnar_snapshot();
-  ASSERT_TRUE(v2.checkpoint_sections(golden.sections, 7, &err)) << err;
-  const std::uint64_t v2_bytes = file_size(v2.snapshot_path());
-  EXPECT_EQ(v2.stats().last_snapshot_bytes, v2_bytes);
-  ASSERT_TRUE(v2.recover_view(
-      [](const SnapshotFileView& v) { return v.sections().size() == 2; },
-      no_replay, &rs, &err))
-      << err;
-  EXPECT_EQ(rs.snapshot_bytes, v2_bytes);
+// A restore callback that refuses the snapshot fails the recovery.
+TEST(CheckpointerTest, RefusedRestoreIsARecoverError) {
+  const std::string dir = "store_snapshot_test_refused";
+  std::filesystem::remove_all(dir);
+  StoreConfig cfg;
+  cfg.enabled = true;
+  cfg.dir = dir;
+  Checkpointer cp;
+  std::string err;
+  ASSERT_TRUE(cp.open(cfg, "bank", &err)) << err;
+  ASSERT_TRUE(cp.checkpoint(bank_snapshot().sections, 7, &err)) << err;
+  err.clear();
+  EXPECT_FALSE(cp.recover([](const SnapshotFileView&) { return false; },
+                          [](std::uint8_t, const crypto::Bytes&) {}, nullptr,
+                          &err));
+  EXPECT_FALSE(err.empty());
   std::filesystem::remove_all(dir);
 }
 
