@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 #include <string>
 
 #include "isp_image.hpp"
+#include "net/faults.hpp"
 #include "store/crc32c.hpp"
 #include "store/snapshot.hpp"
+#include "store/wal.hpp"
 #include "telemetry/registry.hpp"
 
 namespace zmail::core {
@@ -368,6 +371,84 @@ TEST(CentralBankGolden, SingleBankWorldFinalStateIsPinned) {
   EXPECT_EQ(store::crc32c(isp_state.data(), isp_state.size()), 0x67feedacu);
   const crypto::Bytes bank_state = sys.bank().serialize_state(0);
   EXPECT_EQ(store::crc32c(bank_state.data(), bank_state.size()), 0xee770265u);
+  std::filesystem::remove_all(dir);
+}
+
+// Pins the WAL bytes of a small durable world: two ISPs and the bank under
+// a lossy network, read before the first checkpoint truncates any log.
+// Every record type on the hot path is in these files (user sends, received
+// mail, retransmit notes, trades on both sides, the round opening), so a
+// change to how a record is encoded, framed or checksummed changes a pin.
+TEST(WalGolden, TwoIspLogsBeforeTheFirstCheckpointArePinned) {
+  const std::string dir = "core_system_test_wal_golden";
+  std::filesystem::remove_all(dir);
+  ZmailParams p;
+  p.n_isps = 2;
+  p.users_per_isp = 4;
+  p.initial_user_balance = 30;
+  p.initial_avail = 10;
+  p.minavail = 20;
+  p.maxavail = 60;
+  p.retry.enabled = true;
+  p.reliable_email_transport = true;
+  p.store.enabled = true;
+  p.store.dir = dir;
+  p.store.fsync_data = false;
+  ZmailSystem sys(p, 1861);
+  sys.enable_bank_trading(10 * sim::kMinute);
+  net::FaultPlan plan;
+  plan.rates.drop = 0.2;
+  plan.rates.duplicate = 0.1;
+  plan.rates.reorder = 0.1;
+  net::FaultInjector faults(plan, 62);
+  sys.attach_faults(&faults);
+
+  Rng traffic(5);
+  for (int k = 0; k < 60; ++k) {
+    const std::size_t src = traffic.next_below(p.n_isps);
+    const std::size_t dst = traffic.next_below(p.n_isps);
+    sys.send_email(user(src, traffic.next_below(p.users_per_isp)),
+                   user(dst, traffic.next_below(p.users_per_isp)), "w",
+                   "wal " + std::to_string(k));
+    if (k == 20) sys.buy_epennies(user(1, 2), 7);
+    if (k == 40) sys.sell_epennies(user(0, 1), 3);
+    sys.run_for(sim::kMinute);
+  }
+  sys.start_snapshot();
+  sys.run_for(2 * sim::kMinute);  // inside the 10-minute quiesce window
+  sys.attach_faults(nullptr);
+  ASSERT_EQ(sys.store_totals().checkpoints, 0u);
+  ASSERT_GT(sys.total_isp_metrics().emails_retransmitted, 0u);
+
+  std::map<std::string, std::uint32_t> crcs;
+  std::map<std::uint8_t, std::uint64_t> isp_ops, bank_ops;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() != ".zwal") continue;
+    const std::string name = entry.path().filename().string();
+    crypto::Bytes file;
+    ASSERT_EQ(store::read_file(entry.path().string(), file),
+              store::StoreStatus::kOk);
+    auto& ops = name.rfind("isp", 0) == 0 ? isp_ops : bank_ops;
+    const store::WalScanResult scan = store::wal_scan(
+        file, [&](const store::WalRecord& r) { ++ops[r.type]; });
+    ASSERT_EQ(scan.status, store::StoreStatus::kOk) << name;
+    ASSERT_EQ(scan.valid_bytes, file.size()) << name;
+    crcs[name] = store::crc32c(file.data(), file.size());
+  }
+  const auto op = [](auto v) { return static_cast<std::uint8_t>(v); };
+  EXPECT_GT(isp_ops[op(Isp::WalOp::kUserSend)], 0u);
+  EXPECT_GT(isp_ops[op(Isp::WalOp::kOnEmail)], 0u);
+  EXPECT_GT(isp_ops[op(Isp::WalOp::kNoteRetransmit)], 0u);
+  EXPECT_GT(isp_ops[op(Isp::WalOp::kSnapshotRequest)], 0u);
+  EXPECT_GT(bank_ops[op(BankFederation::WalOp::kOnBuy)], 0u);
+  EXPECT_GT(bank_ops[op(BankFederation::WalOp::kOnSell)], 0u);
+  EXPECT_GT(bank_ops[op(BankFederation::WalOp::kStartRound)], 0u);
+
+  const std::map<std::string, std::uint32_t> pinned = {
+      {"bank.zwal", 0x29b2ab65u},
+      {"isp0.zwal", 0x7674906du},
+      {"isp1.zwal", 0xb71291c2u}};
+  EXPECT_EQ(crcs, pinned);
   std::filesystem::remove_all(dir);
 }
 
