@@ -7,7 +7,9 @@
 // events through sim::Simulator and delivering moved payloads through
 // net::Network must not allocate at all, and neither may an inter-ISP email
 // from its datagram's arrival through the receiving ISP (SMTP dialogue,
-// codec and accounting included).
+// codec and accounting included).  With a write-ahead log attached to every
+// party, the same email must make exactly as many allocations as without
+// one: the WAL records are encoded into buffers that stay warm.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -15,6 +17,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <new>
 #include <string>
 #include <utility>
@@ -322,20 +325,29 @@ HotPathCost delivery_cost(std::size_t warmup, std::size_t measured) {
 // receiving ISP's accounting.  The one allocation the receive side may
 // make is the amortized doubling of the system's latency record (every
 // delivery's sample, kept for exact percentiles); those regrowths are
-// counted from its capacity and reported apart.
+// counted from its capacity and reported apart.  A non-empty `wal_dir`
+// turns the durable store on (a WAL per party, write(2) per record, no
+// fsync); the traffic and the world are otherwise the same.
 struct MailCost {
   HotPathCost submit;
   HotPathCost receive;
   std::uint64_t latency_regrowths = 0;  // included in receive.allocations
 };
 
-MailCost mail_cost(std::size_t warmup, std::size_t measured) {
+MailCost mail_cost(std::size_t warmup, std::size_t measured,
+                   const std::string& wal_dir = {}) {
   core::ZmailParams p;
   p.n_isps = 16;
   p.users_per_isp = 1'000;
   p.record_inboxes = false;
   p.minavail = 0;
   p.maxavail = 1'000'000'000;
+  if (!wal_dir.empty()) {
+    std::filesystem::remove_all(wal_dir);
+    p.store.enabled = true;
+    p.store.dir = wal_dir;
+    p.store.fsync_data = false;
+  }
   core::ZmailSystem sys(p, 2026);
   sys.enable_bank_trading();
 
@@ -461,6 +473,9 @@ void check_zero_allocations(bench::Bench& harness) {
   const HotPathCost dispatch = dispatch_cost(32, smoke ? 4 : 48);
   const HotPathCost delivery = delivery_cost(256, smoke ? 4 : 24);
   const MailCost mail = mail_cost(8, smoke ? 2 : 8);
+  const std::string wal_dir = "bench_micro_hotpath.tmp";
+  const MailCost mail_wal = mail_cost(8, smoke ? 2 : 8, wal_dir);
+  std::filesystem::remove_all(wal_dir);
   // Per-round counts settle after about 10 rounds (calendar and pool
   // growth); the warm-up is 12.
   const HotPathCost round = snapshot_round_cost(12, smoke ? 2 : 16);
@@ -468,6 +483,8 @@ void check_zero_allocations(bench::Bench& harness) {
   report(harness, "delivery", "message", delivery);
   report(harness, "mail_submit", "email", mail.submit);
   report(harness, "mail_receive", "email", mail.receive);
+  report(harness, "mail_wal_submit", "email", mail_wal.submit);
+  report(harness, "mail_wal_receive", "email", mail_wal.receive);
   report(harness, "snapshot_round", "ISP-round", round);
   const std::uint64_t receive_allocations =
       mail.receive.allocations - mail.latency_regrowths;
@@ -507,6 +524,11 @@ void check_zero_allocations(bench::Bench& harness) {
                 "allocations from datagram arrival through the receiving ISP, "
                 "and at most " +
                     std::to_string(kMaxSubmitAllocations) + " at submit");
+  harness.check(mail_wal.submit.allocations == mail.submit.allocations &&
+                    mail_wal.receive.allocations == mail.receive.allocations,
+                "with a WAL on every party, a warm remote email makes exactly "
+                "as many heap allocations at submit and from datagram "
+                "arrival through the receiving ISP as without one");
   harness.check(round.allocations <=
                     kMaxRoundAllocations * (round.items / kRoundIsps),
                 "a warm snapshot round (request seal and unseal, quiesce, "

@@ -14,13 +14,16 @@
 //
 // --store-dir DIR switches the durable store on (replica k persists under
 // DIR/r<k>), which also unlocks the script's `crash` verb: a crashed host's
-// in-memory state is wiped and rebuilt from its snapshot + WAL tail.
+// in-memory state is wiped and rebuilt from its snapshot + WAL tail.  A
+// DIR that already holds a WAL or snapshot from an earlier run is resumed,
+// not started afresh, and the runner says so on stderr.
 // --checkpoint-interval adds time-based checkpoints on top of the default
 // quiesce-boundary ones.  --banks N splits the bank into N member banks;
 // --audit runs the invariant auditor throughout the run.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <mutex>
@@ -97,6 +100,19 @@ struct Args {
   }
 };
 
+// True when `dir` or a replica directory under it already holds a WAL or
+// a snapshot, which the run will recover instead of starting fresh.
+bool holds_store_state(const std::string& dir) {
+  namespace fs = std::filesystem;
+  std::error_code ec;
+  for (fs::recursive_directory_iterator it(dir, ec), end; !ec && it != end;
+       it.increment(ec)) {
+    const fs::path ext = it->path().extension();
+    if (ext == ".zwal" || ext == ".zsnap") return true;
+  }
+  return false;
+}
+
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [script.zs|-] [--replicas N] [--threads N]"
@@ -113,7 +129,8 @@ int usage(const char* argv0) {
                "  --store-dir DIR           enable the durable store (WAL +\n"
                "                            snapshots) under DIR; replica k\n"
                "                            writes to DIR/r<k>.  Unlocks the\n"
-               "                            script's `crash` verb.\n"
+               "                            script's `crash` verb.  State\n"
+               "                            already in DIR is resumed.\n"
                "  --checkpoint-interval DUR also checkpoint every DUR of\n"
                "                            simulated time (30m, 2h, ...),\n"
                "                            not just at quiesce boundaries\n"
@@ -312,6 +329,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--telemetry requires --replicas 1\n");
     return 2;
   }
+
+  if (!args.store_dir.empty() && holds_store_state(args.store_dir))
+    std::fprintf(stderr, "store: %s already holds state; resuming it\n",
+                 args.store_dir.c_str());
 
   // Replica runs go through the sweep harness; the default invocation is a
   // 1-replica sweep with the script's own seed, which reproduces the

@@ -257,7 +257,7 @@ bool BankFederation::restore_state(std::size_t bank,
 }
 
 void BankFederation::apply_wal_record(std::size_t bank, std::uint8_t op,
-                                      const crypto::Bytes& payload) {
+                                      std::span<const std::uint8_t> payload) {
   // Detach the WAL sink (no re-logging) and suppress wire emission: the
   // original execution already delivered those wires.  Everything else —
   // RNG draws, pending-wire bookkeeping, metrics — re-executes verbatim,
@@ -271,14 +271,14 @@ void BankFederation::apply_wal_record(std::size_t bank, std::uint8_t op,
   switch (static_cast<WalOp>(op)) {
     case WalOp::kOnBuy: {
       const std::size_t g = r.get_u64();
-      const crypto::Bytes wire = r.get_bytes();
+      const auto wire = r.get_bytes_view();
       if (r.ok() && g < params_.n_isps && home_bank(g) == bank)
         on_buy(g, wire);
       break;
     }
     case WalOp::kOnSell: {
       const std::size_t g = r.get_u64();
-      const crypto::Bytes wire = r.get_bytes();
+      const auto wire = r.get_bytes_view();
       if (r.ok() && g < params_.n_isps && home_bank(g) == bank)
         on_sell(g, wire);
       break;
@@ -288,7 +288,7 @@ void BankFederation::apply_wal_record(std::size_t bank, std::uint8_t op,
       break;
     case WalOp::kOnReply: {
       const std::size_t g = r.get_u64();
-      const crypto::Bytes wire = r.get_bytes();
+      const auto wire = r.get_bytes_view();
       if (r.ok() && g < params_.n_isps && home_bank(g) == bank)
         on_reply(g, wire);
       break;
@@ -296,7 +296,7 @@ void BankFederation::apply_wal_record(std::size_t bank, std::uint8_t op,
     case WalOp::kOnInterbank: {
       const std::size_t from = r.get_u64();
       const std::uint8_t kind = r.get_u8();
-      const crypto::Bytes wire = r.get_bytes();
+      const auto wire = r.get_bytes_view();
       if (r.ok() && from < bank_count()) on_interbank(bank, from, kind, wire);
       break;
     }

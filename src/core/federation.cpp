@@ -147,16 +147,22 @@ void BankFederation::attach_wal(std::size_t bank, store::WalSink* wal) {
   banks_.at(bank).wal = wal;
 }
 
+crypto::Bytes& BankFederation::wal_payload(std::size_t bank) {
+  crypto::Bytes& p = banks_.at(bank).wal_buf;
+  p.clear();
+  return p;
+}
+
 void BankFederation::log_op(std::size_t bank, WalOp op,
-                            const crypto::Bytes& payload) {
+                            std::span<const std::uint8_t> payload) {
   MemberBank& mb = banks_.at(bank);
   if (mb.wal) mb.wal->append(static_cast<std::uint8_t>(op), payload);
 }
 
 void BankFederation::log_wire(std::size_t bank, WalOp op, std::uint64_t who,
-                              const crypto::Bytes& wire) {
+                              std::span<const std::uint8_t> wire) {
   if (!banks_.at(bank).wal) return;
-  crypto::Bytes p;
+  crypto::Bytes& p = wal_payload(bank);
   crypto::put_u64(p, who);
   crypto::put_bytes(p, wire);
   log_op(bank, op, p);
@@ -191,7 +197,7 @@ crypto::Bytes BankFederation::apply_trade(std::size_t isp, TradeLedger& led,
 }
 
 crypto::Bytes BankFederation::on_buy(std::size_t isp,
-                                     const crypto::Bytes& wire) {
+                                     std::span<const std::uint8_t> wire) {
   const std::size_t b = home_bank(isp);
   MemberBank& mb = banks_[b];
   log_wire(b, WalOp::kOnBuy, isp, wire);
@@ -234,7 +240,7 @@ crypto::Bytes BankFederation::on_buy(std::size_t isp,
 }
 
 crypto::Bytes BankFederation::on_sell(std::size_t isp,
-                                      const crypto::Bytes& wire) {
+                                      std::span<const std::uint8_t> wire) {
   const std::size_t b = home_bank(isp);
   MemberBank& mb = banks_[b];
   log_wire(b, WalOp::kOnSell, isp, wire);
@@ -269,7 +275,7 @@ crypto::Bytes BankFederation::on_sell(std::size_t isp,
 void BankFederation::open_round(std::size_t bank) {
   MemberBank& mb = banks_.at(bank);
   ZMAIL_ASSERT(mb.canrequest);
-  log_op(bank, WalOp::kStartRound, crypto::Bytes{});
+  log_op(bank, WalOp::kStartRound);
   mb.canrequest = false;
   mb.outstanding = 0;
   mb.reported.assign(params_.n_isps, false);
@@ -331,7 +337,7 @@ std::vector<std::pair<std::size_t, crypto::Bytes>>
 BankFederation::resend_requests(std::size_t bank) {
   MemberBank& mb = banks_.at(bank);
   if (mb.canrequest) return {};
-  log_op(bank, WalOp::kResendRequests, crypto::Bytes{});
+  log_op(bank, WalOp::kResendRequests);
   std::vector<std::pair<std::size_t, crypto::Bytes>> out;
   const crypto::Bytes req = SnapshotRequest{mb.seq}.serialize();
   for (std::size_t i = 0; i < params_.n_isps; ++i) {
@@ -343,7 +349,8 @@ BankFederation::resend_requests(std::size_t bank) {
   return out;
 }
 
-void BankFederation::on_reply(std::size_t isp, const crypto::Bytes& wire) {
+void BankFederation::on_reply(std::size_t isp,
+                              std::span<const std::uint8_t> wire) {
   if (!params_.is_compliant(isp)) return;  // paper: "~compliant[g] -> skip"
   const std::size_t b = home_bank(isp);
   MemberBank& mb = banks_[b];
@@ -565,10 +572,10 @@ void BankFederation::send_ack(std::size_t from, std::size_t to, FedMsg acked,
 
 void BankFederation::on_interbank(std::size_t bank, std::size_t from_bank,
                                   std::uint8_t kind,
-                                  const crypto::Bytes& wire) {
+                                  std::span<const std::uint8_t> wire) {
   MemberBank& mb = banks_.at(bank);
   if (mb.wal) {
-    crypto::Bytes p;
+    crypto::Bytes& p = wal_payload(bank);
     crypto::put_u64(p, from_bank);
     crypto::put_u8(p, kind);
     crypto::put_bytes(p, wire);
@@ -721,7 +728,7 @@ void BankFederation::poll_interbank(std::size_t bank, std::int64_t now) {
                    [](const PendingWire& pw) { return pw.active; }))
     return;
   if (mb.wal) {
-    crypto::Bytes p;
+    crypto::Bytes& p = wal_payload(bank);
     crypto::put_i64(p, now);
     log_op(bank, WalOp::kPollWires, p);
   }

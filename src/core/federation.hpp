@@ -110,8 +110,8 @@ class BankFederation {
   // cached reply without minting/burning again, and a delayed duplicate of
   // an older exchange is dropped — so transport-level duplicates and ISP
   // retries can never double-credit (NCR/DCR replay safety).
-  crypto::Bytes on_buy(std::size_t isp, const crypto::Bytes& wire);
-  crypto::Bytes on_sell(std::size_t isp, const crypto::Bytes& wire);
+  crypto::Bytes on_buy(std::size_t isp, std::span<const std::uint8_t> wire);
+  crypto::Bytes on_sell(std::size_t isp, std::span<const std::uint8_t> wire);
 
   // --- Section 4.4: snapshot / verification ---------------------------------
   // `canrequest ->` action at every bank: one sealed request per compliant
@@ -131,10 +131,10 @@ class BankFederation {
   // ships its columns, verifies the pairs it owns and settles.  A
   // duplicated, replayed or out-of-round report counts stale and is
   // ignored; a malformed one counts as a bad envelope.
-  void on_reply(std::size_t isp, const crypto::Bytes& wire);
+  void on_reply(std::size_t isp, std::span<const std::uint8_t> wire);
   // Inter-bank plane: deliver a peer bank's sealed wire to `bank`.
   void on_interbank(std::size_t bank, std::size_t from_bank,
-                    std::uint8_t kind, const crypto::Bytes& wire);
+                    std::uint8_t kind, std::span<const std::uint8_t> wire);
   // Retransmits `bank`'s unacked inter-bank wires whose backoff expired.
   void poll_interbank(std::size_t bank, std::int64_t now);
 
@@ -197,7 +197,7 @@ class BankFederation {
   crypto::Bytes serialize_state(std::size_t bank) const;
   bool restore_state(std::size_t bank, std::span<const std::uint8_t> state);
   void apply_wal_record(std::size_t bank, std::uint8_t op,
-                        const crypto::Bytes& payload);
+                        std::span<const std::uint8_t> payload);
   // Drops one bank's in-memory state (fresh-construct) ahead of recovery.
   void reset_bank(std::size_t bank);
 
@@ -257,11 +257,16 @@ class BankFederation {
     std::vector<CreditViolation> violations;  // owned pairs, last verify
     BankMetrics metrics;
     store::WalSink* wal = nullptr;  // not serialized; reattached on rebuild
+    crypto::Bytes wal_buf;  // WAL payload encode buffer, reused per record
   };
 
-  void log_op(std::size_t bank, WalOp op, const crypto::Bytes& payload);
+  // Starts a WAL payload in `bank`'s reused encode buffer (emptied,
+  // capacity kept); log_op hands it, or any other span, to the bank's sink.
+  crypto::Bytes& wal_payload(std::size_t bank);
+  void log_op(std::size_t bank, WalOp op,
+              std::span<const std::uint8_t> payload = {});
   void log_wire(std::size_t bank, WalOp op, std::uint64_t who,
-                const crypto::Bytes& wire);
+                std::span<const std::uint8_t> wire);
   void audit(std::size_t bank, AuditKind kind, std::size_t a,
              std::size_t b = 0, std::int64_t amount = 0);
   crypto::Bytes seal_from(std::size_t bank, const crypto::RsaKey& key,

@@ -12,6 +12,25 @@ namespace {
 constexpr const char* kAckHeader = "X-Zmail-Ack-To";
 // Marks a message as an automatically processed acknowledgment.
 constexpr const char* kAckFlagHeader = "X-Zmail-Acknowledgment";
+
+// Appends msg.serialize() with its u32 length prefix, the bytes
+// crypto::put_bytes would write, without the temporary; returns the offset
+// of the message bytes.
+std::size_t put_email(crypto::Bytes& b, const net::EmailMessage& msg) {
+  const std::size_t at = b.size();
+  crypto::put_u32(b, 0);
+  msg.serialize_append(b);
+  crypto::store_be(b.data() + at, b.size() - at - 4, 4);
+  return at + 4;
+}
+
+// The outbox payload of `msg`: a copy of `wire` when the caller already
+// serialized the message, a fresh serialize() otherwise.
+crypto::Bytes email_payload(const net::EmailMessage& msg,
+                            std::span<const std::uint8_t> wire) {
+  if (wire.empty()) return msg.serialize();
+  return crypto::Bytes(wire.begin(), wire.end());
+}
 }  // namespace
 
 const char* send_result_name(SendResult r) noexcept {
@@ -38,9 +57,20 @@ Isp::Isp(std::size_t index, const ZmailParams& params,
   ZMAIL_ASSERT(index < params_.n_isps);
   users_.reset(params_.users_per_isp, params_.initial_user_account,
                params_.initial_user_balance, params_.default_daily_limit);
-  inboxes_.resize(params_.users_per_isp);
+  if (params_.record_inboxes) inboxes_.resize(params_.users_per_isp);
   avail_ = params_.initial_avail;
   credit_.assign(params_.n_isps, 0);
+}
+
+const std::vector<Delivery>& Isp::inbox(UserId u) const {
+  static const std::vector<Delivery> kNone;
+  ZMAIL_ASSERT(u.slot() < users_.size());
+  return inboxes_.empty() ? kNone : inboxes_[u.slot()];
+}
+
+void Isp::clear_inbox(UserId u) {
+  ZMAIL_ASSERT(u.slot() < users_.size());
+  if (!inboxes_.empty()) inboxes_[u.slot()].clear();
 }
 
 EPenny Isp::epennies_held() const noexcept {
@@ -74,13 +104,17 @@ SendResult Isp::user_send(UserId s, std::size_t dest_isp, UserId r,
                           net::EmailMessage msg) {
   ZMAIL_ASSERT(s.slot() < users_.size());
   ZMAIL_ASSERT(dest_isp < params_.n_isps);
+  // With a WAL the message is serialized once, into the record; a remote
+  // send's outbox payload is copied from those bytes.
+  std::span<const std::uint8_t> wire;
   if (wal_) {
-    crypto::Bytes p;
+    crypto::Bytes& p = wal_payload();
     crypto::put_u64(p, user_to_wire(s));
     crypto::put_u64(p, dest_isp);
     crypto::put_u64(p, user_to_wire(r));
-    crypto::put_bytes(p, msg.serialize());
+    const std::size_t at = put_email(p, msg);
     log_op(WalOp::kUserSend, p);
+    wire = std::span<const std::uint8_t>(p).subspan(at);
   }
 
   if (users_.at(s).quarantined) return SendResult::kQuarantined;
@@ -132,7 +166,8 @@ SendResult Isp::user_send(UserId s, std::size_t dest_isp, UserId r,
     }
     ++metrics_.emails_sent_noncompliant;
     outbox_.push_back(Outbound{Outbound::Dest::kIsp, dest_isp, kMsgEmail,
-                               msg.serialize(), kInvalidUser, msg.trace_id});
+                               email_payload(msg, wire), kInvalidUser,
+                               msg.trace_id});
     return SendResult::kSentFree;
   }
 
@@ -141,7 +176,8 @@ SendResult Isp::user_send(UserId s, std::size_t dest_isp, UserId r,
     // the credit entry.  Detected by the bank's verification (Section 4.4).
     ++metrics_.emails_sent_compliant;
     outbox_.push_back(Outbound{Outbound::Dest::kIsp, dest_isp, kMsgEmail,
-                               msg.serialize(), kInvalidUser, msg.trace_id});
+                               email_payload(msg, wire), kInvalidUser,
+                               msg.trace_id});
     return SendResult::kSentPaid;
   }
 
@@ -172,23 +208,25 @@ SendResult Isp::user_send(UserId s, std::size_t dest_isp, UserId r,
     ++metrics_.emails_buffered_during_quiesce;
     return SendResult::kBuffered;
   }
-  transport_paid_email(dest_isp, msg, s);
+  transport_paid_email(dest_isp, msg, s, wire);
   return SendResult::kSentPaid;
 }
 
 void Isp::transport_paid_email(std::size_t dest_isp,
                                const net::EmailMessage& msg,
-                               UserId sender_user) {
+                               UserId sender_user,
+                               std::span<const std::uint8_t> wire) {
   credit_.at(dest_isp) += 1;
   ++metrics_.emails_sent_compliant;
   outbox_.push_back(Outbound{Outbound::Dest::kIsp, dest_isp, kMsgEmail,
-                             msg.serialize(), sender_user, msg.trace_id});
+                             email_payload(msg, wire), sender_user,
+                             msg.trace_id});
 }
 
 void Isp::refund_lost_email(UserId sender_user, std::size_t dest_isp,
                             bool same_epoch) {
   if (wal_) {
-    crypto::Bytes p;
+    crypto::Bytes& p = wal_payload();
     crypto::put_u64(p, user_to_wire(sender_user));
     crypto::put_u64(p, dest_isp);
     crypto::put_u8(p, same_epoch ? 1 : 0);
@@ -232,8 +270,8 @@ void Isp::deliver_locally(UserId r, const net::EmailMessage& msg,
     trace::end(trace::Ev::kMessage, msg.trace_id,
                static_cast<std::uint16_t>(index_));
   }
-  if (params_.record_inboxes)
-    inboxes_.at(r.slot()).push_back(Delivery{msg, junk, paid});
+  if (!inboxes_.empty())
+    inboxes_[r.slot()].push_back(Delivery{msg, junk, paid});
 }
 
 void Isp::maybe_generate_ack(UserId recipient,
@@ -326,26 +364,30 @@ void Isp::send_zombie_warning(UserId s) {
     u.quarantined = true;
 }
 
-void Isp::log_on_email(std::size_t from_isp, const crypto::Bytes& payload) {
-  crypto::Bytes p;
-  crypto::put_u64(p, from_isp);
-  crypto::put_bytes(p, payload);
-  log_op(WalOp::kOnEmail, p);
-}
-
 void Isp::on_email(std::size_t from_isp, const net::EmailMessage& msg) {
-  if (wal_) log_on_email(from_isp, msg.serialize());
+  if (wal_) {
+    crypto::Bytes& p = wal_payload();
+    crypto::put_u64(p, from_isp);
+    put_email(p, msg);
+    log_op(WalOp::kOnEmail, p);
+  }
   receive_email(from_isp, msg);
 }
 
-void Isp::on_email(std::size_t from_isp, const crypto::Bytes& payload) {
-  if (wal_) log_on_email(from_isp, payload);
-  const auto msg = net::EmailMessage::deserialize(payload);
-  if (!msg) {
+void Isp::on_email(std::size_t from_isp,
+                   std::span<const std::uint8_t> payload) {
+  if (wal_) {
+    crypto::Bytes& p = wal_payload();
+    crypto::put_u64(p, from_isp);
+    crypto::put_bytes(p, payload);
+    log_op(WalOp::kOnEmail, p);
+  }
+  net::EmailMessage msg;
+  if (!net::EmailMessage::deserialize_into(payload, msg)) {
     ++metrics_.bad_envelopes;
     return;
   }
-  receive_email(from_isp, *msg);
+  receive_email(from_isp, msg);
 }
 
 void Isp::receive_email(std::size_t from_isp, const net::EmailMessage& msg) {
@@ -419,7 +461,7 @@ void Isp::receive_email(std::size_t from_isp, const net::EmailMessage& msg) {
 bool Isp::user_buy(UserId t, EPenny x) {
   ZMAIL_ASSERT(t.slot() < users_.size());
   if (wal_) {
-    crypto::Bytes p;
+    crypto::Bytes& p = wal_payload();
     crypto::put_u64(p, user_to_wire(t));
     crypto::put_i64(p, x);
     log_op(WalOp::kUserBuy, p);
@@ -441,7 +483,7 @@ bool Isp::user_buy(UserId t, EPenny x) {
 bool Isp::user_sell(UserId t, EPenny x) {
   ZMAIL_ASSERT(t.slot() < users_.size());
   if (wal_) {
-    crypto::Bytes p;
+    crypto::Bytes& p = wal_payload();
     crypto::put_u64(p, user_to_wire(t));
     crypto::put_i64(p, x);
     log_op(WalOp::kUserSell, p);
@@ -504,7 +546,7 @@ void Isp::poll_retries(sim::SimTime now) {
       return p.active && now >= p.next_at;
     };
     if (due(pending_buy_) || due(pending_sell_) || due(pending_report_)) {
-      crypto::Bytes p;
+      crypto::Bytes& p = wal_payload();
       crypto::put_i64(p, now);
       log_op(WalOp::kPollRetries, p);
     }
@@ -521,7 +563,7 @@ void Isp::maybe_trade_with_bank(sim::SimTime now) {
   // the logged polls re-fires the same trades.
   if (wal_ && ((canbuy_ && avail_ < params_.minavail) ||
                (cansell_ && avail_ > params_.maxavail))) {
-    crypto::Bytes p;
+    crypto::Bytes& p = wal_payload();
     crypto::put_i64(p, now);
     log_op(WalOp::kTradePoll, p);
   }
@@ -570,7 +612,7 @@ void Isp::maybe_trade_with_bank(sim::SimTime now) {
   }
 }
 
-void Isp::on_buyreply(const crypto::Bytes& wire) {
+void Isp::on_buyreply(std::span<const std::uint8_t> wire) {
   log_op(WalOp::kBuyReply, wire);
   if (!unseal_into(bank_pub_, wire, env_scratch_, plain_scratch_)) {
     ++metrics_.bad_envelopes;
@@ -602,7 +644,7 @@ void Isp::on_buyreply(const crypto::Bytes& wire) {
   buyvalue_ = 0;
 }
 
-void Isp::on_sellreply(const crypto::Bytes& wire) {
+void Isp::on_sellreply(std::span<const std::uint8_t> wire) {
   log_op(WalOp::kSellReply, wire);
   if (!unseal_into(bank_pub_, wire, env_scratch_, plain_scratch_)) {
     ++metrics_.bad_envelopes;
@@ -629,7 +671,7 @@ void Isp::on_sellreply(const crypto::Bytes& wire) {
   sellvalue_ = 0;  // already deducted at initiation (see maybe_trade_with_bank)
 }
 
-void Isp::on_request(const crypto::Bytes& wire) {
+void Isp::on_request(std::span<const std::uint8_t> wire) {
   log_op(WalOp::kSnapshotRequest, wire);
   if (!unseal_into(bank_pub_, wire, env_scratch_, plain_scratch_)) {
     ++metrics_.bad_envelopes;
@@ -657,7 +699,7 @@ void Isp::on_request(const crypto::Bytes& wire) {
 void Isp::on_quiesce_timeout(sim::SimTime now) {
   if (!quiescing_) return;
   if (wal_) {
-    crypto::Bytes p;
+    crypto::Bytes& p = wal_payload();
     crypto::put_i64(p, now);
     log_op(WalOp::kQuiesceTimeout, p);
   }
@@ -703,7 +745,7 @@ void Isp::on_quiesce_timeout(sim::SimTime now) {
 
 void Isp::release_user(UserId u) {
   if (wal_) {
-    crypto::Bytes p;
+    crypto::Bytes& p = wal_payload();
     crypto::put_u64(p, user_to_wire(u));
     log_op(WalOp::kReleaseUser, p);
   }

@@ -19,6 +19,7 @@
 #include <deque>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -98,8 +99,8 @@ class Isp {
   void on_email(std::size_t from_isp, const net::EmailMessage& msg);
   // The same for a serialized net::EmailMessage (WAL replay, tests).  Both
   // overloads log the same kOnEmail record: this one logs `payload` as
-  // given, the other logs msg.serialize().
-  void on_email(std::size_t from_isp, const crypto::Bytes& payload);
+  // given, the other encodes the message straight into the record.
+  void on_email(std::size_t from_isp, std::span<const std::uint8_t> payload);
 
   // --- Section 4.2: user <-> ISP e-penny trades --------------------------
   bool user_buy(UserId t, EPenny x);
@@ -110,8 +111,8 @@ class Isp {
   // only matters when params.retry.enabled: it arms the retry timer for the
   // exchange just initiated.
   void maybe_trade_with_bank(sim::SimTime now = 0);
-  void on_buyreply(const crypto::Bytes& wire);
-  void on_sellreply(const crypto::Bytes& wire);
+  void on_buyreply(std::span<const std::uint8_t> wire);
+  void on_sellreply(std::span<const std::uint8_t> wire);
 
   // Re-emits any outstanding buy/sell/report wire whose backoff deadline
   // has passed (no-op unless params.retry.enabled).  Retries re-send the
@@ -124,7 +125,7 @@ class Isp {
   }
 
   // --- Section 4.4: snapshot ---------------------------------------------
-  void on_request(const crypto::Bytes& wire);
+  void on_request(std::span<const std::uint8_t> wire);
   // The `timeout expired ->` action; the harness fires it (10 simulated
   // minutes in the timed rendition; channels-empty in the AP rendition).
   // `now` arms the credit-report retry timer when params.retry.enabled.
@@ -178,10 +179,10 @@ class Isp {
   Money till() const noexcept { return till_; }
   std::uint64_t seq() const noexcept { return seq_; }
   const IspMetrics& metrics() const noexcept { return metrics_; }
-  const std::vector<Delivery>& inbox(UserId u) const {
-    return inboxes_.at(u.slot());
-  }
-  void clear_inbox(UserId u) { inboxes_.at(u.slot()).clear(); }
+  // A user's delivered mail; always empty unless params.record_inboxes
+  // (the inbox table is only allocated then).
+  const std::vector<Delivery>& inbox(UserId u) const;
+  void clear_inbox(UserId u);
   // E-pennies committed by buffered (not yet transported) sends; free sends
   // to non-compliant destinations buffer without committing an e-penny.
   EPenny buffered_paid() const noexcept { return buffered_paid_; }
@@ -252,9 +253,15 @@ class Isp {
     kNoteDupEmail,
     kSetMisbehavior,
   };
+  // Every record's payload is encoded into one member buffer the ISP
+  // reuses (wal_payload()), and a sent or received email is serialized
+  // straight into it; the sender's outbox payload is copied from those
+  // bytes rather than serialized again.  Replay reads each payload as a
+  // span into the WAL image.
   void attach_wal(store::WalSink* wal) noexcept { wal_ = wal; }
   store::WalSink* wal() const noexcept { return wal_; }
-  void apply_wal_record(std::uint8_t op, const crypto::Bytes& payload);
+  void apply_wal_record(std::uint8_t op,
+                        std::span<const std::uint8_t> payload);
 
   // Snapshot encoding ("ZSNP" sections): one scalar-state section plus one
   // raw little-endian section per user column, each with its own CRC.
@@ -308,12 +315,14 @@ class Isp {
     std::uint64_t trace_id = 0;  // exchange's trace id; retries re-join it
   };
 
-  void log_on_email(std::size_t from_isp, const crypto::Bytes& payload);
   void receive_email(std::size_t from_isp, const net::EmailMessage& msg);
   void deliver_locally(UserId r, const net::EmailMessage& msg,
                        EPenny paid, bool junk);
+  // `wire` is msg.serialize() when the caller has it already (empty
+  // otherwise); the outbox payload is copied from it.
   void transport_paid_email(std::size_t dest_isp, const net::EmailMessage& msg,
-                            UserId sender_user);
+                            UserId sender_user,
+                            std::span<const std::uint8_t> wire = {});
   void maybe_generate_ack(UserId recipient, const net::EmailMessage& msg);
   void send_zombie_warning(UserId s);
   bool commit_paid_send(UserId s);  // balance/limit check + decrement
@@ -326,8 +335,10 @@ class Isp {
                  sim::SimTime now);
   void retry_wire(PendingWire& p, sim::SimTime now, std::uint64_t& counter);
   // WAL logging helpers (no-ops when no sink is attached; isp_persist.cpp).
-  void log_op(WalOp op);
-  void log_op(WalOp op, const crypto::Bytes& payload);
+  // wal_payload() starts a record payload in wal_buf_ (emptied, capacity
+  // kept).
+  crypto::Bytes& wal_payload();
+  void log_op(WalOp op, std::span<const std::uint8_t> payload = {});
   void log_misbehavior(Misbehavior m);
   // Shared tail of both snapshot renditions: everything after the per-user
   // state (avail/till/credit, protocol flags, buffers, wires, metrics,
@@ -346,6 +357,7 @@ class Isp {
   Population users_;
   EPenny users_bought_ = 0;  // Σ lifetime_epennies_bought
   EPenny users_sold_ = 0;    // Σ lifetime_epennies_sold
+  // Per-user inboxes; empty (no table at all) unless params.record_inboxes.
   std::vector<std::vector<Delivery>> inboxes_;
   EPenny avail_ = 0;
   Money till_;  // real money received from users buying e-pennies
@@ -371,6 +383,7 @@ class Isp {
   std::function<void(UserId, const net::EmailMessage&)> ack_sink_;
   Misbehavior misbehavior_ = Misbehavior::kNone;
   store::WalSink* wal_ = nullptr;
+  crypto::Bytes wal_buf_;  // WAL payload encode buffer, reused per record
   IspMetrics metrics_;
   // Open bank-exchange trace spans (zmail::trace).  Deliberately NOT part
   // of the snapshot: a crash orphans the open span, and the validator's

@@ -202,7 +202,7 @@ void seal_into(const crypto::RsaKey& key, const crypto::Bytes& plaintext,
   scratch.serialize_into(wire);
 }
 
-bool unseal_into(const crypto::RsaKey& key, const crypto::Bytes& wire,
+bool unseal_into(const crypto::RsaKey& key, std::span<const std::uint8_t> wire,
                  crypto::Envelope& scratch, crypto::Bytes& plain_out) {
   ZMAIL_PROF_SCOPE("crypto.unseal");
   if (!crypto::Envelope::deserialize_into(wire, scratch)) return false;

@@ -122,7 +122,7 @@ std::optional<crypto::Bytes> unseal(const crypto::RsaKey& key,
 // output to seal() for the same RNG state.
 void seal_into(const crypto::RsaKey& key, const crypto::Bytes& plaintext,
                Rng& rng, crypto::Envelope& scratch, crypto::Bytes& wire);
-bool unseal_into(const crypto::RsaKey& key, const crypto::Bytes& wire,
+bool unseal_into(const crypto::RsaKey& key, std::span<const std::uint8_t> wire,
                  crypto::Envelope& scratch, crypto::Bytes& plain_out);
 
 }  // namespace zmail::core

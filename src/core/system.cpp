@@ -749,7 +749,7 @@ void ZmailSystem::rebuild_from_store(std::size_t host) {
           const store::SnapshotSection* s = v.find(store::kBankStateSection);
           return s != nullptr && fed->restore_state(b, s->payload);
         },
-        [fed, b](std::uint8_t t, const crypto::Bytes& p) {
+        [fed, b](std::uint8_t t, std::span<const std::uint8_t> p) {
           fed->apply_wal_record(b, t, p);
         },
         &rs, &err);
@@ -765,7 +765,7 @@ void ZmailSystem::rebuild_from_store(std::size_t host) {
         [isp](const store::SnapshotFileView& v) {
           return isp->restore_snapshot(v.snapshot());
         },
-        [isp](std::uint8_t t, const crypto::Bytes& p) {
+        [isp](std::uint8_t t, std::span<const std::uint8_t> p) {
           isp->apply_wal_record(t, p);
         },
         &rs, &err);

@@ -22,7 +22,7 @@ void put_i64(Bytes& b, std::int64_t v) {
   put_u64(b, static_cast<std::uint64_t>(v));
 }
 
-void put_bytes(Bytes& b, const Bytes& v) {
+void put_bytes(Bytes& b, std::span<const std::uint8_t> v) {
   put_u32(b, static_cast<std::uint32_t>(v.size()));
   b.insert(b.end(), v.begin(), v.end());
 }
@@ -63,10 +63,14 @@ std::int64_t ByteReader::get_i64() noexcept {
 }
 
 Bytes ByteReader::get_bytes() noexcept {
+  const std::span<const std::uint8_t> v = get_bytes_view();
+  return Bytes(v.begin(), v.end());
+}
+
+std::span<const std::uint8_t> ByteReader::get_bytes_view() noexcept {
   const std::uint32_t n = get_u32();
   if (!have(n)) return {};
-  Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-            data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+  const std::span<const std::uint8_t> out = data_.subspan(pos_, n);
   pos_ += n;
   return out;
 }

@@ -22,7 +22,7 @@ void put_u32(Bytes& b, std::uint32_t v);
 void put_u64(Bytes& b, std::uint64_t v);
 void put_i64(Bytes& b, std::int64_t v);
 // Length-prefixed (u32) byte string.
-void put_bytes(Bytes& b, const Bytes& v);
+void put_bytes(Bytes& b, std::span<const std::uint8_t> v);
 void put_string(Bytes& b, std::string_view v);
 // The low `n` bytes of `v`, big-endian, into a fixed buffer (the byte
 // order of the put_* writers, for callers that must not allocate).
@@ -52,6 +52,9 @@ class ByteReader {
   std::uint64_t get_u64() noexcept;
   std::int64_t get_i64() noexcept;
   Bytes get_bytes() noexcept;
+  // The same byte string as a view into the buffer being read (valid while
+  // that buffer is); no copy.
+  std::span<const std::uint8_t> get_bytes_view() noexcept;
   std::string get_string() noexcept;
   // The same string as a view into the buffer being read (valid while that
   // buffer is); no copy.

@@ -69,7 +69,8 @@ std::optional<Envelope> Envelope::deserialize(const Bytes& wire) {
   return env;
 }
 
-bool Envelope::deserialize_into(const Bytes& wire, Envelope& env) {
+bool Envelope::deserialize_into(std::span<const std::uint8_t> wire,
+                                Envelope& env) {
   // One length check covers every field: the header, exactly the
   // ciphertext its length field announces, and the MAC.
   if (wire.size() < kEnvelopeHeader + env.mac.size()) return false;

@@ -67,7 +67,8 @@ struct Envelope {
   void serialize_into(Bytes& out) const;
   static std::optional<Envelope> deserialize(const Bytes& wire);
   // Scratch variant: parses into `env`, reusing its ciphertext buffer.
-  static bool deserialize_into(const Bytes& wire, Envelope& env);
+  static bool deserialize_into(std::span<const std::uint8_t> wire,
+                               Envelope& env);
 };
 
 // NCR(k, d): encrypt data item d under key half k (paper notation).

@@ -84,14 +84,19 @@ void put_address(crypto::Bytes& b, const EmailAddress& a) {
 }  // namespace
 
 crypto::Bytes EmailMessage::serialize() const {
+  crypto::Bytes b;
+  serialize_append(b);
+  return b;
+}
+
+void EmailMessage::serialize_append(crypto::Bytes& b) const {
   std::size_t size = address_wire_size(from) + 4;
   for (const auto& r : to) size += address_wire_size(r);
   size += 4;
   for (const auto& [k, v] : headers) size += 8 + k.size() + v.size();
   size += 4 + body.size() + 1 + (trace_id != 0 ? 8 : 0);
 
-  crypto::Bytes b;
-  b.reserve(size);
+  b.reserve(b.size() + size);
   put_address(b, from);
   crypto::put_u32(b, static_cast<std::uint32_t>(to.size()));
   for (const auto& r : to) put_address(b, r);
@@ -105,7 +110,6 @@ crypto::Bytes EmailMessage::serialize() const {
   // Optional tail: present only for traced messages, so that runs with
   // tracing off serialize exactly as they did before tracing existed.
   if (trace_id != 0) crypto::put_u64(b, trace_id);
-  return b;
 }
 
 std::optional<EmailMessage> EmailMessage::deserialize(

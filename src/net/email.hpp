@@ -91,6 +91,10 @@ struct EmailMessage {
 
   // Binary serialization for channel payloads.
   crypto::Bytes serialize() const;
+  // Appends the same bytes to `out`, growing it at most once, so a caller
+  // can frame a message inside a larger record (a WAL payload) without a
+  // temporary.
+  void serialize_append(crypto::Bytes& out) const;
   static std::optional<EmailMessage> deserialize(const crypto::Bytes& wire);
   // The decoder behind deserialize(): overwrites every field of `out`,
   // reusing the capacity of its strings and of the recipient and header

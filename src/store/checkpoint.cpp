@@ -60,7 +60,7 @@ bool Checkpointer::checkpoint(std::vector<SnapshotSection> sections,
 
 bool Checkpointer::recover(
     const std::function<bool(const SnapshotFileView&)>& restore,
-    const std::function<void(std::uint8_t, const crypto::Bytes&)>& replay,
+    const ReplayFn& replay,
     RecoveryStats* stats, std::string* error) {
   RecoveryStats local;
   RecoveryStats& st = stats ? *stats : local;
@@ -91,7 +91,7 @@ bool Checkpointer::recover(
 
 bool Checkpointer::replay_wal_tail(
     Lsn replay_from,
-    const std::function<void(std::uint8_t, const crypto::Bytes&)>& replay,
+    const ReplayFn& replay,
     RecoveryStats& st, std::string* error) {
   crypto::Bytes wal_image;
   st.wal_status = read_file(wal_path_, wal_image);
@@ -110,8 +110,7 @@ bool Checkpointer::replay_wal_tail(
           gap = true;  // hole between snapshot and log: cannot apply safely
           return;
         }
-        crypto::Bytes payload(rec.payload, rec.payload + rec.payload_len);
-        replay(rec.type, payload);
+        replay(rec.type, {rec.payload, rec.payload_len});
         ++st.wal_records_replayed;
         st.recovered_lsn = rec.lsn;
       });

@@ -16,11 +16,15 @@
 //                   commands, then truncate the WAL behind it
 //   simulate_crash() — drop un-fsynced WAL buffer (models process death)
 //   recover()     — load snapshot (if any), replay the WAL tail, report
-//                   what happened; stops *cleanly* at a torn tail
+//                   what happened; stops *cleanly* at a torn tail.  The
+//                   WAL file is read once into a buffer sized from
+//                   fstat(2), and each record's payload reaches the replay
+//                   callback as a span into that buffer (nothing copied).
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 
 #include "crypto/bytes.hpp"
@@ -57,6 +61,10 @@ struct RecoveryStats {
 
 class Checkpointer {
  public:
+  // Applies one logged command: its type and a view of its payload.
+  using ReplayFn =
+      std::function<void(std::uint8_t, std::span<const std::uint8_t>)>;
+
   struct Stats {
     std::uint64_t checkpoints = 0;
     std::uint64_t last_snapshot_bytes = 0;
@@ -91,14 +99,15 @@ class Checkpointer {
   // of the snapshot file, so a restore copies sections straight out of
   // the mapping; it returns false if the contents are unusable (missing
   // sections, decode failure), which is fatal.  `replay` applies one
-  // logged command.  Neither is called when the corresponding file is
+  // logged command; its payload is a view into the WAL image, valid for
+  // the call only.  Neither is called when the corresponding file is
   // absent (fresh party).  A torn/corrupt WAL tail is not an error —
   // replay simply stops at the last valid record, which is exactly the
   // crash contract.  Returns false only on unrecoverable problems
   // (unreadable or unrestorable snapshot, unknown snapshot version,
   // WAL/snapshot LSN mismatch).
   bool recover(const std::function<bool(const SnapshotFileView&)>& restore,
-               const std::function<void(std::uint8_t, const crypto::Bytes&)>& replay,
+               const ReplayFn& replay,
                RecoveryStats* stats = nullptr, std::string* error = nullptr);
 
   const Stats& stats() const { return stats_; }
@@ -109,8 +118,7 @@ class Checkpointer {
   // Replays the WAL tail from `replay_from` into `replay` (the second half
   // of recover).  Updates `st` and tolerates a torn tail.
   bool replay_wal_tail(
-      Lsn replay_from,
-      const std::function<void(std::uint8_t, const crypto::Bytes&)>& replay,
+      Lsn replay_from, const ReplayFn& replay,
       RecoveryStats& st, std::string* error);
 
   StoreConfig cfg_;

@@ -1,6 +1,7 @@
 #include "store/wal.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -43,17 +44,32 @@ StoreStatus read_file(const std::string& path, crypto::Bytes& out) {
   out.clear();
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) return errno == ENOENT ? StoreStatus::kNotFound : StoreStatus::kIoError;
-  std::uint8_t buf[1 << 16];
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) {
+    ::close(fd);
+    return StoreStatus::kIoError;
+  }
+  // Read into a buffer of the file's size; a file that grew since the
+  // fstat has the rest appended, and one that shrank is cut to what read.
+  out.resize(static_cast<std::size_t>(st.st_size));
+  std::size_t size = 0;
+  std::uint8_t more[4096];
   for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof buf);
+    const bool past_end = size == out.size();  // beyond the fstat size
+    std::uint8_t* dst = past_end ? more : out.data() + size;
+    const std::size_t room = past_end ? sizeof more : out.size() - size;
+    const ssize_t n = ::read(fd, dst, room);
     if (n < 0) {
       if (errno == EINTR) continue;
       ::close(fd);
+      out.clear();
       return StoreStatus::kIoError;
     }
     if (n == 0) break;
-    out.insert(out.end(), buf, buf + n);
+    if (past_end) out.insert(out.end(), more, more + n);
+    size += static_cast<std::size_t>(n);
   }
+  out.resize(size);
   ::close(fd);
   return StoreStatus::kOk;
 }
@@ -208,7 +224,8 @@ bool WalWriter::open(const std::string& path, std::uint32_t group_commit_records
   return true;
 }
 
-Lsn WalWriter::append_record(std::uint8_t type, const crypto::Bytes& payload) {
+Lsn WalWriter::append_record(std::uint8_t type,
+                             std::span<const std::uint8_t> payload) {
   const Lsn lsn = next_lsn_++;
   // Encode in place at the end of pending_ (its capacity survives sync(),
   // so a warm log appends without allocating): the body first, then the

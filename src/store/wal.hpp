@@ -20,6 +20,12 @@
 // short length prefix) yields exactly the records before it, never a crash
 // or a partial apply.
 //
+// Encoding: each party builds a record's payload in one member buffer it
+// reuses for every record, and hands it to WalSink::append as a byte span;
+// the writer encodes the record straight onto the end of its pending
+// buffer.  Neither buffer is freed between records, so a warm log appends
+// without touching the heap.
+//
 // Durability model: append() encodes into an in-memory buffer; sync() is
 // the fsync point — it write(2)s the buffer and optionally fsync(2)s, so
 // the file only ever contains records up to the last sync.  Group commit is
@@ -30,6 +36,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 
 #include "crypto/bytes.hpp"
@@ -43,11 +50,13 @@ using Lsn = std::uint64_t;
 // Where state machines log commands (each core::Isp and member bank of a
 // core::BankFederation holds one of these, attached by the harness;
 // detached during replay so recovery does not re-log the records it is
-// applying).
+// applying).  `payload` is borrowed for the call only, so the caller may
+// reuse its buffer for the next record.
 class WalSink {
  public:
   virtual ~WalSink() = default;
-  virtual void append(std::uint8_t type, const crypto::Bytes& payload) = 0;
+  virtual void append(std::uint8_t type,
+                      std::span<const std::uint8_t> payload) = 0;
 };
 
 // One decoded record, borrowed from the scan buffer.
@@ -103,8 +112,9 @@ class WalWriter : public WalSink {
 
   // Appends one record, returning its LSN; syncs automatically every
   // `group_commit_records` appends.
-  Lsn append_record(std::uint8_t type, const crypto::Bytes& payload);
-  void append(std::uint8_t type, const crypto::Bytes& payload) override {
+  Lsn append_record(std::uint8_t type, std::span<const std::uint8_t> payload);
+  void append(std::uint8_t type,
+              std::span<const std::uint8_t> payload) override {
     append_record(type, payload);
   }
 
@@ -145,7 +155,8 @@ class WalWriter : public WalSink {
   Stats stats_;
 };
 
-// Reads a whole file into `out`; kNotFound when it does not exist.
+// Reads a whole file into `out`, sized once from fstat(2); kNotFound when
+// it does not exist.
 StoreStatus read_file(const std::string& path, crypto::Bytes& out);
 
 }  // namespace zmail::store

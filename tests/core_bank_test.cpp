@@ -74,7 +74,7 @@ TEST_F(BankTest, SellCreditsAccountAndBurns) {
 }
 
 TEST_F(BankTest, MalformedBuyIgnored) {
-  EXPECT_TRUE(bank_.on_buy(0, {1, 2, 3}).empty());
+  EXPECT_TRUE(bank_.on_buy(0, crypto::Bytes{1, 2, 3}).empty());
   EXPECT_EQ(bank_.metrics().bad_envelopes, 1u);
 }
 

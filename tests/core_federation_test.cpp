@@ -283,10 +283,10 @@ TEST_F(FederationTest, PartialComplianceSkipsLegacyIsps) {
 
 TEST_F(FederationTest, GarbageWireIgnoredEverywhere) {
   BankFederation fed = make(2, 12);
-  EXPECT_TRUE(fed.on_buy(0, {1, 2, 3}).empty());
+  EXPECT_TRUE(fed.on_buy(0, crypto::Bytes{1, 2, 3}).empty());
   EXPECT_TRUE(fed.on_sell(1, {}).empty());
   fed.start_snapshot();
-  fed.on_reply(0, {0xFF, 0xEE});
+  fed.on_reply(0, crypto::Bytes{0xFF, 0xEE});
   EXPECT_TRUE(fed.round_open());  // nothing counted
 }
 

@@ -200,7 +200,7 @@ TEST_F(IspTest, FilterPolicyFailsOpenWithoutFilter) {
 }
 
 TEST_F(IspTest, MalformedEmailPayloadCounted) {
-  isp_.on_email(1, {0xDE, 0xAD});
+  isp_.on_email(1, crypto::Bytes{0xDE, 0xAD});
   EXPECT_EQ(isp_.metrics().bad_envelopes, 1u);
 }
 
@@ -347,7 +347,7 @@ TEST_F(IspBankTest, ReplayedSellReplyIgnored) {
 }
 
 TEST_F(IspBankTest, GarbageBuyReplyCounted) {
-  isp_.on_buyreply({1, 2, 3});
+  isp_.on_buyreply(crypto::Bytes{1, 2, 3});
   EXPECT_EQ(isp_.metrics().bad_envelopes, 1u);
 }
 
@@ -617,11 +617,81 @@ TEST(SendResultNames, AllDistinct) {
 // Keeps every WAL append in memory.
 class RecordingWal : public store::WalSink {
  public:
-  void append(std::uint8_t type, const crypto::Bytes& payload) override {
-    records.emplace_back(type, payload);
+  void append(std::uint8_t type,
+              std::span<const std::uint8_t> payload) override {
+    records.emplace_back(type, crypto::Bytes(payload.begin(), payload.end()));
   }
   std::vector<std::pair<std::uint8_t, crypto::Bytes>> records;
 };
+
+TEST_F(IspTest, LoggedUserSendCarriesTheOutboxBytes) {
+  // The kUserSend record serializes the message once; the outbox payload
+  // is copied from those bytes, so both equal msg.serialize(), and the
+  // outbox matches an ISP without a WAL.
+  Isp plain{0, params_, keys_.pub, 42};
+  RecordingWal wal;
+  isp_.attach_wal(&wal);
+  struct Send {
+    UserId from;
+    std::size_t dest;
+    UserId to;
+    net::EmailMessage msg;
+  };
+  std::vector<Send> sends;
+  sends.push_back({0, 1, 2, mail(0, 0, 1, 2)});
+  sends.push_back({1, 2, 3, mail(0, 1, 2, 3, net::MailClass::kSpam)});
+  sends.back().msg.trace_id = 9;  // serialized as the optional tail
+  sends.push_back({2, 0, 3, mail(0, 2, 0, 3)});  // local: no outbox entry
+  for (const Send& s : sends)
+    EXPECT_EQ(isp_.user_send(s.from, s.dest, s.to, s.msg),
+              plain.user_send(s.from, s.dest, s.to, s.msg));
+  const auto out = isp_.take_outbox();
+  const auto out_plain = plain.take_outbox();
+  ASSERT_EQ(out.size(), 2u);
+  ASSERT_EQ(out_plain.size(), 2u);
+  ASSERT_EQ(wal.records.size(), 3u);
+  for (std::size_t k = 0; k < out.size(); ++k) {
+    const crypto::Bytes want = sends[k].msg.serialize();
+    EXPECT_EQ(out[k].payload, want);
+    EXPECT_EQ(out_plain[k].payload, want);
+    const auto& [type, payload] = wal.records[k];
+    EXPECT_EQ(type, static_cast<std::uint8_t>(Isp::WalOp::kUserSend));
+    crypto::ByteReader r(payload);
+    r.get_u64();
+    r.get_u64();
+    r.get_u64();
+    EXPECT_EQ(r.get_bytes(), want);
+    EXPECT_TRUE(r.ok() && r.at_end());
+  }
+  EXPECT_EQ(isp_image(isp_), isp_image(plain));
+}
+
+TEST_F(IspTest, InboxesAreKeptOnlyWhenRecorded) {
+  ZmailParams p = params_;
+  p.record_inboxes = false;
+  Isp counting{0, p, keys_.pub, 42};
+  ASSERT_EQ(counting.user_send(0, 0, 1, mail(0, 0, 0, 1)),
+            SendResult::kDeliveredLocally);
+  EXPECT_TRUE(counting.inbox(1).empty());
+  EXPECT_EQ(counting.metrics().emails_delivered, 1u);
+  counting.clear_inbox(1);
+
+  // A restore builds the table for an ISP that records, and none for one
+  // that does not.
+  crypto::Bytes scalars;
+  store::SnapshotData snap;
+  counting.serialize_sections(scalars, snap.sections);
+  Isp recording{0, params_, keys_.pub, 1};
+  ASSERT_TRUE(recording.restore_snapshot(snap));
+  ASSERT_EQ(recording.user_send(0, 0, 1, mail(0, 0, 0, 1)),
+            SendResult::kDeliveredLocally);
+  EXPECT_EQ(recording.inbox(1).size(), 1u);
+  Isp counting_again{0, p, keys_.pub, 1};
+  ASSERT_TRUE(counting_again.restore_snapshot(snap));
+  ASSERT_EQ(counting_again.user_send(0, 0, 1, mail(0, 0, 0, 1)),
+            SendResult::kDeliveredLocally);
+  EXPECT_TRUE(counting_again.inbox(1).empty());
+}
 
 TEST_F(IspTest, OnEmailMessageAndWireOverloadsAreEquivalent) {
   // The SMTP layer hands Isp the parsed message; WAL replay and older

@@ -180,7 +180,8 @@ TEST_F(MessagesTest, UnsealIntoRejectsTamperAndGarbage) {
   wire[wire.size() / 2] ^= 0x40;
   EXPECT_FALSE(unseal_into(keys_.priv, wire, scratch, out));
   EXPECT_FALSE(unseal_into(keys_.priv, {}, scratch, out));
-  EXPECT_FALSE(unseal_into(keys_.priv, {1, 2, 3, 4}, scratch, out));
+  EXPECT_FALSE(
+      unseal_into(keys_.priv, crypto::Bytes{1, 2, 3, 4}, scratch, out));
 }
 
 TEST_F(MessagesTest, SealUnsealRoundTrip) {

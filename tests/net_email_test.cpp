@@ -87,6 +87,22 @@ TEST(Email, SerializeWireFormatIsPinned) {
   }
 }
 
+TEST(Email, SerializeAppendWritesTheSameBytesAfterWhatIsThere) {
+  EmailMessage m = make_email(addr("u1@isp0.example"), addr("u2@isp1.example"),
+                              "Subj", "body", MailClass::kLegitimate);
+  for (const std::uint64_t trace : {std::uint64_t{0}, std::uint64_t{7}}) {
+    m.trace_id = trace;
+    crypto::Bytes out = {0xAA, 0xBB};
+    m.serialize_append(out);
+    const crypto::Bytes whole = m.serialize();
+    ASSERT_EQ(out.size(), 2 + whole.size());
+    EXPECT_EQ(out[0], 0xAA);
+    EXPECT_EQ(out[1], 0xBB);
+    EXPECT_EQ(crypto::Bytes(out.begin() + 2, out.end()), whole)
+        << "trace " << trace;
+  }
+}
+
 TEST(Email, SerializeRoundTripsEverything) {
   EmailMessage m = make_email(addr("u1@isp0.example"), addr("u2@isp1.example"),
                               "Subj", "line1\nline2", MailClass::kNewsletter);

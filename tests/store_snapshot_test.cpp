@@ -425,7 +425,7 @@ TEST(CheckpointerTest, SnapshotBytesEqualTheFileSize) {
     EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
     return static_cast<std::uint64_t>(st.st_size);
   };
-  const auto no_replay = [](std::uint8_t, const crypto::Bytes&) {};
+  const auto no_replay = [](std::uint8_t, std::span<const std::uint8_t>) {};
 
   for (const SnapshotData& golden : {bank_snapshot(), golden_snapshot()}) {
     const bool columnar = golden.sections.size() == 2;
@@ -470,8 +470,8 @@ TEST(CheckpointerTest, RefusedRestoreIsARecoverError) {
   ASSERT_TRUE(cp.checkpoint(bank_snapshot().sections, 7, &err)) << err;
   err.clear();
   EXPECT_FALSE(cp.recover([](const SnapshotFileView&) { return false; },
-                          [](std::uint8_t, const crypto::Bytes&) {}, nullptr,
-                          &err));
+                          [](std::uint8_t, std::span<const std::uint8_t>) {},
+                          nullptr, &err));
   EXPECT_FALSE(err.empty());
   std::filesystem::remove_all(dir);
 }

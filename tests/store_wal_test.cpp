@@ -52,8 +52,9 @@ TEST(Crc32cTest, KnownVectorsAndSeedChaining) {
 }
 
 // The SSE4.2 path must give the portable reference's value for every
-// length around the 8-byte stride at every start alignment, on a buffer the
-// size of a 100k-user ISP checkpoint, and when chained across the two.
+// length around the 8-byte stride at every start alignment, around the
+// three-lane block's edges, on a buffer the size of a 100k-user ISP
+// checkpoint, and when chained across the two.
 TEST(Crc32cTest, Sse42MatchesPortable) {
 #if ZMAIL_STORE_SSE42
   if (!detail::have_sse42()) {
@@ -70,14 +71,28 @@ TEST(Crc32cTest, Sse42MatchesPortable) {
                 detail::crc32c_portable(buf.data() + off, len, 0))
           << "offset " << off << " length " << len;
 
+  // Lane and block edges: one lane, one block of three, two blocks plus a
+  // tail that is not a whole word.
+  for (const std::size_t len :
+       {detail::kLaneBlock - 1, detail::kLaneBlock, detail::kLaneBlock + 1,
+        detail::kThreeLaneMin - 1, detail::kThreeLaneMin,
+        detail::kThreeLaneMin + 1, 2 * detail::kThreeLaneMin + 7})
+    for (std::size_t off = 0; off < 8; ++off)
+      ASSERT_EQ(detail::crc32c_sse42(buf.data() + off, len, 0),
+                detail::crc32c_portable(buf.data() + off, len, 0))
+          << "offset " << off << " length " << len;
+
   const std::size_t big = 7'400'000;
   const std::uint32_t whole = detail::crc32c_portable(buf.data() + 3, big, 0);
   EXPECT_EQ(detail::crc32c_sse42(buf.data() + 3, big, 0), whole);
   EXPECT_EQ(crc32c(buf.data() + 3, big), whole);
 
   // Seed chaining in both directions across the implementations.
-  for (const std::size_t split : {std::size_t{0}, std::size_t{1},
-                                  std::size_t{7}, std::size_t{4093}, big}) {
+  // Splits just past the first lane and inside the second block put the
+  // seam, and the seeded register, mid-lane.
+  for (const std::size_t split :
+       {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{4093},
+        detail::kLaneBlock + 5, detail::kThreeLaneMin + 3, big}) {
     const std::uint8_t* a = buf.data() + 3;
     const std::uint8_t* b = a + split;
     const std::size_t b_len = big - split;
