@@ -57,6 +57,14 @@ void Population::reset(std::size_t n, Money account, EPenny balance,
   policy_.clear();
 }
 
+void Population::resize_for_load(std::size_t n) {
+  if (n != n_) {
+    reset(n, Money::zero(), 0, 0);
+    return;
+  }
+  policy_.clear();
+}
+
 const std::uint8_t* Population::column_data(Column c) const noexcept {
   switch (c) {
     case Column::kAccount:

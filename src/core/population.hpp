@@ -133,6 +133,11 @@ class Population {
   // Re-initializes to `n` users with the given starting row (everything
   // else zero) and an empty policy side table.
   void reset(std::size_t n, Money account, EPenny balance, std::int64_t limit);
+  // Makes room for `n` users ahead of a restore that load_column()s every
+  // column, and empties the policy side table.  Columns already `n` long
+  // keep their bytes until the loads overwrite them, so a restore into a
+  // fresh population copies each column once instead of filling it first.
+  void resize_for_load(std::size_t n);
 
   std::size_t size() const noexcept { return n_; }
 

@@ -184,6 +184,20 @@ TEST_F(PopulationSnapshotTest, ColumnarSectionsRoundTripExactly) {
   EXPECT_EQ(isp_image(b), isp_image(a));
   EXPECT_EQ(b.users().policy_override(UserId(3)),
             NonCompliantPolicy::kDiscard);
+
+  // Into an ISP of the same size with state of its own (its columns are
+  // overwritten in place) and into one of another size (rebuilt).
+  Isp used(0, params_, keys_.pub, 9);
+  used.user_send(2, 0, 3, mail(0, 2, 0, 3));
+  used.users().set_policy_override(0, NonCompliantPolicy::kSegregate);
+  ASSERT_TRUE(used.restore_snapshot(snap));
+  EXPECT_EQ(isp_image(used), isp_image(a));
+  EXPECT_FALSE(used.users().policy_override(UserId(0)).has_value());
+  ZmailParams bigger = params_;
+  bigger.users_per_isp = 6;
+  Isp resized(0, bigger, keys_.pub, 7);
+  ASSERT_TRUE(resized.restore_snapshot(snap));
+  EXPECT_EQ(isp_image(resized), isp_image(a));
 }
 
 TEST_F(PopulationSnapshotTest, MissingColumnSectionIsRejected) {
