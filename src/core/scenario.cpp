@@ -1,5 +1,6 @@
 #include "core/scenario.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <sstream>
@@ -99,33 +100,54 @@ std::optional<Scenario> Scenario::parse(const std::string& text,
     if (toks[0] == "world") {
       if (world_seen) return fail(lineno, "duplicate world line");
       world_seen = true;
-      const std::vector<std::string> args(toks.begin() + 1, toks.end());
-      if (const auto v = kv(args, "isps"); v && parse_int(*v))
-        s.params_.n_isps = static_cast<std::size_t>(*parse_int(*v));
-      if (const auto v = kv(args, "users"); v && parse_int(*v))
-        s.params_.users_per_isp = static_cast<std::size_t>(*parse_int(*v));
-      if (const auto v = kv(args, "balance"); v && parse_int(*v))
-        s.params_.initial_user_balance = *parse_int(*v);
-      if (const auto v = kv(args, "limit"); v && parse_int(*v))
-        s.params_.default_daily_limit = *parse_int(*v);
-      if (const auto v = kv(args, "seed"); v && parse_int(*v))
-        s.seed_ = static_cast<std::uint64_t>(*parse_int(*v));
-      // Hardened-transport switches: crash/outage scenarios lose in-flight
-      // datagrams, so scripts using `crash` want both of these on.
-      if (const auto v = kv(args, "retry"); v && parse_int(*v))
-        s.params_.retry.enabled = *parse_int(*v) != 0;
-      if (const auto v = kv(args, "reliable"); v && parse_int(*v))
-        s.params_.reliable_email_transport = *parse_int(*v) != 0;
-      if (const auto v = kv(args, "compliant")) {
-        if (v->size() != s.params_.n_isps)
-          return fail(lineno, "compliant mask length != isps");
+      static const std::vector<std::string> kKeys = {
+          "isps", "users", "balance", "limit",
+          "seed", "retry", "reliable", "compliant"};
+      std::vector<std::string> seen;
+      std::optional<std::string> mask;
+      for (std::size_t k = 1; k < toks.size(); ++k) {
+        const std::size_t eq = toks[k].find('=');
+        if (eq == std::string::npos)
+          return fail(lineno, "world expects key=value, got " + toks[k]);
+        const std::string key = toks[k].substr(0, eq);
+        const std::string value = toks[k].substr(eq + 1);
+        if (std::find(kKeys.begin(), kKeys.end(), key) == kKeys.end())
+          return fail(lineno, "unknown world key: " + key);
+        if (std::find(seen.begin(), seen.end(), key) != seen.end())
+          return fail(lineno, "duplicate world key: " + key);
+        seen.push_back(key);
+        if (key == "compliant") {
+          mask = value;
+          continue;
+        }
+        const auto n = parse_count(value);
+        if (!n) return fail(lineno, key + "= needs a count >= 0: " + value);
+        if (key == "isps") s.params_.n_isps = *n;
+        if (key == "users") s.params_.users_per_isp = *n;
+        if (key == "balance")
+          s.params_.initial_user_balance = static_cast<std::int64_t>(*n);
+        if (key == "limit")
+          s.params_.default_daily_limit = static_cast<std::int64_t>(*n);
+        if (key == "seed") s.seed_ = *n;
+        // Hardened-transport switches: crash/outage scenarios lose in-flight
+        // datagrams, so scripts using `crash` want both of these on.
+        if ((key == "retry" || key == "reliable") && *n > 1)
+          return fail(lineno, key + "= must be 0 or 1: " + value);
+        if (key == "retry") s.params_.retry.enabled = *n == 1;
+        if (key == "reliable") s.params_.reliable_email_transport = *n == 1;
+      }
+      if (mask) {
         s.params_.compliant.clear();
-        for (char c : *v) {
+        for (char c : *mask) {
           if (c != '0' && c != '1')
             return fail(lineno, "compliant mask must be 0s and 1s");
           s.params_.compliant.push_back(c == '1');
         }
       }
+      // The check ZmailSystem asserts on (mask length included), reported
+      // as a script error.
+      if (const auto problems = s.params_.validate(); !problems.empty())
+        return fail(lineno, problems.front());
       continue;
     }
 

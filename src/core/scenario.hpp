@@ -20,9 +20,12 @@
 //     print balances
 //
 // Users are written `isp.user` (e.g. `1.2`) or as full simulated addresses
-// (`u2@isp1.example`).  Durations take s/m/h/d suffixes.  `expect` lines
-// turn the script into a checked regression; `ScenarioResult::ok()` is
-// false if any expectation failed.
+// (`u2@isp1.example`).  Durations take s/m/h/d suffixes.  The `world` line
+// takes only key=value pairs with the keys shown above plus `limit`, `seed`,
+// `retry` and `reliable` (0 or 1); any other token, a value that is not a
+// count >= 0, or a world ZmailParams::validate() refuses is a parse error.
+// `expect` lines turn the script into a checked regression;
+// `ScenarioResult::ok()` is false if any expectation failed.
 #pragma once
 
 #include <cstdint>

@@ -115,6 +115,70 @@ TEST(ScenarioParse, DuplicateWorldRejected) {
                    .has_value());
 }
 
+// Parses `world_line` followed by one command and expects the world line
+// (line 1) to be rejected with a message naming `needle`.
+void ExpectWorldRejected(const std::string& world_line,
+                         const std::string& needle) {
+  ScenarioError err;
+  EXPECT_FALSE(Scenario::parse(world_line + "\nrun 1m\n", &err).has_value())
+      << world_line;
+  EXPECT_EQ(err.line, 1u) << world_line;
+  EXPECT_NE(err.message.find(needle), std::string::npos)
+      << world_line << ": " << err.message;
+}
+
+TEST(ScenarioParse, WorldUnknownKeyRejected) {
+  ExpectWorldRejected("world isp=5 users=1", "isp");
+  ExpectWorldRejected("world isps=2 users=1 balanse=7", "balanse");
+}
+
+TEST(ScenarioParse, WorldTokenWithoutValueRejected) {
+  ExpectWorldRejected("world isps=2 users", "users");
+  ExpectWorldRejected("world isps 2", "isps");
+}
+
+TEST(ScenarioParse, WorldMalformedNumberRejected) {
+  ExpectWorldRejected("world isps=abc users=2", "abc");
+  ExpectWorldRejected("world isps=2 users=3x", "3x");
+  ExpectWorldRejected("world isps=2 users=2 seed=", "seed");
+}
+
+TEST(ScenarioParse, WorldNegativeNumberRejected) {
+  ExpectWorldRejected("world isps=-1 users=2", "-1");
+  ExpectWorldRejected("world isps=2 users=2 balance=-5", "-5");
+  ExpectWorldRejected("world isps=2 users=2 limit=-1", "-1");
+}
+
+TEST(ScenarioParse, WorldSwitchOtherThanZeroOrOneRejected) {
+  ExpectWorldRejected("world isps=2 users=2 retry=2", "retry");
+  ExpectWorldRejected("world isps=2 users=2 reliable=7", "reliable");
+}
+
+TEST(ScenarioParse, WorldDuplicateKeyRejected) {
+  ExpectWorldRejected("world isps=2 isps=3 users=2", "isps");
+}
+
+TEST(ScenarioParse, WorldInvalidParamsRejected) {
+  ExpectWorldRejected("world isps=2 users=0", "users_per_isp");
+  ExpectWorldRejected("world isps=0 users=2", "n_isps");
+}
+
+TEST(ScenarioParse, WorldKeysApplyInAnyOrder) {
+  const auto s = Scenario::parse(
+      "world compliant=01 seed=9 limit=3 balance=4 users=5 isps=2 "
+      "reliable=1 retry=0\n");
+  ASSERT_TRUE(s.has_value());
+  EXPECT_EQ(s->params().n_isps, 2u);
+  EXPECT_EQ(s->params().users_per_isp, 5u);
+  EXPECT_EQ(s->params().initial_user_balance, 4);
+  EXPECT_EQ(s->params().default_daily_limit, 3);
+  EXPECT_EQ(s->seed(), 9u);
+  EXPECT_FALSE(s->params().retry.enabled);
+  EXPECT_TRUE(s->params().reliable_email_transport);
+  EXPECT_FALSE(s->params().is_compliant(0));
+  EXPECT_TRUE(s->params().is_compliant(1));
+}
+
 // --- Execution -------------------------------------------------------------------
 
 TEST(ScenarioRun, SendAndExpectBalance) {
