@@ -720,7 +720,8 @@ void ZmailSystem::crash_host(std::size_t host, sim::Duration down_for) {
 void ZmailSystem::recover_host(std::size_t host) {
   ZMAIL_ASSERT(host < stores_.size() && stores_[host] != nullptr);
   // Process death first: whatever the WAL buffered but never synced is
-  // gone (empty under the default group_commit_records = 1).
+  // gone (always empty: every party's WAL syncs each record as it is
+  // appended).
   stores_[host]->simulate_crash();
   rebuild_from_store(host);
   ++state_recoveries_;

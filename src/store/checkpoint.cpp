@@ -33,7 +33,9 @@ bool Checkpointer::open(const StoreConfig& cfg, const std::string& party,
   if (!ensure_dir(cfg.dir, error)) return false;
   wal_path_ = cfg.dir + "/" + party + ".zwal";
   snap_path_ = cfg.dir + "/" + party + ".zsnap";
-  return wal_.open(wal_path_, cfg.group_commit_records, cfg.fsync_data, error);
+  // Cadence 1: every append is in the file before the caller acts on it,
+  // which is the output-commit point the system relies on.
+  return wal_.open(wal_path_, 1, cfg.fsync_data, error);
 }
 
 bool Checkpointer::checkpoint(std::vector<SnapshotSection> sections,

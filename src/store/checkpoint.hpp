@@ -39,9 +39,6 @@ namespace zmail::store {
 struct StoreConfig {
   bool enabled = false;        // off ⇒ zero store objects, zero overhead
   std::string dir;             // directory for <party>.zwal/.zsnap files
-  // Records per group commit: 1 = sync every append (strict durability);
-  // N > 1 batches, trading the un-synced tail on crash for throughput.
-  std::uint32_t group_commit_records = 1;
   bool fsync_data = true;      // issue fsync(2) barriers at sync points
   // Extra periodic checkpoint cadence in sim microseconds (0 = only at
   // protocol-driven boundaries: ISP quiesce flush, bank round close).

@@ -11,8 +11,6 @@
 
 namespace zmail::trace {
 
-#ifndef ZMAIL_TRACE_DISABLED
-
 const char* ev_name(Ev e) noexcept {
   switch (e) {
     case Ev::kNone: return "none";
@@ -336,11 +334,5 @@ void remove_log_mirror() {
   }
   set_log_sink({});
 }
-
-#else  // ZMAIL_TRACE_DISABLED
-
-const char* ev_name(Ev) noexcept { return "?"; }
-
-#endif
 
 }  // namespace zmail::trace

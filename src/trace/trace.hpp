@@ -31,8 +31,7 @@
 // branch per call site (plus one u64 copy per datagram for the carried
 // context).  Tracing draws no RNG and never influences control flow, so
 // enabling it cannot change simulation results; disabling it leaves bench
-// output bit-identical to a build without the module.  Compiling with
-// -DZMAIL_TRACE_DISABLED turns every call site into an empty inline.
+// output bit-identical to a build without the module.
 #pragma once
 
 #include <atomic>
@@ -116,8 +115,6 @@ struct LogRecord {
 };
 
 // --- Runtime control --------------------------------------------------------
-
-#ifndef ZMAIL_TRACE_DISABLED
 
 namespace detail {
 extern std::atomic<bool> g_enabled;
@@ -336,62 +333,5 @@ class ScopedTimer {
 // default; idempotent.  Capacity bounds the retained mirror (oldest out).
 void install_log_mirror(std::size_t capacity = 4096);
 void remove_log_mirror();
-
-#else  // ZMAIL_TRACE_DISABLED: every call site compiles to nothing.
-
-inline bool enabled() noexcept { return false; }
-inline void set_enabled(bool) {}
-inline bool profiling_enabled() noexcept { return false; }
-inline void set_profiling_enabled(bool) {}
-inline void set_ring_capacity(std::size_t) {}
-inline void clear() {}
-inline std::uint64_t dropped() { return 0; }
-inline std::vector<TraceEvent> collect() { return {}; }
-inline std::vector<LogRecord> collect_logs() { return {}; }
-inline TraceId next_id() noexcept { return 0; }
-inline TraceId current() noexcept { return 0; }
-class Scope {
- public:
-  explicit Scope(TraceId) noexcept {}
-};
-inline bool suppressed() noexcept { return false; }
-class ReplayGuard {};
-inline void set_sim_now(std::int64_t) noexcept {}
-inline std::int64_t sim_now() noexcept { return 0; }
-inline void emit(Ev, Phase, TraceId, std::uint16_t, std::uint64_t = 0,
-                 std::uint32_t = 0) noexcept {}
-inline void begin(Ev, TraceId, std::uint16_t, std::uint64_t = 0,
-                  std::uint32_t = 0) noexcept {}
-inline void end(Ev, TraceId, std::uint16_t, std::uint64_t = 0,
-                std::uint32_t = 0) noexcept {}
-inline void instant(Ev, TraceId, std::uint16_t, std::uint64_t = 0,
-                    std::uint32_t = 0) noexcept {}
-class SpanScope {
- public:
-  SpanScope(Ev, TraceId, std::uint16_t, std::uint64_t = 0) noexcept {}
-  void set_end_arg0(std::uint64_t) noexcept {}
-};
-class ProfileHistogram {
- public:
-  void record(std::uint64_t) noexcept {}
-  void reset() noexcept {}
-};
-inline ProfileHistogram& profile(const char*) {
-  static ProfileHistogram h;
-  return h;
-}
-inline json::Value profiles_to_json() { return json::Value::object(); }
-inline void reset_profiles() {}
-class ScopedTimer {
- public:
-  explicit ScopedTimer(ProfileHistogram&) noexcept {}
-};
-#define ZMAIL_PROF_SCOPE(name) \
-  do {                         \
-  } while (0)
-inline void install_log_mirror(std::size_t = 4096) {}
-inline void remove_log_mirror() {}
-
-#endif  // ZMAIL_TRACE_DISABLED
 
 }  // namespace zmail::trace
