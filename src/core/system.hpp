@@ -15,7 +15,7 @@
 //   - periodic machinery: daily `sent` resets, bank-trade polling, and the
 //     Section 4.4 snapshot with its 10-minute quiesce.
 //
-// Typical use (see examples/quickstart.cpp):
+// Typical use (see examples/full_simulation.cpp):
 //   ZmailSystem sys(params, seed);
 //   sys.enable_daily_resets();
 //   sys.send_email(addr_a, addr_b, "hi", "body");
