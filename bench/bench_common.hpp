@@ -17,7 +17,7 @@
 //       --json PATH    output path                (default BENCH_<name>.json)
 //       --no-json      skip the JSON file
 //       --trace PATH   enable the flight recorder; export to PATH at finish
-//                      (.json → Chrome/Perfetto trace, else compact binary)
+//                      as Chrome/Perfetto trace-event JSON
 //       --telemetry    benches that support it run an instrumented overlay
 //                      world and embed its time-series in the JSON (off by
 //                      default so JSON output stays byte-stable)

@@ -89,14 +89,12 @@ struct Args {
   sim::Duration checkpoint_interval = 0;
   std::string trace_path;  // non-empty enables the flight recorder
   // Telemetry (any non-empty output path enables the sampling engine).
-  std::string telemetry_csv;   // long-format CSV of every recorded series
+  std::string telemetry_path;  // obs v3 snapshot (timeseries + probes)
   std::string telemetry_prom;  // Prometheus exposition, rewritten per tick
-  std::string telemetry_json;  // obs v3 snapshot (timeseries + probes)
   sim::Duration telemetry_period = sim::kMinute;
 
   bool telemetry_on() const {
-    return !telemetry_csv.empty() || !telemetry_prom.empty() ||
-           !telemetry_json.empty();
+    return !telemetry_path.empty() || !telemetry_prom.empty();
   }
 };
 
@@ -135,16 +133,15 @@ int usage(const char* argv0) {
                "                            simulated time (30m, 2h, ...),\n"
                "                            not just at quiesce boundaries\n"
                "  --trace PATH              record per-message lifecycle spans\n"
-               "                            and export them to PATH (.json =\n"
-               "                            Chrome/Perfetto trace-event format,\n"
-               "                            else compact binary).  Single\n"
-               "                            replica only.\n"
-               "  --telemetry PATH.csv      sample time series during the run\n"
-               "                            and write them as long-format CSV\n"
+               "                            and export them to PATH as\n"
+               "                            Chrome/Perfetto trace-event\n"
+               "                            JSON (trace_report reads it).\n"
+               "                            Single replica only.\n"
+               "  --telemetry PATH          sample time series during the run\n"
+               "                            and write an obs v3 snapshot with\n"
+               "                            the timeseries + probe sections\n"
                "                            (zmail_top renders it).  Single\n"
                "                            replica only.\n"
-               "  --telemetry-json PATH     write an obs v3 snapshot with the\n"
-               "                            timeseries + probe sections\n"
                "  --telemetry-prom PATH     rewrite PATH with the Prometheus\n"
                "                            text exposition at each sampling\n"
                "                            tick\n"
@@ -162,8 +159,8 @@ telemetry::TelemetryConfig telemetry_config(const Args& args) {
   return cfg;
 }
 
-// Post-run telemetry export (single replica): merged series to CSV, the
-// default probe rules evaluated retrospectively (fires/clears logged via
+// Post-run telemetry export (single replica): the default probe rules
+// evaluated retrospectively over the merged series (fires/clears logged via
 // the "probe" tag) with a console summary, and optionally the world's obs
 // snapshot.  Returns 0 or the process exit code.
 int export_telemetry(const Args& args, const core::ZmailSystem& world) {
@@ -186,24 +183,16 @@ int export_telemetry(const Args& args, const core::ZmailSystem& world) {
       merged.size(), points, report.evaluated_count(), report.firing_count(),
       transitions);
 
-  if (!args.telemetry_csv.empty()) {
-    std::string err;
-    if (!telemetry::write_csv(args.telemetry_csv, merged, &err)) {
-      std::fprintf(stderr, "telemetry CSV export failed: %s\n", err.c_str());
-      return 2;
-    }
-    std::printf("wrote %s\n", args.telemetry_csv.c_str());
-  }
-  if (!args.telemetry_json.empty()) {
+  if (!args.telemetry_path.empty()) {
     std::string err;
     json::Value file = json::Value::object();
     file["schema"] = "zmail-obs-v3";
     file["scenario"] = obs::snapshot(world);
-    if (!json::write_file(args.telemetry_json, file, &err)) {
-      std::fprintf(stderr, "telemetry JSON export failed: %s\n", err.c_str());
+    if (!json::write_file(args.telemetry_path, file, &err)) {
+      std::fprintf(stderr, "telemetry export failed: %s\n", err.c_str());
       return 2;
     }
-    std::printf("wrote %s\n", args.telemetry_json.c_str());
+    std::printf("wrote %s\n", args.telemetry_path.c_str());
   }
   return 0;
 }
@@ -262,11 +251,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(a, "--telemetry") == 0) {
       const char* v = value();
       if (!v || !*v) return usage(argv[0]);
-      args.telemetry_csv = v;
-    } else if (std::strcmp(a, "--telemetry-json") == 0) {
-      const char* v = value();
-      if (!v || !*v) return usage(argv[0]);
-      args.telemetry_json = v;
+      args.telemetry_path = v;
     } else if (std::strcmp(a, "--telemetry-prom") == 0) {
       const char* v = value();
       if (!v || !*v) return usage(argv[0]);
@@ -421,8 +406,8 @@ int main(int argc, char** argv) {
   if (!args.trace_path.empty()) {
     const auto events = trace::collect();
     std::string terr;
-    if (!trace::export_auto(args.trace_path, events, trace::collect_logs(),
-                            &terr)) {
+    if (!trace::export_chrome(args.trace_path, events, trace::collect_logs(),
+                              &terr)) {
       std::fprintf(stderr, "trace export failed: %s\n", terr.c_str());
       return 2;
     }

@@ -17,15 +17,6 @@ std::vector<std::string> split_ws(const std::string& line) {
   return out;
 }
 
-// "key=value" -> value for matching key.
-std::optional<std::string> kv(const std::vector<std::string>& args,
-                              const std::string& key) {
-  const std::string prefix = key + "=";
-  for (const auto& a : args)
-    if (a.rfind(prefix, 0) == 0) return a.substr(prefix.size());
-  return std::nullopt;
-}
-
 }  // namespace
 
 std::optional<std::int64_t> parse_int(const std::string& token) {
@@ -77,6 +68,33 @@ std::optional<sim::Duration> parse_duration(const std::string& token) {
     default: return std::nullopt;
   }
 }
+
+namespace {
+
+// Verb lines the runner would otherwise skip or misread: extra tokens, an
+// unknown print form, a malformed count or duration, a send tail other
+// than `subject TEXT`.  What depends on world state (ranges, compliance,
+// the store) is checked when the command runs.
+std::optional<std::string> shape_problem(const std::vector<std::string>& t) {
+  const std::string& verb = t[0];
+  const std::size_t n = t.size() - 1;  // argument count
+  if ((verb == "day" || verb == "snapshot") && n != 0)
+    return verb + " takes no arguments";
+  if (verb == "run" && (n != 1 || !parse_duration(t[1])))
+    return "run takes one duration like 10m";
+  if (verb == "print" && n != 0 && !(n == 1 && t[1] == "balances"))
+    return "print takes no argument or `balances`";
+  if (verb == "expect" && n > 1 && t[1] == "conservation")
+    return "expect conservation takes no arguments";
+  if (verb == "spam" &&
+      (n != 2 || t[2].rfind("count=", 0) != 0 || !parse_count(t[2].substr(6))))
+    return "spam takes <from> count=N";
+  if (verb == "send" && n != 2 && !(n >= 4 && t[3] == "subject"))
+    return "send takes <from> <to> [subject TEXT]";
+  return std::nullopt;
+}
+
+}  // namespace
 
 std::optional<Scenario> Scenario::parse(const std::string& text,
                                         ScenarioError* error) {
@@ -159,6 +177,8 @@ std::optional<Scenario> Scenario::parse(const std::string& text,
     for (const auto& v : kVerbs) known = known || v == toks[0];
     if (!known) return fail(lineno, "unknown command: " + toks[0]);
 
+    if (const auto problem = shape_problem(toks)) return fail(lineno, *problem);
+
     Command cmd;
     cmd.line = lineno;
     cmd.verb = toks[0];
@@ -199,32 +219,25 @@ ScenarioResult ScenarioRunner::run() {
     const auto& a = cmd.args;
 
     if (cmd.verb == "send") {
-      if (a.size() < 2) {
-        fail(cmd.line, "send needs <from> <to>");
-        continue;
-      }
       const auto from = parse_user_ref(a[0]);
       const auto to = parse_user_ref(a[1]);
       if (!from || !to || !in_range(*from) || !in_range(*to)) {
         fail(cmd.line, "send: bad or out-of-range user ref");
         continue;
       }
-      std::string subject = "scenario";
-      for (std::size_t i = 3; i < a.size(); ++i) subject += " " + a[i];
-      if (a.size() > 2 && a[2] == "subject" && a.size() > 3)
-        subject = a[3];
+      std::string subject = a.size() > 3 ? a[3] : "scenario";
+      for (std::size_t i = 4; i < a.size(); ++i) subject += " " + a[i];
       world_.send_email(addr(from->first, from->second),
                         addr(to->first, to->second), subject, "body");
     } else if (cmd.verb == "spam") {
-      const auto from = a.empty() ? std::nullopt : parse_user_ref(a[0]);
-      const auto count = kv(a, "count");
-      if (!from || !count || !in_range(*from)) {
-        fail(cmd.line, "spam needs an in-range <from> and count=N");
+      const auto from = parse_user_ref(a[0]);
+      if (!from || !in_range(*from)) {
+        fail(cmd.line, "spam needs an in-range <from>");
         continue;
       }
-      const auto n = parse_int(*count);
+      const std::uint64_t n = *parse_count(a[1].substr(6));  // "count=N"
       Rng rng(cmd.line * 7919 + 13);
-      for (std::int64_t k = 0; n && k < *n; ++k) {
+      for (std::uint64_t k = 0; k < n; ++k) {
         const auto ti = rng.next_below(world_.params().n_isps);
         const auto tu = rng.next_below(world_.params().users_per_isp);
         world_.send_email(addr(from->first, from->second), addr(ti, tu),
@@ -246,12 +259,7 @@ ScenarioResult ScenarioRunner::run() {
                                         : world_.sell_epennies(address, *n);
       if (!ok) fail(cmd.line, cmd.verb + " refused");
     } else if (cmd.verb == "run") {
-      const auto d = a.empty() ? std::nullopt : parse_duration(a[0]);
-      if (!d) {
-        fail(cmd.line, "run needs a duration like 10m");
-        continue;
-      }
-      world_.run_for(*d);
+      world_.run_for(*parse_duration(a[0]));
     } else if (cmd.verb == "day") {
       for (std::size_t i = 0; i < world_.params().n_isps; ++i)
         if (world_.is_compliant(i)) world_.isp(i).end_of_day();

@@ -24,6 +24,10 @@
 // takes only key=value pairs with the keys shown above plus `limit`, `seed`,
 // `retry` and `reliable` (0 or 1); any other token, a value that is not a
 // count >= 0, or a world ZmailParams::validate() refuses is a parse error.
+// `subject` takes the rest of the send line (its words, single-spaced).
+// `day`, `snapshot` and `expect conservation` take no further tokens, `run`
+// exactly one duration, `print` nothing or `balances`, and `spam`
+// `<from> count=N`; any other form of those verbs is a parse error too.
 // `expect` lines turn the script into a checked regression;
 // `ScenarioResult::ok()` is false if any expectation failed.
 #pragma once

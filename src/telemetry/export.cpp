@@ -5,9 +5,8 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <map>
+#include <limits>
 #include <set>
-#include <sstream>
 
 #include "util/log.hpp"
 
@@ -65,8 +64,9 @@ const Series* find_series(const std::vector<Series>& all,
   return nullptr;
 }
 
-// Every derivation skips when its output key already exists, so merging a
-// CSV that was itself written post-merge (zmail_top's input) is a no-op.
+// Every derivation skips when its output key already exists, so merging
+// series that were themselves written post-merge (zmail_top's input) is a
+// no-op.
 void derive_sum(std::vector<Series>& all, const char* scope,
                 const char* suffix, Kind kind, const std::string& out_name) {
   if (find_series(all, std::string(scope) + "." + out_name)) return;
@@ -82,12 +82,6 @@ void canonical_sort(std::vector<Series>& all) {
     if (a.scope != b.scope) return a.scope < b.scope;
     return a.name < b.name;
   });
-}
-
-void append_csv_double(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
 }
 
 }  // namespace
@@ -169,108 +163,80 @@ json::Value timeseries_json(const std::vector<Series>& series, bool engine) {
   return j;
 }
 
-std::string csv_string(const std::vector<Series>& series) {
-  std::string out =
-      "section,scope,series,kind,t_us,value,count,sum,min,max,p50,p99\n";
-  for (const Series& s : series) {
-    for (const Point& p : s.points) {
-      out += s.engine ? "engine" : "world";
-      out += ',';
-      out += s.scope;
-      out += ',';
-      out += s.name;
-      out += ',';
-      out += kind_name(s.kind);
-      out += ',';
-      out += std::to_string(p.t_us);
-      out += ',';
-      append_csv_double(out, p.value);
-      out += ',';
-      out += std::to_string(p.count);
-      out += ',';
-      append_csv_double(out, p.sum);
-      out += ',';
-      append_csv_double(out, p.min);
-      out += ',';
-      append_csv_double(out, p.max);
-      out += ',';
-      append_csv_double(out, p.p50);
-      out += ',';
-      append_csv_double(out, p.p99);
-      out += '\n';
-    }
-  }
-  return out;
-}
+namespace {
 
-bool write_csv(const std::string& path, const std::vector<Series>& series,
-               std::string* error) {
-  std::ofstream f(path, std::ios::trunc);
-  if (!f) {
-    if (error) *error = "cannot open " + path;
+// Reads one timeseries_json section back into `out`.
+bool append_section(const json::Value& section, bool engine,
+                    std::vector<Series>* out, std::string* error) {
+  const auto bad = [&](const std::string& key, const char* what) {
+    if (error) *error = key + ": " + what;
     return false;
-  }
-  f << csv_string(series);
-  f.flush();
-  if (!f) {
-    if (error) *error = "write failed: " + path;
-    return false;
+  };
+  if (section.kind() != json::Value::Kind::kObject)
+    return bad(engine ? "timeseries_engine" : "timeseries", "not an object");
+  for (const auto& [key, entry] : section.items()) {
+    const std::size_t dot = key.find('.');
+    const json::Value* kind = entry.find("kind");
+    const json::Value* points = entry.find("points");
+    if (dot == std::string::npos) return bad(key, "key is not scope.name");
+    if (!kind || kind->kind() != json::Value::Kind::kString ||
+        !points || points->kind() != json::Value::Kind::kArray)
+      return bad(key, "needs a kind string and a points array");
+    Series s{key.substr(0, dot), key.substr(dot + 1), Kind::kGauge, engine,
+             {}};
+    if (kind->as_string() == "rate") s.kind = Kind::kRate;
+    else if (kind->as_string() == "histogram") s.kind = Kind::kHistogram;
+    else if (kind->as_string() != "gauge") return bad(key, "unknown kind");
+    const std::size_t width = s.kind == Kind::kHistogram ? 7 : 2;
+    s.points.reserve(points->size());
+    for (std::size_t i = 0; i < points->size(); ++i) {
+      const json::Value& row = points->at(i);
+      if (row.kind() != json::Value::Kind::kArray || row.size() != width)
+        return bad(key, "point row has the wrong length");
+      for (std::size_t c = 0; c < width; ++c)
+        if (!row.at(c).is_number() && !(c > 0 && row.at(c).is_null()))
+          return bad(key, "point field is not a number");
+      // The writer encodes a non-finite double as null.
+      const auto num = [&](std::size_t c) {
+        return row.at(c).is_null() ? std::numeric_limits<double>::quiet_NaN()
+                                   : row.at(c).as_double();
+      };
+      Point p;
+      p.t_us = row.at(0).as_int64();
+      if (s.kind == Kind::kHistogram) {
+        p.count = row.at(1).is_null() ? 0 : row.at(1).as_uint64();
+        p.sum = num(2);
+        p.min = num(3);
+        p.max = num(4);
+        p.p50 = num(5);
+        p.p99 = num(6);
+        p.value = p.p99;
+      } else {
+        p.value = num(1);
+      }
+      s.points.push_back(p);
+    }
+    out->push_back(std::move(s));
   }
   return true;
 }
 
-bool load_csv(const std::string& path, std::vector<Series>* out,
-              std::string* error) {
-  std::ifstream f(path);
-  if (!f) {
-    if (error) *error = "cannot open " + path;
-    return false;
-  }
+}  // namespace
+
+bool series_from_json(const json::Value& doc, std::vector<Series>* out,
+                      std::string* error) {
   out->clear();
-  std::string line;
-  if (!std::getline(f, line) ||
-      line.compare(0, 7, "section") != 0) {
-    if (error) *error = "not a zmail telemetry CSV: " + path;
+  // An obs-v3 file holds the snapshot under "scenario".
+  const json::Value* snap = doc.find("scenario");
+  if (!snap || doc.find("timeseries")) snap = &doc;
+  const json::Value* world = snap->find("timeseries");
+  if (!world) {
+    if (error) *error = "no timeseries section (was telemetry on?)";
     return false;
   }
-  std::map<std::string, std::size_t> index;  // key -> out slot
-  std::size_t lineno = 1;
-  while (std::getline(f, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    std::vector<std::string> cols;
-    std::stringstream ss(line);
-    std::string col;
-    while (std::getline(ss, col, ',')) cols.push_back(col);
-    if (cols.size() != 12) {
-      if (error)
-        *error = path + ":" + std::to_string(lineno) + ": expected 12 columns";
-      return false;
-    }
-    Kind kind = Kind::kGauge;
-    if (cols[3] == "rate") kind = Kind::kRate;
-    else if (cols[3] == "histogram") kind = Kind::kHistogram;
-    else if (cols[3] != "gauge") {
-      if (error)
-        *error = path + ":" + std::to_string(lineno) + ": bad kind " + cols[3];
-      return false;
-    }
-    const std::string key = cols[0] + "/" + cols[1] + "." + cols[2];
-    auto [it, inserted] = index.emplace(key, out->size());
-    if (inserted)
-      out->push_back(Series{cols[1], cols[2], kind, cols[0] == "engine", {}});
-    Point p;
-    p.t_us = std::strtoll(cols[4].c_str(), nullptr, 10);
-    p.value = std::strtod(cols[5].c_str(), nullptr);
-    p.count = std::strtoull(cols[6].c_str(), nullptr, 10);
-    p.sum = std::strtod(cols[7].c_str(), nullptr);
-    p.min = std::strtod(cols[8].c_str(), nullptr);
-    p.max = std::strtod(cols[9].c_str(), nullptr);
-    p.p50 = std::strtod(cols[10].c_str(), nullptr);
-    p.p99 = std::strtod(cols[11].c_str(), nullptr);
-    (*out)[it->second].points.push_back(p);
-  }
-  return true;
+  if (!append_section(*world, false, out, error)) return false;
+  const json::Value* engine = snap->find("timeseries_engine");
+  return !engine || append_section(*engine, true, out, error);
 }
 
 std::string prometheus_text(const std::vector<Series>& series) {

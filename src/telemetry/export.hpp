@@ -3,10 +3,8 @@
 // Formats:
 //   - JSON: the obs snapshot's "timeseries" / "timeseries_engine" sections
 //     (canonically sorted keys; the deterministic section is a pure
-//     function of the simulated world).
-//   - CSV (long format): one row per point —
-//       section,scope,series,kind,t_us,value,count,sum,min,max,p50,p99
-//     the format zmail_top renders and spreadsheets ingest.
+//     function of the simulated world).  This is the on-disk form:
+//     series_from_json reads it back exactly, and zmail_top renders it.
 //   - Prometheus text exposition: current value per series, rewritten at
 //     sampling cadence (the scrape surface for the future socket mode).
 //
@@ -44,7 +42,7 @@ struct DeriveSpec {
 std::vector<Series> merge_series(const TelemetryRegistry& registry,
                                  const DeriveSpec& spec = {});
 
-// Convenience over already-collected series (zmail_top's CSV path).
+// Convenience over already-collected series (zmail_top's input path).
 std::vector<Series> merge_collected(std::vector<Series> series,
                                     const DeriveSpec& spec = {});
 
@@ -53,12 +51,14 @@ std::vector<Series> merge_collected(std::vector<Series> series,
 // `engine`.  Keys sorted canonically.
 json::Value timeseries_json(const std::vector<Series>& series, bool engine);
 
-std::string csv_string(const std::vector<Series>& series);
-bool write_csv(const std::string& path, const std::vector<Series>& series,
-               std::string* error = nullptr);
-// Parses a CSV written by write_csv (zmail_top's offline input).
-bool load_csv(const std::string& path, std::vector<Series>* out,
-              std::string* error = nullptr);
+// The inverse of timeseries_json: rebuilds the series of the "timeseries"
+// and "timeseries_engine" sections of `doc`, an obs snapshot or an obs-v3
+// file holding one under "scenario".  World series come first, each
+// section in file order; a histogram point's value is its p99, as
+// LogHistogram::flush sets it.  false (and `error`) when the sections are
+// missing or malformed.
+bool series_from_json(const json::Value& doc, std::vector<Series>* out,
+                      std::string* error = nullptr);
 
 std::string prometheus_text(const std::vector<Series>& series);
 bool write_prometheus(const std::string& path,

@@ -11,35 +11,34 @@ TelemetryRegistry::TelemetryRegistry(TelemetryConfig cfg)
     : cfg_(std::move(cfg)) {
   cfg_.enabled = true;  // constructing the registry IS the opt-in
   if (cfg_.sample_period <= 0) cfg_.sample_period = sim::kMinute;
-  if (cfg_.ring_capacity < 2) cfg_.ring_capacity = 2;
 }
 
 void TelemetryRegistry::add_gauge(std::string scope, std::string name,
                                   GaugeFn fn) {
   samplers_.push_back(Sampler{std::move(scope), std::move(name), Kind::kGauge,
                               false, std::move(fn), 0.0,
-                              DownsamplingRing(Kind::kGauge, cfg_.ring_capacity)});
+                              DownsamplingRing(Kind::kGauge, kRingCapacity)});
 }
 
 void TelemetryRegistry::add_rate(std::string scope, std::string name,
                                  CounterFn fn) {
   samplers_.push_back(Sampler{std::move(scope), std::move(name), Kind::kRate,
                               false, std::move(fn), 0.0,
-                              DownsamplingRing(Kind::kRate, cfg_.ring_capacity)});
+                              DownsamplingRing(Kind::kRate, kRingCapacity)});
 }
 
 void TelemetryRegistry::add_engine_gauge(std::string scope, std::string name,
                                          GaugeFn fn) {
   samplers_.push_back(Sampler{std::move(scope), std::move(name), Kind::kGauge,
                               true, std::move(fn), 0.0,
-                              DownsamplingRing(Kind::kGauge, cfg_.ring_capacity)});
+                              DownsamplingRing(Kind::kGauge, kRingCapacity)});
 }
 
 void TelemetryRegistry::add_engine_rate(std::string scope, std::string name,
                                         CounterFn fn) {
   samplers_.push_back(Sampler{std::move(scope), std::move(name), Kind::kRate,
                               true, std::move(fn), 0.0,
-                              DownsamplingRing(Kind::kRate, cfg_.ring_capacity)});
+                              DownsamplingRing(Kind::kRate, kRingCapacity)});
 }
 
 std::size_t TelemetryRegistry::add_histogram(std::string scope,
@@ -47,7 +46,7 @@ std::size_t TelemetryRegistry::add_histogram(std::string scope,
   channels_.push_back(Channel{std::move(scope), std::move(name), engine,
                               LogHistogram{},
                               DownsamplingRing(Kind::kHistogram,
-                                               cfg_.ring_capacity)});
+                                               kRingCapacity)});
   return channels_.size() - 1;
 }
 

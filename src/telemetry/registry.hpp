@@ -33,8 +33,6 @@ struct TelemetryConfig {
   // Sampling cadence in simulated time.  Every gauge/rate emits one point
   // per period; histogram channels emit one point per non-empty window.
   sim::Duration sample_period = sim::kMinute;
-  // Per-series ring capacity; beyond it the ring halves its resolution.
-  std::size_t ring_capacity = 512;
   // Non-empty: rewrite this file with the Prometheus text exposition of
   // the current values at every sampling tick (the scrape surface).
   std::string prom_path;
@@ -44,6 +42,9 @@ class TelemetryRegistry {
  public:
   using GaugeFn = std::function<double()>;    // instantaneous level
   using CounterFn = std::function<double()>;  // cumulative monotone counter
+
+  // Per-series ring capacity; beyond it the ring halves its resolution.
+  static constexpr std::size_t kRingCapacity = 512;
 
   explicit TelemetryRegistry(TelemetryConfig cfg = {});
 

@@ -47,6 +47,7 @@ Point merge_points(Kind k, const Point& a, const Point& b) noexcept {
         m.p99 = (a.p99 * static_cast<double>(a.count) +
                  b.p99 * static_cast<double>(b.count)) / n;
       }
+      m.value = m.p99;  // as LogHistogram::flush sets it
       break;
     }
   }

@@ -24,7 +24,8 @@ enum class Kind : std::uint8_t {
 const char* kind_name(Kind k) noexcept;
 
 // One sampled observation.  Gauges and rates use only {t_us, value}; the
-// histogram fields stay zero for them.  All values are integer-valued
+// histogram fields stay zero for them.  A histogram point's value is its
+// p99.  All values are integer-valued
 // doubles at sampling time (counts, micros, window deltas), so sums taken
 // at export time are exact and independent of grouping order.
 struct Point {
@@ -108,7 +109,7 @@ class LogHistogram {
 // (event backlogs, wall-clock costs): they describe *how* the run
 // executed, not the simulated world, and are excluded from the
 // deterministic `timeseries` section (they export under `timeseries_engine`
-// and the CSV `engine` section instead).
+// instead).
 struct Series {
   std::string scope;  // "econ", "core", "sim", "store", "net", ...
   std::string name;   // "isp0.stamp_price_micros", "bank.epenny_supply", ...
@@ -117,6 +118,7 @@ struct Series {
   std::vector<Point> points;
 
   std::string key() const { return scope + "." + name; }
+  bool operator==(const Series&) const = default;
 };
 
 // The value a probe aggregates from one point of this series (histograms

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -11,81 +10,6 @@
 namespace zmail::trace {
 
 namespace {
-
-constexpr char kMagic[4] = {'Z', 'T', 'R', 'C'};
-constexpr std::uint32_t kBinaryVersion = 1;
-
-// Hand-rolled big-endian helpers: zmail_trace sits below zmail_crypto in
-// the dependency order, so it cannot use crypto::ByteWriter.
-void put_u16(std::string& out, std::uint16_t v) {
-  out.push_back(static_cast<char>(v >> 8));
-  out.push_back(static_cast<char>(v));
-}
-void put_u32(std::string& out, std::uint32_t v) {
-  put_u16(out, static_cast<std::uint16_t>(v >> 16));
-  put_u16(out, static_cast<std::uint16_t>(v));
-}
-void put_u64(std::string& out, std::uint64_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v >> 32));
-  put_u32(out, static_cast<std::uint32_t>(v));
-}
-void put_str(std::string& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.append(s);
-}
-
-struct Cursor {
-  const std::string& data;
-  std::size_t pos = 0;
-  bool ok = true;
-
-  bool need(std::size_t n) {
-    if (pos + n > data.size()) {
-      ok = false;
-      return false;
-    }
-    return true;
-  }
-  std::uint16_t get_u16() {
-    if (!need(2)) return 0;
-    const auto* p = reinterpret_cast<const unsigned char*>(data.data() + pos);
-    pos += 2;
-    return static_cast<std::uint16_t>((p[0] << 8) | p[1]);
-  }
-  std::uint32_t get_u32() {
-    const std::uint32_t hi = get_u16();
-    const std::uint32_t lo = get_u16();
-    return (hi << 16) | lo;
-  }
-  std::uint64_t get_u64() {
-    const std::uint64_t hi = get_u32();
-    const std::uint64_t lo = get_u32();
-    return (hi << 32) | lo;
-  }
-  std::string get_str() {
-    const std::uint32_t n = get_u32();
-    if (!need(n)) return {};
-    std::string s = data.substr(pos, n);
-    pos += n;
-    return s;
-  }
-};
-
-bool write_all(const std::string& path, const std::string& bytes,
-               std::string* error) {
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  if (!f) {
-    if (error) *error = "cannot open " + path + " for writing";
-    return false;
-  }
-  f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  f.flush();
-  if (!f) {
-    if (error) *error = "short write to " + path;
-    return false;
-  }
-  return true;
-}
 
 bool read_all(const std::string& path, std::string* out, std::string* error) {
   std::ifstream f(path, std::ios::binary);
@@ -172,100 +96,14 @@ bool export_chrome(const std::string& path,
   return json::write_file(path, root, error);
 }
 
-bool export_binary(const std::string& path,
-                   const std::vector<TraceEvent>& events,
-                   const std::vector<LogRecord>& logs, std::string* error) {
-  std::string out;
-  out.reserve(16 + events.size() * 48 + logs.size() * 96);
-  out.append(kMagic, sizeof(kMagic));
-  put_u32(out, kBinaryVersion);
-  put_u64(out, events.size());
-  for (const auto& ev : events) {
-    put_u64(out, ev.seq);
-    put_u64(out, static_cast<std::uint64_t>(ev.sim_us));
-    put_u64(out, ev.wall_ns);
-    put_u64(out, ev.id);
-    put_u64(out, ev.arg0);
-    put_u32(out, ev.arg1);
-    put_u16(out, ev.host);
-    out.push_back(static_cast<char>(ev.type));
-    out.push_back(static_cast<char>(ev.phase));
-  }
-  put_u64(out, logs.size());
-  for (const auto& rec : logs) {
-    put_u64(out, rec.ev.seq);
-    put_u64(out, static_cast<std::uint64_t>(rec.ev.sim_us));
-    put_u64(out, rec.ev.wall_ns);
-    put_u64(out, rec.ev.id);
-    put_u64(out, rec.ev.arg0);
-    put_str(out, rec.tag);
-    put_str(out, rec.text);
-  }
-  return write_all(path, out, error);
-}
-
-bool export_auto(const std::string& path,
-                 const std::vector<TraceEvent>& events,
-                 const std::vector<LogRecord>& logs, std::string* error) {
-  const bool json_ext =
-      path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0;
-  return json_ext ? export_chrome(path, events, logs, error)
-                  : export_binary(path, events, logs, error);
-}
-
 bool export_current(const std::string& path, std::string* error) {
-  return export_auto(path, collect(), collect_logs(), error);
+  return export_chrome(path, collect(), collect_logs(), error);
 }
 
-namespace {
-
-bool load_binary(const std::string& data, std::vector<TraceEvent>* events,
-                 std::vector<LogRecord>* logs, std::string* error) {
-  Cursor c{data, sizeof(kMagic)};
-  const std::uint32_t version = c.get_u32();
-  if (version != kBinaryVersion) {
-    if (error) *error = "unsupported ZTRC version";
-    return false;
-  }
-  const std::uint64_t n = c.get_u64();
-  for (std::uint64_t i = 0; i < n && c.ok; ++i) {
-    TraceEvent ev;
-    ev.seq = c.get_u64();
-    ev.sim_us = static_cast<std::int64_t>(c.get_u64());
-    ev.wall_ns = c.get_u64();
-    ev.id = c.get_u64();
-    ev.arg0 = c.get_u64();
-    ev.arg1 = c.get_u32();
-    ev.host = c.get_u16();
-    if (!c.need(2)) break;
-    ev.type = static_cast<std::uint8_t>(data[c.pos++]);
-    ev.phase = static_cast<std::uint8_t>(data[c.pos++]);
-    if (c.ok) events->push_back(ev);
-  }
-  if (logs != nullptr && c.ok) {
-    const std::uint64_t nl = c.get_u64();
-    for (std::uint64_t i = 0; i < nl && c.ok; ++i) {
-      LogRecord rec;
-      rec.ev.seq = c.get_u64();
-      rec.ev.sim_us = static_cast<std::int64_t>(c.get_u64());
-      rec.ev.wall_ns = c.get_u64();
-      rec.ev.id = c.get_u64();
-      rec.ev.arg0 = c.get_u64();
-      rec.ev.type = static_cast<std::uint8_t>(Ev::kLog);
-      rec.tag = c.get_str();
-      rec.text = c.get_str();
-      if (c.ok) logs->push_back(std::move(rec));
-    }
-  }
-  if (!c.ok) {
-    if (error) *error = "truncated ZTRC file";
-    return false;
-  }
-  return true;
-}
-
-bool load_chrome(const std::string& data, std::vector<TraceEvent>* events,
-                 std::vector<LogRecord>* logs, std::string* error) {
+bool load(const std::string& path, std::vector<TraceEvent>* events,
+          std::vector<LogRecord>* logs, std::string* error) {
+  std::string data;
+  if (!read_all(path, &data, error)) return false;
   const auto doc = json::parse(data, error);
   if (!doc) return false;
   const json::Value* arr = doc->find("traceEvents");
@@ -273,6 +111,13 @@ bool load_chrome(const std::string& data, std::vector<TraceEvent>* events,
     if (error) *error = "missing traceEvents array";
     return false;
   }
+  events->clear();
+  if (logs != nullptr) logs->clear();
+  const auto str = [](const json::Value* v) {
+    return v != nullptr && v->kind() == json::Value::Kind::kString
+               ? v->as_string()
+               : std::string();
+  };
   for (std::size_t i = 0; i < arr->size(); ++i) {
     const json::Value& e = arr->at(i);
     const json::Value* args = e.find("args");
@@ -298,32 +143,14 @@ bool load_chrome(const std::string& data, std::vector<TraceEvent>* events,
         LogRecord rec;
         rec.ev = ev;
         rec.ev.type = static_cast<std::uint8_t>(Ev::kLog);
-        const json::Value* tag = args->find("tag");
-        if (tag != nullptr) rec.tag = tag->as_string();
-        rec.text = text->as_string();
+        rec.tag = str(args->find("tag"));
+        rec.text = str(text);
         logs->push_back(std::move(rec));
       }
     } else {
       events->push_back(ev);
     }
   }
-  return true;
-}
-
-}  // namespace
-
-bool load(const std::string& path, std::vector<TraceEvent>* events,
-          std::vector<LogRecord>* logs, std::string* error) {
-  std::string data;
-  if (!read_all(path, &data, error)) return false;
-  events->clear();
-  if (logs != nullptr) logs->clear();
-  bool ok;
-  if (data.size() >= 4 && std::memcmp(data.data(), kMagic, 4) == 0)
-    ok = load_binary(data, events, logs, error);
-  else
-    ok = load_chrome(data, events, logs, error);
-  if (!ok) return false;
   std::sort(events->begin(), events->end(),
             [](const TraceEvent& a, const TraceEvent& b) {
               return a.seq < b.seq;

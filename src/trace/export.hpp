@@ -1,19 +1,16 @@
-// Flight-recorder exporters and loaders.
+// Flight-recorder exporter and loader.
 //
-// Two on-disk formats, chosen by extension in export_auto():
-//   - *.json  — Chrome trace-event format ("traceEvents" array), loadable in
-//     Perfetto / chrome://tracing.  Spans with a nonzero TraceId become
-//     async "b"/"e" events keyed by the id so one message's chain lines up
-//     on a single track; host-scoped spans (id 0) become per-pid "B"/"E";
-//     instants become "i".  Every record embeds the raw POD fields in
-//     args so the file round-trips losslessly back through load().
-//   - anything else — compact binary ("ZTRC" v1): fixed-width big-endian
-//     records plus a trailing log-mirror section.  ~6x smaller and the
-//     format tools/trace_report prefers.
+// The on-disk form is Chrome trace-event JSON ("traceEvents" array),
+// loadable in Perfetto / chrome://tracing.  Spans with a nonzero TraceId
+// become async "b"/"e" events keyed by the id so one message's chain lines
+// up on a single track; host-scoped spans (id 0) become per-pid "B"/"E";
+// instants become "i".  Every record embeds the raw POD fields in args
+// (64-bit fields as exact JSON integers) so the file round-trips losslessly
+// back through load(); log-mirror records carry their tag and text too.
 //
-// Timestamps in the chrome export are *sim-time* microseconds (the
-// deterministic clock the invariants are stated in); wall_ns rides along in
-// args for wall-clock analysis.
+// Timestamps are *sim-time* microseconds (the deterministic clock the
+// invariants are stated in); wall_ns rides along in args for wall-clock
+// analysis.
 #pragma once
 
 #include <string>
@@ -28,22 +25,10 @@ bool export_chrome(const std::string& path,
                    const std::vector<LogRecord>& logs,
                    std::string* error = nullptr);
 
-bool export_binary(const std::string& path,
-                   const std::vector<TraceEvent>& events,
-                   const std::vector<LogRecord>& logs,
-                   std::string* error = nullptr);
-
-// .json → chrome, otherwise binary.
-bool export_auto(const std::string& path,
-                 const std::vector<TraceEvent>& events,
-                 const std::vector<LogRecord>& logs,
-                 std::string* error = nullptr);
-
-// Convenience: collect() + collect_logs() + export_auto.
+// Convenience: collect() + collect_logs() + export_chrome.
 bool export_current(const std::string& path, std::string* error = nullptr);
 
-// Loads either format back (sniffs the "ZTRC" magic, else parses JSON).
-// Events are returned sorted by seq.
+// Loads a file written by export_chrome; events come back sorted by seq.
 bool load(const std::string& path, std::vector<TraceEvent>* events,
           std::vector<LogRecord>* logs, std::string* error = nullptr);
 

@@ -424,6 +424,45 @@ TEST_F(IspSnapshotTest, MailBuffersDuringQuiesceAndFlushesAfter) {
   EXPECT_EQ(out[1].type, kMsgEmail);
 }
 
+TEST_F(IspSnapshotTest, FullQuiesceBufferShedsAndRefunds) {
+  params_.max_buffered_sends = 1;
+  Isp isp(0, params_, keys_.pub, 42);
+  const EPenny start = isp.epennies_held();
+  isp.on_request(make_request(0));
+  ASSERT_FALSE(isp.cansend());
+
+  EXPECT_EQ(isp.user_send(0, 1, 0, mail(0, 0, 1, 0)), SendResult::kBuffered);
+  // The second paid send finds the buffer full: shed, payment undone.
+  EXPECT_EQ(isp.user_send(0, 1, 1, mail(0, 0, 1, 1)), SendResult::kShed);
+  EXPECT_EQ(isp.user(0).balance, params_.initial_user_balance - 1);
+  EXPECT_EQ(isp.user(0).sent, 1);
+  EXPECT_EQ(isp.user(0).lifetime_sent, 1);
+
+  // A list message's generated ack is shed too; its e-penny stays with the
+  // recipient who just earned it.
+  net::EmailMessage list = mail(1, 0, 0, 2, net::MailClass::kMailingList);
+  list.set_header("X-Zmail-Ack-To", net::make_user_address(1, 0).str());
+  isp.on_email(1, list.serialize());
+  EXPECT_EQ(isp.user(2).balance, params_.initial_user_balance + 1);
+  EXPECT_EQ(isp.metrics().acks_generated, 0u);
+  EXPECT_EQ(isp.metrics().emails_shed, 2u);
+  EXPECT_EQ(isp.buffered_paid(), 1);
+
+  // Once the round closes, every e-penny that left the ISP's users is in
+  // the credit it reported or in the new period's credit.
+  isp.on_quiesce_timeout();
+  const auto out = isp.take_outbox();
+  ASSERT_EQ(out.size(), 2u);  // reply to bank + the one buffered email
+  const auto plain = unseal(keys_.priv, out[0].payload);
+  ASSERT_TRUE(plain.has_value());
+  const auto report = CreditReport::deserialize(*plain);
+  ASSERT_TRUE(report.has_value());
+  EPenny credit = 0;
+  for (const EPenny c : report->credit) credit += c;
+  for (const EPenny c : isp.credit()) credit += c;
+  EXPECT_EQ(isp.epennies_held() + credit, start);
+}
+
 TEST_F(IspSnapshotTest, LocalDeliveryStillWorksDuringQuiesce) {
   isp_.on_request(make_request(0));
   EXPECT_EQ(isp_.user_send(0, 0, 1, mail(0, 0, 0, 1)),

@@ -179,6 +179,52 @@ TEST(ScenarioParse, WorldKeysApplyInAnyOrder) {
   EXPECT_TRUE(s->params().is_compliant(1));
 }
 
+// Parses a valid world line, a valid `run`, then `verb_line`, and expects
+// `verb_line` (line 3) to be rejected with a message naming `needle`.
+void ExpectVerbRejected(const std::string& verb_line,
+                        const std::string& needle) {
+  ScenarioError err;
+  EXPECT_FALSE(Scenario::parse("world isps=2 users=2\nrun 1m\n" + verb_line +
+                                   "\n",
+                               &err)
+                   .has_value())
+      << verb_line;
+  EXPECT_EQ(err.line, 3u) << verb_line;
+  EXPECT_NE(err.message.find(needle), std::string::npos)
+      << verb_line << ": " << err.message;
+}
+
+TEST(ScenarioParse, PrintOtherThanBalancesRejected) {
+  ExpectVerbRejected("print balanc", "print");
+  ExpectVerbRejected("print balances now", "print");
+  EXPECT_TRUE(Scenario::parse("world isps=2 users=2\nprint\nprint balances\n")
+                  .has_value());
+}
+
+TEST(ScenarioParse, ExtraTokensOnBareVerbsRejected) {
+  ExpectVerbRejected("day 3", "day takes no arguments");
+  ExpectVerbRejected("snapshot now", "snapshot takes no arguments");
+  ExpectVerbRejected("run 5m extra", "run takes one duration");
+  ExpectVerbRejected("run", "run takes one duration");
+  ExpectVerbRejected("run 5x", "run takes one duration");
+  ExpectVerbRejected("expect conservation please",
+                     "expect conservation takes no arguments");
+}
+
+TEST(ScenarioParse, SpamMalformedCountRejected) {
+  ExpectVerbRejected("spam 0.0 count=abc", "count=N");
+  ExpectVerbRejected("spam 0.0 count=-3", "count=N");
+  ExpectVerbRejected("spam 0.0 count=", "count=N");
+  ExpectVerbRejected("spam 0.0", "count=N");
+  ExpectVerbRejected("spam 0.0 count=3 extra", "count=N");
+}
+
+TEST(ScenarioParse, SendTailOtherThanSubjectRejected) {
+  ExpectVerbRejected("send 0.0 1.1 x y z", "subject TEXT");
+  ExpectVerbRejected("send 0.0 1.1 subject", "subject TEXT");
+  ExpectVerbRejected("send 0.0", "subject TEXT");
+}
+
 // --- Execution -------------------------------------------------------------------
 
 TEST(ScenarioRun, SendAndExpectBalance) {
@@ -194,6 +240,23 @@ TEST(ScenarioRun, SendAndExpectBalance) {
   const ScenarioResult r = runner.run();
   EXPECT_TRUE(r.ok()) << (r.failures.empty() ? "" : r.failures[0].message);
   EXPECT_EQ(r.commands_executed, 5u);
+}
+
+TEST(ScenarioRun, SubjectTakesTheRestOfTheLine) {
+  const auto s = Scenario::parse(
+      "world isps=2 users=2\n"
+      "send 0.0 1.1 subject Hello  World again # comment\n"
+      "send 0.0 1.0\n"
+      "run 5m\n");
+  ASSERT_TRUE(s.has_value());
+  ScenarioRunner runner(*s);
+  ASSERT_TRUE(runner.run().ok());
+  const auto& with = runner.world().isp(1).inbox(1);
+  const auto& without = runner.world().isp(1).inbox(0);
+  ASSERT_EQ(with.size(), 1u);
+  ASSERT_EQ(without.size(), 1u);
+  EXPECT_EQ(with[0].msg.subject(), "Hello World again");
+  EXPECT_EQ(without[0].msg.subject(), "scenario");
 }
 
 TEST(ScenarioRun, FailedExpectationIsReported) {

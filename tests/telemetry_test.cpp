@@ -1,11 +1,10 @@
 // Unit tests for zmail::telemetry primitives: point merging, downsampling
 // rings, log-bucket histograms, probe hysteresis and wildcard matching, the
-// CSV round trip, and merge/derive idempotency — plus the end-to-end check
-// that enabling telemetry on a ZmailSystem does not change the world.
+// timeseries JSON round trip, and merge/derive idempotency — plus the
+// end-to-end check that enabling telemetry on a ZmailSystem does not change
+// the world.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
 #include <map>
 #include <string>
 #include <vector>
@@ -249,27 +248,40 @@ std::vector<Series> sampled_registry_series() {
   return reg.collect();
 }
 
-TEST(Export, CsvRoundTripsExactly) {
-  const std::vector<Series> before = sampled_registry_series();
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "zmail_telemetry_rt.csv")
-          .string();
-  std::string err;
-  ASSERT_TRUE(write_csv(path, before, &err)) << err;
-  std::vector<Series> after;
-  ASSERT_TRUE(load_csv(path, &after, &err)) << err;
-  std::remove(path.c_str());
-
-  ASSERT_EQ(after.size(), before.size());
-  std::map<std::string, const Series*> by_key;
-  for (const Series& s : after) by_key[s.key()] = &s;
-  for (const Series& s : before) {
-    ASSERT_TRUE(by_key.count(s.key())) << s.key();
-    const Series& r = *by_key[s.key()];
-    EXPECT_EQ(r.kind, s.kind) << s.key();
-    EXPECT_EQ(r.engine, s.engine) << s.key();
-    EXPECT_EQ(r.points, s.points) << s.key();  // %.17g round-trips doubles
+TEST(Export, TimeseriesJsonRoundTripsExactly) {
+  std::vector<Series> before = sampled_registry_series();
+  Series engine = gauge_series("sim", "event_backlog", {3.0, 1e300});
+  engine.engine = true;
+  before.push_back(engine);
+  for (Series& s : before) {
+    if (s.kind == Kind::kGauge) s.points.front().value = 0.1 + 0.2;
+    if (s.kind != Kind::kHistogram) continue;
+    // A downsampled point, and a count past 2^53 (exact only as an integer).
+    s.points.push_back(merge_points(Kind::kHistogram, s.points[0],
+                                    s.points[1]));
+    s.points.back().count = (std::uint64_t{1} << 53) + 1;
   }
+  before = merge_collected(std::move(before));  // canonical: world first
+
+  json::Value snap = json::Value::object();
+  snap["timeseries"] = timeseries_json(before, false);
+  snap["timeseries_engine"] = timeseries_json(before, true);
+  json::Value file = json::Value::object();
+  file["schema"] = "zmail-obs-v3";
+  file["scenario"] = snap;
+  for (const json::Value& doc : {snap, file}) {
+    const auto parsed = json::parse(doc.dump());
+    ASSERT_TRUE(parsed.has_value());
+    std::vector<Series> after;
+    std::string err;
+    ASSERT_TRUE(series_from_json(*parsed, &after, &err)) << err;
+    EXPECT_EQ(after, before);
+  }
+
+  std::vector<Series> none;
+  std::string err;
+  EXPECT_FALSE(series_from_json(json::Value::object(), &none, &err));
+  EXPECT_NE(err.find("no timeseries"), std::string::npos);
 }
 
 TEST(Export, MergeCollectedIsIdempotent) {
@@ -293,7 +305,7 @@ TEST(Export, MergeCollectedIsIdempotent) {
   spec.endowment_epennies = 200.0;
   const std::vector<Series> once = merge_series(reg, spec);
   const std::vector<Series> twice = merge_collected(once, spec);
-  EXPECT_EQ(csv_string(once), csv_string(twice));
+  EXPECT_EQ(once, twice);
 
   // And the derived aggregates are the expected point-wise combinations.
   std::map<std::string, const Series*> by_key;

@@ -205,19 +205,17 @@ TEST_F(TraceIntegrationTest, ExportedRunReparsesAndValidates) {
   const auto events = trace::collect();
   ASSERT_FALSE(events.empty());
 
-  for (const char* name : {"titest.trace", "titest.json"}) {
-    const std::string path = ::testing::TempDir() + name;
-    std::string err;
-    ASSERT_TRUE(trace::export_auto(path, events, trace::collect_logs(), &err))
-        << err;
-    std::vector<trace::TraceEvent> loaded;
-    std::vector<trace::LogRecord> logs;
-    ASSERT_TRUE(trace::load(path, &loaded, &logs, &err)) << err;
-    std::remove(path.c_str());
-    ASSERT_EQ(loaded.size(), events.size());
-    const trace::ValidationResult v = trace::validate(loaded);
-    EXPECT_TRUE(v.ok) << (v.problems.empty() ? "" : v.problems.front());
-  }
+  const std::string path = ::testing::TempDir() + "titest.json";
+  std::string err;
+  ASSERT_TRUE(trace::export_chrome(path, events, trace::collect_logs(), &err))
+      << err;
+  std::vector<trace::TraceEvent> loaded;
+  std::vector<trace::LogRecord> logs;
+  ASSERT_TRUE(trace::load(path, &loaded, &logs, &err)) << err;
+  std::remove(path.c_str());
+  ASSERT_EQ(loaded.size(), events.size());
+  const trace::ValidationResult v = trace::validate(loaded);
+  EXPECT_TRUE(v.ok) << (v.problems.empty() ? "" : v.problems.front());
 }
 
 TEST_F(TraceIntegrationTest, ObsV2FoldsCountersAndBreakdown) {

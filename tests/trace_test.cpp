@@ -1,7 +1,7 @@
 // zmail::trace unit tests: id minting, the implicit causal context, the
-// replay guard, ring wraparound, span reconstruction, exporter round-trips
-// (binary and chrome JSON, the latter re-parsed through util::json), the
-// per-stage breakdown, profiling histograms, and the util::log mirror.
+// replay guard, ring wraparound, span reconstruction, the chrome JSON
+// exporter round trip (re-parsed through util::json), the per-stage
+// breakdown, profiling histograms, and the util::log mirror.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -205,18 +205,50 @@ TEST_F(TraceTest, BreakdownAccountsClosedSpansPerStage) {
   EXPECT_EQ(stages.count("transit"), 0u);  // stage never occurred
 }
 
-TEST_F(TraceTest, BinaryExportRoundTrips) {
-  set_sim_now(123);
-  begin(Ev::kMessage, 0xABCDEF, 1, 7, 8);
-  set_sim_now(456);
-  end(Ev::kMessage, 0xABCDEF, 2);
+TEST_F(TraceTest, ChromeExportParsesAndRoundTrips) {
+  // An id and arg0 above 2^53 survive only as exact JSON integers.
+  constexpr TraceId kBigId = 0xABCDEF0123456789ull;
+  set_sim_now(10);
+  begin(Ev::kMessage, kBigId, 1, 0xFEDCBA9876543210ull, 8);
+  instant(Ev::kNetSend, kBigId, 0, 1);
+  set_sim_now(20);
+  end(Ev::kMessage, kBigId, 2);
+  begin(Ev::kCheckpoint, 0, 2);
+  end(Ev::kCheckpoint, 0, 2);
   const auto events = collect();
+  LogRecord log;
+  log.ev = events.back();
+  log.ev.type = static_cast<std::uint8_t>(Ev::kLog);
+  log.tag = "store";
+  log.text = "checkpoint \"7\" written";
 
-  const std::string path =
-      ::testing::TempDir() + "zmail_trace_roundtrip.trace";
+  const std::string path = ::testing::TempDir() + "zmail_trace_chrome.json";
   std::string err;
-  ASSERT_TRUE(export_binary(path, events, {}, &err)) << err;
+  ASSERT_TRUE(export_chrome(path, events, {log}, &err)) << err;
 
+  // The file must be valid JSON in trace-event shape (util::json parses the
+  // same bytes Perfetto would).
+  {
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    std::string text;
+    char buf[4096];
+    std::size_t n;
+    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
+    std::fclose(f);
+    const auto parsed = json::parse(text);
+    ASSERT_TRUE(parsed.has_value());
+    const json::Value* tev = parsed->find("traceEvents");
+    ASSERT_NE(tev, nullptr);
+    EXPECT_EQ(tev->size(), events.size() + 1);
+    bool saw_async_begin = false;
+    for (std::size_t i = 0; i < tev->size(); ++i)
+      if (tev->at(i).find("ph") && tev->at(i).find("ph")->as_string() == "b")
+        saw_async_begin = true;
+    EXPECT_TRUE(saw_async_begin);
+  }
+
+  // And it must round-trip losslessly back through load().
   std::vector<TraceEvent> loaded;
   std::vector<LogRecord> logs;
   ASSERT_TRUE(load(path, &loaded, &logs, &err)) << err;
@@ -233,57 +265,13 @@ TEST_F(TraceTest, BinaryExportRoundTrips) {
     EXPECT_EQ(loaded[i].type, events[i].type);
     EXPECT_EQ(loaded[i].phase, events[i].phase);
   }
-}
-
-TEST_F(TraceTest, ChromeExportParsesAndRoundTrips) {
-  set_sim_now(10);
-  begin(Ev::kMessage, 5, 0);
-  instant(Ev::kNetSend, 5, 0, 1);
-  set_sim_now(20);
-  end(Ev::kMessage, 5, 1);
-  begin(Ev::kCheckpoint, 0, 2);
-  end(Ev::kCheckpoint, 0, 2);
-  const auto events = collect();
-
-  const std::string path = ::testing::TempDir() + "zmail_trace_chrome.json";
-  std::string err;
-  ASSERT_TRUE(export_chrome(path, events, {}, &err)) << err;
-
-  // The file must be valid JSON in trace-event shape (util::json parses the
-  // same bytes Perfetto would).
-  {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    std::string text;
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
-    std::fclose(f);
-    const auto parsed = json::parse(text);
-    ASSERT_TRUE(parsed.has_value());
-    const json::Value* tev = parsed->find("traceEvents");
-    ASSERT_NE(tev, nullptr);
-    EXPECT_EQ(tev->size(), events.size());
-    bool saw_async_begin = false;
-    for (std::size_t i = 0; i < tev->size(); ++i)
-      if (tev->at(i).find("ph") && tev->at(i).find("ph")->as_string() == "b")
-        saw_async_begin = true;
-    EXPECT_TRUE(saw_async_begin);
-  }
-
-  // And it must round-trip losslessly back through load().
-  std::vector<TraceEvent> loaded;
-  std::vector<LogRecord> logs;
-  ASSERT_TRUE(load(path, &loaded, &logs, &err)) << err;
-  std::remove(path.c_str());
-  ASSERT_EQ(loaded.size(), events.size());
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(loaded[i].seq, events[i].seq);
-    EXPECT_EQ(loaded[i].id, events[i].id);
-    EXPECT_EQ(loaded[i].sim_us, events[i].sim_us);
-    EXPECT_EQ(loaded[i].type, events[i].type);
-    EXPECT_EQ(loaded[i].phase, events[i].phase);
-  }
+  EXPECT_EQ(loaded.front().id, kBigId);
+  ASSERT_EQ(logs.size(), 1u);
+  EXPECT_EQ(logs[0].tag, log.tag);
+  EXPECT_EQ(logs[0].text, log.text);
+  EXPECT_EQ(logs[0].ev.seq, log.ev.seq);
+  EXPECT_EQ(logs[0].ev.sim_us, log.ev.sim_us);
+  EXPECT_EQ(logs[0].ev.type, static_cast<std::uint8_t>(Ev::kLog));
 }
 
 TEST_F(TraceTest, ProfileHistogramRecordsAndSnapshots) {

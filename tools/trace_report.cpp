@@ -1,13 +1,13 @@
 // trace_report: offline reader for flight-recorder captures.
 //
-//   ./trace_report run.trace                per-stage latency breakdown
+//   ./trace_report run.json                 per-stage latency breakdown
 //   ./trace_report run.json --chains        plus one line per message chain
-//   ./trace_report run.trace --validate     exit nonzero on span violations
+//   ./trace_report run.json --validate      exit nonzero on span violations
 //
-// Reads either export format (compact binary or Chrome trace-event JSON;
-// the loader sniffs the magic), reconstructs spans and per-message causal
-// chains, and prints the stamp-buy / transit / classify / settle latency
-// table that EXPERIMENTS.md quotes.  --validate runs the same span
+// Reads the Chrome trace-event JSON that `--trace PATH` writes,
+// reconstructs spans and per-message causal chains, and prints the
+// stamp-buy / transit / classify / settle latency table that EXPERIMENTS.md
+// quotes.  --validate runs the same span
 // invariants as the CI trace-smoke step: every span closed (crash- and
 // loss-forgiveness applied), end >= begin, child events inside the root
 // message interval, and exactly one root mint per id.
@@ -27,7 +27,7 @@ namespace {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s TRACE_FILE [--validate] [--chains] [--logs]\n"
-               "  TRACE_FILE  flight-recorder capture, binary or chrome\n"
+               "  TRACE_FILE  flight-recorder capture in Chrome trace-event\n"
                "              JSON (as written by --trace PATH)\n"
                "  --validate  check span invariants; exit 1 on violations\n"
                "  --chains    print one line per traced message chain\n"

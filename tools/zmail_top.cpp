@@ -1,27 +1,24 @@
-// zmail_top — terminal dashboard over recorded (or live-growing) telemetry.
+// zmail_top — terminal dashboard over recorded telemetry.
 //
-//   ./zmail_top run.csv --once          one render, then exit (CI / piping)
-//   ./zmail_top run.csv                 follow mode: re-read + redraw until ^C
-//   ./zmail_top run.csv --interval 2    follow-mode poll seconds (default 1)
-//   ./zmail_top run.csv --width 64      sparkline width
+//   ./zmail_top run.json                one render, then exit
+//   ./zmail_top run.json --width 64     sparkline width
 //
-// Input is the long-format CSV written by `scenario_runner --telemetry`
-// (or telemetry::write_csv).  The dashboard renders:
+// Input is the obs-v3 file written by `scenario_runner --telemetry` (or an
+// obs snapshot): its timeseries and timeseries_engine sections, read back
+// by telemetry::series_from_json.  The dashboard renders:
 //   - market panel: mean stamp price, per-ISP price range;
 //   - mail panel: delivered/blocked/refused rates with sparklines;
 //   - health panel: WAL backlogs, quiesce buffers, delivery-latency p99;
 //   - engine panel: event backlog and event rate (execution signals);
 //   - probe panel: the default health rules re-evaluated over the series,
 //     with fire/clear transition history.
-// In follow mode the CSV is re-parsed each poll, so pointing it at a file
-// a running scenario rewrites gives a live view without any socket.
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "telemetry/export.hpp"
@@ -33,18 +30,32 @@ using namespace zmail;
 namespace {
 
 struct Args {
-  std::string csv_path;
-  bool once = false;
-  double interval_sec = 1.0;
+  std::string path;
   std::size_t width = 48;
 };
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s telemetry.csv [--once] [--interval SEC]"
-               " [--width N]\n",
+               "usage: %s TELEMETRY_FILE [--width N]\n"
+               "  TELEMETRY_FILE  obs-v3 JSON written by scenario_runner\n"
+               "                  --telemetry PATH\n"
+               "  --width N       sparkline width (default 48)\n",
                argv0);
   return 2;
+}
+
+// Reads the series of an obs-v3 file (or a bare obs snapshot).
+bool load_series(const std::string& path,
+                 std::vector<telemetry::Series>* out, std::string* error) {
+  std::ifstream f(path, std::ios::binary);
+  if (!f) {
+    *error = "cannot open " + path;
+    return false;
+  }
+  std::ostringstream text;
+  text << f.rdbuf();
+  const auto doc = json::parse(text.str(), error);
+  return doc && telemetry::series_from_json(*doc, out, error);
 }
 
 const telemetry::Series* find(const std::vector<telemetry::Series>& all,
@@ -89,7 +100,7 @@ void render(const std::vector<telemetry::Series>& merged, const Args& args) {
   sim::SimTime end_ts = 0;
   for (const auto& s : merged)
     if (!s.points.empty()) end_ts = std::max(end_ts, s.points.back().t_us);
-  std::printf("zmail_top — %s — sim time %.1f h\n", args.csv_path.c_str(),
+  std::printf("zmail_top — %s — sim time %.1f h\n", args.path.c_str(),
               static_cast<double>(end_ts) / (3600.0 * 1e6));
 
   // Market panel.
@@ -128,7 +139,7 @@ void render(const std::vector<telemetry::Series>& merged, const Args& args) {
       const bool quiesce =
           s.name.size() > 16 &&
           s.name.rfind(".quiesce_buffered") == s.name.size() - 17;
-      if (wal || quiesce) panel_row(t, s.key(), *&s, args.width);
+      if (wal || quiesce) panel_row(t, s.key(), s, args.width);
     }
     t.print("durability & quiesce");
   }
@@ -175,47 +186,30 @@ int main(int argc, char** argv) {
     const auto value = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
-    if (std::strcmp(a, "--once") == 0) {
-      args.once = true;
-    } else if (std::strcmp(a, "--interval") == 0) {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      args.interval_sec = std::strtod(v, nullptr);
-      if (args.interval_sec <= 0) return usage(argv[0]);
-    } else if (std::strcmp(a, "--width") == 0) {
+    if (std::strcmp(a, "--width") == 0) {
       const char* v = value();
       if (!v) return usage(argv[0]);
       args.width = std::strtoull(v, nullptr, 10);
       if (args.width == 0) return usage(argv[0]);
     } else if (a[0] == '-') {
       return usage(argv[0]);
-    } else if (args.csv_path.empty()) {
-      args.csv_path = a;
+    } else if (args.path.empty()) {
+      args.path = a;
     } else {
       return usage(argv[0]);
     }
   }
-  if (args.csv_path.empty()) return usage(argv[0]);
+  if (args.path.empty()) return usage(argv[0]);
 
-  for (;;) {
-    std::vector<telemetry::Series> series;
-    std::string err;
-    if (!telemetry::load_csv(args.csv_path, &series, &err)) {
-      std::fprintf(stderr, "cannot read %s: %s\n", args.csv_path.c_str(),
-                   err.c_str());
-      return 1;
-    }
-    // The CSV may predate the derived aggregates (or come from a raw
-    // registry dump); merging is idempotent, so derive unconditionally.
-    const std::vector<telemetry::Series> merged =
-        telemetry::merge_collected(std::move(series));
-    if (!args.once) std::printf("\x1b[2J\x1b[H");  // clear + home
-    render(merged, args);
-    if (args.once) break;
-    std::fflush(stdout);
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(
-            static_cast<long long>(args.interval_sec * 1000.0)));
+  std::vector<telemetry::Series> series;
+  std::string err;
+  if (!load_series(args.path, &series, &err)) {
+    std::fprintf(stderr, "cannot read %s: %s\n", args.path.c_str(),
+                 err.c_str());
+    return 1;
   }
+  // The file already holds the derived aggregates; merging is idempotent
+  // and puts the series in canonical order.
+  render(telemetry::merge_collected(std::move(series)), args);
   return 0;
 }
