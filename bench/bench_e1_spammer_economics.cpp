@@ -242,12 +242,13 @@ void e1g_telemetry_overlay(bench::Bench& harness) {
   spec.endowment_epennies = static_cast<double>(sys.initial_endowment());
   std::vector<telemetry::Series> merged =
       telemetry::merge_series(*sys.telemetry(), spec);
-  // Keep the economics-relevant slice: every econ series plus the world
-  // mail-flow totals.
+  // Keep the economics-relevant slice: every econ series plus the
+  // fleet-wide ISP counters.
   std::vector<telemetry::Series> overlay;
   for (auto& s : merged) {
-    const bool flow_total = s.scope == "core" && s.name.rfind("total.", 0) == 0;
-    if (!s.engine && (s.scope == "econ" || flow_total))
+    const bool fleet_counter =
+        s.scope == "core" && s.name.rfind("isp_totals.", 0) == 0;
+    if (!s.engine && (s.scope == "econ" || fleet_counter))
       overlay.push_back(std::move(s));
   }
   json::Value j = json::Value::object();

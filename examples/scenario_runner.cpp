@@ -361,20 +361,16 @@ int main(int argc, char** argv) {
           for (const auto& msg : auditor.report().messages)
             r.failures.push_back(core::ScenarioError{0, "audit: " + msg});
         }
+        // Protocol counters under their obs-snapshot paths.
         const core::IspMetrics m = runner.world().total_isp_metrics();
         const core::BankMetrics bm = runner.world().bank().metrics();
-        bag.count("emails_delivered", static_cast<double>(m.emails_delivered));
-        bag.count("refused_no_balance",
-                  static_cast<double>(m.refused_no_balance));
-        bag.count("refused_daily_limit",
-                  static_cast<double>(m.refused_daily_limit));
-        bag.count("bank_rounds", static_cast<double>(bm.snapshot_rounds));
-        bag.count("bank_violations",
-                  static_cast<double>(bm.inconsistent_pairs_found));
-        bag.count("interbank_messages",
-                  static_cast<double>(bm.interbank_messages));
-        bag.count("clearing_transfers",
-                  static_cast<double>(bm.clearing_transfers));
+        core::IspMetrics::fields([&](const char* name, auto p) {
+          bag.count(std::string("isp_totals.") + name,
+                    static_cast<double>(m.*p));
+        });
+        core::BankMetrics::fields([&](const char* name, auto p) {
+          bag.count(std::string("bank.") + name, static_cast<double>(bm.*p));
+        });
         bag.count("audit_violations",
                   static_cast<double>(auditor.report().violations));
         bag.count("state_recoveries",
@@ -406,8 +402,7 @@ int main(int argc, char** argv) {
   if (!args.trace_path.empty()) {
     const auto events = trace::collect();
     std::string terr;
-    if (!trace::export_chrome(args.trace_path, events, trace::collect_logs(),
-                              &terr)) {
+    if (!trace::export_chrome(args.trace_path, events, &terr)) {
       std::fprintf(stderr, "trace export failed: %s\n", terr.c_str());
       return 2;
     }

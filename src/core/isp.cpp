@@ -502,11 +502,10 @@ bool Isp::user_sell(UserId t, EPenny x) {
 }
 
 sim::Duration Isp::jittered_backoff(std::uint32_t attempt) {
-  sim::Duration b = params_.retry.backoff_for(attempt);
-  const double j = params_.retry.jitter;
-  if (j > 0.0)
-    b = static_cast<sim::Duration>(static_cast<double>(b) *
-                                   rng_.uniform(1.0 - j, 1.0 + j));
+  constexpr double j = RetryPolicy::kJitter;
+  const auto b = static_cast<sim::Duration>(
+      static_cast<double>(params_.retry.backoff_for(attempt)) *
+      rng_.uniform(1.0 - j, 1.0 + j));
   return b > 0 ? b : 1;
 }
 
@@ -522,13 +521,6 @@ void Isp::arm_retry(PendingWire& p, net::MsgType type,
 
 void Isp::retry_wire(PendingWire& p, sim::SimTime now, std::uint64_t& counter) {
   if (!p.active || now < p.next_at) return;
-  const RetryPolicy& rp = params_.retry;
-  if (rp.max_attempts != 0 && p.attempts >= rp.max_attempts) {
-    // Give up; the guard resets (if ever) via the normal reply path.
-    p.active = false;
-    p.wire = crypto::Bytes{};
-    return;
-  }
   outbox_.push_back(
       Outbound{Outbound::Dest::kBank, 0, p.type, p.wire, kInvalidUser,
                p.trace_id});

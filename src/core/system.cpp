@@ -482,14 +482,8 @@ void ZmailSystem::enable_telemetry(const telemetry::TelemetryConfig& cfg) {
   // During an outage window they read the party's last pre-crash state,
   // which is itself sim-deterministic.
   for (std::size_t i = 0; i < params_.n_isps; ++i) {
+    if (!isps_[i]) continue;  // legacy hosts only feed legacy_totals
     const std::string tag = "isp" + std::to_string(i);
-    if (!isps_[i]) {
-      // Legacy (non-compliant) host: only the ground-truth spam feed.
-      t.add_rate("core", tag + ".legacy_spam_received", [this, i] {
-        return static_cast<double>(legacy_[i].stats.emails_received_spam);
-      });
-      continue;
-    }
     auto get = [this, i]() -> const Isp& { return *isps_[i]; };
     // econ — the market view of this ISP.
     // Effective stamp price: till micros moved per net e-penny traded over
@@ -525,26 +519,7 @@ void ZmailSystem::enable_telemetry(const telemetry::TelemetryConfig& cfg) {
     t.add_rate("econ", tag + ".user_epennies_bought", [get] {
       return static_cast<double>(get().users_bought());
     });
-    t.add_rate("econ", tag + ".refunds", [get] {
-      return static_cast<double>(get().metrics().emails_refunded);
-    });
-    // core — mail flow and quiesce health.
-    t.add_rate("core", tag + ".delivered", [get] {
-      return static_cast<double>(get().metrics().emails_delivered);
-    });
-    t.add_rate("core", tag + ".blocked", [get] {
-      const IspMetrics& m = get().metrics();
-      return static_cast<double>(m.emails_segregated + m.emails_discarded +
-                                 m.emails_filtered_out);
-    });
-    t.add_rate("core", tag + ".refused", [get] {
-      const IspMetrics& m = get().metrics();
-      return static_cast<double>(m.refused_no_balance +
-                                 m.refused_daily_limit);
-    });
-    t.add_rate("core", tag + ".retransmitted", [get] {
-      return static_cast<double>(get().metrics().emails_retransmitted);
-    });
+    // core — quiesce health.
     t.add_gauge("core", tag + ".quiesce_buffered", [get] {
       return static_cast<double>(get().buffered_count());
     });
@@ -555,32 +530,9 @@ void ZmailSystem::enable_telemetry(const telemetry::TelemetryConfig& cfg) {
   t.add_gauge("econ", "bank.epenny_supply", [this] {
     return static_cast<double>(bank_->epennies_outstanding());
   });
-  t.add_rate("econ", "bank.minted", [this] {
-    return static_cast<double>(bank_->metrics().epennies_minted);
-  });
-  t.add_rate("econ", "bank.burned", [this] {
-    return static_cast<double>(bank_->metrics().epennies_burned);
-  });
-  t.add_rate("econ", "bank.settlements", [this] {
-    return static_cast<double>(bank_->metrics().settlement_transfers);
-  });
   t.add_gauge("econ", "bank.drift_pairs", [this] {
     return static_cast<double>(bank_->persistent_drift_pairs());
   });
-  t.add_rate("core", "bank.credit_reports", [this] {
-    return static_cast<double>(bank_->metrics().credit_reports_received);
-  });
-  if (bank_->bank_count() > 1) {
-    t.add_rate("econ", "fed.clearing_transfers", [this] {
-      return static_cast<double>(bank_->metrics().clearing_transfers);
-    });
-    t.add_rate("net", "fed.interbank_msgs", [this] {
-      return static_cast<double>(bank_->metrics().interbank_messages);
-    });
-    t.add_rate("net", "fed.interbank_retries", [this] {
-      return static_cast<double>(bank_->metrics().interbank_retries);
-    });
-  }
   for (std::size_t b = 0; b < bank_->bank_count(); ++b) {
     const std::string tag = bank_tag(b, bank_->bank_count());
     if (bank_->bank_count() > 1)
@@ -590,6 +542,27 @@ void ZmailSystem::enable_telemetry(const telemetry::TelemetryConfig& cfg) {
     if (store::Checkpointer* cp = host_store(bank_host(b)))
       add_store_series(tag, cp);
   }
+
+  // Counter rates: one fleet-wide series per fields() entry, keyed by the
+  // counter's obs-snapshot path, so each counter is named exactly once.
+  IspMetrics::fields([&](const char* name, auto p) {
+    t.add_rate("core", std::string("isp_totals.") + name, [this, p] {
+      std::uint64_t sum = 0;
+      for (const auto& isp : isps_)
+        if (isp) sum += isp->metrics().*p;
+      return static_cast<double>(sum);
+    });
+  });
+  BankMetrics::fields([&](const char* name, auto p) {
+    t.add_rate("core", std::string("bank.") + name, [this, p] {
+      return static_cast<double>(bank_->metrics().*p);
+    });
+  });
+  LegacyHostStats::fields([&](const char* name, auto p) {
+    t.add_rate("core", std::string("legacy_totals.") + name, [this, p] {
+      return static_cast<double>(total_legacy_stats().*p);
+    });
+  });
 
   // engine — execution signals (backlogs, engine totals); these describe
   // this process, not the simulated world, so they live outside the

@@ -64,18 +64,6 @@ const Series* find_series(const std::vector<Series>& all,
   return nullptr;
 }
 
-// Every derivation skips when its output key already exists, so merging
-// series that were themselves written post-merge (zmail_top's input) is a
-// no-op.
-void derive_sum(std::vector<Series>& all, const char* scope,
-                const char* suffix, Kind kind, const std::string& out_name) {
-  if (find_series(all, std::string(scope) + "." + out_name)) return;
-  const auto parts = per_isp(all, scope, suffix);
-  std::vector<Point> pts;
-  if (!sum_points(parts, &pts)) return;
-  all.push_back(Series{scope, out_name, kind, false, std::move(pts)});
-}
-
 void canonical_sort(std::vector<Series>& all) {
   std::sort(all.begin(), all.end(), [](const Series& a, const Series& b) {
     if (a.engine != b.engine) return !a.engine;
@@ -86,22 +74,23 @@ void canonical_sort(std::vector<Series>& all) {
 
 }  // namespace
 
-std::vector<Series> merge_collected(std::vector<Series> all,
-                                    const DeriveSpec& spec) {
+std::vector<Series> merge_series(const TelemetryRegistry& registry,
+                                 const DeriveSpec& spec) {
+  std::vector<Series> all = registry.collect();
   canonical_sort(all);
 
-  // Mail-flow totals (point-wise sums of integer window deltas: exact and
+  // Fleet holdings (point-wise sum of integer gauges: exact and
   // grouping-independent).
-  derive_sum(all, "core", "delivered", Kind::kRate, "total.delivered");
-  derive_sum(all, "core", "blocked", Kind::kRate, "total.blocked");
-  derive_sum(all, "core", "refused", Kind::kRate, "total.refused");
-  derive_sum(all, "econ", "epennies_held", Kind::kGauge,
-             "total.epennies_held");
+  {
+    std::vector<Point> pts;
+    if (sum_points(per_isp(all, "econ", "epennies_held"), &pts))
+      all.push_back(Series{"econ", "total.epennies_held", Kind::kGauge, false,
+                           std::move(pts)});
+  }
 
   // Conservation gap: supply + endowment - holdings.  Positive = e-pennies
   // riding in-flight mail or unsettled trades; a climbing floor is a leak.
-  if (spec.endowment_epennies >= 0.0 &&
-      !find_series(all, "econ.total.conservation_gap")) {
+  if (spec.endowment_epennies >= 0.0) {
     const Series* held = find_series(all, "econ.total.epennies_held");
     const Series* supply = find_series(all, "econ.bank.epenny_supply");
     if (held && supply && same_grid(*held, *supply)) {
@@ -115,7 +104,7 @@ std::vector<Series> merge_collected(std::vector<Series> all,
 
   // Market price: mean of the per-ISP effective stamp prices (fixed
   // divisor, canonical order — deterministic).
-  if (!find_series(all, "econ.market.stamp_price_micros")) {
+  {
     const auto parts = per_isp(all, "econ", "stamp_price_micros");
     std::vector<Point> pts;
     if (sum_points(parts, &pts)) {
@@ -128,11 +117,6 @@ std::vector<Series> merge_collected(std::vector<Series> all,
 
   canonical_sort(all);
   return all;
-}
-
-std::vector<Series> merge_series(const TelemetryRegistry& registry,
-                                 const DeriveSpec& spec) {
-  return merge_collected(registry.collect(), spec);
 }
 
 json::Value timeseries_json(const std::vector<Series>& series, bool engine) {
@@ -244,7 +228,7 @@ std::string prometheus_text(const std::vector<Series>& series) {
   std::set<std::string> typed;
   for (const Series& s : series) {
     if (s.points.empty()) continue;
-    // "isp3.delivered" -> metric zmail_core_delivered{entity="isp3"}.
+    // "isp3.till_micros" -> metric zmail_econ_till_micros{entity="isp3"}.
     std::string entity, signal = s.name;
     const std::size_t dot = s.name.find('.');
     if (dot != std::string::npos) {

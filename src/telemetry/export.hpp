@@ -31,20 +31,16 @@ struct DeriveSpec {
 
 // The registry's series, canonically sorted by key, with derived aggregates
 // appended:
-//   core.total.delivered / core.total.blocked / core.total.refused —
-//     point-wise sums of the per-ISP rates;
 //   econ.total.epennies_held — point-wise sum of per-ISP holdings;
 //   econ.total.conservation_gap — supply + endowment - holdings (>= 0:
 //     e-pennies in flight; a growing floor is a leak);
 //   econ.market.stamp_price_micros — mean of the per-ISP price gauges.
+// Fleet-wide counter totals need no derive: the registry samples them
+// directly (core.isp_totals.<field>, core.bank.<field>, ...).
 // Derived sums only combine series with identical timestamp grids (always
 // true within one registry); mismatches are skipped, not guessed.
 std::vector<Series> merge_series(const TelemetryRegistry& registry,
                                  const DeriveSpec& spec = {});
-
-// Convenience over already-collected series (zmail_top's input path).
-std::vector<Series> merge_collected(std::vector<Series> series,
-                                    const DeriveSpec& spec = {});
 
 // {"<scope>.<name>": {"kind": ..., "points": [[t,value],...] |
 //  [[t,count,sum,min,max,p50,p99],...]}} for every series matching

@@ -6,9 +6,9 @@
 // threshold, and fire/clear hysteresis in consecutive evaluations.  Rules
 // are evaluated retrospectively over the full recorded series at export
 // time — a pure function of the (deterministic) series data, so the same
-// probe fires and clears at the same sim-times on every replay of a seed.  Each transition is logged through the "probe" component (which
-// the flight recorder mirrors into trace kLog events when tracing is on),
-// and the summary ProbeReport is what auditors and CI assert on.
+// probe fires and clears at the same sim-times on every replay of a seed.
+// Each transition is logged through the "probe" component, and the
+// summary ProbeReport is what auditors and CI assert on.
 #pragma once
 
 #include <cstdint>

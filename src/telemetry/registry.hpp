@@ -50,7 +50,7 @@ class TelemetryRegistry {
 
   // --- Registration (at enable time, before the run) -----------------------
   // Samplers MUST be read-only: they may not mutate simulation state or
-  // draw randomness.  `name` follows "<entity>.<signal>" ("isp3.delivered",
+  // draw randomness.  `name` follows "<entity>.<signal>" ("isp3.till_micros",
   // "bank.epenny_supply") so exporters can split the entity label out.
   void add_gauge(std::string scope, std::string name, GaugeFn fn);
   void add_rate(std::string scope, std::string name, CounterFn fn);

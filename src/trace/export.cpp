@@ -44,8 +44,7 @@ std::string id_string(TraceId id) {
 }  // namespace
 
 bool export_chrome(const std::string& path,
-                   const std::vector<TraceEvent>& events,
-                   const std::vector<LogRecord>& logs, std::string* error) {
+                   const std::vector<TraceEvent>& events, std::string* error) {
   json::Value root = json::Value::object();
   root["displayTimeUnit"] = "ms";
   json::Value arr = json::Value::array();
@@ -75,33 +74,16 @@ bool export_chrome(const std::string& path,
     arr.push_back(std::move(e));
   }
 
-  for (const auto& rec : logs) {
-    json::Value e = json::Value::object();
-    e["name"] = "log:" + rec.tag;
-    e["cat"] = "zmail.log";
-    e["ph"] = "i";
-    e["s"] = "t";
-    e["ts"] = rec.ev.sim_us;
-    e["pid"] = static_cast<std::uint64_t>(rec.ev.host);
-    e["tid"] = static_cast<std::uint64_t>(rec.ev.host);
-    json::Value args = json::Value::object();
-    append_raw_args(args, rec.ev);
-    args["tag"] = rec.tag;
-    args["text"] = rec.text;
-    e["args"] = std::move(args);
-    arr.push_back(std::move(e));
-  }
-
   root["traceEvents"] = std::move(arr);
   return json::write_file(path, root, error);
 }
 
 bool export_current(const std::string& path, std::string* error) {
-  return export_chrome(path, collect(), collect_logs(), error);
+  return export_chrome(path, collect(), error);
 }
 
 bool load(const std::string& path, std::vector<TraceEvent>* events,
-          std::vector<LogRecord>* logs, std::string* error) {
+          std::string* error) {
   std::string data;
   if (!read_all(path, &data, error)) return false;
   const auto doc = json::parse(data, error);
@@ -112,12 +94,6 @@ bool load(const std::string& path, std::vector<TraceEvent>* events,
     return false;
   }
   events->clear();
-  if (logs != nullptr) logs->clear();
-  const auto str = [](const json::Value* v) {
-    return v != nullptr && v->kind() == json::Value::Kind::kString
-               ? v->as_string()
-               : std::string();
-  };
   for (std::size_t i = 0; i < arr->size(); ++i) {
     const json::Value& e = arr->at(i);
     const json::Value* args = e.find("args");
@@ -137,19 +113,7 @@ bool load(const std::string& path, std::vector<TraceEvent>* events,
     ev.phase = static_cast<std::uint8_t>(u64("phase"));
     const json::Value* ts = e.find("ts");
     if (ts != nullptr && ts->is_number()) ev.sim_us = ts->as_int64();
-    const json::Value* text = args->find("text");
-    if (text != nullptr) {
-      if (logs != nullptr) {
-        LogRecord rec;
-        rec.ev = ev;
-        rec.ev.type = static_cast<std::uint8_t>(Ev::kLog);
-        rec.tag = str(args->find("tag"));
-        rec.text = str(text);
-        logs->push_back(std::move(rec));
-      }
-    } else {
-      events->push_back(ev);
-    }
+    events->push_back(ev);
   }
   std::sort(events->begin(), events->end(),
             [](const TraceEvent& a, const TraceEvent& b) {

@@ -6,7 +6,7 @@
 // up on a single track; host-scoped spans (id 0) become per-pid "B"/"E";
 // instants become "i".  Every record embeds the raw POD fields in args
 // (64-bit fields as exact JSON integers) so the file round-trips losslessly
-// back through load(); log-mirror records carry their tag and text too.
+// back through load().
 //
 // Timestamps are *sim-time* microseconds (the deterministic clock the
 // invariants are stated in); wall_ns rides along in args for wall-clock
@@ -22,14 +22,13 @@ namespace zmail::trace {
 
 bool export_chrome(const std::string& path,
                    const std::vector<TraceEvent>& events,
-                   const std::vector<LogRecord>& logs,
                    std::string* error = nullptr);
 
-// Convenience: collect() + collect_logs() + export_chrome.
+// Convenience: collect() + export_chrome.
 bool export_current(const std::string& path, std::string* error = nullptr);
 
 // Loads a file written by export_chrome; events come back sorted by seq.
 bool load(const std::string& path, std::vector<TraceEvent>* events,
-          std::vector<LogRecord>* logs, std::string* error = nullptr);
+          std::string* error = nullptr);
 
 }  // namespace zmail::trace

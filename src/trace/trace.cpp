@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
-
-#include "util/log.hpp"
 
 namespace zmail::trace {
 
@@ -39,7 +36,6 @@ const char* ev_name(Ev e) noexcept {
     case Ev::kSnapshotRound: return "snapshot_round";
     case Ev::kCheckpoint: return "checkpoint";
     case Ev::kRecovery: return "recovery";
-    case Ev::kLog: return "log";
     case Ev::kCount: break;
   }
   return "?";
@@ -106,15 +102,6 @@ Ring& thread_ring() {
   return *ring;
 }
 
-// Bounded mirror of util::log records (ring semantics via deque).
-std::mutex g_logs_mutex;
-std::deque<LogRecord>& log_mirror() {
-  static std::deque<LogRecord> d;
-  return d;
-}
-std::size_t g_log_capacity = 4096;
-bool g_log_mirror_installed = false;
-
 }  // namespace
 
 namespace detail {
@@ -162,10 +149,6 @@ void clear() {
       r->head = 0;
     }
   }
-  {
-    std::lock_guard<std::mutex> lock(g_logs_mutex);
-    log_mirror().clear();
-  }
   g_seq.store(0, std::memory_order_relaxed);
   g_next_id.store(1, std::memory_order_relaxed);
 }
@@ -192,11 +175,6 @@ std::vector<TraceEvent> collect() {
               return a.seq < b.seq;
             });
   return out;
-}
-
-std::vector<LogRecord> collect_logs() {
-  std::lock_guard<std::mutex> lock(g_logs_mutex);
-  return {log_mirror().begin(), log_mirror().end()};
 }
 
 TraceId next_id() noexcept {
@@ -293,46 +271,6 @@ json::Value profiles_to_json() {
 void reset_profiles() {
   std::lock_guard<std::mutex> lock(g_profiles_mutex);
   for (auto& [name, hist] : profile_map()) hist->reset();
-}
-
-// --- Log mirroring ----------------------------------------------------------
-
-void install_log_mirror(std::size_t capacity) {
-  {
-    std::lock_guard<std::mutex> lock(g_logs_mutex);
-    g_log_capacity = std::max<std::size_t>(capacity, 1);
-    if (g_log_mirror_installed) return;
-    g_log_mirror_installed = true;
-  }
-  set_log_sink([](LogLevel level, const char* tag, const char* text) {
-    if (!enabled()) return;
-    LogRecord rec;
-    rec.ev.seq = g_seq.fetch_add(1, std::memory_order_relaxed);
-    rec.ev.sim_us = detail::t_sim_us;
-    rec.ev.wall_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-    rec.ev.id = detail::t_current;
-    rec.ev.arg0 = static_cast<std::uint64_t>(level);
-    rec.ev.type = static_cast<std::uint8_t>(Ev::kLog);
-    rec.ev.phase = static_cast<std::uint8_t>(Phase::kInstant);
-    rec.tag = tag;
-    rec.text = text;
-    std::lock_guard<std::mutex> lock(g_logs_mutex);
-    auto& d = log_mirror();
-    d.push_back(std::move(rec));
-    while (d.size() > g_log_capacity) d.pop_front();
-  });
-}
-
-void remove_log_mirror() {
-  {
-    std::lock_guard<std::mutex> lock(g_logs_mutex);
-    if (!g_log_mirror_installed) return;
-    g_log_mirror_installed = false;
-  }
-  set_log_sink({});
 }
 
 }  // namespace zmail::trace

@@ -83,8 +83,6 @@ enum class Ev : std::uint8_t {
   // --- durable store -------------------------------------------------------
   kCheckpoint,     // span: snapshot write + WAL truncation (arg0 = bytes)
   kRecovery,       // span: crash rebuild (arg0 = WAL records replayed)
-  // --- log mirror ----------------------------------------------------------
-  kLog,            // instant: mirrored util::log record (arg0 = level)
   kCount
 };
 
@@ -106,13 +104,6 @@ struct TraceEvent {
 };
 static_assert(std::is_trivially_copyable_v<TraceEvent>, "ring does memcpy");
 static_assert(sizeof(TraceEvent) == 48, "keep the record cache-friendly");
-
-// A mirrored log record: the POD event plus the text the ring cannot hold.
-struct LogRecord {
-  TraceEvent ev;
-  std::string tag;
-  std::string text;
-};
 
 // --- Runtime control --------------------------------------------------------
 
@@ -143,7 +134,7 @@ void set_profiling_enabled(bool on);
 // Applies to rings created after the call; default 1 << 16.
 void set_ring_capacity(std::size_t events);
 
-// Drops all recorded events, log mirrors, and drop counters.  Not
+// Drops all recorded events and drop counters.  Not
 // thread-safe against concurrent emission; call between runs.
 void clear();
 
@@ -153,8 +144,6 @@ std::uint64_t dropped();
 // Snapshot of every ring, merged and sorted by seq.  Safe to call while
 // recording is paused; collecting mid-emission may miss in-flight events.
 std::vector<TraceEvent> collect();
-// Snapshot of the mirrored log records (bounded; oldest dropped first).
-std::vector<LogRecord> collect_logs();
 
 // Mints a fresh nonzero TraceId — unless tracing is disabled or the
 // current thread is replaying a WAL (then 0, so replayed work stays
@@ -325,13 +314,5 @@ class ScopedTimer {
   static ::zmail::trace::ProfileHistogram& zmail_prof_hist_ =      \
       ::zmail::trace::profile(name);                               \
   ::zmail::trace::ScopedTimer zmail_prof_timer_(zmail_prof_hist_)
-
-// --- Log mirroring ----------------------------------------------------------
-
-// Routes util::log records (at or above their component threshold) into
-// the flight-recorder timeline so logs and spans interleave.  Off by
-// default; idempotent.  Capacity bounds the retained mirror (oldest out).
-void install_log_mirror(std::size_t capacity = 4096);
-void remove_log_mirror();
 
 }  // namespace zmail::trace

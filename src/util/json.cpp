@@ -413,7 +413,7 @@ struct Parser {
 }  // namespace
 
 std::optional<Value> parse(const std::string& text, std::string* error) {
-  Parser p{text};
+  Parser p{text, 0, {}};
   Value v;
   if (!p.parse_value(v, 0)) {
     if (error) *error = p.error;
@@ -434,7 +434,7 @@ bool write_file(const std::string& path, const Value& v, std::string* error) {
     if (error) *error = "cannot open " + path + ": " + std::strerror(errno);
     return false;
   }
-  const std::string text = v.dump(2);
+  const std::string text = v.dump(0);
   const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size() &&
                   std::fputc('\n', f) != EOF;
   const bool closed = std::fclose(f) == 0;

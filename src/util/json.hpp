@@ -106,7 +106,8 @@ class Value {
 std::optional<Value> parse(const std::string& text,
                            std::string* error = nullptr);
 
-// Convenience: dump(v) to a file; false (and `error`) on I/O failure.
+// Convenience: the compact dump(0) of v to a file, newline-terminated;
+// false (and `error`) on I/O failure.
 bool write_file(const std::string& path, const Value& v,
                 std::string* error = nullptr);
 

@@ -2,30 +2,11 @@
 
 #include <atomic>
 #include <cstdio>
-#include <map>
-#include <mutex>
 
 namespace zmail {
 
 namespace {
 std::atomic<LogLevel> g_level{LogLevel::kWarn};
-
-// Component overrides are rare and read-mostly; a mutex-guarded map keeps
-// them simple.  The common no-override case is answered by a relaxed flag
-// without touching the lock.
-std::atomic<bool> g_have_overrides{false};
-std::mutex g_override_mutex;
-std::map<std::string, LogLevel>& overrides() {
-  static std::map<std::string, LogLevel> m;
-  return m;
-}
-
-std::mutex g_sink_mutex;
-LogSink& sink() {
-  static LogSink s;
-  return s;
-}
-std::atomic<bool> g_have_sink{false};
 
 const char* level_name(LogLevel l) noexcept {
   switch (l) {
@@ -43,33 +24,9 @@ const char* level_name(LogLevel l) noexcept {
 void set_log_level(LogLevel level) noexcept { g_level.store(level); }
 LogLevel log_level() noexcept { return g_level.load(); }
 
-void set_component_log_level(const std::string& tag, LogLevel level) {
-  std::lock_guard<std::mutex> lock(g_override_mutex);
-  overrides()[tag] = level;
-  g_have_overrides.store(true, std::memory_order_relaxed);
-}
-
-void clear_component_log_levels() {
-  std::lock_guard<std::mutex> lock(g_override_mutex);
-  overrides().clear();
-  g_have_overrides.store(false, std::memory_order_relaxed);
-}
-
-bool log_enabled(LogLevel level, const char* tag) noexcept {
-  LogLevel threshold = g_level.load(std::memory_order_relaxed);
-  if (g_have_overrides.load(std::memory_order_relaxed)) {
-    std::lock_guard<std::mutex> lock(g_override_mutex);
-    const auto& m = overrides();
-    const auto it = m.find(tag);
-    if (it != m.end()) threshold = it->second;
-  }
-  return static_cast<int>(level) >= static_cast<int>(threshold);
-}
-
-void set_log_sink(LogSink s) {
-  std::lock_guard<std::mutex> lock(g_sink_mutex);
-  sink() = std::move(s);
-  g_have_sink.store(static_cast<bool>(sink()), std::memory_order_relaxed);
+bool log_enabled(LogLevel level, const char* /*tag*/) noexcept {
+  return static_cast<int>(level) >=
+         static_cast<int>(g_level.load(std::memory_order_relaxed));
 }
 
 void logf(LogLevel level, const char* tag, const char* fmt, ...) {
@@ -80,10 +37,6 @@ void logf(LogLevel level, const char* tag, const char* fmt, ...) {
   std::vsnprintf(buf, sizeof(buf), fmt, args);
   va_end(args);
   std::fprintf(stderr, "[%s] %-8s %s\n", level_name(level), tag, buf);
-  if (g_have_sink.load(std::memory_order_relaxed)) {
-    std::lock_guard<std::mutex> lock(g_sink_mutex);
-    if (sink()) sink()(level, tag, buf);
-  }
 }
 
 }  // namespace zmail

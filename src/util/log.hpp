@@ -1,17 +1,12 @@
 // Minimal leveled logger.
 //
 // Simulations are chatty only when asked: the default level is kWarn so that
-// benches stay quiet, and tests can raise verbosity per-fixture.  Components
-// (the `tag` argument: "net", "core", "store", "sim", ...) can be filtered
-// individually with set_component_log_level, overriding the global threshold
-// in either direction.  An optional sink receives every record that passes
-// its threshold, in addition to stderr; zmail::trace uses this to mirror
-// logs into the flight recorder so logs and spans share one timeline.
+// benches stay quiet, and tests can raise verbosity per-fixture.  The `tag`
+// argument ("net", "core", "store", "sim", ...) names the subsystem in each
+// record.  Records go to stderr.
 #pragma once
 
 #include <cstdarg>
-#include <functional>
-#include <string>
 
 namespace zmail {
 
@@ -21,21 +16,8 @@ enum class LogLevel { kTrace = 0, kDebug, kInfo, kWarn, kError, kOff };
 void set_log_level(LogLevel level) noexcept;
 LogLevel log_level() noexcept;
 
-// Per-component override; takes precedence over the global threshold for
-// records whose tag matches exactly.  Pass kOff to silence a component,
-// kTrace to open one up.  clear_component_log_levels() removes all overrides.
-void set_component_log_level(const std::string& tag, LogLevel level);
-void clear_component_log_levels();
-
-// Effective threshold test for one record (global or component override).
+// Threshold test for one record against the global level.
 bool log_enabled(LogLevel level, const char* tag) noexcept;
-
-// Optional mirror: called with every record that passes its threshold,
-// after the message is formatted.  Replaces any previous sink; pass a
-// default-constructed function to remove.  The sink must not log.
-using LogSink = std::function<void(LogLevel, const char* tag,
-                                   const char* text)>;
-void set_log_sink(LogSink sink);
 
 // printf-style logging with a subsystem tag, e.g. LOGF(kInfo, "bank", ...).
 void logf(LogLevel level, const char* tag, const char* fmt, ...)

@@ -5,8 +5,11 @@
 // the world.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/obs.hpp"
@@ -237,7 +240,7 @@ std::vector<Series> sampled_registry_series() {
   double level = 10.0;
   double counter = 0.0;
   reg.add_gauge("econ", "isp0.stamp_price_micros", [&] { return level; });
-  reg.add_rate("core", "isp0.delivered", [&] { return counter; });
+  reg.add_rate("core", "isp_totals.emails_delivered", [&] { return counter; });
   const std::size_t ch = reg.add_histogram("core", "isp0.delivery_latency_us");
   for (int w = 1; w <= 5; ++w) {
     level += 1.0;
@@ -261,7 +264,10 @@ TEST(Export, TimeseriesJsonRoundTripsExactly) {
                                     s.points[1]));
     s.points.back().count = (std::uint64_t{1} << 53) + 1;
   }
-  before = merge_collected(std::move(before));  // canonical: world first
+  // The file's order: world series first, then by key.
+  std::sort(before.begin(), before.end(), [](const Series& a, const Series& b) {
+    return std::make_pair(a.engine, a.key()) < std::make_pair(b.engine, b.key());
+  });
 
   json::Value snap = json::Value::object();
   snap["timeseries"] = timeseries_json(before, false);
@@ -284,44 +290,46 @@ TEST(Export, TimeseriesJsonRoundTripsExactly) {
   EXPECT_NE(err.find("no timeseries"), std::string::npos);
 }
 
-TEST(Export, MergeCollectedIsIdempotent) {
+TEST(Export, MergeSeriesDerivesHeldGapAndPrice) {
   TelemetryConfig cfg;
   cfg.enabled = true;
   TelemetryRegistry reg(cfg);
-  double d0 = 0, d1 = 0, h0 = 50, h1 = 70, p0 = 9000, p1 = 11000;
-  reg.add_rate("core", "isp0.delivered", [&] { return d0; });
-  reg.add_rate("core", "isp1.delivered", [&] { return d1; });
+  double h0 = 50, h1 = 70, p0 = 9000, p1 = 11000;
   reg.add_gauge("econ", "isp0.epennies_held", [&] { return h0; });
   reg.add_gauge("econ", "isp1.epennies_held", [&] { return h1; });
   reg.add_gauge("econ", "isp0.stamp_price_micros", [&] { return p0; });
   reg.add_gauge("econ", "isp1.stamp_price_micros", [&] { return p1; });
   reg.add_gauge("econ", "bank.epenny_supply", [] { return 100.0; });
   for (int w = 1; w <= 3; ++w) {
-    d0 += 2;
-    d1 += 3;
+    h0 += 1;
+    p1 += 100;
     reg.sample(static_cast<sim::SimTime>(w) * 60'000'000);
   }
   DeriveSpec spec;
   spec.endowment_epennies = 200.0;
-  const std::vector<Series> once = merge_series(reg, spec);
-  const std::vector<Series> twice = merge_collected(once, spec);
-  EXPECT_EQ(once, twice);
-
-  // And the derived aggregates are the expected point-wise combinations.
+  const std::vector<Series> merged = merge_series(reg, spec);
   std::map<std::string, const Series*> by_key;
-  for (const Series& s : once) by_key[s.key()] = &s;
-  ASSERT_TRUE(by_key.count("core.total.delivered"));
-  EXPECT_DOUBLE_EQ(by_key["core.total.delivered"]->points.back().value, 5.0);
-  ASSERT_TRUE(by_key.count("econ.market.stamp_price_micros"));
-  EXPECT_DOUBLE_EQ(
-      by_key["econ.market.stamp_price_micros"]->points.back().value, 10000.0);
-  ASSERT_TRUE(by_key.count("econ.total.epennies_held"));
-  EXPECT_DOUBLE_EQ(by_key["econ.total.epennies_held"]->points.back().value,
-                   120.0);
-  // gap = supply + endowment - held = 100 + 200 - 120.
-  ASSERT_TRUE(by_key.count("econ.total.conservation_gap"));
-  EXPECT_DOUBLE_EQ(
-      by_key["econ.total.conservation_gap"]->points.back().value, 180.0);
+  for (const Series& s : merged) by_key[s.key()] = &s;
+  EXPECT_EQ(merged.size(), 8u);  // five registered + three derived
+
+  // Each derive is the expected point-wise combination at every window.
+  const auto values = [&](const std::string& key) {
+    std::vector<double> v;
+    if (by_key.count(key))
+      for (const Point& p : by_key[key]->points) v.push_back(p.value);
+    return v;
+  };
+  EXPECT_EQ(values("econ.total.epennies_held"),
+            (std::vector<double>{121, 122, 123}));
+  // gap = supply + endowment - held.
+  EXPECT_EQ(values("econ.total.conservation_gap"),
+            (std::vector<double>{179, 178, 177}));
+  EXPECT_EQ(values("econ.market.stamp_price_micros"),
+            (std::vector<double>{10050, 10100, 10150}));
+
+  // Without an endowment there is no gap series.
+  for (const Series& s : merge_series(reg))
+    EXPECT_NE(s.key(), "econ.total.conservation_gap");
 }
 
 TEST(Export, TimeseriesJsonSplitsEngineSeries) {
@@ -408,6 +416,48 @@ TEST(TelemetryWorldTest, EnablingTelemetryDoesNotChangeTheWorld) {
   const json::Value on_snap = obs::snapshot(on);
   ASSERT_NE(on_snap.find("timeseries"), nullptr);
   EXPECT_EQ(world_sections(obs::snapshot(off)), world_sections(on_snap));
+}
+
+TEST(TelemetryWorldTest, CounterRatesSumToTheSnapshotCounters) {
+  // Every fields() counter has one fleet-wide rate series named by its
+  // obs-snapshot path; the window deltas of a run add up to the counter.
+  ZmailParams p = world_params();
+  p.n_isps = 3;
+  p.compliant = {true, true, false};
+  p.n_banks = 2;
+  ZmailSystem w(p, 707);
+  telemetry::TelemetryConfig cfg;
+  cfg.enabled = true;
+  cfg.sample_period = sim::kMinute;
+  w.enable_telemetry(cfg);
+  drive_mixed_traffic(w, 708, 30);
+  w.start_snapshot();
+  w.run_for(sim::kHour);
+  w.telemetry()->sample(w.now());
+
+  std::map<std::string, double> sums;
+  for (const telemetry::Series& s : w.telemetry()->collect())
+    for (const telemetry::Point& pt : s.points) sums[s.key()] += pt.value;
+  const auto expect_sums = [&](const char* prefix, const auto& counters) {
+    using M = std::decay_t<decltype(counters)>;
+    M::fields([&](const char* name, auto f) {
+      const std::string key = std::string("core.") + prefix + "." + name;
+      ASSERT_EQ(sums.count(key), 1u) << key;
+      EXPECT_EQ(sums[key], static_cast<double>(counters.*f)) << key;
+    });
+  };
+  const IspMetrics isp = w.total_isp_metrics();
+  const BankMetrics bank = w.bank().metrics();
+  const LegacyHostStats legacy = w.total_legacy_stats();
+  expect_sums("isp_totals", isp);
+  expect_sums("bank", bank);
+  expect_sums("legacy_totals", legacy);
+
+  // The run moved every kind of counter the check leans on.
+  EXPECT_GT(isp.emails_delivered, 0u);
+  EXPECT_GT(bank.snapshot_rounds, 0u);
+  EXPECT_GT(bank.interbank_messages, 0u);
+  EXPECT_GT(legacy.emails_received, 0u);
 }
 
 }  // namespace

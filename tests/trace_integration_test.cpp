@@ -207,11 +207,9 @@ TEST_F(TraceIntegrationTest, ExportedRunReparsesAndValidates) {
 
   const std::string path = ::testing::TempDir() + "titest.json";
   std::string err;
-  ASSERT_TRUE(trace::export_chrome(path, events, trace::collect_logs(), &err))
-      << err;
+  ASSERT_TRUE(trace::export_chrome(path, events, &err)) << err;
   std::vector<trace::TraceEvent> loaded;
-  std::vector<trace::LogRecord> logs;
-  ASSERT_TRUE(trace::load(path, &loaded, &logs, &err)) << err;
+  ASSERT_TRUE(trace::load(path, &loaded, &err)) << err;
   std::remove(path.c_str());
   ASSERT_EQ(loaded.size(), events.size());
   const trace::ValidationResult v = trace::validate(loaded);

@@ -1,7 +1,7 @@
 // zmail::trace unit tests: id minting, the implicit causal context, the
 // replay guard, ring wraparound, span reconstruction, the chrome JSON
 // exporter round trip (re-parsed through util::json), the per-stage
-// breakdown, profiling histograms, and the util::log mirror.
+// breakdown, and profiling histograms.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -13,7 +13,6 @@
 #include "trace/export.hpp"
 #include "trace/trace.hpp"
 #include "util/json.hpp"
-#include "util/log.hpp"
 
 namespace zmail::trace {
 namespace {
@@ -30,7 +29,6 @@ class TraceTest : public ::testing::Test {
     set_sim_now(0);
   }
   void TearDown() override {
-    remove_log_mirror();
     set_enabled(false);
     clear();
   }
@@ -216,15 +214,10 @@ TEST_F(TraceTest, ChromeExportParsesAndRoundTrips) {
   begin(Ev::kCheckpoint, 0, 2);
   end(Ev::kCheckpoint, 0, 2);
   const auto events = collect();
-  LogRecord log;
-  log.ev = events.back();
-  log.ev.type = static_cast<std::uint8_t>(Ev::kLog);
-  log.tag = "store";
-  log.text = "checkpoint \"7\" written";
 
   const std::string path = ::testing::TempDir() + "zmail_trace_chrome.json";
   std::string err;
-  ASSERT_TRUE(export_chrome(path, events, {log}, &err)) << err;
+  ASSERT_TRUE(export_chrome(path, events, &err)) << err;
 
   // The file must be valid JSON in trace-event shape (util::json parses the
   // same bytes Perfetto would).
@@ -240,7 +233,7 @@ TEST_F(TraceTest, ChromeExportParsesAndRoundTrips) {
     ASSERT_TRUE(parsed.has_value());
     const json::Value* tev = parsed->find("traceEvents");
     ASSERT_NE(tev, nullptr);
-    EXPECT_EQ(tev->size(), events.size() + 1);
+    EXPECT_EQ(tev->size(), events.size());
     bool saw_async_begin = false;
     for (std::size_t i = 0; i < tev->size(); ++i)
       if (tev->at(i).find("ph") && tev->at(i).find("ph")->as_string() == "b")
@@ -250,8 +243,7 @@ TEST_F(TraceTest, ChromeExportParsesAndRoundTrips) {
 
   // And it must round-trip losslessly back through load().
   std::vector<TraceEvent> loaded;
-  std::vector<LogRecord> logs;
-  ASSERT_TRUE(load(path, &loaded, &logs, &err)) << err;
+  ASSERT_TRUE(load(path, &loaded, &err)) << err;
   std::remove(path.c_str());
   ASSERT_EQ(loaded.size(), events.size());
   for (std::size_t i = 0; i < events.size(); ++i) {
@@ -266,12 +258,6 @@ TEST_F(TraceTest, ChromeExportParsesAndRoundTrips) {
     EXPECT_EQ(loaded[i].phase, events[i].phase);
   }
   EXPECT_EQ(loaded.front().id, kBigId);
-  ASSERT_EQ(logs.size(), 1u);
-  EXPECT_EQ(logs[0].tag, log.tag);
-  EXPECT_EQ(logs[0].text, log.text);
-  EXPECT_EQ(logs[0].ev.seq, log.ev.seq);
-  EXPECT_EQ(logs[0].ev.sim_us, log.ev.sim_us);
-  EXPECT_EQ(logs[0].ev.type, static_cast<std::uint8_t>(Ev::kLog));
 }
 
 TEST_F(TraceTest, ProfileHistogramRecordsAndSnapshots) {
@@ -305,22 +291,6 @@ TEST_F(TraceTest, ScopedTimerRespectsProfilingSwitch) {
   set_profiling_enabled(true);
   { ScopedTimer t(h); }
   EXPECT_EQ(h.snapshot().count, 1u);
-}
-
-TEST_F(TraceTest, LogMirrorCapturesRecordsWithComponentFilter) {
-  install_log_mirror();
-  set_log_level(LogLevel::kWarn);
-  set_component_log_level("tracetest", LogLevel::kDebug);
-  ZMAIL_LOG(LogLevel::kDebug, "tracetest", "opened %d", 7);
-  ZMAIL_LOG(LogLevel::kDebug, "othercomp", "below the global bar");
-  clear_component_log_levels();
-  set_log_level(LogLevel::kWarn);
-
-  const auto logs = collect_logs();
-  ASSERT_EQ(logs.size(), 1u);
-  EXPECT_EQ(logs[0].tag, "tracetest");
-  EXPECT_EQ(logs[0].text, "opened 7");
-  EXPECT_EQ(logs[0].ev.type, static_cast<std::uint8_t>(Ev::kLog));
 }
 
 }  // namespace

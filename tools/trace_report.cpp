@@ -26,12 +26,11 @@ namespace {
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s TRACE_FILE [--validate] [--chains] [--logs]\n"
+               "usage: %s TRACE_FILE [--validate] [--chains]\n"
                "  TRACE_FILE  flight-recorder capture in Chrome trace-event\n"
                "              JSON (as written by --trace PATH)\n"
                "  --validate  check span invariants; exit 1 on violations\n"
-               "  --chains    print one line per traced message chain\n"
-               "  --logs      print the captured log mirror\n",
+               "  --chains    print one line per traced message chain\n",
                argv0);
   return 2;
 }
@@ -40,15 +39,13 @@ int usage(const char* argv0) {
 
 int main(int argc, char** argv) {
   std::string path;
-  bool validate = false, chains = false, logs = false;
+  bool validate = false, chains = false;
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     if (std::strcmp(a, "--validate") == 0) {
       validate = true;
     } else if (std::strcmp(a, "--chains") == 0) {
       chains = true;
-    } else if (std::strcmp(a, "--logs") == 0) {
-      logs = true;
     } else if (a[0] == '-') {
       return usage(argv[0]);
     } else if (path.empty()) {
@@ -60,9 +57,8 @@ int main(int argc, char** argv) {
   if (path.empty()) return usage(argv[0]);
 
   std::vector<trace::TraceEvent> events;
-  std::vector<trace::LogRecord> log_records;
   std::string err;
-  if (!trace::load(path, &events, &log_records, &err)) {
+  if (!trace::load(path, &events, &err)) {
     std::fprintf(stderr, "cannot load %s: %s\n", path.c_str(), err.c_str());
     return 2;
   }
@@ -74,9 +70,8 @@ int main(int argc, char** argv) {
 
   const auto spans = trace::build_spans(events);
   const auto chain_map = trace::build_chains(events);
-  std::printf("%s: %zu events, %zu spans, %zu chains, %zu log records\n",
-              path.c_str(), events.size(), spans.size(), chain_map.size(),
-              log_records.size());
+  std::printf("%s: %zu events, %zu spans, %zu chains\n", path.c_str(),
+              events.size(), spans.size(), chain_map.size());
 
   const auto stages = trace::breakdown(events);
   if (!stages.empty()) {
@@ -103,13 +98,6 @@ int main(int argc, char** argv) {
                  c.lost ? "yes" : "no"});
     }
     t.print("message chains");
-  }
-
-  if (logs) {
-    for (const auto& r : log_records)
-      std::printf("[%lld us] %-8s %s\n",
-                  static_cast<long long>(r.ev.sim_us), r.tag.c_str(),
-                  r.text.c_str());
   }
 
   if (validate) {

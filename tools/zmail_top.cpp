@@ -7,7 +7,8 @@
 // obs snapshot): its timeseries and timeseries_engine sections, read back
 // by telemetry::series_from_json.  The dashboard renders:
 //   - market panel: mean stamp price, per-ISP price range;
-//   - mail panel: delivered/blocked/refused rates with sparklines;
+//   - mail panel: every fleet-wide ISP counter rate that moved
+//     (core.isp_totals.*), then the latency histograms;
 //   - health panel: WAL backlogs, quiesce buffers, delivery-latency p99;
 //   - engine panel: event backlog and event rate (execution signals);
 //   - probe panel: the default health rules re-evaluated over the series,
@@ -96,6 +97,8 @@ void panel_row(Table& t, const std::string& name,
   t.add_row({name, fmt(last_of(s)), Table::sparkline(values_of(s), width)});
 }
 
+// The file holds the derived aggregates already, world series first and
+// each section in canonical key order, so the dashboard renders it as is.
 void render(const std::vector<telemetry::Series>& merged, const Args& args) {
   sim::SimTime end_ts = 0;
   for (const auto& s : merged)
@@ -115,13 +118,17 @@ void render(const std::vector<telemetry::Series>& merged, const Args& args) {
     t.print("market");
   }
 
-  // Mail-flow panel: world totals first, then any per-ISP latency tails.
+  // Mail-flow panel: fleet-wide ISP counters that moved, then any per-ISP
+  // latency tails.
   {
     Table t({"series", "last", "trend"});
-    for (const char* key :
-         {"core.total.delivered", "core.total.blocked", "core.total.refused"})
-      if (const telemetry::Series* s = find(merged, key))
-        panel_row(t, key, *s, args.width);
+    for (const auto& s : merged) {
+      if (s.engine || s.scope != "core" || s.name.rfind("isp_totals.", 0) != 0)
+        continue;
+      if (std::any_of(s.points.begin(), s.points.end(),
+                      [](const telemetry::Point& p) { return p.value != 0.0; }))
+        panel_row(t, s.key(), s, args.width);
+    }
     for (const auto& s : merged)
       if (!s.engine && s.kind == telemetry::Kind::kHistogram)
         panel_row(t, s.key() + " (p99)", s, args.width);
@@ -208,8 +215,6 @@ int main(int argc, char** argv) {
                  err.c_str());
     return 1;
   }
-  // The file already holds the derived aggregates; merging is idempotent
-  // and puts the series in canonical order.
-  render(telemetry::merge_collected(std::move(series)), args);
+  render(series, args);
   return 0;
 }
