@@ -334,10 +334,11 @@ void e7f_population_scale(bench::Bench& harness) {
     p.record_inboxes = false;
     core::Isp isp(0, p, keys.pub, 99);
     // Scatter writes across the columns so the state is not one constant
-    // run; the protocol layer is not under test here.
+    // run; the protocol layer is not under test here.  Balances move
+    // through user_sell so the ISP's running balance total stays exact.
     for (std::size_t u = 0; u < n; u += 97) {
+      isp.user_sell(u, static_cast<EPenny>(u % 13));
       const auto r = isp.user(u);
-      r.balance += static_cast<EPenny>(u % 13);
       r.sent = static_cast<std::int64_t>(u % 7);
       r.lifetime_sent = static_cast<std::int64_t>(u % 29);
     }

@@ -139,10 +139,11 @@ struct CheckpointRig {
     p.initial_user_balance = 100;
     p.record_inboxes = false;
     isp = std::make_unique<core::Isp>(0, p, keys.pub, 99);
+    // Balances move through user_sell so the running balance total stays
+    // exact.
     for (std::size_t u = 0; u < kCheckpointUsers; u += 97) {
-      const auto r = isp->user(u);
-      r.balance += static_cast<EPenny>(u % 13);
-      r.lifetime_sent = static_cast<std::int64_t>(u % 29);
+      isp->user_sell(u, static_cast<EPenny>(u % 13));
+      isp->user(u).lifetime_sent = static_cast<std::int64_t>(u % 29);
     }
     store::StoreConfig cfg;
     cfg.enabled = true;

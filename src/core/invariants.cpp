@@ -49,14 +49,15 @@ void InvariantAuditor::check_now() {
          " initial value");
 
   // 3. per-user limit safety, non-negative pools, and the ISP's running
-  //    trade totals agree with its lifetime bought/sold columns.
+  //    balance and trade totals agree with its balance and lifetime
+  //    bought/sold columns.
   for (std::size_t i = 0; i < params.n_isps; ++i) {
     if (!params.is_compliant(i)) continue;
     const Isp& isp = sys.isp(i);
     if (isp.avail() < 0) fail("negative avail pool at isp " + std::to_string(i));
     if (isp.buffered_paid() < 0)
       fail("negative buffered-paid escrow at isp " + std::to_string(i));
-    EPenny bought = 0, sold = 0;
+    EPenny balance = 0, bought = 0, sold = 0;
     isp.users().for_each_active([&](UserId u, ConstUserRef acc) {
       if (acc.balance < 0)
         fail("negative balance: user " + std::to_string(u.slot()) +
@@ -64,9 +65,13 @@ void InvariantAuditor::check_now() {
       if (acc.sent > acc.limit)
         fail("daily limit exceeded: user " + std::to_string(u.slot()) +
              " at isp " + std::to_string(i));
+      balance += acc.balance;
       bought += acc.lifetime_epennies_bought;
       sold += acc.lifetime_epennies_sold;
     });
+    if (isp.users_balance() != balance)
+      fail("running balance total drifted from the balance column at isp " +
+           std::to_string(i));
     if (isp.users_bought() != bought || isp.users_sold() != sold)
       fail("running trade totals drifted from the user columns at isp " +
            std::to_string(i));

@@ -57,6 +57,8 @@ Isp::Isp(std::size_t index, const ZmailParams& params,
   ZMAIL_ASSERT(index < params_.n_isps);
   users_.reset(params_.users_per_isp, params_.initial_user_account,
                params_.initial_user_balance, params_.default_daily_limit);
+  users_balance_ = static_cast<EPenny>(params_.users_per_isp) *
+                   params_.initial_user_balance;
   if (params_.record_inboxes) inboxes_.resize(params_.users_per_isp);
   avail_ = params_.initial_avail;
   credit_.assign(params_.n_isps, 0);
@@ -94,7 +96,7 @@ bool Isp::commit_paid_send(UserId s) {
     }
     return false;
   }
-  u.balance -= 1;
+  add_balance(u, -1);
   u.sent += 1;
   u.lifetime_sent += 1;
   return true;
@@ -102,8 +104,6 @@ bool Isp::commit_paid_send(UserId s) {
 
 SendResult Isp::user_send(UserId s, std::size_t dest_isp, UserId r,
                           net::EmailMessage msg) {
-  ZMAIL_ASSERT(s.slot() < users_.size());
-  ZMAIL_ASSERT(dest_isp < params_.n_isps);
   // With a WAL the message is serialized once, into the record; a remote
   // send's outbox payload is copied from those bytes.
   std::span<const std::uint8_t> wire;
@@ -116,7 +116,15 @@ SendResult Isp::user_send(UserId s, std::size_t dest_isp, UserId r,
     log_op(WalOp::kUserSend, p);
     wire = std::span<const std::uint8_t>(p).subspan(at);
   }
+  return apply_user_send(s, dest_isp, r, std::move(msg), wire);
+}
 
+SendResult Isp::apply_user_send(UserId s, std::size_t dest_isp, UserId r,
+                                net::EmailMessage msg,
+                                std::span<const std::uint8_t> wire) {
+  // Checked here so a replayed record is held to the live call's bounds.
+  ZMAIL_ASSERT(s.slot() < users_.size());
+  ZMAIL_ASSERT(dest_isp < params_.n_isps);
   if (users_.at(s).quarantined) return SendResult::kQuarantined;
 
   if (dest_isp == index_) {
@@ -135,12 +143,12 @@ SendResult Isp::user_send(UserId s, std::size_t dest_isp, UserId r,
       }
       return SendResult::kDailyLimit;
     }
-    sender.balance -= 1;
+    add_balance(sender, -1);
     sender.sent += 1;
     sender.lifetime_sent += 1;
     ZMAIL_ASSERT(r.slot() < users_.size());
     const UserRef rcpt = users_.at(r);
-    rcpt.balance += 1;
+    add_balance(rcpt, 1);
     rcpt.lifetime_received_paid += 1;
     ++metrics_.emails_sent_local;
     deliver_locally(r, msg, /*paid=*/1, /*junk=*/false);
@@ -191,7 +199,7 @@ SendResult Isp::user_send(UserId s, std::size_t dest_isp, UserId r,
       // Graceful degradation: the quiesce buffer is saturated, so the send
       // is shed and the just-committed payment undone in full.
       const UserRef u = users_.at(s);
-      u.balance += 1;
+      add_balance(u, 1);
       u.sent -= 1;
       u.lifetime_sent -= 1;
       ++metrics_.emails_shed;
@@ -234,7 +242,7 @@ void Isp::refund_lost_email(UserId sender_user, std::size_t dest_isp,
   }
   if (sender_user.valid() && sender_user.slot() < users_.size()) {
     const UserRef u = users_.at(sender_user);
-    u.balance += 1;
+    add_balance(u, 1);
     if (u.sent > 0) u.sent -= 1;
     if (u.lifetime_sent > 0) u.lifetime_sent -= 1;
   }
@@ -305,12 +313,12 @@ void Isp::maybe_generate_ack(UserId recipient,
     trace::begin(trace::Ev::kMessage, ack.trace_id,
                  static_cast<std::uint16_t>(index_), msg.trace_id);
 
-  u.balance -= 1;
+  add_balance(u, -1);
   ++metrics_.acks_generated;
 
   if (dist_isp == index_) {
     const UserRef d = users_.at(dist_user);
-    d.balance += 1;
+    add_balance(d, 1);
     d.lifetime_received_paid += 1;
     deliver_locally(dist_user, ack, 1, false);
     return;
@@ -318,7 +326,7 @@ void Isp::maybe_generate_ack(UserId recipient,
   if (!cansend_) {
     if (buffer_full()) {
       // Shed the acknowledgment rather than overflow: undo its payment.
-      u.balance += 1;
+      add_balance(u, 1);
       --metrics_.acks_generated;
       ++metrics_.emails_shed;
       if (ack.trace_id != 0) {
@@ -410,7 +418,7 @@ void Isp::receive_email(std::size_t from_isp, const net::EmailMessage& msg) {
   if (params_.is_compliant(from_isp)) {
     // "compliant[g] -> balance[r] := balance[r] + 1; credit[g] -= 1".
     const UserRef rcpt = users_.at(rcpt_user);
-    rcpt.balance += 1;
+    add_balance(rcpt, 1);
     rcpt.lifetime_received_paid += 1;
     credit_.at(from_isp) -= 1;
     ++metrics_.emails_received_compliant;
@@ -473,7 +481,7 @@ bool Isp::user_buy(UserId t, EPenny x) {
   if (u.account < cost || avail_ < x) return false;
   u.account -= cost;
   till_ += cost;
-  u.balance += x;
+  add_balance(u, x);
   u.lifetime_epennies_bought += x;
   users_bought_ += x;
   avail_ -= x;
@@ -492,7 +500,7 @@ bool Isp::user_sell(UserId t, EPenny x) {
   const UserRef u = users_.at(t);
   if (u.balance < x) return false;
   const Money value = Money::from_epennies(x);
-  u.balance -= x;
+  add_balance(u, -x);
   u.account += value;
   till_ -= value;
   u.lifetime_epennies_sold += x;

@@ -163,6 +163,8 @@ class Isp {
   // IspId), so `isp.user(3)` still reads naturally; the returned proxy's
   // members alias the population's columns, so field reads and writes
   // (`user(u).balance -= 1`) compile unchanged from the UserAccount days.
+  // A balance written through the proxy bypasses add_balance(), so the
+  // running users_balance() no longer matches and the auditor says so.
   // The old `UserAccount&`-returning size_t accessor is gone — holding a
   // row reference across a restore was never safe, and the proxy makes the
   // column-backed lifetime explicit.
@@ -205,9 +207,12 @@ class Isp {
   // pass over the balance column, so conservation never trusts a cached
   // total.
   EPenny epennies_held() const noexcept;
-  // Running totals of the lifetime_epennies_bought/sold columns: user_buy
-  // and user_sell add to them and every restore recounts them, so the
-  // telemetry trade gauges read them in O(1).  Not persisted.
+  // Running totals of the balance and lifetime_epennies_bought/sold
+  // columns: every balance change goes through add_balance(), user_buy and
+  // user_sell add to the trade totals, and every restore recounts all
+  // three, so the telemetry held and trade gauges read them in O(1).  Not
+  // persisted; the invariant auditor checks them against the columns.
+  EPenny users_balance() const noexcept { return users_balance_; }
   EPenny users_bought() const noexcept { return users_bought_; }
   EPenny users_sold() const noexcept { return users_sold_; }
 
@@ -315,6 +320,11 @@ class Isp {
     std::uint64_t trace_id = 0;  // exchange's trace id; retries re-join it
   };
 
+  // user_send after its WAL record: `wire` is the record's serialized email
+  // (empty without a WAL); WAL replay enters here with the logged bytes.
+  SendResult apply_user_send(UserId s, std::size_t dest_isp, UserId r,
+                             net::EmailMessage msg,
+                             std::span<const std::uint8_t> wire);
   void receive_email(std::size_t from_isp, const net::EmailMessage& msg);
   void deliver_locally(UserId r, const net::EmailMessage& msg,
                        EPenny paid, bool junk);
@@ -326,6 +336,11 @@ class Isp {
   void maybe_generate_ack(UserId recipient, const net::EmailMessage& msg);
   void send_zombie_warning(UserId s);
   bool commit_paid_send(UserId s);  // balance/limit check + decrement
+  // The one writer of the balance column: keeps users_balance_ in step.
+  void add_balance(const UserRef& u, EPenny delta) noexcept {
+    u.balance += delta;
+    users_balance_ += delta;
+  }
   bool buffer_full() const noexcept {
     return params_.max_buffered_sends > 0 &&
            buffer_.size() >= params_.max_buffered_sends;
@@ -345,8 +360,9 @@ class Isp {
   // RNG/nonce streams).
   void serialize_scalar_tail(crypto::Bytes& b) const;
   bool restore_scalar_tail(crypto::ByteReader& r);
-  // Re-derives users_bought_/users_sold_ from the restored columns.
-  void recount_trade_totals() noexcept;
+  // Re-derives users_balance_/users_bought_/users_sold_ from the restored
+  // columns.
+  void recount_running_totals() noexcept;
 
   std::size_t index_;
   const ZmailParams& params_;
@@ -355,6 +371,7 @@ class Isp {
   crypto::NonceGenerator nonce_gen_;
 
   Population users_;
+  EPenny users_balance_ = 0;  // Σ balance
   EPenny users_bought_ = 0;  // Σ lifetime_epennies_bought
   EPenny users_sold_ = 0;    // Σ lifetime_epennies_sold
   // Per-user inboxes; empty (no table at all) unless params.record_inboxes.

@@ -271,12 +271,14 @@ bool Isp::restore_snapshot(const store::SnapshotData& snap) {
     const auto payload = cols[c]->payload;
     if (!users_.load_column(col, payload.data(), payload.size())) return false;
   }
-  recount_trade_totals();
+  recount_running_totals();
   return true;
 }
 
-void Isp::recount_trade_totals() noexcept {
+void Isp::recount_running_totals() noexcept {
   using Column = Population::Column;
+  users_balance_ = 0;
+  for (const EPenny b : users_.balances()) users_balance_ += b;
   users_bought_ = 0;
   for (const EPenny x :
        users_.column_span<EPenny>(Column::kLifetimeEpenniesBought))
@@ -299,10 +301,12 @@ void Isp::apply_wal_record(std::uint8_t op,
       const UserId s = user_from_wire(r.get_u64());
       const std::size_t dest = r.get_u64();
       const UserId rcpt = user_from_wire(r.get_u64());
+      const auto wire = r.get_bytes_view();
       net::EmailMessage msg;
-      if (net::EmailMessage::deserialize_into(r.get_bytes_view(), msg) &&
-          r.ok())
-        user_send(s, dest, rcpt, std::move(msg));
+      // The logged bytes are the send's serialized email, so a replayed
+      // remote send copies them rather than serializing again.
+      if (r.ok() && net::EmailMessage::deserialize_into(wire, msg))
+        apply_user_send(s, dest, rcpt, std::move(msg), wire);
       break;
     }
     case WalOp::kOnEmail: {

@@ -1,6 +1,13 @@
 #include "core/population.hpp"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <bit>
+#include <cstring>
+#include <new>
+#include <utility>
 
 namespace zmail::core {
 
@@ -29,30 +36,107 @@ const char* Population::column_name(Column c) noexcept {
   return "?";
 }
 
+namespace {
+
+// The kernel backs a mapping with huge pages only in fully covered,
+// 2 MiB-aligned extents; the tail past the last one stays in 4 KiB pages.
+constexpr std::size_t kHugePage = std::size_t{2} << 20;
+constexpr std::size_t kColumnAlign = 64;
+
+// Arena order: canonical order, except that blocked_today follows sent so
+// the day arena is one contiguous block.
+constexpr Population::Column kArenaOrder[Population::kColumnCount] = {
+    Population::Column::kAccount,
+    Population::Column::kBalance,
+    Population::Column::kSent,
+    Population::Column::kBlockedToday,
+    Population::Column::kLimit,
+    Population::Column::kWarnings,
+    Population::Column::kQuarantined,
+    Population::Column::kLifetimeSent,
+    Population::Column::kLifetimeReceivedPaid,
+    Population::Column::kLifetimeEpenniesBought,
+    Population::Column::kLifetimeEpenniesSold,
+};
+
+constexpr std::size_t align_up(std::size_t x, std::size_t a) noexcept {
+  return (x + a - 1) & ~(a - 1);
+}
+
+// Maps `bytes` (a page multiple) of zero pages at a 2 MiB boundary:
+// over-map by one huge page, then unmap the unaligned head and the tail.
+std::uint8_t* map_arena(std::size_t bytes) {
+  const std::size_t span = bytes + kHugePage;
+  void* raw = ::mmap(nullptr, span, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (raw == MAP_FAILED) throw std::bad_alloc();
+  const auto start = reinterpret_cast<std::uintptr_t>(raw);
+  const std::uintptr_t aligned = align_up(start, kHugePage);
+  if (aligned != start) ::munmap(raw, aligned - start);
+  const std::uintptr_t tail = aligned + bytes;
+  if (tail != start + span)
+    ::munmap(reinterpret_cast<void*>(tail), start + span - tail);
+  auto* base = reinterpret_cast<std::uint8_t*>(aligned);
+  // Advisory: a kernel without transparent huge pages keeps small ones.
+  (void)::madvise(base, bytes, MADV_HUGEPAGE);
+  return base;
+}
+
+}  // namespace
+
+Population::~Population() { release(); }
+
+Population::Population(Population&& o) noexcept { *this = std::move(o); }
+
+Population& Population::operator=(Population&& o) noexcept {
+  if (this == &o) return *this;
+  release();
+  n_ = std::exchange(o.n_, 0);
+  base_ = std::exchange(o.base_, nullptr);
+  mapped_ = std::exchange(o.mapped_, 0);
+  col_ = std::exchange(o.col_, {});
+  policy_ = std::move(o.policy_);
+  o.policy_.clear();
+  return *this;
+}
+
+void Population::release() noexcept {
+  if (base_) ::munmap(base_, mapped_);
+  n_ = 0;
+  base_ = nullptr;
+  mapped_ = 0;
+  col_ = {};
+}
+
 void Population::reset(std::size_t n, Money account, EPenny balance,
                        std::int64_t limit) {
-  n_ = n;
-  account_.assign(n, account);
-  balance_.assign(n, balance);
-  limit_.assign(n, limit);
-  warnings_.assign(n, 0);
-  quarantined_.assign(n, 0);
-  lifetime_sent_.assign(n, 0);
-  lifetime_received_paid_.assign(n, 0);
-  lifetime_bought_.assign(n, 0);
-  lifetime_sold_.assign(n, 0);
-  // sent[] first so the i64 block sits at offset 0 of the (max-aligned)
-  // allocation; blocked_today[] is byte-granular and follows.
-  day_arena_bytes_ = n * sizeof(std::int64_t) + n * sizeof(std::uint8_t);
-  if (day_arena_bytes_ != 0) {
-    day_arena_ = std::make_unique<std::uint8_t[]>(day_arena_bytes_);
-    sent_ = reinterpret_cast<std::int64_t*>(day_arena_.get());
-    blocked_ = day_arena_.get() + n * sizeof(std::int64_t);
-    reset_day();
-  } else {
-    day_arena_.reset();
-    sent_ = nullptr;
-    blocked_ = nullptr;
+  if (n != n_ || !base_) {
+    release();
+    std::array<std::size_t, kColumnCount> offset{};
+    std::size_t bytes = 0;
+    for (const Column c : kArenaOrder) {
+      offset[static_cast<std::size_t>(c)] = bytes;
+      bytes = align_up(bytes + n * column_width(c), kColumnAlign);
+    }
+    if (n != 0) {
+      const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+      mapped_ = align_up(bytes, page);
+      base_ = map_arena(mapped_);
+      for (std::size_t c = 0; c < kColumnCount; ++c)
+        col_[c] = base_ + offset[c];
+    }
+    n_ = n;
+  }
+  if (n != 0) {
+    std::fill_n(col<Money>(Column::kAccount), n, account);
+    std::fill_n(col<EPenny>(Column::kBalance), n, balance);
+    std::fill_n(col<std::int64_t>(Column::kLimit), n, limit);
+    for (const Column c :
+         {Column::kSent, Column::kBlockedToday, Column::kWarnings,
+          Column::kQuarantined, Column::kLifetimeSent,
+          Column::kLifetimeReceivedPaid, Column::kLifetimeEpenniesBought,
+          Column::kLifetimeEpenniesSold})
+      std::memset(col<std::uint8_t>(c), 0, column_bytes(c));
   }
   policy_.clear();
 }
@@ -65,39 +149,19 @@ void Population::resize_for_load(std::size_t n) {
   policy_.clear();
 }
 
-const std::uint8_t* Population::column_data(Column c) const noexcept {
-  switch (c) {
-    case Column::kAccount:
-      return reinterpret_cast<const std::uint8_t*>(account_.data());
-    case Column::kBalance:
-      return reinterpret_cast<const std::uint8_t*>(balance_.data());
-    case Column::kSent:
-      return reinterpret_cast<const std::uint8_t*>(sent_);
-    case Column::kLimit:
-      return reinterpret_cast<const std::uint8_t*>(limit_.data());
-    case Column::kBlockedToday:
-      return blocked_;
-    case Column::kWarnings:
-      return reinterpret_cast<const std::uint8_t*>(warnings_.data());
-    case Column::kQuarantined:
-      return quarantined_.data();
-    case Column::kLifetimeSent:
-      return reinterpret_cast<const std::uint8_t*>(lifetime_sent_.data());
-    case Column::kLifetimeReceivedPaid:
-      return reinterpret_cast<const std::uint8_t*>(
-          lifetime_received_paid_.data());
-    case Column::kLifetimeEpenniesBought:
-      return reinterpret_cast<const std::uint8_t*>(lifetime_bought_.data());
-    case Column::kLifetimeEpenniesSold:
-      return reinterpret_cast<const std::uint8_t*>(lifetime_sold_.data());
-  }
-  return nullptr;
+void Population::reset_day() noexcept {
+  if (n_ == 0) return;
+  // sent[] and blocked_today[] are adjacent in the arena.
+  auto* first = col<std::uint8_t>(Column::kSent);
+  auto* last = col<std::uint8_t>(Column::kBlockedToday) +
+               column_bytes(Column::kBlockedToday);
+  std::memset(first, 0, static_cast<std::size_t>(last - first));
 }
 
 bool Population::load_column(Column c, const std::uint8_t* data,
                              std::size_t len) {
   if (len != column_bytes(c)) return false;
-  if (len != 0) std::memcpy(mutable_column_data(c), data, len);
+  if (len != 0) std::memcpy(col<std::uint8_t>(c), data, len);
   return true;
 }
 

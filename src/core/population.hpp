@@ -11,18 +11,25 @@
 //                        quarantined[] lifetime_sent[]
 //                        lifetime_received_paid[] lifetime_bought[]
 //                        lifetime_sold[]
-//   day arena            sent[] blocked_today[]   (one allocation; the
+//   day arena            sent[] blocked_today[]   (adjacent; the
 //                        end-of-day reset is a single memset)
 //   sparse side table    policy_override          (std::map keyed by slot:
 //                        rare, and map order keeps serialization
 //                        deterministic)
 //
+// All eleven columns live in one anonymous mapping per population,
+// 2 MiB-aligned and advised MADV_HUGEPAGE, so building a million-user
+// world faults in a few dozen huge pages instead of tens of thousands of
+// 4 KiB ones.  Each column starts on a 64-byte boundary.  The mapping is
+// not heap memory: ASan's redzones do not cover it, and its bounds come
+// from the ZMAIL_ASSERT in at().
+//
 // Rows are exposed through UserRef/ConstUserRef proxies whose members are
 // references into the columns, so `isp.user(u).balance -= 1` reads exactly
 // as it did with UserAccount.  The boolean-ish columns are std::uint8_t,
-// not bool: proxies need addressable storage (vector<bool> has none) and
-// raw column snapshots must be able to memcpy bytes back in without
-// manufacturing invalid `bool` object representations.
+// not bool: proxies need addressable storage and raw column snapshots must
+// be able to memcpy bytes back in without manufacturing invalid `bool`
+// object representations.
 //
 // Columns are trivially-copyable arrays on purpose: the "ZSNP" v2 snapshot
 // writes each one as a single raw section (column_data()/column_bytes())
@@ -30,13 +37,11 @@
 // (load_column()).
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <cstring>
 #include <map>
-#include <memory>
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "core/config.hpp"
 #include "core/user_id.hpp"
@@ -125,13 +130,16 @@ class Population {
   static const char* column_name(Column c) noexcept;
 
   Population() = default;
+  ~Population();
   Population(const Population&) = delete;
   Population& operator=(const Population&) = delete;
-  Population(Population&&) noexcept = default;
-  Population& operator=(Population&&) noexcept = default;
+  // A move hands over the mapping and leaves the source empty (size 0).
+  Population(Population&& o) noexcept;
+  Population& operator=(Population&& o) noexcept;
 
   // Re-initializes to `n` users with the given starting row (everything
-  // else zero) and an empty policy side table.
+  // else zero) and an empty policy side table.  Writes every column, so
+  // the mapping is faulted in here rather than on the first sends.
   void reset(std::size_t n, Money account, EPenny balance, std::int64_t limit);
   // Makes room for `n` users ahead of a restore that load_column()s every
   // column, and empties the policy side table.  Columns already `n` long
@@ -144,28 +152,26 @@ class Population {
   UserRef at(UserId u) {
     ZMAIL_ASSERT(u.slot() < n_);
     const std::size_t i = u.slot();
-    return UserRef{account_[i],       balance_[i],      sent_[i],
-                   limit_[i],         blocked_[i],      warnings_[i],
-                   quarantined_[i],   lifetime_sent_[i],
-                   lifetime_received_paid_[i], lifetime_bought_[i],
-                   lifetime_sold_[i]};
+    return UserRef{col<Money>(Column::kAccount)[i],
+                   col<EPenny>(Column::kBalance)[i],
+                   col<std::int64_t>(Column::kSent)[i],
+                   col<std::int64_t>(Column::kLimit)[i],
+                   col<std::uint8_t>(Column::kBlockedToday)[i],
+                   col<std::int64_t>(Column::kWarnings)[i],
+                   col<std::uint8_t>(Column::kQuarantined)[i],
+                   col<std::int64_t>(Column::kLifetimeSent)[i],
+                   col<std::int64_t>(Column::kLifetimeReceivedPaid)[i],
+                   col<EPenny>(Column::kLifetimeEpenniesBought)[i],
+                   col<EPenny>(Column::kLifetimeEpenniesSold)[i]};
   }
   ConstUserRef at(UserId u) const {
-    ZMAIL_ASSERT(u.slot() < n_);
-    const std::size_t i = u.slot();
-    return ConstUserRef{account_[i],       balance_[i],      sent_[i],
-                        limit_[i],         blocked_[i],      warnings_[i],
-                        quarantined_[i],   lifetime_sent_[i],
-                        lifetime_received_paid_[i], lifetime_bought_[i],
-                        lifetime_sold_[i]};
+    return const_cast<Population*>(this)->at(u);
   }
 
-  // End-of-day reset: zeroes the whole day arena (sent + blocked_today) in
-  // one memset instead of walking a million rows.
-  void reset_day() noexcept {
-    if (day_arena_bytes_ != 0)
-      std::memset(day_arena_.get(), 0, day_arena_bytes_);
-  }
+  // End-of-day reset: zeroes the whole day arena (sent + blocked_today,
+  // adjacent in the mapping) in one memset instead of walking a million
+  // rows.
+  void reset_day() noexcept;
 
   // --- Sparse per-user policy override (Section 5) ------------------------
   std::optional<NonCompliantPolicy> policy_override(UserId u) const {
@@ -207,13 +213,27 @@ class Population {
   }
 
   // --- Typed column spans (read-only) --------------------------------------
-  std::span<const Money> accounts() const noexcept { return {account_.data(), n_}; }
-  std::span<const EPenny> balances() const noexcept { return {balance_.data(), n_}; }
-  std::span<const std::int64_t> sent_today() const noexcept { return {sent_, n_}; }
-  std::span<const std::int64_t> limits() const noexcept { return {limit_.data(), n_}; }
-  std::span<const std::uint8_t> blocked_today() const noexcept { return {blocked_, n_}; }
-  std::span<const std::int64_t> warnings() const noexcept { return {warnings_.data(), n_}; }
-  std::span<const std::uint8_t> quarantined() const noexcept { return {quarantined_.data(), n_}; }
+  std::span<const Money> accounts() const noexcept {
+    return column_span<Money>(Column::kAccount);
+  }
+  std::span<const EPenny> balances() const noexcept {
+    return column_span<EPenny>(Column::kBalance);
+  }
+  std::span<const std::int64_t> sent_today() const noexcept {
+    return column_span<std::int64_t>(Column::kSent);
+  }
+  std::span<const std::int64_t> limits() const noexcept {
+    return column_span<std::int64_t>(Column::kLimit);
+  }
+  std::span<const std::uint8_t> blocked_today() const noexcept {
+    return column_span<std::uint8_t>(Column::kBlockedToday);
+  }
+  std::span<const std::int64_t> warnings() const noexcept {
+    return column_span<std::int64_t>(Column::kWarnings);
+  }
+  std::span<const std::uint8_t> quarantined() const noexcept {
+    return column_span<std::uint8_t>(Column::kQuarantined);
+  }
 
   // Generic typed accessor: T must match the column's element type
   // (Money for kAccount, std::uint8_t for the flag columns, std::int64_t
@@ -225,7 +245,9 @@ class Population {
   // Columns are stored little-endian in "ZSNP" v2 sections; on the (LE)
   // targets this builds for, that is the in-memory representation, so
   // serialize is one big copy out and restore one big copy in.
-  const std::uint8_t* column_data(Column c) const noexcept;
+  const std::uint8_t* column_data(Column c) const noexcept {
+    return col_[static_cast<std::size_t>(c)];
+  }
   std::size_t column_bytes(Column c) const noexcept {
     return n_ * column_width(c);
   }
@@ -233,26 +255,18 @@ class Population {
   bool load_column(Column c, const std::uint8_t* data, std::size_t len);
 
  private:
-  std::uint8_t* mutable_column_data(Column c) noexcept {
-    return const_cast<std::uint8_t*>(column_data(c));
+  template <typename T>
+  T* col(Column c) const noexcept {
+    return reinterpret_cast<T*>(col_[static_cast<std::size_t>(c)]);
   }
+  void release() noexcept;
 
   std::size_t n_ = 0;
-  std::vector<Money> account_;
-  std::vector<EPenny> balance_;
-  std::vector<std::int64_t> limit_;
-  std::vector<std::int64_t> warnings_;
-  std::vector<std::uint8_t> quarantined_;
-  std::vector<std::int64_t> lifetime_sent_;
-  std::vector<std::int64_t> lifetime_received_paid_;
-  std::vector<EPenny> lifetime_bought_;
-  std::vector<EPenny> lifetime_sold_;
-  // Day arena: sent[n] (i64, 8-aligned at offset 0) then blocked_today[n]
-  // (u8).  reset_day() clears the whole block at once.
-  std::unique_ptr<std::uint8_t[]> day_arena_;
-  std::size_t day_arena_bytes_ = 0;
-  std::int64_t* sent_ = nullptr;
-  std::uint8_t* blocked_ = nullptr;
+  // The arena: one anonymous mapping of `mapped_` bytes holding every
+  // column (col_[c] points into it, indexed by Column).
+  std::uint8_t* base_ = nullptr;
+  std::size_t mapped_ = 0;
+  std::array<std::uint8_t*, kColumnCount> col_{};
   std::map<std::uint32_t, NonCompliantPolicy> policy_;
 };
 
@@ -262,15 +276,8 @@ std::span<const T> Population::column_span(Column c) const {
                     std::is_same_v<T, std::uint8_t>,
                 "columns hold Money, std::int64_t, or std::uint8_t");
   ZMAIL_ASSERT(column_width(c) == sizeof(T));
-  if constexpr (std::is_same_v<T, Money>) {
-    ZMAIL_ASSERT(c == Column::kAccount);
-    return accounts();
-  } else if constexpr (std::is_same_v<T, std::uint8_t>) {
-    return c == Column::kBlockedToday ? blocked_today() : quarantined();
-  } else {
-    ZMAIL_ASSERT(c != Column::kAccount);
-    return {reinterpret_cast<const EPenny*>(column_data(c)), n_};
-  }
+  ZMAIL_ASSERT((std::is_same_v<T, Money>) == (c == Column::kAccount));
+  return {col<const T>(c), n_};
 }
 
 }  // namespace zmail::core

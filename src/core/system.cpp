@@ -512,8 +512,10 @@ void ZmailSystem::enable_telemetry(const telemetry::TelemetryConfig& cfg) {
                 [get] { return static_cast<double>(get().avail()); });
     // Everything resident at this ISP: user balances + avail pool +
     // quiesce-buffered stamps.  Σ over ISPs + in-flight wire = supply.
+    // Reads the running balance total (the auditor checks it against the
+    // column), not a per-tick column scan.
     t.add_gauge("econ", tag + ".epennies_held", [get] {
-      return static_cast<double>(get().epennies_held() +
+      return static_cast<double>(get().avail() + get().users_balance() +
                                  get().buffered_paid());
     });
     t.add_rate("econ", tag + ".user_epennies_bought", [get] {

@@ -86,10 +86,11 @@ std::vector<Series> TelemetryRegistry::collect() const {
   std::vector<Series> out;
   out.reserve(samplers_.size() + channels_.size());
   for (const Sampler& s : samplers_)
-    out.push_back(Series{s.scope, s.name, s.kind, s.engine, s.ring.points()});
+    out.push_back(
+        Series{s.scope, s.name, s.kind, s.engine, s.ring.exported_points()});
   for (const Channel& c : channels_)
     out.push_back(Series{c.scope, c.name, Kind::kHistogram, c.engine,
-                         c.ring.points()});
+                         c.ring.exported_points()});
   return out;
 }
 

@@ -74,6 +74,14 @@ void DownsamplingRing::append(const Point& p) {
   if (pts_.size() >= capacity_) compact();
 }
 
+std::vector<Point> DownsamplingRing::exported_points() const {
+  std::vector<Point> out;
+  out.reserve(pts_.size() + 1);
+  out.assign(pts_.begin(), pts_.end());
+  if (acc_filled_ != 0) out.push_back(acc_);
+  return out;
+}
+
 void DownsamplingRing::compact() {
   // Halve resolution: merge (0,1) -> 0, (2,3) -> 1, ...  Capacity is even,
   // so a full ring folds exactly.

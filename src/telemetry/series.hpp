@@ -57,7 +57,12 @@ class DownsamplingRing {
 
   void append(const Point& p);
 
+  // The stored points (whole windows of 2^level() samples).
   const std::vector<Point>& points() const noexcept { return pts_; }
+  // What an exporter shows: the stored points plus, after a compaction,
+  // the partial fold of the samples since the last stored point, so a
+  // rate series still sums to its counter.
+  std::vector<Point> exported_points() const;
   Kind kind() const noexcept { return kind_; }
   std::size_t capacity() const noexcept { return capacity_; }
   // Each stored point currently covers 2^level() base sample windows.

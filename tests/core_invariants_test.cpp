@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "core/federation.hpp"
@@ -100,6 +101,28 @@ TEST(InvariantAuditorTest, TradeTotalsThatDriftFromTheColumnsAreFlagged) {
   EXPECT_FALSE(auditor.report().ok());
   EXPECT_NE(first_message(auditor).find("running trade totals"),
             std::string::npos)
+      << first_message(auditor);
+}
+
+TEST(InvariantAuditorTest, BalanceTotalThatDriftsFromTheColumnIsFlagged) {
+  ZmailSystem sys(small_params(), 25);
+  InvariantAuditor auditor(sys);
+  sys.send_email(net::make_user_address(0, 0), net::make_user_address(1, 1),
+                 "t", "b");
+  sys.run_for(sim::kMinute);
+  auditor.check_now();
+  EXPECT_TRUE(auditor.report().ok()) << first_message(auditor);
+  // A balance written straight into the column bypasses Isp::add_balance,
+  // so the running total the held gauge reads is stale.
+  sys.isp(1).users().at(0).balance += 3;
+  auditor.check_now();
+  const auto& msgs = auditor.report().messages;
+  EXPECT_NE(std::find_if(msgs.begin(), msgs.end(),
+                         [](const std::string& m) {
+                           return m.find("running balance total drifted") !=
+                                  std::string::npos;
+                         }),
+            msgs.end())
       << first_message(auditor);
 }
 

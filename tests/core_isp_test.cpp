@@ -644,6 +644,54 @@ TEST_F(IspTest, EPenniesHeldSumsUsersAndPool) {
             params_.initial_avail + 4 * params_.initial_user_balance);
 }
 
+// The telemetry held gauge reads avail + users_balance(); every path that
+// moves an e-penny between a user and anything else keeps that running
+// total equal to a scan of the balance column.
+TEST_F(IspTest, HeldGaugeTotalMatchesTheColumnThroughMixedTraffic) {
+  params_.max_buffered_sends = 2;
+  params_.default_daily_limit = 3;
+  Isp isp(0, params_, keys_.pub, 42);
+  const auto check = [&](const char* step) {
+    EPenny column = 0;
+    for (const EPenny b : isp.users().balances()) column += b;
+    EXPECT_EQ(isp.users_balance(), column) << step;
+    EXPECT_EQ(isp.avail() + isp.users_balance(), isp.epennies_held()) << step;
+  };
+  check("fresh");
+  isp.user_send(0, 0, 1, mail(0, 0, 0, 1));
+  check("local send");
+  isp.user_send(1, 1, 2, mail(0, 1, 1, 2));
+  check("remote send");
+  isp.on_email(1, mail(1, 3, 0, 2).serialize());
+  check("paid receive");
+  net::EmailMessage list = mail(1, 0, 0, 3, net::MailClass::kMailingList);
+  list.set_header("X-Zmail-Ack-To", net::make_user_address(0, 1).str());
+  isp.on_email(1, list.serialize());
+  check("list receive with a local ack");
+  list.set_header("X-Zmail-Ack-To", net::make_user_address(1, 0).str());
+  isp.on_email(1, list.serialize());
+  check("list receive with a remote ack");
+  ASSERT_TRUE(isp.user_buy(2, 5));
+  ASSERT_TRUE(isp.user_sell(3, 4));
+  check("buy and sell");
+  isp.refund_lost_email(1, 1, true);
+  check("refund");
+  for (int i = 0; i < 4; ++i) isp.user_send(2, 1, 0, mail(0, 2, 1, 0));
+  check("daily limit");
+
+  isp.force_cansend(false);
+  EXPECT_EQ(isp.user_send(0, 1, 0, mail(0, 0, 1, 0)), SendResult::kBuffered);
+  check("buffered send");
+  isp.on_email(1, list.serialize());
+  check("buffered ack");
+  EXPECT_EQ(isp.user_send(1, 1, 0, mail(0, 1, 1, 0)), SendResult::kShed);
+  check("shed send");
+  isp.on_email(1, list.serialize());
+  check("shed ack");
+  EXPECT_EQ(isp.buffered_paid(), 2);
+  EXPECT_EQ(isp.metrics().emails_shed, 2u);
+}
+
 TEST(SendResultNames, AllDistinct) {
   EXPECT_STREQ(send_result_name(SendResult::kSentPaid), "sent-paid");
   EXPECT_STREQ(send_result_name(SendResult::kBuffered), "buffered");

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <utility>
+#include <vector>
 
 #include "core/isp.hpp"
 #include "isp_image.hpp"
@@ -83,6 +87,65 @@ TEST(PopulationTest, ResetDayClearsOnlyTheDayArena) {
   EXPECT_EQ(p.at(UserId(1)).blocked_today, 0);
   EXPECT_EQ(p.at(UserId(1)).warnings, 2);
   EXPECT_EQ(p.at(UserId(1)).balance, 6);
+}
+
+// Every column starts on a 64-byte boundary, and no two columns overlap.
+TEST(PopulationTest, ColumnsAreAlignedAndDisjoint) {
+  Population p;
+  p.reset(1'000, Money::from_epennies(1), 2, 3);
+  std::vector<std::pair<std::uintptr_t, std::uintptr_t>> extents;
+  for (std::size_t c = 0; c < Population::kColumnCount; ++c) {
+    const auto col = static_cast<Population::Column>(c);
+    const auto at = reinterpret_cast<std::uintptr_t>(p.column_data(col));
+    EXPECT_EQ(at % 64, 0u) << Population::column_name(col);
+    extents.emplace_back(at, at + p.column_bytes(col));
+  }
+  std::sort(extents.begin(), extents.end());
+  for (std::size_t i = 1; i < extents.size(); ++i)
+    EXPECT_LE(extents[i - 1].second, extents[i].first);
+}
+
+TEST(PopulationTest, MoveEmptiesTheSource) {
+  Population a;
+  a.reset(4, Money::zero(), 10, 5);
+  a.at(2).balance = 7;
+  a.at(2).sent = 1;
+  a.set_policy_override(1, NonCompliantPolicy::kDiscard);
+  Population b(std::move(a));
+  EXPECT_EQ(a.size(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(a.policy_overrides().empty());
+  ASSERT_EQ(b.size(), 4u);
+  EXPECT_EQ(b.balances()[2], 7);
+  EXPECT_EQ(b.policy_override(1), NonCompliantPolicy::kDiscard);
+  b.reset_day();
+  EXPECT_EQ(b.sent_today()[2], 0);
+
+  Population c;
+  c.reset(2, Money::zero(), 1, 1);
+  c = std::move(b);
+  EXPECT_EQ(b.size(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(c.size(), 4u);
+  EXPECT_EQ(c.balances()[2], 7);
+  a.reset(3, Money::zero(), 4, 1);  // a moved-from population is reusable
+  EXPECT_EQ(a.balances()[2], 4);
+}
+
+TEST(PopulationTest, EmptyPopulationWorks) {
+  Population p;
+  p.reset(0, Money::zero(), 10, 5);
+  EXPECT_EQ(p.size(), 0u);
+  EXPECT_TRUE(p.balances().empty());
+  p.reset_day();
+  for (std::size_t c = 0; c < Population::kColumnCount; ++c) {
+    const auto col = static_cast<Population::Column>(c);
+    EXPECT_EQ(p.column_bytes(col), 0u);
+    EXPECT_TRUE(p.load_column(col, nullptr, 0));
+  }
+  int visited = 0;
+  p.for_each_active([&](UserId, ConstUserRef) { ++visited; });
+  EXPECT_EQ(visited, 0);
+  Population moved(std::move(p));
+  EXPECT_EQ(moved.size(), 0u);
 }
 
 TEST(PopulationTest, PolicySideTableIsSparseAndOrdered) {

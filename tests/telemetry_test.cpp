@@ -108,6 +108,52 @@ TEST(DownsamplingRing, RateMassPreservedThroughManyLevels) {
   EXPECT_LT(pending, static_cast<double>(1u << r.level()));
 }
 
+// A compacted registry still exports every tick: the partial fold of the
+// current window rides along as the last point of each series.
+TEST(TelemetryRegistry, CompactedSeriesKeepTheirTrailingTicks) {
+  TelemetryRegistry reg;
+  double counter = 0.0, level = 0.0;
+  reg.add_rate("core", "x.count", [&] { return counter; });
+  reg.add_gauge("core", "x.level", [&] { return level; });
+  const std::size_t hist = reg.add_histogram("core", "x.latency_us");
+  constexpr int kTicks = 733;  // past 512: the rings sit at level 1
+  static_assert(kTicks > static_cast<int>(TelemetryRegistry::kRingCapacity));
+  for (int i = 1; i <= kTicks; ++i) {
+    counter += static_cast<double>(i % 5);
+    level = static_cast<double>(i);
+    reg.observe(hist, static_cast<std::uint64_t>(i));
+    reg.sample(static_cast<std::int64_t>(i) * 60'000'000);
+  }
+  std::map<std::string, Series> by_key;
+  for (Series& s : reg.collect()) by_key[s.key()] = std::move(s);
+  ASSERT_EQ(by_key.size(), 3u);
+  constexpr std::int64_t kLast = std::int64_t{kTicks} * 60'000'000;
+
+  double sum = 0.0;
+  for (const Point& p : by_key["core.x.count"].points) sum += p.value;
+  EXPECT_EQ(sum, counter);
+  EXPECT_EQ(by_key["core.x.count"].points.back().t_us, kLast);
+
+  EXPECT_EQ(by_key["core.x.level"].points.back().value, level);
+  EXPECT_EQ(by_key["core.x.level"].points.back().t_us, kLast);
+
+  std::uint64_t observed = 0;
+  for (const Point& p : by_key["core.x.latency_us"].points) observed += p.count;
+  EXPECT_EQ(observed, static_cast<std::uint64_t>(kTicks));
+  EXPECT_EQ(by_key["core.x.latency_us"].points.back().t_us, kLast);
+}
+
+TEST(DownsamplingRing, ExportedPointsAddThePartialFold) {
+  DownsamplingRing r(Kind::kRate, 4);
+  for (int i = 1; i <= 5; ++i) r.append(pt(i * 60, 1.0));
+  ASSERT_EQ(r.points().size(), 2u);  // the fifth sample is still folding
+  const std::vector<Point> out = r.exported_points();
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out[2], pt(300, 1.0));
+  r.append(pt(360, 1.0));  // completes the window: nothing pending
+  EXPECT_EQ(r.exported_points(), r.points());
+}
+
 TEST(DownsamplingRing, DeterministicFunctionOfAppendStream) {
   DownsamplingRing a(Kind::kGauge, 16), b(Kind::kGauge, 16);
   for (int i = 1; i <= 777; ++i) {
