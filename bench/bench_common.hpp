@@ -13,7 +13,6 @@
 //       --replicas N   replicas per sweep point                 (default 1)
 //       --seed S       base seed for sweep::derive_seed         (default 42)
 //       --smoke        cut volumes for CI smoke runs
-//       --audit        run the cross-system InvariantAuditor inside replicas
 //       --json PATH    output path                (default BENCH_<name>.json)
 //       --no-json      skip the JSON file
 //       --trace PATH   enable the flight recorder; export to PATH at finish
@@ -50,7 +49,6 @@ struct Options {
   std::size_t replicas = 1;
   std::uint64_t seed = 42;
   bool smoke = false;
-  bool audit = false;  // run the InvariantAuditor continuously inside replicas
   bool telemetry = false;  // run the bench's telemetry-overlay section
   bool write_json = true;
   std::string json_path;   // empty: BENCH_<name>.json in the working dir
@@ -174,7 +172,7 @@ class Bench {
   [[noreturn]] static void usage_exit(const char* argv0) {
     std::fprintf(stderr,
                  "usage: %s [--threads N] [--replicas N] [--seed S] [--smoke]"
-                 " [--audit] [--telemetry] [--json PATH] [--no-json]"
+                 " [--telemetry] [--json PATH] [--no-json]"
                  " [--trace PATH]\n",
                  argv0);
     std::exit(2);
@@ -209,8 +207,6 @@ class Bench {
         options_.seed = need_count(i, a);
       } else if (std::strcmp(a, "--smoke") == 0) {
         options_.smoke = true;
-      } else if (std::strcmp(a, "--audit") == 0) {
-        options_.audit = true;
       } else if (std::strcmp(a, "--telemetry") == 0) {
         options_.telemetry = true;
       } else if (std::strcmp(a, "--json") == 0) {

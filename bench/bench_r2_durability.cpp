@@ -12,9 +12,9 @@
 //         on-disk snapshot size as the party state grows
 //   R2.c  recovery time vs WAL length: replay cost grows with the log, and
 //         a checkpoint truncates it back down
-//   R2.d  crash-recovery chaos sweep: ISP and bank crash mid-scenario with
-//         real state wipes; snapshot + WAL-tail replay restores the books
-//         with zero invariant violations
+//
+// Crash recovery mid-scenario (an ISP, then the bank, with real state
+// wipes) is the R2.d row of tests/core_chaos_test.cpp.
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -22,10 +22,8 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/invariants.hpp"
 #include "core/system.hpp"
 #include "net/address.hpp"
-#include "net/faults.hpp"
 #include "store/checkpoint.hpp"
 #include "store/wal.hpp"
 #include "util/table.hpp"
@@ -214,11 +212,10 @@ void r2c_recovery_scaling(bench::Bench& harness) {
   for (const int sends : volumes) {
     const std::string dir = "r2c_store";
     std::filesystem::remove_all(dir);
-    core::ZmailParams p = store_params(dir, 6);
-    // No checkpoints: the WAL carries the party's entire history, so
-    // recovery cost is pure replay and scales with the log.
-    p.store.checkpoint_at_snapshot = false;
-    core::ZmailSystem sys(p, 203);
+    // No snapshot round opens, so nothing checkpoints: the WAL carries the
+    // party's entire history, and recovery cost is pure replay that scales
+    // with the log.
+    core::ZmailSystem sys(store_params(dir, 6), 203);
     sys.enable_bank_trading();
     drive_traffic(sys, 204, sends);
     sys.run_for(sim::kHour);
@@ -257,108 +254,6 @@ void r2c_recovery_scaling(bench::Bench& harness) {
                "full-replay recovery time grows with the WAL");
 }
 
-// ---------------------------------------------------------------------------
-// R2.d  crash-recovery chaos sweep
-// ---------------------------------------------------------------------------
-
-sweep::MetricBag run_crash_replica(std::uint64_t seed, int sends,
-                                   const std::string& dir) {
-  std::filesystem::remove_all(dir);
-  core::ZmailParams p = store_params(dir, 6);
-  p.retry.enabled = true;
-  p.reliable_email_transport = true;
-  core::ZmailSystem sys(p, seed);
-  sys.enable_bank_trading();
-  const sim::Duration span = static_cast<sim::Duration>(sends) * sim::kMinute;
-  sys.enable_periodic_snapshots(span / 2);
-
-  // Crash one ISP a quarter in, the bank at five-eighths.  With the store
-  // enabled these wipe in-memory state for real; attach_faults schedules
-  // the snapshot + WAL-replay recovery at each window's end.
-  net::FaultPlan plan;
-  plan.outages.push_back(net::HostOutage{1, span / 4, span / 4 + span / 8});
-  plan.outages.push_back(
-      net::HostOutage{sys.bank_index(), 5 * span / 8, 3 * span / 4});
-  net::FaultInjector inj(plan, seed ^ 0x5DEECE66Dull);
-  sys.attach_faults(&inj);
-
-  core::InvariantAuditor auditor(sys);
-  Rng traffic(seed + 17);
-  const core::ZmailParams& pp = sys.params();
-  for (int i = 0; i < sends; ++i) {
-    const std::size_t src = traffic.next_below(pp.n_isps);
-    std::size_t dst = traffic.next_below(pp.n_isps - 1);
-    if (dst >= src) ++dst;
-    sys.send_email(
-        net::make_user_address(src, traffic.next_below(pp.users_per_isp)),
-        net::make_user_address(dst, traffic.next_below(pp.users_per_isp)),
-        "crash", "m" + std::to_string(i));
-    sys.run_for(sim::kMinute);
-  }
-  sys.run_for(sim::kHour);
-  for (int k = 0; k < 12 && sys.pending_transfers() > 0; ++k)
-    sys.run_for(15 * sim::kMinute);
-  sys.attach_faults(nullptr);
-
-  auditor.check_now();
-  if (!auditor.report().ok())
-    for (const std::string& msg : auditor.report().messages)
-      std::fprintf(stderr, "r2d seed=%llu: INVARIANT: %s\n",
-                   static_cast<unsigned long long>(seed), msg.c_str());
-
-  sweep::MetricBag bag;
-  const core::IspMetrics m = sys.total_isp_metrics();
-  bag.count("sent", static_cast<double>(m.emails_sent_compliant));
-  bag.count("received", static_cast<double>(m.emails_received_compliant));
-  bag.count("refunded", static_cast<double>(m.emails_refunded));
-  bag.count("pending", static_cast<double>(sys.pending_transfers()));
-  bag.count("violations", static_cast<double>(auditor.report().violations));
-  bag.count("recoveries", static_cast<double>(sys.state_recoveries()));
-  bag.count("outage_lost",
-            static_cast<double>(inj.counters().outage_lost));
-  std::filesystem::remove_all(dir);
-  return bag;
-}
-
-void r2d_crash_sweep(bench::Bench& harness) {
-  const bench::Options& opt = harness.options();
-  const int sends = opt.smoke ? 60 : 120;
-  sweep::SweepOptions so;
-  so.base_seed = opt.seed;
-  so.threads = opt.threads;
-  so.replicas = std::max<std::size_t>(opt.replicas, opt.smoke ? 1 : 3);
-
-  const sweep::SweepResult res = harness.run_sweep(
-      "r2d_crashes", {sweep::Point{"isp1 crash, then bank crash", {}}}, so,
-      [&](const sweep::Point&, std::uint64_t seed, std::size_t replica) {
-        return run_crash_replica(
-            seed, sends, "r2d_store_r" + std::to_string(replica));
-      });
-
-  const auto& b = res.points.front().merged;
-  Table t({"paid sent", "delivered", "refunded", "state recoveries",
-           "datagrams lost to outages", "violations", "pending"});
-  t.add_row({Table::num(b.counter("sent"), 0),
-             Table::num(b.counter("received"), 0),
-             Table::num(b.counter("refunded"), 0),
-             Table::num(b.counter("recoveries"), 0),
-             Table::num(b.counter("outage_lost"), 0),
-             Table::num(b.counter("violations"), 0),
-             Table::num(b.counter("pending"), 0)});
-  t.print("R2.d  crash + snapshot/WAL recovery (" +
-          std::to_string(so.replicas) + " seed(s))");
-
-  bench::check(b.counter("recoveries") ==
-                   static_cast<double>(2 * so.replicas),
-               "both crashes recovered through the durable store");
-  bench::check(b.counter("violations") == 0,
-               "zero invariant violations after recovery");
-  bench::check(b.counter("received") + b.counter("refunded") ==
-                   b.counter("sent"),
-               "every paid email delivered or refunded across the crashes");
-  bench::check(b.counter("pending") == 0, "nothing left in flight");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -367,6 +262,5 @@ int main(int argc, char** argv) {
   r2a_wal_throughput(harness);
   r2b_checkpoint_latency(harness);
   r2c_recovery_scaling(harness);
-  r2d_crash_sweep(harness);
   return harness.finish();
 }

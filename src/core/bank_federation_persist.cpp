@@ -6,7 +6,6 @@
 // request sealing draws from that stream).  The handlers are idempotent
 // against duplicated trade requests and inter-bank wires, which makes them
 // doubly safe to replay.
-#include <bit>
 #include <type_traits>
 
 #include "core/federation.hpp"
@@ -17,24 +16,6 @@ namespace zmail::core {
 namespace {
 
 constexpr std::uint8_t kStateVersion = 2;
-
-void put_bool(crypto::Bytes& b, bool v) { crypto::put_u8(b, v ? 1 : 0); }
-bool get_bool(crypto::ByteReader& r) { return r.get_u8() != 0; }
-
-void put_rng(crypto::Bytes& b, const Rng& rng) {
-  const Rng::State st = rng.save_state();
-  for (std::uint64_t w : st.s) crypto::put_u64(b, w);
-  crypto::put_u64(b, std::bit_cast<std::uint64_t>(st.cached_normal));
-  put_bool(b, st.has_cached_normal);
-}
-
-void get_rng(crypto::ByteReader& r, Rng& rng) {
-  Rng::State st;
-  for (auto& w : st.s) w = r.get_u64();
-  st.cached_normal = std::bit_cast<double>(r.get_u64());
-  st.has_cached_normal = get_bool(r);
-  rng.restore_state(st);
-}
 
 void put_matrix_i64(crypto::Bytes& b,
                     const std::vector<std::vector<EPenny>>& m) {

@@ -159,15 +159,10 @@ class Isp {
   // --- Introspection -------------------------------------------------------
   const ZmailParams& params() const noexcept { return params_; }
   std::size_t user_count() const noexcept { return users_.size(); }
-  // Typed row access.  UserId converts implicitly from an index (like
-  // IspId), so `isp.user(3)` still reads naturally; the returned proxy's
-  // members alias the population's columns, so field reads and writes
-  // (`user(u).balance -= 1`) compile unchanged from the UserAccount days.
-  // A balance written through the proxy bypasses add_balance(), so the
+  // Typed row access (UserId converts implicitly from an index).  The
+  // proxy's members alias the population's columns: do not hold one across
+  // a restore.  A balance written through it bypasses add_balance(), so the
   // running users_balance() no longer matches and the auditor says so.
-  // The old `UserAccount&`-returning size_t accessor is gone — holding a
-  // row reference across a restore was never safe, and the proxy makes the
-  // column-backed lifetime explicit.
   UserRef user(UserId u) { return users_.at(u); }
   ConstUserRef user(UserId u) const { return users_.at(u); }
   // The whole population: visitation (for_each_active) and column spans
@@ -355,9 +350,8 @@ class Isp {
   crypto::Bytes& wal_payload();
   void log_op(WalOp op, std::span<const std::uint8_t> payload = {});
   void log_misbehavior(Misbehavior m);
-  // Shared tail of both snapshot renditions: everything after the per-user
-  // state (avail/till/credit, protocol flags, buffers, wires, metrics,
-  // RNG/nonce streams).
+  // The scalar section after the per-user state (avail/till/credit,
+  // protocol flags, buffers, wires, metrics, RNG/nonce streams).
   void serialize_scalar_tail(crypto::Bytes& b) const;
   bool restore_scalar_tail(crypto::ByteReader& r);
   // Re-derives users_balance_/users_bought_/users_sold_ from the restored

@@ -13,8 +13,6 @@
 // Checkpoints stream it straight from the live columns; recovery maps the
 // snapshot file read-only and bulk-copies the columns back in.  Enum bytes
 // read from disk or the WAL are range-checked before they are cast.
-#include <bit>
-
 #include "core/isp.hpp"
 #include "store/snapshot.hpp"
 #include "store/wal.hpp"
@@ -29,24 +27,6 @@ constexpr std::uint8_t kScalarsVersion = 2;
 void put_money(crypto::Bytes& b, Money m) { crypto::put_i64(b, m.micros()); }
 Money get_money(crypto::ByteReader& r) {
   return Money::from_micros(r.get_i64());
-}
-
-void put_bool(crypto::Bytes& b, bool v) { crypto::put_u8(b, v ? 1 : 0); }
-bool get_bool(crypto::ByteReader& r) { return r.get_u8() != 0; }
-
-void put_rng(crypto::Bytes& b, const Rng& rng) {
-  const Rng::State st = rng.save_state();
-  for (std::uint64_t w : st.s) crypto::put_u64(b, w);
-  crypto::put_u64(b, std::bit_cast<std::uint64_t>(st.cached_normal));
-  put_bool(b, st.has_cached_normal);
-}
-
-void get_rng(crypto::ByteReader& r, Rng& rng) {
-  Rng::State st;
-  for (auto& w : st.s) w = r.get_u64();
-  st.cached_normal = std::bit_cast<double>(r.get_u64());
-  st.has_cached_normal = get_bool(r);
-  rng.restore_state(st);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 // the same bytes flow through both the AP channels and the timed network.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -124,5 +125,29 @@ void seal_into(const crypto::RsaKey& key, const crypto::Bytes& plaintext,
                Rng& rng, crypto::Envelope& scratch, crypto::Bytes& wire);
 bool unseal_into(const crypto::RsaKey& key, std::span<const std::uint8_t> wire,
                  crypto::Envelope& scratch, crypto::Bytes& plain_out);
+
+// --- Persisted-state helpers ---
+
+// A bool as one byte, and an Rng stream as its full state: the encoding
+// both parties' snapshots and WAL records share.
+inline void put_bool(crypto::Bytes& b, bool v) {
+  crypto::put_u8(b, v ? 1 : 0);
+}
+inline bool get_bool(crypto::ByteReader& r) { return r.get_u8() != 0; }
+
+inline void put_rng(crypto::Bytes& b, const Rng& rng) {
+  const Rng::State st = rng.save_state();
+  for (std::uint64_t w : st.s) crypto::put_u64(b, w);
+  crypto::put_u64(b, std::bit_cast<std::uint64_t>(st.cached_normal));
+  put_bool(b, st.has_cached_normal);
+}
+
+inline void get_rng(crypto::ByteReader& r, Rng& rng) {
+  Rng::State st;
+  for (auto& w : st.s) w = r.get_u64();
+  st.cached_normal = std::bit_cast<double>(r.get_u64());
+  st.has_cached_normal = get_bool(r);
+  rng.restore_state(st);
+}
 
 }  // namespace zmail::core

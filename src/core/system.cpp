@@ -435,7 +435,7 @@ void ZmailSystem::quiesce_timeout(std::size_t i) {
   if (isps_[i] && isps_[i]->in_quiesce()) {
     isps_[i]->on_quiesce_timeout(sim_.now());
     pump_isp(i);
-    maybe_checkpoint(i);
+    checkpoint_host(i);
   }
 }
 
@@ -640,11 +640,6 @@ void ZmailSystem::open_store(std::size_t host) {
   // persisted state; on a fresh directory both files are absent and this
   // is a no-op (neither callback fires).  Not counted as a crash recovery.
   rebuild_from_store(host);
-}
-
-void ZmailSystem::maybe_checkpoint(std::size_t host) {
-  if (stores_.empty() || !params_.store.checkpoint_at_snapshot) return;
-  checkpoint_host(host);
 }
 
 void ZmailSystem::checkpoint_host(std::size_t host) {
@@ -1011,8 +1006,8 @@ void ZmailSystem::after_bank_step(std::size_t bank, bool round_was_open) {
   }
   // A round that just closed at this bank (seq advanced, no round open) is
   // its snapshot-quiesce boundary: checkpoint once per round.
-  if (!stores_.empty() && params_.store.checkpoint_at_snapshot &&
-      !bank_->round_open(bank) && bank_->seq(bank) != bank_ckpt_seq_[bank]) {
+  if (!stores_.empty() && !bank_->round_open(bank) &&
+      bank_->seq(bank) != bank_ckpt_seq_[bank]) {
     checkpoint_host(bank_host(bank));
     bank_ckpt_seq_[bank] = bank_->seq(bank);
   }

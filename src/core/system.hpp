@@ -278,7 +278,6 @@ class ZmailSystem {
   // Durable store plumbing (all no-ops when params_.store.enabled is off).
   void open_store(std::size_t host);
   void rebuild_from_store(std::size_t host);
-  void maybe_checkpoint(std::size_t host);
 
   // Reliable email transport (ARQ): framing, retransmit timer, dedupe.
   void start_transfer(std::size_t from_isp, std::size_t to_isp,

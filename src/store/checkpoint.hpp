@@ -43,7 +43,6 @@ struct StoreConfig {
   // Extra periodic checkpoint cadence in sim microseconds (0 = only at
   // protocol-driven boundaries: ISP quiesce flush, bank round close).
   std::int64_t checkpoint_interval_us = 0;
-  bool checkpoint_at_snapshot = true;  // checkpoint at quiesce boundaries
 };
 
 struct RecoveryStats {

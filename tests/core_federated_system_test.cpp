@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <string>
 
 #include "core/invariants.hpp"
@@ -135,64 +134,6 @@ TEST(FederatedSystem, InterbankWiresAreDatagramsWithStoreAndRetriesOff) {
       << (auditor.report().messages.empty()
               ? ""
               : auditor.report().messages.front());
-}
-
-// A combination the single facade makes possible: two member banks, a
-// legacy ISP, the acknowledged email transport, retries and the durable
-// store, with an ISP and a member bank crashing in the middle of a round.
-TEST(FederatedSystem, LegacyIspArqAndMidRoundCrashesStayClean) {
-  const std::string dir = "core_federated_system_test_store";
-  std::filesystem::remove_all(dir);
-  ZmailParams p = fed_params(2);
-  p.compliant = {true, true, true, true, true, false};
-  p.reliable_email_transport = true;
-  p.retry.enabled = true;
-  p.store.enabled = true;
-  p.store.dir = dir;
-  ZmailSystem sys(p, 7);
-  sys.enable_bank_trading();
-  InvariantAuditor auditor(sys);
-  auditor.run_continuously(10 * sim::kMinute);
-
-  Rng traffic(8);
-  auto burst = [&](int n) {
-    for (int k = 0; k < n; ++k) {
-      // Compliant senders only, so every accepted email is a paid or local
-      // one; the legacy ISP still receives its share.
-      const std::size_t src = traffic.next_below(p.n_isps - 1);
-      const std::size_t dst = traffic.next_below(p.n_isps);
-      sys.send_email(user(src, traffic.next_below(p.users_per_isp)),
-                     user(dst, traffic.next_below(p.users_per_isp)), "c",
-                     "b" + std::to_string(k));
-      sys.run_for(sim::kMinute);
-    }
-  };
-  burst(30);
-  sys.start_snapshot();
-  sys.run_for(sim::kMinute);
-  ASSERT_TRUE(sys.bank().round_open());
-  sys.crash_host(2, 20 * sim::kMinute);  // an ISP homed on bank 0
-  sys.crash_host(sys.bank_host(1), 20 * sim::kMinute);
-  burst(30);
-  sys.run_for(3 * sim::kHour);
-  sys.start_snapshot();  // and the recovered world settles once more
-  sys.run_for(2 * sim::kHour);
-
-  EXPECT_EQ(sys.state_recoveries(), 2u);
-  EXPECT_FALSE(sys.bank().round_open());
-  EXPECT_TRUE(sys.bank().idle());
-  EXPECT_EQ(sys.bank().metrics().snapshot_rounds, 2u);
-  EXPECT_EQ(sys.pending_transfers(), 0u);
-  auditor.check_now();
-  EXPECT_TRUE(auditor.report().ok())
-      << (auditor.report().messages.empty()
-              ? ""
-              : auditor.report().messages.front());
-  const IspMetrics m = sys.total_isp_metrics();
-  const std::uint64_t accepted = m.emails_sent_local + m.emails_sent_compliant;
-  EXPECT_EQ(m.emails_delivered + m.emails_refunded, accepted);
-  EXPECT_GT(sys.total_legacy_stats().emails_received, 0u);
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

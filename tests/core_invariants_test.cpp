@@ -1,6 +1,6 @@
 // Zero-sum invariants under failure: the InvariantAuditor, the bank's
-// idempotent trade ledger, the ISP's retry/backoff machinery, and the
-// reliable email transport.
+// idempotent trade ledger and the ISP's retry/backoff machinery.  Whole
+// worlds under faults are the rows of core_chaos_test.
 #include "core/invariants.hpp"
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include "core/isp.hpp"
 #include "core/system.hpp"
 #include "net/address.hpp"
-#include "net/faults.hpp"
 
 namespace zmail::core {
 namespace {
@@ -216,39 +215,6 @@ TEST(IspRetryTest, LostBuyReplyIsRecoveredByBackoffRetry) {
   // Settled exchanges never retry again.
   isp.poll_retries(sim::kHour);
   EXPECT_TRUE(isp.outbox_empty());
-}
-
-TEST(ReliableTransportTest, EveryPaidEmailLandsUnderHeavyLoss) {
-  ZmailParams p = small_params();
-  p.initial_user_balance = 200;
-  p.default_daily_limit = 1'000;
-  p.retry.enabled = true;
-  p.reliable_email_transport = true;
-  ZmailSystem sys(p, 33);
-
-  net::FaultPlan plan;
-  plan.rates.drop = 0.25;
-  net::FaultInjector inj(plan, 44);
-  sys.attach_faults(&inj);
-
-  InvariantAuditor auditor(sys);
-  for (int i = 0; i < 40; ++i) {
-    sys.send_email(net::make_user_address(0, 0), net::make_user_address(1, 1),
-                   "lossy", "m" + std::to_string(i));
-    sys.run_for(30 * sim::kSecond);
-  }
-  sys.run_for(sim::kHour);
-  sys.attach_faults(nullptr);
-
-  const IspMetrics m = sys.total_isp_metrics();
-  EXPECT_EQ(m.emails_sent_compliant, 40u);
-  EXPECT_EQ(m.emails_received_compliant, 40u);
-  EXPECT_EQ(m.emails_refunded, 0u);
-  EXPECT_GT(m.emails_retransmitted, 0u);
-  EXPECT_EQ(sys.pending_transfers(), 0u);
-  EXPECT_TRUE(sys.conservation_holds());
-  auditor.check_now();
-  EXPECT_TRUE(auditor.report().ok()) << first_message(auditor);
 }
 
 // Drives one complete snapshot round at the unit level (no network).
