@@ -1,13 +1,16 @@
 // Microbenchmarks for the durable store: CRC32C, WAL append, and one
-// streamed ISP checkpoint at 100k users.
+// streamed ISP checkpoint at 100k users, as a full image and as a
+// differential.
 //
 // The binary replaces the global operator new to count heap allocations
-// and the bytes they ask for.  Its one check is exact, so it runs in
-// --smoke too: a warm 100k-user ISP checkpoint streams its 7.4 MB of
+// and the bytes they ask for.  Its two checks are exact, so they run in
+// --smoke too.  A warm 100k-user ISP full image streams its 7.4 MB of
 // Population columns to the file without staging them, so the whole
 // checkpoint (sections, framing, paths, WAL truncation) allocates less
-// than 64 KiB.  It also prints the CRC32C throughput on a checkpoint-sized
-// buffer, as a report line only (no timing is checked).
+// than 64 KiB.  A warm differential gathers its dirty rows into the
+// page-backed RowBuffer it reuses, so it stays under the same bound.  It
+// also prints the CRC32C throughput on a checkpoint-sized buffer, as a
+// report line only (no timing is checked).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -154,18 +157,30 @@ struct CheckpointRig {
   }
   ~CheckpointRig() { std::filesystem::remove_all(kWorkDir); }
 
-  // What ZmailSystem::checkpoint_host does for an ISP.
+  // A full image, as an ISP's first checkpoint writes.
   bool checkpoint(std::uint64_t sim_us) {
     crypto::Bytes scalars;
     std::vector<store::SnapshotSection> sections;
     isp->serialize_sections(scalars, sections);
     return cp.checkpoint(std::move(sections), sim_us, &err);
   }
+  // What ZmailSystem::checkpoint_host does for an ISP, with the buffers it
+  // reuses: after the first, a differential of the rows dirtied since.
+  bool write_checkpoint(std::uint64_t sim_us) {
+    return isp->write_checkpoint(cp, sim_us, scalars, rows, &err);
+  }
+  // Dirties about 1% of the rows, a busy interval's worth of senders.
+  void dirty_rows(std::size_t first) {
+    for (std::size_t u = first; u < kCheckpointUsers; u += 97)
+      isp->user(u).lifetime_received_paid += 1;
+  }
 
   Rng key_rng;
   crypto::KeyPair keys;
   std::unique_ptr<core::Isp> isp;
   store::Checkpointer cp;
+  crypto::Bytes scalars;
+  core::RowBuffer rows;
   std::string err;
   bool ok = false;
 };
@@ -184,6 +199,24 @@ void BM_CheckpointIsp(benchmark::State& state) {
       static_cast<std::int64_t>(rig.cp.stats().last_snapshot_bytes));
 }
 BENCHMARK(BM_CheckpointIsp)->Unit(benchmark::kMillisecond);
+
+void BM_CheckpointIspDifferential(benchmark::State& state) {
+  CheckpointRig rig;
+  if (!rig.ok || !rig.write_checkpoint(0)) {
+    state.SkipWithError(rig.err.c_str());
+    return;
+  }
+  // The same 1% of rows each time, so every differential is the same size.
+  std::uint64_t t = 0;
+  for (auto _ : state) {
+    rig.dirty_rows(0);
+    if (!rig.write_checkpoint(++t))
+      state.SkipWithError(rig.err.c_str());
+  }
+  state.counters["differential_bytes"] =
+      static_cast<double>(rig.cp.stats().last_snapshot_bytes);
+}
+BENCHMARK(BM_CheckpointIspDifferential)->Unit(benchmark::kMillisecond);
 
 void check_checkpoint_allocations(bench::Bench& harness) {
   CheckpointRig rig;
@@ -208,6 +241,32 @@ void check_checkpoint_allocations(bench::Bench& harness) {
   harness.check(written && bytes < kCheckpointAllocLimit,
                 "one 100k-user ISP checkpoint allocates under 64 KiB (the "
                 "columns stream from the population, never staged)");
+}
+
+void check_differential_allocations(bench::Bench& harness) {
+  CheckpointRig rig;
+  // The base, then one differential to warm the buffers.
+  bool warm = rig.ok && rig.write_checkpoint(1);
+  rig.dirty_rows(0);
+  warm = warm && rig.write_checkpoint(2) && rig.cp.stats().differentials == 1;
+  if (!warm) std::fprintf(stderr, "differential: %s\n", rig.err.c_str());
+  harness.check(warm, "a 100k-user ISP writes a differential over its base");
+  rig.dirty_rows(1);
+  const std::uint64_t b0 = g_bytes.load(std::memory_order_relaxed);
+  const bool written =
+      rig.write_checkpoint(3) && rig.cp.stats().differentials == 2;
+  const std::uint64_t bytes = g_bytes.load(std::memory_order_relaxed) - b0;
+  const std::uint64_t snapshot = rig.cp.stats().last_snapshot_bytes;
+  std::printf("differential: %llu-byte file for %zu dirty rows, %llu bytes "
+              "allocated\n",
+              static_cast<unsigned long long>(snapshot),
+              rig.isp->users().dirty_row_count(),
+              static_cast<unsigned long long>(bytes));
+  harness.metrics()["differential_snapshot_bytes"] = snapshot;
+  harness.metrics()["differential_allocated_bytes"] = bytes;
+  harness.check(written && bytes < kCheckpointAllocLimit,
+                "one warm 100k-user ISP differential allocates under 64 KiB "
+                "(the dirty rows gather into the reused RowBuffer)");
 }
 
 // Best-of-N throughput of store::crc32c and of the portable reference over
@@ -247,6 +306,7 @@ void report_crc_throughput(bench::Bench& harness) {
 int main(int argc, char** argv) {
   zmail::bench::Bench harness("micro_store", argc, argv);
   check_checkpoint_allocations(harness);
+  check_differential_allocations(harness);
   report_crc_throughput(harness);
   return zmail::bench::run_micro(harness, argc, argv);
 }

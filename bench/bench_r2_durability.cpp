@@ -12,9 +12,13 @@
 //         on-disk snapshot size as the party state grows
 //   R2.c  recovery time vs WAL length: replay cost grows with the log, and
 //         a checkpoint truncates it back down
+//   R2.e  snapshot bytes written per email: an ISP checkpoint after the
+//         first writes a differential of the rows changed since its last
+//         full image, against the full image every checkpoint used to be
 //
 // Crash recovery mid-scenario (an ISP, then the bank, with real state
 // wipes) is the R2.d row of tests/core_chaos_test.cpp.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -254,6 +258,70 @@ void r2c_recovery_scaling(bench::Bench& harness) {
                "full-replay recovery time grows with the WAL");
 }
 
+// ---------------------------------------------------------------------------
+// R2.e  snapshot bytes written per email: full images vs differentials
+// ---------------------------------------------------------------------------
+
+void r2e_differential_bytes(bench::Bench& harness) {
+  const bench::Options& opt = harness.options();
+  const std::string dir = "r2e_store";
+  std::filesystem::remove_all(dir);
+  constexpr std::size_t kUsers = 100'000;
+  const int rounds = 6;
+  const int sends = opt.smoke ? 500 : 3'000;
+  core::ZmailSystem sys(store_params(dir, kUsers), 205);
+  sys.enable_bank_trading();
+  sys.checkpoint_all();  // the base images, written either way
+
+  const auto written = [&] { return sys.store_totals().snapshot_bytes_written; };
+  const std::uint64_t base_bytes = written();
+  std::uint64_t full_bytes = 0;
+  for (int r = 0; r < rounds; ++r) {
+    drive_traffic(sys, 206 + static_cast<std::uint64_t>(r), sends);
+    for (std::size_t i = 0; i < sys.params().n_isps; ++i) {
+      // What this checkpoint would write as a full image.
+      crypto::Bytes scalars;
+      store::SnapshotData full;
+      sys.isp(i).serialize_sections(scalars, full.sections);
+      full_bytes += store::encoded_snapshot_size(full);
+      sys.checkpoint_host(i);
+    }
+  }
+  const std::uint64_t diff_bytes = written() - base_bytes;
+  std::uint64_t differentials = 0;
+  for (std::size_t i = 0; i < sys.params().n_isps; ++i)
+    differentials += sys.host_store(i)->stats().differentials;
+  const double emails = static_cast<double>(rounds) * sends;
+  const double ratio = static_cast<double>(full_bytes) /
+                       static_cast<double>(std::max<std::uint64_t>(diff_bytes, 1));
+
+  Table t({"users/ISP", "emails", "ISP checkpoints", "differentials",
+           "full images B/email", "differentials B/email", "ratio"});
+  t.add_row({Table::num(std::uint64_t{kUsers}),
+             Table::num(static_cast<std::uint64_t>(emails)),
+             Table::num(std::uint64_t(rounds) * sys.params().n_isps),
+             Table::num(differentials),
+             Table::num(static_cast<double>(full_bytes) / emails, 1),
+             Table::num(static_cast<double>(diff_bytes) / emails, 1),
+             Table::num(ratio, 1) + "x"});
+  t.print("R2.e  snapshot bytes written per email after the base images");
+  json::Value row = json::Value::object();
+  row["users_per_isp"] = std::uint64_t{kUsers};
+  row["emails"] = emails;
+  row["isp_checkpoints"] = std::uint64_t(rounds) * sys.params().n_isps;
+  row["differentials"] = differentials;
+  row["full_image_bytes"] = full_bytes;
+  row["differential_bytes"] = diff_bytes;
+  row["full_image_bytes_per_email"] = static_cast<double>(full_bytes) / emails;
+  row["differential_bytes_per_email"] = static_cast<double>(diff_bytes) / emails;
+  harness.metrics()["r2e_differential_bytes"] = std::move(row);
+  std::filesystem::remove_all(dir);
+
+  bench::check(ratio >= 5.0,
+               "differential checkpoints write >= 5x fewer snapshot bytes "
+               "than full images on a 100k-user ISP world");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -262,5 +330,6 @@ int main(int argc, char** argv) {
   r2a_wal_throughput(harness);
   r2b_checkpoint_latency(harness);
   r2c_recovery_scaling(harness);
+  r2e_differential_bytes(harness);
   return harness.finish();
 }

@@ -128,10 +128,4 @@ void InvariantAuditor::run_continuously(sim::Duration period) {
   });
 }
 
-void InvariantAuditor::assert_ok() const {
-  ZMAIL_ASSERT_MSG(report_.ok(), report_.messages.empty()
-                                     ? "invariant violated"
-                                     : report_.messages.front().c_str());
-}
-
 }  // namespace zmail::core

@@ -72,9 +72,6 @@ class InvariantAuditor {
 
   const InvariantReport& report() const noexcept { return report_; }
 
-  // Aborts (ZMAIL_ASSERT) on the first recorded violation; for tests.
-  void assert_ok() const;
-
  private:
   void fail(std::string msg);
 

@@ -48,15 +48,18 @@ const char* send_result_name(SendResult r) noexcept {
 }
 
 Isp::Isp(std::size_t index, const ZmailParams& params,
-         crypto::RsaKey bank_pub, std::uint64_t secret_seed)
+         crypto::RsaKey bank_pub, std::uint64_t secret_seed, Population arena)
     : index_(index),
       params_(params),
       bank_pub_(bank_pub),
       rng_(secret_seed ^ (0x1517ULL * (index + 1))),
       nonce_gen_(secret_seed * 0x9E3779B97F4A7C15ULL + index) {
   ZMAIL_ASSERT(index < params_.n_isps);
-  users_.reset(params_.users_per_isp, params_.initial_user_account,
-               params_.initial_user_balance, params_.default_daily_limit);
+  if (arena.size() != 0 && arena.size() == params_.users_per_isp)
+    users_ = std::move(arena);
+  else
+    users_.reset(params_.users_per_isp, params_.initial_user_account,
+                 params_.initial_user_balance, params_.default_daily_limit);
   users_balance_ = static_cast<EPenny>(params_.users_per_isp) *
                    params_.initial_user_balance;
   if (params_.record_inboxes) inboxes_.resize(params_.users_per_isp);

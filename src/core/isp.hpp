@@ -32,7 +32,9 @@
 #include "net/email.hpp"
 
 namespace zmail::store {
+class Checkpointer;
 class WalSink;
+struct RecoveryStats;
 struct SnapshotSection;
 struct SnapshotData;
 }  // namespace zmail::store
@@ -82,8 +84,13 @@ class Isp {
   // params object across all parties lets the bank's compliant-array
   // updates (Section 4: "broadcast this new compliant array to every
   // compliant ISP") take effect everywhere at once.
+  //
+  // `arena`, when it holds users_per_isp rows, is adopted as it is instead
+  // of mapping and filling a new population: a rebuild hands over the
+  // crashed ISP's arena right before restore_snapshot() overwrites every
+  // column of it from a full image.  Its rows are meaningless until then.
   Isp(std::size_t index, const ZmailParams& params, crypto::RsaKey bank_pub,
-      std::uint64_t secret_seed);
+      std::uint64_t secret_seed, Population arena = {});
 
   std::size_t index() const noexcept { return index_; }
 
@@ -274,10 +281,35 @@ class Isp {
   // the population next changes.
   void serialize_sections(crypto::Bytes& scalars,
                           std::vector<store::SnapshotSection>& out) const;
+  // A differential over the base image tagged `base_lsn`: the scalar
+  // section, each column dirty as a whole, and one row-delta section that
+  // borrows `rows` (filled here with the tag and the dirty rows).
+  void serialize_differential(std::uint64_t base_lsn, crypto::Bytes& scalars,
+                              RowBuffer& rows,
+                              std::vector<store::SnapshotSection>& out) const;
   // Restores from a snapshot's sections (a decoded buffer or
   // SnapshotFileView::snapshot()), reading the scalar section in place and
-  // bulk-copying the columns.  False on a missing or malformed section.
+  // bulk-copying the columns.  A full image must carry every column; a
+  // differential (it has a row-delta section) applies over the state its
+  // base restored, and marks its rows and columns dirty.  False on a
+  // missing or malformed section.
   bool restore_snapshot(const store::SnapshotData& snap);
+  // One checkpoint through `cp`, the store's checkpoint step for an ISP.
+  // It writes a differential while `cp` holds a base and the differential
+  // carries at most half the user bytes of a full image (it grows with
+  // every row dirtied since the base), and a full image otherwise, which
+  // becomes the new base and clears the dirty marks.  `scalars` and `rows`
+  // are the caller's reused buffers; `rows` is released once written.
+  bool write_checkpoint(store::Checkpointer& cp, std::uint64_t sim_time_us,
+                        crypto::Bytes& scalars, RowBuffer& rows,
+                        std::string* error);
+  // Rebuilds this ISP from `cp`: the base image, the differential over it,
+  // then the WAL tail (Checkpointer::recover).  The base is what later
+  // differentials are taken against, so its restore clears the dirty
+  // marks; the differential's rows and the replayed ones are marked again,
+  // so a recovery never forces the next checkpoint to be full.
+  bool recover(store::Checkpointer& cp, store::RecoveryStats* stats,
+               std::string* error);
 
   // Testing hooks.
   void set_avail(EPenny v) noexcept { avail_ = v; }
@@ -350,6 +382,8 @@ class Isp {
   crypto::Bytes& wal_payload();
   void log_op(WalOp op, std::span<const std::uint8_t> payload = {});
   void log_misbehavior(Misbehavior m);
+  // The scalar section: user count, policy table and the scalar tail.
+  void serialize_scalars(crypto::Bytes& b) const;
   // The scalar section after the per-user state (avail/till/credit,
   // protocol flags, buffers, wires, metrics, RNG/nonce streams).
   void serialize_scalar_tail(crypto::Bytes& b) const;

@@ -11,9 +11,12 @@
 // The state has one encoding: a scalar section carrying everything but the
 // per-user rows, plus one raw little-endian section per Population column.
 // Checkpoints stream it straight from the live columns; recovery maps the
-// snapshot file read-only and bulk-copies the columns back in.  Enum bytes
-// read from disk or the WAL are range-checked before they are cast.
+// snapshot file read-only and bulk-copies the columns back in.  A
+// differential carries the scalar section too, but only the rows (and
+// whole columns) dirtied since the last full image.  Enum bytes read from
+// disk or the WAL are range-checked before they are cast.
 #include "core/isp.hpp"
+#include "store/checkpoint.hpp"
 #include "store/snapshot.hpp"
 #include "store/wal.hpp"
 
@@ -178,22 +181,24 @@ bool Isp::restore_scalar_tail(crypto::ByteReader& r) {
   return r.ok();
 }
 
+void Isp::serialize_scalars(crypto::Bytes& b) const {
+  b.clear();
+  crypto::put_u8(b, kScalarsVersion);
+  crypto::put_u32(b, static_cast<std::uint32_t>(users_.size()));
+  const auto& pol = users_.policy_overrides();
+  crypto::put_u32(b, static_cast<std::uint32_t>(pol.size()));
+  for (const auto& [slot, p] : pol) {
+    crypto::put_u32(b, slot);
+    crypto::put_u8(b, static_cast<std::uint8_t>(p));
+  }
+  serialize_scalar_tail(b);
+}
+
 void Isp::serialize_sections(crypto::Bytes& scalars,
                              std::vector<store::SnapshotSection>& out) const {
   out.clear();
   out.reserve(1 + Population::kColumnCount);
-
-  // Scalar section: user count + sparse policy table + the scalar tail.
-  scalars.clear();
-  crypto::put_u8(scalars, kScalarsVersion);
-  crypto::put_u32(scalars, static_cast<std::uint32_t>(users_.size()));
-  const auto& pol = users_.policy_overrides();
-  crypto::put_u32(scalars, static_cast<std::uint32_t>(pol.size()));
-  for (const auto& [slot, p] : pol) {
-    crypto::put_u32(scalars, slot);
-    crypto::put_u8(scalars, static_cast<std::uint8_t>(p));
-  }
-  serialize_scalar_tail(scalars);
+  serialize_scalars(scalars);
   out.push_back(store::SnapshotSection{store::kIspScalarsSection, scalars});
 
   // One section per column, pointing at the column itself: the snapshot
@@ -206,12 +211,69 @@ void Isp::serialize_sections(crypto::Bytes& scalars,
   }
 }
 
+void Isp::serialize_differential(
+    std::uint64_t base_lsn, crypto::Bytes& scalars, RowBuffer& rows,
+    std::vector<store::SnapshotSection>& out) const {
+  out.clear();
+  out.reserve(2 + Population::kColumnCount);
+  serialize_scalars(scalars);
+  out.push_back(store::SnapshotSection{store::kIspScalarsSection, scalars});
+  for (std::size_t c = 0; c < Population::kColumnCount; ++c) {
+    const auto col = static_cast<Population::Column>(c);
+    if (!users_.column_dirty(col)) continue;
+    out.push_back(store::SnapshotSection{
+        store::kUserColumnBase + static_cast<std::uint32_t>(c),
+        {users_.column_data(col), users_.column_bytes(col)}});
+  }
+  const std::span<std::uint8_t> payload =
+      rows.take(sizeof(std::uint64_t) + users_.dirty_rows_bytes());
+  crypto::store_be(payload.data(), base_lsn, sizeof(std::uint64_t));
+  users_.gather_dirty_rows(payload.subspan(sizeof(std::uint64_t)));
+  out.push_back(store::SnapshotSection{store::kRowDeltaSection, payload});
+}
+
+bool Isp::write_checkpoint(store::Checkpointer& cp, std::uint64_t sim_time_us,
+                           crypto::Bytes& scalars, RowBuffer& rows,
+                           std::string* error) {
+  std::vector<store::SnapshotSection> sections;
+  if (cp.has_base() &&
+      2 * users_.differential_bytes() <= users_.image_bytes()) {
+    serialize_differential(cp.base_lsn(), scalars, rows, sections);
+    const bool ok =
+        cp.checkpoint_differential(std::move(sections), sim_time_us, error);
+    rows.release();
+    return ok;
+  }
+  serialize_sections(scalars, sections);
+  if (!cp.checkpoint(std::move(sections), sim_time_us, error)) return false;
+  users_.clear_dirty();
+  return true;
+}
+
+bool Isp::recover(store::Checkpointer& cp, store::RecoveryStats* stats,
+                  std::string* error) {
+  return cp.recover(
+      [this](const store::SnapshotFileView& v) {
+        if (!restore_snapshot(v.snapshot())) return false;
+        if ((v.meta().features & store::kFeatureRowDelta) == 0)
+          users_.clear_dirty();
+        return true;
+      },
+      [this](std::uint8_t t, std::span<const std::uint8_t> p) {
+        apply_wal_record(t, p);
+      },
+      stats, error);
+}
+
 bool Isp::restore_snapshot(const store::SnapshotData& snap) {
   const store::SnapshotSection* scalars = nullptr;
+  const store::SnapshotSection* rows = nullptr;
   const store::SnapshotSection* cols[Population::kColumnCount] = {};
   for (const store::SnapshotSection& s : snap.sections) {
     if (s.id == store::kIspScalarsSection) {
       scalars = &s;
+    } else if (s.id == store::kRowDeltaSection) {
+      rows = &s;
     } else if (s.id >= store::kUserColumnBase &&
                s.id < store::kUserColumnBase + Population::kColumnCount) {
       cols[s.id - store::kUserColumnBase] = &s;
@@ -220,12 +282,17 @@ bool Isp::restore_snapshot(const store::SnapshotData& snap) {
     // required capabilities are gated by the header's feature bits.
   }
   if (!scalars) return false;
+  // A differential applies over its base: same population, and only the
+  // columns and rows it names.  The tag was matched by the Checkpointer.
+  const bool differential = rows != nullptr;
+  if (differential && rows->payload.size() < 8) return false;
 
   crypto::ByteReader r(scalars->payload);
   if (r.get_u8() != kScalarsVersion) return false;
   const std::uint32_t n_users = r.get_u32();
   if (!r.ok() || n_users > (1u << 24)) return false;
-  // Every column is loaded below (a missing one fails the restore).
+  if (differential && n_users != users_.size()) return false;
+  // Every column is loaded below (a missing one fails a full restore).
   users_.resize_for_load(n_users);
   const std::uint32_t n_pol = r.get_u32();
   if (!r.ok() || n_pol > n_users) return false;
@@ -247,10 +314,15 @@ bool Isp::restore_snapshot(const store::SnapshotData& snap) {
 
   for (std::size_t c = 0; c < Population::kColumnCount; ++c) {
     const auto col = static_cast<Population::Column>(c);
-    if (!cols[c]) return false;
+    if (!cols[c]) {
+      if (differential) continue;
+      return false;
+    }
     const auto payload = cols[c]->payload;
     if (!users_.load_column(col, payload.data(), payload.size())) return false;
   }
+  if (differential && !users_.load_rows(rows->payload.subspan(8)))
+    return false;
   recount_running_totals();
   return true;
 }

@@ -7,6 +7,7 @@
 #include <bit>
 #include <cstring>
 #include <new>
+#include <type_traits>
 #include <utility>
 
 namespace zmail::core {
@@ -18,6 +19,14 @@ static_assert(std::endian::native == std::endian::little,
 static_assert(sizeof(Money) == sizeof(std::int64_t) &&
                   alignof(Money) == alignof(std::int64_t),
               "Money must column-pack as a bare i64 (micros)");
+static_assert(
+    [] {
+      std::size_t bytes = 0;
+      for (std::size_t c = 0; c < Population::kColumnCount; ++c)
+        bytes += Population::column_width(static_cast<Population::Column>(c));
+      return bytes;
+    }() == Population::kRowBytes,
+    "kRowBytes is one row across every column");
 
 const char* Population::column_name(Column c) noexcept {
   switch (c) {
@@ -59,8 +68,18 @@ constexpr Population::Column kArenaOrder[Population::kColumnCount] = {
     Population::Column::kLifetimeEpenniesSold,
 };
 
+constexpr std::uint16_t kAllColumns = (1u << Population::kColumnCount) - 1;
+
+constexpr std::uint16_t column_bit(Population::Column c) noexcept {
+  return static_cast<std::uint16_t>(1u << static_cast<unsigned>(c));
+}
+
 constexpr std::size_t align_up(std::size_t x, std::size_t a) noexcept {
   return (x + a - 1) & ~(a - 1);
+}
+
+constexpr std::size_t bitmap_words(std::size_t n) noexcept {
+  return (n + 63) / 64;
 }
 
 // Maps `bytes` (a page multiple) of zero pages at a 2 MiB boundary:
@@ -95,6 +114,8 @@ Population& Population::operator=(Population&& o) noexcept {
   base_ = std::exchange(o.base_, nullptr);
   mapped_ = std::exchange(o.mapped_, 0);
   col_ = std::exchange(o.col_, {});
+  dirty_ = std::exchange(o.dirty_, nullptr);
+  dirty_cols_ = std::exchange(o.dirty_cols_, 0);
   policy_ = std::move(o.policy_);
   o.policy_.clear();
   return *this;
@@ -106,6 +127,8 @@ void Population::release() noexcept {
   base_ = nullptr;
   mapped_ = 0;
   col_ = {};
+  dirty_ = nullptr;
+  dirty_cols_ = 0;
 }
 
 void Population::reset(std::size_t n, Money account, EPenny balance,
@@ -118,12 +141,15 @@ void Population::reset(std::size_t n, Money account, EPenny balance,
       offset[static_cast<std::size_t>(c)] = bytes;
       bytes = align_up(bytes + n * column_width(c), kColumnAlign);
     }
+    const std::size_t dirty_offset = bytes;
+    bytes += bitmap_words(n) * sizeof(std::uint64_t);
     if (n != 0) {
       const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
       mapped_ = align_up(bytes, page);
       base_ = map_arena(mapped_);
       for (std::size_t c = 0; c < kColumnCount; ++c)
         col_[c] = base_ + offset[c];
+      dirty_ = reinterpret_cast<std::uint64_t*>(base_ + dirty_offset);
     }
     n_ = n;
   }
@@ -137,7 +163,9 @@ void Population::reset(std::size_t n, Money account, EPenny balance,
           Column::kLifetimeReceivedPaid, Column::kLifetimeEpenniesBought,
           Column::kLifetimeEpenniesSold})
       std::memset(col<std::uint8_t>(c), 0, column_bytes(c));
+    clear_dirty();
   }
+  dirty_cols_ = kAllColumns;
   policy_.clear();
 }
 
@@ -156,13 +184,145 @@ void Population::reset_day() noexcept {
   auto* last = col<std::uint8_t>(Column::kBlockedToday) +
                column_bytes(Column::kBlockedToday);
   std::memset(first, 0, static_cast<std::size_t>(last - first));
+  dirty_cols_ |= column_bit(Column::kSent) | column_bit(Column::kBlockedToday);
 }
 
 bool Population::load_column(Column c, const std::uint8_t* data,
                              std::size_t len) {
   if (len != column_bytes(c)) return false;
   if (len != 0) std::memcpy(col<std::uint8_t>(c), data, len);
+  dirty_cols_ |= column_bit(c);
   return true;
+}
+
+void Population::clear_dirty() noexcept {
+  if (dirty_) std::memset(dirty_, 0, bitmap_words(n_) * sizeof(std::uint64_t));
+  dirty_cols_ = 0;
+}
+
+std::size_t Population::dirty_row_count() const noexcept {
+  std::size_t rows = 0;
+  for (std::size_t w = 0; w < bitmap_words(n_); ++w)
+    rows += static_cast<std::size_t>(std::popcount(dirty_[w]));
+  return rows;
+}
+
+std::size_t Population::dirty_rows_bytes() const noexcept {
+  return sizeof(std::uint32_t) +
+         dirty_row_count() * (sizeof(std::uint32_t) + kRowBytes);
+}
+
+std::size_t Population::differential_bytes() const noexcept {
+  std::size_t bytes = dirty_rows_bytes();
+  for (std::size_t c = 0; c < kColumnCount; ++c)
+    if (column_dirty(static_cast<Column>(c)))
+      bytes += column_bytes(static_cast<Column>(c));
+  return bytes;
+}
+
+namespace {
+
+// Copies `rows` values of `width` bytes between a column and a packed run,
+// one per slot in `slots` (u32 little-endian).  The two widths get their
+// own constant-size copies.
+template <bool kToColumn>
+void copy_rows(std::uint8_t* column, std::uint8_t* packed,
+               const std::uint8_t* slots, std::size_t rows,
+               std::size_t width) {
+  const auto run = [&](auto w) {
+    for (std::size_t k = 0; k < rows; ++k) {
+      std::uint32_t slot = 0;
+      std::memcpy(&slot, slots + 4 * k, 4);
+      std::uint8_t* cell = column + std::size_t{slot} * w;
+      if constexpr (kToColumn)
+        std::memcpy(cell, packed + k * w, w);
+      else
+        std::memcpy(packed + k * w, cell, w);
+    }
+  };
+  if (width == sizeof(std::int64_t))
+    run(std::integral_constant<std::size_t, sizeof(std::int64_t)>{});
+  else
+    run(std::integral_constant<std::size_t, 1>{});
+}
+
+}  // namespace
+
+void Population::gather_dirty_rows(std::span<std::uint8_t> out) const {
+  const std::size_t rows = dirty_row_count();
+  ZMAIL_ASSERT(out.size() ==
+               sizeof(std::uint32_t) + rows * (sizeof(std::uint32_t) + kRowBytes));
+  std::uint8_t* p = out.data();
+  const auto count = static_cast<std::uint32_t>(rows);
+  std::memcpy(p, &count, 4);
+  std::uint8_t* const slots = p + 4;
+  std::uint8_t* s = slots;
+  for (std::size_t w = 0; w < bitmap_words(n_); ++w)
+    for (std::uint64_t bits = dirty_[w]; bits != 0; bits &= bits - 1) {
+      const auto slot =
+          static_cast<std::uint32_t>(w * 64 + std::countr_zero(bits));
+      std::memcpy(s, &slot, 4);
+      s += 4;
+    }
+  p = s;
+  for (std::size_t c = 0; c < kColumnCount; ++c) {
+    const std::size_t width = column_width(static_cast<Column>(c));
+    copy_rows<false>(col_[c], p, slots, rows, width);
+    p += rows * width;
+  }
+}
+
+bool Population::load_rows(std::span<const std::uint8_t> payload) {
+  if (payload.size() < 4) return false;
+  std::uint32_t count = 0;
+  std::memcpy(&count, payload.data(), 4);
+  const std::size_t rows = count;
+  if (payload.size() != 4 + rows * (sizeof(std::uint32_t) + kRowBytes))
+    return false;
+  const std::uint8_t* slots = payload.data() + 4;
+  for (std::size_t k = 0; k < rows; ++k) {
+    std::uint32_t slot = 0;
+    std::memcpy(&slot, slots + 4 * k, 4);
+    if (slot >= n_) return false;
+  }
+  // copy_rows never writes through `packed` when scattering.
+  auto* p = const_cast<std::uint8_t*>(slots + 4 * rows);
+  for (std::size_t c = 0; c < kColumnCount; ++c) {
+    const std::size_t width = column_width(static_cast<Column>(c));
+    copy_rows<true>(col_[c], p, slots, rows, width);
+    p += rows * width;
+  }
+  for (std::size_t k = 0; k < rows; ++k) {
+    std::uint32_t slot = 0;
+    std::memcpy(&slot, slots + 4 * k, 4);
+    dirty_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+  }
+  return true;
+}
+
+RowBuffer::~RowBuffer() {
+  if (data_) ::munmap(data_, mapped_);
+}
+
+std::span<std::uint8_t> RowBuffer::take(std::size_t n) {
+  if (n > mapped_) {
+    if (data_) ::munmap(data_, mapped_);
+    const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+    mapped_ = align_up(n, page);
+    void* p = ::mmap(nullptr, mapped_, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) {
+      data_ = nullptr;
+      mapped_ = 0;
+      throw std::bad_alloc();
+    }
+    data_ = static_cast<std::uint8_t*>(p);
+  }
+  return {data_, n};
+}
+
+void RowBuffer::release() noexcept {
+  if (data_) (void)::madvise(data_, mapped_, MADV_DONTNEED);
 }
 
 }  // namespace zmail::core

@@ -35,6 +35,15 @@
 // writes each one as a single raw section (column_data()/column_bytes())
 // and restore bulk-copies them straight out of an mmap'd file
 // (load_column()).
+//
+// Dirty tracking for differential checkpoints: the arena also holds a
+// bitmap with one bit per row (12.5 KB at 100k users), set by the one
+// place a writable row is made, at() (non-const), and by load_rows().
+// Writes that cover a whole column instead mark that column: reset(),
+// reset_day() and load_column().  clear_dirty() is called only when the
+// population equals the party's base image on disk (after a full image is
+// written or read back), so the dirty rows and columns are exactly what a
+// differential against that base must carry (gather_dirty_rows()).
 #pragma once
 
 #include <array>
@@ -128,6 +137,8 @@ class Population {
                : sizeof(std::int64_t);
   }
   static const char* column_name(Column c) noexcept;
+  // Bytes of one row across every column (74).
+  static constexpr std::size_t kRowBytes = 9 * sizeof(std::int64_t) + 2;
 
   Population() = default;
   ~Population();
@@ -139,38 +150,33 @@ class Population {
 
   // Re-initializes to `n` users with the given starting row (everything
   // else zero) and an empty policy side table.  Writes every column, so
-  // the mapping is faulted in here rather than on the first sends.
+  // the mapping is faulted in here rather than on the first sends.  Marks
+  // every column dirty.
   void reset(std::size_t n, Money account, EPenny balance, std::int64_t limit);
   // Makes room for `n` users ahead of a restore that load_column()s every
   // column, and empties the policy side table.  Columns already `n` long
   // keep their bytes until the loads overwrite them, so a restore into a
-  // fresh population copies each column once instead of filling it first.
+  // fresh population, or into the arena a crashed ISP handed over, copies
+  // each column once instead of filling it first.
   void resize_for_load(std::size_t n);
 
   std::size_t size() const noexcept { return n_; }
 
+  // A writable row; marks it dirty.
   UserRef at(UserId u) {
     ZMAIL_ASSERT(u.slot() < n_);
     const std::size_t i = u.slot();
-    return UserRef{col<Money>(Column::kAccount)[i],
-                   col<EPenny>(Column::kBalance)[i],
-                   col<std::int64_t>(Column::kSent)[i],
-                   col<std::int64_t>(Column::kLimit)[i],
-                   col<std::uint8_t>(Column::kBlockedToday)[i],
-                   col<std::int64_t>(Column::kWarnings)[i],
-                   col<std::uint8_t>(Column::kQuarantined)[i],
-                   col<std::int64_t>(Column::kLifetimeSent)[i],
-                   col<std::int64_t>(Column::kLifetimeReceivedPaid)[i],
-                   col<EPenny>(Column::kLifetimeEpenniesBought)[i],
-                   col<EPenny>(Column::kLifetimeEpenniesSold)[i]};
+    dirty_[i >> 6] |= std::uint64_t{1} << (i & 63);
+    return row(i);
   }
   ConstUserRef at(UserId u) const {
-    return const_cast<Population*>(this)->at(u);
+    ZMAIL_ASSERT(u.slot() < n_);
+    return const_cast<Population*>(this)->row(u.slot());
   }
 
   // End-of-day reset: zeroes the whole day arena (sent + blocked_today,
   // adjacent in the mapping) in one memset instead of walking a million
-  // rows.
+  // rows.  Marks both columns dirty.
   void reset_day() noexcept;
 
   // --- Sparse per-user policy override (Section 5) ------------------------
@@ -205,10 +211,6 @@ class Population {
   // room for tombstoned slots without another audit-layer migration.
   template <typename Fn>
   void for_each_active(Fn&& fn) const {
-    for (std::size_t i = 0; i < n_; ++i) fn(UserId(i), at(UserId(i)));
-  }
-  template <typename Fn>
-  void for_each_active(Fn&& fn) {
     for (std::size_t i = 0; i < n_; ++i) fn(UserId(i), at(UserId(i)));
   }
 
@@ -251,10 +253,48 @@ class Population {
   std::size_t column_bytes(Column c) const noexcept {
     return n_ * column_width(c);
   }
-  // Bulk restore of one column; `len` must equal column_bytes(c).
+  // Bulk restore of one column; `len` must equal column_bytes(c).  Marks
+  // the column dirty.
   bool load_column(Column c, const std::uint8_t* data, std::size_t len);
 
+  // --- Dirty rows (differential checkpoints) --------------------------------
+  // Forgets every mark: the population now equals the base image on disk.
+  void clear_dirty() noexcept;
+  std::size_t dirty_row_count() const noexcept;
+  bool column_dirty(Column c) const noexcept {
+    return (dirty_cols_ >> static_cast<unsigned>(c)) & 1u;
+  }
+  // Bytes of gather_dirty_rows()' payload.
+  std::size_t dirty_rows_bytes() const noexcept;
+  // User bytes a differential would carry: every dirty column whole, plus
+  // the dirty rows.  Compare with image_bytes(), the user bytes of a full
+  // image.
+  std::size_t differential_bytes() const noexcept;
+  std::size_t image_bytes() const noexcept { return n_ * kRowBytes; }
+  // Writes the dirty rows into `out` (dirty_rows_bytes() long), raw
+  // little-endian like the column sections:
+  //   count:u32  slot:u32[count]  then, per column in canonical order,
+  //   value[count] of column_width(c) bytes
+  void gather_dirty_rows(std::span<std::uint8_t> out) const;
+  // Scatters a gather_dirty_rows() payload back into the columns and marks
+  // its rows dirty.  False, with nothing written, when the payload is
+  // malformed or names a slot out of range.
+  bool load_rows(std::span<const std::uint8_t> payload);
+
  private:
+  UserRef row(std::size_t i) noexcept {
+    return UserRef{col<Money>(Column::kAccount)[i],
+                   col<EPenny>(Column::kBalance)[i],
+                   col<std::int64_t>(Column::kSent)[i],
+                   col<std::int64_t>(Column::kLimit)[i],
+                   col<std::uint8_t>(Column::kBlockedToday)[i],
+                   col<std::int64_t>(Column::kWarnings)[i],
+                   col<std::uint8_t>(Column::kQuarantined)[i],
+                   col<std::int64_t>(Column::kLifetimeSent)[i],
+                   col<std::int64_t>(Column::kLifetimeReceivedPaid)[i],
+                   col<EPenny>(Column::kLifetimeEpenniesBought)[i],
+                   col<EPenny>(Column::kLifetimeEpenniesSold)[i]};
+  }
   template <typename T>
   T* col(Column c) const noexcept {
     return reinterpret_cast<T*>(col_[static_cast<std::size_t>(c)]);
@@ -263,11 +303,35 @@ class Population {
 
   std::size_t n_ = 0;
   // The arena: one anonymous mapping of `mapped_` bytes holding every
-  // column (col_[c] points into it, indexed by Column).
+  // column (col_[c] points into it, indexed by Column) and, after the
+  // columns, the dirty-row bitmap (one bit per slot, dirty_ points at it).
   std::uint8_t* base_ = nullptr;
   std::size_t mapped_ = 0;
   std::array<std::uint8_t*, kColumnCount> col_{};
+  std::uint64_t* dirty_ = nullptr;
+  std::uint16_t dirty_cols_ = 0;  // bit c: column c is dirty as a whole
   std::map<std::uint32_t, NonCompliantPolicy> policy_;
+};
+
+// Scratch for a differential's rows.  It is page-backed: mapped once,
+// remapped only to grow, and its pages are handed back after each use.  So
+// the one buffer a system shares across hosts takes no heap allocation per
+// checkpoint and holds no resident memory between checkpoints.
+class RowBuffer {
+ public:
+  RowBuffer() = default;
+  ~RowBuffer();
+  RowBuffer(const RowBuffer&) = delete;
+  RowBuffer& operator=(const RowBuffer&) = delete;
+
+  // The first `n` bytes, mapping more when needed; contents unspecified.
+  std::span<std::uint8_t> take(std::size_t n);
+  // Hands the pages back; the mapping stays for the next take().
+  void release() noexcept;
+
+ private:
+  std::uint8_t* data_ = nullptr;
+  std::size_t mapped_ = 0;
 };
 
 template <typename T>

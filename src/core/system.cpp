@@ -649,21 +649,23 @@ void ZmailSystem::checkpoint_host(std::size_t host) {
                              static_cast<std::uint16_t>(host));
   std::string err;
   const auto sim_us = static_cast<std::uint64_t>(sim_.now());
+  store::Checkpointer& cp = *stores_[host];
   // Both parties write the same container: a bank its state blob as one
-  // section, an ISP a scalar section plus one section per Population
-  // column, streamed from the live columns.
+  // section, an ISP a full image or a differential streamed from the live
+  // columns (Isp::write_checkpoint), its dirty rows gathered into the one
+  // buffer every host reuses.
   crypto::Bytes state;
-  std::vector<store::SnapshotSection> sections;
+  bool ok = false;
   if (host >= params_.n_isps) {
     state = bank_->serialize_state(host - params_.n_isps);
-    sections.push_back(store::SnapshotSection{store::kBankStateSection, state});
+    ok = cp.checkpoint({store::SnapshotSection{store::kBankStateSection, state}},
+                       sim_us, &err);
   } else {
-    isps_[host]->serialize_sections(state, sections);
+    ok = isps_[host]->write_checkpoint(cp, sim_us, state, checkpoint_rows_,
+                                       &err);
   }
-  ZMAIL_ASSERT_MSG(
-      stores_[host]->checkpoint(std::move(sections), sim_us, &err),
-      err.c_str());
-  ckpt_span.set_end_arg0(stores_[host]->stats().last_snapshot_bytes);
+  ZMAIL_ASSERT_MSG(ok, err.c_str());
+  ckpt_span.set_end_arg0(cp.stats().last_snapshot_bytes);
 }
 
 void ZmailSystem::checkpoint_all() {
@@ -726,20 +728,19 @@ void ZmailSystem::rebuild_from_store(std::size_t host) {
         &rs, &err);
     fed->attach_wal(b, &cp->wal());
   } else {
+    // With a base image on disk the restore overwrites every column, so
+    // the crashed ISP's arena is handed over rather than a new one mapped,
+    // faulted in and filled.  Without one, the WAL replays over a fresh
+    // population.
+    Population arena;
+    if (cp->has_base() && isps_[host]) arena = std::move(isps_[host]->users());
     isps_[host] = std::make_unique<Isp>(host, params_,
                                         bank_->public_key_for(host),
-                                        isp_ctor_seed_[host]);
+                                        isp_ctor_seed_[host], std::move(arena));
     Isp* isp = isps_[host].get();
-    // recover maps the snapshot read-only; restore_snapshot bulk-copies
-    // the columns out of the mapping.
-    ok = cp->recover(
-        [isp](const store::SnapshotFileView& v) {
-          return isp->restore_snapshot(v.snapshot());
-        },
-        [isp](std::uint8_t t, std::span<const std::uint8_t> p) {
-          isp->apply_wal_record(t, p);
-        },
-        &rs, &err);
+    // recover maps the base, then the differential over it, read-only;
+    // restore_snapshot bulk-copies the columns out of the mapping.
+    ok = isp->recover(*cp, &rs, &err);
     isp->attach_wal(&cp->wal());
     if (spam_filter_) isp->set_filter(spam_filter_);
   }
@@ -748,10 +749,6 @@ void ZmailSystem::rebuild_from_store(std::size_t host) {
 }
 
 void ZmailSystem::run_for(sim::Duration d) { sim_.run(sim_.now() + d); }
-
-void ZmailSystem::run_until_quiet(sim::Duration max) {
-  sim_.run(sim_.now() + max);
-}
 
 void ZmailSystem::pump_isp(std::size_t i) {
   ZMAIL_ASSERT(isps_[i] != nullptr);
@@ -1052,6 +1049,7 @@ ZmailSystem::StoreTotals ZmailSystem::store_totals() const {
     const store::Checkpointer::Stats& cs = cp->stats();
     t.checkpoints += cs.checkpoints;
     t.snapshot_bytes += cs.last_snapshot_bytes;
+    t.snapshot_bytes_written += cs.bytes_written;
     t.wal_records_truncated += cs.wal_records_truncated;
     const store::WalWriter::Stats& ws = cp->wal().stats();
     t.wal_records_appended += ws.records_appended;

@@ -184,6 +184,7 @@ class ZmailSystem {
   struct StoreTotals {
     std::uint64_t checkpoints = 0;
     std::uint64_t snapshot_bytes = 0;  // Σ last_snapshot_bytes over stores
+    std::uint64_t snapshot_bytes_written = 0;  // Σ bytes_written
     std::uint64_t wal_records_truncated = 0;
     std::uint64_t wal_records_appended = 0;
     std::uint64_t wal_bytes_appended = 0;
@@ -194,7 +195,6 @@ class ZmailSystem {
 
   // --- Time ----------------------------------------------------------------
   void run_for(sim::Duration d);
-  void run_until_quiet(sim::Duration max = 365 * sim::kDay);
   sim::SimTime now() const { return sim_.now(); }
   sim::Simulator& simulator() noexcept { return sim_; }
   const sim::Simulator& simulator() const noexcept { return sim_; }
@@ -235,7 +235,7 @@ class ZmailSystem {
   // compliant ISP).
   void set_spam_filter(std::function<bool(const net::EmailMessage&)> f);
 
-  // --- Conservation invariants (checked by tests after run_until_quiet) ----
+  // --- Conservation invariants (checked by tests once the world is quiet) --
   // All e-pennies everywhere: user balances + avail pools + buffered sends +
   // e-pennies travelling inside in-flight paid emails.
   EPenny total_epennies() const;
@@ -329,6 +329,8 @@ class ZmailSystem {
   // Durable store state (all empty/null when params_.store.enabled is off,
   // so disabled runs construct nothing and schedule nothing extra).
   std::vector<std::unique_ptr<store::Checkpointer>> stores_;  // banks last
+  // An ISP differential's dirty rows, gathered here for every host in turn.
+  RowBuffer checkpoint_rows_;
   std::vector<std::uint64_t> isp_ctor_seed_;  // per-slot construction seeds
   std::function<bool(const net::EmailMessage&)> spam_filter_;  // reinstalled
   net::FaultInjector* faults_ = nullptr;  // whatever attach_faults() saw last

@@ -1,6 +1,7 @@
 #include "store/checkpoint.hpp"
 
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
@@ -33,30 +34,68 @@ bool Checkpointer::open(const StoreConfig& cfg, const std::string& party,
   if (!ensure_dir(cfg.dir, error)) return false;
   wal_path_ = cfg.dir + "/" + party + ".zwal";
   snap_path_ = cfg.dir + "/" + party + ".zsnap";
+  delta_path_ = cfg.dir + "/" + party + ".zdelta";
+  base_lsn_ = 0;
+  differential_on_disk_ = false;
   // Cadence 1: every append is in the file before the caller acts on it,
   // which is the output-commit point the system relies on.
   return wal_.open(wal_path_, 1, cfg.fsync_data, error);
 }
 
-bool Checkpointer::checkpoint(std::vector<SnapshotSection> sections,
-                              std::uint64_t sim_time_us, std::string* error) {
+bool Checkpointer::write_checkpoint(const std::string& path,
+                                    std::vector<SnapshotSection> sections,
+                                    std::uint64_t sim_time_us,
+                                    std::string* error) {
   SnapshotData snap;
   snap.sections = std::move(sections);
-  for (const SnapshotSection& s : snap.sections)
-    if (s.id >= kUserColumnBase) snap.meta.features = kFeatureColumnarUserState;
+  for (const SnapshotSection& s : snap.sections) {
+    if (s.id >= kUserColumnBase) snap.meta.features |= kFeatureColumnarUserState;
+    if (s.id == kRowDeltaSection) snap.meta.features |= kFeatureRowDelta;
+  }
   // next_lsn() (not durable_lsn()) — commands still in the group-commit
   // buffer are already reflected in the state, so the snapshot covers them.
   snap.meta.next_lsn = wal_.next_lsn();
   snap.meta.sim_time_us = sim_time_us;
   const StoreStatus ws =
-      write_snapshot_file(snap_path_, snap, cfg_.fsync_data, error);
+      write_snapshot_file(path, snap, cfg_.fsync_data, error);
   if (ws != StoreStatus::kOk) return false;
   if (!wal_.truncate_behind_checkpoint(error)) return false;
   ++stats_.checkpoints;
   stats_.last_snapshot_bytes = encoded_snapshot_size(snap);
+  stats_.bytes_written += stats_.last_snapshot_bytes;
   stats_.wal_records_truncated +=
       wal_.stats().records_appended - records_at_last_ckpt_;
   records_at_last_ckpt_ = wal_.stats().records_appended;
+  return true;
+}
+
+bool Checkpointer::checkpoint(std::vector<SnapshotSection> sections,
+                              std::uint64_t sim_time_us, std::string* error) {
+  const Lsn next = wal_.next_lsn();
+  if (differential_on_disk_ && next == base_lsn_ &&
+      ::unlink(delta_path_.c_str()) != 0 && errno != ENOENT) {
+    if (error)
+      *error = "checkpoint: unlink " + delta_path_ + ": " + std::strerror(errno);
+    return false;
+  }
+  differential_on_disk_ = false;
+  if (!write_checkpoint(snap_path_, std::move(sections), sim_time_us, error))
+    return false;
+  base_lsn_ = next;
+  return true;
+}
+
+bool Checkpointer::checkpoint_differential(
+    std::vector<SnapshotSection> sections, std::uint64_t sim_time_us,
+    std::string* error) {
+  if (!has_base()) {
+    if (error) *error = "checkpoint: a differential needs a base image";
+    return false;
+  }
+  if (!write_checkpoint(delta_path_, std::move(sections), sim_time_us, error))
+    return false;
+  differential_on_disk_ = true;
+  ++stats_.differentials;
   return true;
 }
 
@@ -67,28 +106,52 @@ bool Checkpointer::recover(
   RecoveryStats local;
   RecoveryStats& st = stats ? *stats : local;
   st = RecoveryStats{};
+  // A base this Checkpointer wrote or loaded must still be there: the
+  // party may have kept its memory on the strength of it.
+  const bool had_base = has_base();
+  base_lsn_ = 0;
+  differential_on_disk_ = false;
 
+  const auto fail = [error](const std::string& what) {
+    if (error) *error = "recover: " + what;
+    return false;
+  };
   Lsn replay_from = 1;
   SnapshotFileView view;
   st.snapshot_status = view.open(snap_path_);
   if (st.snapshot_status == StoreStatus::kOk) {
-    if (!restore(view)) {
-      if (error) *error = "recover: snapshot sections failed to restore";
-      return false;
-    }
+    if (!restore(view)) return fail("snapshot sections failed to restore");
     st.snapshot_loaded = true;
     st.snapshot_bytes = view.file_size();
-    st.recovered_lsn = view.meta().next_lsn - 1;
-    replay_from = view.meta().next_lsn;
-  } else if (st.snapshot_status != StoreStatus::kNotFound) {
-    if (error)
-      *error = std::string("recover: snapshot unreadable: ") +
-               store_status_name(st.snapshot_status);
-    return false;
+    base_lsn_ = replay_from = view.meta().next_lsn;
+  } else if (st.snapshot_status != StoreStatus::kNotFound || had_base) {
+    return fail(std::string("snapshot unreadable: ") +
+                store_status_name(st.snapshot_status));
+  }
+  if (has_base()) {
+    // A differential with another tag predates this base.  Ignoring one
+    // wrongly cannot go unnoticed: the log it truncated would then start
+    // past replay_from, which replay_wal_tail reports as a gap.
+    const StoreStatus ds = view.open(delta_path_);
+    if (ds == StoreStatus::kOk && row_delta_base(view.snapshot()) == base_lsn_) {
+      if (!restore(view)) return fail("differential failed to restore");
+      st.differential_loaded = differential_on_disk_ = true;
+      st.snapshot_bytes += view.file_size();
+      replay_from = view.meta().next_lsn;
+    } else if (ds != StoreStatus::kOk && ds != StoreStatus::kNotFound) {
+      return fail(std::string("differential unreadable: ") +
+                  store_status_name(ds));
+    }
   }
   view.close();  // unmap before replay; the restored state owns its copies
+  st.recovered_lsn = replay_from - 1;
 
-  return replay_wal_tail(replay_from, replay, st, error);
+  if (!replay_wal_tail(replay_from, replay, st, error)) return false;
+  // A log cut to nothing or to a short header restarts at LSN 1
+  // (WalWriter::open); its records would then fall behind the loaded image
+  // and be skipped as covered by it.  Restart it after the image instead,
+  // so LSNs never go backwards.
+  return wal_.next_lsn() >= replay_from || wal_.restart_at(replay_from, error);
 }
 
 bool Checkpointer::replay_wal_tail(

@@ -169,6 +169,13 @@ StoreStatus decode_snapshot(std::span<const std::uint8_t> image,
   return StoreStatus::kOk;
 }
 
+Lsn row_delta_base(const SnapshotData& snap) noexcept {
+  for (const SnapshotSection& s : snap.sections)
+    if (s.id == kRowDeltaSection && s.payload.size() >= 8)
+      return read_u64(s.payload.data());
+  return 0;
+}
+
 StoreStatus write_snapshot_file(const std::string& path,
                                 const SnapshotData& snap, bool fsync_data,
                                 std::string* error) {

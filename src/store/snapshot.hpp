@@ -1,10 +1,11 @@
 // Versioned binary snapshot format.
 //
-// A snapshot is a full serialization of one party's settlement state at a
+// A snapshot is a serialization of one party's settlement state at a
 // quiesce boundary, paired with the WAL position it covers: recovery loads
 // the snapshot, then replays WAL records with lsn >= meta.next_lsn.  (The
 // checkpointer truncates the WAL behind each snapshot, so in practice the
-// whole surviving log replays.)
+// whole surviving log replays.)  It is a full image or, for an ISP, a
+// differential over the last full image (below).
 //
 // On-disk grammar (all integers big-endian, matching the wire format):
 //
@@ -21,10 +22,11 @@
 // pinned by a golden-file test (tests/store_snapshot_test.cpp).
 // `features` is a bitmask of *required* capabilities — a reader that does
 // not recognize a set bit must refuse the file (kUnknownFeature) rather
-// than silently ignore data it cannot interpret.  The one bit defined,
-// kFeatureColumnarUserState, marks a snapshot carrying user columns.
+// than silently ignore data it cannot interpret.  Two bits are defined:
+// kFeatureColumnarUserState marks a snapshot carrying user columns, and
+// kFeatureRowDelta a differential.
 //
-// Both parties write the same container.  An ISP checkpoint is one
+// Both parties write the same container.  An ISP's full image is one
 // kIspScalarsSection (counts, pending protocol state, metrics, RNG)
 // followed by eleven kUserColumnBase+i sections, each the raw
 // little-endian bytes of one Population column.  A member bank's
@@ -33,6 +35,23 @@
 // open, so an ISP restore is a handful of bulk copies straight out of the
 // page cache instead of field-by-field deserialization.
 //
+// An ISP differential is the same container, kept in a file of its own
+// next to the full image (the base) and meaningful only over it.  It holds
+// the scalar section, any column that changed as a whole (after an
+// end-of-day reset), and one kRowDeltaSection:
+//
+//   row_delta := base_next_lsn:u64 (big-endian: the tag)
+//                count:u32 slot:u32[count] value[count] per column
+//                (after the tag, raw little-endian like the columns;
+//                 core::Population::gather_dirty_rows writes it)
+//
+// Its header sets kFeatureRowDelta, so a reader that predates
+// differentials refuses the file instead of taking it for a full image.
+// The tag is the base's next_lsn: a differential whose tag does not match
+// the base on disk was left from before a newer base and is ignored.
+// Differentials are cumulative (every row changed since the base), so
+// recovery applies at most one.
+
 // Writes stream straight from the sections: write_snapshot_file frames the
 // header and each section's prefix and CRC trailer, then hands those and
 // the borrowed payloads (an ISP's live Population columns) to writev, so a
@@ -78,8 +97,12 @@ constexpr std::uint32_t kSnapshotVersion = 2;
 // little-endian payloads.  The checkpointer sets the bit when a section id
 // is a user column.
 constexpr std::uint32_t kFeatureColumnarUserState = 1u << 0;
+// The file is a differential: it carries a kRowDeltaSection and applies
+// only over the base image its tag names.
+constexpr std::uint32_t kFeatureRowDelta = 1u << 1;
 // Feature bits this build understands.
-constexpr std::uint32_t kSupportedFeatures = kFeatureColumnarUserState;
+constexpr std::uint32_t kSupportedFeatures =
+    kFeatureColumnarUserState | kFeatureRowDelta;
 
 // Section ids.  The id space leaves room for side tables (metrics,
 // indexes) without a version bump — readers skip
@@ -89,6 +112,8 @@ constexpr std::uint32_t kBankStateSection = 1;  // a member bank's blob
 // kUserColumnBase + static_cast<u32>(Population::Column).  Every id from
 // kUserColumnBase up is a user column.
 constexpr std::uint32_t kIspScalarsSection = 2;
+// A differential's dirty rows, led by the base tag (see above).
+constexpr std::uint32_t kRowDeltaSection = 3;
 constexpr std::uint32_t kUserColumnBase = 0x10;
 
 // One section: an id and a borrowed payload.  Writers point the payload at
@@ -124,6 +149,11 @@ StoreStatus decode_snapshot(std::span<const std::uint8_t> image,
 // The sections would point into a buffer that dies with the call.
 StoreStatus decode_snapshot(const crypto::Bytes&& image,
                             SnapshotData& out) = delete;
+
+// The base tag of a differential: the big-endian u64 that leads its
+// kRowDeltaSection.  0 (no LSN) when `snap` has no such section or it is
+// shorter than the tag.
+Lsn row_delta_base(const SnapshotData& snap) noexcept;
 
 // Atomic streamed file write (overwrite the spare + trim + fsync + exchange
 // + directory fsync; the fsyncs only when `fsync_data`).  The bytes at

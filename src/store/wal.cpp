@@ -153,19 +153,28 @@ void WalWriter::close() {
 }
 
 bool WalWriter::write_header(Lsn base_lsn, std::string* error) {
-  crypto::Bytes h;
-  h.reserve(kHeaderSize);
-  h.insert(h.end(), kMagic, kMagic + 4);
-  crypto::put_u32(h, kVersion);
-  crypto::put_u64(h, base_lsn);
-  crypto::put_u32(h, crc32c(h.data(), h.size()));
-  if (::lseek(fd_, 0, SEEK_SET) != 0)
-    return set_error(error, "wal: lseek: " + std::string(std::strerror(errno)));
-  if (::ftruncate(fd_, 0) != 0)
+  std::uint8_t h[kHeaderSize] = {};
+  std::memcpy(h, kMagic, 4);
+  crypto::store_be(h + 4, kVersion, 4);
+  crypto::store_be(h + 8, base_lsn, 8);
+  crypto::store_be(h + 16, crc32c(h, 16), 4);
+  // The new header goes in before the old records are trimmed, so a crash
+  // between the two leaves a whole header: the old records after it do not
+  // continue its LSNs, and the next scan stops at them.  (Trimming first
+  // would leave a file too short to hold a header at all.)
+  std::size_t done = 0;
+  while (done < kHeaderSize) {
+    const ssize_t n = ::pwrite(fd_, h + done, kHeaderSize - done,
+                               static_cast<off_t>(done));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0)
+      return set_error(error, "wal: write header: " + std::string(std::strerror(errno)));
+    done += static_cast<std::size_t>(n);
+  }
+  if (::ftruncate(fd_, static_cast<off_t>(kHeaderSize)) != 0)
     return set_error(error, "wal: ftruncate: " + std::string(std::strerror(errno)));
-  const ssize_t n = ::write(fd_, h.data(), h.size());
-  if (n != static_cast<ssize_t>(h.size()))
-    return set_error(error, "wal: write header: " + std::string(std::strerror(errno)));
+  if (::lseek(fd_, static_cast<off_t>(kHeaderSize), SEEK_SET) < 0)
+    return set_error(error, "wal: lseek: " + std::string(std::strerror(errno)));
   if (fsync_data_ && ::fsync(fd_) != 0)
     return set_error(error, "wal: fsync: " + std::string(std::strerror(errno)));
   return true;
@@ -189,11 +198,7 @@ bool WalWriter::open(const std::string& path, std::uint32_t group_commit_records
   if (fd_ < 0)
     return set_error(error, "wal: open " + path + ": " + std::strerror(errno));
 
-  if (rs == StoreStatus::kNotFound || existing.empty()) {
-    next_lsn_ = 1;
-    durable_lsn_ = 0;
-    return write_header(1, error);
-  }
+  if (rs == StoreStatus::kNotFound || existing.empty()) return restart_at(1, error);
 
   const WalScanResult scan = wal_scan(existing);
   switch (scan.status) {
@@ -207,12 +212,8 @@ bool WalWriter::open(const std::string& path, std::uint32_t group_commit_records
       return set_error(error, std::string("wal: unusable log header: ") +
                                   store_status_name(scan.status));
   }
-  if (scan.valid_bytes < kHeaderSize) {
-    // Header itself was damaged or short: start the log over.
-    next_lsn_ = 1;
-    durable_lsn_ = 0;
-    return write_header(1, error);
-  }
+  // Header itself was damaged or short: start the log over.
+  if (scan.valid_bytes < kHeaderSize) return restart_at(1, error);
   // Trim any torn tail so future appends extend a fully valid log.
   if (scan.valid_bytes < existing.size() &&
       ::ftruncate(fd_, static_cast<off_t>(scan.valid_bytes)) != 0)
@@ -270,13 +271,15 @@ void WalWriter::sync() {
   durable_lsn_ = next_lsn_ - 1;
 }
 
-bool WalWriter::truncate_behind_checkpoint(std::string* error) {
+bool WalWriter::restart_at(Lsn next_lsn, std::string* error) {
   if (fd_ < 0) return set_error(error, "wal: not open");
-  // Records buffered but not yet synced are also covered by the checkpoint.
+  // Buffered records are dropped with the rest: the caller's state covers
+  // them (a checkpoint) or never held them (a fresh log).
   pending_.clear();
   pending_records_ = 0;
-  if (!write_header(next_lsn_, error)) return false;
-  durable_lsn_ = next_lsn_ - 1;
+  if (!write_header(next_lsn, error)) return false;
+  next_lsn_ = next_lsn;
+  durable_lsn_ = next_lsn - 1;
   return true;
 }
 

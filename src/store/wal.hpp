@@ -128,10 +128,15 @@ class WalWriter : public WalSink {
   Lsn next_lsn() const noexcept { return next_lsn_; }
   std::uint32_t group_commit_records() const noexcept { return group_; }
 
+  // Restarts the log empty with base_lsn = `next_lsn`: the header is
+  // rewritten in place, then the file trimmed to it.
+  bool restart_at(Lsn next_lsn, std::string* error = nullptr);
   // Checkpoint truncation: the snapshot now covers every logged record, so
-  // restart the log empty with base_lsn = next_lsn() (LSNs stay monotonic
-  // across the truncation).
-  bool truncate_behind_checkpoint(std::string* error = nullptr);
+  // restart the log empty at next_lsn() (LSNs stay monotonic across the
+  // truncation).
+  bool truncate_behind_checkpoint(std::string* error = nullptr) {
+    return restart_at(next_lsn_, error);
+  }
 
   // Models the crash: buffered (un-synced) records vanish, exactly as the
   // un-fsynced page-cache tail of a real process death would.  The file is

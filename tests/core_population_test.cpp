@@ -191,6 +191,78 @@ TEST(PopulationTest, ColumnSpansAndRawBytes) {
                              p.column_data(Population::Column::kBalance), 7));
 }
 
+// Dirty marks: a writable row marks itself, a const read does not, and the
+// whole-column writes mark their columns.
+TEST(PopulationTest, DirtyMarksFollowTheWritePaths) {
+  using Column = Population::Column;
+  Population p;
+  p.reset(130, Money::zero(), 10, 5);
+  for (std::size_t c = 0; c < Population::kColumnCount; ++c)
+    EXPECT_TRUE(p.column_dirty(static_cast<Column>(c)));
+  EXPECT_EQ(p.differential_bytes(), p.dirty_rows_bytes() + p.image_bytes());
+  p.clear_dirty();
+  EXPECT_EQ(p.dirty_row_count(), 0u);
+  EXPECT_EQ(p.differential_bytes(), 4u);
+
+  const Population& view = p;
+  EXPECT_EQ(view.at(UserId(7)).balance, 10);
+  EXPECT_EQ(p.dirty_row_count(), 0u);
+  for (const std::size_t u : {5u, 70u, 129u, 70u}) p.at(u).balance += 1;
+  EXPECT_EQ(p.dirty_row_count(), 3u);
+  EXPECT_EQ(p.dirty_rows_bytes(), 4 + 3 * (4 + Population::kRowBytes));
+
+  p.reset_day();
+  EXPECT_TRUE(p.column_dirty(Column::kSent));
+  EXPECT_TRUE(p.column_dirty(Column::kBlockedToday));
+  EXPECT_FALSE(p.column_dirty(Column::kBalance));
+  EXPECT_EQ(p.differential_bytes(),
+            p.dirty_rows_bytes() + 130 * (8 + 1));
+  ASSERT_TRUE(p.load_column(Column::kWarnings,
+                            p.column_data(Column::kWarnings),
+                            p.column_bytes(Column::kWarnings)));
+  EXPECT_TRUE(p.column_dirty(Column::kWarnings));
+  p.clear_dirty();
+  EXPECT_EQ(p.differential_bytes(), 4u);
+}
+
+TEST(PopulationTest, GatheredRowsScatterBackAndMarkTheirRows) {
+  Population p;
+  p.reset(100, Money::from_epennies(3), 10, 5);
+  p.clear_dirty();
+  p.at(2).balance = 77;
+  p.at(2).quarantined = 1;
+  p.at(64).lifetime_epennies_sold = 9;
+  p.at(99).account = Money::from_epennies(8);
+  std::vector<std::uint8_t> rows(p.dirty_rows_bytes());
+  p.gather_dirty_rows(rows);
+
+  Population q;
+  q.reset(100, Money::from_epennies(3), 10, 5);
+  q.clear_dirty();
+  ASSERT_TRUE(q.load_rows(rows));
+  EXPECT_EQ(q.dirty_row_count(), 3u);
+  for (std::size_t c = 0; c < Population::kColumnCount; ++c) {
+    const auto col = static_cast<Population::Column>(c);
+    EXPECT_TRUE(std::equal(p.column_data(col),
+                           p.column_data(col) + p.column_bytes(col),
+                           q.column_data(col)))
+        << Population::column_name(col);
+  }
+
+  // Malformed payloads are refused whole: nothing is written or marked.
+  Population r;
+  r.reset(100, Money::zero(), 0, 0);
+  r.clear_dirty();
+  std::vector<std::uint8_t> short_rows(rows.begin(), rows.end() - 1);
+  EXPECT_FALSE(r.load_rows(short_rows));
+  EXPECT_FALSE(r.load_rows(std::span<const std::uint8_t>(rows.data(), 3)));
+  std::vector<std::uint8_t> bad_slot = rows;
+  bad_slot[4 + 2 * 4] = 100;  // the third slot, 99, becomes 100
+  EXPECT_FALSE(r.load_rows(bad_slot));
+  EXPECT_EQ(r.dirty_row_count(), 0u);
+  EXPECT_EQ(r.balances()[2], 0);
+}
+
 // --- ISP snapshot sections --------------------------------------------------
 
 ZmailParams small_params() {

@@ -186,7 +186,7 @@ TEST_F(NetworkTest, HandlerMaySendDuringDelivery) {
     ++a_got;
     EXPECT_EQ(d.type, pong);
   });
-  b = net_.add_host("b", [&](const Datagram& d) {
+  b = net_.add_host("b", [&](const Datagram&) {
     ++b_got;
     // Burst of nested sends: forces pending_ to grow mid-delivery.
     for (int i = 0; i < 8; ++i)

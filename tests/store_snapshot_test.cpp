@@ -119,6 +119,70 @@ TEST(SnapshotGoldenTest, V2ColumnarByteLayoutIsPinned) {
             "46891f81");
 }
 
+// A differential: the scalar section and one row-delta section, which
+// holds the big-endian base tag and then one dirty row of a four-user
+// population (count, slot, one value per column; little-endian).
+TEST(SnapshotGoldenTest, DifferentialByteLayoutIsPinned) {
+  core::Population users;
+  users.reset(4, Money::from_micros(0x11), 0x22, 0x33);
+  users.clear_dirty();
+  const core::UserRef row = users.at(2);
+  row.balance = 0x44;
+  row.quarantined = 1;
+  row.lifetime_epennies_sold = 0x55;
+  crypto::Bytes rows(8 + users.dirty_rows_bytes());
+  crypto::store_be(rows.data(), 0x0102030405060708ull, 8);
+  users.gather_dirty_rows(std::span(rows).subspan(8));
+
+  SnapshotData s;
+  s.meta.features = kFeatureRowDelta;
+  s.meta.next_lsn = 0x0102030405060709ull;
+  s.meta.sim_time_us = 1234567890;
+  s.sections.push_back(SnapshotSection{kIspScalarsSection, kScalarsPayload});
+  s.sections.push_back(SnapshotSection{kRowDeltaSection, rows});
+  EXPECT_EQ(to_hex(encode_snapshot(s)),
+            // magic  version  features next_lsn
+            "5a534e50"
+            "00000002"
+            "00000002"
+            "0102030405060709"
+            // sim_time_us      sections header-crc
+            "00000000499602d2"
+            "00000002"
+            "8574a170"
+            // scalar section: id len    payload  crc
+            "00000002"
+            "0000000000000003"
+            "aabbcc"
+            "e18929aa"
+            // row-delta section: id len, base tag (BE), count, slot (LE)
+            "00000003"
+            "000000000000005a"
+            "0102030405060708"
+            "01000000"
+            "02000000"
+            // account balance sent limit (LE i64)
+            "1100000000000000"
+            "4400000000000000"
+            "0000000000000000"
+            "3300000000000000"
+            // blocked_today (u8) warnings quarantined (u8)
+            "00"
+            "0000000000000000"
+            "01"
+            // lifetime sent, received_paid, bought, sold; section crc
+            "0000000000000000"
+            "0000000000000000"
+            "0000000000000000"
+            "5500000000000000"
+            "c2b6a775");
+  SnapshotData out;
+  const crypto::Bytes image = encode_snapshot(s);
+  ASSERT_EQ(decode_snapshot(image, out), StoreStatus::kOk);
+  EXPECT_EQ(row_delta_base(out), 0x0102030405060708ull);
+  EXPECT_EQ(row_delta_base(golden_snapshot()), 0u);
+}
+
 TEST(SnapshotCodecTest, ColumnarRoundTrip) {
   const SnapshotData in = golden_snapshot();
   const crypto::Bytes image = encode_snapshot(in);
@@ -454,6 +518,70 @@ TEST(CheckpointerTest, SnapshotBytesEqualTheFileSize) {
       EXPECT_EQ(restored[i], bytes_of(golden.sections[i].payload));
     EXPECT_EQ(rs.snapshot_bytes, bytes);
   }
+  std::filesystem::remove_all(dir);
+}
+
+// A differential goes to its own file with the row-delta feature bit, is
+// sized like that file, and is restored after the base only while its tag
+// names that base.
+TEST(CheckpointerTest, DifferentialFollowsItsBaseAndOnlyItsBase) {
+  const std::string dir = "store_snapshot_test_differential";
+  std::filesystem::remove_all(dir);
+  StoreConfig cfg;
+  cfg.enabled = true;
+  cfg.dir = dir;
+  Checkpointer cp;
+  std::string err;
+  ASSERT_TRUE(cp.open(cfg, "isp0", &err)) << err;
+  ASSERT_FALSE(cp.checkpoint_differential({}, 1, &err));  // no base yet
+  ASSERT_TRUE(cp.checkpoint(golden_snapshot().sections, 1, &err)) << err;
+  const std::uint64_t base_bytes = cp.stats().last_snapshot_bytes;
+  cp.wal().append(1, kStatePayload);
+  ASSERT_TRUE(cp.has_base());
+  const auto differential = [&](Lsn tag) {
+    crypto::Bytes rows(8 + 4, 0);  // the tag, then a count of 0 rows
+    crypto::store_be(rows.data(), tag, 8);
+    return rows;
+  };
+  crypto::Bytes rows = differential(cp.base_lsn());
+  ASSERT_TRUE(cp.checkpoint_differential(
+      {{kIspScalarsSection, kScalarsPayload}, {kRowDeltaSection, rows}}, 2,
+      &err))
+      << err;
+  EXPECT_EQ(cp.stats().checkpoints, 2u);
+  EXPECT_EQ(cp.stats().differentials, 1u);
+  EXPECT_EQ(cp.stats().last_snapshot_bytes,
+            std::filesystem::file_size(dir + "/isp0.zdelta"));
+  EXPECT_EQ(cp.stats().bytes_written,
+            base_bytes + cp.stats().last_snapshot_bytes);
+
+  std::vector<std::uint32_t> features;
+  const auto restore = [&](const SnapshotFileView& v) {
+    features.push_back(v.meta().features);
+    return true;
+  };
+  const auto no_replay = [](std::uint8_t, std::span<const std::uint8_t>) {};
+  RecoveryStats rs;
+  ASSERT_TRUE(cp.recover(restore, no_replay, &rs, &err)) << err;
+  EXPECT_EQ(features, (std::vector<std::uint32_t>{kFeatureColumnarUserState,
+                                                  kFeatureRowDelta}));
+  EXPECT_TRUE(rs.differential_loaded);
+  EXPECT_EQ(rs.recovered_lsn, 1u);  // the record the differential covers
+
+  // The same file with another tag is not applied.  Here it was the last
+  // checkpoint, so the log it truncated starts past the base, and the
+  // recovery reports the gap instead of losing the record in between.
+  rows = differential(cp.base_lsn() + 7);
+  ASSERT_TRUE(cp.checkpoint_differential(
+      {{kIspScalarsSection, kScalarsPayload}, {kRowDeltaSection, rows}}, 3,
+      &err))
+      << err;
+  features.clear();
+  err.clear();
+  EXPECT_FALSE(cp.recover(restore, no_replay, &rs, &err));
+  EXPECT_EQ(features.size(), 1u);
+  EXPECT_FALSE(rs.differential_loaded);
+  EXPECT_NE(err.find("gap"), std::string::npos) << err;
   std::filesystem::remove_all(dir);
 }
 

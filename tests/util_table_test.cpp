@@ -24,7 +24,9 @@ TEST(Table, ColumnsAlignToWidestCell) {
   while (start < s.size()) {
     const std::size_t end = s.find('\n', start);
     const std::size_t len = end - start;
-    if (prev != std::string::npos) EXPECT_EQ(len, prev);
+    if (prev != std::string::npos) {
+      EXPECT_EQ(len, prev);
+    }
     prev = len;
     start = end + 1;
   }
