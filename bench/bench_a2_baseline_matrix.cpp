@@ -93,12 +93,14 @@ Row run_challenge_response(Rng rng) {
   int spam_delivered = 0, legit_lost = 0;
   for (int i = 0; i < kSpam; ++i) {
     const net::EmailAddress sender{
-        "s" + std::to_string(addr_rng.next_below(1'000)), "bot.example"};
+        std::string("s").append(std::to_string(addr_rng.next_below(1'000))),
+        "bot.example"};
     if (cr.process(sender, true)) ++spam_delivered;
   }
   for (int i = 0; i < kLegit; ++i) {
     const net::EmailAddress sender{
-        "u" + std::to_string(addr_rng.next_below(400)), "friends.example"};
+        std::string("u").append(std::to_string(addr_rng.next_below(400))),
+        "friends.example"};
     if (!cr.process(sender, false)) ++legit_lost;
   }
   Row row;

@@ -101,7 +101,7 @@ void e10c_dollar_cost() {
 
   Table t({"approach", "legitimate mail lost", "annual cost"});
   t.add_row({"content filtering", Table::pct(our_fp),
-             "$" + Table::num(filter_cost / 1e6, 1) + "M"});
+             std::string("$").append(Table::num(filter_cost / 1e6, 1)) + "M"});
   t.add_row({"Zmail", "0.00% (no filtering needed)", "$0.0M"});
   t.print("E10.c  the false-positive bill (Jupiter-style accounting)");
 

@@ -111,7 +111,7 @@ void e7b_buffer_flush() {
 
   for (int i = 0; i < 20; ++i)
     sys.send_email(net::make_user_address(0, 0), net::make_user_address(1, 0),
-                   "held", "h" + std::to_string(i));
+                   "held", std::string("h").append(std::to_string(i)));
   const std::uint64_t buffered =
       sys.isp(0).metrics().emails_buffered_during_quiesce;
   const std::uint64_t delivered_mid = sys.isp(1).metrics().emails_delivered;
@@ -204,7 +204,7 @@ void e7e_durable_snapshot_cost(bench::Bench& harness) {
   for (int i = 0; i < 60; ++i) {
     sys.send_email(net::make_user_address(i % 2, i % 4),
                    net::make_user_address((i + 1) % 2, (i + 2) % 4),
-                   "fill", "f" + std::to_string(i));
+                   "fill", std::string("f").append(std::to_string(i)));
     sys.run_for(sim::kMinute);
   }
   sys.start_snapshot();

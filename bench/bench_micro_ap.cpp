@@ -65,12 +65,14 @@ void BM_ApManyProcesses(benchmark::State& state) {
   std::vector<ap::ProcessId> consumer_ids(n, ap::kNoProcess);
   for (std::size_t i = 0; i < n; ++i) {
     producers.push_back(std::make_unique<Producer>(&consumer_ids[i]));
-    sched.add_process(*producers.back(), "p" + std::to_string(i));
+    sched.add_process(*producers.back(),
+                      std::string("p").append(std::to_string(i)));
   }
   for (std::size_t i = 0; i < n; ++i) {
     consumers.push_back(std::make_unique<Consumer>());
     consumer_ids[i] =
-        sched.add_process(*consumers.back(), "c" + std::to_string(i));
+        sched.add_process(*consumers.back(),
+                          std::string("c").append(std::to_string(i)));
   }
   for (auto _ : state) {
     for (auto& p : producers) p->refill(100);

@@ -417,9 +417,9 @@ MailCost mail_cost(std::size_t warmup, std::size_t measured,
 // the 10-minute window and seals its credit report with B_b, and the bank
 // unseals every report, verifies every pair and settles.
 constexpr std::size_t kRoundIsps = 16;
-// Allocations in one warm round, measured: per ISP, the sealed request
-// wire, the sealed report wire and the report's retry copy; per round, the
-// request list's growth and the verifier's scratch.
+// Allocations in one warm round, measured by call site: per ISP, the
+// request's plaintext encoding, its sealed wire and the sealed report wire;
+// per round, five growths of the request list and the verifier's scratch.
 constexpr std::uint64_t kMaxRoundAllocations = 54;
 
 // Items are ISP-rounds.

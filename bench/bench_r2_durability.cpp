@@ -126,7 +126,7 @@ void drive_traffic(core::ZmailSystem& sys, std::uint64_t seed, int sends) {
     if (dst >= src) ++dst;
     sys.send_email(net::make_user_address(src, rng.next_below(p.users_per_isp)),
                    net::make_user_address(dst, rng.next_below(p.users_per_isp)),
-                   "r2", "m" + std::to_string(i));
+                   "r2", std::string("m").append(std::to_string(i)));
     sys.run_for(sim::kMinute);
   }
 }

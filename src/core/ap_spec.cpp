@@ -82,8 +82,8 @@ ApIspProcess::ApIspProcess(ApZmailWorld& world, std::size_t index,
     //
     // The paper's channels are reliable, but an adversarial harness (or the
     // faulty zmail::net substitution) can lose a reply; the exchange then
-    // deadlocks with canbuy/cansell stuck false.  The AP-equivalent of the
-    // production retry timer is a timeout guard: the exchange is
+    // deadlocks with canbuy/cansell stuck false.  The AP counterpart of the
+    // timed rendition's acknowledged link is a timeout guard: the exchange is
     // outstanding (nonce held) yet neither the request nor its reply is in
     // the channel — the message was lost, so resend the *same* sealed wire.
     // The bank's nonce cache makes the duplicate idempotent, so a retry

@@ -1,9 +1,9 @@
 // Durability half of the bank state machine (see isp_persist.cpp for the
 // pattern).  Each member bank serializes independently: its member account
-// slice, round-in-progress state, drift streaks, idempotency ledgers,
-// unacked inter-bank wires, and its RNG stream — everything a crash must
-// not lose and a WAL replay must rebuild deterministically (reply and
-// request sealing draws from that stream).  The handlers are idempotent
+// slice, round-in-progress state, drift streaks, idempotency ledgers and
+// its RNG stream — everything a crash must not lose and a WAL replay must
+// rebuild deterministically (reply and request sealing draws from that
+// stream).  The handlers are idempotent
 // against duplicated trade requests and inter-bank wires, which makes them
 // doubly safe to replay.
 #include <type_traits>
@@ -15,7 +15,8 @@ namespace zmail::core {
 
 namespace {
 
-constexpr std::uint8_t kStateVersion = 2;
+// 2 still carried the unacked inter-bank wires.
+constexpr std::uint8_t kStateVersion = 3;
 
 void put_matrix_i64(crypto::Bytes& b,
                     const std::vector<std::vector<EPenny>>& m) {
@@ -96,16 +97,6 @@ crypto::Bytes BankFederation::serialize_state(std::size_t bank) const {
       crypto::put_nonce(b, l.last_nonce);
       crypto::put_bytes(b, l.last_reply);
     }
-  }
-
-  crypto::put_u32(b, static_cast<std::uint32_t>(mb.pending.size()));
-  for (const PendingWire& pw : mb.pending) {
-    put_bool(b, pw.active);
-    crypto::put_u8(b, pw.kind);
-    crypto::put_u64(b, pw.round);
-    crypto::put_u32(b, pw.attempts);
-    crypto::put_i64(b, pw.next_at);
-    crypto::put_bytes(b, pw.wire);
   }
 
   crypto::put_u32(b, static_cast<std::uint32_t>(mb.violations.size()));
@@ -202,18 +193,6 @@ bool BankFederation::restore_state(std::size_t bank,
     }
   }
 
-  const std::uint32_t n_pend = r.get_u32();
-  if (!r.ok() || n_pend != 2 * bank_count()) return false;
-  mb.pending.assign(n_pend, PendingWire{});
-  for (PendingWire& pw : mb.pending) {
-    pw.active = get_bool(r);
-    pw.kind = r.get_u8();
-    pw.round = r.get_u64();
-    pw.attempts = r.get_u32();
-    pw.next_at = r.get_i64();
-    pw.wire = r.get_bytes();
-  }
-
   const std::uint32_t n_vio = r.get_u32();
   if (!r.ok() || n_vio > (1u << 20)) return false;
   mb.violations.assign(n_vio, CreditViolation{});
@@ -241,8 +220,8 @@ void BankFederation::apply_wal_record(std::size_t bank, std::uint8_t op,
                                       std::span<const std::uint8_t> payload) {
   // Detach the WAL sink (no re-logging) and suppress wire emission: the
   // original execution already delivered those wires.  Everything else —
-  // RNG draws, pending-wire bookkeeping, metrics — re-executes verbatim,
-  // which is what keeps the restored stream aligned with the peers.
+  // RNG draws, ledgers, metrics — re-executes verbatim, which is what
+  // keeps the restored stream aligned with the peers.
   MemberBank& mb = banks_.at(bank);
   store::WalSink* saved_wal = mb.wal;
   const bool saved_replaying = replaying_;
@@ -281,12 +260,10 @@ void BankFederation::apply_wal_record(std::size_t bank, std::uint8_t op,
       if (r.ok() && from < bank_count()) on_interbank(bank, from, kind, wire);
       break;
     }
-    case WalOp::kResendRequests:
-      resend_requests(bank);
-      break;
-    case WalOp::kPollWires: {
-      const std::int64_t now = r.get_i64();
-      if (r.ok()) poll_interbank(bank, now);
+    case WalOp::kNoteRetransmit: {
+      const std::string type = r.get_string();
+      if (r.ok() && !type.empty())
+        note_retransmit(bank, net::MsgType::intern(type));
       break;
     }
   }

@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/time.hpp"
 #include "store/checkpoint.hpp"
 #include "util/money.hpp"
 
@@ -50,30 +49,16 @@ enum class NonCompliantPolicy : std::uint8_t {
   kDiscard,      // drop
 };
 
-// Exponential backoff + jitter for ISP<->bank exchanges (buy/sell requests
-// and credit reports).  Disabled by default: with a reliable network the
-// retry timers would add scheduled events and perturb the deterministic
+// Whether the settlement plane rides the acknowledged link (core::Link):
+// buy and sell requests and their replies, snapshot requests, credit
+// reports and the inter-bank column and clearing wires.  Each is framed,
+// acked by its receiver once its handler accepts it, and retransmitted on
+// the link's RTO until then; the bank's nonce and round checks still
+// absorb anything delivered twice.  Disabled by default: acks and timers
+// add datagrams and scheduled events and would perturb the deterministic
 // (at, seq) event interleaving that the bit-identical sweeps depend on.
-// Retries reuse the original nonce, so a reply to any attempt satisfies
-// them all and the bank's idempotent handlers absorb the duplicates.  A
-// wire is retried until a reply arrives.
 struct RetryPolicy {
-  static constexpr double kMultiplier = 2.0;  // backoff growth per attempt
-  static constexpr sim::Duration kMaxBackoff = 5 * sim::kMinute;
-  static constexpr double kJitter = 0.25;  // +/- fraction of the backoff
-
   bool enabled = false;
-  sim::Duration base = 2 * sim::kSecond;  // first retry after ~base
-
-  sim::Duration backoff_for(std::uint32_t attempt) const {
-    double b = static_cast<double>(base);
-    for (std::uint32_t i = 1; i < attempt; ++i) {
-      b *= kMultiplier;
-      if (b >= static_cast<double>(kMaxBackoff)) break;
-    }
-    const auto capped = static_cast<sim::Duration>(b);
-    return capped < kMaxBackoff ? capped : kMaxBackoff;
-  }
 };
 
 struct ZmailParams {
@@ -121,12 +106,12 @@ struct ZmailParams {
   // --- Fault tolerance (all default-off: zero scheduled events, zero RNG
   // draws, bit-identical behaviour when a run never sees a fault plan). ---
 
-  // ISP<->bank retry/backoff; see RetryPolicy above.
+  // The settlement plane on the acknowledged link; see RetryPolicy above.
   RetryPolicy retry;
 
-  // Acknowledged, exactly-once inter-ISP email transport: paid email rides
-  // in an id-framed envelope, receivers dedupe and ack, senders retransmit
-  // on an exponential-backoff timer.  Required for liveness under a lossy
+  // Paid inter-ISP email on the same link ("email-rel" frames): receivers
+  // dedupe and ack, senders retransmit on the RTO, so each email is
+  // delivered exactly once.  Required for liveness under a lossy
   // FaultPlan; off by default for bit-identical fault-free runs.
   bool reliable_email_transport = false;
 
@@ -183,8 +168,6 @@ struct ZmailParams {
       problems.push_back("initial_user_account must be >= 0");
     if (initial_isp_bank_account.is_negative())
       problems.push_back("initial_isp_bank_account must be >= 0");
-    if (retry.enabled && retry.base <= 0)
-      problems.push_back("retry.base must be > 0");
     if (store.enabled) {
       if (store.dir.empty())
         problems.push_back("store.dir must be set when store.enabled");

@@ -99,7 +99,7 @@ void InvariantAuditor::check_now() {
          " misbehaviour");
 
   // 6-7. clearing zero-sum and agreed round counts at globally idle cuts.
-  if (bank.idle()) {
+  if (!bank.round_open()) {
     const std::size_t k = bank.bank_count();
     Money net_sum = Money::zero();
     for (std::size_t b = 0; b < k; ++b) net_sum += bank.clearing_position(b);

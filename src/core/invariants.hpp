@@ -25,11 +25,12 @@
 //      -d then +d across adjacent rounds.  Disable via
 //      expect_consistent(false) when a bench injects misbehaviour on purpose.
 //   6. clearing zero-sum (several member banks) — at every globally idle
-//      cut (all rounds closed, no inter-bank wire awaiting an ack) the
-//      pairwise clearing entries are antisymmetric and the net positions
-//      sum to zero across banks.  Mid-round a pair is legitimately lopsided
-//      (one side combined its partials, the other still awaits a clearing
-//      wire), so this check is gated on bank().idle().
+//      cut (every bank closed its round, so every clearing wire was
+//      applied) the pairwise clearing entries are antisymmetric and the net
+//      positions sum to zero across banks.  Mid-round a pair is
+//      legitimately lopsided (one side combined its partials, the other
+//      still awaits a clearing wire), so this check is gated on
+//      !bank().round_open().
 //   7. no round double-applies — at idle cuts every member bank agrees on
 //      how many rounds settled, even across crash + WAL replay.
 //

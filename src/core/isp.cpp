@@ -512,64 +512,14 @@ bool Isp::user_sell(UserId t, EPenny x) {
   return true;
 }
 
-sim::Duration Isp::jittered_backoff(std::uint32_t attempt) {
-  constexpr double j = RetryPolicy::kJitter;
-  const auto b = static_cast<sim::Duration>(
-      static_cast<double>(params_.retry.backoff_for(attempt)) *
-      rng_.uniform(1.0 - j, 1.0 + j));
-  return b > 0 ? b : 1;
-}
-
-void Isp::arm_retry(PendingWire& p, net::MsgType type,
-                    const crypto::Bytes& wire, sim::SimTime now) {
-  if (!params_.retry.enabled) return;
-  p.active = true;
-  p.type = type;
-  p.wire = wire;  // the sealed bytes; retries replay them nonce and all
-  p.attempts = 1;
-  p.next_at = now + jittered_backoff(1);
-}
-
-void Isp::retry_wire(PendingWire& p, sim::SimTime now, std::uint64_t& counter) {
-  if (!p.active || now < p.next_at) return;
-  outbox_.push_back(
-      Outbound{Outbound::Dest::kBank, 0, p.type, p.wire, kInvalidUser,
-               p.trace_id});
-  ++counter;
-  ++p.attempts;
-  p.next_at = now + jittered_backoff(p.attempts);
-}
-
-void Isp::poll_retries(sim::SimTime now) {
-  if (!params_.retry.enabled) return;
-  // Same chatty-poll treatment as maybe_trade_with_bank: log only when a
-  // pending wire is actually due (retry_wire mutates in exactly that case).
-  if (wal_) {
-    const auto due = [now](const PendingWire& p) {
-      return p.active && now >= p.next_at;
-    };
-    if (due(pending_buy_) || due(pending_sell_) || due(pending_report_)) {
-      crypto::Bytes& p = wal_payload();
-      crypto::put_i64(p, now);
-      log_op(WalOp::kPollRetries, p);
-    }
-  }
-  retry_wire(pending_buy_, now, metrics_.bank_retries);
-  retry_wire(pending_sell_, now, metrics_.bank_retries);
-  retry_wire(pending_report_, now, metrics_.report_retries);
-}
-
-void Isp::maybe_trade_with_bank(sim::SimTime now) {
-  // Logged only when a guard will fire: this poll runs every simulated
-  // second per ISP and almost always no-ops, which would otherwise dominate
-  // the WAL.  The predicate mirrors the guards below exactly, so replaying
-  // the logged polls re-fires the same trades.
-  if (wal_ && ((canbuy_ && avail_ < params_.minavail) ||
-               (cansell_ && avail_ > params_.maxavail))) {
-    crypto::Bytes& p = wal_payload();
-    crypto::put_i64(p, now);
-    log_op(WalOp::kTradePoll, p);
-  }
+void Isp::maybe_trade_with_bank() {
+  // Logged only when a guard will fire: this poll runs on every trading
+  // tick for every ISP and almost always no-ops, which would otherwise
+  // dominate the WAL.  The predicate mirrors the guards below exactly, so
+  // replaying the logged polls re-fires the same trades.
+  if ((canbuy_ && avail_ < params_.minavail) ||
+      (cansell_ && avail_ > params_.maxavail))
+    log_op(WalOp::kTradePoll);
   if (canbuy_ && avail_ < params_.minavail) {
     canbuy_ = false;
     buyvalue_ = params_.maxavail - avail_;  // refill to the upper bound
@@ -584,8 +534,6 @@ void Isp::maybe_trade_with_bank(sim::SimTime now) {
     Outbound o{Outbound::Dest::kBank, 0, kMsgBuy, {}};
     o.trace_id = buy_trace_;
     seal_into(bank_pub_, req.serialize(), rng_, env_scratch_, o.payload);
-    arm_retry(pending_buy_, kMsgBuy, o.payload, now);
-    pending_buy_.trace_id = buy_trace_;
     outbox_.push_back(std::move(o));
   }
   if (cansell_ && avail_ > params_.maxavail) {
@@ -609,8 +557,6 @@ void Isp::maybe_trade_with_bank(sim::SimTime now) {
     Outbound o{Outbound::Dest::kBank, 0, kMsgSell, {}};
     o.trace_id = sell_trace_;
     seal_into(bank_pub_, req.serialize(), rng_, env_scratch_, o.payload);
-    arm_retry(pending_sell_, kMsgSell, o.payload, now);
-    pending_sell_.trace_id = sell_trace_;
     outbox_.push_back(std::move(o));
   }
 }
@@ -633,8 +579,6 @@ void Isp::on_buyreply(std::span<const std::uint8_t> wire) {
   }
   ns1_.reset();
   canbuy_ = true;
-  pending_buy_.active = false;
-  pending_buy_.wire = crypto::Bytes{};
   if (buy_trace_ != 0) {
     trace::end(trace::Ev::kBankBuy, buy_trace_,
                static_cast<std::uint16_t>(index_), reply->accepted ? 1 : 0);
@@ -664,8 +608,6 @@ void Isp::on_sellreply(std::span<const std::uint8_t> wire) {
   }
   ns2_.reset();
   cansell_ = true;
-  pending_sell_.active = false;
-  pending_sell_.wire = crypto::Bytes{};
   if (sell_trace_ != 0) {
     trace::end(trace::Ev::kBankSell, sell_trace_,
                static_cast<std::uint16_t>(index_), 1);
@@ -690,22 +632,13 @@ void Isp::on_request(std::span<const std::uint8_t> wire) {
     ++metrics_.stale_requests;
     return;
   }
-  // The bank only opens round seq_ after completing round seq_ - 1, so a
-  // current-seq request doubles as the ack for our previous credit report:
-  // stop retrying it.
-  pending_report_.active = false;
-  pending_report_.wire = crypto::Bytes{};
   cansend_ = false;
   quiescing_ = true;
 }
 
-void Isp::on_quiesce_timeout(sim::SimTime now) {
+void Isp::on_quiesce_timeout() {
   if (!quiescing_) return;
-  if (wal_) {
-    crypto::Bytes& p = wal_payload();
-    crypto::put_i64(p, now);
-    log_op(WalOp::kQuiesceTimeout, p);
-  }
+  log_op(WalOp::kQuiesceTimeout);
   quiescing_ = false;
 
   // send reply(NCR(B_b, credit)) to bank
@@ -716,8 +649,6 @@ void Isp::on_quiesce_timeout(sim::SimTime now) {
                    static_cast<std::uint16_t>(index_), seq_);
   CreditReport::encode_into(seq_, credit_, plain_scratch_);
   seal_into(bank_pub_, plain_scratch_, rng_, env_scratch_, o.payload);
-  arm_retry(pending_report_, kMsgReply, o.payload, now);
-  pending_report_.trace_id = o.trace_id;
   outbox_.push_back(std::move(o));
   ++metrics_.snapshots_answered;
 
@@ -744,6 +675,20 @@ void Isp::on_quiesce_timeout(sim::SimTime now) {
                                  b.msg.trace_id});
     }
   }
+}
+
+void Isp::note_retransmit(net::MsgType type) {
+  if (wal_) {
+    crypto::Bytes& p = wal_payload();
+    crypto::put_string(p, type.name());
+    log_op(WalOp::kNoteRetransmit, p);
+  }
+  if (type == kMsgBuy || type == kMsgSell)
+    ++metrics_.bank_retries;
+  else if (type == kMsgReply)
+    ++metrics_.report_retries;
+  else
+    ++metrics_.emails_retransmitted;
 }
 
 void Isp::release_user(UserId u) {

@@ -114,18 +114,10 @@ class Isp {
   bool user_sell(UserId t, EPenny x);
 
   // --- Section 4.3: ISP <-> bank trades ----------------------------------
-  // The two `canbuy ->` / `cansell ->` actions; call periodically.  `now`
-  // only matters when params.retry.enabled: it arms the retry timer for the
-  // exchange just initiated.
-  void maybe_trade_with_bank(sim::SimTime now = 0);
+  // The two `canbuy ->` / `cansell ->` actions; call periodically.
+  void maybe_trade_with_bank();
   void on_buyreply(std::span<const std::uint8_t> wire);
   void on_sellreply(std::span<const std::uint8_t> wire);
-
-  // Re-emits any outstanding buy/sell/report wire whose backoff deadline
-  // has passed (no-op unless params.retry.enabled).  Retries re-send the
-  // *cached sealed wire* — same nonce, same bytes — so the bank's
-  // idempotent handlers absorb whichever copies arrive.
-  void poll_retries(sim::SimTime now);
   // True while a buy or sell exchange awaits its reply.
   bool bank_exchange_pending() const noexcept {
     return ns1_.has_value() || ns2_.has_value();
@@ -135,8 +127,7 @@ class Isp {
   void on_request(std::span<const std::uint8_t> wire);
   // The `timeout expired ->` action; the harness fires it (10 simulated
   // minutes in the timed rendition; channels-empty in the AP rendition).
-  // `now` arms the credit-report retry timer when params.retry.enabled.
-  void on_quiesce_timeout(sim::SimTime now = 0);
+  void on_quiesce_timeout();
   bool in_quiesce() const noexcept { return quiescing_; }
 
   // Undoes one paid remote send whose transfer the harness abandoned (all
@@ -219,12 +210,11 @@ class Isp {
   EPenny users_sold() const noexcept { return users_sold_; }
 
   // Transport-layer events attributed to this ISP's counters (the harness
-  // owns the reliable email transport but the metrics live here so obs
-  // snapshots and sweep merges pick them up).
-  void note_retransmit() {
-    ++metrics_.emails_retransmitted;
-    log_op(WalOp::kNoteRetransmit);
-  }
+  // owns the acknowledged link but the metrics live here so obs snapshots
+  // and sweep merges pick them up).  A retransmitted frame of `type` bumps
+  // bank_retries (buy, sell), report_retries (reply) or
+  // emails_retransmitted (paid email).
+  void note_retransmit(net::MsgType type);
   void note_duplicate_email() {
     ++metrics_.duplicate_emails_dropped;
     log_op(WalOp::kNoteDupEmail);
@@ -252,8 +242,7 @@ class Isp {
     kSellReply,
     kSnapshotRequest,
     kQuiesceTimeout,
-    kPollRetries,
-    kRefundLost,
+    kRefundLost = 11,  // 10 was a retry poll
     kEndOfDay,
     kReleaseUser,
     kNoteRetransmit,
@@ -337,16 +326,6 @@ class Isp {
     UserId sender_user = kInvalidUser;
   };
 
-  // An ISP->bank wire kept around for retransmission (retry.enabled only).
-  struct PendingWire {
-    bool active = false;
-    net::MsgType type;
-    crypto::Bytes wire;          // cached sealed bytes: retries reuse them
-    std::uint32_t attempts = 0;  // sends so far (first send included)
-    sim::SimTime next_at = 0;
-    std::uint64_t trace_id = 0;  // exchange's trace id; retries re-join it
-  };
-
   // user_send after its WAL record: `wire` is the record's serialized email
   // (empty without a WAL); WAL replay enters here with the logged bytes.
   SendResult apply_user_send(UserId s, std::size_t dest_isp, UserId r,
@@ -372,10 +351,6 @@ class Isp {
     return params_.max_buffered_sends > 0 &&
            buffer_.size() >= params_.max_buffered_sends;
   }
-  sim::Duration jittered_backoff(std::uint32_t attempt);
-  void arm_retry(PendingWire& p, net::MsgType type, const crypto::Bytes& wire,
-                 sim::SimTime now);
-  void retry_wire(PendingWire& p, sim::SimTime now, std::uint64_t& counter);
   // WAL logging helpers (no-ops when no sink is attached; isp_persist.cpp).
   // wal_payload() starts a record payload in wal_buf_ (emptied, capacity
   // kept).
@@ -385,7 +360,7 @@ class Isp {
   // The scalar section: user count, policy table and the scalar tail.
   void serialize_scalars(crypto::Bytes& b) const;
   // The scalar section after the per-user state (avail/till/credit,
-  // protocol flags, buffers, wires, metrics, RNG/nonce streams).
+  // protocol flags, buffers, metrics, RNG/nonce streams).
   void serialize_scalar_tail(crypto::Bytes& b) const;
   bool restore_scalar_tail(crypto::ByteReader& r);
   // Re-derives users_balance_/users_bought_/users_sold_ from the restored
@@ -420,9 +395,6 @@ class Isp {
 
   std::deque<BufferedSend> buffer_;  // held during quiesce
   EPenny buffered_paid_ = 0;
-  PendingWire pending_buy_;
-  PendingWire pending_sell_;
-  PendingWire pending_report_;
   std::vector<Outbound> outbox_;
   std::function<bool(const net::EmailMessage&)> filter_;
   std::function<void(UserId, const net::EmailMessage&)> ack_sink_;

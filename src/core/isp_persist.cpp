@@ -5,8 +5,8 @@
 //
 // Replay correctness rests on determinism: serialize_sections() captures
 // every input a mutating method reads — including the RNG stream (seal_into
-// and backoff jitter draw from it) and the nonce counter — so re-invoking
-// the logged commands in order reproduces the pre-crash state bit for bit.
+// draws from it) and the nonce counter — so re-invoking the logged commands
+// in order reproduces the pre-crash state bit for bit.
 //
 // The state has one encoding: a scalar section carrying everything but the
 // per-user rows, plus one raw little-endian section per Population column.
@@ -24,8 +24,9 @@ namespace zmail::core {
 
 namespace {
 
-// Version byte of the scalar section (1 was the row encoding's).
-constexpr std::uint8_t kScalarsVersion = 2;
+// Version byte of the scalar section (1 was the row encoding's; 2 still
+// carried the retry wires).
+constexpr std::uint8_t kScalarsVersion = 3;
 
 void put_money(crypto::Bytes& b, Money m) { crypto::put_i64(b, m.micros()); }
 Money get_money(crypto::ByteReader& r) {
@@ -77,14 +78,6 @@ void Isp::serialize_scalar_tail(crypto::Bytes& b) const {
     crypto::put_u64(b, user_to_wire(s.sender_user));
   }
   crypto::put_i64(b, buffered_paid_);
-
-  for (const PendingWire* p : {&pending_buy_, &pending_sell_, &pending_report_}) {
-    put_bool(b, p->active);
-    crypto::put_string(b, p->type.name());
-    crypto::put_bytes(b, p->wire);
-    crypto::put_u32(b, p->attempts);
-    crypto::put_i64(b, p->next_at);
-  }
 
   // The outbox is drained within the same event that fills it, so it is
   // empty at every crash point the simulation can model; serialized anyway
@@ -141,17 +134,6 @@ bool Isp::restore_scalar_tail(crypto::ByteReader& r) {
     buffer_.push_back(std::move(s));
   }
   buffered_paid_ = r.get_i64();
-
-  for (PendingWire* p : {&pending_buy_, &pending_sell_, &pending_report_}) {
-    p->active = get_bool(r);
-    // A never-used slot round-trips the default MsgType (empty name, not
-    // internable).
-    const std::string type_name = r.get_string();
-    p->type = type_name.empty() ? net::MsgType{} : net::MsgType::intern(type_name);
-    p->wire = r.get_bytes();
-    p->attempts = r.get_u32();
-    p->next_at = r.get_i64();
-  }
 
   const std::uint32_t n_out = r.get_u32();
   if (!r.ok() || n_out > (1u << 24)) return false;
@@ -380,7 +362,7 @@ void Isp::apply_wal_record(std::uint8_t op,
       break;
     }
     case WalOp::kTradePoll:
-      maybe_trade_with_bank(r.get_i64());
+      maybe_trade_with_bank();
       break;
     case WalOp::kBuyReply:
       on_buyreply(payload);
@@ -392,10 +374,7 @@ void Isp::apply_wal_record(std::uint8_t op,
       on_request(payload);
       break;
     case WalOp::kQuiesceTimeout:
-      on_quiesce_timeout(r.get_i64());
-      break;
-    case WalOp::kPollRetries:
-      poll_retries(r.get_i64());
+      on_quiesce_timeout();
       break;
     case WalOp::kRefundLost: {
       const UserId s = user_from_wire(r.get_u64());
@@ -410,9 +389,11 @@ void Isp::apply_wal_record(std::uint8_t op,
     case WalOp::kReleaseUser:
       release_user(user_from_wire(r.get_u64()));
       break;
-    case WalOp::kNoteRetransmit:
-      note_retransmit();
+    case WalOp::kNoteRetransmit: {
+      const std::string type = r.get_string();
+      if (r.ok() && !type.empty()) note_retransmit(net::MsgType::intern(type));
       break;
+    }
     case WalOp::kNoteDupEmail:
       note_duplicate_email();
       break;

@@ -47,9 +47,9 @@ struct IspMetrics {
   std::uint64_t bad_envelopes = 0;
   std::uint64_t stale_requests = 0;
 
-  // Fault recovery (retry/backoff, reliable transport, shedding).
-  std::uint64_t bank_retries = 0;       // buy/sell wires re-sent on timeout
-  std::uint64_t report_retries = 0;     // credit reports re-sent on timeout
+  // Fault recovery (the acknowledged link, shedding).
+  std::uint64_t bank_retries = 0;       // buy/sell frames the link re-sent
+  std::uint64_t report_retries = 0;     // credit reports the link re-sent
   std::uint64_t emails_retransmitted = 0;
   std::uint64_t emails_refunded = 0;    // abandoned transfers, payment undone
   std::uint64_t emails_shed = 0;        // quiesce buffer overflow, refunded
@@ -117,7 +117,9 @@ struct BankMetrics {
   std::uint64_t duplicate_buys = 0;
   std::uint64_t duplicate_sells = 0;
   std::uint64_t stale_trades = 0;
-  std::uint64_t snapshot_rerequests = 0;  // re-sent requests to silent ISPs
+  // Frames the link re-sent from this bank.
+  std::uint64_t snapshot_rerequests = 0;  // snapshot requests
+  std::uint64_t trade_reply_retries = 0;  // buy/sell replies
 
   // E-penny supply accounting (for the conservation invariant).
   EPenny epennies_minted = 0;
@@ -134,8 +136,7 @@ struct BankMetrics {
   std::uint64_t interbank_messages = 0;   // column wires sent
   std::uint64_t interbank_bytes = 0;      // sealed column wire bytes
   std::uint64_t clearing_messages = 0;    // clearing wires sent
-  std::uint64_t interbank_acks = 0;       // ack wires sent
-  std::uint64_t interbank_retries = 0;    // unacked wires retransmitted
+  std::uint64_t interbank_retries = 0;    // column/clearing frames re-sent
   std::uint64_t duplicate_interbank = 0;  // column/clearing replays absorbed
   std::uint64_t stale_interbank = 0;      // inter-bank wires for closed rounds
 
@@ -158,6 +159,7 @@ struct BankMetrics {
     f("duplicate_sells", &BankMetrics::duplicate_sells);
     f("stale_trades", &BankMetrics::stale_trades);
     f("snapshot_rerequests", &BankMetrics::snapshot_rerequests);
+    f("trade_reply_retries", &BankMetrics::trade_reply_retries);
     f("epennies_minted", &BankMetrics::epennies_minted);
     f("epennies_burned", &BankMetrics::epennies_burned);
     f("settlement_transfers", &BankMetrics::settlement_transfers);
@@ -168,7 +170,6 @@ struct BankMetrics {
     f("interbank_messages", &BankMetrics::interbank_messages);
     f("interbank_bytes", &BankMetrics::interbank_bytes);
     f("clearing_messages", &BankMetrics::clearing_messages);
-    f("interbank_acks", &BankMetrics::interbank_acks);
     f("interbank_retries", &BankMetrics::interbank_retries);
     f("duplicate_interbank", &BankMetrics::duplicate_interbank);
     f("stale_interbank", &BankMetrics::stale_interbank);

@@ -8,7 +8,7 @@
 // the raw index back out is explicit (`slot()`).
 //
 // `kInvalidUser` is the "no user" sentinel (slot 0xFFFFFFFF): it marks
-// unpaid sends in Outbound/PendingTransfer records, replacing the old
+// unpaid sends in Outbound records and link frames, replacing the old
 // size_t(-1) kNoUser.  On the WAL/wire, user ids keep their pre-UserId u64
 // encoding (invalid <-> u64 max), so logs and snapshots keep their bytes;
 // use user_to_wire()/user_from_wire() at the boundary.

@@ -60,7 +60,7 @@ std::optional<EmailAddress> parse_path(std::string_view s) {
 }
 
 EmailAddress make_user_address(std::size_t isp_index, std::size_t user_index) {
-  return EmailAddress{"u" + std::to_string(user_index),
+  return EmailAddress{std::string("u").append(std::to_string(user_index)),
                       isp_domain(isp_index)};
 }
 

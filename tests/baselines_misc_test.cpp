@@ -52,8 +52,9 @@ TEST(Challenge, SpamMostlyBlocked) {
   p.spammer_solve_prob = 0.0;
   ChallengeResponse cr(p, zmail::Rng(2));
   for (int i = 0; i < 100; ++i)
-    EXPECT_FALSE(cr.process(addr(("s" + std::to_string(i) + "@z.ex").c_str()),
-                            true));
+    EXPECT_FALSE(cr.process(
+        addr(std::string("s").append(std::to_string(i) + "@z.ex").c_str()),
+        true));
   EXPECT_EQ(cr.stats().spam_blocked, 100u);
   EXPECT_EQ(cr.stats().spam_delivered, 0u);
 }
@@ -72,7 +73,9 @@ TEST(Challenge, HumanEffortAccumulates) {
   p.human_seconds_per_challenge = 10.0;
   ChallengeResponse cr(p, zmail::Rng(4));
   for (int i = 0; i < 5; ++i)
-    cr.process(addr(("u" + std::to_string(i) + "@x.ex").c_str()), false);
+    cr.process(
+        addr(std::string("u").append(std::to_string(i) + "@x.ex").c_str()),
+        false);
   EXPECT_DOUBLE_EQ(cr.stats().human_seconds, 50.0);
   EXPECT_EQ(cr.whitelist_size(), 5u);
 }

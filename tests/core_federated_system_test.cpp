@@ -102,38 +102,46 @@ TEST(FederatedSystem, QuiesceBuffersAcrossTheRound) {
   EXPECT_TRUE(sys.conservation_holds());
 }
 
-// With the store and retries off the inter-bank plane still rides the
-// network: every column exchange, clearing transfer and ack is a datagram
-// between bank hosts, and the round closes on them alone.
-TEST(FederatedSystem, InterbankWiresAreDatagramsWithStoreAndRetriesOff) {
-  const ZmailParams p = fed_params(2);
-  ASSERT_FALSE(p.store.enabled);
-  ASSERT_FALSE(p.retry.enabled);
-  ZmailSystem sys(p, 8);
-  InvariantAuditor auditor(sys);
-  auditor.run_continuously(5 * sim::kMinute);
-  sys.send_email(user(0, 0), user(1, 0), "s", "b");  // bank0 -> bank1
-  sys.run_for(sim::kHour);
+// The inter-bank plane rides the network in every world: every column
+// exchange and clearing transfer is a datagram between bank hosts, and the
+// round closes on them alone.  With retries off the wires travel bare;
+// with retries on each wire of the round, requests and reports included,
+// is a frame on the acknowledged link and draws exactly one ack.
+TEST(FederatedSystem, InterbankWiresAreDatagramsAndTheLinkAcksEach) {
+  for (const bool retry : {false, true}) {
+    SCOPED_TRACE(retry ? "retries on" : "retries off");
+    ZmailParams p = fed_params(2);
+    p.retry.enabled = retry;
+    ASSERT_FALSE(p.store.enabled);
+    ZmailSystem sys(p, 8);
+    InvariantAuditor auditor(sys);
+    auditor.run_continuously(5 * sim::kMinute);
+    sys.send_email(user(0, 0), user(1, 0), "s", "b");  // bank0 -> bank1
+    sys.run_for(sim::kHour);
 
-  const std::uint64_t before = sys.network().datagrams_sent();
-  sys.start_snapshot();
-  sys.run_for(30 * sim::kMinute);
-  // One request and one report per ISP; per ordered bank pair a columns
-  // wire, a clearing transfer and an ack for each.
-  const std::uint64_t k = p.n_banks;
-  EXPECT_EQ(sys.network().datagrams_sent() - before,
-            2 * p.n_isps + 4 * k * (k - 1));
-  EXPECT_EQ(sys.bank().metrics().interbank_messages, k * (k - 1));
-  EXPECT_EQ(sys.bank().metrics().interbank_acks, 2 * k * (k - 1));
-  EXPECT_FALSE(sys.bank().round_open());
-  EXPECT_TRUE(sys.bank().idle());
-  EXPECT_EQ(sys.bank().metrics().snapshot_rounds, 1u);
-  EXPECT_EQ(sys.bank().metrics().settlements_cross_bank, 1u);
-  auditor.check_now();
-  EXPECT_TRUE(auditor.report().ok())
-      << (auditor.report().messages.empty()
-              ? ""
-              : auditor.report().messages.front());
+    const std::uint64_t before = sys.network().datagrams_sent();
+    sys.start_snapshot();
+    sys.run_for(30 * sim::kMinute);
+    // One request and one report per ISP; per ordered bank pair a columns
+    // wire and a clearing transfer.
+    const std::uint64_t k = p.n_banks;
+    const std::uint64_t wires = 2 * p.n_isps + 2 * k * (k - 1);
+    EXPECT_EQ(sys.network().datagrams_sent() - before,
+              retry ? 2 * wires : wires);
+    EXPECT_EQ(sys.link().stats().frames, retry ? wires : 0u);
+    EXPECT_EQ(sys.link().stats().acks, retry ? wires : 0u);
+    EXPECT_EQ(sys.link().stats().retransmits, 0u);
+    EXPECT_EQ(sys.pending_transfers(), 0u);
+    EXPECT_EQ(sys.bank().metrics().interbank_messages, k * (k - 1));
+    EXPECT_FALSE(sys.bank().round_open());
+    EXPECT_EQ(sys.bank().metrics().snapshot_rounds, 1u);
+    EXPECT_EQ(sys.bank().metrics().settlements_cross_bank, 1u);
+    auditor.check_now();
+    EXPECT_TRUE(auditor.report().ok())
+        << (auditor.report().messages.empty()
+                ? ""
+                : auditor.report().messages.front());
+  }
 }
 
 }  // namespace

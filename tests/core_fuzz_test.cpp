@@ -225,7 +225,7 @@ TEST_P(CorruptionRoundTripTest, MangledWiresNeverCrashOrLeak) {
   for (int i = 0; i < 40; ++i) {
     // Paid compliant<->compliant, free compliant->legacy, legacy->compliant.
     sys.send_email(user(0, rng.next_below(3)), user(1, rng.next_below(3)),
-                   "x", "p" + std::to_string(i));
+                   "x", std::string("p").append(std::to_string(i)));
     if (i % 4 == 0)
       sys.send_email(user(0, 0), user(2, 0), "x", "to-legacy");
     if (i % 4 == 2)

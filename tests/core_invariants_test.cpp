@@ -58,7 +58,7 @@ TEST(InvariantAuditorTest, CleanTimedRunAuditsGreen) {
     const std::size_t dst = (src + 1) % p.n_isps;
     sys.send_email(net::make_user_address(src, rng.next_below(p.users_per_isp)),
                    net::make_user_address(dst, rng.next_below(p.users_per_isp)),
-                   "t", "b" + std::to_string(i));
+                   "t", std::string("b").append(std::to_string(i)));
     sys.run_for(sim::kMinute);
   }
   sys.start_snapshot();
@@ -176,45 +176,6 @@ TEST(BankIdempotencyTest, OutOfDateTradeWireIsDropped) {
   EXPECT_TRUE(bank.on_buy(0, wire1).empty());
   EXPECT_EQ(bank.metrics().stale_trades, 1u);
   EXPECT_EQ(bank.metrics().epennies_minted, minted);
-}
-
-TEST(IspRetryTest, LostBuyReplyIsRecoveredByBackoffRetry) {
-  Rng rng(103);
-  const crypto::KeyPair keys = crypto::generate_keypair(rng);
-  ZmailParams p = small_params();
-  p.retry.enabled = true;  // base 2s, jitter 25%: first retry due <= 2.5s
-  Isp isp(0, p, keys.pub, 11);
-  BankFederation bank(p, {keys}, 12);
-
-  isp.set_avail(10);
-  isp.maybe_trade_with_bank(/*now=*/0);
-  crypto::Bytes wire;
-  for (const auto& o : isp.take_outbox()) wire = o.payload;
-  bank.on_buy(0, wire);  // the bank applies it, but the reply is LOST
-  EXPECT_TRUE(isp.bank_exchange_pending());
-
-  isp.poll_retries(sim::kSecond);  // before any backoff deadline
-  EXPECT_TRUE(isp.outbox_empty());
-
-  isp.poll_retries(3 * sim::kSecond);
-  auto out = isp.take_outbox();
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].type, kMsgBuy);
-  EXPECT_EQ(out[0].payload, wire);  // same sealed bytes, same nonce
-  EXPECT_EQ(isp.metrics().bank_retries, 1u);
-
-  // The bank absorbs the duplicate and replays the cached reply; the
-  // exchange completes exactly once.
-  const crypto::Bytes reply = bank.on_buy(0, out[0].payload);
-  EXPECT_EQ(bank.metrics().duplicate_buys, 1u);
-  isp.on_buyreply(reply);
-  EXPECT_EQ(isp.avail(), 200);
-  EXPECT_FALSE(isp.bank_exchange_pending());
-  EXPECT_EQ(bank.metrics().epennies_minted, 190);
-
-  // Settled exchanges never retry again.
-  isp.poll_retries(sim::kHour);
-  EXPECT_TRUE(isp.outbox_empty());
 }
 
 // Drives one complete snapshot round at the unit level (no network).

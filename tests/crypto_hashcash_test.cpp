@@ -38,7 +38,7 @@ TEST(Hashcash, ExpectedWorkGrowsWithDifficulty) {
     std::uint64_t total = 0;
     for (int i = 0; i < 8; ++i) {
       std::uint64_t attempts = 0;
-      pow_solve("r" + std::to_string(i), bits,
+      pow_solve(std::string("r").append(std::to_string(i)), bits,
                 static_cast<std::uint64_t>(i) << 32, &attempts);
       total += attempts;
     }

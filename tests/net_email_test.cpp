@@ -209,19 +209,20 @@ TEST_P(EmailWireFuzzTest, RandomMessagesRoundTrip) {
   for (int m = 0; m < 30; ++m) {
     EmailMessage msg;
     msg.from = EmailAddress{
-        "u" + std::to_string(rng.next_below(100)),
+        std::string("u").append(std::to_string(rng.next_below(100))),
         "isp" + std::to_string(rng.next_below(10)) + ".example"};
     const std::size_t nto = 1 + rng.next_below(3);
     for (std::size_t r = 0; r < nto; ++r)
       msg.to.push_back(EmailAddress{
-          "u" + std::to_string(rng.next_below(100)),
+          std::string("u").append(std::to_string(rng.next_below(100))),
           "isp" + std::to_string(rng.next_below(10)) + ".example"});
     const std::size_t nh = rng.next_below(6);
     for (std::size_t h = 0; h < nh; ++h) {
       std::string value;
       for (std::size_t c = 0; c < rng.next_below(30); ++c)
         value += static_cast<char>(32 + rng.next_below(95));  // printable
-      msg.headers.emplace_back("X-H" + std::to_string(h), value);
+      msg.headers.emplace_back(std::string("X-H").append(std::to_string(h)),
+                               value);
     }
     std::string body;
     for (std::size_t c = 0; c < rng.next_below(500); ++c)

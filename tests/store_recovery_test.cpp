@@ -54,7 +54,7 @@ void drive_traffic(ZmailSystem& sys, std::uint64_t seed, int rounds) {
     const std::size_t dst = (src + 1 + rng.next_below(p.n_isps - 1)) % p.n_isps;
     sys.send_email(net::make_user_address(src, rng.next_below(p.users_per_isp)),
                    net::make_user_address(dst, rng.next_below(p.users_per_isp)),
-                   "t", "b" + std::to_string(i));
+                   "t", std::string("b").append(std::to_string(i)));
     sys.run_for(sim::kMinute);
   }
 }

@@ -424,7 +424,7 @@ void drive_mixed_traffic(ZmailSystem& w, std::uint64_t seed, int rounds) {
     const std::size_t dst = (src + 1 + rng.next_below(n - 1)) % n;
     w.send_email(net::make_user_address(src, rng.next_below(u)),
                  net::make_user_address(dst, rng.next_below(u)), "t",
-                 "b" + std::to_string(i));
+                 std::string("b").append(std::to_string(i)));
     if (i % 7 == 3)
       w.buy_epennies(net::make_user_address(src, 0),
                      static_cast<EPenny>(1 + rng.next_below(5)));

@@ -138,7 +138,7 @@ TEST_F(TraceIntegrationTest, CrashRecoveryDoesNotRemintSpans) {
   for (int i = 0; i < 6; ++i) {
     sys.send_email(net::make_user_address(i % 2, 0),
                    net::make_user_address((i + 1) % 2, 0), "t",
-                   "b" + std::to_string(i));
+                   std::string("b").append(std::to_string(i)));
     sys.run_for(sim::kMinute);
   }
   sys.checkpoint_host(0);
