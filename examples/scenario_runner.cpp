@@ -16,7 +16,8 @@
 // DIR/r<k>), which also unlocks the script's `crash` verb: a crashed host's
 // in-memory state is wiped and rebuilt from its snapshot + WAL tail.  A
 // DIR that already holds a WAL or snapshot from an earlier run is resumed,
-// not started afresh, and the runner says so on stderr.
+// not started afresh, and the runner says so on stderr; a run stopped
+// mid-round or mid-trade cannot be resumed (see ZmailSystem).
 // --checkpoint-interval adds time-based checkpoints on top of the default
 // quiesce-boundary ones.  --banks N splits the bank into N member banks;
 // --audit runs the invariant auditor throughout the run.
