@@ -285,16 +285,21 @@ BankFederation::start_snapshot() {
   for (std::size_t b = 0; b < bank_count(); ++b) open_round(b);
   // Requests go out in global ISP order; each bank's sealing draws form
   // the same per-bank subsequence the WAL replay of its kStartRound record
-  // regenerates.
+  // regenerates.  A bank's request plaintext is the same for each of its
+  // ISPs, so it is encoded once per bank.
+  std::vector<crypto::Bytes> requests;
+  requests.reserve(bank_count());
+  for (const MemberBank& mb : banks_)
+    requests.push_back(SnapshotRequest{mb.seq}.serialize());
   std::vector<std::pair<std::size_t, crypto::Bytes>> out;
+  out.reserve(params_.compliant_count());
   for (std::size_t i = 0; i < params_.n_isps; ++i) {
     if (!params_.is_compliant(i)) continue;
     const std::size_t b = home_bank(i);
     MemberBank& mb = banks_[b];
     ++mb.outstanding;
     ++mb.metrics.requests_sent;
-    out.emplace_back(
-        i, seal_from(b, keys_[b].priv, SnapshotRequest{mb.seq}.serialize()));
+    out.emplace_back(i, seal_from(b, keys_[b].priv, requests[b]));
   }
   for (std::size_t b = 0; b < bank_count(); ++b) {
     audit(b, AuditKind::kRoundStarted, b, 0,

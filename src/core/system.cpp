@@ -764,12 +764,13 @@ void ZmailSystem::deliver_via_smtp(std::size_t to_isp, std::size_t from_isp,
     ~Done() { flag = false; }
   } done{delivering_};
 
-  // Reconstruct the message and play a real SMTP dialogue into the
-  // destination host, so every inter-ISP email exercises RFC-821 framing
-  // and the byte counters reflect true protocol overhead.  The message the
-  // server parses is the one the ISP receives: no second codec round trip.
-  if (!net::EmailMessage::deserialize_into(payload, decoded_)) return;
-  const net::EmailMessage& msg = decoded_;
+  // Decode the message and play a real SMTP dialogue into the destination
+  // host, so every inter-ISP email exercises RFC-821 framing and the byte
+  // counters reflect true protocol overhead.  The client half renders from
+  // views into `payload`, which outlives the transfer; the message the
+  // server parses is the one the ISP receives.
+  if (!net::EmailView::decode_into(payload, decoded_)) return;
+  const net::EmailView& msg = decoded_;
 
   trace::Scope tscope(msg.trace_id);
   std::optional<trace::SpanScope> smtp_span;

@@ -303,10 +303,11 @@ class ZmailSystem {
   // Inter-ISP delivery state, reused by every deliver_via_smtp call so a
   // warm delivery allocates nothing: one SMTP server session per receiving
   // host (its callback swaps the parsed message into received_), the
-  // message decoded from the datagram, and the spare outbox pump_isp
-  // trades with the ISP.  delivering_ guards the pair against re-entry.
+  // view of the message decoded from the datagram, and the spare outbox
+  // pump_isp trades with the ISP.  delivering_ guards the pair against
+  // re-entry.
   std::vector<net::SmtpServerSession> smtp_sessions_;
-  net::EmailMessage decoded_;
+  net::EmailView decoded_;
   net::EmailMessage received_;
   bool delivering_ = false;
   std::vector<Outbound> outbox_spare_;

@@ -1,23 +1,35 @@
 #include "net/address.hpp"
 
-#include <cctype>
+#include <algorithm>
 #include <charconv>
+
+#include "net/ascii.hpp"
 
 namespace zmail::net {
 
 namespace {
-bool valid_part(std::string_view part) noexcept {
-  if (part.empty()) return false;
-  for (char c : part) {
-    const auto u = static_cast<unsigned char>(c);
-    if (std::isalnum(u) || c == '.' || c == '-' || c == '_' || c == '+')
-      continue;
-    return false;
+// Splits "local@domain" in one pass: exactly one '@', and each part
+// nonempty, made of address characters only, with no dot leading,
+// trailing or doubled.
+bool split_address(std::string_view s, std::string_view& local,
+                   std::string_view& domain) noexcept {
+  std::size_t at = std::string_view::npos;
+  char prev = '@';  // the previous character, '@' at a part's start
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    if (c == '@') {
+      if (at != std::string_view::npos || prev == '@' || prev == '.')
+        return false;
+      at = i;
+    } else if (c == '.' ? prev == '@' || prev == '.'
+                        : !ascii::is_address_char(c)) {
+      return false;
+    }
+    prev = c;
   }
-  // Dots must not lead, trail, or double.
-  if (part.front() == '.' || part.back() == '.') return false;
-  for (std::size_t i = 1; i < part.size(); ++i)
-    if (part[i] == '.' && part[i - 1] == '.') return false;
+  if (at == std::string_view::npos || prev == '@' || prev == '.') return false;
+  local = s.substr(0, at);
+  domain = s.substr(at + 1);
   return true;
 }
 
@@ -29,17 +41,34 @@ bool parse_canonical_index(std::string_view s, std::size_t& out) noexcept {
   const auto [ptr, ec] = std::from_chars(s.data(), end, out);
   return ec == std::errc() && ptr == end;
 }
+
+std::size_t decimal_digits(std::size_t v) noexcept {
+  std::size_t n = 1;
+  for (; v >= 10; v /= 10) ++n;
+  return n;
+}
+
+// prefix + decimal(v) + suffix, printed straight into the result.
+std::string print_index(std::string_view prefix, std::size_t v,
+                        std::string_view suffix) {
+  std::string out(prefix.size() + decimal_digits(v) + suffix.size(), '\0');
+  char* p = std::copy(prefix.begin(), prefix.end(), out.data());
+  p = std::to_chars(p, out.data() + out.size(), v).ptr;
+  std::copy(suffix.begin(), suffix.end(), p);
+  return out;
+}
 }  // namespace
 
 bool assign_address(std::string_view s, EmailAddress& out) {
-  const std::size_t at = s.find('@');
-  if (at == std::string_view::npos) return false;
-  if (s.find('@', at + 1) != std::string_view::npos) return false;
-  const std::string_view local = s.substr(0, at), domain = s.substr(at + 1);
-  if (!valid_part(local) || !valid_part(domain)) return false;
+  std::string_view local, domain;
+  if (!split_address(s, local, domain)) return false;
   out.local.assign(local);
   out.domain.assign(domain);
   return true;
+}
+
+bool assign_address(std::string_view s, AddressView& out) {
+  return split_address(s, out.local, out.domain);
 }
 
 bool assign_path(std::string_view s, EmailAddress& out) {
@@ -60,12 +89,11 @@ std::optional<EmailAddress> parse_path(std::string_view s) {
 }
 
 EmailAddress make_user_address(std::size_t isp_index, std::size_t user_index) {
-  return EmailAddress{std::string("u").append(std::to_string(user_index)),
-                      isp_domain(isp_index)};
+  return EmailAddress{print_index("u", user_index, {}), isp_domain(isp_index)};
 }
 
 std::string isp_domain(std::size_t isp_index) {
-  return "isp" + std::to_string(isp_index) + ".example";
+  return print_index("isp", isp_index, ".example");
 }
 
 bool decode_user_address(const EmailAddress& a, std::size_t& isp_index,

@@ -22,6 +22,13 @@ struct EmailAddress {
   auto operator<=>(const EmailAddress&) const = default;
 };
 
+// An address whose parts are views into a buffer someone else owns (a
+// datagram payload): valid while that buffer is.
+struct AddressView {
+  std::string_view local;
+  std::string_view domain;
+};
+
 // Parses "local@domain"; rejects empty parts, whitespace, angle brackets and
 // a second '@'.  Returns nullopt on malformed input.
 std::optional<EmailAddress> parse_address(std::string_view s);
@@ -32,6 +39,8 @@ std::optional<EmailAddress> parse_path(std::string_view s);
 // The same parses into an existing address, reusing its strings' capacity.
 // On malformed input they return false and leave `out` untouched.
 bool assign_address(std::string_view s, EmailAddress& out);
+// The same check, splitting `s` into views instead of copying it.
+bool assign_address(std::string_view s, AddressView& out);
 bool assign_path(std::string_view s, EmailAddress& out);
 
 // Convenience constructor for simulated populations: user `u` at ISP `i`.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cstring>
 #include <functional>
 
 namespace zmail::net {
@@ -63,64 +64,53 @@ std::size_t EmailMessage::wire_size() const noexcept {
 
 std::string EmailMessage::to_rfc822() const {
   std::string out;
-  render_rfc822([&out](std::string_view piece) { out += piece; });
+  render_rfc822(*this, [&out](std::string_view piece) { out += piece; });
   return out;
 }
 
 namespace {
-// Wire form of an address: the length-prefixed string "local@domain",
-// written without building that string.
+// Wire form of an address: the length-prefixed string "local@domain".
 std::size_t address_wire_size(const EmailAddress& a) noexcept {
   return 4 + a.local.size() + 1 + a.domain.size();
 }
 
-void put_address(crypto::Bytes& b, const EmailAddress& a) {
-  crypto::put_u32(b,
-                  static_cast<std::uint32_t>(address_wire_size(a) - 4));
-  b.insert(b.end(), a.local.begin(), a.local.end());
-  b.push_back('@');
-  b.insert(b.end(), a.domain.begin(), a.domain.end());
-}
-}  // namespace
+// Raw big-endian stores into a buffer sized beforehand.
+struct Writer {
+  std::uint8_t* p;
 
-crypto::Bytes EmailMessage::serialize() const {
-  crypto::Bytes b;
-  serialize_append(b);
-  return b;
-}
-
-void EmailMessage::serialize_append(crypto::Bytes& b) const {
-  std::size_t size = address_wire_size(from) + 4;
-  for (const auto& r : to) size += address_wire_size(r);
-  size += 4;
-  for (const auto& [k, v] : headers) size += 8 + k.size() + v.size();
-  size += 4 + body.size() + 1 + (trace_id != 0 ? 8 : 0);
-
-  b.reserve(b.size() + size);
-  put_address(b, from);
-  crypto::put_u32(b, static_cast<std::uint32_t>(to.size()));
-  for (const auto& r : to) put_address(b, r);
-  crypto::put_u32(b, static_cast<std::uint32_t>(headers.size()));
-  for (const auto& [k, v] : headers) {
-    crypto::put_string(b, k);
-    crypto::put_string(b, v);
+  void u8(std::uint8_t v) noexcept { *p++ = v; }
+  void u32(std::uint32_t v) noexcept {
+    crypto::store_be(p, v, 4);
+    p += 4;
   }
-  crypto::put_string(b, body);
-  crypto::put_u8(b, static_cast<std::uint8_t>(truth));
-  // Optional tail: present only for traced messages, so that runs with
-  // tracing off serialize exactly as they did before tracing existed.
-  if (trace_id != 0) crypto::put_u64(b, trace_id);
-}
+  void u64(std::uint64_t v) noexcept {
+    crypto::store_be(p, v, 8);
+    p += 8;
+  }
+  void raw(std::string_view s) noexcept {
+    if (!s.empty()) std::memcpy(p, s.data(), s.size());
+    p += s.size();
+  }
+  void string(std::string_view s) noexcept {
+    u32(static_cast<std::uint32_t>(s.size()));
+    raw(s);
+  }
+  void address(const EmailAddress& a) noexcept {
+    u32(static_cast<std::uint32_t>(address_wire_size(a) - 4));
+    raw(a.local);
+    u8('@');
+    raw(a.domain);
+  }
+};
 
-std::optional<EmailMessage> EmailMessage::deserialize(
-    const crypto::Bytes& wire) {
-  EmailMessage m;
-  if (!deserialize_into(wire, m)) return std::nullopt;
-  return m;
-}
+// The one decoder behind EmailMessage::deserialize_into (owning strings)
+// and EmailView::decode_into (views into `wire`), so both accept exactly
+// the same payloads.
+void assign_text(std::string& out, std::string_view s) { out.assign(s); }
+void assign_text(std::string_view& out, std::string_view s) { out = s; }
 
-bool EmailMessage::deserialize_into(std::span<const std::uint8_t> wire,
-                                    EmailMessage& out) {
+template <class Msg>
+bool decode_wire(std::span<const std::uint8_t> wire, Msg& out) {
   crypto::ByteReader r(wire);
   if (!assign_address(r.get_string_view(), out.from)) return false;
   // Counts are untrusted: entries are appended one decoded item at a time,
@@ -138,11 +128,11 @@ bool EmailMessage::deserialize_into(std::span<const std::uint8_t> wire,
   n = 0;
   for (; n < nh && r.ok(); ++n) {
     auto& [k, v] = reuse_slot(out.headers, n);
-    k.assign(r.get_string_view());
-    v.assign(r.get_string_view());
+    assign_text(k, r.get_string_view());
+    assign_text(v, r.get_string_view());
   }
   out.headers.resize(n);
-  out.body.assign(r.get_string_view());
+  assign_text(out.body, r.get_string_view());
   const std::uint8_t truth = r.get_u8();
   // A flipped bit must not smuggle an out-of-range enum into the system.
   if (truth > static_cast<std::uint8_t>(MailClass::kVirus)) return false;
@@ -150,6 +140,56 @@ bool EmailMessage::deserialize_into(std::span<const std::uint8_t> wire,
   if (!r.ok()) return false;
   out.trace_id = r.at_end() ? 0 : r.get_u64();
   return r.ok();
+}
+}  // namespace
+
+crypto::Bytes EmailMessage::serialize() const {
+  crypto::Bytes b;
+  serialize_append(b);
+  return b;
+}
+
+void EmailMessage::serialize_append(crypto::Bytes& b) const {
+  std::size_t size = address_wire_size(from) + 4;
+  for (const auto& r : to) size += address_wire_size(r);
+  size += 4;
+  for (const auto& [k, v] : headers) size += 8 + k.size() + v.size();
+  size += 4 + body.size() + 1 + (trace_id != 0 ? 8 : 0);
+
+  const std::size_t at = b.size();
+  b.resize(at + size);
+  Writer w{b.data() + at};
+  w.address(from);
+  w.u32(static_cast<std::uint32_t>(to.size()));
+  for (const auto& r : to) w.address(r);
+  w.u32(static_cast<std::uint32_t>(headers.size()));
+  for (const auto& [k, v] : headers) {
+    w.string(k);
+    w.string(v);
+  }
+  w.string(body);
+  w.u8(static_cast<std::uint8_t>(truth));
+  // Optional tail: present only for traced messages, so that runs with
+  // tracing off serialize exactly as they did before tracing existed.
+  if (trace_id != 0) w.u64(trace_id);
+  ZMAIL_ASSERT(w.p == b.data() + b.size());
+}
+
+std::optional<EmailMessage> EmailMessage::deserialize(
+    const crypto::Bytes& wire) {
+  EmailMessage m;
+  if (!deserialize_into(wire, m)) return std::nullopt;
+  return m;
+}
+
+bool EmailMessage::deserialize_into(std::span<const std::uint8_t> wire,
+                                    EmailMessage& out) {
+  return decode_wire(wire, out);
+}
+
+bool EmailView::decode_into(std::span<const std::uint8_t> wire,
+                            EmailView& out) {
+  return decode_wire(wire, out);
 }
 
 EmailMessage make_email(const EmailAddress& from, const EmailAddress& to,

@@ -63,32 +63,6 @@ struct EmailMessage {
   // (dot-stuffing happens in the SMTP layer).
   std::string to_rfc822() const;
 
-  // Streams the to_rfc822() text to `sink(std::string_view)` piece by
-  // piece, without building it.  The SMTP client renders DATA from this.
-  template <class Sink>
-  void render_rfc822(Sink&& sink) const {
-    sink("From: ");
-    sink(from.local);
-    sink("@");
-    sink(from.domain);
-    sink("\r\nTo: ");
-    for (std::size_t i = 0; i < to.size(); ++i) {
-      if (i) sink(", ");
-      sink(to[i].local);
-      sink("@");
-      sink(to[i].domain);
-    }
-    sink("\r\n");
-    for (const auto& [k, v] : headers) {
-      sink(k);
-      sink(": ");
-      sink(v);
-      sink("\r\n");
-    }
-    sink("\r\n");
-    sink(body);
-  }
-
   // Binary serialization for channel payloads.
   crypto::Bytes serialize() const;
   // Appends the same bytes to `out`, growing it at most once, so a caller
@@ -109,6 +83,51 @@ struct EmailMessage {
     return deserialize_into(std::span<const std::uint8_t>(wire), out);
   }
 };
+
+// A message decoded from its wire form with every string left as a view
+// into the wire bytes: the SMTP client renders straight from the datagram
+// payload, which must outlive the view.  It decodes exactly the payloads
+// EmailMessage::deserialize_into decodes, to the same fields.
+struct EmailView {
+  AddressView from;
+  std::vector<AddressView> to;
+  std::vector<std::pair<std::string_view, std::string_view>> headers;
+  std::string_view body;
+  MailClass truth = MailClass::kLegitimate;
+  std::uint64_t trace_id = 0;
+
+  // Overwrites every field of `out`; the vectors keep their capacity, so a
+  // warm view decodes without allocating.  On malformed input it returns
+  // false and `out` holds an unspecified (valid) view.
+  static bool decode_into(std::span<const std::uint8_t> wire, EmailView& out);
+};
+
+// Streams the RFC-822 text of `msg` (an EmailMessage or an EmailView) to
+// `sink(std::string_view)` piece by piece: From and To from the envelope,
+// the stored headers, a blank line and the body.
+template <class Msg, class Sink>
+void render_rfc822(const Msg& msg, Sink&& sink) {
+  sink("From: ");
+  sink(msg.from.local);
+  sink("@");
+  sink(msg.from.domain);
+  sink("\r\nTo: ");
+  for (std::size_t i = 0; i < msg.to.size(); ++i) {
+    if (i) sink(", ");
+    sink(msg.to[i].local);
+    sink("@");
+    sink(msg.to[i].domain);
+  }
+  sink("\r\n");
+  for (const auto& [k, v] : msg.headers) {
+    sink(k);
+    sink(": ");
+    sink(v);
+    sink("\r\n");
+  }
+  sink("\r\n");
+  sink(msg.body);
+}
 
 // Entry `n` of `v`, appending a default one when `n == v.size()`, so that
 // filling a vector front to back overwrites the entries (and their string

@@ -85,6 +85,8 @@ class SmtpServerSession {
   enum class State { kConnected, kGreeted, kMailFrom, kRcptTo, kData };
 
   SmtpReply handle_command(std::string_view line);
+  SmtpReply mail_from(std::string_view rest);  // after "MAIL FROM:"
+  SmtpReply rcpt_to(std::string_view rest);    // after "RCPT TO:"
   void add_data_line(std::string_view line);
   void reset_transaction();
 
@@ -109,11 +111,16 @@ class SmtpServerSession {
   bool body_open_ = false;  // at least one body line has been appended
   std::string reply_;       // text of the last greeting/HELO/VRFY/QUIT reply
 
-  // The client half of smtp_transfer() renders its lines here.
+  // The client half of smtp_transfer() renders here: the command and
+  // dot-stuffed lines in client_line_, the whole DATA text in client_text_.
+  // Both keep their capacity across connections.
   friend SmtpTransferResult smtp_transfer(const EmailMessage&,
                                           std::string_view,
                                           SmtpServerSession&);
+  friend SmtpTransferResult smtp_transfer(const EmailView&, std::string_view,
+                                          SmtpServerSession&);
   std::string client_line_;
+  std::string client_text_;
 };
 
 // Client-side: renders a message as the exact line sequence a client would
@@ -123,12 +130,19 @@ std::vector<std::string> smtp_client_script(const EmailMessage& msg,
                                             std::string_view client_domain);
 
 // Runs a full in-memory SMTP dialogue: opens a connection on the server
-// session, renders the client side line by line from the message fields
-// and feeds each line to the session, checking reply codes.  Returns the
-// transcript size in bytes (both directions) and whether the transfer was
-// accepted.  The client lines are built in a buffer the session keeps for
-// its connections, so a warm session runs a transfer without allocating.
+// session, renders the client side from the message fields and feeds it to
+// the session line by line, checking reply codes.  Returns the transcript
+// size in bytes (both directions) and whether the transfer was accepted.
+// The DATA text is rendered once into a buffer the session keeps for its
+// connections and cut into lines there, so a warm session runs a transfer
+// without allocating.
 SmtpTransferResult smtp_transfer(const EmailMessage& msg,
+                                 std::string_view client_domain,
+                                 SmtpServerSession& server);
+// The same dialogue rendered from a view decoded out of a wire payload
+// (EmailView::decode_into): the payload must outlive the call.  It sends
+// the bytes the EmailMessage overload sends for the decoded message.
+SmtpTransferResult smtp_transfer(const EmailView& msg,
                                  std::string_view client_domain,
                                  SmtpServerSession& server);
 

@@ -5,6 +5,7 @@
 #include <cctype>
 #include <functional>
 #include <optional>
+#include <span>
 
 #include "util/rng.hpp"
 
@@ -669,11 +670,10 @@ std::vector<DiffCase> diff_cases() {
   return cases;
 }
 
-class SmtpDifferentialTest : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(SmtpDifferentialTest, StreamingMatchesLineVectorReference) {
-  const DiffCase c = diff_cases()[GetParam()];
-  SCOPED_TRACE(c.name);
+// Plays `c` through the reference and through smtp_transfer(), from the
+// message and from a view decoded out of its wire form, and checks that all
+// three agree field for field.
+void check_against_reference(const DiffCase& c) {
   auto make_session = [&c](std::vector<EmailMessage>& sink) {
     SmtpServerSession s("isp1.example",
                         [&sink](EmailMessage&& m) { sink.push_back(m); });
@@ -682,23 +682,32 @@ TEST_P(SmtpDifferentialTest, StreamingMatchesLineVectorReference) {
       s.set_verifier([](const EmailAddress& a) { return a.local == "u1"; });
     return s;
   };
-  std::vector<EmailMessage> ref_sink, got_sink;
+  std::vector<EmailMessage> ref_sink, got_sink, view_sink;
   SmtpServerSession ref_session = make_session(ref_sink);
   SmtpServerSession got_session = make_session(got_sink);
+  SmtpServerSession view_session = make_session(view_sink);
 
   const ReferenceOutcome want =
       reference_transfer(c.msg, "isp0.example", ref_session);
   const SmtpTransferResult got =
       smtp_transfer(c.msg, "isp0.example", got_session);
+  const crypto::Bytes wire = c.msg.serialize();
+  EmailView view;
+  ASSERT_TRUE(EmailView::decode_into(wire, view));
+  const SmtpTransferResult from_view =
+      smtp_transfer(view, "isp0.example", view_session);
 
-  EXPECT_EQ(got.bytes_client_to_server, want.xfer.bytes_client_to_server);
-  EXPECT_EQ(got.bytes_server_to_client, want.xfer.bytes_server_to_client);
-  EXPECT_EQ(got.accepted, want.xfer.accepted);
-  EXPECT_EQ(got.first_error_code, want.xfer.first_error_code);
+  for (const SmtpTransferResult* r : {&got, &from_view}) {
+    EXPECT_EQ(r->bytes_client_to_server, want.xfer.bytes_client_to_server);
+    EXPECT_EQ(r->bytes_server_to_client, want.xfer.bytes_server_to_client);
+    EXPECT_EQ(r->accepted, want.xfer.accepted);
+    EXPECT_EQ(r->first_error_code, want.xfer.first_error_code);
+  }
   EXPECT_EQ(got.first_error_code, c.want_error);  // the case is what it says
-  ASSERT_EQ(got_sink.size(), want.delivered ? 1u : 0u);
-  if (want.delivered) {
-    const EmailMessage& g = got_sink.front();
+  for (const auto* sink : {&got_sink, &view_sink}) {
+    ASSERT_EQ(sink->size(), want.delivered ? 1u : 0u);
+    if (!want.delivered) continue;
+    const EmailMessage& g = sink->front();
     EXPECT_EQ(g.from, want.delivered->from);
     EXPECT_EQ(g.to, want.delivered->to);
     EXPECT_EQ(g.headers, want.delivered->headers);
@@ -710,11 +719,152 @@ TEST_P(SmtpDifferentialTest, StreamingMatchesLineVectorReference) {
   EXPECT_EQ(c.msg.to_rfc822(), reference_rfc822(c.msg));
 }
 
+class SmtpDifferentialTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(SmtpDifferentialTest, StreamingMatchesLineVectorReference) {
+  const DiffCase c = diff_cases()[GetParam()];
+  SCOPED_TRACE(c.name);
+  check_against_reference(c);
+}
+
 INSTANTIATE_TEST_SUITE_P(Cases, SmtpDifferentialTest,
                          ::testing::Range<std::size_t>(0, diff_cases().size()),
                          [](const ::testing::TestParamInfo<std::size_t>& i) {
                            return std::string(diff_cases()[i.param].name);
                          });
+
+// Text drawn from the pieces that stress line cutting and header parsing:
+// lone CRs, bare LFs, CRLFs, leading dots, colons and padding.
+std::string random_text(zmail::Rng& rng, std::size_t max_pieces) {
+  static const char* kPieces[] = {"\r",  "\n", "\r\n", ".",   "..", ":",
+                                  " ",   "\t", "a",    "bc",  "x:y", ". ",
+                                  "\r\r", "\n.", "\r\n.", "To", "From"};
+  std::string s;
+  const std::size_t n = rng.next_below(max_pieces + 1);
+  for (std::size_t i = 0; i < n; ++i)
+    s += kPieces[rng.next_below(std::size(kPieces))];
+  return s;
+}
+
+// A seeded message: one to four recipients, up to five headers whose names
+// and values may hold colons, CRs and LFs, and a body that is empty in one
+// message of four.
+DiffCase random_case(zmail::Rng& rng) {
+  DiffCase c{"generated", {}};
+  c.msg = make_email(
+      make_user_address(0, rng.next_below(20)),
+      make_user_address(1, rng.next_below(20)), random_text(rng, 4),
+      rng.next_below(4) == 0 ? std::string() : random_text(rng, 40));
+  for (std::size_t r = rng.next_below(4); r > 0; --r)
+    c.msg.to.push_back(make_user_address(2 + rng.next_below(3),
+                                         rng.next_below(20)));
+  for (std::size_t h = rng.next_below(6); h > 0; --h) {
+    std::string key = rng.next_below(3) == 0 ? random_text(rng, 3)
+                                             : "X-H" + std::to_string(h);
+    c.msg.headers.emplace_back(std::move(key), random_text(rng, 8));
+  }
+  return c;
+}
+
+class SmtpGeneratedDifferentialTest
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SmtpGeneratedDifferentialTest, StreamingMatchesLineVectorReference) {
+  zmail::Rng rng(GetParam());
+  for (int m = 0; m < 200; ++m) {
+    const DiffCase c = random_case(rng);
+    SCOPED_TRACE(testing::Message() << "message " << m << ": "
+                                    << ::testing::PrintToString(c.msg.body));
+    check_against_reference(c);
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SmtpGeneratedDifferentialTest,
+                         ::testing::Range<std::uint64_t>(1, 9));
+
+// --- Decode fuzz: the view decoder against deserialize_into ---------------
+//
+// Every prefix of a wire payload, and copies with one or two bytes flipped,
+// must be accepted by EmailView::decode_into exactly when
+// EmailMessage::deserialize_into accepts it, decode to the same fields, and
+// play the same SMTP transcript.
+void expect_same_decode(std::span<const std::uint8_t> wire, EmailView& view,
+                        EmailMessage& msg) {
+  const bool owned = EmailMessage::deserialize_into(wire, msg);
+  const bool viewed = EmailView::decode_into(wire, view);
+  ASSERT_EQ(viewed, owned);
+  if (!owned) return;
+  EXPECT_EQ(view.from.local, msg.from.local);
+  EXPECT_EQ(view.from.domain, msg.from.domain);
+  ASSERT_EQ(view.to.size(), msg.to.size());
+  for (std::size_t i = 0; i < msg.to.size(); ++i) {
+    EXPECT_EQ(view.to[i].local, msg.to[i].local);
+    EXPECT_EQ(view.to[i].domain, msg.to[i].domain);
+  }
+  ASSERT_EQ(view.headers.size(), msg.headers.size());
+  for (std::size_t i = 0; i < msg.headers.size(); ++i) {
+    EXPECT_EQ(view.headers[i].first, msg.headers[i].first);
+    EXPECT_EQ(view.headers[i].second, msg.headers[i].second);
+  }
+  EXPECT_EQ(view.body, msg.body);
+  EXPECT_EQ(view.truth, msg.truth);
+  EXPECT_EQ(view.trace_id, msg.trace_id);
+
+  std::vector<EmailMessage> from_msg, from_view;
+  SmtpServerSession a("isp1.example",
+                      [&from_msg](EmailMessage&& m) { from_msg.push_back(m); });
+  SmtpServerSession b("isp1.example", [&from_view](EmailMessage&& m) {
+    from_view.push_back(m);
+  });
+  const SmtpTransferResult ra = smtp_transfer(msg, "isp0.example", a);
+  const SmtpTransferResult rb = smtp_transfer(view, "isp0.example", b);
+  EXPECT_EQ(rb.bytes_client_to_server, ra.bytes_client_to_server);
+  EXPECT_EQ(rb.bytes_server_to_client, ra.bytes_server_to_client);
+  EXPECT_EQ(rb.accepted, ra.accepted);
+  EXPECT_EQ(rb.first_error_code, ra.first_error_code);
+  ASSERT_EQ(from_view.size(), from_msg.size());
+  if (!from_msg.empty()) {
+    EXPECT_EQ(from_view.front().headers, from_msg.front().headers);
+    EXPECT_EQ(from_view.front().body, from_msg.front().body);
+  }
+}
+
+class EmailViewDecodeFuzzTest
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(EmailViewDecodeFuzzTest, AcceptsExactlyWhatDeserializeIntoAccepts) {
+  zmail::Rng rng(GetParam());
+  // One view and one message reused throughout, as the facade reuses its
+  // own: nothing from an earlier decode may show through.
+  EmailView view;
+  EmailMessage msg;
+  for (int m = 0; m < 12; ++m) {
+    EmailMessage src = random_case(rng).msg;
+    src.truth = static_cast<MailClass>(rng.next_below(6));
+    if (rng.next_below(2) == 0) src.trace_id = 1 + rng.next_below(1000);
+    const crypto::Bytes wire = src.serialize();
+    for (std::size_t cut = 0; cut <= wire.size(); ++cut) {
+      SCOPED_TRACE(testing::Message() << "message " << m << " cut " << cut);
+      expect_same_decode(std::span(wire).first(cut), view, msg);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    crypto::Bytes flipped = wire;
+    for (int f = 0; f < 200; ++f) {
+      flipped = wire;
+      for (std::size_t k = 1 + rng.next_below(2); k > 0; --k)
+        flipped[rng.next_below(flipped.size())] ^=
+            static_cast<std::uint8_t>(1 + rng.next_below(255));
+      if (rng.next_below(4) == 0) flipped.push_back(0x2A);  // trailing byte
+      SCOPED_TRACE(testing::Message() << "message " << m << " flip " << f);
+      expect_same_decode(flipped, view, msg);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EmailViewDecodeFuzzTest,
+                         ::testing::Range<std::uint64_t>(300, 306));
 
 // --- Session fuzz: one reused session, hostile lines -----------------------
 //
