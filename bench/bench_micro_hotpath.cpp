@@ -9,7 +9,9 @@
 // from its datagram's arrival through the receiving ISP (SMTP dialogue,
 // codec and accounting included).  With a write-ahead log attached to every
 // party, the same email must make exactly as many allocations as without
-// one: the WAL records are encoded into buffers that stay warm.
+// one: the WAL records are encoded into buffers that stay warm.  On the
+// acknowledged link it may make three more: its pending frame, the frame's
+// wire copy and the ack.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -233,6 +235,11 @@ constexpr std::size_t kDeliveryHosts = 64;
 // message's recipient vector, header vector and Message-ID, and the
 // serialized wire.
 constexpr std::uint64_t kMaxSubmitAllocations = 5;
+// Allocations a remote email on the acknowledged link makes from submit
+// through its ack: the submit's 5, the frame's node in its channel's
+// pending table, the frame's wire copy and the 16-byte ack.  The frame's
+// payload is the submit's serialized wire, moved.
+constexpr std::uint64_t kMaxLinkMailAllocations = 8;
 
 struct HotPathCost {
   double seconds = 0.0;  // measured bursts only
@@ -327,7 +334,10 @@ HotPathCost delivery_cost(std::size_t warmup, std::size_t measured) {
 // delivery's sample, kept for exact percentiles); those regrowths are
 // counted from its capacity and reported apart.  A non-empty `wal_dir`
 // turns the durable store on (a WAL per party, write(2) per record, no
-// fsync); the traffic and the world are otherwise the same.
+// fsync), and `link` carries the mail on the acknowledged link
+// (reliable_email_transport), so the run also takes in each frame's ack
+// and its no-op retransmit timer; the traffic and the world are otherwise
+// the same.
 struct MailCost {
   HotPathCost submit;
   HotPathCost receive;
@@ -335,13 +345,14 @@ struct MailCost {
 };
 
 MailCost mail_cost(std::size_t warmup, std::size_t measured,
-                   const std::string& wal_dir = {}) {
+                   const std::string& wal_dir = {}, bool link = false) {
   core::ZmailParams p;
   p.n_isps = 16;
   p.users_per_isp = 1'000;
   p.record_inboxes = false;
   p.minavail = 0;
   p.maxavail = 1'000'000'000;
+  p.reliable_email_transport = link;
   if (!wal_dir.empty()) {
     std::filesystem::remove_all(wal_dir);
     p.store.enabled = true;
@@ -407,6 +418,8 @@ MailCost mail_cost(std::size_t warmup, std::size_t measured,
   ZMAIL_ASSERT_MSG(sys.total_isp_metrics().emails_received_compliant ==
                        (warmup + measured) * kInFlight,
                    "every burst email must arrive");
+  ZMAIL_ASSERT_MSG(sys.pending_transfers() == 0,
+                   "every link frame must be acked within its burst");
   return cost;
 }
 
@@ -479,6 +492,7 @@ void check_zero_allocations(bench::Bench& harness) {
   const std::string wal_dir = "bench_micro_hotpath.tmp";
   const MailCost mail_wal = mail_cost(8, smoke ? 2 : 8, wal_dir);
   std::filesystem::remove_all(wal_dir);
+  const MailCost mail_link = mail_cost(8, smoke ? 2 : 8, {}, true);
   // Per-round counts settle after about 10 rounds (calendar and pool
   // growth); the warm-up is 12.
   const HotPathCost round = snapshot_round_cost(12, smoke ? 2 : 16);
@@ -488,6 +502,8 @@ void check_zero_allocations(bench::Bench& harness) {
   report(harness, "mail_receive", "email", mail.receive);
   report(harness, "mail_wal_submit", "email", mail_wal.submit);
   report(harness, "mail_wal_receive", "email", mail_wal.receive);
+  report(harness, "mail_link_submit", "email", mail_link.submit);
+  report(harness, "mail_link_receive", "email", mail_link.receive);
   report(harness, "snapshot_round", "ISP-round", round);
   const std::uint64_t receive_allocations =
       mail.receive.allocations - mail.latency_regrowths;
@@ -532,6 +548,19 @@ void check_zero_allocations(bench::Bench& harness) {
                 "with a WAL on every party, a warm remote email makes exactly "
                 "as many heap allocations at submit and from datagram "
                 "arrival through the receiving ISP as without one");
+  // Whole allocations again: besides the latency record, the pending
+  // tables and calendar buckets still grow now and then.
+  const std::uint64_t link_allocations = mail_link.submit.allocations +
+                                         mail_link.receive.allocations -
+                                         mail_link.latency_regrowths;
+  harness.check(link_allocations / mail_link.submit.items <=
+                    kMaxLinkMailAllocations,
+                "a warm remote email on the acknowledged link makes at most " +
+                    std::to_string(kMaxLinkMailAllocations) +
+                    " heap allocations from submit through its ack (the " +
+                    std::to_string(kMaxSubmitAllocations) +
+                    " at submit, the pending frame, its wire copy and the "
+                    "ack)");
   harness.check(round.allocations <=
                     kMaxRoundAllocations * (round.items / kRoundIsps),
                 "a warm snapshot round (request seal and unseal, quiesce, "

@@ -110,16 +110,10 @@ struct ZmailParams {
   RetryPolicy retry;
 
   // Paid inter-ISP email on the same link ("email-rel" frames): receivers
-  // dedupe and ack, senders retransmit on the RTO, so each email is
-  // delivered exactly once.  Required for liveness under a lossy
+  // dedupe and ack, senders retransmit on the RTO until acked, so each
+  // email is delivered exactly once.  Required for liveness under a lossy
   // FaultPlan; off by default for bit-identical fault-free runs.
   bool reliable_email_transport = false;
-
-  // After this many unacked retransmits the sender abandons the transfer
-  // and refunds the payer (0 = retry forever).  Abandoning is only
-  // loss-safe while the destination has never processed the mail, so the
-  // default keeps retrying until the partition heals.
-  std::uint32_t email_max_retransmits = 0;
 
   // Bound on the quiesce buffer of pending paid sends per ISP; overflow is
   // shed (payment undone, emails_shed metric).  0 = unbounded (paper

@@ -170,15 +170,13 @@ SendResult Isp::apply_user_send(UserId s, std::size_t dest_isp, UserId r,
       if (msg.trace_id != 0)
         trace::begin(trace::Ev::kQuiesceBuffer, msg.trace_id,
                      static_cast<std::uint16_t>(index_));
-      buffer_.push_back(
-          BufferedSend{dest_isp, std::move(msg), false, kInvalidUser});
+      buffer_.push_back(BufferedSend{dest_isp, std::move(msg), false});
       ++metrics_.emails_buffered_during_quiesce;
       return SendResult::kBuffered;
     }
     ++metrics_.emails_sent_noncompliant;
     outbox_.push_back(Outbound{Outbound::Dest::kIsp, dest_isp, kMsgEmail,
-                               email_payload(msg, wire), kInvalidUser,
-                               msg.trace_id});
+                               email_payload(msg, wire), msg.trace_id});
     return SendResult::kSentFree;
   }
 
@@ -187,8 +185,7 @@ SendResult Isp::apply_user_send(UserId s, std::size_t dest_isp, UserId r,
     // the credit entry.  Detected by the bank's verification (Section 4.4).
     ++metrics_.emails_sent_compliant;
     outbox_.push_back(Outbound{Outbound::Dest::kIsp, dest_isp, kMsgEmail,
-                               email_payload(msg, wire), kInvalidUser,
-                               msg.trace_id});
+                               email_payload(msg, wire), msg.trace_id});
     return SendResult::kSentPaid;
   }
 
@@ -214,43 +211,22 @@ SendResult Isp::apply_user_send(UserId s, std::size_t dest_isp, UserId r,
     if (msg.trace_id != 0)
       trace::begin(trace::Ev::kQuiesceBuffer, msg.trace_id,
                    static_cast<std::uint16_t>(index_));
-    buffer_.push_back(BufferedSend{dest_isp, std::move(msg), true, s});
+    buffer_.push_back(BufferedSend{dest_isp, std::move(msg), true});
     buffered_paid_ += 1;
     ++metrics_.emails_buffered_during_quiesce;
     return SendResult::kBuffered;
   }
-  transport_paid_email(dest_isp, msg, s, wire);
+  ++metrics_.emails_sent_compliant;
+  transport_paid_email(dest_isp, msg, wire);
   return SendResult::kSentPaid;
 }
 
 void Isp::transport_paid_email(std::size_t dest_isp,
                                const net::EmailMessage& msg,
-                               UserId sender_user,
                                std::span<const std::uint8_t> wire) {
   credit_.at(dest_isp) += 1;
-  ++metrics_.emails_sent_compliant;
   outbox_.push_back(Outbound{Outbound::Dest::kIsp, dest_isp, kMsgEmail,
-                             email_payload(msg, wire), sender_user,
-                             msg.trace_id});
-}
-
-void Isp::refund_lost_email(UserId sender_user, std::size_t dest_isp,
-                            bool same_epoch) {
-  if (wal_) {
-    crypto::Bytes& p = wal_payload();
-    crypto::put_u64(p, user_to_wire(sender_user));
-    crypto::put_u64(p, dest_isp);
-    crypto::put_u8(p, same_epoch ? 1 : 0);
-    log_op(WalOp::kRefundLost, p);
-  }
-  if (sender_user.valid() && sender_user.slot() < users_.size()) {
-    const UserRef u = users_.at(sender_user);
-    add_balance(u, 1);
-    if (u.sent > 0) u.sent -= 1;
-    if (u.lifetime_sent > 0) u.lifetime_sent -= 1;
-  }
-  if (same_epoch) credit_.at(dest_isp) -= 1;
-  ++metrics_.emails_refunded;
+                             email_payload(msg, wire), msg.trace_id});
 }
 
 void Isp::deliver_locally(UserId r, const net::EmailMessage& msg,
@@ -343,15 +319,12 @@ void Isp::maybe_generate_ack(UserId recipient,
     if (ack.trace_id != 0)
       trace::begin(trace::Ev::kQuiesceBuffer, ack.trace_id,
                    static_cast<std::uint16_t>(index_));
-    buffer_.push_back(BufferedSend{dist_isp, std::move(ack), true, recipient});
+    buffer_.push_back(BufferedSend{dist_isp, std::move(ack), true});
     buffered_paid_ += 1;
     ++metrics_.emails_buffered_during_quiesce;
     return;
   }
-  credit_.at(dist_isp) += 1;
-  const std::uint64_t ack_trace = ack.trace_id;
-  outbox_.push_back(Outbound{Outbound::Dest::kIsp, dist_isp, kMsgEmail,
-                             ack.serialize(), recipient, ack_trace});
+  transport_paid_email(dist_isp, ack);
 }
 
 void Isp::send_zombie_warning(UserId s) {
@@ -666,13 +639,14 @@ void Isp::on_quiesce_timeout() {
                  static_cast<std::uint16_t>(index_));
     if (b.paid) {
       // Payment was committed at buffer time; the credit entry and the
-      // transmission happen now.
+      // transmission happen now.  A user's send counts as sent here; an
+      // acknowledgment counted in acks_generated when it was made.
       buffered_paid_ -= 1;
-      transport_paid_email(b.dest_isp, b.msg, b.sender_user);
+      if (!b.msg.find_header(kAckFlagHeader)) ++metrics_.emails_sent_compliant;
+      transport_paid_email(b.dest_isp, b.msg);
     } else {
       outbox_.push_back(Outbound{Outbound::Dest::kIsp, b.dest_isp, kMsgEmail,
-                                 b.msg.serialize(), kInvalidUser,
-                                 b.msg.trace_id});
+                                 b.msg.serialize(), b.msg.trace_id});
     }
   }
 }

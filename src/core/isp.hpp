@@ -48,10 +48,6 @@ struct Outbound {
   std::size_t isp_index = 0;  // meaningful when dest == kIsp
   net::MsgType type;
   crypto::Bytes payload;
-  // The local user whose e-penny paid for this email (kInvalidUser when
-  // unpaid); lets the harness refund the right account if the transfer is
-  // abandoned.
-  UserId sender_user = kInvalidUser;
   // Causal trace id of the message or bank exchange this record transports
   // (zmail::trace); 0 when untracked.  The harness pins it around the
   // network send so the datagram inherits the chain.
@@ -129,16 +125,6 @@ class Isp {
   // minutes in the timed rendition; channels-empty in the AP rendition).
   void on_quiesce_timeout();
   bool in_quiesce() const noexcept { return quiescing_; }
-
-  // Undoes one paid remote send whose transfer the harness abandoned (all
-  // retransmits exhausted): the payer gets the e-penny and daily-limit slot
-  // back.  `same_epoch` must be true iff no snapshot reset happened between
-  // transmission and abandonment — only then is the credit entry still in
-  // the live array and reversed here.  (Abandoning across a snapshot
-  // boundary is indistinguishable from ISP misbehaviour to the bank; the
-  // default retry-forever transport never abandons.)
-  void refund_lost_email(UserId sender_user, std::size_t dest_isp,
-                         bool same_epoch);
 
   // --- Section 5: daily reset + zombie guard -----------------------------
   void end_of_day();
@@ -242,8 +228,7 @@ class Isp {
     kSellReply,
     kSnapshotRequest,
     kQuiesceTimeout,
-    kRefundLost = 11,  // 10 was a retry poll
-    kEndOfDay,
+    kEndOfDay = 12,  // 10 was a retry poll, 11 a lost-email refund
     kReleaseUser,
     kNoteRetransmit,
     kNoteDupEmail,
@@ -323,7 +308,6 @@ class Isp {
     std::size_t dest_isp;
     net::EmailMessage msg;
     bool paid = false;  // carries a committed e-penny
-    UserId sender_user = kInvalidUser;
   };
 
   // user_send after its WAL record: `wire` is the record's serialized email
@@ -334,10 +318,11 @@ class Isp {
   void receive_email(std::size_t from_isp, const net::EmailMessage& msg);
   void deliver_locally(UserId r, const net::EmailMessage& msg,
                        EPenny paid, bool junk);
-  // `wire` is msg.serialize() when the caller has it already (empty
-  // otherwise); the outbox payload is copied from it.
+  // Records the credit entry of a paid email and queues it.  The caller
+  // counts it: a user's send in emails_sent_compliant, an acknowledgment in
+  // acks_generated.  `wire` is msg.serialize() when the caller has it
+  // already (empty otherwise); the outbox payload is copied from it.
   void transport_paid_email(std::size_t dest_isp, const net::EmailMessage& msg,
-                            UserId sender_user,
                             std::span<const std::uint8_t> wire = {});
   void maybe_generate_ack(UserId recipient, const net::EmailMessage& msg);
   void send_zombie_warning(UserId s);

@@ -25,8 +25,8 @@ namespace zmail::core {
 namespace {
 
 // Version byte of the scalar section (1 was the row encoding's; 2 still
-// carried the retry wires).
-constexpr std::uint8_t kScalarsVersion = 3;
+// carried the retry wires; 3 the payer of each buffered and queued email).
+constexpr std::uint8_t kScalarsVersion = 4;
 
 void put_money(crypto::Bytes& b, Money m) { crypto::put_i64(b, m.micros()); }
 Money get_money(crypto::ByteReader& r) {
@@ -75,7 +75,6 @@ void Isp::serialize_scalar_tail(crypto::Bytes& b) const {
     crypto::put_u64(b, s.dest_isp);
     crypto::put_bytes(b, s.msg.serialize());
     put_bool(b, s.paid);
-    crypto::put_u64(b, user_to_wire(s.sender_user));
   }
   crypto::put_i64(b, buffered_paid_);
 
@@ -88,7 +87,6 @@ void Isp::serialize_scalar_tail(crypto::Bytes& b) const {
     crypto::put_u64(b, o.isp_index);
     crypto::put_string(b, o.type.name());
     crypto::put_bytes(b, o.payload);
-    crypto::put_u64(b, user_to_wire(o.sender_user));
   }
 
   crypto::put_u8(b, static_cast<std::uint8_t>(misbehavior_));
@@ -130,7 +128,6 @@ bool Isp::restore_scalar_tail(crypto::ByteReader& r) {
     if (!msg) return false;
     s.msg = *msg;
     s.paid = get_bool(r);
-    s.sender_user = user_from_wire(r.get_u64());
     buffer_.push_back(std::move(s));
   }
   buffered_paid_ = r.get_i64();
@@ -147,7 +144,6 @@ bool Isp::restore_scalar_tail(crypto::ByteReader& r) {
     const std::string type_name = r.get_string();
     o.type = type_name.empty() ? net::MsgType{} : net::MsgType::intern(type_name);
     o.payload = r.get_bytes();
-    o.sender_user = user_from_wire(r.get_u64());
     outbox_.push_back(std::move(o));
   }
 
@@ -376,13 +372,6 @@ void Isp::apply_wal_record(std::uint8_t op,
     case WalOp::kQuiesceTimeout:
       on_quiesce_timeout();
       break;
-    case WalOp::kRefundLost: {
-      const UserId s = user_from_wire(r.get_u64());
-      const std::size_t dest = r.get_u64();
-      const bool same_epoch = get_bool(r);
-      if (r.ok()) refund_lost_email(s, dest, same_epoch);
-      break;
-    }
     case WalOp::kEndOfDay:
       end_of_day();
       break;

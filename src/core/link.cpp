@@ -2,7 +2,6 @@
 
 #include "store/crc32c.hpp"
 #include "trace/trace.hpp"
-#include "util/assert.hpp"
 
 namespace zmail::core {
 
@@ -121,17 +120,7 @@ void Link::on_timer(Channel& ch, std::uint64_t seq) {
   if (it == ch.pending.end()) return;  // acked: the timer is a no-op
   // The hook may send frames of its own; a node reference survives that.
   Frame& f = it->second;
-  if (!on_timeout_(f)) {
-    // The receiver records the number as if it had accepted it: its window
-    // slides past it, and a late copy is dropped and re-acked, not applied.
-    // The hook gives up on a channel's frames in the order they were sent,
-    // so every earlier one is recorded already and `seq` is in the window.
-    ZMAIL_ASSERT(seq - ch.rx.base <= kWindow);
-    ch.rx.insert(seq);
-    ch.pending.erase(seq);
-    --pending_;
-    return;
-  }
+  on_timeout_(f);
   ++stats_.retransmits;
   transmit(ch, seq, f);
 }

@@ -12,10 +12,8 @@
 // and travels as [seq][seq ^ guard][crc32c][payload] under its own
 // datagram type.  One timer per frame retransmits the clean bytes on the
 // RTO (500 ms, doubling per attempt up to 60 s, no jitter) until the ack
-// arrives; the timer of an acked frame fires as a no-op.  The owner's
-// timeout hook counts each retransmission, or abandons the frame; the
-// receiver's window then records the abandoned number as accepted, so it
-// neither waits for it nor applies a late copy.
+// arrives; the timer of an acked frame fires as a no-op.  No frame is ever
+// given up: the owner's timeout hook only counts each retransmission.
 //
 // Receiver: a frame whose guard word or checksum fails is dropped unacked,
 // and the clean retransmit replaces it.  A frame already accepted is
@@ -40,7 +38,6 @@
 #include <span>
 #include <unordered_map>
 
-#include "core/user_id.hpp"
 #include "crypto/bytes.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
@@ -61,8 +58,6 @@ class Link {
     std::uint64_t checksum = 0;  // crc32c(payload), computed once
     crypto::Bytes payload;       // clean bytes, kept for retransmits
     std::uint64_t trace_id = 0;  // causal id every copy carries
-    UserId payer = kInvalidUser;  // paid email: whose e-penny rides it
-    std::uint64_t epoch = 0;      // paid email: the sender's seq at send
   };
 
   // What receive() made of a datagram.
@@ -80,10 +75,9 @@ class Link {
     std::uint64_t duplicates = 0;   // copies of accepted frames dropped
   };
 
-  // Called when a frame's RTO expires unacked: true retransmits it, false
-  // abandons it (the link forgets the frame).  A channel's frames must be
-  // abandoned in the order they were sent.
-  using TimeoutHook = std::function<bool(const Frame&)>;
+  // Called when a frame's RTO expires unacked, right before the link
+  // retransmits it.
+  using TimeoutHook = std::function<void(const Frame&)>;
 
   Link(sim::Simulator& sim, net::Network& net, TimeoutHook on_timeout);
   Link(const Link&) = delete;

@@ -51,7 +51,10 @@ struct IspMetrics {
   std::uint64_t bank_retries = 0;       // buy/sell frames the link re-sent
   std::uint64_t report_retries = 0;     // credit reports the link re-sent
   std::uint64_t emails_retransmitted = 0;
-  std::uint64_t emails_refunded = 0;    // abandoned transfers, payment undone
+  // Always 0: the link retries every paid email until it is delivered.
+  // Kept because the repository benchmark's settlement check and digest
+  // read it.
+  std::uint64_t emails_refunded = 0;
   std::uint64_t emails_shed = 0;        // quiesce buffer overflow, refunded
   std::uint64_t duplicate_emails_dropped = 0;  // receiver-side ARQ dedupe
 

@@ -62,7 +62,7 @@ ZmailSystem::ZmailSystem(ZmailParams params, std::uint64_t seed)
       sim_(),
       net_(sim_, Rng(seed ^ 0x4E455455ULL), net::LatencyModel{}),
       link_(sim_, net_,
-            [this](const Link::Frame& f) { return on_link_timeout(f); }) {
+            [this](const Link::Frame& f) { on_link_timeout(f); }) {
   const auto problems = params_.validate();
   ZMAIL_ASSERT_MSG(problems.empty(),
                    problems.empty() ? "" : problems.front().c_str());
@@ -156,7 +156,7 @@ const Isp& ZmailSystem::isp(IspId i) const {
 }
 
 const LegacyHostStats& ZmailSystem::legacy_stats(IspId i) const {
-  return legacy_.at(i.index()).stats;
+  return legacy_.at(i.index());
 }
 
 IspMetrics ZmailSystem::total_isp_metrics() const {
@@ -171,7 +171,7 @@ LegacyHostStats ZmailSystem::total_legacy_stats() const {
   for (std::size_t i = 0; i < legacy_.size(); ++i) {
     if (params_.is_compliant(i)) continue;
     LegacyHostStats::fields(
-        [&](const char*, auto p) { total.*p += legacy_[i].stats.*p; });
+        [&](const char*, auto p) { total.*p += legacy_[i].*p; });
   }
   return total;
 }
@@ -206,7 +206,7 @@ SendOutcome ZmailSystem::send_email(net::EmailMessage msg) {
   ZMAIL_ASSERT(from_isp < params_.n_isps && to_isp < params_.n_isps);
 
   // Root lifecycle span: minted here at submission, ended at a terminal
-  // (deliver / discard / refuse / refund), possibly on another host.  The
+  // (deliver / discard / refuse / shed), possibly on another host.  The
   // id rides the email's optional serialized tail, so the wire bytes are
   // unchanged whenever tracing is off (next_id() returns 0).
   if (trace::enabled()) trace::set_sim_now(sim_.now());
@@ -238,11 +238,11 @@ SendOutcome ZmailSystem::send_email(net::EmailMessage msg) {
   }
 
   // Legacy sender: plain SMTP, free, no accounting.
-  ++legacy_[from_isp].stats.emails_sent;
+  ++legacy_[from_isp].emails_sent;
   if (to_isp == from_isp) {
-    ++legacy_[from_isp].stats.emails_received;
+    ++legacy_[from_isp].emails_received;
     if (msg.truth == net::MailClass::kSpam)
-      ++legacy_[from_isp].stats.emails_received_spam;
+      ++legacy_[from_isp].emails_received_spam;
     if (tid != 0) {
       const auto h = static_cast<std::uint16_t>(from_isp);
       trace::instant(trace::Ev::kDeliver, tid, h, 0,
@@ -676,7 +676,7 @@ void ZmailSystem::pump_isp(std::size_t i) {
     if (o.type == kMsgEmail && params_.is_compliant(o.isp_index)) {
       in_flight_paid_ += 1;  // the e-penny rides inside the message
       if (params_.reliable_email_transport) {
-        start_transfer(i, o.isp_index, std::move(o.payload), o.sender_user);
+        start_transfer(i, o.isp_index, std::move(o.payload));
         continue;
       }
     }
@@ -702,14 +702,12 @@ void ZmailSystem::send_wire(std::size_t from, std::size_t to,
 }
 
 void ZmailSystem::start_transfer(std::size_t from_isp, std::size_t to_isp,
-                                 crypto::Bytes&& email, UserId sender_user) {
+                                 crypto::Bytes&& email) {
   Link::Frame f;
   f.from = from_isp;
   f.to = to_isp;
   f.type = Link::email_frame();
   f.payload = std::move(email);
-  f.payer = sender_user;
-  f.epoch = isps_[from_isp]->seq();
   f.trace_id = trace::current();
   if (f.trace_id != 0) {
     const auto h = static_cast<std::uint16_t>(from_isp);
@@ -720,37 +718,14 @@ void ZmailSystem::start_transfer(std::size_t from_isp, std::size_t to_isp,
   link_.send(std::move(f));
 }
 
-bool ZmailSystem::on_link_timeout(const Link::Frame& f) {
-  const bool email = f.type == Link::email_frame();
-  if (email && params_.email_max_retransmits != 0 &&
-      f.attempts > params_.email_max_retransmits) {
-    abandon_transfer(f);
-    return false;
-  }
+void ZmailSystem::on_link_timeout(const Link::Frame& f) {
   if (f.from < params_.n_isps)
     isps_[f.from]->note_retransmit(f.type);
   else
     bank_->note_retransmit(f.from - params_.n_isps, f.type);
-  if (email && f.trace_id != 0)
+  if (f.type == Link::email_frame() && f.trace_id != 0)
     trace::instant(trace::Ev::kTransmit, f.trace_id,
                    static_cast<std::uint16_t>(f.from), f.attempts + 1);
-  return true;
-}
-
-void ZmailSystem::abandon_transfer(const Link::Frame& t) {
-  // The e-penny comes out of escrow and back to the payer.  A free-ride
-  // (misbehaving) send carries no payment, so there is nothing to refund.
-  in_flight_paid_ -= 1;
-  Isp& sender = *isps_[t.from];
-  if (t.payer.valid())
-    sender.refund_lost_email(t.payer, t.to, t.epoch == sender.seq());
-  if (t.trace_id != 0) {
-    const auto h = static_cast<std::uint16_t>(t.from);
-    trace::end(trace::Ev::kTransit, t.trace_id, h, 1);  // 1 = abandoned
-    if (t.payer.valid())
-      trace::instant(trace::Ev::kRefund, t.trace_id, h, t.attempts);
-    trace::end(trace::Ev::kMessage, t.trace_id, h);  // lost: terminal here
-  }
 }
 
 void ZmailSystem::deliver_via_smtp(std::size_t to_isp, std::size_t from_isp,
@@ -813,9 +788,9 @@ void ZmailSystem::deliver_via_smtp(std::size_t to_isp, std::size_t from_isp,
     isps_[to_isp]->on_email(from_isp, received);
     pump_isp(to_isp);  // acknowledgments may have been generated
   } else {
-    ++legacy_[to_isp].stats.emails_received;
+    ++legacy_[to_isp].emails_received;
     if (received.truth == net::MailClass::kSpam)
-      ++legacy_[to_isp].stats.emails_received_spam;
+      ++legacy_[to_isp].emails_received_spam;
     if (received.trace_id != 0) {
       const auto h = static_cast<std::uint16_t>(to_isp);
       trace::instant(trace::Ev::kDeliver, received.trace_id, h, 0,

@@ -251,10 +251,6 @@ class ZmailSystem {
   bool conservation_holds() const;
 
  private:
-  struct LegacyHost {
-    LegacyHostStats stats;
-  };
-
   // Every host's datagram handler: link acks and frames first, then
   // handle() for the payload.
   void on_datagram(std::size_t host, const net::Datagram& d);
@@ -280,11 +276,9 @@ class ZmailSystem {
                  crypto::Bytes&& payload);
   // A paid email on the link (reliable_email_transport).
   void start_transfer(std::size_t from_isp, std::size_t to_isp,
-                      crypto::Bytes&& email, UserId sender_user);
-  // The link's timeout hook: counts the retransmission at the sending
-  // party, or abandons an email out of retransmits.
-  bool on_link_timeout(const Link::Frame& f);
-  void abandon_transfer(const Link::Frame& t);
+                      crypto::Bytes&& email);
+  // The link's timeout hook: counts the retransmission at the sending party.
+  void on_link_timeout(const Link::Frame& f);
   void quiesce_timeout(std::size_t isp_index);
 
   ZmailParams params_;
@@ -295,7 +289,7 @@ class ZmailSystem {
   Link link_;
 
   std::vector<std::unique_ptr<Isp>> isps_;       // null for legacy slots
-  std::vector<LegacyHost> legacy_;               // indexed like isps_
+  std::vector<LegacyHostStats> legacy_;          // indexed like isps_
   std::unique_ptr<BankFederation> bank_;
 
   std::vector<std::uint64_t> smtp_bytes_in_;

@@ -14,7 +14,6 @@ bool is_terminal(Ev e) noexcept {
     case Ev::kFilterDrop:
     case Ev::kRefuse:
     case Ev::kShed:
-    case Ev::kRefund:
       return true;
     default:
       return false;

@@ -27,7 +27,6 @@ const char* ev_name(Ev e) noexcept {
     case Ev::kRefuse: return "refuse";
     case Ev::kShed: return "shed";
     case Ev::kDuplicateDrop: return "duplicate_drop";
-    case Ev::kRefund: return "refund";
     case Ev::kAck: return "ack";
     case Ev::kBankBuy: return "bank_buy";
     case Ev::kBankSell: return "bank_sell";

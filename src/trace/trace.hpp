@@ -10,8 +10,8 @@
 //      and restores around every delivery handler, and through the ARQ /
 //      bank-exchange / store machinery which each mint their own ids for
 //      non-message work.  One email's full causal chain — submit, quiesce
-//      buffering, retransmits, SMTP transfer, classification, delivery or
-//      refund, even crash recovery in between — is reconstructible from
+//      buffering, retransmits, SMTP transfer, classification, delivery,
+//      even crash recovery in between — is reconstructible from
 //      the event log by trace::analyze().
 //
 //   2. The flight recorder.  A fixed-capacity per-thread ring buffer of
@@ -59,7 +59,7 @@ enum class Ev : std::uint8_t {
   kSubmit,         // instant: user_send outcome (arg0 = SendResult)
   kQuiesceBuffer,  // span: held in the Section 4.4 quiesce buffer
   kTransit,        // span: ARQ transfer, begin at first transmit, end at
-                   //       ack (arg0 = 0) or abandonment (arg0 = 1)
+                   //       ack (arg0 = 0)
   kTransmit,       // instant: one wire transmission (arg0 = attempt #)
   kNetSend,        // instant: datagram handed to the network (arg0 = dest)
   kNetDeliver,     // instant: datagram delivered (arg0 = source host)
@@ -72,8 +72,8 @@ enum class Ev : std::uint8_t {
   kRefuse,         // instant terminal: refused at send (arg0 = SendResult)
   kShed,           // instant terminal: quiesce buffer overflow, refunded
   kDuplicateDrop,  // instant: receiver-side ARQ dedupe absorbed a copy
-  kRefund,         // instant terminal: transfer abandoned, payment undone
-  kAck,            // instant: ARQ ack reached the sender
+  kAck = 18,       // instant: ARQ ack reached the sender (17 was kRefund;
+                   //       export_chrome writes the type by number)
   // --- bank / settlement ---------------------------------------------------
   kBankBuy,        // span: ISP->bank buy exchange (arg0 = e-pennies)
   kBankSell,       // span: ISP->bank sell exchange (arg0 = e-pennies)

@@ -141,7 +141,6 @@ ChaosOutcome run_chaos(const ChaosCase& c, std::uint64_t seed) {
   p.record_inboxes = false;
   p.retry.enabled = true;
   p.reliable_email_transport = c.arq;
-  p.email_max_retransmits = 0;  // retry forever: no abandons expected
   p.store.enabled = c.store;
   p.store.dir = dir;
   // The simulation never loses the page cache, so fsync changes no
@@ -222,9 +221,8 @@ ChaosOutcome run_chaos(const ChaosCase& c, std::uint64_t seed) {
 void expect_properties(const ChaosCase& c, const ChaosOutcome& o) {
   EXPECT_EQ(o.isp.emails_sent_compliant, o.accepted_paid)
       << "every paid send the ISPs accepted went out, crashes or not";
-  EXPECT_EQ(o.isp.emails_received_compliant + o.isp.emails_refunded,
-            o.isp.emails_sent_compliant)
-      << "every paid email is delivered or refunded";
+  EXPECT_EQ(o.isp.emails_received_compliant, o.isp.emails_sent_compliant)
+      << "every paid email is delivered exactly once";
   EXPECT_EQ(o.pending, 0u) << "no frame left pending after the drain";
   EXPECT_TRUE(o.idle) << "no round left open after the drain";
   // The auditor includes "no ISP pair drifts for two rounds running".
@@ -430,7 +428,7 @@ std::vector<ChaosCase> rows() {
     c.crashes = {{0, 2, 20 * sim::kMinute, 1},
                  {0, c.isps + 1, 20 * sim::kMinute, 1}};
     c.expect = [](const ChaosOutcome& o) {
-      EXPECT_EQ(o.isp.emails_delivered + o.isp.emails_refunded,
+      EXPECT_EQ(o.isp.emails_delivered,
                 o.isp.emails_sent_local + o.isp.emails_sent_compliant);
       EXPECT_GT(o.isp.emails_sent_local, 0u);
       EXPECT_GT(o.legacy.emails_received, 0u);

@@ -424,6 +424,31 @@ TEST_F(IspSnapshotTest, MailBuffersDuringQuiesceAndFlushesAfter) {
   EXPECT_EQ(out[1].type, kMsgEmail);
 }
 
+TEST_F(IspSnapshotTest, AcksNeverCountAsCompliantSendsBufferedOrNot) {
+  // One acknowledgment is generated outside a quiesce and sent at once;
+  // one inside, buffered and flushed at the timeout.  acks_generated
+  // counts both, and neither counts as a user's compliant send.
+  net::EmailMessage list = mail(1, 0, 0, 2, net::MailClass::kMailingList);
+  list.set_header("X-Zmail-Ack-To", net::make_user_address(1, 0).str());
+  isp_.on_email(1, list.serialize());
+  EXPECT_EQ(isp_.take_outbox().size(), 1u);
+  EXPECT_EQ(isp_.metrics().acks_generated, 1u);
+  EXPECT_EQ(isp_.metrics().emails_sent_compliant, 0u);
+
+  isp_.on_request(make_request(0));
+  isp_.on_email(1, list.serialize());
+  EXPECT_EQ(isp_.metrics().acks_generated, 2u);
+  EXPECT_EQ(isp_.buffered_paid(), 1);
+  isp_.on_quiesce_timeout();
+  EXPECT_EQ(isp_.buffered_paid(), 0);
+  EXPECT_EQ(isp_.credit()[1], 1);  // the flushed ack's credit entry
+  const auto out = isp_.take_outbox();
+  ASSERT_EQ(out.size(), 2u);  // reply to bank + the flushed ack
+  EXPECT_EQ(out[1].type, kMsgEmail);
+  EXPECT_EQ(isp_.metrics().acks_generated, 2u);
+  EXPECT_EQ(isp_.metrics().emails_sent_compliant, 0u);
+}
+
 TEST_F(IspSnapshotTest, FullQuiesceBufferShedsAndRefunds) {
   params_.max_buffered_sends = 1;
   Isp isp(0, params_, keys_.pub, 42);
@@ -674,8 +699,6 @@ TEST_F(IspTest, HeldGaugeTotalMatchesTheColumnThroughMixedTraffic) {
   ASSERT_TRUE(isp.user_buy(2, 5));
   ASSERT_TRUE(isp.user_sell(3, 4));
   check("buy and sell");
-  isp.refund_lost_email(1, 1, true);
-  check("refund");
   for (int i = 0; i < 4; ++i) isp.user_send(2, 1, 0, mail(0, 2, 1, 0));
   check("daily limit");
 

@@ -2,8 +2,8 @@
 // network does to its copies, and a frame its handler declines comes back
 // until it is accepted.  The first cases drive core::Link over a bare
 // three-host network and tamper with copies by hand; the last ones run it
-// inside ZmailSystem, where the settlement plane rides it under
-// retry.enabled.
+// inside ZmailSystem, where paid email rides it under
+// reliable_email_transport and the settlement plane under retry.enabled.
 #include "core/link.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "core/invariants.hpp"
 #include "core/system.hpp"
 #include "net/faults.hpp"
 
@@ -53,11 +54,7 @@ class LinkTest : public ::testing::Test {
   sim::Simulator sim_;
   net::Network net_{sim_, Rng(5), net::LatencyModel{}};
   std::uint64_t timeouts_ = 0;
-  bool abandon_ = false;  // the hook gives up on every frame that times out
-  Link link_{sim_, net_, [this](const Link::Frame&) {
-               ++timeouts_;
-               return !abandon_;
-             }};
+  Link link_{sim_, net_, [this](const Link::Frame&) { ++timeouts_; }};
   int declines_[3] = {0, 0, 0};
   std::vector<crypto::Bytes> applied_[3];
   std::vector<net::Datagram> frames_;  // every frame copy that arrived
@@ -204,33 +201,6 @@ TEST_F(LinkTest, AnOldDuplicateIsDroppedAfterTheWindowHasMovedPastIt) {
   EXPECT_EQ(link_.stats().acks, n + 1);
 }
 
-TEST_F(LinkTest, AnAbandonedFrameDoesNotHoldTheWindowBack) {
-  // Frame 1 is declined and then abandoned at its first timeout.  The
-  // receiver never accepted it, yet the next kWindow + 10 frames must all
-  // land: a window waiting for frame 1 would drop them all past kWindow.
-  declines_[1] = 1;
-  abandon_ = true;
-  send(0, 1, 200);
-  run(sim::kSecond);
-  EXPECT_EQ(timeouts_, 1u);
-  EXPECT_EQ(link_.pending(), 0u);
-  EXPECT_TRUE(applied_[1].empty());
-  abandon_ = false;
-  const std::size_t n = Link::kWindow + 10;
-  for (std::size_t k = 0; k < n; ++k) send(0, 1, static_cast<std::uint8_t>(k));
-  run(sim::kMinute);
-  EXPECT_EQ(applied_[1].size(), n);
-  EXPECT_EQ(link_.pending(), 0u);
-  EXPECT_EQ(link_.stats().retransmits, 0u);
-  // A late copy of the abandoned frame is re-acked, not applied.
-  const net::Datagram abandoned = frames_.front();
-  replay(abandoned, abandoned.payload);
-  run(sim::kSecond);
-  EXPECT_EQ(applied_[1].size(), n);
-  EXPECT_EQ(link_.stats().duplicates, 1u);
-  EXPECT_EQ(link_.stats().acks, n + 1);
-}
-
 TEST_F(LinkTest, AFrameBeyondTheWindowWaitsForTheWindowToCatchUp) {
   // Frame 1 is declined at first, so the window's base stays at 0: frames
   // 2 .. kWindow are accepted above it, and the later ones wait unacked.
@@ -289,6 +259,58 @@ TEST(LinkSystem, ALostBuyReplyIsRetransmittedAndTheBuyAppliedOnce) {
   }
   EXPECT_EQ(sys.pending_transfers(), 0u);
   EXPECT_TRUE(sys.conservation_holds());
+}
+
+TEST(LinkSystem, ALostEmailAckIsRetransmittedAndTheEmailDeliveredOnce) {
+  // Every ack of the one paid email is lost for ten minutes.  The sender
+  // never gives up: its copies keep arriving, each is dropped as a
+  // duplicate and acked again, and the first ack after the heal completes
+  // the transfer.  Sender and receiver must agree that exactly one
+  // e-penny moved, and the next snapshot round must find the pair
+  // consistent.
+  ZmailParams p;
+  p.n_isps = 2;
+  p.users_per_isp = 3;
+  p.reliable_email_transport = true;
+  ZmailSystem sys(p, 17);
+  InvariantAuditor auditor(sys);
+  net::FaultPlan plan;
+  plan.rates.drop = 1.0;
+  plan.only_types = {Link::email_ack()};
+  net::FaultInjector faults(plan, 7);
+  sys.attach_faults(&faults);
+  ASSERT_EQ(sys.send_email(net::make_user_address(0, 0),
+                           net::make_user_address(1, 0), "s", "b"),
+            SendResult::kSentPaid);
+  sys.run_for(10 * sim::kMinute);
+  EXPECT_EQ(sys.pending_transfers(), 1u);
+  EXPECT_EQ(sys.epennies_in_flight(), 0);  // delivered, only the ack lost
+
+  sys.attach_faults(nullptr);
+  sys.run_for(2 * sim::kMinute);
+  const IspMetrics m = sys.total_isp_metrics();
+  EXPECT_EQ(m.emails_sent_compliant, 1u);
+  EXPECT_EQ(m.emails_received_compliant, 1u);
+  EXPECT_EQ(m.emails_delivered, 1u);
+  // Transmissions at 0, 0.5, 1.5, 3.5 ... 63.5 s, then every 60 s up to
+  // 603.5 s, the first one after the heal: 16 copies after the first.
+  EXPECT_EQ(m.duplicate_emails_dropped, 16u);
+  EXPECT_EQ(m.emails_retransmitted, 16u);
+  EXPECT_EQ(m.emails_refunded, 0u);
+  EXPECT_EQ(sys.pending_transfers(), 0u);
+  EXPECT_EQ(sys.epennies_in_flight(), 0);
+  EXPECT_EQ(sys.isp(0).user(0).balance, 49);
+  EXPECT_EQ(sys.isp(1).user(0).balance, 51);
+  EXPECT_TRUE(sys.conservation_holds());
+  auditor.check_now();
+  EXPECT_TRUE(auditor.report().ok())
+      << (auditor.report().messages.empty() ? ""
+                                            : auditor.report().messages.front());
+
+  sys.start_snapshot();
+  sys.run_for(30 * sim::kMinute);
+  EXPECT_EQ(sys.bank().metrics().snapshot_rounds, 1u);
+  EXPECT_EQ(sys.bank().metrics().inconsistent_pairs_found, 0u);
 }
 
 TEST(LinkSystem, AnIspRebuiltFromItsStoreCompletesItsOutstandingBuy) {

@@ -364,8 +364,8 @@ TEST_F(PopulationSnapshotTest, OutOfRangeEnumBytesFailTheRestore) {
   // count u32 and the first override's slot u32, then its policy byte.  It
   // ends with the misbehavior byte, the metrics, the RNG state (four u64
   // words, a double and a flag) and the nonce counter; the one outbox
-  // entry (dest u8, index u64, type and payload with u32 lengths, sender
-  // u64) sits just before the misbehavior byte.
+  // entry (dest u8, index u64, type and payload with u32 lengths) sits
+  // just before the misbehavior byte.
   std::size_t n_metrics = 0;
   IspMetrics::fields([&](const char*, auto) { ++n_metrics; });
   const std::size_t policy_at = 13;
@@ -373,7 +373,7 @@ TEST_F(PopulationSnapshotTest, OutOfRangeEnumBytesFailTheRestore) {
       scalars.size() - 8 - (4 * 8 + 8 + 1) - 8 * n_metrics - 1;
   const std::size_t dest_at = misbehavior_at -
                               (1 + 8 + 4 + outbox[0].type.name().size() + 4 +
-                               outbox[0].payload.size() + 8);
+                               outbox[0].payload.size());
   ASSERT_EQ(scalars[policy_at],
             static_cast<std::uint8_t>(NonCompliantPolicy::kDiscard));
   ASSERT_EQ(scalars[misbehavior_at],

@@ -319,10 +319,9 @@ class IspStoreTest : public ::testing::Test {
                            net::make_user_address(ti, tu), "s", "b");
   }
 
-  // One randomized operation over `users` users: sends, receives, refunds,
-  // buys, sells, a day reset, a release and, unless `logged_only`, a
-  // policy override (set on the population directly, so not a WAL
-  // command).
+  // One randomized operation over `users` users: sends, receives, buys,
+  // sells, a day reset, a release and, unless `logged_only`, a policy
+  // override (set on the population directly, so not a WAL command).
   void random_op(Rng& rng, std::size_t users, bool logged_only = true) {
     const UserId u = rng.next_below(users);
     const std::size_t v = rng.next_below(users);
@@ -330,11 +329,7 @@ class IspStoreTest : public ::testing::Test {
       case 0: isp_->user_send(u, 0, v, mail(0, u.slot(), 0, v)); break;
       case 1: isp_->user_send(u, 1, v, mail(0, u.slot(), 1, v)); break;
       case 2: isp_->on_email(1, mail(1, v, 0, u.slot())); break;
-      case 3:  // an abandoned transfer
-        if (isp_->user_send(u, 2, v, mail(0, u.slot(), 2, v)) ==
-            SendResult::kSentPaid)
-          isp_->refund_lost_email(u, 2, true);
-        break;
+      case 3: isp_->user_send(u, 2, v, mail(0, u.slot(), 2, v)); break;
       case 4: isp_->user_buy(u, 1 + static_cast<EPenny>(v % 5)); break;
       case 5: isp_->user_sell(u, 1 + static_cast<EPenny>(v % 3)); break;
       case 6:

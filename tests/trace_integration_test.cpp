@@ -1,5 +1,5 @@
 // End-to-end causal tracing through the full system: a message's span
-// chain must survive ARQ retransmits and refunds, ISP crash/recovery must
+// chain must survive ARQ retransmits and lost acks, ISP crash/recovery must
 // not re-mint spans (WAL replay is suppressed), the snapshot round and
 // checkpoint machinery must produce closed host-scoped spans, and the
 // whole stream must pass the exporters and the CI span invariants.
@@ -87,40 +87,46 @@ TEST_F(TraceIntegrationTest, DeliveredMessageHasFullCausalChain) {
   EXPECT_TRUE(v.ok) << (v.problems.empty() ? "" : v.problems.front());
 }
 
-TEST_F(TraceIntegrationTest, ArqRetransmitAndRefundChain) {
+TEST_F(TraceIntegrationTest, ArqRetransmitChainUnderLostAcks) {
   ZmailParams p = small_params();
   p.reliable_email_transport = true;
-  p.email_max_retransmits = 2;  // abandon quickly -> refund path
   ZmailSystem sys(p, 11);
 
-  // Total loss: every datagram is dropped, so the transfer retransmits to
-  // its cap, abandons, and refunds the payer.
+  // Every email ack is lost for ten minutes: the first copy is delivered
+  // and the sender keeps retransmitting until an ack gets through after
+  // the heal.
   net::FaultPlan plan;
   plan.rates.drop = 1.0;
+  plan.only_types = {Link::email_ack()};
   net::FaultInjector faults(plan, 99);
   sys.attach_faults(&faults);
 
   ASSERT_EQ(sys.send_email(net::make_user_address(0, 0),
-                           net::make_user_address(1, 0), "doomed", "body"),
+                           net::make_user_address(1, 0), "unacked", "body"),
             SendResult::kSentPaid);
-  sys.run_for(sim::kHour);
+  sys.run_for(10 * sim::kMinute);
+  sys.attach_faults(nullptr);
+  sys.run_for(2 * sim::kMinute);
   ASSERT_EQ(sys.pending_transfers(), 0u);
 
   const auto events = trace::collect();
   const auto chains = trace::build_chains(events);
-  const trace::Chain* c = chain_of(chains, trace::Ev::kRefund);
+  const trace::Chain* c = chain_of(chains, trace::Ev::kDeliver);
   ASSERT_NE(c, nullptr);
   EXPECT_TRUE(c->has_root);
   EXPECT_TRUE(c->root_closed);
-  // Initial transmission plus at least one retransmit before abandoning.
+  // Initial transmission plus the retransmits the lost acks forced.
   EXPECT_GE(c->transmits, 2u);
 
-  // The kTransit span closed with the abandoned flag.
-  bool transit_abandoned = false;
-  for (const auto& s : trace::build_spans(events))
-    if (s.type == trace::Ev::kTransit && s.closed && s.end_arg0 == 1)
-      transit_abandoned = true;
-  EXPECT_TRUE(transit_abandoned);
+  // The kTransit span closed, acked.
+  std::size_t transits = 0;
+  for (const auto& s : trace::build_spans(events)) {
+    if (s.type != trace::Ev::kTransit) continue;
+    ++transits;
+    EXPECT_TRUE(s.closed);
+    EXPECT_EQ(s.end_arg0, 0u);
+  }
+  EXPECT_EQ(transits, 1u);
 
   const trace::ValidationResult v = trace::validate(events);
   EXPECT_TRUE(v.ok) << (v.problems.empty() ? "" : v.problems.front());
