@@ -44,9 +44,4 @@ void Process::send(ProcessId to, std::string_view type,
   scheduler_->do_send(id_, to, std::string(type), std::move(payload));
 }
 
-Scheduler& Process::scheduler() const {
-  ZMAIL_ASSERT(scheduler_ != nullptr);
-  return *scheduler_;
-}
-
 }  // namespace zmail::ap

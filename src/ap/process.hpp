@@ -49,8 +49,6 @@ class Process {
   // "send <message> to q" — appends to the channel from this process to q.
   void send(ProcessId to, std::string_view type, crypto::Bytes payload = {});
 
-  Scheduler& scheduler() const;
-
  private:
   friend class Scheduler;
 

@@ -47,18 +47,6 @@ bool Scheduler::all_channels_empty() const noexcept {
   return true;
 }
 
-bool Scheduler::inbound_empty(ProcessId to) const noexcept {
-  for (const auto& [key, ch] : channels_)
-    if (key.second == to && !ch.empty()) return false;
-  return true;
-}
-
-bool Scheduler::outbound_empty(ProcessId from) const noexcept {
-  for (const auto& [key, ch] : channels_)
-    if (key.first == from && !ch.empty()) return false;
-  return true;
-}
-
 std::size_t Scheduler::total_messages_in_flight() const noexcept {
   std::size_t n = 0;
   for (const auto& [key, ch] : channels_) n += ch.size();

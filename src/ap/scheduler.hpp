@@ -47,7 +47,10 @@ class Scheduler {
   // Executes exactly one enabled action; returns false when quiescent.
   bool step();
 
-  // Channel from -> to (created on demand).
+  // Channel from -> to (created on demand).  Only tests call it: it is
+  // the adversary's hook that duplicates or drops a message in transit
+  // (tests/ap_runtime_test.cpp, MessageReplayViaChannelInjection and
+  // LostBuyReplyTimeoutRetriesAndRecovers).
   Channel& channel(ProcessId from, ProcessId to);
   const Channel* find_channel(ProcessId from, ProcessId to) const;
 
@@ -55,11 +58,9 @@ class Scheduler {
   Process& process(ProcessId id) { return *processes_.at(id); }
   const Process& process(ProcessId id) const { return *processes_.at(id); }
 
+  // The AP quiescence check; only tests call these two
+  // (tests/ap_runtime_test.cpp, tests/core_ap_spec_test.cpp).
   bool all_channels_empty() const noexcept;
-  // All channels into `to` are empty (used by quiesce-style timeout guards).
-  bool inbound_empty(ProcessId to) const noexcept;
-  // All channels out of `from` are empty.
-  bool outbound_empty(ProcessId from) const noexcept;
   std::size_t total_messages_in_flight() const noexcept;
 
   std::uint64_t steps_executed() const noexcept { return steps_; }
@@ -101,12 +102,6 @@ class GlobalView {
 
   bool all_channels_empty() const noexcept {
     return sched_->all_channels_empty();
-  }
-  bool inbound_empty(ProcessId to) const noexcept {
-    return sched_->inbound_empty(to);
-  }
-  bool outbound_empty(ProcessId from) const noexcept {
-    return sched_->outbound_empty(from);
   }
   const Scheduler& scheduler() const noexcept { return *sched_; }
 

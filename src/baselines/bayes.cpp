@@ -24,11 +24,6 @@ void NaiveBayesFilter::train(const std::string& text, bool is_spam) {
     ++ham_docs_;
 }
 
-void NaiveBayesFilter::train_message(const net::EmailMessage& msg,
-                                     bool is_spam) {
-  train(msg.subject() + " " + msg.body, is_spam);
-}
-
 double NaiveBayesFilter::score(const std::string& text) const {
   if (spam_docs_ == 0 || ham_docs_ == 0) return 0.0;  // untrained: neutral
   const double v = static_cast<double>(vocab_.size()) + 1.0;
@@ -71,13 +66,6 @@ double FilterEvaluation::false_negative_rate() const noexcept {
   return spam ? static_cast<double>(false_negative) /
                     static_cast<double>(spam)
               : 0.0;
-}
-
-double FilterEvaluation::precision() const noexcept {
-  const std::uint64_t flagged = true_positive + false_positive;
-  return flagged ? static_cast<double>(true_positive) /
-                       static_cast<double>(flagged)
-                 : 0.0;
 }
 
 double FilterEvaluation::recall() const noexcept {

@@ -23,7 +23,6 @@ class NaiveBayesFilter {
   explicit NaiveBayesFilter(double threshold = 0.0) : threshold_(threshold) {}
 
   void train(const std::string& text, bool is_spam);
-  void train_message(const net::EmailMessage& msg, bool is_spam);
 
   // Log-odds log(P(spam|text) / P(ham|text)) under naive Bayes.
   double score(const std::string& text) const;
@@ -63,7 +62,6 @@ struct FilterEvaluation {
   void add(bool truth_spam, bool flagged_spam) noexcept;
   double false_positive_rate() const noexcept;
   double false_negative_rate() const noexcept;
-  double precision() const noexcept;
   double recall() const noexcept;
 };
 

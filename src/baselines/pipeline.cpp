@@ -2,16 +2,6 @@
 
 namespace zmail::baselines {
 
-const char* filter_verdict_name(FilterVerdict v) noexcept {
-  switch (v) {
-    case FilterVerdict::kDeliverWhitelisted: return "deliver-whitelisted";
-    case FilterVerdict::kRejectBlacklisted: return "reject-blacklisted";
-    case FilterVerdict::kRejectContent: return "reject-content";
-    case FilterVerdict::kDeliver: return "deliver";
-  }
-  return "?";
-}
-
 FilterVerdict FilterPipeline::classify(const net::EmailMessage& msg) const {
   if (whitelist_.allowed(msg.from))
     return FilterVerdict::kDeliverWhitelisted;

@@ -19,8 +19,6 @@ enum class FilterVerdict : std::uint8_t {
   kDeliver,
 };
 
-const char* filter_verdict_name(FilterVerdict v) noexcept;
-
 class FilterPipeline {
  public:
   FilterPipeline() = default;

@@ -4,18 +4,6 @@
 
 namespace zmail::baselines {
 
-PowSendRecord PowMailer::send(const std::string& recipient) {
-  PowSendRecord rec;
-  rec.stamp = crypto::pow_solve(recipient, params_.difficulty_bits,
-                                counter_seed_, &rec.hash_attempts);
-  counter_seed_ = rec.stamp.counter + 1;
-  rec.projected_seconds =
-      static_cast<double>(rec.hash_attempts) / params_.sender_hash_rate;
-  total_attempts_ += rec.hash_attempts;
-  ++messages_;
-  return rec;
-}
-
 double PowMailer::expected_attempts() const noexcept {
   return std::pow(2.0, params_.difficulty_bits);
 }

@@ -1,48 +1,26 @@
 // Computational-cost baseline (paper Section 2.3: hashcash, Penny Black,
 // "pricing via processing").
 //
-// Every message must carry a proof-of-work stamp for its recipient.  The
-// model runs *real* hashcash puzzles (crypto/hashcash.hpp) so the CPU cost
-// is measured, not assumed, and exposes the two drawbacks the paper names:
-// sending becomes slow for everyone, and high-volume legitimate senders
-// (ISPs, mailing lists) pay the most.
+// Every message must carry a proof-of-work stamp for its recipient
+// (crypto/hashcash.hpp solves and checks real stamps, and bench_micro_crypto
+// measures their CPU cost).  The model projects that cost at a sender's
+// hash rate and exposes the two drawbacks the paper names: sending becomes
+// slow for everyone, and high-volume legitimate senders (ISPs, mailing
+// lists) pay the most.
 #pragma once
-
-#include <cstdint>
-#include <string>
-
-#include "crypto/hashcash.hpp"
 
 namespace zmail::baselines {
 
 struct PowMailParams {
   int difficulty_bits = 16;
-  // Hashes/second the modelled sender can afford (for cost projections;
-  // the benchmark also measures real wall-clock hashing).
+  // Hashes/second the modelled sender can afford.
   double sender_hash_rate = 2e6;
-};
-
-struct PowSendRecord {
-  crypto::PowStamp stamp;
-  std::uint64_t hash_attempts = 0;
-  double projected_seconds = 0.0;  // attempts / sender_hash_rate
 };
 
 class PowMailer {
  public:
   explicit PowMailer(const PowMailParams& params) : params_(params) {}
 
-  // Solves a stamp for one message to `recipient`; the counter seed keeps
-  // consecutive sends from resolving to the same stamp.
-  PowSendRecord send(const std::string& recipient);
-
-  // Receiver-side check: one hash.
-  static bool verify(const crypto::PowStamp& stamp) {
-    return crypto::pow_verify(stamp);
-  }
-
-  std::uint64_t total_attempts() const noexcept { return total_attempts_; }
-  std::uint64_t messages_sent() const noexcept { return messages_; }
   // Expected attempts per message at this difficulty (2^bits).
   double expected_attempts() const noexcept;
   // Messages/day the modelled sender can sustain.
@@ -50,9 +28,6 @@ class PowMailer {
 
  private:
   PowMailParams params_;
-  std::uint64_t total_attempts_ = 0;
-  std::uint64_t messages_ = 0;
-  std::uint64_t counter_seed_ = 0;
 };
 
 }  // namespace zmail::baselines

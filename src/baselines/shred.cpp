@@ -25,11 +25,6 @@ void ShredScheme::process(bool truth_spam) {
   stats_.isp_revenue += params_.payment;
 }
 
-Money ShredScheme::expected_spammer_cost_per_spam() const noexcept {
-  if (params_.isp_colludes) return Money::zero();
-  return params_.payment * params_.report_prob;
-}
-
 ShredParams vanquish_as_shred(const VanquishParams& p) noexcept {
   ShredParams out = p.base;
   out.report_prob = p.report_prob;

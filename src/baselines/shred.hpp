@@ -51,9 +51,6 @@ class ShredScheme {
 
   const ShredStats& stats() const noexcept { return stats_; }
 
-  // Net deterrent per spam message: expected cost to the spammer.
-  Money expected_spammer_cost_per_spam() const noexcept;
-
  private:
   ShredParams params_;
   zmail::Rng rng_;

@@ -36,7 +36,7 @@ ApIspProcess::ApIspProcess(ApZmailWorld& world, std::size_t index,
   const ZmailParams& p = world_.params();
   avail = p.initial_avail;
   account.assign(p.users_per_isp,
-                 p.initial_user_account.micros() / Money::kMicrosPerEPenny);
+                 kInitialUserAccount.micros() / Money::kMicrosPerEPenny);
   balance.assign(p.users_per_isp, p.initial_user_balance);
   sent.assign(p.users_per_isp, 0);
   limit.assign(p.users_per_isp, p.default_daily_limit);
@@ -377,7 +377,7 @@ ApBankProcess::ApBankProcess(ApZmailWorld& world, std::uint64_t seed)
     : world_(world), rng_(seed ^ 0xBA2CULL) {
   const ZmailParams& p = world_.params();
   account.assign(p.n_isps,
-                 p.initial_isp_bank_account.micros() / Money::kMicrosPerEPenny);
+                 kInitialIspBankAccount.micros() / Money::kMicrosPerEPenny);
   verify.assign(p.n_isps, std::vector<EPenny>(p.n_isps, 0));
   last_buy_nonce_.resize(p.n_isps);
   last_sell_nonce_.resize(p.n_isps);

@@ -1,8 +1,5 @@
 #include "core/audit.hpp"
 
-#include <cinttypes>
-#include <cstdio>
-
 namespace zmail::core {
 
 const char* audit_kind_name(AuditKind k) noexcept {
@@ -19,14 +16,6 @@ const char* audit_kind_name(AuditKind k) noexcept {
     case AuditKind::kStaleReport: return "stale-report";
   }
   return "?";
-}
-
-std::string AuditEvent::str() const {
-  char buf[128];
-  std::snprintf(buf, sizeof buf,
-                "[seq %" PRIu64 "] %-17s a=%zu b=%zu amount=%" PRId64,
-                seq, audit_kind_name(kind), a, b, amount);
-  return buf;
 }
 
 std::uint64_t AuditJournal::count(AuditKind kind) const noexcept {
@@ -51,15 +40,6 @@ std::int64_t AuditJournal::settlement_volume() const noexcept {
     if (e.kind == AuditKind::kSettlement)
       total += e.amount < 0 ? -e.amount : e.amount;
   return total;
-}
-
-std::string AuditJournal::text() const {
-  std::string out;
-  for (const auto& e : events_) {
-    out += e.str();
-    out += '\n';
-  }
-  return out;
 }
 
 }  // namespace zmail::core

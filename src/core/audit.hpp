@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "util/money.hpp"
@@ -36,8 +35,6 @@ struct AuditEvent {
   std::size_t a = 0;         // primary party (ISP index)
   std::size_t b = 0;         // secondary party, when applicable
   std::int64_t amount = 0;   // e-pennies (mint/burn/settle) or count
-
-  std::string str() const;
 };
 
 class AuditJournal {
@@ -48,13 +45,13 @@ class AuditJournal {
   std::size_t size() const noexcept { return events_.size(); }
 
   std::uint64_t count(AuditKind kind) const noexcept;
+  // The journal side of the conservation check: only tests call these
+  // two, comparing them with the bank's own ledger
+  // (tests/core_federation_test.cpp, tests/core_audit_test.cpp).
   // Net e-pennies minted minus burned, re-derived from the journal.
   std::int64_t net_minted() const noexcept;
   // Sum of settlement amounts (absolute), for volume accounting.
   std::int64_t settlement_volume() const noexcept;
-
-  // One line per event.
-  std::string text() const;
 
  private:
   std::vector<AuditEvent> events_;

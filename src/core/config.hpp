@@ -41,13 +41,19 @@ class IspId {
 // How a compliant ISP's user treats mail arriving from non-compliant ISPs
 // (Section 5, Incremental Deployment: "segregate or discard email from
 // non-compliant ISPs, or require any email from a non-compliant ISP to pass
-// a spam filter").
+// a spam filter").  The filter option is not modelled (SPEC.md lists it as
+// a divergence).  The values are persisted in the ISP image, so they are
+// pinned; 1 was the filter option and is invalid.
 enum class NonCompliantPolicy : std::uint8_t {
-  kAccept = 0,   // deliver normally (no e-penny changes hands)
-  kFilter,       // run a spam filter first
-  kSegregate,    // deliver to a junk folder
-  kDiscard,      // drop
+  kAccept = 0,     // deliver normally (no e-penny changes hands)
+  kSegregate = 2,  // deliver to a junk folder
+  kDiscard = 3,    // drop
 };
+
+// Starting real-money endowments: each user's account with its ISP and
+// each ISP's account with its bank.
+inline constexpr Money kInitialUserAccount = Money::from_dollars(5.0);
+inline constexpr Money kInitialIspBankAccount = Money::from_dollars(1'000.0);
 
 // Whether the settlement plane rides the acknowledged link (core::Link):
 // buy and sell requests and their replies, snapshot requests, credit
@@ -84,9 +90,9 @@ struct ZmailParams {
 
   // Starting endowments: the paper's "initial balances with their ISPs to
   // buffer the fluctuations".
+  // (The real-money endowments are kInitialUserAccount and
+  // kInitialIspBankAccount above.)
   EPenny initial_user_balance = 50;
-  Money initial_user_account = Money::from_dollars(5.0);
-  Money initial_isp_bank_account = Money::from_dollars(1'000.0);
   EPenny initial_avail = 5'000;
 
   // Policy toward non-compliant senders.
@@ -114,11 +120,6 @@ struct ZmailParams {
   // email is delivered exactly once.  Required for liveness under a lossy
   // FaultPlan; off by default for bit-identical fault-free runs.
   bool reliable_email_transport = false;
-
-  // Bound on the quiesce buffer of pending paid sends per ISP; overflow is
-  // shed (payment undone, emails_shed metric).  0 = unbounded (paper
-  // behaviour).
-  std::size_t max_buffered_sends = 0;
 
   // Durable settlement store (src/store): WAL + snapshot checkpointing per
   // party.  Off by default — disabled runs construct no store objects,
@@ -158,10 +159,6 @@ struct ZmailParams {
     if (initial_user_balance < 0)
       problems.push_back("initial_user_balance must be >= 0");
     if (initial_avail < 0) problems.push_back("initial_avail must be >= 0");
-    if (initial_user_account.is_negative())
-      problems.push_back("initial_user_account must be >= 0");
-    if (initial_isp_bank_account.is_negative())
-      problems.push_back("initial_isp_bank_account must be >= 0");
     if (store.enabled) {
       if (store.dir.empty())
         problems.push_back("store.dir must be set when store.enabled");

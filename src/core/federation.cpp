@@ -24,7 +24,7 @@ BankFederation::BankFederation(const ZmailParams& params,
                                std::uint64_t seed)
     : params_(params), keys_(std::move(keys)), seed_(seed) {
   ZMAIL_ASSERT(keys_.size() == params_.n_banks && !keys_.empty());
-  accounts_.assign(params_.n_isps, params_.initial_isp_bank_account);
+  accounts_.assign(params_.n_isps, kInitialIspBankAccount);
   banks_.resize(keys_.size());
   for (std::size_t b = 0; b < banks_.size(); ++b) init_bank(b);
 }
@@ -61,7 +61,7 @@ void BankFederation::reset_bank(std::size_t bank) {
   init_bank(bank);
   for (std::size_t i = 0; i < params_.n_isps; ++i)
     if (home_bank(i) == bank)
-      accounts_.at(i) = params_.initial_isp_bank_account;
+      accounts_.at(i) = kInitialIspBankAccount;
   rebuild_violations();
 }
 
@@ -122,10 +122,6 @@ BankMetrics BankFederation::metrics() const {
   for (const MemberBank& mb : banks_)
     t.snapshot_rounds = std::min(t.snapshot_rounds, mb.metrics.snapshot_rounds);
   return t;
-}
-
-const BankMetrics& BankFederation::metrics(std::size_t bank) const {
-  return banks_.at(bank).metrics;
 }
 
 EPenny BankFederation::epennies_outstanding() const {

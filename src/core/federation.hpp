@@ -167,7 +167,6 @@ class BankFederation {
   // Summed across member banks, except snapshot_rounds, which is the
   // minimum (a round counts when *every* bank closed it).
   BankMetrics metrics() const;
-  const BankMetrics& metrics(std::size_t bank) const;
   // Net e-pennies currently minted into the ISP world.
   EPenny epennies_outstanding() const;
 

@@ -40,7 +40,7 @@ void InvariantAuditor::check_now() {
   const auto joined =
       static_cast<std::int64_t>(params.compliant_count() - initial_compliant_);
   const Money joined_accounts =
-      params.initial_user_account *
+      kInitialUserAccount *
       (joined * static_cast<std::int64_t>(params.users_per_isp));
   if (!(sys.total_real_money() +
             Money::from_epennies(sys.bank().epennies_outstanding()) ==

@@ -33,20 +33,6 @@ crypto::Bytes email_payload(const net::EmailMessage& msg,
 }
 }  // namespace
 
-const char* send_result_name(SendResult r) noexcept {
-  switch (r) {
-    case SendResult::kDeliveredLocally: return "delivered-locally";
-    case SendResult::kSentPaid: return "sent-paid";
-    case SendResult::kSentFree: return "sent-free";
-    case SendResult::kBuffered: return "buffered";
-    case SendResult::kNoBalance: return "no-balance";
-    case SendResult::kDailyLimit: return "daily-limit";
-    case SendResult::kQuarantined: return "quarantined";
-    case SendResult::kShed: return "shed";
-  }
-  return "?";
-}
-
 Isp::Isp(std::size_t index, const ZmailParams& params,
          crypto::RsaKey bank_pub, std::uint64_t secret_seed, Population arena)
     : index_(index),
@@ -58,7 +44,7 @@ Isp::Isp(std::size_t index, const ZmailParams& params,
   if (arena.size() != 0 && arena.size() == params_.users_per_isp)
     users_ = std::move(arena);
   else
-    users_.reset(params_.users_per_isp, params_.initial_user_account,
+    users_.reset(params_.users_per_isp, kInitialUserAccount,
                  params_.initial_user_balance, params_.default_daily_limit);
   users_balance_ = static_cast<EPenny>(params_.users_per_isp) *
                    params_.initial_user_balance;
@@ -71,11 +57,6 @@ const std::vector<Delivery>& Isp::inbox(UserId u) const {
   static const std::vector<Delivery> kNone;
   ZMAIL_ASSERT(u.slot() < users_.size());
   return inboxes_.empty() ? kNone : inboxes_[u.slot()];
-}
-
-void Isp::clear_inbox(UserId u) {
-  ZMAIL_ASSERT(u.slot() < users_.size());
-  if (!inboxes_.empty()) inboxes_[u.slot()].clear();
 }
 
 EPenny Isp::epennies_held() const noexcept {
@@ -162,10 +143,6 @@ SendResult Isp::apply_user_send(UserId s, std::size_t dest_isp, UserId r,
   if (!params_.is_compliant(dest_isp)) {
     // "~compliant[j] -> send email(s, r) to isp[j]": free, unpaid.
     if (!cansend_) {
-      if (buffer_full()) {
-        ++metrics_.emails_shed;
-        return SendResult::kShed;
-      }
       ++metrics_.emails_sent_noncompliant;
       if (msg.trace_id != 0)
         trace::begin(trace::Ev::kQuiesceBuffer, msg.trace_id,
@@ -195,16 +172,6 @@ SendResult Isp::apply_user_send(UserId s, std::size_t dest_isp, UserId r,
                                     : SendResult::kDailyLimit;
   }
   if (!cansend_) {
-    if (buffer_full()) {
-      // Graceful degradation: the quiesce buffer is saturated, so the send
-      // is shed and the just-committed payment undone in full.
-      const UserRef u = users_.at(s);
-      add_balance(u, 1);
-      u.sent -= 1;
-      u.lifetime_sent -= 1;
-      ++metrics_.emails_shed;
-      return SendResult::kShed;
-    }
     // Section 4.4: "these emails will be buffered and sent right after the
     // timeout expires".  Payment is committed now; the credit entry is
     // recorded at actual transmission so the snapshot stays consistent.
@@ -303,19 +270,6 @@ void Isp::maybe_generate_ack(UserId recipient,
     return;
   }
   if (!cansend_) {
-    if (buffer_full()) {
-      // Shed the acknowledgment rather than overflow: undo its payment.
-      add_balance(u, 1);
-      --metrics_.acks_generated;
-      ++metrics_.emails_shed;
-      if (ack.trace_id != 0) {
-        trace::instant(trace::Ev::kShed, ack.trace_id,
-                       static_cast<std::uint16_t>(index_));
-        trace::end(trace::Ev::kMessage, ack.trace_id,
-                   static_cast<std::uint16_t>(index_));
-      }
-      return;
-    }
     if (ack.trace_id != 0)
       trace::begin(trace::Ev::kQuiesceBuffer, ack.trace_id,
                    static_cast<std::uint16_t>(index_));
@@ -422,21 +376,6 @@ void Isp::receive_email(std::size_t from_isp, const net::EmailMessage& msg) {
                        static_cast<std::uint16_t>(index_));
         trace::end(trace::Ev::kMessage, msg.trace_id,
                    static_cast<std::uint16_t>(index_));
-      }
-      break;
-    case NonCompliantPolicy::kFilter:
-      // "require any email from a non-compliant ISP to pass a spam filter".
-      // Fail-open when no filter is installed.
-      if (filter_ && filter_(msg)) {
-        ++metrics_.emails_filtered_out;
-        if (msg.trace_id != 0) {
-          trace::instant(trace::Ev::kFilterDrop, msg.trace_id,
-                         static_cast<std::uint16_t>(index_));
-          trace::end(trace::Ev::kMessage, msg.trace_id,
-                     static_cast<std::uint16_t>(index_));
-        }
-      } else {
-        deliver_locally(rcpt_user, msg, 0, false);
       }
       break;
   }

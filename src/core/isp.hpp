@@ -62,10 +62,10 @@ enum class SendResult : std::uint8_t {
   kNoBalance,         // balance[s] = 0 branch
   kDailyLimit,        // sent[s] >= limit[s] branch
   kQuarantined,       // account suspended after repeated zombie warnings
-  kShed,              // quiesce buffer full (max_buffered_sends); refunded
+  // Never returned: the bounded quiesce buffer that shed sends is gone.
+  // The repository benchmark (perfbench/src/runner.cpp) still names it.
+  kShed,
 };
-
-const char* send_result_name(SendResult r) noexcept;
 
 // One delivered message in a user's inbox.
 struct Delivery {
@@ -161,19 +161,14 @@ class Isp {
   std::uint64_t seq() const noexcept { return seq_; }
   const IspMetrics& metrics() const noexcept { return metrics_; }
   // A user's delivered mail; always empty unless params.record_inboxes
-  // (the inbox table is only allocated then).
+  // (the inbox table is only allocated then).  Only tests read it (e.g.
+  // tests/core_isp_test.cpp); it stays with record_inboxes, which the
+  // repository benchmark sets (perfbench/src/ops.cpp).
   const std::vector<Delivery>& inbox(UserId u) const;
-  void clear_inbox(UserId u);
   // E-pennies committed by buffered (not yet transported) sends; free sends
   // to non-compliant destinations buffer without committing an e-penny.
   EPenny buffered_paid() const noexcept { return buffered_paid_; }
   std::size_t buffered_count() const noexcept { return buffer_.size(); }
-
-  // Spam filter consulted for mail from non-compliant ISPs when the policy
-  // is kFilter; returns true when the message should be dropped as spam.
-  void set_filter(std::function<bool(const net::EmailMessage&)> is_spam) {
-    filter_ = std::move(is_spam);
-  }
 
   // Observer for automatically processed acknowledgments (they never reach
   // an inbox); the mailing-list distributor uses this to track which
@@ -215,9 +210,8 @@ class Isp {
   // (serialize_sections()/restore_snapshot()) capture everything replay
   // depends on — including the RNG and nonce streams — except
   // construction-time inputs (params, bank key, seeds) and the user-facing
-  // inbox spool, which is mail storage, not settlement state.  The filter
-  // and ack sink callbacks must be re-installed by the harness after
-  // restore.
+  // inbox spool, which is mail storage, not settlement state.  The ack
+  // sink callback must be re-installed by the harness after restore.
   enum class WalOp : std::uint8_t {
     kUserSend = 1,
     kOnEmail,
@@ -332,10 +326,6 @@ class Isp {
     u.balance += delta;
     users_balance_ += delta;
   }
-  bool buffer_full() const noexcept {
-    return params_.max_buffered_sends > 0 &&
-           buffer_.size() >= params_.max_buffered_sends;
-  }
   // WAL logging helpers (no-ops when no sink is attached; isp_persist.cpp).
   // wal_payload() starts a record payload in wal_buf_ (emptied, capacity
   // kept).
@@ -381,7 +371,6 @@ class Isp {
   std::deque<BufferedSend> buffer_;  // held during quiesce
   EPenny buffered_paid_ = 0;
   std::vector<Outbound> outbox_;
-  std::function<bool(const net::EmailMessage&)> filter_;
   std::function<void(UserId, const net::EmailMessage&)> ack_sink_;
   Misbehavior misbehavior_ = Misbehavior::kNone;
   store::WalSink* wal_ = nullptr;

@@ -25,8 +25,9 @@ namespace zmail::core {
 namespace {
 
 // Version byte of the scalar section (1 was the row encoding's; 2 still
-// carried the retry wires; 3 the payer of each buffered and queued email).
-constexpr std::uint8_t kScalarsVersion = 4;
+// carried the retry wires; 3 the payer of each buffered and queued email;
+// 4 the emails_filtered_out and emails_shed counters).
+constexpr std::uint8_t kScalarsVersion = 5;
 
 void put_money(crypto::Bytes& b, Money m) { crypto::put_i64(b, m.micros()); }
 Money get_money(crypto::ByteReader& r) {
@@ -278,7 +279,9 @@ bool Isp::restore_snapshot(const store::SnapshotData& snap) {
     const std::uint32_t slot = r.get_u32();
     const std::uint8_t p = r.get_u8();
     if (!r.ok() || slot >= n_users ||
-        p > static_cast<std::uint8_t>(NonCompliantPolicy::kDiscard))
+        (p != static_cast<std::uint8_t>(NonCompliantPolicy::kAccept) &&
+         p != static_cast<std::uint8_t>(NonCompliantPolicy::kSegregate) &&
+         p != static_cast<std::uint8_t>(NonCompliantPolicy::kDiscard)))
       return false;
     users_.set_policy_override(UserId(slot),
                                static_cast<NonCompliantPolicy>(p));

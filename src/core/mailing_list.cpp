@@ -1,19 +1,15 @@
 #include "core/mailing_list.hpp"
 
-#include <algorithm>
-
 #include "util/assert.hpp"
 
 namespace zmail::core {
 
 MailingList::MailingList(ZmailSystem& system, net::EmailAddress distributor,
-                         std::string name, std::uint64_t prune_after,
-                         ListMode mode)
+                         std::string name, std::uint64_t prune_after)
     : system_(system),
       distributor_(std::move(distributor)),
       name_(std::move(name)),
-      prune_after_(prune_after),
-      mode_(mode) {
+      prune_after_(prune_after) {
   ZMAIL_ASSERT(prune_after_ >= 1);
   ZMAIL_ASSERT_MSG(
       net::decode_user_address(distributor_, dist_isp_, dist_user_),
@@ -45,16 +41,6 @@ void MailingList::subscribe(const net::EmailAddress& member) {
     }
   }
   subscribers_.push_back(SubscriberRecord{member, 0, 0, 0, true});
-}
-
-bool MailingList::unsubscribe(const net::EmailAddress& member) {
-  for (auto& s : subscribers_) {
-    if (s.address == member && s.active) {
-      s.active = false;
-      return true;
-    }
-  }
-  return false;
 }
 
 std::size_t MailingList::post(const std::string& subject,
@@ -93,60 +79,6 @@ std::size_t MailingList::reconcile_and_prune() {
     }
   }
   return pruned;
-}
-
-bool MailingList::is_subscribed(const net::EmailAddress& member) const {
-  for (const auto& s : subscribers_)
-    if (s.address == member && s.active) return true;
-  return false;
-}
-
-bool MailingList::submit(const net::EmailAddress& from,
-                         const std::string& subject, const std::string& body) {
-  if (!is_subscribed(from)) return false;
-
-  // The submission travels as a normal paid email to the distributor.
-  net::EmailMessage msg = net::make_email(
-      from, distributor_, "[" + name_ + "-submit] " + subject, body,
-      net::MailClass::kMailingList);
-  const SendResult r = system_.send_email(std::move(msg));
-  if (r == SendResult::kNoBalance || r == SendResult::kDailyLimit)
-    return false;
-
-  if (mode_ == ListMode::kModerated) {
-    pending_.push_back(PendingPost{next_post_id_++, from, subject, body});
-    return true;
-  }
-  post(subject, body);
-  return true;
-}
-
-bool MailingList::approve(std::uint64_t id) {
-  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-    if (it->id == id) {
-      const PendingPost p = *it;
-      pending_.erase(it);
-      post(p.subject, p.body);
-      return true;
-    }
-  }
-  return false;
-}
-
-bool MailingList::reject(std::uint64_t id) {
-  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-    if (it->id == id) {
-      pending_.erase(it);
-      return true;
-    }
-  }
-  return false;
-}
-
-std::size_t MailingList::active_subscribers() const {
-  return static_cast<std::size_t>(
-      std::count_if(subscribers_.begin(), subscribers_.end(),
-                    [](const SubscriberRecord& s) { return s.active; }));
 }
 
 }  // namespace zmail::core

@@ -28,65 +28,27 @@ struct SubscriberRecord {
   bool active = true;                 // pruned when misses exceed the policy
 };
 
-// Paper Section 5: "In moderated mailing list, the email distributor could
-// be a human, while in unmoderated mailing list, the email distributor is
-// usually a program."
-enum class ListMode : std::uint8_t { kUnmoderated = 0, kModerated };
-
-// A member-submitted post awaiting moderation.
-struct PendingPost {
-  std::uint64_t id = 0;
-  net::EmailAddress from;
-  std::string subject;
-  std::string body;
-};
-
 class MailingList {
  public:
   // `distributor` must be a user of a compliant ISP in `system`.
   // `prune_after` = consecutive unacknowledged posts before removal.
   MailingList(ZmailSystem& system, net::EmailAddress distributor,
-              std::string name, std::uint64_t prune_after = 3,
-              ListMode mode = ListMode::kUnmoderated);
+              std::string name, std::uint64_t prune_after = 3);
 
+  // Adds `member`, or reactivates it after a prune.
   void subscribe(const net::EmailAddress& member);
-  bool unsubscribe(const net::EmailAddress& member);
 
   // Distributes one post to every active subscriber (each send is a normal
   // paid Zmail email carrying the X-Zmail-Ack-To header).  Returns the
   // number of copies sent.
   std::size_t post(const std::string& subject, const std::string& body);
 
-  // A member submits a post to the list.  The submission itself is an
-  // ordinary paid Zmail email to the distributor (the submitter pays one
-  // e-penny either way — an anti-abuse property the economics give us for
-  // free).  Unmoderated lists distribute immediately; moderated lists
-  // queue for approval.  Returns false when the sender is not an active
-  // subscriber or could not pay.
-  bool submit(const net::EmailAddress& from, const std::string& subject,
-              const std::string& body);
-
-  // Moderation (moderated lists only).
-  const std::vector<PendingPost>& pending() const noexcept {
-    return pending_;
-  }
-  // Approves and distributes the pending post with `id`; false if unknown.
-  bool approve(std::uint64_t id);
-  // Drops the pending post (the submitter's e-penny stays with the
-  // distributor — spam submissions fund the moderator).
-  bool reject(std::uint64_t id);
-
-  ListMode mode() const noexcept { return mode_; }
-  bool is_subscribed(const net::EmailAddress& member) const;
-
-  // Scans the distributor's ISP metrics for acknowledgments received since
-  // the last call and credits them to subscribers; then prunes subscribers
-  // whose consecutive-missed count exceeds the policy.  Call after the
-  // simulation has let the acks flow back (e.g. run_for(an hour)).
-  // Returns the number of subscribers pruned.
+  // Prunes the subscribers whose unacknowledged posts reach the policy
+  // (acknowledgments are credited as the distributor's ISP processes
+  // them).  Call after the simulation has let the acks flow back (e.g.
+  // run_for(an hour)).  Returns the number of subscribers pruned.
   std::size_t reconcile_and_prune();
 
-  std::size_t active_subscribers() const;
   const std::vector<SubscriberRecord>& subscribers() const noexcept {
     return subscribers_;
   }
@@ -104,14 +66,10 @@ class MailingList {
   net::EmailAddress distributor_;
   std::string name_;
   std::uint64_t prune_after_;
-  ListMode mode_;
-  std::vector<PendingPost> pending_;
-  std::uint64_t next_post_id_ = 1;
   std::vector<SubscriberRecord> subscribers_;
   std::uint64_t posts_ = 0;
   std::uint64_t copies_sent_ = 0;
   std::uint64_t acks_credited_ = 0;
-  std::uint64_t acks_seen_baseline_ = 0;
   std::size_t dist_isp_ = 0;
   std::size_t dist_user_ = 0;
 };

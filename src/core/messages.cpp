@@ -135,10 +135,6 @@ namespace {
 constexpr std::size_t kReportHeader = 1 + 8 + 4;
 }  // namespace
 
-std::size_t CreditReport::serialized_size() const noexcept {
-  return kReportHeader + 8 * credit.size();
-}
-
 crypto::Bytes CreditReport::serialize() const {
   crypto::Bytes b;
   encode_into(seq, credit, b);

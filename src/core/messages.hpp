@@ -90,8 +90,6 @@ struct CreditReport {
   std::uint64_t seq = 0;
   std::vector<EPenny> credit;
 
-  // Exact wire size, so serialize() reserves once.
-  std::size_t serialized_size() const noexcept;
   crypto::Bytes serialize() const;
   static std::optional<CreditReport> deserialize(const crypto::Bytes& b);
 

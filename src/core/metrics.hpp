@@ -20,7 +20,6 @@ struct IspMetrics {
   std::uint64_t emails_delivered = 0;
   std::uint64_t emails_segregated = 0;
   std::uint64_t emails_discarded = 0;
-  std::uint64_t emails_filtered_out = 0;
 
   // Refusals at send time.
   std::uint64_t refused_no_balance = 0;
@@ -47,7 +46,7 @@ struct IspMetrics {
   std::uint64_t bad_envelopes = 0;
   std::uint64_t stale_requests = 0;
 
-  // Fault recovery (the acknowledged link, shedding).
+  // Fault recovery (the acknowledged link).
   std::uint64_t bank_retries = 0;       // buy/sell frames the link re-sent
   std::uint64_t report_retries = 0;     // credit reports the link re-sent
   std::uint64_t emails_retransmitted = 0;
@@ -55,7 +54,6 @@ struct IspMetrics {
   // Kept because the repository benchmark's settlement check and digest
   // read it.
   std::uint64_t emails_refunded = 0;
-  std::uint64_t emails_shed = 0;        // quiesce buffer overflow, refunded
   std::uint64_t duplicate_emails_dropped = 0;  // receiver-side ARQ dedupe
 
   // Every counter, in declaration order.  merge(), the obs export and the
@@ -73,7 +71,6 @@ struct IspMetrics {
     f("emails_delivered", &IspMetrics::emails_delivered);
     f("emails_segregated", &IspMetrics::emails_segregated);
     f("emails_discarded", &IspMetrics::emails_discarded);
-    f("emails_filtered_out", &IspMetrics::emails_filtered_out);
     f("refused_no_balance", &IspMetrics::refused_no_balance);
     f("refused_daily_limit", &IspMetrics::refused_daily_limit);
     f("emails_buffered_during_quiesce",
@@ -92,7 +89,6 @@ struct IspMetrics {
     f("report_retries", &IspMetrics::report_retries);
     f("emails_retransmitted", &IspMetrics::emails_retransmitted);
     f("emails_refunded", &IspMetrics::emails_refunded);
-    f("emails_shed", &IspMetrics::emails_shed);
     f("duplicate_emails_dropped", &IspMetrics::duplicate_emails_dropped);
   }
 

@@ -28,23 +28,6 @@ static_assert(
     }() == Population::kRowBytes,
     "kRowBytes is one row across every column");
 
-const char* Population::column_name(Column c) noexcept {
-  switch (c) {
-    case Column::kAccount: return "account";
-    case Column::kBalance: return "balance";
-    case Column::kSent: return "sent";
-    case Column::kLimit: return "limit";
-    case Column::kBlockedToday: return "blocked_today";
-    case Column::kWarnings: return "warnings";
-    case Column::kQuarantined: return "quarantined";
-    case Column::kLifetimeSent: return "lifetime_sent";
-    case Column::kLifetimeReceivedPaid: return "lifetime_received_paid";
-    case Column::kLifetimeEpenniesBought: return "lifetime_epennies_bought";
-    case Column::kLifetimeEpenniesSold: return "lifetime_epennies_sold";
-  }
-  return "?";
-}
-
 namespace {
 
 // The kernel backs a mapping with huge pages only in fully covered,

@@ -136,7 +136,6 @@ class Population {
                ? sizeof(std::uint8_t)
                : sizeof(std::int64_t);
   }
-  static const char* column_name(Column c) noexcept;
   // Bytes of one row across every column (74).
   static constexpr std::size_t kRowBytes = 9 * sizeof(std::int64_t) + 2;
 

@@ -189,15 +189,6 @@ std::optional<Scenario> Scenario::parse(const std::string& text,
   return s;
 }
 
-std::string ScenarioResult::output_text() const {
-  std::string out;
-  for (const auto& line : output) {
-    out += line;
-    out += '\n';
-  }
-  return out;
-}
-
 ScenarioRunner::ScenarioRunner(const Scenario& scenario)
     : scenario_(scenario), world_(scenario.params_, scenario.seed_) {}
 
@@ -305,7 +296,7 @@ ScenarioResult ScenarioRunner::run() {
       }
       world_.crash_host(*host, *d);
     } else if (cmd.verb == "policy") {
-      // policy <isp> <accept|segregate|discard|filter>: how this ISP's
+      // policy <isp> <accept|segregate|discard>: how this ISP's
       // users treat mail from non-compliant senders (per-user overrides).
       const auto i = a.size() == 2 ? parse_int(a[0]) : std::nullopt;
       std::optional<NonCompliantPolicy> policy;
@@ -313,7 +304,6 @@ ScenarioResult ScenarioRunner::run() {
         if (a[1] == "accept") policy = NonCompliantPolicy::kAccept;
         else if (a[1] == "segregate") policy = NonCompliantPolicy::kSegregate;
         else if (a[1] == "discard") policy = NonCompliantPolicy::kDiscard;
-        else if (a[1] == "filter") policy = NonCompliantPolicy::kFilter;
       }
       if (!i || *i < 0 ||
           static_cast<std::size_t>(*i) >= world_.params().n_isps ||

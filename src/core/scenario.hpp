@@ -87,7 +87,6 @@ struct ScenarioResult {
   std::uint64_t commands_executed = 0;
 
   bool ok() const noexcept { return failures.empty(); }
-  std::string output_text() const;
 };
 
 // Executes a parsed scenario against a fresh ZmailSystem.

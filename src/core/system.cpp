@@ -97,7 +97,6 @@ ZmailSystem::ZmailSystem(ZmailParams params, std::uint64_t seed)
         isp_domains_[i],
         [this, i](const net::Datagram& d) { on_datagram(i, d); });
     ZMAIL_ASSERT(h == i);
-    net_.bind_domain(isp_domains_[i], h);
   }
   for (std::size_t b = 0; b < params_.n_banks; ++b) {
     const net::HostId h = net_.add_host(
@@ -176,15 +175,6 @@ LegacyHostStats ZmailSystem::total_legacy_stats() const {
   return total;
 }
 
-void ZmailSystem::set_spam_filter(
-    std::function<bool(const net::EmailMessage&)> f) {
-  // Kept so crash recovery can reinstall it on a rebuilt ISP: process-local
-  // callbacks are not durable state, the harness owns them.
-  spam_filter_ = std::move(f);
-  for (auto& isp : isps_)
-    if (isp) isp->set_filter(spam_filter_);
-}
-
 SendOutcome ZmailSystem::send_email(const net::EmailAddress& from,
                                     const net::EmailAddress& to,
                                     std::string subject, std::string body,
@@ -206,7 +196,7 @@ SendOutcome ZmailSystem::send_email(net::EmailMessage msg) {
   ZMAIL_ASSERT(from_isp < params_.n_isps && to_isp < params_.n_isps);
 
   // Root lifecycle span: minted here at submission, ended at a terminal
-  // (deliver / discard / refuse / shed), possibly on another host.  The
+  // (deliver / discard / refuse), possibly on another host.  The
   // id rides the email's optional serialized tail, so the wire bytes are
   // unchanged whenever tracing is off (next_id() returns 0).
   if (trace::enabled()) trace::set_sim_now(sim_.now());
@@ -227,9 +217,6 @@ SendOutcome ZmailSystem::send_email(net::EmailMessage msg) {
       if (SendOutcome::counts_as_refused(r) || r == SendResult::kQuarantined) {
         trace::instant(trace::Ev::kRefuse, tid, h,
                        static_cast<std::uint64_t>(r));
-        trace::end(trace::Ev::kMessage, tid, h);
-      } else if (r == SendResult::kShed) {
-        trace::instant(trace::Ev::kShed, tid, h);
         trace::end(trace::Ev::kMessage, tid, h);
       }
     }
@@ -259,25 +246,6 @@ SendOutcome ZmailSystem::send_email(net::EmailMessage msg) {
   return SendOutcome::from(SendResult::kSentFree);
 }
 
-SendOutcome ZmailSystem::send_email_multi(const net::EmailMessage& msg) {
-  SendOutcome out;
-  bool first = true;
-  for (const net::EmailAddress& rcpt : msg.to) {
-    net::EmailMessage copy = msg;
-    copy.to = {rcpt};
-    const SendResult r = send_email(std::move(copy));
-    if (SendOutcome::counts_as_refused(r)) {
-      if (out.refused == 0) out.result = r;  // first refusal wins
-      ++out.refused;
-    } else {
-      if (first) out.result = r;
-      ++out.sent;
-    }
-    first = false;
-  }
-  return out;
-}
-
 void ZmailSystem::make_compliant(IspId isp) {
   const std::size_t isp_index = isp.index();
   ZMAIL_ASSERT(isp_index < params_.n_isps);
@@ -294,7 +262,6 @@ void ZmailSystem::make_compliant(IspId isp) {
   isps_[isp_index] = std::make_unique<Isp>(
       isp_index, params_, bank_->public_key_for(isp_index),
       isp_ctor_seed_[isp_index]);
-  if (spam_filter_) isps_[isp_index]->set_filter(spam_filter_);
   if (params_.store.enabled) open_store(isp_index);
   // Join the home bank's current billing period.
   isps_[isp_index]->set_seq(bank_->seq(bank_->home_bank(isp_index)));
@@ -650,7 +617,6 @@ void ZmailSystem::rebuild_from_store(std::size_t host) {
     // restore_snapshot bulk-copies the columns out of the mapping.
     ok = isp->recover(*cp, &rs, &err);
     isp->attach_wal(&cp->wal());
-    if (spam_filter_) isp->set_filter(spam_filter_);
   }
   ZMAIL_ASSERT_MSG(ok, err.c_str());
   recovery_span.set_end_arg0(rs.wal_records_replayed);

@@ -22,7 +22,6 @@
 //   sys.run_for(sim::kHour);
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -55,15 +54,12 @@ struct LegacyHostStats {
   }
 };
 
-// Unified result of every facade send: the protocol outcome enum plus
-// per-recipient accepted/refused counts, so single- and multi-recipient
-// sends report through one type.  Converts implicitly to SendResult, which
-// keeps `switch (sys.send_email(...))` and `r == SendResult::kNoBalance`
-// call sites compiling unchanged.
+// Result of a facade send: the protocol outcome enum plus accepted/refused
+// counts (one of them 1).  Converts implicitly to SendResult, which keeps
+// `switch (sys.send_email(...))` and `r == SendResult::kNoBalance` call
+// sites compiling unchanged.  A multi-recipient message is one send_email
+// per recipient.
 struct SendOutcome {
-  // For a single-recipient send, the protocol outcome.  For a fan-out,
-  // the first refusal if any recipient was refused, otherwise the first
-  // recipient's outcome.
   SendResult result = SendResult::kDeliveredLocally;
   std::size_t sent = 0;     // paid, free, buffered, or delivered locally
   std::size_t refused = 0;  // no balance / daily limit
@@ -71,9 +67,8 @@ struct SendOutcome {
   bool all_sent() const noexcept { return refused == 0; }
   constexpr operator SendResult() const noexcept { return result; }
 
-  // Classification used by both send paths (quarantine blocks the sender
-  // before any recipient is considered, so it is not a per-recipient
-  // refusal — the enum still reports it).
+  // Quarantine blocks the sender before the recipient is considered, so
+  // it is not counted as a refusal; the enum still reports it.
   static constexpr bool counts_as_refused(SendResult r) noexcept {
     return r == SendResult::kNoBalance || r == SendResult::kDailyLimit;
   }
@@ -99,11 +94,6 @@ class ZmailSystem {
                          std::string body,
                          net::MailClass truth = net::MailClass::kLegitimate);
   SendOutcome send_email(net::EmailMessage msg);
-
-  // Multi-recipient send: one e-penny per recipient (RFC-821 RCPT fan-out
-  // with Zmail's per-receiver payment semantics).  Returns the per-recipient
-  // counts.
-  SendOutcome send_email_multi(const net::EmailMessage& msg);
 
   // --- User e-penny trades (Section 4.2) -----------------------------------
   bool buy_epennies(const net::EmailAddress& user, EPenny n);
@@ -233,10 +223,6 @@ class ZmailSystem {
   // includes quiesce buffering).  Populated automatically.
   const Sample& delivery_latency() const noexcept { return latency_; }
 
-  // Spam filter used by NonCompliantPolicy::kFilter (installed on every
-  // compliant ISP).
-  void set_spam_filter(std::function<bool(const net::EmailMessage&)> f);
-
   // --- Conservation invariants (checked by tests once the world is quiet) --
   // All e-pennies everywhere: user balances + avail pools + buffered sends +
   // e-pennies travelling inside in-flight paid emails.
@@ -320,7 +306,6 @@ class ZmailSystem {
   // An ISP differential's dirty rows, gathered here for every host in turn.
   RowBuffer checkpoint_rows_;
   std::vector<std::uint64_t> isp_ctor_seed_;  // per-slot construction seeds
-  std::function<bool(const net::EmailMessage&)> spam_filter_;  // reinstalled
   net::FaultInjector* faults_ = nullptr;  // whatever attach_faults() saw last
   std::unique_ptr<net::FaultInjector> crash_faults_;  // crash_host() fallback
   std::uint64_t state_recoveries_ = 0;

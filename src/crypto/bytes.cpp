@@ -1,7 +1,5 @@
 #include "crypto/bytes.hpp"
 
-#include "util/assert.hpp"
-
 namespace zmail::crypto {
 
 void put_u8(Bytes& b, std::uint8_t v) { b.push_back(v); }
@@ -85,33 +83,6 @@ std::string_view ByteReader::get_string_view() noexcept {
   const std::string_view out(
       reinterpret_cast<const char*>(data_.data()) + pos_, n);
   pos_ += n;
-  return out;
-}
-
-std::string to_hex(const Bytes& b) {
-  static const char* digits = "0123456789abcdef";
-  std::string out;
-  out.reserve(b.size() * 2);
-  for (std::uint8_t v : b) {
-    out += digits[v >> 4];
-    out += digits[v & 0xF];
-  }
-  return out;
-}
-
-Bytes from_hex(std::string_view hex) {
-  ZMAIL_ASSERT(hex.size() % 2 == 0);
-  auto val = [](char c) -> int {
-    if (c >= '0' && c <= '9') return c - '0';
-    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-    if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-    ZMAIL_ASSERT_MSG(false, "invalid hex digit");
-  };
-  Bytes out;
-  out.reserve(hex.size() / 2);
-  for (std::size_t i = 0; i < hex.size(); i += 2)
-    out.push_back(
-        static_cast<std::uint8_t>((val(hex[i]) << 4) | val(hex[i + 1])));
   return out;
 }
 

@@ -67,8 +67,6 @@ class ByteReader {
   bool failed_ = false;
 };
 
-std::string to_hex(const Bytes& b);
-Bytes from_hex(std::string_view hex);
 Bytes from_string(std::string_view s);
 
 }  // namespace zmail::crypto

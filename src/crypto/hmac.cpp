@@ -35,10 +35,6 @@ Digest hmac_sha256(const Bytes& key, const Bytes& message) noexcept {
   return HmacSha256(key).update(message.data(), message.size()).finish();
 }
 
-Digest hmac_sha256(const Bytes& key, std::string_view message) noexcept {
-  return HmacSha256(key).update(message).finish();
-}
-
 bool digest_equal(const Digest& a, const Digest& b) noexcept {
   std::uint8_t acc = 0;
   for (std::size_t i = 0; i < a.size(); ++i)

@@ -35,7 +35,6 @@ class HmacSha256 {
 };
 
 Digest hmac_sha256(const Bytes& key, const Bytes& message) noexcept;
-Digest hmac_sha256(const Bytes& key, std::string_view message) noexcept;
 
 // Constant-time digest comparison (good hygiene even in a simulation; the
 // replay-resistance bench deliberately probes tag checks).

@@ -155,27 +155,4 @@ bool dcr_into(const RsaKey& key, const Envelope& env, Bytes& plain_out) {
   return true;
 }
 
-namespace {
-// Fold a digest into a value < n for textbook signing.
-std::uint64_t digest_to_residue(const Digest& d, std::uint64_t n) noexcept {
-  std::uint64_t acc = 0;
-  for (std::uint8_t byte : d)
-    acc = static_cast<std::uint64_t>(
-        ((static_cast<__uint128_t>(acc) << 8) | byte) % n);
-  return acc;
-}
-}  // namespace
-
-std::uint64_t rsa_sign(const RsaKey& priv, const Bytes& message) noexcept {
-  const Digest d = sha256(message);
-  return rsa_apply(priv, digest_to_residue(d, priv.n));
-}
-
-bool rsa_verify(const RsaKey& pub, const Bytes& message,
-                std::uint64_t signature) noexcept {
-  if (signature >= pub.n) return false;
-  const Digest d = sha256(message);
-  return rsa_apply(pub, signature) == digest_to_residue(d, pub.n);
-}
-
 }  // namespace zmail::crypto

@@ -14,8 +14,8 @@
 // wide as n, that ladder is the largest single step of a short envelope.
 //
 // The modulus is deliberately small — this is a *protocol simulation*, not a
-// production cryptosystem — but every operation (keygen, wrap, unwrap, sign,
-// verify, tamper detection) is real, so the replay/tamper experiments in
+// production cryptosystem — but every operation (keygen, wrap, unwrap,
+// tamper detection) is real, so the replay/tamper experiments in
 // bench_e11 exercise genuine code paths.
 #pragma once
 
@@ -86,10 +86,5 @@ std::optional<Bytes> dcr(const RsaKey& key, const Envelope& env);
 // returns false — leaving `plain_out` unspecified — on MAC failure or a
 // malformed envelope.  `plain_out` must not alias `env.ciphertext`.
 bool dcr_into(const RsaKey& key, const Envelope& env, Bytes& plain_out);
-
-// Detached signature over a byte string: RSA on the folded SHA-256 digest.
-std::uint64_t rsa_sign(const RsaKey& priv, const Bytes& message) noexcept;
-bool rsa_verify(const RsaKey& pub, const Bytes& message,
-                std::uint64_t signature) noexcept;
 
 }  // namespace zmail::crypto

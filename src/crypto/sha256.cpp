@@ -220,16 +220,6 @@ Digest sha256(const Bytes& data) noexcept {
   return h.finish();
 }
 
-Digest sha256(std::string_view data) noexcept {
-  Sha256 h;
-  h.update(data);
-  return h.finish();
-}
-
-std::string digest_hex(const Digest& d) {
-  return to_hex(Bytes(d.begin(), d.end()));
-}
-
 int leading_zero_bits(const Digest& d) noexcept {
   int bits = 0;
   for (std::uint8_t byte : d) {

@@ -44,8 +44,6 @@ class Sha256 {
 
 // One-shot helpers.
 Digest sha256(const Bytes& data) noexcept;
-Digest sha256(std::string_view data) noexcept;
-std::string digest_hex(const Digest& d);
 
 // Number of leading zero bits in a digest (hashcash difficulty check).
 int leading_zero_bits(const Digest& d) noexcept;

@@ -61,20 +61,6 @@ double break_even_ratio(const Campaign& c) noexcept {
   return smtp > 0.0 ? zm / smtp : 0.0;
 }
 
-std::uint64_t max_profitable_volume(const Campaign& c,
-                                    const SendingRegime& r) noexcept {
-  // Per-message margin: response_rate * revenue - cost.
-  const double margin = r.delivery_rate * c.response_rate *
-                            c.revenue_per_response.dollars() -
-                        r.cost_per_message.dollars();
-  if (margin <= 0.0) return 0;  // every message loses money
-  // Margin is positive: volume is bounded only by the audience; report the
-  // campaign's own size once fixed costs are recoverable.
-  const double needed = c.fixed_costs.dollars() / margin;
-  return static_cast<double>(c.messages) >= needed ? c.messages : 0;
-}
-
-
 double surviving_spam_share(const CampaignPopulation& pop,
                             Money price_per_message) noexcept {
   // A campaign survives iff response_rate * revenue > price, i.e.

@@ -62,11 +62,6 @@ double break_even_response_rate(const Campaign& c,
 // by break-even under SMTP (>= 100 when the e-penny is >= 100x SMTP cost).
 double break_even_ratio(const Campaign& c) noexcept;
 
-// Largest profitable campaign volume under regime r (0 if none), given that
-// fixed costs must also be recovered.
-std::uint64_t max_profitable_volume(const Campaign& c,
-                                    const SendingRegime& r) noexcept;
-
 // --- Market equilibrium: endogenous spam volume ---------------------------
 //
 // Real spam is a population of campaigns with wildly different response

@@ -82,12 +82,6 @@ std::optional<EmailAddress> parse_address(std::string_view s) {
   return a;
 }
 
-std::optional<EmailAddress> parse_path(std::string_view s) {
-  EmailAddress a;
-  if (!assign_path(s, a)) return std::nullopt;
-  return a;
-}
-
 EmailAddress make_user_address(std::size_t isp_index, std::size_t user_index) {
   return EmailAddress{print_index("u", user_index, {}), isp_domain(isp_index)};
 }

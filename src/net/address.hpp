@@ -1,8 +1,8 @@
 // Email addresses: `local@domain` with RFC-821-ish validation.
 //
 // In the simulation a domain names an ISP ("isp3.example") and a local part
-// names a user within it ("u17"); the MX directory resolves domains to
-// simulated hosts.
+// names a user within it ("u17"); decode_user_address maps an address back
+// to its ISP and user indices, which are the simulated host and user.
 #pragma once
 
 #include <cstdint>
@@ -33,14 +33,13 @@ struct AddressView {
 // a second '@'.  Returns nullopt on malformed input.
 std::optional<EmailAddress> parse_address(std::string_view s);
 
-// Parses the bracketed form used in SMTP paths: "<local@domain>".
-std::optional<EmailAddress> parse_path(std::string_view s);
-
-// The same parses into an existing address, reusing its strings' capacity.
-// On malformed input they return false and leave `out` untouched.
+// The same parse into an existing address, reusing its strings' capacity.
+// On malformed input it returns false and leaves `out` untouched.
 bool assign_address(std::string_view s, EmailAddress& out);
 // The same check, splitting `s` into views instead of copying it.
 bool assign_address(std::string_view s, AddressView& out);
+// The bracketed form used in SMTP paths, "<local@domain>", parsed the same
+// way into `out`.
 bool assign_path(std::string_view s, EmailAddress& out);
 
 // Convenience constructor for simulated populations: user `u` at ISP `i`.

@@ -7,18 +7,6 @@
 
 namespace zmail::net {
 
-std::string_view mail_class_name(MailClass c) noexcept {
-  switch (c) {
-    case MailClass::kLegitimate: return "legitimate";
-    case MailClass::kSpam: return "spam";
-    case MailClass::kNewsletter: return "newsletter";
-    case MailClass::kMailingList: return "mailing-list";
-    case MailClass::kAcknowledgment: return "acknowledgment";
-    case MailClass::kVirus: return "virus";
-  }
-  return "?";
-}
-
 namespace {
 char ascii_lower(char c) noexcept {
   return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
@@ -52,14 +40,6 @@ void EmailMessage::set_header(std::string_view name, std::string_view value) {
     }
   }
   headers.emplace_back(std::string(name), std::string(value));
-}
-
-std::size_t EmailMessage::wire_size() const noexcept {
-  std::size_t n = from.str().size() + 16;
-  for (const auto& r : to) n += r.str().size() + 12;
-  for (const auto& [k, v] : headers) n += k.size() + v.size() + 4;
-  n += body.size() + 8;
-  return n;
 }
 
 std::string EmailMessage::to_rfc822() const {

@@ -32,8 +32,6 @@ enum class MailClass : std::uint8_t {
   kVirus,
 };
 
-std::string_view mail_class_name(MailClass c) noexcept;
-
 struct EmailMessage {
   EmailAddress from;               // envelope sender (MAIL FROM)
   std::vector<EmailAddress> to;    // envelope recipients (RCPT TO)
@@ -55,9 +53,6 @@ struct EmailMessage {
   void set_header(std::string_view name, std::string_view value);
 
   std::string subject() const { return header("Subject").value_or(""); }
-
-  // Approximate on-the-wire size in bytes (envelope + headers + body).
-  std::size_t wire_size() const noexcept;
 
   // RFC-822-style text: headers, blank line, dot-stuffed body NOT applied
   // (dot-stuffing happens in the SMTP layer).

@@ -22,16 +22,6 @@ HostId Network::add_host(std::string name, HandlerFn handler) {
   return hosts_.size() - 1;
 }
 
-void Network::bind_domain(const std::string& domain, HostId host) {
-  ZMAIL_ASSERT(host < hosts_.size());
-  mx_[domain] = host;
-}
-
-HostId Network::resolve(const std::string& domain) const {
-  const auto it = mx_.find(domain);
-  return it == mx_.end() ? kNoHost : it->second;
-}
-
 SendStatus Network::send(HostId from, HostId to, MsgType type,
                          crypto::Bytes&& payload) {
   if (from >= hosts_.size() || to >= hosts_.size()) {

@@ -10,13 +10,12 @@
 // {network, slot} (fits InlineEvent's inline buffer), and delivery moves the
 // datagram back out for the handler — the payload bytes are never copied
 // between send() and the handler.  Per-pair FIFO clamps live in flat
-// vectors indexed by host id; only MX names pay for hashing.
+// vectors indexed by host id.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "crypto/bytes.hpp"
@@ -92,10 +91,6 @@ class Network {
   void attach_faults(FaultInjector* injector) noexcept { faults_ = injector; }
   FaultInjector* faults() const noexcept { return faults_; }
 
-  // MX-style name resolution (domain -> host).
-  void bind_domain(const std::string& domain, HostId host);
-  HostId resolve(const std::string& domain) const;
-
   std::size_t host_count() const noexcept { return hosts_.size(); }
   const std::string& host_name(HostId h) const { return hosts_.at(h).name; }
 
@@ -130,7 +125,6 @@ class Network {
   LatencyModel latency_;
   FaultInjector* faults_ = nullptr;
   std::vector<Host> hosts_;
-  std::unordered_map<std::string, HostId> mx_;
   std::uint64_t datagrams_ = 0;
   std::uint64_t bytes_ = 0;
   std::uint64_t send_errors_ = 0;

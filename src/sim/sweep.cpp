@@ -22,16 +22,6 @@ std::uint64_t derive_seed(std::uint64_t base_seed, std::uint64_t point_index,
   return splitmix64(t);
 }
 
-Histogram& MetricBag::hist(const std::string& name, double lo, double hi,
-                           std::size_t buckets) {
-  auto it = hists_.find(name);
-  if (it == hists_.end())
-    it = hists_.emplace(name, Histogram(lo, hi, buckets)).first;
-  ZMAIL_ASSERT_MSG(it->second.same_shape(Histogram(lo, hi, buckets)),
-                   "histogram re-declared with a different shape");
-  return it->second;
-}
-
 const OnlineStats* MetricBag::find_stat(const std::string& name) const {
   const auto it = stats_.find(name);
   return it == stats_.end() ? nullptr : &it->second;
@@ -44,13 +34,6 @@ double MetricBag::counter(const std::string& name) const {
 
 void MetricBag::merge(const MetricBag& o) {
   for (const auto& [name, s] : o.stats_) stats_[name].merge(s);
-  for (const auto& [name, h] : o.hists_) {
-    const auto it = hists_.find(name);
-    if (it == hists_.end())
-      hists_.emplace(name, h);
-    else
-      it->second.merge(h);
-  }
   for (const auto& [name, c] : o.counters_) counters_[name] += c;
 }
 
@@ -63,10 +46,6 @@ json::Value MetricBag::to_json() const {
   if (!stats_.empty()) {
     json::Value& st = out["stats"];
     for (const auto& [name, s] : stats_) st[name] = zmail::to_json(s);
-  }
-  if (!hists_.empty()) {
-    json::Value& hs = out["histograms"];
-    for (const auto& [name, h] : hists_) hs[name] = zmail::to_json(h);
   }
   return out;
 }

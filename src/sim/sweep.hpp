@@ -45,14 +45,12 @@ struct Point {
 };
 
 // A mergeable bag of named metrics produced by one replica: streaming
-// stats, fixed-shape histograms, and plain additive counters.  Names are
+// stats and plain additive counters.  Names are
 // kept sorted (std::map) so serialization order is deterministic.
 class MetricBag {
  public:
   // Creates the entry on first use.
   OnlineStats& stat(const std::string& name) { return stats_[name]; }
-  Histogram& hist(const std::string& name, double lo, double hi,
-                  std::size_t buckets);
   void count(const std::string& name, double delta = 1.0) {
     counters_[name] += delta;
   }
@@ -61,18 +59,15 @@ class MetricBag {
   double counter(const std::string& name) const;
 
   const std::map<std::string, OnlineStats>& stats() const { return stats_; }
-  const std::map<std::string, Histogram>& hists() const { return hists_; }
   const std::map<std::string, double>& counters() const { return counters_; }
 
-  // Folds `o` into this bag.  Stats/counters union by name; histograms with
-  // the same name must have the same shape.
+  // Folds `o` into this bag.  Stats and counters union by name.
   void merge(const MetricBag& o);
 
   json::Value to_json() const;
 
  private:
   std::map<std::string, OnlineStats> stats_;
-  std::map<std::string, Histogram> hists_;
   std::map<std::string, double> counters_;
 };
 

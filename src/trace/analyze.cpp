@@ -11,9 +11,7 @@ bool is_terminal(Ev e) noexcept {
   switch (e) {
     case Ev::kDeliver:
     case Ev::kDiscard:
-    case Ev::kFilterDrop:
     case Ev::kRefuse:
-    case Ev::kShed:
       return true;
     default:
       return false;

@@ -53,8 +53,8 @@ struct Chain {
   bool has_root = false;           // saw a kMessage begin
   bool root_closed = false;        // saw the matching kMessage end
   bool lost = false;     // last word was a kNetDrop: closed-by-loss
-  Ev terminal = Ev::kNone;  // kDeliver/kDiscard/kFilterDrop/kRefuse/kShed
-                            // when the chain reached a terminal
+  Ev terminal = Ev::kNone;  // kDeliver/kDiscard/kRefuse when the chain
+                            // reached a terminal
   std::uint32_t transmits = 0;  // kTransmit instants (ARQ attempts)
 };
 

@@ -23,9 +23,7 @@ const char* ev_name(Ev e) noexcept {
     case Ev::kClassify: return "classify";
     case Ev::kDeliver: return "deliver";
     case Ev::kDiscard: return "discard";
-    case Ev::kFilterDrop: return "filter_drop";
     case Ev::kRefuse: return "refuse";
-    case Ev::kShed: return "shed";
     case Ev::kDuplicateDrop: return "duplicate_drop";
     case Ev::kAck: return "ack";
     case Ev::kBankBuy: return "bank_buy";
@@ -52,28 +50,19 @@ namespace {
 
 std::atomic<std::uint64_t> g_next_id{1};
 std::atomic<std::uint64_t> g_seq{0};
-std::atomic<std::size_t> g_ring_capacity{std::size_t{1} << 16};
-
-std::size_t round_up_pow2(std::size_t n) {
-  std::size_t c = 1;
-  while (c < n) c <<= 1;
-  return c;
-}
+constexpr std::size_t kRingMask = kRingCapacity - 1;
+static_assert((kRingCapacity & kRingMask) == 0,
+              "the ring indexes with a mask");
 
 // One flight-recorder ring per thread.  Single writer (the owning thread);
 // readers only run from collect()/clear(), which callers serialize against
 // active recording.
 struct Ring {
-  std::vector<TraceEvent> buf;
-  std::size_t mask = 0;
+  std::vector<TraceEvent> buf = std::vector<TraceEvent>(kRingCapacity);
   std::uint64_t head = 0;  // total events ever pushed
 
-  explicit Ring(std::size_t capacity)
-      : buf(round_up_pow2(std::max<std::size_t>(capacity, 2))),
-        mask(buf.size() - 1) {}
-
   void push(const TraceEvent& ev) noexcept {
-    buf[head & mask] = ev;
+    buf[head & kRingMask] = ev;
     ++head;
   }
   std::uint64_t dropped() const noexcept {
@@ -91,8 +80,7 @@ std::vector<std::unique_ptr<Ring>>& rings() {
 
 Ring& thread_ring() {
   thread_local Ring* ring = [] {
-    auto owned = std::make_unique<Ring>(
-        g_ring_capacity.load(std::memory_order_relaxed));
+    auto owned = std::make_unique<Ring>();
     Ring* raw = owned.get();
     std::lock_guard<std::mutex> lock(g_rings_mutex);
     rings().push_back(std::move(owned));
@@ -134,11 +122,6 @@ void set_profiling_enabled(bool on) {
   detail::g_profiling.store(on, std::memory_order_relaxed);
 }
 
-void set_ring_capacity(std::size_t events) {
-  g_ring_capacity.store(std::max<std::size_t>(events, 2),
-                        std::memory_order_relaxed);
-}
-
 void clear() {
   {
     std::lock_guard<std::mutex> lock(g_rings_mutex);
@@ -166,7 +149,7 @@ std::vector<TraceEvent> collect() {
     for (const auto& r : rings()) {
       const std::uint64_t n = std::min<std::uint64_t>(r->head, r->buf.size());
       for (std::uint64_t i = r->head - n; i < r->head; ++i)
-        out.push_back(r->buf[i & r->mask]);
+        out.push_back(r->buf[i & kRingMask]);
     }
   }
   std::sort(out.begin(), out.end(),

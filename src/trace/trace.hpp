@@ -68,12 +68,11 @@ enum class Ev : std::uint8_t {
   kClassify,       // span: Isp::on_email receive/classify path
   kDeliver,        // instant terminal: reached an inbox (arg0 = junk flag)
   kDiscard,        // instant terminal: dropped by non-compliant policy
-  kFilterDrop,     // instant terminal: spam filter rejected it
-  kRefuse,         // instant terminal: refused at send (arg0 = SendResult)
-  kShed,           // instant terminal: quiesce buffer overflow, refunded
-  kDuplicateDrop,  // instant: receiver-side ARQ dedupe absorbed a copy
-  kAck = 18,       // instant: ARQ ack reached the sender (17 was kRefund;
-                   //       export_chrome writes the type by number)
+  // export_chrome writes the type by number, so retired numbers stay
+  // unused: 13 was kFilterDrop, 15 kShed and 17 kRefund.
+  kRefuse = 14,    // instant terminal: refused at send (arg0 = SendResult)
+  kDuplicateDrop = 16,  // instant: receiver-side ARQ dedupe absorbed a copy
+  kAck = 18,       // instant: ARQ ack reached the sender
   // --- bank / settlement ---------------------------------------------------
   kBankBuy,        // span: ISP->bank buy exchange (arg0 = e-pennies)
   kBankSell,       // span: ISP->bank sell exchange (arg0 = e-pennies)
@@ -130,9 +129,8 @@ inline bool profiling_enabled() noexcept {
 }
 void set_profiling_enabled(bool on);
 
-// Ring capacity per thread, in events (rounded up to a power of two).
-// Applies to rings created after the call; default 1 << 16.
-void set_ring_capacity(std::size_t events);
+// Ring capacity per thread, in events (a power of two).
+inline constexpr std::size_t kRingCapacity = std::size_t{1} << 16;
 
 // Drops all recorded events and drop counters.  Not
 // thread-safe against concurrent emission; call between runs.

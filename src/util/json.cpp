@@ -53,11 +53,6 @@ void number_into(std::string& out, double v) {
 
 }  // namespace
 
-bool Value::as_bool() const {
-  ZMAIL_ASSERT(kind_ == Kind::kBool);
-  return bool_;
-}
-
 std::int64_t Value::as_int64() const {
   if (kind_ == Kind::kUint) return static_cast<std::int64_t>(uint_);
   if (kind_ == Kind::kDouble) return static_cast<std::int64_t>(double_);

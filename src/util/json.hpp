@@ -63,7 +63,6 @@ class Value {
 
   // Typed readers; each asserts the kind matches (as_double accepts any
   // numeric kind).
-  bool as_bool() const;
   std::int64_t as_int64() const;
   std::uint64_t as_uint64() const;
   double as_double() const;

@@ -1,13 +1,10 @@
 #include "util/log.hpp"
 
-#include <atomic>
 #include <cstdio>
 
 namespace zmail {
 
 namespace {
-std::atomic<LogLevel> g_level{LogLevel::kWarn};
-
 const char* level_name(LogLevel l) noexcept {
   switch (l) {
     case LogLevel::kTrace: return "TRACE";
@@ -15,22 +12,13 @@ const char* level_name(LogLevel l) noexcept {
     case LogLevel::kInfo:  return "INFO ";
     case LogLevel::kWarn:  return "WARN ";
     case LogLevel::kError: return "ERROR";
-    case LogLevel::kOff:   return "OFF  ";
   }
   return "?";
 }
 }  // namespace
 
-void set_log_level(LogLevel level) noexcept { g_level.store(level); }
-LogLevel log_level() noexcept { return g_level.load(); }
-
-bool log_enabled(LogLevel level, const char* /*tag*/) noexcept {
-  return static_cast<int>(level) >=
-         static_cast<int>(g_level.load(std::memory_order_relaxed));
-}
-
 void logf(LogLevel level, const char* tag, const char* fmt, ...) {
-  if (!log_enabled(level, tag)) return;
+  if (!log_enabled(level)) return;
   char buf[1024];
   va_list args;
   va_start(args, fmt);

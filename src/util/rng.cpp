@@ -125,16 +125,6 @@ double Rng::exponential(double lambda) noexcept {
   return -std::log(u) / lambda;
 }
 
-std::uint64_t Rng::geometric(double p) noexcept {
-  ZMAIL_ASSERT(p > 0.0 && p <= 1.0);
-  if (p >= 1.0) return 0;
-  double u = 0.0;
-  do {
-    u = next_double();
-  } while (u <= 0.0);
-  return static_cast<std::uint64_t>(std::log(u) / std::log(1.0 - p));
-}
-
 std::uint64_t Rng::zipf(std::uint64_t n, double s) noexcept {
   ZMAIL_ASSERT(n >= 1);
   // Rejection-inversion sampling (Hormann & Derflinger style, simplified).
@@ -151,22 +141,6 @@ std::uint64_t Rng::zipf(std::uint64_t n, double s) noexcept {
                          std::pow(x < 1.0 ? 1.0 : x, -s);
     if (next_double() <= ratio) return k;
   }
-}
-
-std::size_t Rng::weighted_choice(const std::vector<double>& weights) noexcept {
-  ZMAIL_ASSERT(!weights.empty());
-  double total = 0.0;
-  for (double w : weights) {
-    ZMAIL_ASSERT(w >= 0.0);
-    total += w;
-  }
-  if (total <= 0.0) return next_below(weights.size());
-  double x = next_double() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    x -= weights[i];
-    if (x < 0.0) return i;
-  }
-  return weights.size() - 1;
 }
 
 Rng Rng::split() noexcept {

@@ -55,14 +55,8 @@ class Rng {
   // Exponential with the given rate lambda (> 0).
   double exponential(double lambda) noexcept;
 
-  // Geometric: number of failures before first success, p in (0,1].
-  std::uint64_t geometric(double p) noexcept;
-
   // Zipf-distributed rank in [1, n] with exponent s (rejection sampling).
   std::uint64_t zipf(std::uint64_t n, double s) noexcept;
-
-  // Pick an index according to a vector of non-negative weights.
-  std::size_t weighted_choice(const std::vector<double>& weights) noexcept;
 
   // Fisher-Yates shuffle.
   template <typename T>

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "util/assert.hpp"
 
@@ -38,77 +37,6 @@ double OnlineStats::variance() const noexcept {
 }
 
 double OnlineStats::stddev() const noexcept { return std::sqrt(variance()); }
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)),
-      counts_(buckets, 0) {
-  ZMAIL_ASSERT(hi > lo && buckets > 0);
-}
-
-void Histogram::add(double x) noexcept {
-  std::size_t i;
-  if (x < lo_) {
-    i = 0;
-  } else if (x >= hi_) {
-    i = counts_.size() - 1;
-  } else {
-    i = static_cast<std::size_t>((x - lo_) / width_);
-    if (i >= counts_.size()) i = counts_.size() - 1;
-  }
-  ++counts_[i];
-  ++total_;
-}
-
-void Histogram::merge(const Histogram& o) noexcept {
-  ZMAIL_ASSERT_MSG(same_shape(o), "histogram merge requires identical shape");
-  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += o.counts_[i];
-  total_ += o.total_;
-}
-
-double Histogram::percentile(double p) const noexcept {
-  if (total_ == 0) return lo_;
-  p = std::clamp(p, 0.0, 100.0);
-  const double target = static_cast<double>(total_) * p / 100.0;
-  double cum = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    cum += static_cast<double>(counts_[i]);
-    if (cum >= target) {
-      // Linear interpolation within the bucket.
-      const double prev = cum - static_cast<double>(counts_[i]);
-      const double frac =
-          counts_[i] ? (target - prev) / static_cast<double>(counts_[i]) : 0.0;
-      return bucket_lo(i) + frac * width_;
-    }
-  }
-  return hi_;
-}
-
-double Histogram::bucket_lo(std::size_t i) const noexcept {
-  return lo_ + width_ * static_cast<double>(i);
-}
-double Histogram::bucket_hi(std::size_t i) const noexcept {
-  return bucket_lo(i) + width_;
-}
-
-std::string Histogram::ascii(std::size_t width) const {
-  std::uint64_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::string out;
-  char line[160];
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar = static_cast<std::size_t>(
-        static_cast<double>(counts_[i]) / static_cast<double>(peak) *
-        static_cast<double>(width));
-    std::snprintf(line, sizeof line, "%10.3f..%-10.3f |", bucket_lo(i),
-                  bucket_hi(i));
-    out += line;
-    out.append(bar, '#');
-    std::snprintf(line, sizeof line, " %llu\n",
-                  static_cast<unsigned long long>(counts_[i]));
-    out += line;
-  }
-  return out;
-}
 
 double Sample::percentile(double p) const {
   ZMAIL_ASSERT(!xs_.empty());
@@ -149,20 +77,6 @@ json::Value to_json(const OnlineStats& s) {
   j["min"] = s.min();
   j["max"] = s.max();
   j["sum"] = s.sum();
-  return j;
-}
-
-json::Value to_json(const Histogram& h) {
-  json::Value j = json::Value::object();
-  j["lo"] = h.lo();
-  j["hi"] = h.hi();
-  j["total"] = h.total();
-  j["p50"] = h.percentile(50);
-  j["p90"] = h.percentile(90);
-  j["p99"] = h.percentile(99);
-  json::Value& counts = j["counts"];
-  counts = json::Value::array();
-  for (std::uint64_t c : h.buckets()) counts.push_back(c);
   return j;
 }
 

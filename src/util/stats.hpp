@@ -1,4 +1,4 @@
-// Streaming statistics and histograms used by benches and experiments.
+// Streaming statistics used by benches and experiments.
 #pragma once
 
 #include <cstdint>
@@ -32,39 +32,6 @@ class OnlineStats {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
-// Fixed-bucket linear histogram over [lo, hi); out-of-range values clamp to
-// the edge buckets so nothing is dropped.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x) noexcept;
-  // Bucket-wise sum; both histograms must have identical bounds and bucket
-  // count (the sweep harness guarantees this by constructing replica
-  // histograms from one spec).
-  void merge(const Histogram& o) noexcept;
-  bool same_shape(const Histogram& o) const noexcept {
-    return lo_ == o.lo_ && hi_ == o.hi_ && counts_.size() == o.counts_.size();
-  }
-  double lo() const noexcept { return lo_; }
-  double hi() const noexcept { return hi_; }
-  std::uint64_t total() const noexcept { return total_; }
-  double percentile(double p) const noexcept;  // p in [0, 100]
-  const std::vector<std::uint64_t>& buckets() const noexcept {
-    return counts_;
-  }
-  double bucket_lo(std::size_t i) const noexcept;
-  double bucket_hi(std::size_t i) const noexcept;
-
-  // Multi-line ASCII rendering (for example programs).
-  std::string ascii(std::size_t width = 50) const;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
-
 // Exact percentile over a stored sample (for small/medium samples).
 class Sample {
  public:
@@ -93,7 +60,6 @@ class Sample {
 // not raw observations: raw data can be millions of points and the
 // consumers only read quantiles.
 json::Value to_json(const OnlineStats& s);
-json::Value to_json(const Histogram& h);
 json::Value to_json(const Sample& s);
 
 }  // namespace zmail

@@ -78,33 +78,6 @@ std::string Table::str() const {
   return out;
 }
 
-std::string Table::csv() const {
-  auto esc = [](const std::string& s) {
-    if (s.find_first_of(",\"\n") == std::string::npos) return s;
-    std::string q = "\"";
-    for (char ch : s) {
-      if (ch == '"') q += '"';
-      q += ch;
-    }
-    q += '"';
-    return q;
-  };
-  std::string out;
-  for (std::size_t c = 0; c < headers_.size(); ++c) {
-    if (c) out += ',';
-    out += esc(headers_[c]);
-  }
-  out += '\n';
-  for (const auto& row : rows_) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c) out += ',';
-      out += esc(row[c]);
-    }
-    out += '\n';
-  }
-  return out;
-}
-
 std::string Table::sparkline(const std::vector<double>& values,
                              std::size_t width) {
   static const char* kBlocks[] = {"▁", "▂", "▃", "▄", "▅", "▆", "▇", "█"};

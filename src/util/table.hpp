@@ -32,8 +32,6 @@ class Table {
 
   // Render with aligned columns and a separator under the header.
   std::string str() const;
-  // Render as CSV (headers + rows).
-  std::string csv() const;
   // Print `str()` to stdout with a title line.
   void print(const std::string& title) const;
 

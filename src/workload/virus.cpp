@@ -19,10 +19,6 @@ ZombieOutbreak::ZombieOutbreak(core::ZmailSystem& system,
   }
 }
 
-bool ZombieOutbreak::infected(std::size_t isp, std::size_t user) const {
-  return infected_.at(isp).at(user);
-}
-
 void ZombieOutbreak::infect(std::size_t isp, std::size_t user) {
   if (infected_[isp][user]) return;
   infected_[isp][user] = true;

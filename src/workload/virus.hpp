@@ -48,7 +48,6 @@ class ZombieOutbreak {
   std::size_t peak_infected() const noexcept { return peak_infected_; }
 
  private:
-  bool infected(std::size_t isp, std::size_t user) const;
   void infect(std::size_t isp, std::size_t user);
   void disinfect(std::size_t isp, std::size_t user);
 

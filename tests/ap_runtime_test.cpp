@@ -214,7 +214,7 @@ TEST(ApScheduler, TimeoutGuardSeesGlobalState) {
   EXPECT_TRUE(sched.all_channels_empty());
 }
 
-TEST(ApScheduler, InboundOutboundEmptyQueries) {
+TEST(ApScheduler, InFlightQueries) {
   Scheduler sched;
   Pinger pinger(1);
   Ponger ponger;
@@ -222,12 +222,15 @@ TEST(ApScheduler, InboundOutboundEmptyQueries) {
   const ProcessId p2 = sched.add_process(ponger, "ponger");
   pinger.set_peer(p2);
   sched.step();  // pinger sends one ping
-  EXPECT_FALSE(sched.inbound_empty(p2));
-  EXPECT_FALSE(sched.outbound_empty(p1));
-  EXPECT_TRUE(sched.inbound_empty(p1));
+  const Channel* ping = sched.find_channel(p1, p2);
+  ASSERT_NE(ping, nullptr);
+  EXPECT_FALSE(ping->empty());
+  EXPECT_EQ(sched.find_channel(p2, p1), nullptr);  // no pong sent yet
   EXPECT_EQ(sched.total_messages_in_flight(), 1u);
+  EXPECT_FALSE(sched.all_channels_empty());
   sched.run();
-  EXPECT_TRUE(sched.inbound_empty(p2));
+  EXPECT_TRUE(ping->empty());
+  EXPECT_EQ(sched.total_messages_in_flight(), 0u);
 }
 
 TEST(ApScheduler, TraceRecordsActions) {

@@ -121,7 +121,6 @@ TEST(FilterEvaluation, CountersAndRates) {
   EXPECT_EQ(e.true_negative, 1u);
   EXPECT_DOUBLE_EQ(e.false_positive_rate(), 0.5);
   EXPECT_DOUBLE_EQ(e.false_negative_rate(), 0.5);
-  EXPECT_DOUBLE_EQ(e.precision(), 0.5);
   EXPECT_DOUBLE_EQ(e.recall(), 0.5);
 }
 
@@ -129,7 +128,6 @@ TEST(FilterEvaluation, EmptyRatesAreZero) {
   FilterEvaluation e;
   EXPECT_EQ(e.false_positive_rate(), 0.0);
   EXPECT_EQ(e.false_negative_rate(), 0.0);
-  EXPECT_EQ(e.precision(), 0.0);
   EXPECT_EQ(e.recall(), 0.0);
 }
 

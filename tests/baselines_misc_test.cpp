@@ -82,21 +82,6 @@ TEST(Challenge, HumanEffortAccumulates) {
 
 // --- Proof-of-work -----------------------------------------------------------
 
-TEST(PowMailer, SolvedStampsVerify) {
-  PowMailer mailer(PowMailParams{8, 2e6});
-  const PowSendRecord rec = mailer.send("r@x.example");
-  EXPECT_TRUE(PowMailer::verify(rec.stamp));
-  EXPECT_GE(rec.hash_attempts, 1u);
-  EXPECT_EQ(mailer.messages_sent(), 1u);
-}
-
-TEST(PowMailer, AttemptsAccumulateAcrossSends) {
-  PowMailer mailer(PowMailParams{6, 2e6});
-  std::uint64_t sum = 0;
-  for (int i = 0; i < 10; ++i) sum += mailer.send("r@x.example").hash_attempts;
-  EXPECT_EQ(mailer.total_attempts(), sum);
-}
-
 TEST(PowMailer, ExpectedAttemptsDoublePerBit) {
   EXPECT_DOUBLE_EQ(PowMailer(PowMailParams{10, 1e6}).expected_attempts(),
                    1024.0);
@@ -131,8 +116,6 @@ TEST(Shred, LowMotivationMeansLowDeterrence) {
   for (int i = 0; i < 10'000; ++i) shred.process(true);
   const double paid = shred.stats().spammer_paid.dollars();
   EXPECT_NEAR(paid, 10.0, 3.0);  // ~10% of $100
-  EXPECT_EQ(shred.expected_spammer_cost_per_spam(),
-            Money::from_cents(1) * 0.1);
 }
 
 TEST(Shred, CollusionZeroesDeterrenceButNotReceiverEffort) {
@@ -143,7 +126,6 @@ TEST(Shred, CollusionZeroesDeterrenceButNotReceiverEffort) {
   ShredScheme shred(p, zmail::Rng(7));
   for (int i = 0; i < 100; ++i) shred.process(true);
   EXPECT_TRUE(shred.stats().spammer_paid.is_zero());
-  EXPECT_TRUE(shred.expected_spammer_cost_per_spam().is_zero());
   EXPECT_GT(shred.stats().receiver_human_seconds, 0.0);
 }
 
@@ -204,12 +186,6 @@ TEST_F(PipelineTest, ContentFilterCatchesTheRest) {
 TEST_F(PipelineTest, RejectsHelper) {
   EXPECT_TRUE(pipeline_.rejects(msg("x@spamhaus.example", "hi")));
   EXPECT_FALSE(pipeline_.rejects(msg("boss@corp.example", "zxcasino")));
-}
-
-TEST(FilterVerdictName, AllNamed) {
-  EXPECT_STREQ(filter_verdict_name(FilterVerdict::kDeliver), "deliver");
-  EXPECT_STREQ(filter_verdict_name(FilterVerdict::kRejectContent),
-               "reject-content");
 }
 
 }  // namespace

@@ -41,16 +41,6 @@ TEST(AuditJournal, SettlementVolumeIsAbsolute) {
   EXPECT_EQ(j.settlement_volume(), 14);
 }
 
-TEST(AuditJournal, TextRendering) {
-  AuditJournal j;
-  j.record({AuditKind::kViolationFlagged, 3, 1, 2, -5});
-  const std::string text = j.text();
-  EXPECT_NE(text.find("violation"), std::string::npos);
-  EXPECT_NE(text.find("seq 3"), std::string::npos);
-  EXPECT_NE(text.find("a=1"), std::string::npos);
-  EXPECT_NE(text.find("amount=-5"), std::string::npos);
-}
-
 TEST(AuditKindNames, AllNamed) {
   EXPECT_STREQ(audit_kind_name(AuditKind::kMint), "mint");
   EXPECT_STREQ(audit_kind_name(AuditKind::kRoundCompleted),

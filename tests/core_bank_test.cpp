@@ -38,7 +38,7 @@ TEST_F(BankTest, BuyDebitsAccountAndMints) {
       bank_.on_buy(2, seal(keys_.pub, req.serialize(), rng_));
   ASSERT_FALSE(reply_wire.empty());
   EXPECT_EQ(bank_.account(2),
-            params_.initial_isp_bank_account - Money::from_epennies(100));
+            kInitialIspBankAccount - Money::from_epennies(100));
   EXPECT_EQ(bank_.metrics().epennies_minted, 100);
   const auto plain = unseal(keys_.pub, reply_wire);
   ASSERT_TRUE(plain.has_value());
@@ -68,7 +68,7 @@ TEST_F(BankTest, SellCreditsAccountAndBurns) {
       bank_.on_sell(0, seal(keys_.pub, req.serialize(), rng_));
   ASSERT_FALSE(reply_wire.empty());
   EXPECT_EQ(bank_.account(0),
-            params_.initial_isp_bank_account + Money::from_epennies(40));
+            kInitialIspBankAccount + Money::from_epennies(40));
   EXPECT_EQ(bank_.metrics().epennies_burned, 40);
   EXPECT_EQ(bank_.epennies_outstanding(), -40);
 }
@@ -123,9 +123,9 @@ TEST_F(BankTest, SettlementMovesRealMoneyAlongNetFlow) {
   bank_.on_reply(3, sealed_report(0, {0, 0, 0, 0}));
   // isp0's users paid isp1's users 5 e-pennies; real money follows.
   EXPECT_EQ(bank_.account(0),
-            params_.initial_isp_bank_account - Money::from_epennies(5));
+            kInitialIspBankAccount - Money::from_epennies(5));
   EXPECT_EQ(bank_.account(1),
-            params_.initial_isp_bank_account + Money::from_epennies(5));
+            kInitialIspBankAccount + Money::from_epennies(5));
   EXPECT_EQ(bank_.metrics().settlement_transfers, 1u);
 }
 
@@ -141,8 +141,8 @@ TEST_F(BankTest, InconsistentPairFlaggedAndNotSettled) {
   EXPECT_EQ(bank_.last_violations()[0].isp_j, 1u);
   EXPECT_EQ(bank_.last_violations()[0].discrepancy, 2);
   // No settlement across the disputed pair.
-  EXPECT_EQ(bank_.account(0), params_.initial_isp_bank_account);
-  EXPECT_EQ(bank_.account(1), params_.initial_isp_bank_account);
+  EXPECT_EQ(bank_.account(0), kInitialIspBankAccount);
+  EXPECT_EQ(bank_.account(1), kInitialIspBankAccount);
 }
 
 TEST_F(BankTest, DuplicateReportWithinRoundIgnored) {
@@ -197,7 +197,7 @@ TEST_F(BankTest, ThreeWayCyclicFlowConsistentAndSettled) {
   EXPECT_TRUE(bank_.last_violations().empty());
   // Cyclic flow nets to zero per ISP.
   for (std::size_t g = 0; g < 3; ++g)
-    EXPECT_EQ(bank_.account(g), params_.initial_isp_bank_account) << g;
+    EXPECT_EQ(bank_.account(g), kInitialIspBankAccount) << g;
   EXPECT_EQ(bank_.metrics().settlement_transfers, 3u);
 }
 

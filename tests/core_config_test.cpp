@@ -59,12 +59,13 @@ TEST(Config, ValidationCatchesEachProblem) {
     p.default_daily_limit = -1;
     EXPECT_FALSE(p.validate().empty());
   }
-  {
-    ZmailParams p;
-    p.initial_user_account = Money::from_dollars(-1.0);
-    EXPECT_FALSE(p.validate().empty());
-  }
 }
+
+// The policy values are persisted in the ISP image; 1 was the unmodelled
+// filter option and stays unused.
+static_assert(static_cast<int>(NonCompliantPolicy::kAccept) == 0);
+static_assert(static_cast<int>(NonCompliantPolicy::kSegregate) == 2);
+static_assert(static_cast<int>(NonCompliantPolicy::kDiscard) == 3);
 
 TEST(Config, ValidationReportsMultipleProblems) {
   ZmailParams p;

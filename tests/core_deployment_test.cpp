@@ -92,6 +92,19 @@ TEST(MakeCompliant, AllCompliantWorldFromEmptyArray) {
   EXPECT_TRUE(sys.is_compliant(1));
 }
 
+// A message to several recipients is one send_email per recipient (RFC-821
+// RCPT fan-out with Zmail's per-receiver payment); the counts add up.
+SendOutcome send_to_all(ZmailSystem& sys, const net::EmailAddress& from,
+                        const std::vector<net::EmailAddress>& to) {
+  SendOutcome total{SendResult::kDeliveredLocally, 0, 0};
+  for (const net::EmailAddress& r : to) {
+    const SendOutcome o = sys.send_email(from, r, "all", "b");
+    total.sent += o.sent;
+    total.refused += o.refused;
+  }
+  return total;
+}
+
 TEST(MultiRecipient, ChargesOneEPennyPerRecipient) {
   ZmailParams p;
   p.n_isps = 3;
@@ -99,12 +112,9 @@ TEST(MultiRecipient, ChargesOneEPennyPerRecipient) {
   p.initial_user_balance = 50;
   ZmailSystem sys(p, 6);
 
-  net::EmailMessage msg = net::make_email(user(0, 0), user(1, 0), "all", "b");
-  msg.to.push_back(user(1, 1));
-  msg.to.push_back(user(2, 2));
-  msg.to.push_back(user(0, 3));  // local recipient
-
-  const auto r = sys.send_email_multi(msg);
+  const auto r = send_to_all(
+      sys, user(0, 0),
+      {user(1, 0), user(1, 1), user(2, 2), user(0, 3)});  // one local
   EXPECT_EQ(r.sent, 4u);
   EXPECT_EQ(r.refused, 0u);
   EXPECT_EQ(sys.isp(0).user(0).balance, 50 - 4);
@@ -123,10 +133,8 @@ TEST(MultiRecipient, PartialRefusalWhenBalanceRunsOut) {
   p.initial_user_balance = 2;
   ZmailSystem sys(p, 7);
 
-  net::EmailMessage msg = net::make_email(user(0, 0), user(1, 0), "all", "b");
-  msg.to.push_back(user(1, 1));
-  msg.to.push_back(user(1, 2));
-  const auto r = sys.send_email_multi(msg);
+  const auto r =
+      send_to_all(sys, user(0, 0), {user(1, 0), user(1, 1), user(1, 2)});
   EXPECT_EQ(r.sent, 2u);
   EXPECT_EQ(r.refused, 1u);
   EXPECT_EQ(sys.isp(0).user(0).balance, 0);
@@ -140,11 +148,8 @@ TEST(MultiRecipient, DailyLimitAppliesPerRecipient) {
   p.default_daily_limit = 2;
   ZmailSystem sys(p, 8);
 
-  net::EmailMessage msg = net::make_email(user(0, 0), user(1, 0), "all", "b");
-  msg.to.push_back(user(1, 1));
-  msg.to.push_back(user(1, 2));
-  msg.to.push_back(user(1, 3));
-  const auto r = sys.send_email_multi(msg);
+  const auto r = send_to_all(sys, user(0, 0),
+                             {user(1, 0), user(1, 1), user(1, 2), user(1, 3)});
   EXPECT_EQ(r.sent, 2u);
   EXPECT_EQ(r.refused, 2u);
 }

@@ -47,7 +47,7 @@ TEST(FederatedSystem, TradesGoToTheHomeBankOverTheNetwork) {
   sys.run_for(10 * sim::kMinute);
   EXPECT_EQ(sys.isp(4).avail(), 1'000);  // refilled to maxavail
   // The home bank (4 % 3 == 1) paid out of ISP 4's account.
-  EXPECT_LT(sys.bank().account(4), p.initial_isp_bank_account);
+  EXPECT_LT(sys.bank().account(4), kInitialIspBankAccount);
   EXPECT_GT(sys.bank().metrics().epennies_minted, 0);
   EXPECT_TRUE(sys.conservation_holds());
   EXPECT_GT(sys.network().bytes_sent_to(sys.bank_host(1)), 0u);
@@ -65,9 +65,9 @@ TEST(FederatedSystem, SnapshotRoundSettlesAcrossBanks) {
   EXPECT_TRUE(sys.bank().last_violations().empty());
   EXPECT_EQ(sys.bank().metrics().snapshot_rounds, 1u);
   EXPECT_EQ(sys.bank().account(0),
-            fed_params(2).initial_isp_bank_account - Money::from_epennies(4));
+            kInitialIspBankAccount - Money::from_epennies(4));
   EXPECT_EQ(sys.bank().account(1),
-            fed_params(2).initial_isp_bank_account + Money::from_epennies(4));
+            kInitialIspBankAccount + Money::from_epennies(4));
   EXPECT_EQ(sys.bank().metrics().settlements_cross_bank, 1u);
   EXPECT_EQ(sys.bank().metrics().clearing_transfers, 1u);
   // Clearing nets to zero across the federation.

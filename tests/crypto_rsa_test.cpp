@@ -135,15 +135,6 @@ TEST_F(RsaTest, LyingCiphertextLengthRejected) {
   }
 }
 
-TEST_F(RsaTest, SignVerify) {
-  const Bytes msg = from_string("credit report: [3, -1, 0]");
-  const std::uint64_t sig = rsa_sign(keys_.priv, msg);
-  EXPECT_TRUE(rsa_verify(keys_.pub, msg, sig));
-  EXPECT_FALSE(rsa_verify(keys_.pub, from_string("forged"), sig));
-  EXPECT_FALSE(rsa_verify(keys_.pub, msg, sig ^ 1));
-  EXPECT_FALSE(rsa_verify(keys_.pub, msg, keys_.pub.n));  // out of range
-}
-
 // Pins the sealed wire bytes (as CRC32C) of a fixed-seed envelope stream
 // under both key halves, so any change to the session-key derivation,
 // keystream, MAC input or serialization shows up as a changed checksum.

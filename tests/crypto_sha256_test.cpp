@@ -8,24 +8,25 @@
 #include <vector>
 
 #include "crypto/sha256_impl.hpp"
+#include "hex.hpp"
 #include "util/rng.hpp"
 
 namespace zmail::crypto {
 namespace {
 
 TEST(Sha256, EmptyStringVector) {
-  EXPECT_EQ(digest_hex(sha256(std::string_view(""))),
+  EXPECT_EQ(digest_hex(sha256(from_string(""))),
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
 }
 
 TEST(Sha256, AbcVector) {
-  EXPECT_EQ(digest_hex(sha256(std::string_view("abc"))),
+  EXPECT_EQ(digest_hex(sha256(from_string("abc"))),
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
 }
 
 TEST(Sha256, TwoBlockVector) {
   EXPECT_EQ(
-      digest_hex(sha256(std::string_view(
+      digest_hex(sha256(from_string(
           "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))),
       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
 }
@@ -44,7 +45,7 @@ TEST(Sha256, IncrementalEqualsOneShot) {
     Sha256 h;
     h.update(std::string_view(msg).substr(0, split));
     h.update(std::string_view(msg).substr(split));
-    EXPECT_EQ(h.finish(), sha256(std::string_view(msg)));
+    EXPECT_EQ(h.finish(), sha256(from_string(msg)));
   }
 }
 
@@ -57,7 +58,7 @@ TEST(Sha256, ExactBlockBoundaryLengths) {
       const auto byte = static_cast<std::uint8_t>(c);
       h.update(&byte, 1);
     }
-    EXPECT_EQ(h.finish(), sha256(std::string_view(a))) << "len=" << len;
+    EXPECT_EQ(h.finish(), sha256(from_string(a))) << "len=" << len;
   }
 }
 
@@ -140,8 +141,8 @@ TEST(Sha256Compress, ShaNiMatchesPortableOnRandomBlocks) {
 }
 
 TEST(Sha256, DistinctInputsDistinctDigests) {
-  EXPECT_NE(sha256(std::string_view("a")), sha256(std::string_view("b")));
-  EXPECT_NE(sha256(std::string_view("")), sha256(std::string_view("\0", 1)));
+  EXPECT_NE(sha256(from_string("a")), sha256(from_string("b")));
+  EXPECT_NE(sha256(from_string("")), sha256(Bytes{0}));
 }
 
 TEST(LeadingZeroBits, CountsCorrectly) {
@@ -158,7 +159,7 @@ TEST(LeadingZeroBits, CountsCorrectly) {
 }
 
 TEST(DigestHex, RoundTripsThroughBytes) {
-  const Digest d = sha256(std::string_view("roundtrip"));
+  const Digest d = sha256(from_string("roundtrip"));
   const std::string hex = digest_hex(d);
   EXPECT_EQ(hex.size(), 64u);
   const Bytes back = from_hex(hex);

@@ -64,12 +64,6 @@ TEST(Spammer, DeliveryRateScalesRevenue) {
   EXPECT_EQ(evaluate(c, r).revenue, rev_full * 0.5);
 }
 
-TEST(Spammer, MaxProfitableVolumeZeroWhenMarginNegative) {
-  Campaign c;  // margin under zmail: 1e-5 * $25 = $2.5e-4 << $0.01
-  EXPECT_EQ(max_profitable_volume(c, zmail_regime()), 0u);
-  EXPECT_EQ(max_profitable_volume(c, smtp_regime()), c.messages);
-}
-
 TEST(Spammer, TargetedCampaignCanStillWorkUnderZmail) {
   // The paper: "incentives will favor more targeted advertising".  A 2%
   // response-rate targeted campaign clears the e-penny bar.

@@ -64,8 +64,8 @@ TEST_P(FullWeekTest, InvariantsSurviveAWeekOfTraffic) {
   EXPECT_EQ(sys.epennies_in_flight(), 0);
   EXPECT_TRUE(sys.conservation_holds());
   const Money expected_money =
-      world_params().initial_isp_bank_account * std::int64_t{4} +
-      world_params().initial_user_account * std::int64_t{32};
+      kInitialIspBankAccount * std::int64_t{4} +
+      kInitialUserAccount * std::int64_t{32};
   EXPECT_EQ(sys.total_real_money(), expected_money);
 
   // Snapshot rounds completed and found an honest world.

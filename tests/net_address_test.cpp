@@ -37,12 +37,15 @@ INSTANTIATE_TEST_SUITE_P(
                       "a@b c", "<a@b>", "a@.b", "a@b.", ".a@b", "a..b@c",
                       "a@b..c", "a!b@c"));
 
-TEST(Address, ParsePathRequiresAngleBrackets) {
-  EXPECT_TRUE(parse_path("<bob@host.dom>").has_value());
-  EXPECT_FALSE(parse_path("bob@host.dom").has_value());
-  EXPECT_FALSE(parse_path("<bob@host.dom").has_value());
-  EXPECT_FALSE(parse_path("bob@host.dom>").has_value());
-  EXPECT_FALSE(parse_path("<>").has_value());
+TEST(Address, AssignPathRequiresAngleBrackets) {
+  EmailAddress a;
+  EXPECT_TRUE(assign_path("<bob@host.dom>", a));
+  EXPECT_EQ(a, (EmailAddress{"bob", "host.dom"}));
+  for (std::string_view bad :
+       {"bob@host.dom", "<bob@host.dom", "bob@host.dom>", "<>"}) {
+    EXPECT_FALSE(assign_path(bad, a)) << bad;
+    EXPECT_EQ(a, (EmailAddress{"bob", "host.dom"})) << bad;  // untouched
+  }
 }
 
 TEST(Address, Ordering) {

@@ -194,13 +194,6 @@ TEST(Email, Rfc822RenderingHasHeadersBlankLineBody) {
   EXPECT_NE(text.find("\r\n\r\nthe body"), std::string::npos);
 }
 
-TEST(Email, WireSizeGrowsWithContent) {
-  EmailMessage small = make_email(addr("a@x.y"), addr("b@z.w"), "s", "b");
-  EmailMessage big = make_email(addr("a@x.y"), addr("b@z.w"), "s",
-                                std::string(10'000, 'x'));
-  EXPECT_GT(big.wire_size(), small.wire_size() + 9'000);
-}
-
 // Property: arbitrary header/body content survives binary serialization.
 class EmailWireFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -242,13 +235,6 @@ TEST_P(EmailWireFuzzTest, RandomMessagesRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EmailWireFuzzTest,
                          ::testing::Range<std::uint64_t>(60, 66));
-
-TEST(Email, MailClassNames) {
-  EXPECT_EQ(mail_class_name(MailClass::kSpam), "spam");
-  EXPECT_EQ(mail_class_name(MailClass::kLegitimate), "legitimate");
-  EXPECT_EQ(mail_class_name(MailClass::kAcknowledgment), "acknowledgment");
-  EXPECT_EQ(mail_class_name(MailClass::kVirus), "virus");
-}
 
 }  // namespace
 }  // namespace zmail::net

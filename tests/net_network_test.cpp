@@ -148,13 +148,6 @@ TEST(MsgTypeTest, InternRoundTripsAndDeduplicates) {
   EXPECT_TRUE(static_cast<bool>(kMsgEmail));
 }
 
-TEST_F(NetworkTest, MxResolution) {
-  const HostId a = net_.add_host("mail.a", [](const Datagram&) {});
-  net_.bind_domain("a.example", a);
-  EXPECT_EQ(net_.resolve("a.example"), a);
-  EXPECT_EQ(net_.resolve("unknown.example"), kNoHost);
-}
-
 TEST_F(NetworkTest, HostNames) {
   const HostId a = net_.add_host("alpha", [](const Datagram&) {});
   EXPECT_EQ(net_.host_name(a), "alpha");

@@ -52,14 +52,6 @@ TEST(MetricBag, MergeUnionsByName) {
   EXPECT_DOUBLE_EQ(a.counter("absent"), 0.0);
 }
 
-TEST(MetricBag, HistogramsMergeByShape) {
-  MetricBag a, b;
-  a.hist("lat", 0.0, 10.0, 10).add(1.0);
-  b.hist("lat", 0.0, 10.0, 10).add(9.0);
-  a.merge(b);
-  EXPECT_EQ(a.hists().at("lat").total(), 2u);
-}
-
 // A replica function whose result depends only on (point, seed): a short
 // deterministic PRNG walk.
 MetricBag walk_replica(const Point& pt, std::uint64_t seed) {
@@ -68,7 +60,6 @@ MetricBag walk_replica(const Point& pt, std::uint64_t seed) {
   const int n = static_cast<int>(pt.param("steps", 50));
   for (int i = 0; i < n; ++i) bag.stat("value").add(rng.normal(0.0, 1.0));
   bag.count("steps", n);
-  bag.hist("walk", -5.0, 5.0, 20).add(rng.normal(0.0, 1.0));
   return bag;
 }
 
@@ -107,7 +98,6 @@ TEST(SweepRun, OneThreadAndFourThreadsBitIdentical) {
     EXPECT_EQ(s1->min(), s4->min());
     EXPECT_EQ(s1->max(), s4->max());
     EXPECT_EQ(m1.counters(), m4.counters());
-    EXPECT_EQ(m1.hists().at("walk").buckets(), m4.hists().at("walk").buckets());
   }
 }
 

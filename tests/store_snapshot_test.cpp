@@ -17,6 +17,7 @@
 
 #include "core/isp.hpp"
 #include "crypto/rsa.hpp"
+#include "hex.hpp"
 #include "store/checkpoint.hpp"
 #include "util/rng.hpp"
 
@@ -67,17 +68,6 @@ SnapshotData golden_snapshot() {
   return s;
 }
 
-std::string to_hex(const crypto::Bytes& b) {
-  static const char* digits = "0123456789abcdef";
-  std::string out;
-  out.reserve(2 * b.size());
-  for (std::uint8_t v : b) {
-    out.push_back(digits[v >> 4]);
-    out.push_back(digits[v & 0xF]);
-  }
-  return out;
-}
-
 TEST(SnapshotCodecTest, EncodeDecodeRoundTrip) {
   const SnapshotData in = bank_snapshot();
   const crypto::Bytes image = encode_snapshot(in);
@@ -97,7 +87,7 @@ TEST(SnapshotCodecTest, EncodeDecodeRoundTrip) {
 // changed: add a new version rather than edit the golden string.
 TEST(SnapshotGoldenTest, V2ColumnarByteLayoutIsPinned) {
   const crypto::Bytes encoded = encode_snapshot(golden_snapshot());
-  EXPECT_EQ(to_hex(encoded),
+  EXPECT_EQ(crypto::to_hex(encoded),
             // magic  version  features next_lsn
             "5a534e50"
             "00000002"
@@ -140,7 +130,7 @@ TEST(SnapshotGoldenTest, DifferentialByteLayoutIsPinned) {
   s.meta.sim_time_us = 1234567890;
   s.sections.push_back(SnapshotSection{kIspScalarsSection, kScalarsPayload});
   s.sections.push_back(SnapshotSection{kRowDeltaSection, rows});
-  EXPECT_EQ(to_hex(encode_snapshot(s)),
+  EXPECT_EQ(crypto::to_hex(encode_snapshot(s)),
             // magic  version  features next_lsn
             "5a534e50"
             "00000002"

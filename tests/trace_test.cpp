@@ -17,6 +17,13 @@
 namespace zmail::trace {
 namespace {
 
+// export_chrome writes event types by number, so a recorded trace reads
+// back only while these stay put (13, 15 and 17 are retired).
+static_assert(static_cast<int>(Ev::kDiscard) == 12);
+static_assert(static_cast<int>(Ev::kRefuse) == 14);
+static_assert(static_cast<int>(Ev::kDuplicateDrop) == 16);
+static_assert(static_cast<int>(Ev::kAck) == 18);
+
 // Every test starts from a quiet recorder and leaves one behind; the
 // recorder is process-global state shared across the whole test binary.
 class TraceTest : public ::testing::Test {
@@ -98,25 +105,24 @@ TEST_F(TraceTest, EventsCarrySimTimeAndMonotonicSeq) {
 }
 
 TEST_F(TraceTest, RingWrapsKeepingTheNewestEvents) {
-  // Capacity applies to rings created after the call, so emit from a fresh
-  // thread; the main thread's ring was already built at default capacity.
-  set_ring_capacity(8);
+  // Emit from a fresh thread so the ring starts empty: kRingCapacity + 12
+  // events overwrite the oldest 12.
+  constexpr std::uint64_t kExtra = 12;
   const std::uint64_t before_dropped = dropped();
   std::thread writer([] {
-    for (std::uint64_t i = 0; i < 20; ++i)
+    for (std::uint64_t i = 0; i < kRingCapacity + kExtra; ++i)
       instant(Ev::kDeliver, 1'000 + i, 3);
   });
   writer.join();
-  set_ring_capacity(1 << 16);  // restore for later tests' threads
 
   std::vector<TraceEvent> mine;
   for (const TraceEvent& e : collect())
     if (e.id >= 1'000) mine.push_back(e);
-  ASSERT_EQ(mine.size(), 8u);
-  // The survivors are the newest 8 of the 20, still in emission order.
+  ASSERT_EQ(mine.size(), kRingCapacity);
+  // The survivors are the newest kRingCapacity, still in emission order.
   for (std::size_t i = 0; i < mine.size(); ++i)
-    EXPECT_EQ(mine[i].id, 1'000 + 12 + i);
-  EXPECT_EQ(dropped() - before_dropped, 12u);
+    ASSERT_EQ(mine[i].id, 1'000 + kExtra + i);
+  EXPECT_EQ(dropped() - before_dropped, kExtra);
 }
 
 TEST_F(TraceTest, SpanScopeEmitsBeginAndEndWithFinalArg) {

@@ -136,21 +136,6 @@ TEST(Rng, ExponentialMean) {
   EXPECT_NEAR(sum / n, 0.5, 0.02);
 }
 
-TEST(Rng, GeometricMean) {
-  Rng rng(47);
-  // E[failures before success] = (1-p)/p.
-  const double p = 0.25;
-  double sum = 0.0;
-  const int n = 50000;
-  for (int i = 0; i < n; ++i) sum += static_cast<double>(rng.geometric(p));
-  EXPECT_NEAR(sum / n, 3.0, 0.1);
-}
-
-TEST(Rng, GeometricPOneIsZero) {
-  Rng rng(53);
-  for (int i = 0; i < 20; ++i) EXPECT_EQ(rng.geometric(1.0), 0u);
-}
-
 TEST(Rng, ZipfStaysInRangeAndFavorsLowRanks) {
   Rng rng(59);
   std::uint64_t low = 0, total = 20000;
@@ -162,25 +147,6 @@ TEST(Rng, ZipfStaysInRangeAndFavorsLowRanks) {
   }
   // Zipf(1.2) concentrates most of the mass in the first decile.
   EXPECT_GT(static_cast<double>(low) / static_cast<double>(total), 0.5);
-}
-
-TEST(Rng, WeightedChoiceRespectsWeights) {
-  Rng rng(61);
-  std::vector<double> w{1.0, 0.0, 3.0};
-  std::vector<int> counts(3, 0);
-  const int n = 40000;
-  for (int i = 0; i < n; ++i) ++counts[rng.weighted_choice(w)];
-  EXPECT_EQ(counts[1], 0);
-  EXPECT_NEAR(static_cast<double>(counts[0]) / n, 0.25, 0.02);
-  EXPECT_NEAR(static_cast<double>(counts[2]) / n, 0.75, 0.02);
-}
-
-TEST(Rng, WeightedChoiceAllZeroFallsBackToUniform) {
-  Rng rng(67);
-  std::vector<double> w{0.0, 0.0, 0.0, 0.0};
-  std::vector<int> counts(4, 0);
-  for (int i = 0; i < 8000; ++i) ++counts[rng.weighted_choice(w)];
-  for (int c : counts) EXPECT_GT(c, 1000);
 }
 
 TEST(Rng, ShufflePreservesElements) {

@@ -32,20 +32,6 @@ TEST(Table, ColumnsAlignToWidestCell) {
   }
 }
 
-TEST(Table, CsvEscapesSpecialCharacters) {
-  Table t({"name", "note"});
-  t.add_row({"a,b", "say \"hi\""});
-  const std::string csv = t.csv();
-  EXPECT_NE(csv.find("\"a,b\""), std::string::npos);
-  EXPECT_NE(csv.find("\"say \"\"hi\"\"\""), std::string::npos);
-}
-
-TEST(Table, CsvPlainCellsUnquoted) {
-  Table t({"h"});
-  t.add_row({"plain"});
-  EXPECT_EQ(t.csv(), "h\nplain\n");
-}
-
 TEST(Table, NumFormatters) {
   EXPECT_EQ(Table::num(3.14159, 2), "3.14");
   EXPECT_EQ(Table::num(std::int64_t{-42}), "-42");
