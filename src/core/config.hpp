@@ -88,10 +88,8 @@ struct ZmailParams {
   EPenny minavail = 1'000;
   EPenny maxavail = 10'000;
 
-  // Starting endowments: the paper's "initial balances with their ISPs to
-  // buffer the fluctuations".
-  // (The real-money endowments are kInitialUserAccount and
-  // kInitialIspBankAccount above.)
+  // Starting e-penny endowments: the paper's "initial balances with their
+  // ISPs to buffer the fluctuations".
   EPenny initial_user_balance = 50;
   EPenny initial_avail = 5'000;
 

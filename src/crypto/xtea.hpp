@@ -22,7 +22,9 @@ namespace zmail::crypto {
 
 using XteaKey = std::array<std::uint32_t, 4>;
 
-// One 64-bit block, 64 rounds (the standard 32 cycles).
+// One 64-bit block, 64 rounds (the standard 32 cycles).  Only tests call
+// these two: they are the reference every CTR kernel is checked against
+// (tests/crypto_xtea_test.cpp).
 std::uint64_t xtea_encrypt_block(std::uint64_t block,
                                  const XteaKey& key) noexcept;
 std::uint64_t xtea_decrypt_block(std::uint64_t block,

@@ -125,7 +125,9 @@ class SmtpServerSession {
 
 // Client-side: renders a message as the exact line sequence a client would
 // send (HELO..QUIT), with dot-stuffing applied to the body.  A thin wrapper
-// over the renderer smtp_transfer() streams from.
+// over the renderer smtp_transfer() streams from.  Only tests call it: it
+// is the reference side of the SmtpDifferentialTest and
+// SmtpGeneratedDifferentialTest cases (tests/net_smtp_test.cpp).
 std::vector<std::string> smtp_client_script(const EmailMessage& msg,
                                             std::string_view client_domain);
 

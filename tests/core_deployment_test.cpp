@@ -96,7 +96,7 @@ TEST(MakeCompliant, AllCompliantWorldFromEmptyArray) {
 // RCPT fan-out with Zmail's per-receiver payment); the counts add up.
 SendOutcome send_to_all(ZmailSystem& sys, const net::EmailAddress& from,
                         const std::vector<net::EmailAddress>& to) {
-  SendOutcome total{SendResult::kDeliveredLocally, 0, 0};
+  SendOutcome total;
   for (const net::EmailAddress& r : to) {
     const SendOutcome o = sys.send_email(from, r, "all", "b");
     total.sent += o.sent;

@@ -394,7 +394,8 @@ TEST_F(PopulationSnapshotTest, OutOfRangeEnumBytesFailTheRestore) {
   };
   EXPECT_TRUE(restores(policy_at, scalars[policy_at]));  // control
   // 1 was the unmodelled filter policy.
-  for (const std::uint8_t v : {std::uint8_t{1}, std::uint8_t{4}, std::uint8_t{0xFF}})
+  for (const std::uint8_t v :
+       {std::uint8_t{1}, std::uint8_t{4}, std::uint8_t{0xFF}})
     EXPECT_FALSE(restores(policy_at, v)) << "policy " << int{v};
   for (const std::uint8_t v : {std::uint8_t{2}, std::uint8_t{0xFF}}) {
     EXPECT_FALSE(restores(misbehavior_at, v)) << "misbehavior " << int{v};

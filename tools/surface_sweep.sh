@@ -27,7 +27,8 @@ jobs=$(( $(nproc) < 4 ? $(nproc) : 4 ))
 # side of a named test.  One qualified name (no signature) per line.
 oracles=(
   # The reference SMTP client of the session differential tests
-  # (tests/net_smtp_test.cpp, SmtpDifferential*).
+  # (tests/net_smtp_test.cpp, SmtpDifferentialTest and
+  # SmtpGeneratedDifferentialTest).
   zmail::net::smtp_client_script
   # The one-block XTEA reference that pins the CTR stream
   # (tests/crypto_xtea_test.cpp).
