@@ -3,14 +3,16 @@
 // differential.
 //
 // The binary replaces the global operator new to count heap allocations
-// and the bytes they ask for.  Its two checks are exact, so they run in
+// and the bytes they ask for.  Its three checks are exact, so they run in
 // --smoke too.  A warm 100k-user ISP full image streams its 7.4 MB of
 // Population columns to the file without staging them, so the whole
 // checkpoint (sections, framing, paths, WAL truncation) allocates less
 // than 64 KiB.  A warm differential gathers its dirty rows into the
-// page-backed RowBuffer it reuses, so it stays under the same bound.  It
-// also prints the CRC32C throughput on a checkpoint-sized buffer, as a
-// report line only (no timing is checked).
+// page-backed RowBuffer it reuses, so it stays under the same bound.  Warm
+// WAL appends store their records through the mapped window: no write(2)
+// or pwrite(2) at all, and one window mapped per 64 KiB of log.  It also
+// prints the CRC32C throughput on a checkpoint-sized buffer, as a report
+// line only (no timing is checked).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -122,7 +124,8 @@ void BM_WalAppend(benchmark::State& state) {
   std::uint64_t n = 0;
   for (auto _ : state) {
     wal.append(1, payload);
-    // Keep the file small; a truncation every 4096 records is noise.
+    // A checkpoint restart every 4096 records keeps the file at about
+    // 1.7 MB, whose pages the log then reuses.
     if (++n % 4096 == 0) wal.truncate_behind_checkpoint();
   }
   wal.close();
@@ -269,6 +272,47 @@ void check_differential_allocations(bench::Bench& harness) {
                 "(the dirty rows gather into the reused RowBuffer)");
 }
 
+// 10,000 warm ~400-byte appends at cadence 1: every sync stores through
+// the window, so the writer makes no write(2)/pwrite(2) call and maps one
+// window per 64 KiB of log, plus one for the window it starts in.
+void check_wal_append_syscalls(bench::Bench& harness) {
+  constexpr int kAppends = 10'000;
+  std::filesystem::create_directories(kWorkDir);
+  store::WalWriter wal;
+  std::string err;
+  const bool opened =
+      wal.open(kWorkDir + "/syscalls.zwal", 1, /*fsync_data=*/false, &err);
+  if (!opened) std::fprintf(stderr, "wal: %s\n", err.c_str());
+  const crypto::Bytes payload = make_data(400);
+  for (int i = 0; i < 100; ++i) wal.append(1, payload);  // warm
+  const store::WalWriter::Stats s0 = wal.stats();
+  for (int i = 0; i < kAppends; ++i) wal.append(1, payload);
+  const store::WalWriter::Stats& s1 = wal.stats();
+  const std::uint64_t bytes = s1.bytes_appended - s0.bytes_appended;
+  const std::uint64_t writes = s1.writes - s0.writes;
+  const std::uint64_t maps = s1.maps - s0.maps;
+  const std::uint64_t syncs = s1.syncs - s0.syncs;
+  const std::uint64_t max_maps =
+      (bytes + store::WalWriter::kWindowBytes - 1) /
+          store::WalWriter::kWindowBytes +
+      1;
+  wal.close();
+  std::filesystem::remove_all(kWorkDir);
+  std::printf("wal: %d appends, %llu bytes, %llu syncs, %llu writes, %llu "
+              "maps (bound %llu)\n",
+              kAppends, static_cast<unsigned long long>(bytes),
+              static_cast<unsigned long long>(syncs),
+              static_cast<unsigned long long>(writes),
+              static_cast<unsigned long long>(maps),
+              static_cast<unsigned long long>(max_maps));
+  harness.metrics()["wal_append_writes"] = writes;
+  harness.metrics()["wal_append_maps"] = maps;
+  harness.check(opened && syncs == kAppends && writes == 0 &&
+                    maps <= max_maps,
+                "10,000 warm WAL appends at cadence 1 make no write(2) and "
+                "map at most one window per 64 KiB of log, plus one");
+}
+
 // Best-of-N throughput of store::crc32c and of the portable reference over
 // the 7.4 MB of one 100k-user ISP checkpoint's columns.
 void report_crc_throughput(bench::Bench& harness) {
@@ -307,6 +351,7 @@ int main(int argc, char** argv) {
   zmail::bench::Bench harness("micro_store", argc, argv);
   check_checkpoint_allocations(harness);
   check_differential_allocations(harness);
+  check_wal_append_syscalls(harness);
   report_crc_throughput(harness);
   return zmail::bench::run_micro(harness, argc, argv);
 }

@@ -11,7 +11,8 @@
 //   R2.b  checkpoint latency: state serialize/deserialize time and the
 //         on-disk snapshot size as the party state grows
 //   R2.c  recovery time vs WAL length: replay cost grows with the log, and
-//         a checkpoint truncates it back down
+//         a checkpoint restarts it empty (the file keeps its extent; the
+//         scan stops at the new terminator)
 //   R2.e  snapshot bytes written per email: an ISP checkpoint after the
 //         first writes a differential of the rows changed since its last
 //         full image, against the full image every checkpoint used to be
@@ -230,8 +231,8 @@ void r2c_recovery_scaling(bench::Bench& harness) {
     const double recover_wall = seconds_since(t0);
     recovery_walls.push_back(recover_wall);
 
-    // A checkpoint truncates the log; recovery becomes snapshot restore
-    // plus an (empty) tail.
+    // A checkpoint restarts the log empty; recovery becomes snapshot
+    // restore plus an (empty) tail.
     sys.checkpoint_host(0);
     t0 = std::chrono::steady_clock::now();
     sys.recover_host(0);

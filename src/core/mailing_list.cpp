@@ -54,8 +54,7 @@ std::size_t MailingList::post(const std::string& subject,
                         body, net::MailClass::kMailingList);
     msg.set_header("X-Zmail-Ack-To", distributor_.str());
     msg.set_header("List-Id", name_);
-    const SendResult r = system_.send_email(std::move(msg));
-    if (r == SendResult::kNoBalance || r == SendResult::kDailyLimit) continue;
+    if (system_.send_email(std::move(msg)).sent == 0) continue;
     ++sub.posts_sent;
     ++sent;
     ++copies_sent_;

@@ -67,13 +67,22 @@ struct SendOutcome {
   bool all_sent() const noexcept { return refused == 0; }
   constexpr operator SendResult() const noexcept { return result; }
 
+  // Whether a send left the sender.  Callers that count sends (mailing
+  // lists, the traffic generator, the zombie outbreak) read `sent`, which
+  // is 1 exactly for these.
+  static constexpr bool counts_as_sent(SendResult r) noexcept {
+    return r == SendResult::kDeliveredLocally ||
+           r == SendResult::kSentPaid || r == SendResult::kSentFree ||
+           r == SendResult::kBuffered;
+  }
   // Quarantine blocks the sender before the recipient is considered, so
-  // it is not counted as a refusal; the enum still reports it.
+  // it is neither sent nor counted as a refusal; the enum still reports it.
   static constexpr bool counts_as_refused(SendResult r) noexcept {
     return r == SendResult::kNoBalance || r == SendResult::kDailyLimit;
   }
   static constexpr SendOutcome from(SendResult r) noexcept {
-    return counts_as_refused(r) ? SendOutcome{r, 0, 1} : SendOutcome{r, 1, 0};
+    return SendOutcome{r, counts_as_sent(r) ? 1u : 0u,
+                       counts_as_refused(r) ? 1u : 0u};
   }
 };
 
@@ -180,8 +189,8 @@ class ZmailSystem {
     std::uint64_t wal_records_truncated = 0;
     std::uint64_t wal_records_appended = 0;
     std::uint64_t wal_bytes_appended = 0;
-    std::uint64_t wal_syncs = 0;
-    std::uint64_t wal_fsyncs = 0;
+    std::uint64_t wal_syncs = 0;   // sync points that stored records
+    std::uint64_t wal_fsyncs = 0;  // fdatasync(2) barriers
   };
   StoreTotals store_totals() const;
 

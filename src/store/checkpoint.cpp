@@ -1,5 +1,7 @@
 #include "store/checkpoint.hpp"
 
+#include <fcntl.h>
+#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -158,14 +160,36 @@ bool Checkpointer::replay_wal_tail(
     Lsn replay_from,
     const ReplayFn& replay,
     RecoveryStats& st, std::string* error) {
-  crypto::Bytes wal_image;
-  st.wal_status = read_file(wal_path_, wal_image);
-  if (st.wal_status == StoreStatus::kNotFound) return true;  // fresh party
-  if (st.wal_status != StoreStatus::kOk) {
+  // The log is scanned through a read-only mapping of its file, so only
+  // the log's pages are touched: an open writer's file runs on past the
+  // terminator by a window of zeros, or by the stale records of a longer
+  // log from before the last checkpoint.
+  const int fd = ::open(wal_path_.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0 && errno == ENOENT) {
+    st.wal_status = StoreStatus::kNotFound;
+    return true;  // fresh party
+  }
+  struct stat info {};
+  void* map = nullptr;
+  if (fd >= 0 && ::fstat(fd, &info) == 0 && info.st_size > 0)
+    map = ::mmap(nullptr, static_cast<std::size_t>(info.st_size), PROT_READ,
+                 MAP_SHARED, fd, 0);
+  if (fd >= 0) ::close(fd);  // the mapping keeps the file alive
+  if (fd < 0 || map == MAP_FAILED) {
+    st.wal_status = StoreStatus::kIoError;
     if (error) *error = "recover: wal unreadable";
     return false;
   }
-  st.wal_bytes = wal_image.size();
+  const std::span<const std::uint8_t> wal_image(
+      static_cast<const std::uint8_t*>(map),
+      map ? static_cast<std::size_t>(info.st_size) : 0);
+  struct Unmap {
+    std::span<const std::uint8_t> bytes;
+    ~Unmap() {
+      if (!bytes.empty())
+        ::munmap(const_cast<std::uint8_t*>(bytes.data()), bytes.size());
+    }
+  } unmap{wal_image};
 
   bool gap = false;
   const WalScanResult scan =
@@ -180,6 +204,7 @@ bool Checkpointer::replay_wal_tail(
         st.recovered_lsn = rec.lsn;
       });
   st.wal_status = scan.status;
+  st.wal_bytes = scan.valid_bytes;
   switch (scan.status) {
     case StoreStatus::kOk:
     case StoreStatus::kTruncated:

@@ -11,27 +11,34 @@
 // internals and `zmail_store` stays below `zmail_core` in the link graph.
 //
 // Lifecycle:
-//   open()        — open/create the WAL; scan + trim its tail
+//   open()        — open/create the WAL; scan it and trim a torn tail
 //   recover()     — load the base (if any), then the one differential
 //                   tagged with that base (if any), replay the WAL tail
 //                   after the later of the two, and report what happened;
-//                   stops *cleanly* at a torn tail.  The WAL file is read
-//                   once into a buffer sized from fstat(2), and each
-//                   record's payload reaches the replay callback as a span
-//                   into that buffer (nothing copied).  Call it after
-//                   open() and before the first append: a log cut to
-//                   nothing restarts at the loaded image's next_lsn here.
+//                   stops *cleanly* at a torn tail.  The WAL file is
+//                   scanned through a read-only mapping, which touches the
+//                   log's pages only (not the extent behind its
+//                   terminator), and each record's payload reaches the
+//                   replay callback as a span into it (nothing copied).
+//                   Call it after open() and before the first append: a
+//                   log cut to nothing restarts at the loaded image's
+//                   next_lsn here.
 //   wal()         — the sink the party logs commands to
 //   checkpoint()  — atomically write a full image covering all logged
-//                   commands, then truncate the WAL behind it; the image
-//                   becomes the base
+//                   commands, then restart the WAL behind it (a new header
+//                   and a terminator; the file keeps its extent, whose
+//                   stale records all carry LSNs below the new base); the
+//                   image becomes the base
 //   checkpoint_differential() — the same for a differential over the base
 //   simulate_crash() — drop un-fsynced WAL buffer (models process death)
 //
 // Crash windows.  Each file is replaced by write_snapshot_file's atomic
-// exchange, and the WAL is truncated only after it, so a crash leaves
+// exchange, and the WAL is restarted only after it, so a crash leaves
 // either the previous file set or the new file with the old, longer log,
 // whose records the new file already covers (replay skips them by LSN).
+// A crash between the restart's header and its terminator leaves the new
+// header over old records, whose LSNs fall below its base: the scan stops
+// at the first of them.
 // A full image leaves the differential alone: it keeps the old base's tag
 // and is ignored from then on.  Only a full image at the base's own
 // next_lsn would carry that same tag; the differential is removed before
@@ -70,7 +77,7 @@ struct RecoveryStats {
   std::uint64_t wal_records_replayed = 0;
   Lsn recovered_lsn = 0;       // last applied LSN (0 = nothing)
   std::uint64_t snapshot_bytes = 0;  // base + differential file sizes
-  std::uint64_t wal_bytes = 0;
+  std::uint64_t wal_bytes = 0;       // the log's valid bytes, header included
 };
 
 class Checkpointer {

@@ -145,17 +145,10 @@ SpamCampaignResult run_spam_campaign(core::ZmailSystem& system,
       ++result.sent;
       continue;
     }
-    switch (system.send_email(msg)) {
-      case core::SendResult::kNoBalance:
-        ++result.refused_balance;
-        break;
-      case core::SendResult::kDailyLimit:
-        ++result.refused_limit;
-        break;
-      default:
-        ++result.sent;
-        break;
-    }
+    const core::SendOutcome out = system.send_email(msg);
+    result.sent += out.sent;
+    if (out.result == core::SendResult::kNoBalance) ++result.refused_balance;
+    if (out.result == core::SendResult::kDailyLimit) ++result.refused_limit;
   }
   return result;
 }

@@ -59,12 +59,11 @@ std::vector<OutbreakDay> ZombieOutbreak::run() {
               net::make_user_address(i, u), net::make_user_address(ti, tu),
               "wphotos attached", "wopen wthe wattachment zxnow",
               net::MailClass::kVirus);
-          const core::SendResult r = system_.send_email(std::move(msg));
-          if (r == core::SendResult::kDailyLimit ||
-              r == core::SendResult::kQuarantined ||
-              r == core::SendResult::kNoBalance) {
+          const core::SendOutcome out = system_.send_email(std::move(msg));
+          if (out.sent == 0) {
             ++row.virus_blocked;
-            if (r != core::SendResult::kNoBalance) break;  // blocked today
+            if (out.result != core::SendResult::kNoBalance)
+              break;  // blocked today
             continue;
           }
           ++row.virus_sent;

@@ -110,5 +110,36 @@ TEST_F(MailingListTest, AckTracksPerSubscriberCounts) {
   }
 }
 
+// A distributor quarantined by its own limit's warning sends no copies, so
+// a post counts none and the list's net cost matches the balance.
+TEST(MailingListQuarantine, AQuarantinedPostSendsAndCostsNothing) {
+  ZmailParams p;
+  p.n_isps = 2;
+  p.users_per_isp = 4;
+  p.initial_user_balance = 100;
+  p.default_daily_limit = 2;
+  p.quarantine_after_warnings = 1;
+  ZmailSystem sys(p, 23);
+  MailingList list(sys, user(0, 0), "q");
+  list.subscribe(user(1, 0));
+  list.subscribe(user(1, 1));
+  list.subscribe(user(0, 1));
+  const EPenny before = sys.isp(0).user(0).balance;
+
+  EXPECT_EQ(list.post("first", "b"), 2u);  // the third hits the limit
+  ASSERT_TRUE(sys.isp(0).user(0).quarantined);
+  EXPECT_EQ(list.post("second", "b"), 0u);
+  sys.run_for(sim::kHour);
+  list.reconcile_and_prune();
+
+  std::uint64_t posts_sent = 0;
+  for (const SubscriberRecord& sub : list.subscribers())
+    posts_sent += sub.posts_sent;
+  EXPECT_EQ(posts_sent, 2u);
+  EXPECT_EQ(active_subscribers(list), 3u);
+  EXPECT_EQ(list.net_epenny_cost(), before - sys.isp(0).user(0).balance);
+  EXPECT_TRUE(sys.conservation_holds());
+}
+
 }  // namespace
 }  // namespace zmail::core

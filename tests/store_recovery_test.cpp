@@ -188,6 +188,60 @@ TEST(StoreRecoveryTest, WalCutBehindASnapshotLosesNoLaterRecord) {
   }
 }
 
+// A checkpoint restarts the log without trimming the file, so the records
+// logged before it stay behind the new terminator with valid CRCs.
+// Recovery replays only the records logged after the checkpoint, and still
+// does when the terminator is lost and only the LSN check stops the scan.
+TEST(StoreRecoveryTest, StaleRecordsBehindTheTerminatorAreNeverReplayed) {
+  const crypto::Bytes blob = {1, 2, 3};
+  const crypto::Bytes record(30, 7);  // 8 + 9 + 30 bytes a record
+  constexpr std::size_t kRec = 47;
+  store::StoreConfig cfg;
+  cfg.enabled = true;
+  cfg.fsync_data = false;
+  cfg.dir = fresh_dir("stale_extent");
+  const auto accept = [](const store::SnapshotFileView&) { return true; };
+  std::vector<std::uint8_t> types;
+  const auto collect = [&](std::uint8_t type, std::span<const std::uint8_t>) {
+    types.push_back(type);
+  };
+  std::string err;
+  store::Checkpointer cp;
+  ASSERT_TRUE(cp.open(cfg, "bank", &err)) << err;
+  for (int i = 0; i < 100; ++i) cp.wal().append(1, record);
+  ASSERT_TRUE(cp.checkpoint({{store::kBankStateSection, blob}}, 1, &err))
+      << err;
+  for (int i = 0; i < 5; ++i) cp.wal().append(2, record);
+  const std::size_t end = 20 + 5 * kRec;
+  ASSERT_GT(std::filesystem::file_size(cp.wal_path()), 20 + 100 * kRec);
+
+  cp.simulate_crash();
+  store::RecoveryStats rs;
+  ASSERT_TRUE(cp.recover(accept, collect, &rs, &err)) << err;
+  EXPECT_EQ(rs.wal_status, store::StoreStatus::kOk);
+  EXPECT_EQ(rs.wal_bytes, end);
+  EXPECT_EQ(rs.recovered_lsn, 105u);
+  EXPECT_EQ(types, std::vector<std::uint8_t>(5, 2));
+
+  // Lose the terminator: the old sixth record's length word comes back, so
+  // the scan meets that whole record (LSN 6, valid CRC) and stops there.
+  {
+    std::fstream f(cp.wal_path(),
+                   std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(static_cast<std::streamoff>(end));
+    const char old_len[4] = {0, 0, 0, 39};
+    f.write(old_len, 4);
+  }
+  types.clear();
+  cp.simulate_crash();
+  ASSERT_TRUE(cp.recover(accept, collect, &rs, &err)) << err;
+  EXPECT_EQ(rs.wal_status, store::StoreStatus::kCorrupt);
+  EXPECT_EQ(rs.wal_bytes, end);
+  EXPECT_EQ(rs.recovered_lsn, 105u);
+  EXPECT_EQ(types, std::vector<std::uint8_t>(5, 2));
+  std::filesystem::remove_all(cfg.dir);
+}
+
 // Enough users that the traffic below dirties well under half the rows,
 // so an ISP checkpoint after the first is a differential.
 ZmailParams differential_params(const std::string& dir) {

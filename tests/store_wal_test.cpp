@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -24,6 +25,18 @@ crypto::Bytes payload_for(int i) {
   crypto::Bytes p;
   for (int k = 0; k <= i; ++k) p.push_back(static_cast<std::uint8_t>(i + k));
   return p;
+}
+
+bool zero_from(const crypto::Bytes& b, std::size_t from) {
+  return std::all_of(b.begin() + static_cast<std::ptrdiff_t>(from), b.end(),
+                     [](std::uint8_t x) { return x == 0; });
+}
+
+void write_whole_file(const std::string& path, const crypto::Bytes& b) {
+  FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(b.data(), 1, b.size(), f), b.size());
+  std::fclose(f);
 }
 
 struct ScanCapture {
@@ -231,6 +244,176 @@ TEST(WalWriterTest, TruncateBehindCheckpointAdvancesBaseLsn) {
   std::remove(path.c_str());
 }
 
+// The header, and records of 8 + 9 + 40 bytes: equal sizes line the
+// records of a restarted log up with the old ones behind them.
+constexpr std::size_t kHeader = 20;
+constexpr std::size_t kRec = 57;
+const crypto::Bytes kPayload40(40, 0x5A);
+
+// A checkpoint restart over a longer log rewrites the header and stores a
+// terminator without trimming: the old records stay behind it byte for
+// byte, with valid CRCs, and the scan ends at the terminator.  Without the
+// terminator, the first stale record's LSN (below the new base) stops it.
+// close() then trims the file to the log.
+TEST(WalExtentTest, CheckpointRestartLeavesStaleRecordsBehindTheTerminator) {
+  const std::string path = tmp_path("stale");
+  std::remove(path.c_str());
+  WalWriter w;
+  std::string err;
+  ASSERT_TRUE(w.open(path, 1, false, &err)) << err;
+  for (int i = 0; i < 50; ++i) w.append_record(1, kPayload40);
+  crypto::Bytes old_log;
+  ASSERT_EQ(read_file(path, old_log), StoreStatus::kOk);
+  ASSERT_EQ(wal_scan(old_log).valid_bytes, kHeader + 50 * kRec);
+  ASSERT_TRUE(w.truncate_behind_checkpoint(&err)) << err;
+  for (int i = 0; i < 3; ++i) w.append_record(2, kPayload40);
+
+  crypto::Bytes file;
+  ASSERT_EQ(read_file(path, file), StoreStatus::kOk);
+  ScanCapture cap;
+  const WalScanResult r = wal_scan(file, cap.fn());
+  EXPECT_EQ(r.status, StoreStatus::kOk);
+  EXPECT_EQ(r.base_lsn, 51u);
+  EXPECT_EQ(cap.lsns, (std::vector<Lsn>{51, 52, 53}));
+  const std::size_t end = kHeader + 3 * kRec;
+  ASSERT_EQ(r.valid_bytes, end);
+  ASSERT_GE(file.size(), kHeader + 50 * kRec);
+  EXPECT_TRUE(std::all_of(file.begin() + end, file.begin() + end + 4,
+                          [](std::uint8_t x) { return x == 0; }));
+  EXPECT_TRUE(std::equal(file.begin() + end + 4,
+                         file.begin() + kHeader + 50 * kRec,
+                         old_log.begin() + end + 4));
+
+  // Put the old length word back over the terminator: the scan meets the
+  // whole old record with LSN 4 and stops there.
+  crypto::Bytes lost = file;
+  std::copy(old_log.begin() + end, old_log.begin() + end + 4,
+            lost.begin() + end);
+  ScanCapture lost_cap;
+  const WalScanResult l = wal_scan(lost, lost_cap.fn());
+  EXPECT_EQ(l.status, StoreStatus::kCorrupt);
+  EXPECT_EQ(l.valid_bytes, end);
+  EXPECT_EQ(lost_cap.lsns, (std::vector<Lsn>{51, 52, 53}));
+  const std::string lost_path = tmp_path("stale_lost");
+  write_whole_file(lost_path, lost);
+  {
+    WalWriter reopened;
+    ASSERT_TRUE(reopened.open(lost_path, 1, false, &err)) << err;
+    EXPECT_EQ(reopened.next_lsn(), 54u);
+  }
+  std::remove(lost_path.c_str());
+
+  w.close();
+  ASSERT_EQ(read_file(path, file), StoreStatus::kOk);
+  EXPECT_EQ(file.size(), end);
+  EXPECT_EQ(wal_scan(file).records, 3u);
+  std::remove(path.c_str());
+}
+
+// A killed process leaves the file as its open writer had it: the log,
+// the terminator and the window's zeros.  A copy reopens after the last
+// record and appends there.
+TEST(WalExtentTest, ALogCopiedFromAnOpenWriterReopensAfterItsLastRecord) {
+  const std::string path = tmp_path("killed");
+  const std::string copy = tmp_path("killed_copy");
+  std::remove(path.c_str());
+  WalWriter w;
+  std::string err;
+  ASSERT_TRUE(w.open(path, 1, false, &err)) << err;
+  for (int i = 0; i < 5; ++i) w.append_record(1, kPayload40);
+  crypto::Bytes killed;
+  ASSERT_EQ(read_file(path, killed), StoreStatus::kOk);
+  EXPECT_EQ(killed.size(), WalWriter::kWindowBytes);
+  EXPECT_EQ(wal_scan(killed).valid_bytes, kHeader + 5 * kRec);
+  EXPECT_TRUE(zero_from(killed, kHeader + 5 * kRec));
+  write_whole_file(copy, killed);
+  {
+    WalWriter resumed;
+    ASSERT_TRUE(resumed.open(copy, 1, false, &err)) << err;
+    EXPECT_EQ(resumed.next_lsn(), 6u);
+    EXPECT_EQ(resumed.append_record(3, kPayload40), 6u);
+  }
+  crypto::Bytes file;
+  ASSERT_EQ(read_file(copy, file), StoreStatus::kOk);
+  ScanCapture cap;
+  const WalScanResult r = wal_scan(file, cap.fn());
+  EXPECT_EQ(r.status, StoreStatus::kOk);
+  EXPECT_EQ(cap.lsns, (std::vector<Lsn>{1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(cap.types.back(), 3u);
+  EXPECT_EQ(file.size(), r.valid_bytes);
+  std::remove(copy.c_str());
+  std::remove(path.c_str());
+}
+
+// A fresh or damaged log may hold records whose LSNs start at 1, so
+// restart_at(1) and open()'s torn-tail path trim them rather than leave
+// them behind a terminator: everything past the log reads zero.
+TEST(WalExtentTest, RestartAtOneAndATornTailTrimTheOldRecords) {
+  const std::string path = tmp_path("trim");
+  std::remove(path.c_str());
+  std::string err;
+  {
+    WalWriter w;
+    ASSERT_TRUE(w.open(path, 1, false, &err)) << err;
+    for (int i = 0; i < 50; ++i) w.append_record(1, kPayload40);
+    ASSERT_TRUE(w.restart_at(1, &err)) << err;
+    crypto::Bytes file;
+    ASSERT_EQ(read_file(path, file), StoreStatus::kOk);
+    const WalScanResult r = wal_scan(file);
+    EXPECT_EQ(r.status, StoreStatus::kOk);
+    EXPECT_EQ(r.records, 0u);
+    EXPECT_EQ(r.valid_bytes, kHeader);
+    EXPECT_TRUE(zero_from(file, kHeader));
+    for (int i = 0; i < 10; ++i) w.append_record(1, kPayload40);
+  }
+  crypto::Bytes torn;
+  ASSERT_EQ(read_file(path, torn), StoreStatus::kOk);
+  ASSERT_EQ(torn.size(), kHeader + 10 * kRec);
+  torn[kHeader + 4 * kRec + 20] ^= 0x01;  // inside the fifth record's body
+  write_whole_file(path, torn);
+  WalWriter w;
+  ASSERT_TRUE(w.open(path, 1, false, &err)) << err;
+  EXPECT_EQ(w.next_lsn(), 5u);
+  crypto::Bytes file;
+  ASSERT_EQ(read_file(path, file), StoreStatus::kOk);
+  const WalScanResult r = wal_scan(file);
+  EXPECT_EQ(r.status, StoreStatus::kOk);
+  EXPECT_EQ(r.valid_bytes, kHeader + 4 * kRec);
+  EXPECT_TRUE(zero_from(file, r.valid_bytes));
+  std::remove(path.c_str());
+}
+
+// Records stored across window boundaries, one at a time and in a group
+// larger than a window, scan back whole.  The writer maps one window per
+// kWindowBytes of log crossed plus one per open, and makes no write(2).
+TEST(WalExtentTest, RecordsSpanWindowsAndScanBackWhole) {
+  const std::string path = tmp_path("span");
+  std::remove(path.c_str());
+  std::string err;
+  WalWriter w;
+  ASSERT_TRUE(w.open(path, 1, false, &err)) << err;
+  const crypto::Bytes big(3 * WalWriter::kWindowBytes / 2, 0x33);
+  for (int i = 0; i < 3'000; ++i) w.append_record(1, payload_for(i % 97));
+  w.append_record(2, big);
+  ASSERT_TRUE(w.open(path, 2'000, false, &err)) << err;  // reopen, grouped
+  for (int i = 0; i < 1'999; ++i) w.append_record(3, payload_for(i % 89));
+  w.sync();
+  EXPECT_EQ(w.stats().writes, 0u);
+  EXPECT_LE(w.stats().maps,
+            w.stats().bytes_appended / WalWriter::kWindowBytes + 3);
+  crypto::Bytes file;
+  ASSERT_EQ(read_file(path, file), StoreStatus::kOk);
+  ScanCapture cap;
+  const WalScanResult r = wal_scan(file, cap.fn());
+  EXPECT_EQ(r.status, StoreStatus::kOk);
+  ASSERT_EQ(cap.lsns.size(), 5'000u);
+  EXPECT_EQ(cap.payloads[3'000], big);
+  EXPECT_EQ(cap.payloads[3'001], payload_for(0));
+  EXPECT_EQ(cap.payloads[4'999], payload_for(1'998 % 89));
+  EXPECT_TRUE(zero_from(file, r.valid_bytes));
+  std::remove(path.c_str());
+}
+
 // The satellite fuzz: cut the file at *every* byte offset of the final
 // record, and separately flip a bit at every byte offset of the final
 // record.  Every mangled file must scan to exactly the first two records
@@ -247,8 +430,13 @@ TEST(WalTornWriteFuzz, EveryTruncationAndCorruptionStopsAtLastValidLsn) {
     ASSERT_TRUE(w.open(path, 1, true, &err)) << err;
     w.append_record(7, payload_for(0));
     w.append_record(8, payload_for(1));
+    // The open writer's file runs past the log to its window's end, so the
+    // log's end is where the scan stops.
     ASSERT_EQ(read_file(path, intact), StoreStatus::kOk);
-    final_record_start = intact.size();
+    const WalScanResult two = wal_scan(intact);
+    ASSERT_EQ(two.status, StoreStatus::kOk);
+    ASSERT_EQ(two.records, 2u);
+    final_record_start = two.valid_bytes;
     w.append_record(9, payload_for(2));
   }
   ASSERT_EQ(read_file(path, intact), StoreStatus::kOk);

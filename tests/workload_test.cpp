@@ -169,6 +169,24 @@ TEST(Traffic, CampaignLimitBlocksBeforeBalanceWhenLimitIsTight) {
   EXPECT_EQ(r.refused_limit, 75u);
 }
 
+// The limit's warning quarantines the spammer (one warning is enough), so
+// every later send is blocked: neither sent nor refused for the limit.
+TEST(Traffic, QuarantinedSendsAreNotCountedAsSent) {
+  core::ZmailParams p = traffic_params();
+  p.initial_user_balance = 10'000;
+  p.default_daily_limit = 25;
+  p.quarantine_after_warnings = 1;
+  core::ZmailSystem sys(p, 20);
+  CorpusGenerator corpus(CorpusParams{}, zmail::Rng(21));
+  SpamCampaignParams cp;
+  cp.messages = 100;
+  zmail::Rng rng(22);
+  const SpamCampaignResult r = run_spam_campaign(sys, cp, corpus, rng);
+  EXPECT_EQ(r.sent, 25u);
+  EXPECT_EQ(r.refused_limit, 1u);
+  EXPECT_EQ(r.refused_balance, 0u);
+}
+
 TEST(Traffic, DiurnalProfileConcentratesDaytimeSends) {
   core::ZmailSystem sys(traffic_params(), 51);
   CorpusGenerator corpus(CorpusParams{}, zmail::Rng(52));
