@@ -40,6 +40,7 @@
 #include "trace/analyze.hpp"
 #include "trace/export.hpp"
 #include "trace/trace.hpp"
+#include "util/log.hpp"
 
 using namespace zmail;
 
@@ -160,10 +161,10 @@ telemetry::TelemetryConfig telemetry_config(const Args& args) {
   return cfg;
 }
 
-// Post-run telemetry export (single replica): the default probe rules
-// evaluated retrospectively over the merged series (fires/clears logged via
-// the "probe" tag) with a console summary, and optionally the world's obs
-// snapshot.  Returns 0 or the process exit code.
+// Post-run telemetry export (single replica): the stock probe rules
+// evaluated retrospectively over the merged series (each fire logged as a
+// warning under the "probe" tag) with a console summary, and optionally the
+// world's obs snapshot.  Returns 0 or the process exit code.
 int export_telemetry(const Args& args, const core::ZmailSystem& world) {
   telemetry::DeriveSpec spec;
   spec.endowment_epennies = static_cast<double>(world.initial_endowment());
@@ -172,12 +173,17 @@ int export_telemetry(const Args& args, const core::ZmailSystem& world) {
   std::size_t points = 0;
   for (const auto& s : merged) points += s.points.size();
 
-  telemetry::ProbeEngine probes;
-  for (telemetry::ProbeRule& r : telemetry::default_rules())
-    probes.add_rule(std::move(r));
-  const telemetry::ProbeReport report = probes.evaluate(merged);
+  const telemetry::ProbeReport report = telemetry::evaluate_probes(merged);
   std::size_t transitions = 0;
-  for (const auto& p : report.probes) transitions += p.transitions.size();
+  for (const auto& p : report.probes) {
+    transitions += p.transitions.size();
+    for (const telemetry::ProbeTransition& t : p.transitions)
+      if (t.fired)
+        ZMAIL_LOG(LogLevel::kWarn, "probe",
+                  "%s FIRING at t=%lld us: %s > %g (value %g)",
+                  p.rule.name.c_str(), static_cast<long long>(t.t_us),
+                  telemetry::agg_name(p.rule.agg), p.rule.threshold, t.value);
+  }
   std::printf(
       "telemetry: %zu series, %zu points; probes: %zu evaluated, %zu "
       "firing, %zu transition(s)\n",

@@ -278,30 +278,15 @@ void BankFederation::open_round(std::size_t bank) {
 std::vector<std::pair<std::size_t, crypto::Bytes>>
 BankFederation::start_snapshot() {
   if (round_open() || params_.compliant_count() == 0) return {};
-  for (std::size_t b = 0; b < bank_count(); ++b) open_round(b);
-  // Requests go out in global ISP order; each bank's sealing draws form
-  // the same per-bank subsequence the WAL replay of its kStartRound record
-  // regenerates.  A bank's request plaintext is the same for each of its
-  // ISPs, so it is encoded once per bank.
-  std::vector<crypto::Bytes> requests;
-  requests.reserve(bank_count());
-  for (const MemberBank& mb : banks_)
-    requests.push_back(SnapshotRequest{mb.seq}.serialize());
+  // Each bank seals from its own RNG, so opening the banks one after the
+  // other draws what the WAL replay of each kStartRound record regenerates.
   std::vector<std::pair<std::size_t, crypto::Bytes>> out;
   out.reserve(params_.compliant_count());
-  for (std::size_t i = 0; i < params_.n_isps; ++i) {
-    if (!params_.is_compliant(i)) continue;
-    const std::size_t b = home_bank(i);
-    MemberBank& mb = banks_[b];
-    ++mb.outstanding;
-    ++mb.metrics.requests_sent;
-    out.emplace_back(i, seal_from(b, keys_[b].priv, requests[b]));
-  }
-  for (std::size_t b = 0; b < bank_count(); ++b) {
-    audit(b, AuditKind::kRoundStarted, b, 0,
-          static_cast<std::int64_t>(banks_[b].outstanding));
-    if (banks_[b].outstanding == 0) gather_complete(b);
-  }
+  for (std::size_t b = 0; b < bank_count(); ++b)
+    for (auto& request : start_snapshot_for(b))
+      out.push_back(std::move(request));
+  std::sort(out.begin(), out.end(),
+            [](const auto& x, const auto& y) { return x.first < y.first; });
   return out;
 }
 
@@ -311,6 +296,7 @@ BankFederation::start_snapshot_for(std::size_t bank) {
   if (!mb.canrequest) return {};
   open_round(bank);
   std::vector<std::pair<std::size_t, crypto::Bytes>> out;
+  out.reserve(compliant_members(bank));
   const crypto::Bytes req = SnapshotRequest{mb.seq}.serialize();
   for (std::size_t i = 0; i < params_.n_isps; ++i) {
     if (home_bank(i) != bank || !params_.is_compliant(i)) continue;

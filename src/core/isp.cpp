@@ -65,12 +65,12 @@ EPenny Isp::epennies_held() const noexcept {
   return total;
 }
 
-bool Isp::commit_paid_send(UserId s) {
+std::optional<SendResult> Isp::commit_paid_send(UserId s) {
   const UserRef u = users_.at(s);
   // Paper guard: balance[s] >= 1 AND sent[s] < limit[s].
   if (u.balance < 1) {
     ++metrics_.refused_no_balance;
-    return false;
+    return SendResult::kNoBalance;
   }
   if (u.sent >= u.limit) {
     ++metrics_.refused_daily_limit;
@@ -78,12 +78,12 @@ bool Isp::commit_paid_send(UserId s) {
       u.blocked_today = true;
       send_zombie_warning(s);
     }
-    return false;
+    return SendResult::kDailyLimit;
   }
   add_balance(u, -1);
   u.sent += 1;
   u.lifetime_sent += 1;
-  return true;
+  return std::nullopt;
 }
 
 SendResult Isp::user_send(UserId s, std::size_t dest_isp, UserId r,
@@ -114,22 +114,7 @@ SendResult Isp::apply_user_send(UserId s, std::size_t dest_isp, UserId r,
   if (dest_isp == index_) {
     // Local delivery: the e-penny moves from sender to receiver without
     // touching any channel or the credit array.
-    const UserRef sender = users_.at(s);
-    if (sender.balance < 1) {
-      ++metrics_.refused_no_balance;
-      return SendResult::kNoBalance;
-    }
-    if (sender.sent >= sender.limit) {
-      ++metrics_.refused_daily_limit;
-      if (!sender.blocked_today) {
-        sender.blocked_today = true;
-        send_zombie_warning(s);
-      }
-      return SendResult::kDailyLimit;
-    }
-    add_balance(sender, -1);
-    sender.sent += 1;
-    sender.lifetime_sent += 1;
+    if (const auto refused = commit_paid_send(s)) return *refused;
     ZMAIL_ASSERT(r.slot() < users_.size());
     const UserRef rcpt = users_.at(r);
     add_balance(rcpt, 1);
@@ -167,10 +152,7 @@ SendResult Isp::apply_user_send(UserId s, std::size_t dest_isp, UserId r,
   }
 
   // Paid remote send.
-  if (!commit_paid_send(s)) {
-    return users_.at(s).balance < 1 ? SendResult::kNoBalance
-                                    : SendResult::kDailyLimit;
-  }
+  if (const auto refused = commit_paid_send(s)) return *refused;
   if (!cansend_) {
     // Section 4.4: "these emails will be buffered and sent right after the
     // timeout expires".  Payment is committed now; the credit entry is

@@ -320,7 +320,9 @@ class Isp {
                             std::span<const std::uint8_t> wire = {});
   void maybe_generate_ack(UserId recipient, const net::EmailMessage& msg);
   void send_zombie_warning(UserId s);
-  bool commit_paid_send(UserId s);  // balance/limit check + decrement
+  // The paper's balance/limit guard and the e-penny charge: the refusal,
+  // counted, or nullopt once the sender has paid.
+  std::optional<SendResult> commit_paid_send(UserId s);
   // The one writer of the balance column: keeps users_balance_ in step.
   void add_balance(const UserRef& u, EPenny delta) noexcept {
     u.balance += delta;

@@ -19,8 +19,7 @@ json::Value counters_to_json(const M& m) {
 }
 
 // The telemetry sections: merged deterministic series, engine series,
-// and the default probe rules evaluated over the run (without re-logging
-// transitions the live run already logged).
+// and the stock probe rules evaluated over the run.
 void append_timeseries(json::Value& j, const core::ZmailSystem& sys) {
   const telemetry::TelemetryRegistry& registry = *sys.telemetry();
   telemetry::DeriveSpec spec;
@@ -29,11 +28,7 @@ void append_timeseries(json::Value& j, const core::ZmailSystem& sys) {
       telemetry::merge_series(registry, spec);
   j["timeseries"] = telemetry::timeseries_json(merged, /*engine=*/false);
   j["timeseries_engine"] = telemetry::timeseries_json(merged, /*engine=*/true);
-  telemetry::ProbeEngine probes;
-  for (telemetry::ProbeRule& r : telemetry::default_rules())
-    probes.add_rule(std::move(r));
-  j["probes"] =
-      telemetry::to_json(probes.evaluate(merged, /*log_transitions=*/false));
+  j["probes"] = telemetry::to_json(telemetry::evaluate_probes(merged));
 }
 
 }  // namespace

@@ -166,7 +166,6 @@ void SmtpServerSession::reset_transaction() {
   pending_.trace_id = 0;
   in_headers_ = true;
   body_open_ = false;
-  data_bytes_ = 0;
   if (state_ != State::kConnected) state_ = State::kGreeted;
 }
 
@@ -179,11 +178,6 @@ SmtpReply SmtpServerSession::consume_line(std::string_view line) {
     ++accepted_;
     reset_transaction();
     return {250, "OK"};
-  }
-  data_bytes_ += line.size() + 2;
-  if (max_size_ > 0 && data_bytes_ > max_size_) {
-    reset_transaction();
-    return {552, "Message exceeds maximum size"};
   }
   // Reverse dot-stuffing: a leading ".." becomes ".".
   if (line.size() >= 2 && line[0] == '.' && line[1] == '.')
@@ -247,12 +241,8 @@ SmtpReply SmtpServerSession::handle_command(std::string_view line) {
     case kVrfy: {
       const std::string_view who = trim(*args);
       if (who.empty()) return {501, "VRFY needs an address"};
-      const auto addr = parse_address(who);
-      if (!addr) return {501, "Syntax error in address"};
-      if (!verify_) return {252, "Cannot VRFY user, but will accept message"};
-      if (!verify_(*addr)) return {550, "No such user here"};
-      reply_.assign(addr->local).append(1, '@').append(addr->domain);
-      return {250, reply_};
+      if (!parse_address(who)) return {501, "Syntax error in address"};
+      return {252, "Cannot VRFY user, but will accept message"};
     }
     case kHelp:
       return {214, "Commands: HELO MAIL RCPT DATA RSET NOOP VRFY HELP QUIT"};
@@ -279,7 +269,8 @@ SmtpReply SmtpServerSession::handle_command(std::string_view line) {
 SmtpReply SmtpServerSession::mail_from(std::string_view rest) {
   if (state_ == State::kConnected) return {503, "Polite people say HELO first"};
   if (state_ != State::kGreeted) return {503, "Nested MAIL command"};
-  // Optional RFC-1870 SIZE parameter: "MAIL FROM:<a@b> SIZE=12345".
+  // Optional RFC-1870 SIZE parameter: "MAIL FROM:<a@b> SIZE=12345".  It
+  // must be a number; with no size limit the value is otherwise ignored.
   std::string_view spec = trim(rest);
   const std::size_t space = spec.find(' ');
   if (space != std::string_view::npos) {
@@ -289,12 +280,9 @@ SmtpReply SmtpServerSession::mail_from(std::string_view rest) {
       // strtoull needs a terminated string; this path is rare.
       const std::string digits(*size);
       char* end = nullptr;
-      const unsigned long long declared =
-          std::strtoull(digits.c_str(), &end, 10);
+      std::strtoull(digits.c_str(), &end, 10);
       if (end == digits.c_str() || *end != '\0')
         return {501, "Bad SIZE parameter"};
-      if (max_size_ > 0 && declared > max_size_)
-        return {552, "Message size exceeds fixed maximum"};
     } else {
       return {501, "Unrecognized MAIL parameter"};
     }
@@ -311,8 +299,6 @@ SmtpReply SmtpServerSession::rcpt_to(std::string_view rest) {
   EmailAddress& rcpt = reuse_slot(pending_.to, n_to_);
   if (!assign_path(trim(rest), rcpt))
     return {501, "Syntax error in RCPT TO path"};
-  if (verify_ && rcpt.domain == domain_ && !verify_(rcpt))
-    return {550, "No such user here"};
   ++n_to_;
   state_ = State::kRcptTo;
   return {250, "OK"};

@@ -17,9 +17,9 @@
 namespace zmail::net {
 
 // Three-digit SMTP reply plus text.  The text is a literal or, for the
-// replies that name a host or an address (greeting, HELO, VRFY, QUIT), a
-// view into the session's reply buffer: valid until the next call on that
-// session.  Copy it to keep it longer.
+// replies that name a host (greeting, HELO, QUIT), a view into the
+// session's reply buffer: valid until the next call on that session.  Copy
+// it to keep it longer.
 struct SmtpReply {
   int code = 0;
   std::string_view text;
@@ -53,19 +53,8 @@ class SmtpServerSession {
   // another message, whose storage the session then reuses.  A callback
   // taking `const EmailMessage&` binds here as well.
   using DeliverFn = std::function<void(EmailMessage&&)>;
-  // Optional address validator for VRFY and RCPT (nullptr accepts all).
-  using VerifyFn = std::function<bool(const EmailAddress&)>;
 
   explicit SmtpServerSession(std::string server_domain, DeliverFn deliver);
-
-  // Installs a local-mailbox validator; RCPT TO for this server's own
-  // domain is then checked (550 on unknown users) and VRFY answers from
-  // it.
-  void set_verifier(VerifyFn verify) { verify_ = std::move(verify); }
-
-  // Maximum accepted message size in bytes (0 = unlimited); enforced
-  // against the MAIL FROM SIZE= parameter and the accumulated DATA.
-  void set_max_message_size(std::size_t bytes) { max_size_ = bytes; }
 
   // Opens a connection: drops any transaction and the QUIT flag, returns
   // the session to its just-connected state and yields the 220 greeting.
@@ -75,7 +64,10 @@ class SmtpServerSession {
   // lines are message content until the lone "." terminator; the returned
   // reply is empty (code 0) for swallowed data lines.  A command verb must
   // be followed by a space or the end of the line (RFC 821 4.1.1).  The
-  // session keeps no reference to `line`.
+  // session keeps no user directory and no size limit: VRFY answers 252 to
+  // any well-formed address, RCPT accepts any well-formed path, and a
+  // MAIL FROM SIZE= parameter is checked for syntax only.  The session
+  // keeps no reference to `line`.
   SmtpReply consume_line(std::string_view line);
 
   bool quit_received() const noexcept { return quit_; }
@@ -92,9 +84,6 @@ class SmtpServerSession {
 
   std::string domain_;
   DeliverFn deliver_;
-  VerifyFn verify_;
-  std::size_t max_size_ = 0;
-  std::size_t data_bytes_ = 0;
   State state_ = State::kConnected;
   bool quit_ = false;
   std::uint64_t accepted_ = 0;
@@ -109,7 +98,7 @@ class SmtpServerSession {
   std::size_t n_headers_ = 0;
   bool in_headers_ = true;  // DATA has not reached the blank line yet
   bool body_open_ = false;  // at least one body line has been appended
-  std::string reply_;       // text of the last greeting/HELO/VRFY/QUIT reply
+  std::string reply_;       // text of the last greeting/HELO/QUIT reply
 
   // The client half of smtp_transfer() renders here: the command and
   // dot-stuffed lines in client_line_, the whole DATA text in client_text_.

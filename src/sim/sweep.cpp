@@ -1,10 +1,12 @@
 #include "sim/sweep.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <thread>
 
 #include "util/assert.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace zmail::sweep {
 
@@ -91,7 +93,7 @@ json::Value SweepResult::to_json() const {
 
 SweepResult run(const std::vector<Point>& grid, const SweepOptions& options,
                 const ReplicaFn& fn) {
-  ZMAIL_ASSERT(options.replicas >= 1 && !grid.empty());
+  ZMAIL_ASSERT(options.replicas >= 1);
   const std::size_t n_points = grid.size();
   const std::size_t n_tasks = n_points * options.replicas;
 
@@ -100,23 +102,40 @@ SweepResult run(const std::vector<Point>& grid, const SweepOptions& options,
     double seconds = 0;
   };
   std::vector<Slot> slots(n_tasks);
+  const auto run_task = [&](std::size_t task) {
+    const std::size_t point = task / options.replicas;
+    const std::size_t replica = task % options.replicas;
+    const auto r0 = std::chrono::steady_clock::now();
+    slots[task].bag =
+        fn(grid[point], derive_seed(options.base_seed, point, replica),
+           replica);
+    slots[task].seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - r0)
+            .count();
+  };
 
+  const std::size_t threads =
+      options.threads != 0
+          ? options.threads
+          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
   const auto t0 = std::chrono::steady_clock::now();
-  std::size_t actual_threads = options.threads;
-  {
-    util::ThreadPool pool(options.threads);
-    actual_threads = pool.size();
-    pool.parallel_for(n_tasks, [&](std::size_t task) {
-      const std::size_t point = task / options.replicas;
-      const std::size_t replica = task % options.replicas;
-      const auto r0 = std::chrono::steady_clock::now();
-      slots[task].bag =
-          fn(grid[point], derive_seed(options.base_seed, point, replica),
-             replica);
-      slots[task].seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - r0)
-              .count();
-    });
+  // Tasks are independent, so each worker claims the next unclaimed index
+  // until none is left.  A single worker runs the loop inline on the
+  // caller's thread: the serial reference path of the determinism checks.
+  const std::size_t workers = std::min(threads, n_tasks);
+  if (workers <= 1) {
+    for (std::size_t task = 0; task < n_tasks; ++task) run_task(task);
+  } else {
+    std::atomic<std::size_t> next{0};
+    // jthreads join when the vector goes out of scope, so every worker has
+    // finished before `next` or the slots go, even if a thread fails to start.
+    std::vector<std::jthread> pool;
+    pool.reserve(workers);
+    for (std::size_t w = 0; w < workers; ++w)
+      pool.emplace_back([&] {
+        for (std::size_t task = next++; task < n_tasks; task = next++)
+          run_task(task);
+      });
   }
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -124,7 +143,7 @@ SweepResult run(const std::vector<Point>& grid, const SweepOptions& options,
 
   SweepResult out;
   out.wall_seconds = wall;
-  out.threads = actual_threads;
+  out.threads = threads;
   out.replicas = options.replicas;
   out.base_seed = options.base_seed;
   out.points.reserve(n_points);

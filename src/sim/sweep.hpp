@@ -2,10 +2,11 @@
 //
 // A sweep is a grid of Points (parameter coordinates), each run `replicas`
 // times with an independent deterministically-derived seed.  Replicas
-// execute on a work-stealing thread pool; every (point, replica) writes its
-// MetricBag into a pre-assigned slot and the harness reduces the slots in
-// replica order after the barrier, so the merged statistics are
-// bit-identical regardless of thread count:
+// execute on up to `threads` worker threads that claim task indices from one
+// shared counter; every (point, replica) writes its MetricBag into a
+// pre-assigned slot and the harness reduces the slots in replica order after
+// joining the workers, so the merged statistics are bit-identical regardless
+// of thread count:
 //
 //     merged(point) = bag(point, 0).merge(bag(point, 1)) ... (point, R-1)
 //
@@ -93,7 +94,7 @@ struct PointResult {
 struct SweepResult {
   std::vector<PointResult> points;
   double wall_seconds = 0;    // whole-sweep wall clock
-  std::size_t threads = 0;
+  std::size_t threads = 0;    // resolved worker count (0 never appears)
   std::size_t replicas = 0;
   std::uint64_t base_seed = 0;
 
@@ -105,7 +106,8 @@ struct SweepResult {
   json::Value to_json() const;
 };
 
-// Runs |grid| x replicas tasks across the pool and reduces deterministically.
+// Runs |grid| x replicas tasks on min(threads, tasks) worker threads and
+// reduces deterministically.  An empty grid runs nothing.
 SweepResult run(const std::vector<Point>& grid, const SweepOptions& options,
                 const ReplicaFn& fn);
 

@@ -2,28 +2,13 @@
 
 #include <algorithm>
 
-#include "util/log.hpp"
-
 namespace zmail::telemetry {
 
 const char* agg_name(Agg a) noexcept {
   switch (a) {
     case Agg::kLast: return "last";
-    case Agg::kMean: return "mean";
     case Agg::kMax: return "max";
-    case Agg::kMin: return "min";
-    case Agg::kSum: return "sum";
     case Agg::kSlopePerSec: return "slope_per_sec";
-  }
-  return "?";
-}
-
-const char* cmp_name(Cmp c) noexcept {
-  switch (c) {
-    case Cmp::kGt: return ">";
-    case Cmp::kGe: return ">=";
-    case Cmp::kLt: return "<";
-    case Cmp::kLe: return "<=";
   }
   return "?";
 }
@@ -50,29 +35,11 @@ double aggregate(const ProbeRule& rule, const Series& s, std::size_t end) {
   switch (rule.agg) {
     case Agg::kLast:
       return probe_value(k, s.points[end]);
-    case Agg::kMean: {
-      double sum = 0.0;
-      for (std::size_t i = begin; i <= end; ++i)
-        sum += probe_value(k, s.points[i]);
-      return sum / static_cast<double>(end - begin + 1);
-    }
     case Agg::kMax: {
       double m = probe_value(k, s.points[begin]);
       for (std::size_t i = begin + 1; i <= end; ++i)
         m = std::max(m, probe_value(k, s.points[i]));
       return m;
-    }
-    case Agg::kMin: {
-      double m = probe_value(k, s.points[begin]);
-      for (std::size_t i = begin + 1; i <= end; ++i)
-        m = std::min(m, probe_value(k, s.points[i]));
-      return m;
-    }
-    case Agg::kSum: {
-      double sum = 0.0;
-      for (std::size_t i = begin; i <= end; ++i)
-        sum += probe_value(k, s.points[i]);
-      return sum;
     }
     case Agg::kSlopePerSec: {
       if (begin == end) return 0.0;  // a one-point window has no slope
@@ -84,16 +51,6 @@ double aggregate(const ProbeRule& rule, const Series& s, std::size_t end) {
     }
   }
   return 0.0;
-}
-
-bool breaches(Cmp c, double value, double threshold) noexcept {
-  switch (c) {
-    case Cmp::kGt: return value > threshold;
-    case Cmp::kGe: return value >= threshold;
-    case Cmp::kLt: return value < threshold;
-    case Cmp::kLe: return value <= threshold;
-  }
-  return false;
 }
 
 }  // namespace
@@ -112,8 +69,7 @@ ProbeStatus evaluate_rule(const ProbeRule& rule, const Series& s) {
     const double v = aggregate(rule, s, i);
     ++st.evaluations;
     st.last_value = v;
-    const bool breach = breaches(rule.cmp, v, rule.threshold);
-    if (breach) {
+    if (v > rule.threshold) {
       ++st.breaches;
       ++breach_streak;
       ok_streak = 0;
@@ -133,33 +89,7 @@ ProbeStatus evaluate_rule(const ProbeRule& rule, const Series& s) {
   return st;
 }
 
-ProbeReport ProbeEngine::evaluate(const std::vector<Series>& series,
-                                  bool log_transitions) const {
-  ProbeReport report;
-  for (const ProbeRule& rule : rules_) {
-    bool matched = false;
-    for (const Series& s : series) {
-      if (!key_matches(rule.series, s.key())) continue;
-      matched = true;
-      ProbeStatus st = evaluate_rule(rule, s);
-      if (log_transitions) {
-        for (const ProbeTransition& t : st.transitions)
-          ZMAIL_LOG(t.fired ? LogLevel::kWarn : LogLevel::kInfo, "probe",
-                    "%s %s at t=%lld us: %s %s %g (value %g)",
-                    st.rule.name.c_str(), t.fired ? "FIRING" : "cleared",
-                    static_cast<long long>(t.t_us), agg_name(rule.agg),
-                    cmp_name(rule.cmp), rule.threshold, t.value);
-      }
-      report.probes.push_back(std::move(st));
-    }
-    if (!matched) {
-      ProbeStatus st;
-      st.rule = rule;
-      report.probes.push_back(std::move(st));
-    }
-  }
-  return report;
-}
+namespace {
 
 std::vector<ProbeRule> default_rules() {
   std::vector<ProbeRule> rules;
@@ -168,21 +98,41 @@ std::vector<ProbeRule> default_rules() {
   // backlog sawtooths; a party that stops checkpointing (crashed, wedged
   // round) climbs through the threshold and fires until recovery.
   rules.push_back(ProbeRule{"wal_backlog_growth",
-                            "store.*.wal_backlog_records", Agg::kLast,
-                            Cmp::kGt, 400.0, 1, 2, 1});
+                            "store.*.wal_backlog_records", Agg::kLast, 400.0,
+                            1, 2, 1});
   // Conservation gap = supply + endowment - holdings = e-pennies riding
   // in-flight mail and unsettled trades.  A sustained positive slope means
   // value is leaking out of the books (lost paid mail never refunded).
   rules.push_back(ProbeRule{"conservation_drift",
                             "econ.total.conservation_gap", Agg::kSlopePerSec,
-                            Cmp::kGt, 0.01, 10, 2, 2});
+                            0.01, 10, 2, 2});
   // Delivery latency p99 per recipient ISP: fires when the tail crosses 15
   // simulated minutes (quiesce buffering tops out at 10; anything beyond
   // means retransmit storms or outage queues).
   rules.push_back(ProbeRule{"delivery_latency_p99",
-                            "core.*.delivery_latency_us", Agg::kMax,
-                            Cmp::kGt, 9e8, 5, 1, 1});
+                            "core.*.delivery_latency_us", Agg::kMax, 9e8, 5,
+                            1, 1});
   return rules;
+}
+
+}  // namespace
+
+ProbeReport evaluate_probes(const std::vector<Series>& series) {
+  ProbeReport report;
+  for (const ProbeRule& rule : default_rules()) {
+    bool matched = false;
+    for (const Series& s : series) {
+      if (!key_matches(rule.series, s.key())) continue;
+      matched = true;
+      report.probes.push_back(evaluate_rule(rule, s));
+    }
+    if (!matched) {
+      ProbeStatus st;
+      st.rule = rule;
+      report.probes.push_back(std::move(st));
+    }
+  }
+  return report;
 }
 
 json::Value to_json(const ProbeReport& report) {
@@ -199,7 +149,7 @@ json::Value to_json(const ProbeReport& report) {
     e["name"] = p.rule.name;
     e["series"] = p.rule.series;
     e["agg"] = agg_name(p.rule.agg);
-    e["cmp"] = cmp_name(p.rule.cmp);
+    e["cmp"] = ">";
     e["threshold"] = p.rule.threshold;
     e["window"] = static_cast<std::uint64_t>(p.rule.window);
     e["evaluated"] = p.evaluated;

@@ -2,13 +2,13 @@
 // telemetry windows.
 //
 // A ProbeRule names one series (by "<scope>.<name>" key), an aggregator
-// over a sliding window of its most recent points, a comparator against a
-// threshold, and fire/clear hysteresis in consecutive evaluations.  Rules
-// are evaluated retrospectively over the full recorded series at export
-// time — a pure function of the (deterministic) series data, so the same
-// probe fires and clears at the same sim-times on every replay of a seed.
-// Each transition is logged through the "probe" component, and the
-// summary ProbeReport is what auditors and CI assert on.
+// over a sliding window of its most recent points, a threshold the
+// aggregate breaches when it is greater, and fire/clear hysteresis in
+// consecutive evaluations.  Rules are evaluated retrospectively over the
+// full recorded series at export time — a pure function of the
+// (deterministic) series data, so the same probe fires and clears at the
+// same sim-times on every replay of a seed.  The ProbeReport records every
+// transition; it is what auditors and CI assert on.
 #pragma once
 
 #include <cstdint>
@@ -22,24 +22,17 @@ namespace zmail::telemetry {
 
 enum class Agg : std::uint8_t {
   kLast,         // newest point in the window
-  kMean,         // arithmetic mean over the window
-  kMax,
-  kMin,
-  kSum,
+  kMax,          // largest point in the window
   kSlopePerSec,  // (last - first) / elapsed seconds across the window
 };
 
-enum class Cmp : std::uint8_t { kGt, kGe, kLt, kLe };
-
 const char* agg_name(Agg a) noexcept;
-const char* cmp_name(Cmp c) noexcept;
 
 struct ProbeRule {
   std::string name;    // "wal_backlog_growth", "conservation_drift", ...
   std::string series;  // target key, e.g. "store.bank.wal_backlog_records"
   Agg agg = Agg::kLast;
-  Cmp cmp = Cmp::kGt;
-  double threshold = 0.0;
+  double threshold = 0.0;     // breached when the aggregate is greater
   std::size_t window = 5;     // points per evaluation (>= 1)
   std::size_t fire_for = 2;   // consecutive breaches before firing
   std::size_t clear_for = 2;  // consecutive OKs before clearing
@@ -91,29 +84,15 @@ struct ProbeReport {
   }
 };
 
-class ProbeEngine {
- public:
-  void add_rule(ProbeRule rule) { rules_.push_back(std::move(rule)); }
-  const std::vector<ProbeRule>& rules() const noexcept { return rules_; }
-
-  // Evaluates every rule over the recorded series (see file comment).
-  // `log_transitions` emits one "probe" log line per fire/clear — pass
-  // false for re-evaluations that would duplicate the record.
-  ProbeReport evaluate(const std::vector<Series>& series,
-                       bool log_transitions = true) const;
-
- private:
-  std::vector<ProbeRule> rules_;
-};
-
 // Evaluates one rule against one series (exposed for unit tests).
 ProbeStatus evaluate_rule(const ProbeRule& rule, const Series& s);
 
-// The stock rule set the scenario runner and zmail_top use: WAL backlog
-// growth per durable party, conservation-gap drift, and settlement/delivery
-// latency p99.  Rules whose series never registered simply report
-// evaluated == false.
-std::vector<ProbeRule> default_rules();
+// Evaluates the stock rule set over the recorded series (see file comment):
+// WAL backlog growth per durable party, conservation-gap drift, and
+// delivery latency p99.  A rule pattern with a '*' yields one status per
+// matching series, in series order; a rule whose series never registered
+// reports one status with evaluated == false.
+ProbeReport evaluate_probes(const std::vector<Series>& series);
 
 json::Value to_json(const ProbeReport& report);
 

@@ -42,8 +42,8 @@ void TelemetryRegistry::add_engine_rate(std::string scope, std::string name,
 }
 
 std::size_t TelemetryRegistry::add_histogram(std::string scope,
-                                             std::string name, bool engine) {
-  channels_.push_back(Channel{std::move(scope), std::move(name), engine,
+                                             std::string name) {
+  channels_.push_back(Channel{std::move(scope), std::move(name),
                               LogHistogram{},
                               DownsamplingRing(Kind::kHistogram,
                                                kRingCapacity)});
@@ -89,7 +89,7 @@ std::vector<Series> TelemetryRegistry::collect() const {
     out.push_back(
         Series{s.scope, s.name, s.kind, s.engine, s.ring.exported_points()});
   for (const Channel& c : channels_)
-    out.push_back(Series{c.scope, c.name, Kind::kHistogram, c.engine,
+    out.push_back(Series{c.scope, c.name, Kind::kHistogram, false,
                          c.ring.exported_points()});
   return out;
 }

@@ -57,12 +57,12 @@ class TelemetryRegistry {
   void add_engine_gauge(std::string scope, std::string name, GaugeFn fn);
   void add_engine_rate(std::string scope, std::string name, CounterFn fn);
 
-  // Histogram channels are fed from hot paths via observe(); registration
+  // Histogram channels (deterministic series: they record sim-time
+  // latencies) are fed from hot paths via observe(); registration
   // returns the channel id.  kNoChannel observations are dropped, so call
   // sites can hold an id unconditionally and stay zero-cost when off.
   static constexpr std::size_t kNoChannel = static_cast<std::size_t>(-1);
-  std::size_t add_histogram(std::string scope, std::string name,
-                            bool engine = false);
+  std::size_t add_histogram(std::string scope, std::string name);
   void observe(std::size_t channel, std::uint64_t micros) noexcept;
 
   // --- Sampling -------------------------------------------------------------
@@ -92,7 +92,6 @@ class TelemetryRegistry {
   };
   struct Channel {
     std::string scope, name;
-    bool engine;
     LogHistogram hist;
     DownsamplingRing ring;
   };

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <mutex>
 #include <set>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -134,6 +137,58 @@ TEST(SweepRun, ReplicaSeedsFollowDerivation) {
   ASSERT_EQ(got.size(), 8u);
   for (const auto& [key, seed] : got)
     EXPECT_EQ(seed, derive_seed(99, key.first, key.second));
+}
+
+// `points` grid points, each carrying its own index as a parameter.
+std::vector<Point> grid_of(std::size_t points) {
+  std::vector<Point> grid;
+  for (std::size_t p = 0; p < points; ++p)
+    grid.push_back(
+        {"p" + std::to_string(p), {{"index", static_cast<double>(p)}}});
+  return grid;
+}
+
+TEST(SweepRun, EveryTaskRunsExactlyOnce) {
+  // (points, replicas): 0, 1, 3 and 64 tasks; 64 splits as 8 x 8.
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {0, 1}, {1, 1}, {3, 1}, {1, 3}, {8, 8}};
+  for (const auto& [points, replicas] : shapes) {
+    for (std::size_t threads : {1u, 2u, 4u}) {
+      const std::size_t n = points * replicas;
+      SCOPED_TRACE(testing::Message() << "tasks " << n << " threads "
+                                      << threads);
+      std::vector<std::atomic<int>> hits(n);
+      SweepOptions opt;
+      opt.replicas = replicas;
+      opt.threads = threads;
+      const SweepResult r =
+          run(grid_of(points), opt,
+              [&](const Point& pt, std::uint64_t, std::size_t replica) {
+                const auto p = static_cast<std::size_t>(pt.param("index"));
+                hits[p * replicas + replica].fetch_add(1);
+                MetricBag bag;
+                bag.count("ran");
+                return bag;
+              });
+      for (std::size_t i = 0; i < n; ++i)
+        EXPECT_EQ(hits[i].load(), 1) << "task " << i;
+      EXPECT_DOUBLE_EQ(r.total_counter("ran"), static_cast<double>(n));
+      EXPECT_EQ(r.points.size(), points);
+      EXPECT_EQ(r.threads, threads);  // reported even when threads > tasks
+    }
+  }
+}
+
+TEST(SweepRun, ZeroThreadsMeansHardwareConcurrency) {
+  SweepOptions opt;
+  opt.replicas = 2;
+  opt.threads = 0;
+  const SweepResult r = run(Point{"p", {}}, opt,
+                            [](const Point&, std::uint64_t, std::size_t) {
+                              return MetricBag{};
+                            });
+  const std::size_t hw = std::thread::hardware_concurrency();
+  EXPECT_EQ(r.threads, hw == 0 ? 1u : hw);
 }
 
 TEST(SweepRun, ResultMetadataAndJson) {

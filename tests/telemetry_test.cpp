@@ -187,7 +187,7 @@ TEST(LogHistogram, FlushSummarizesAndResets) {
 TEST(Probes, FireAndClearHysteresis) {
   // fire_for = 2: one breach is noise, two consecutive fire; clear_for = 2.
   ProbeRule rule{"wal", "store.bank.wal_backlog_records", Agg::kLast,
-                 Cmp::kGt, 400.0, 1, 2, 2};
+                 400.0, 1, 2, 2};
   const Series s = gauge_series("store", "bank.wal_backlog_records",
                                 {100, 500, 500, 100, 100, 100});
   const ProbeStatus st = evaluate_rule(rule, s);
@@ -204,7 +204,7 @@ TEST(Probes, FireAndClearHysteresis) {
 
 TEST(Probes, SingleBreachBelowFireForNeverFires) {
   ProbeRule rule{"wal", "store.bank.wal_backlog_records", Agg::kLast,
-                 Cmp::kGt, 400.0, 1, 2, 2};
+                 400.0, 1, 2, 2};
   const Series s = gauge_series("store", "bank.wal_backlog_records",
                                 {100, 500, 100, 500, 100});
   const ProbeStatus st = evaluate_rule(rule, s);
@@ -215,7 +215,7 @@ TEST(Probes, SingleBreachBelowFireForNeverFires) {
 
 TEST(Probes, StillFiringWithoutEnoughClears) {
   ProbeRule rule{"wal", "store.bank.wal_backlog_records", Agg::kLast,
-                 Cmp::kGt, 400.0, 1, 2, 2};
+                 400.0, 1, 2, 2};
   const Series s = gauge_series("store", "bank.wal_backlog_records",
                                 {500, 500, 100});  // one OK < clear_for
   const ProbeStatus st = evaluate_rule(rule, s);
@@ -224,20 +224,21 @@ TEST(Probes, StillFiringWithoutEnoughClears) {
 }
 
 TEST(Probes, WindowClampsAtSeriesHead) {
-  // Mean over a 3-point window; the first evaluations see shorter windows.
-  ProbeRule rule{"m", "econ.isp0.x", Agg::kMean, Cmp::kGt, 100.0, 3, 1, 1};
+  // Max over a 3-point window; the first evaluations see shorter windows.
+  ProbeRule rule{"m", "econ.isp0.x", Agg::kMax, 100.0, 3, 1, 1};
   const Series s = gauge_series("econ", "isp0.x", {300, 0, 0, 0});
   const ProbeStatus st = evaluate_rule(rule, s);
-  // Evaluations: mean(300)=300 breach; mean(300,0)=150 breach;
-  // mean(300,0,0)=100 ok; mean(0,0,0)=0 ok.
+  // Evaluations: max(300), max(300,0), max(300,0,0) = 300 breach;
+  // max(0,0,0) = 0 ok once the head point leaves the window.
   EXPECT_EQ(st.evaluations, 4u);
-  EXPECT_EQ(st.breaches, 2u);
+  EXPECT_EQ(st.breaches, 3u);
   ASSERT_EQ(st.transitions.size(), 2u);
+  EXPECT_EQ(st.transitions[1].t_us, 4 * 60'000'000);
 }
 
 TEST(Probes, SlopeNeedsTwoPoints) {
   ProbeRule rule{"d", "econ.total.conservation_gap", Agg::kSlopePerSec,
-                 Cmp::kGt, 0.01, 10, 1, 1};
+                 0.01, 10, 1, 1};
   const Series one = gauge_series("econ", "total.conservation_gap", {5});
   EXPECT_TRUE(evaluate_rule(rule, one).transitions.empty());
   // 60 e-pennies per minute = 1/s, way over the 0.01/s drift threshold.
@@ -248,31 +249,38 @@ TEST(Probes, SlopeNeedsTwoPoints) {
   EXPECT_TRUE(st.firing);
 }
 
-TEST(Probes, WildcardMatchesEveryConcreteSeries) {
-  ProbeEngine engine;
-  engine.add_rule(ProbeRule{"wal", "store.*.wal_backlog_records", Agg::kLast,
-                            Cmp::kGt, 400.0, 1, 1, 1});
+TEST(Probes, StockRulesMatchEveryConcreteSeries) {
+  // The WAL rule (> 400 records, fire_for 2) matches per party; the
+  // conservation rule matches its one series; the latency rule has no
+  // series here and reports no data.
   std::vector<Series> series;
-  series.push_back(gauge_series("store", "isp0.wal_backlog_records", {500}));
+  series.push_back(
+      gauge_series("store", "isp0.wal_backlog_records", {500, 500}));
   series.push_back(gauge_series("store", "isp1.wal_backlog_records", {100}));
   series.push_back(gauge_series("store", "isp0.checkpoints", {1}));
-  const ProbeReport r = engine.evaluate(series, /*log_transitions=*/false);
-  ASSERT_EQ(r.probes.size(), 2u);  // one status per matching series
+  series.push_back(gauge_series("econ", "total.conservation_gap", {0, 0}));
+  const ProbeReport r = evaluate_probes(series);
+  ASSERT_EQ(r.probes.size(), 4u);  // one status per matching series
+  EXPECT_EQ(r.probes[0].rule.name, "wal_backlog_growth");
   EXPECT_EQ(r.probes[0].rule.series, "store.isp0.wal_backlog_records");
   EXPECT_TRUE(r.probes[0].firing);
+  EXPECT_EQ(r.probes[0].transitions.size(), 1u);
   EXPECT_EQ(r.probes[1].rule.series, "store.isp1.wal_backlog_records");
   EXPECT_FALSE(r.probes[1].firing);
+  EXPECT_EQ(r.probes[2].rule.name, "conservation_drift");
+  EXPECT_TRUE(r.probes[2].evaluated);
+  EXPECT_EQ(r.probes[3].rule.name, "delivery_latency_p99");
+  EXPECT_EQ(r.probes[3].rule.series, "core.*.delivery_latency_us");
+  EXPECT_FALSE(r.probes[3].evaluated);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.firing_count(), 1u);
+  EXPECT_EQ(r.evaluated_count(), 3u);
 }
 
 TEST(Probes, UnmatchedRuleIsNoDataNotFailure) {
-  ProbeEngine engine;
-  engine.add_rule(ProbeRule{"lat", "core.*.delivery_latency_us", Agg::kMax,
-                            Cmp::kGt, 9e8, 5, 1, 1});
-  const ProbeReport r = engine.evaluate({}, false);
-  ASSERT_EQ(r.probes.size(), 1u);
-  EXPECT_FALSE(r.probes[0].evaluated);
+  const ProbeReport r = evaluate_probes({});
+  ASSERT_EQ(r.probes.size(), 3u);  // one per stock rule
+  for (const ProbeStatus& p : r.probes) EXPECT_FALSE(p.evaluated);
   EXPECT_TRUE(r.ok());
   EXPECT_EQ(r.evaluated_count(), 0u);
 }

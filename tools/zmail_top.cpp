@@ -161,11 +161,7 @@ void render(const std::vector<telemetry::Series>& merged, const Args& args) {
 
   // Probe panel: re-evaluate the default rules over the recorded series.
   {
-    telemetry::ProbeEngine probes;
-    for (telemetry::ProbeRule& r : telemetry::default_rules())
-      probes.add_rule(std::move(r));
-    const telemetry::ProbeReport report =
-        probes.evaluate(merged, /*log_transitions=*/false);
+    const telemetry::ProbeReport report = telemetry::evaluate_probes(merged);
     Table t({"probe", "series", "state", "last", "fires", "transitions"});
     for (const auto& p : report.probes) {
       std::string transitions;
